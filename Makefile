@@ -25,10 +25,10 @@ SWEEP_VARIANT_PCT ?= 95
 # deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet lint lint-tools bench bench-smoke bench-gate bench-all benchstat baseline profile sweep chaos-smoke fuzz-smoke shard-smoke trace-smoke
+.PHONY: build test race vet lint lint-tools bench bench-smoke bench-gate bench-test bench-all benchstat baseline profile sweep chaos-smoke fuzz-smoke shard-smoke trace-smoke
 
-# Per-target budget for the CI fuzz smoke over the rtb codec's decoder
-# fuzz targets (go test -fuzz accepts exactly one target per run).
+# Per-target budget for the CI fuzz smoke over the decoder fuzz targets
+# (go test -fuzz accepts exactly one target per run).
 FUZZTIME ?= 10s
 
 build:
@@ -85,14 +85,17 @@ bench-gate:
 		MAX_OBS_OVERHEAD_PCT=$(OBS_OVERHEAD_PCT) \
 		MAX_SWEEP_VARIANT_PCT=$(SWEEP_VARIANT_PCT) sh scripts/bench_gate.sh
 
-# Short fuzz run over the rtb codec's decoder targets: each target
-# differentially checks the zero-reflection fast path against
-# encoding/json (struct equality, re-encode fixed point, error parity).
-# The committed corpus under internal/rtb/testdata/fuzz/ also replays as
-# plain unit tests on every 'make test'.
+# Short fuzz run over the zero-reflection decoders: the rtb codec's two
+# targets and the JSONL record decoder's. Each differentially checks its
+# fast path against encoding/json (struct equality, error parity; the
+# rtb targets also check the re-encode fixed point). The committed
+# corpora under internal/rtb/testdata/fuzz/ and
+# internal/dataset/testdata/fuzz/ also replay as plain unit tests on
+# every 'make test'.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/dataset
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.
@@ -121,6 +124,13 @@ shard-smoke:
 # the trace must pass the span-nesting validator.
 trace-smoke:
 	sh scripts/trace_smoke.sh
+
+# The benchmark module (bench/, its own Go module, so the root 'go test
+# ./...' skips it): vet, its tests (parser, the layer-map meta-test that
+# fails when an internal/ package has no ledger row, host-speed
+# readings, a tiny-size smoke run of every workload) and hbvet.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run headerbid/cmd/hbvet ./...
 
 # Every paper-figure benchmark.
 bench-all:

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"headerbid/internal/dataset"
@@ -358,17 +359,26 @@ func NewLatencyVsPopularity(reg *partners.Registry, binWidth int) *LatencyVsPopu
 // Name identifies the metric.
 func (m *LatencyVsPopularityMetric) Name() string { return "latency_vs_popularity" }
 
-// Add folds one record in (non-HB records are ignored).
+// Add folds one record in (non-HB records are ignored). Partners are
+// visited in slug order, not map order: several can share a bin, and a
+// bin's sample order is part of the encoded state, so identical folds
+// must append them identically.
 func (m *LatencyVsPopularityMetric) Add(r *dataset.SiteRecord) {
 	if !r.HB {
 		return
 	}
-	for slug, ls := range r.PartnerLatencyMS {
+	var buf [32]string
+	slugs := buf[:0]
+	for slug := range r.PartnerLatencyMS {
+		slugs = append(slugs, slug)
+	}
+	slices.Sort(slugs)
+	for _, slug := range slugs {
 		rank, ok := m.reg.PopularityRank(slug)
 		if !ok {
 			continue
 		}
-		for _, l := range ls {
+		for _, l := range r.PartnerLatencyMS[slug] {
 			m.b.Add(rank-1, l)
 		}
 	}

@@ -230,21 +230,30 @@ func (w *Writer) Close() error {
 
 // ReadStream decodes a JSONL stream record by record, handing each to fn
 // without materializing the dataset. A non-nil error from fn aborts the
-// read and is returned verbatim.
+// read and is returned verbatim. Each record is fresh: fn may keep it.
+//
+// Lines are decoded by a reflection-free fast path (decode.go) that
+// declines anything it is not certain of; a declined line is decoded
+// by encoding/json, which gives the same record and every error.
 func ReadStream(r io.Reader, fn func(*SiteRecord) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	d := newLineDecoder()
 	line := 0
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		b := sc.Bytes()
+		if len(b) == 0 {
 			continue
 		}
-		var rec SiteRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return fmt.Errorf("dataset: line %d: %w", line, err)
+		rec := new(SiteRecord)
+		if !d.decode(b, rec) {
+			*rec = SiteRecord{}
+			if err := json.Unmarshal(b, rec); err != nil {
+				return fmt.Errorf("dataset: line %d: %w", line, err)
+			}
 		}
-		if err := fn(&rec); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 	}

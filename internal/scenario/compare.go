@@ -199,7 +199,6 @@ type variantAgg struct {
 	beacons, requests int
 
 	bidPosts, bidErrors, retries, abandoned, quarantined int
-	winCPMSum                                            float64
 
 	extra []analysis.Metric
 }
@@ -255,7 +254,6 @@ func (a *variantAgg) Add(r *dataset.SiteRecord) {
 		if au.Winner != "" && au.WinnerCPM > 0 {
 			a.cpms = append(a.cpms, au.WinnerCPM)
 			a.winners++
-			a.winCPMSum += au.WinnerCPM
 		}
 		for _, b := range au.Bids {
 			if b.Source == "s2s" {
@@ -306,7 +304,6 @@ func (a *variantAgg) Merge(other analysis.Metric) {
 	a.retries += o.retries
 	a.abandoned += o.abandoned
 	a.quarantined += o.quarantined
-	a.winCPMSum += o.winCPMSum
 	for i, m := range a.extra {
 		m.Merge(o.extra[i])
 	}
@@ -333,7 +330,6 @@ func (a *variantAgg) result(axis, name string, ov overlay.Overlay, elapsed time.
 		Retries:         a.retries,
 		Abandoned:       a.abandoned,
 		Quarantined:     a.quarantined,
-		TotalWinCPM:     a.winCPMSum,
 		Extra:           a.extra,
 		Elapsed:         elapsed,
 	}
@@ -345,7 +341,14 @@ func (a *variantAgg) result(axis, name string, ov overlay.Overlay, elapsed time.
 		res.FracOver3s = 1 - e.P(3000)
 	}
 	if len(a.cpms) > 0 {
-		res.MedianCPM = stats.NewECDF(a.cpms).Quantile(0.5)
+		e := stats.NewECDF(a.cpms)
+		res.MedianCPM = e.Quantile(0.5)
+		// Summed in sorted order, not shard-merge order, so the total
+		// (and a zero revenue delta's sign) is the same for any worker
+		// count.
+		for _, c := range e.Values() {
+			res.TotalWinCPM += c
+		}
 	}
 	hbSites, partnerSum := 0, 0
 	for _, sf := range a.siteFirst {

@@ -55,8 +55,10 @@ func decodeFresh(t testing.TB, name string, b []byte) snapshot.Codec {
 
 // TestRoundTripByteExact: for every registered metric, both the empty
 // accumulator and one fed a real crawl encode → decode → re-encode to
-// identical bytes. Byte-exactness (not just value equality) is what
-// makes re-marshaled partial folds deterministic.
+// identical bytes, and a second fresh accumulator fed the same records
+// encodes to the same bytes as the first. Byte-exactness (not just
+// value equality) is what makes re-marshaled partial folds
+// deterministic, and shard files a function of their records.
 func TestRoundTripByteExact(t *testing.T) {
 	recs := records(t)
 	for _, name := range snapshot.Names() {
@@ -65,12 +67,17 @@ func TestRoundTripByteExact(t *testing.T) {
 		if got := encodeBytes(t, decodeFresh(t, name, empty)); !bytes.Equal(got, empty) {
 			t.Errorf("%s: empty state round-trip not byte-exact (%d vs %d bytes)", name, len(got), len(empty))
 		}
+		again, _ := snapshot.New(name)
 		for _, r := range recs {
 			m.Add(r)
+			again.Add(r)
 		}
 		full := encodeBytes(t, m)
 		if got := encodeBytes(t, decodeFresh(t, name, full)); !bytes.Equal(got, full) {
 			t.Errorf("%s: populated state round-trip not byte-exact (%d vs %d bytes)", name, len(got), len(full))
+		}
+		if got := encodeBytes(t, again); !bytes.Equal(got, full) {
+			t.Errorf("%s: two folds of the same records encode differently (%d vs %d bytes)", name, len(got), len(full))
 		}
 	}
 }
