@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
 # the measured numbers it is derived from; current steady state is ~97
@@ -44,13 +45,18 @@ vet:
 	$(GO) vet ./...
 
 # The static-analysis gate, identical for CI and developers: go vet,
-# then hbvet (the repo's own analyzers — determinism wall, hot-path
-# allocations, metric laws, ctx hygiene, recover scope, guarded trace
-# emission) over every package in the
-# module, cmd/ and examples/ included, then staticcheck when installed
-# (CI pins it through lint-tools; a bare container still gets vet+hbvet,
-# which need nothing beyond the Go toolchain).
+# then gofmt (any file it would reformat fails the gate), then hbvet
+# (the repo's own analyzers — determinism wall, hot-path allocations,
+# metric laws, ctx hygiene, recover scope, guarded trace emission) over
+# every package in the module, cmd/ and examples/ included, then
+# staticcheck when installed (CI pins it through lint-tools; a bare
+# container still gets vet+gofmt+hbvet, which need nothing beyond the Go
+# toolchain).
 lint: vet
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need 'gofmt -w':"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/hbvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
@@ -102,14 +108,22 @@ fuzz-smoke:
 sweep:
 	$(GO) run ./cmd/hbsweep -sites 600 -timeouts 500,3000,10000 -partners 1,5 -profiles fiber,3g -q
 
-# Chaos smoke (DESIGN.md §2.3): a tiny fault-ladder + chaos-shape sweep,
+# Chaos smoke (DESIGN.md §2.3): a tiny fault-ladder + chaos-shape sweep;
+# a sweep whose fault names an unknown partner must fail, naming it;
 # then the determinism and degradation proofs — fault-variant bytes are
 # worker-count-invariant, the zero-fault baseline matches a plain crawl,
-# pooled networks replay fault streams exactly, and in-visit panics
-# quarantine instead of killing workers.
+# pooled networks replay fault streams exactly, in-visit panics
+# quarantine instead of killing workers, a faulted visit allocates what
+# a healthy one does, and the crawl's shared fault table is copied, not
+# written, by per-visit hooks.
 chaos-smoke:
 	$(GO) run ./cmd/hbsweep -sites 400 -timeouts '' -partners '' -profiles '' -faults 0.2 -chaos -q
-	$(GO) test -run 'Chaos|Quarantine|FaultSweep|FaultStream|CorruptBid' \
+	@out=$$($(GO) run ./cmd/hbsweep -sites 100 -timeouts '' -partners '' -profiles '' \
+		-faults 0.2 -fault-partner nosuchpartner -q 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -eq 0 ] || ! echo "$$out" | grep -q '"nosuchpartner"'; then \
+		echo "chaos-smoke: hbsweep must exit non-zero naming the unknown fault target"; exit 1; \
+	fi
+	$(GO) test -run 'Chaos|Quarantine|FaultSweep|FaultStream|CorruptBid|FaultTable|FaultedVisit|UnknownFault' \
 		./internal/simnet ./internal/crawler ./internal/scenario
 
 # Distributed-crawl smoke (DESIGN.md §2.4): a 3-shard crawl folded with

@@ -162,7 +162,8 @@ type crawlJob struct {
 //
 // CrawlStream returns ctx.Err() as soon as the context is cancelled
 // (in-flight visits finish but are not emitted), or the first error
-// returned by emit.
+// returned by emit. An overlay fault naming a partner the world's
+// registry does not know is an error before the first visit.
 func CrawlStream(ctx context.Context, w *sitegen.World, opts Options, emit EmitFunc) error {
 	return CrawlStreamSharded(ctx, w, opts, emit, nil)
 }
@@ -179,6 +180,10 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 	}
 	if emit == nil {
 		emit = func(Visit) error { return nil }
+	}
+	faults, err := compileFaults(w, opts.Overlay)
+	if err != nil {
+		return err
 	}
 
 	// First day: every site (subject to Filter). Later days: HB sites
@@ -198,7 +203,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 		}
 		return emit(v)
 	}
-	if err := streamDay(ctx, w, first, opts, track, fold); err != nil {
+	if err := streamDay(ctx, w, first, opts, faults, track, fold); err != nil {
 		return err
 	}
 
@@ -209,7 +214,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 				jobs = append(jobs, crawlJob{site: s, day: day})
 			}
 		}
-		if err := streamDay(ctx, w, jobs, opts, emit, fold); err != nil {
+		if err := streamDay(ctx, w, jobs, opts, faults, emit, fold); err != nil {
 			return err
 		}
 	}
@@ -218,7 +223,9 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 
 // streamDay crawls one day's job list with a worker pool, folding each
 // record on its worker goroutine and emitting the records in job order.
-func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, emit EmitFunc, fold FoldFunc) error {
+// faults is the crawl's compiled fault table, shared read-only by every
+// worker's network.
+func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, faults simnet.FaultTable, emit EmitFunc, fold FoldFunc) error {
 	// An internal cancel stops the feeder both on caller cancellation and
 	// on emit error, so workers drain promptly in either case.
 	ctx, cancel := context.WithCancel(parent)
@@ -273,7 +280,7 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 					}
 				}
 				prev := vrt
-				rec := quarantineVisit(&vrt, w, j.site, j.day, opts, vt)
+				rec := quarantineVisit(&vrt, w, j.site, j.day, opts, faults, vt)
 				var spans *obs.VisitSpans
 				if vt.Enabled() {
 					spans = vt.Snapshot(j.site.Domain, j.day)
@@ -338,10 +345,12 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 
 // CrawlWorld runs the full measurement and returns all site records
 // (visit order: by day, then rank) — the batch convenience over
-// CrawlStream for callers that want the whole dataset in memory.
+// CrawlStream for callers that want the whole dataset in memory. It
+// returns no records when the overlay names an unknown fault target.
 func CrawlWorld(w *sitegen.World, opts Options) []*dataset.SiteRecord {
 	all := make([]*dataset.SiteRecord, 0, len(w.Sites))
-	// Background context + collecting emit: cannot fail.
+	// Background context + collecting emit: the only possible error is
+	// an unknown fault target, returned before any record is emitted.
 	_ = CrawlStream(context.Background(), w, opts, func(v Visit) error {
 		all = append(all, v.Record)
 		return nil
@@ -377,17 +386,25 @@ func newVisitRuntime() *visitRuntime {
 }
 
 // VisitSimulated performs one clean-slate visit of one site on a private
-// virtual-clock network. Deterministic in (world seed, site, day).
+// virtual-clock network. Deterministic in (world seed, site, day). An
+// overlay fault naming a partner the registry does not know yields a
+// record carrying that error, with no visit made.
 func VisitSimulated(w *sitegen.World, s *sitegen.Site, day int, opts Options) *dataset.SiteRecord {
-	return newVisitRuntime().visit(w, s, day, opts, nil)
+	faults, err := compileFaults(w, opts.Overlay)
+	if err != nil {
+		return &dataset.SiteRecord{Domain: s.Domain, Rank: s.Rank, VisitDay: day, Err: err.Error()}
+	}
+	return newVisitRuntime().visit(w, s, day, opts, faults, nil)
 }
 
 // visit performs one clean-slate visit on the pooled runtime. The
 // scheduler and network are reset first — the "new, clean instance"
 // policy from the paper — and only the hosts this visit can reach are
-// installed. vt is the visit's span recorder (nil for untraced visits:
-// every emission below sits behind the nil-safe Enabled guard).
-func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts Options, vt *obs.VisitTrace) *dataset.SiteRecord {
+// installed. faults is opts.Overlay's compiled fault table (nil when it
+// has none), installed by reference. vt is the visit's span recorder
+// (nil for untraced visits: every emission below sits behind the
+// nil-safe Enabled guard).
+func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts Options, faults simnet.FaultTable, vt *obs.VisitTrace) *dataset.SiteRecord {
 	vrt.sched.Reset(clock.Epoch.AddDate(0, 0, day))
 	vrt.net.Reset(visitSeed(opts.Seed, s.Domain, day))
 	net := vrt.net
@@ -400,9 +417,7 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	if vt.Enabled() {
 		eco.SetTrace(vt)
 	}
-	if ov := opts.Overlay; ov != nil && len(ov.Faults) > 0 {
-		installFaults(net, w, ov.Faults)
-	}
+	net.ShareFaults(faults)
 	if opts.VisitHook != nil {
 		opts.VisitHook(net, s, day)
 	}
@@ -513,12 +528,19 @@ func harvestVisit(c *obs.Counters, rec *dataset.SiteRecord, vrt, prev *visitRunt
 	}
 }
 
-// installFaults translates the overlay's declarative fault rules into
-// fault modes on this visit's network. An empty or "*" target fans out
-// over every registry partner in deterministic registry order.
-func installFaults(net *simnet.Network, w *sitegen.World, faults []overlay.Fault) {
-	for i := range faults {
-		f := &faults[i]
+// compileFaults translates the overlay's declarative fault rules into
+// the host-key table every visit of a crawl shares. Rules apply in slice
+// order; an empty or "*" target fans out over every registry partner in
+// registry order, and a later rule wins on a shared host. A target that
+// is neither of those nor a registry slug is an error: skipping it
+// would crawl fault-free under the faulted variant's label.
+func compileFaults(w *sitegen.World, ov *overlay.Overlay) (simnet.FaultTable, error) {
+	if ov == nil || len(ov.Faults) == 0 {
+		return nil, nil
+	}
+	t := make(simnet.FaultTable)
+	for i := range ov.Faults {
+		f := &ov.Faults[i]
 		fm := simnet.FaultMode{
 			FailProb:         f.FailProb,
 			Err:              f.Err,
@@ -537,14 +559,17 @@ func installFaults(net *simnet.Network, w *sitegen.World, faults []overlay.Fault
 		}
 		if f.Partner == "" || f.Partner == "*" {
 			for _, p := range w.Registry.All() {
-				net.Fault(p.Host, fm)
+				t.Set(p.Host, fm)
 			}
 			continue
 		}
-		if p, ok := w.Registry.BySlug(f.Partner); ok {
-			net.Fault(p.Host, fm)
+		p, ok := w.Registry.BySlug(f.Partner)
+		if !ok {
+			return nil, fmt.Errorf("crawler: overlay fault targets unknown partner %q", f.Partner)
 		}
+		t.Set(p.Host, fm)
 	}
+	return t, nil
 }
 
 // quarantineVisit is the crawl's sanctioned panic boundary (the only
@@ -554,7 +579,7 @@ func installFaults(net *simnet.Network, w *sitegen.World, faults []overlay.Fault
 // pooled runtime is discarded and rebuilt, because a half-run visit can
 // leave the scheduler/page in an arbitrary state that a Reset is not
 // specified to recover from.
-func quarantineVisit(vrtp **visitRuntime, w *sitegen.World, s *sitegen.Site, day int, opts Options, vt *obs.VisitTrace) (rec *dataset.SiteRecord) {
+func quarantineVisit(vrtp **visitRuntime, w *sitegen.World, s *sitegen.Site, day int, opts Options, faults simnet.FaultTable, vt *obs.VisitTrace) (rec *dataset.SiteRecord) {
 	defer func() {
 		if r := recover(); r != nil {
 			if vt.Enabled() {
@@ -566,7 +591,7 @@ func quarantineVisit(vrtp **visitRuntime, w *sitegen.World, s *sitegen.Site, day
 			rec = quarantineRecord(s, day, r, debug.Stack())
 		}
 	}()
-	return (*vrtp).visit(w, s, day, opts, vt)
+	return (*vrtp).visit(w, s, day, opts, faults, vt)
 }
 
 // quarantineRecord synthesizes the degraded record for a panicked

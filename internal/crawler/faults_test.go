@@ -1,13 +1,18 @@
 package crawler
 
 import (
+	"bytes"
+	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"headerbid/internal/browser"
 	"headerbid/internal/clock"
 	"headerbid/internal/core"
+	"headerbid/internal/dataset"
 	"headerbid/internal/hb"
+	"headerbid/internal/overlay"
 	"headerbid/internal/pagert"
 	"headerbid/internal/simnet"
 	"headerbid/internal/sitegen"
@@ -113,5 +118,143 @@ func TestCleanRunMatchesFaultFreeBaseline(t *testing.T) {
 	b := visitWithNet(t, w, site, nil)
 	if a.Facet != b.Facet || a.TotalHBLatency != b.TotalHBLatency {
 		t.Fatal("fault-free visits not reproducible")
+	}
+}
+
+// TestFaultedVisitAllocParity pins the cost of the compiled fault table:
+// the crawl builds it once and every visit installs it by reference, so
+// a faulted visit on the pooled runtime allocates exactly what the same
+// visit without an overlay does. The fault is zero-shaped (no draws, no
+// payload effects), so any difference is the cost of carrying faults.
+func TestFaultedVisitAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race (sync.Pool drops items)")
+	}
+	w, site := faultWorld(t)
+	opts := DefaultOptions(5)
+	fopts := opts
+	fopts.Overlay = &overlay.Overlay{Faults: []overlay.Fault{{Partner: "*"}}}
+	faults, err := compileFaults(w, fopts.Overlay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faults) == 0 {
+		t.Fatal("\"*\" fault compiled to an empty table")
+	}
+
+	vrt := newVisitRuntime()
+	clean := testing.AllocsPerRun(10, func() { vrt.visit(w, site, 0, opts, nil, nil) })
+	faulted := testing.AllocsPerRun(10, func() { vrt.visit(w, site, 0, fopts, faults, nil) })
+	if faulted != clean {
+		t.Fatalf("faulted visit allocates %.0f, clean visit %.0f: faults must cost no per-visit allocation", faulted, clean)
+	}
+}
+
+// TestFaultTableSharedCopyOnWrite: the workers of a crawl share one
+// compiled fault table while a VisitHook rewrites faults on a fixed
+// subset of sites. Fault and ClearFault copy the shared table before
+// writing, so every record outside the subset is byte-identical to the
+// same crawl without the hook. Under -race this is also the proof that
+// sharing the table across workers is free of data races.
+func TestFaultTableSharedCopyOnWrite(t *testing.T) {
+	w := smallWorld(t, 160)
+	touched := func(s *sitegen.Site) bool { return s.Rank%5 == 0 }
+	hook := func(net *simnet.Network, s *sitegen.Site, day int) {
+		if !touched(s) {
+			return
+		}
+		for _, slug := range s.Partners {
+			p, ok := w.Registry.BySlug(slug)
+			if !ok {
+				continue
+			}
+			if s.Rank%10 == 0 {
+				net.ClearFault(p.Host)
+			} else {
+				net.Fault(p.Host, simnet.FaultMode{FailProb: 1, Err: "hook outage"})
+			}
+		}
+	}
+	crawl := func(hook func(*simnet.Network, *sitegen.Site, int)) (domains []string, lines [][]byte) {
+		opts := DefaultOptions(17)
+		opts.Workers = 4
+		opts.Overlay = &overlay.Overlay{Faults: []overlay.Fault{{Partner: "*", FailProb: 0.3}}}
+		opts.VisitHook = hook
+		err := CrawlStream(context.Background(), w, opts, func(v Visit) error {
+			var buf bytes.Buffer
+			dw := dataset.NewWriter(&buf)
+			if err := dw.Write(v.Record); err != nil {
+				return err
+			}
+			if err := dw.Close(); err != nil {
+				return err
+			}
+			domains = append(domains, v.Record.Domain)
+			lines = append(lines, buf.Bytes())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return domains, lines
+	}
+
+	domains, plain := crawl(nil)
+	_, hooked := crawl(hook)
+	if len(plain) != len(w.Sites) || len(hooked) != len(plain) {
+		t.Fatalf("records: plain %d, hooked %d, want %d", len(plain), len(hooked), len(w.Sites))
+	}
+	changed := 0
+	for i, s := range w.Sites {
+		if domains[i] != s.Domain {
+			t.Fatalf("record %d is %s, want %s", i, domains[i], s.Domain)
+		}
+		same := bytes.Equal(plain[i], hooked[i])
+		if touched(s) {
+			if !same {
+				changed++
+			}
+			continue
+		}
+		if !same {
+			t.Fatalf("hook on other sites changed %s:\nplain:  %s\nhooked: %s", s.Domain, plain[i], hooked[i])
+		}
+	}
+	if changed == 0 {
+		t.Fatal("hooked faults changed no record: the hook never reached its visits")
+	}
+}
+
+// TestUnknownFaultTargetIsError: a fault naming a partner the registry
+// does not know fails the crawl before the first visit, naming the
+// slug, instead of crawling fault-free under the faulted label.
+func TestUnknownFaultTargetIsError(t *testing.T) {
+	w := smallWorld(t, 40)
+	opts := DefaultOptions(3)
+	opts.Overlay = &overlay.Overlay{Faults: []overlay.Fault{
+		{Partner: "*", FailProb: 0.2},
+		{Partner: "nosuchpartner", FailProb: 0.5},
+	}}
+	visits := 0
+	err := CrawlStreamSharded(context.Background(), w, opts,
+		func(Visit) error { visits++; return nil },
+		func(int, *dataset.SiteRecord) { visits++ })
+	if err == nil || !strings.Contains(err.Error(), `"nosuchpartner"`) {
+		t.Fatalf("err = %v, want an error naming \"nosuchpartner\"", err)
+	}
+	if visits != 0 {
+		t.Fatalf("%d visits ran before the unknown-target error", visits)
+	}
+
+	rec := VisitSimulated(w, w.Sites[0], 0, opts)
+	if !strings.Contains(rec.Err, `"nosuchpartner"`) || rec.Loaded || rec.Domain != w.Sites[0].Domain {
+		t.Fatalf("single visit under an unknown target: %+v", rec)
+	}
+
+	// Registry slugs resolve case-insensitively, as before.
+	p := w.Registry.All()[0]
+	opts.Overlay = &overlay.Overlay{Faults: []overlay.Fault{{Partner: strings.ToUpper(p.Slug), FailProb: 1}}}
+	if faults, err := compileFaults(w, opts.Overlay); err != nil || len(faults) != 1 {
+		t.Fatalf("upper-case slug %q: table %v, err %v", strings.ToUpper(p.Slug), faults, err)
 	}
 }

@@ -37,7 +37,7 @@ func BenchmarkVisit_NonHB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := vrt.visit(w, site, 0, opts, nil)
+		rec := vrt.visit(w, site, 0, opts, nil, nil)
 		if rec.HB {
 			b.Fatal("non-HB site detected as HB")
 		}
@@ -52,7 +52,7 @@ func BenchmarkVisit_HB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := vrt.visit(w, site, 0, opts, nil)
+		rec := vrt.visit(w, site, 0, opts, nil, nil)
 		if !rec.HB {
 			b.Fatal("HB site not detected")
 		}

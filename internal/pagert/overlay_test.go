@@ -3,6 +3,7 @@ package pagert
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"headerbid/internal/overlay"
 	"headerbid/internal/prebid"
@@ -27,6 +28,17 @@ func TestOverlayConfigZeroIsIdentity(t *testing.T) {
 	}
 	if got := OverlayConfig(cfg, &overlay.Overlay{}); got != cfg {
 		t.Error("zero overlay must return the config untouched")
+	}
+	// Overlays without a wrapper intervention never change the config,
+	// so they must not pay for a copy on every HB visit either.
+	for _, ov := range []*overlay.Overlay{
+		{Faults: []overlay.Fault{{Partner: "*", FailProb: 0.5}}},
+		{Network: &overlay.NetworkProfile{Name: "3g", BaseRTT: 180 * time.Millisecond}},
+		{DisableSync: true},
+	} {
+		if got := OverlayConfig(cfg, ov); got != cfg {
+			t.Errorf("overlay %+v copied the config", *ov)
+		}
 	}
 }
 

@@ -130,13 +130,14 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 }
 
 // OverlayConfig returns cfg with the overlay's wrapper interventions
-// applied. The returned config is a private copy whenever anything
-// changes — cached PageConfigs are shared across visits and must never
-// be written through — and cfg itself when the overlay is nil or a
-// no-op for this page. Ad-unit slices are cloned only when the partner
-// pool is actually trimmed.
+// (TimeoutMS, FixBadWrappers, MaxPartners) applied. The returned config
+// is a private copy whenever one of them is set — cached PageConfigs are
+// shared across visits and must never be written through — and cfg
+// itself otherwise: a nil overlay, or one that only faults, reshapes the
+// network or suppresses syncs, never touches the config. Ad-unit slices
+// are cloned only when the partner pool is actually trimmed.
 func OverlayConfig(cfg *PageConfig, ov *overlay.Overlay) *PageConfig {
-	if ov.IsZero() {
+	if ov == nil || (ov.TimeoutMS <= 0 && !ov.FixBadWrappers && ov.MaxPartners <= 0) {
 		return cfg
 	}
 	out := *cfg

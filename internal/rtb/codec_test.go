@@ -15,16 +15,16 @@ import (
 // corners the encoder must pin byte-for-byte to encoding/json.
 func encodeRequestCases() []*BidRequest {
 	return []*BidRequest{
-		{},                  // all zero: "imp":null, empty site/user objects
+		{},                    // all zero: "imp":null, empty site/user objects
 		{Imp: []Impression{}}, // empty non-nil slice -> []
 		sampleRequest(),
 		{
 			ID: "full",
 			Imp: []Impression{
 				{ID: "s1", Banner: Banner{Format: []Format{{300, 250}, {728, 90}}}, FloorCPM: 0.05, TagID: "tag-1"},
-				{ID: "s2"},                                  // nil Format -> "format":null
+				{ID: "s2"}, // nil Format -> "format":null
 				{ID: "s3", Banner: Banner{Format: []Format{}}}, // empty Format -> []
-				{ID: "s4", FloorCPM: -0.0},                  // negative zero is omitempty-zero
+				{ID: "s4", FloorCPM: -0.0},                     // negative zero is omitempty-zero
 			},
 			Site: Site{Domain: "pub.example", Page: "https://pub.example/p?a=1&b=2", Ref: "https://ref.example/"},
 			User: User{BuyerUID: "uid-1", Segments: []string{"seg-a", "seg-b"}},
@@ -38,10 +38,10 @@ func encodeRequestCases() []*BidRequest {
 		{ID: "esc", Site: Site{Domain: "küche.example", Page: "p\"q\\r\tu\nv<w>&x\x01y"}},
 		{ID: "bad-utf8", Site: Site{Domain: "a\xffb", Page: "line\u2028sep\u2029end"}},
 		{ID: "floats", Imp: []Impression{
-			{ID: "tiny", FloorCPM: 1e-7},   // < 1e-6: 'e' format
-			{ID: "edge", FloorCPM: 1e-6},   // boundary: 'f' format
-			{ID: "huge", FloorCPM: 1e21},   // >= 1e21: 'e' format
-			{ID: "big", FloorCPM: 9.9e20},  // just under: 'f'
+			{ID: "tiny", FloorCPM: 1e-7},  // < 1e-6: 'e' format
+			{ID: "edge", FloorCPM: 1e-6},  // boundary: 'f' format
+			{ID: "huge", FloorCPM: 1e21},  // >= 1e21: 'e' format
+			{ID: "big", FloorCPM: 9.9e20}, // just under: 'f'
 			{ID: "neg", FloorCPM: -3.25},
 			{ID: "frac", FloorCPM: 0.1},
 			{ID: "exp9", FloorCPM: 2.5e-9}, // exercises the e-09 -> e-9 cleanup
@@ -65,8 +65,8 @@ func encodeResponseCases() []*BidResponse {
 				{ImpID: "s1", Price: 0.42, W: 300, H: 250, AdMarkup: "<div class=\"ad\">x&y</div>", CrID: "cr-1", DealID: "d-1", NURL: "https://an.example/win?p=${AUCTION_PRICE}"},
 				{ImpID: "s2", Price: 1.0001},
 			}},
-			{Seat: "rubicon", Bid: nil},          // "bid":null
-			{Seat: "ix", Bid: []SeatOne{}},       // "bid":[]
+			{Seat: "rubicon", Bid: nil},    // "bid":null
+			{Seat: "ix", Bid: []SeatOne{}}, // "bid":[]
 		}},
 		{ID: "prices", SeatBid: []SeatBid{{Seat: "s", Bid: []SeatOne{
 			{ImpID: "a", Price: 1e-7},
@@ -198,14 +198,14 @@ var decodeRequestBodies = []struct {
 	{`{"ID":"case"}`, false},
 	{`{"id":"a","id":"b"}`, false},
 	{`{"site":{"domain":"e\u0073c"}}`, false},
-	{`{"tmax":1e2}`, false},          // json errors: float into int
-	{`{"tmax":2.0}`, false},          // same
+	{`{"tmax":1e2}`, false},                 // json errors: float into int
+	{`{"tmax":2.0}`, false},                 // same
 	{`{"tmax":9223372036854775808}`, false}, // overflow: json errors
-	{`{"sizes":[1]}`, false},         // json:"-" field name is unknown on the wire
-	{`{"imp":{"id":"obj"}}`, false},  // wrong container type: json errors
-	{`null`, false},                  // json: success, leaves zero struct
+	{`{"sizes":[1]}`, false},                // json:"-" field name is unknown on the wire
+	{`{"imp":{"id":"obj"}}`, false},         // wrong container type: json errors
+	{`null`, false},                         // json: success, leaves zero struct
 	{`{"id":"dup-ok","imp":[{"id":"a"},{"id":"a"}]}`, true},
-	{`{"id":"trail"} x`, false},      // trailing garbage: json errors
+	{`{"id":"trail"} x`, false}, // trailing garbage: json errors
 	{`{"id":"x"`, false},
 	{``, false},
 	{`[1,2]`, false},

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"headerbid/internal/analysis"
@@ -250,5 +251,24 @@ func TestSweepRejectsBaseOverlay(t *testing.T) {
 	}
 	if _, err := (&Sweep{Opts: crawler.DefaultOptions(1)}).Run(context.Background()); err == nil {
 		t.Fatal("want error for missing world")
+	}
+}
+
+// TestUnknownFaultTargetFailsSweep: a partner-fault axis naming a slug
+// the registry does not know fails the sweep with the slug named, rather
+// than rendering a fault-free row under the faulted variant's label.
+func TestUnknownFaultTargetFailsSweep(t *testing.T) {
+	w := testWorld(t, 60, 1)
+	sw := &Sweep{
+		World: w,
+		Opts:  crawler.DefaultOptions(1),
+		Axes:  []Axis{PartnerFaultAxis("nosuchpartner", 0.5)},
+	}
+	cmp, err := sw.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), `"nosuchpartner"`) {
+		t.Fatalf("err = %v, want an error naming \"nosuchpartner\"", err)
+	}
+	if cmp != nil {
+		t.Fatal("failed sweep returned a comparison")
 	}
 }

@@ -327,3 +327,54 @@ func TestFaultDrawsDoNotPerturbHealthyHosts(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultTableSharedReadOnly: a table installed with ShareFaults is
+// never written by the network. Fault and ClearFault copy it first, and
+// Reset drops the reference instead of clearing it, so every other
+// network reading the same table keeps seeing the compiled faults.
+func TestFaultTableSharedReadOnly(t *testing.T) {
+	table := FaultTable{}
+	table.Set("part.example", FaultMode{FailProb: 1, Err: "shared outage"})
+	table.Set("www.slow.example", FaultMode{ExtraLatency: time.Second})
+	if _, ok := table["slow.example"]; !ok || len(table) != 2 {
+		t.Fatalf("Set must key by registrable domain: %v", table)
+	}
+
+	fetchErr := func(n *Network, sched *clock.Scheduler) string {
+		var resp *webreq.Response
+		n.Env().Fetch(&webreq.Request{ID: 1, URL: "https://part.example/"}, func(r *webreq.Response) { resp = r })
+		sched.Run()
+		if resp == nil {
+			t.Fatal("no response delivered")
+		}
+		return resp.Err
+	}
+
+	a, schedA := newNet()
+	b, schedB := newNet()
+	handleBody(a, "part.example", "ok", 0)
+	handleBody(b, "part.example", "ok", 0)
+	a.ShareFaults(table)
+	b.ShareFaults(table)
+
+	a.ClearFault("part.example")
+	a.Fault("other.example", FaultMode{FailProb: 1})
+	if got := fetchErr(a, schedA); got != "" {
+		t.Fatalf("ClearFault did not clear the fault on its own network: %q", got)
+	}
+	if got := fetchErr(b, schedB); got != "shared outage" {
+		t.Fatalf("sharing network lost the compiled fault: %q", got)
+	}
+	if len(table) != 2 || table["part.example"].FailProb != 1 {
+		t.Fatalf("Fault/ClearFault wrote through to the shared table: %v", table)
+	}
+
+	b.Reset(3)
+	if len(table) != 2 {
+		t.Fatalf("Reset cleared the shared table: %v", table)
+	}
+	handleBody(b, "part.example", "ok", 0)
+	if got := fetchErr(b, schedB); got != "" {
+		t.Fatalf("shared table survived Reset: %q", got)
+	}
+}

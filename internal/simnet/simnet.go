@@ -7,6 +7,7 @@
 package simnet
 
 import (
+	"maps"
 	"strconv"
 	"time"
 
@@ -123,7 +124,8 @@ type Network struct {
 	resolver     Resolver
 	callResolver CallResolver
 	resolved     map[string]BoundHandler // memoized resolver hits; flushed by SetResolver/SetCallResolver
-	faults       map[string]FaultMode
+	faults       FaultTable
+	faultsShared bool // faults came from ShareFaults: read-only, copied before the first write
 	rng          *rng.Stream
 	frng         *rng.Stream // fault draws only; lazily created, see frand
 	seed         int64
@@ -142,8 +144,9 @@ type Network struct {
 }
 
 // New creates a network on the given scheduler with the given seed.
-// The fault table is created on first Fault call: the crawler builds one
-// network per visit and almost never injects faults.
+// The network starts without a fault table: the crawler compiles an
+// overlay's faults once per crawl and installs that table on each visit
+// with ShareFaults, and a Fault call creates a private table on demand.
 func New(sched *clock.Scheduler, seed int64) *Network {
 	return &Network{
 		Sched:   sched,
@@ -171,7 +174,7 @@ func (n *Network) Reset(seed int64) {
 	clear(n.resolved)
 	n.resolver = nil
 	n.callResolver = nil
-	n.faults = nil
+	n.faults, n.faultsShared = nil, false // never clear: the table may be shared
 	n.rng.Reseed(seed)
 	if n.frng != nil {
 		// Reseed rather than drop: a pooled worker that injected faults
@@ -262,17 +265,49 @@ func (n *Network) memoize(key string, h BoundHandler) {
 	n.resolved[key] = h
 }
 
+// FaultTable maps host keys to fault modes: the form in which a network
+// looks faults up. A crawl compiles its overlay's fault rules into one
+// table before the first visit and every visit's network reads it by
+// reference (ShareFaults), so a table is read-only once shared.
+type FaultTable map[string]FaultMode
+
+// Set installs f for host, keyed the way the network resolves requests
+// (by registrable domain): hosts sharing a domain share one entry, and
+// the later Set wins.
+func (t FaultTable) Set(host string, f FaultMode) {
+	t[hostKey(host)] = f
+}
+
+// ShareFaults installs t as the network's fault table by reference. Any
+// number of networks on any number of goroutines may share one table:
+// the network never writes it — Fault and ClearFault copy it first —
+// and Reset only drops the reference. nil leaves the network fault-free.
+func (n *Network) ShareFaults(t FaultTable) {
+	n.faults, n.faultsShared = t, t != nil
+}
+
 // Fault installs a fault mode for a host.
 func (n *Network) Fault(host string, f FaultMode) {
+	n.ownFaults()
 	if n.faults == nil {
-		n.faults = make(map[string]FaultMode, 4)
+		n.faults = make(FaultTable, 4)
 	}
-	n.faults[hostKey(host)] = f
+	n.faults.Set(host, f)
 }
 
 // ClearFault removes a host's fault mode.
 func (n *Network) ClearFault(host string) {
+	n.ownFaults()
 	delete(n.faults, hostKey(host))
+}
+
+// ownFaults gives the network a private copy of a shared fault table
+// before its first write, so a per-visit hook never reaches the table
+// other visits are reading.
+func (n *Network) ownFaults() {
+	if n.faultsShared {
+		n.faults, n.faultsShared = maps.Clone(n.faults), false
+	}
 }
 
 // faultSeedMix separates the fault stream from the latency-jitter
