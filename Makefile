@@ -2,9 +2,10 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
-# the measured numbers it is derived from; current steady state is ~97
-# after the zero-reflection codec + pooled-page pass).
-ALLOCS_CEILING ?= 110
+# the measured numbers it is derived from): the gate measures 70.5 since
+# the fourth pass pooled per-request and per-visit storage on the crawl
+# worker, and the ceiling keeps about 10% headroom over that.
+ALLOCS_CEILING ?= 78
 
 # Max throughput the metrics-attached crawl may give up vs the bare
 # crawl, in percent (the streaming-metrics design goal is <=10%).
@@ -91,17 +92,19 @@ bench-gate:
 		MAX_OBS_OVERHEAD_PCT=$(OBS_OVERHEAD_PCT) \
 		MAX_SWEEP_VARIANT_PCT=$(SWEEP_VARIANT_PCT) sh scripts/bench_gate.sh
 
-# Short fuzz run over the zero-reflection decoders: the rtb codec's two
-# targets and the JSONL record decoder's. Each differentially checks its
-# fast path against encoding/json (struct equality, error parity; the
-# rtb targets also check the re-encode fixed point). The committed
-# corpora under internal/rtb/testdata/fuzz/ and
-# internal/dataset/testdata/fuzz/ also replay as plain unit tests on
-# every 'make test'.
+# Short fuzz run over the decoders of untrusted bytes: the rtb codec's
+# two targets and the JSONL record decoder's each differentially check
+# their fast path against encoding/json (struct equality, error parity;
+# the rtb targets also check the re-encode fixed point), and the shard
+# file decoder's checks refuse-not-panic and the re-marshal fixed
+# point. The committed corpora under internal/rtb/testdata/fuzz/,
+# internal/dataset/testdata/fuzz/ and internal/snapshot/testdata/fuzz/
+# also replay as plain unit tests on every 'make test'.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

@@ -87,6 +87,7 @@ type Page struct {
 	opts      Options
 	busyUntil time.Time
 	closed    bool
+	fetches   webreq.Slab[pendingFetch] // this visit's requests; rewound by Rebind
 
 	// Doc is the parsed document, set after load.
 	Doc *htmlmeta.Document
@@ -116,16 +117,17 @@ func NewPage(env Env, opts Options) *Page {
 }
 
 // Rebind returns the page to the state NewPage(env, opts) would produce,
-// reusing the bus's and inspector's storage. The crawler pools one page
-// per worker and rebinds it before every visit — the "new, clean
-// instance" policy without the per-visit bus/inspector/hook-table
-// allocations. Callers must not rebind while callbacks of the previous
-// visit can still fire (the crawler resets its scheduler first, which
-// drops them).
+// reusing the bus's, inspector's and pending-fetch storage. The crawler
+// pools one page per worker and rebinds it before every visit — the
+// "new, clean instance" policy without the per-visit bus/inspector/
+// hook-table/per-request allocations. Callers must not rebind while
+// callbacks of the previous visit can still fire (the crawler resets its
+// scheduler first, which drops them): their pending fetches are reused.
 func (p *Page) Rebind(env Env, opts Options) {
 	p.URL = ""
 	p.Bus.Reset(!opts.NoEventHistory)
 	p.Inspector.Reset()
+	p.fetches.Reset()
 	p.env = env
 	p.envFetch, _ = env.(CallFetcher)
 	p.envSched, _ = env.(CallScheduler)
@@ -167,8 +169,8 @@ func (p *Page) Closed() bool { return p.closed }
 // pendingFetch is one in-flight page request: the former
 // Fetch-closure -> deliver-closure chain flattened onto a single struct
 // that rides the closure-free network/scheduler paths when the Env
-// provides them. One of these is the only per-request object the page
-// layer allocates.
+// provides them. It lives in the page's slab, so a pooled page
+// allocates nothing per request.
 type pendingFetch struct {
 	p     *Page
 	cb    func(*webreq.Response)
@@ -240,7 +242,8 @@ func (p *Page) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	}
 	req.ID = p.Inspector.NextID()
 	p.Inspector.SawRequest(req)
-	pf := &pendingFetch{p: p, cb: cb, reqID: req.ID}
+	pf := p.fetches.Alloc()
+	*pf = pendingFetch{p: p, cb: cb, reqID: req.ID}
 	if p.envFetch != nil {
 		p.envFetch.FetchCall(req, pendingFetchNet, pf)
 		return

@@ -204,6 +204,12 @@ type Detector struct {
 	// URL it was computed for, so late-set page URLs still resolve).
 	pageRegURL string
 	pageReg    string
+
+	// The hook funcs bound to this detector, made on the first attach
+	// and reused by every Reattach.
+	onEventFn    events.Listener
+	onRequestFn  webreq.RequestHook
+	onResponseFn webreq.ResponseHook
 }
 
 // pageRegistrable returns the registrable domain of the page's own URL,
@@ -265,30 +271,80 @@ var EagerAttachForTest = false
 // AttachWithOptions wires a detector with selected channels. Detector
 // state is allocated lazily on first write (see Detector).
 func AttachWithOptions(page *browser.Page, reg *partners.Registry, opts Options) *Detector {
-	d := &Detector{
-		registry: reg,
-		page:     page,
+	d := new(Detector)
+	d.Reattach(page, reg, opts)
+	return d
+}
+
+// Reattach returns d to the state AttachWithOptions(page, reg, opts)
+// produces, but keeps the storage of its maps and slices and its bound
+// hook funcs, so re-attaching a pooled detector allocates nothing. The
+// crawler keeps one detector per worker and reattaches it after
+// rebinding the page. The previous attachment's Observation shares that
+// storage and is invalid afterwards; dataset.FromObservation copies
+// everything it keeps except PartnerErrors, which is why that map is
+// dropped here rather than cleared.
+func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Options) {
+	clear(d.auctions)
+	clear(d.libs)
+	clear(d.rendered)
+	clear(d.failed)
+	clear(d.sizes)
+	clear(d.partnerSeen)
+	clear(d.winnerSeen)
+	clear(d.partnerLats)
+	clear(d.partnerLateLats)
+	clear(d.timedOut)
+	clear(d.s2sWinners)
+	*d = Detector{
+		registry:        reg,
+		page:            page,
+		auctions:        d.auctions,
+		auctionIDs:      d.auctionIDs[:0],
+		libs:            d.libs,
+		rendered:        d.rendered,
+		failed:          d.failed,
+		sizes:           d.sizes,
+		partnerSeen:     d.partnerSeen,
+		winnerSeen:      d.winnerSeen,
+		partnerLats:     d.partnerLats,
+		partnerLateLats: d.partnerLateLats,
+		timedOut:        d.timedOut,
+		s2sWinners:      d.s2sWinners[:0],
+		onEventFn:       d.onEventFn,
+		onRequestFn:     d.onRequestFn,
+		onResponseFn:    d.onResponseFn,
+	}
+	if d.onEventFn == nil {
+		d.onEventFn, d.onRequestFn, d.onResponseFn = d.onEvent, d.onRequest, d.onResponse
 	}
 	if EagerAttachForTest {
-		d.auctions = make(map[string]*auctionState)
-		d.libs = make(map[string]bool)
-		d.rendered = make(map[string]bool)
-		d.failed = make(map[string]bool)
-		d.sizes = make(map[string]hb.Size)
-		d.partnerSeen = make(map[string]bool)
-		d.winnerSeen = make(map[string]bool)
-		d.partnerLats = make(map[string][]time.Duration)
-		d.partnerLateLats = make(map[string][]time.Duration)
-		d.timedOut = make(map[string]bool)
+		d.auctions = orMake(d.auctions)
+		d.libs = orMake(d.libs)
+		d.rendered = orMake(d.rendered)
+		d.failed = orMake(d.failed)
+		d.sizes = orMake(d.sizes)
+		d.partnerSeen = orMake(d.partnerSeen)
+		d.winnerSeen = orMake(d.winnerSeen)
+		d.partnerLats = orMake(d.partnerLats)
+		d.partnerLateLats = orMake(d.partnerLateLats)
+		d.timedOut = orMake(d.timedOut)
 	}
 	if opts.Events {
-		page.Bus.SubscribeAll(d.onEvent)
+		page.Bus.SubscribeAll(d.onEventFn)
 	}
 	if opts.Requests {
-		page.Inspector.OnRequest(d.onRequest)
-		page.Inspector.OnResponse(d.onResponse)
+		page.Inspector.OnRequest(d.onRequestFn)
+		page.Inspector.OnResponse(d.onResponseFn)
 	}
-	return d
+}
+
+// orMake returns m, or a new empty map when m is nil.
+func orMake[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return make(M)
+	}
+	return m
 }
 
 // ---------------------------------------------------------------------------

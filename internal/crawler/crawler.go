@@ -360,14 +360,16 @@ func CrawlWorld(w *sitegen.World, opts Options) []*dataset.SiteRecord {
 
 // visitRuntime is the pooled per-worker simulation substrate: one
 // scheduler, one network, one page (with its bus and inspector), one
-// script runtime, and one world binding — all reset to a pristine,
-// seeded state before every visit. Pooling never crosses goroutines,
-// and a reset runtime is observationally identical to a fresh one (the
-// byte-identical-JSONL determinism suite is the standing proof).
+// detector, one script runtime, and one world binding — all reset to a
+// pristine, seeded state before every visit. Pooling never crosses
+// goroutines, and a reset runtime is observationally identical to a
+// fresh one (the byte-identical-JSONL determinism suite is the standing
+// proof).
 type visitRuntime struct {
 	sched *clock.Scheduler
 	net   *simnet.Network
 	env   *simnet.Env
+	det   *core.Detector
 
 	// Lazily created on the first visit (they need the world/options),
 	// then rebound every visit. Reset order matters: the scheduler is
@@ -382,7 +384,7 @@ type visitRuntime struct {
 func newVisitRuntime() *visitRuntime {
 	sched := clock.NewScheduler(clock.Epoch)
 	net := simnet.New(sched, 0)
-	return &visitRuntime{sched: sched, net: net, env: net.Env()}
+	return &visitRuntime{sched: sched, net: net, env: net.Env(), det: new(core.Detector)}
 }
 
 // VisitSimulated performs one clean-slate visit of one site on a private
@@ -398,12 +400,14 @@ func VisitSimulated(w *sitegen.World, s *sitegen.Site, day int, opts Options) *d
 }
 
 // visit performs one clean-slate visit on the pooled runtime. The
-// scheduler and network are reset first — the "new, clean instance"
-// policy from the paper — and only the hosts this visit can reach are
-// installed. faults is opts.Overlay's compiled fault table (nil when it
-// has none), installed by reference. vt is the visit's span recorder
-// (nil for untraced visits: every emission below sits behind the
-// nil-safe Enabled guard).
+// scheduler, network, page and detector are reset in that order — the
+// "new, clean instance" policy from the paper — and only the hosts this
+// visit can reach are installed. Their storage is reused by the next
+// visit, so the returned record must not point into it (DESIGN.md
+// §5.3). faults is opts.Overlay's compiled fault table (nil when it has
+// none), installed by reference. vt is the visit's span recorder (nil
+// for untraced visits: every emission below sits behind the nil-safe
+// Enabled guard).
 func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts Options, faults simnet.FaultTable, vt *obs.VisitTrace) *dataset.SiteRecord {
 	vrt.sched.Reset(clock.Epoch.AddDate(0, 0, day))
 	vrt.net.Reset(visitSeed(opts.Seed, s.Domain, day))
@@ -447,7 +451,6 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 		vrt.page = browser.NewPage(env, bopts)
 	}
 
-	var det *core.Detector
 	var visit *browser.VisitResult
 
 	page := b.VisitPage(vrt.page, s.PageURL(), func(p *browser.Page, vr *browser.VisitResult) {
@@ -462,7 +465,8 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	if opts.Detector != nil {
 		dopts = *opts.Detector
 	}
-	det = core.AttachWithOptions(page, w.Registry, dopts)
+	det := vrt.det
+	det.Reattach(page, w.Registry, dopts)
 
 	// Drive the virtual clock: the page's whole life, bounded by the page
 	// timeout plus the settle window (timeout + wrapper budget + 5s).

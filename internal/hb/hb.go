@@ -384,18 +384,45 @@ func TargetingFromBid(b Bid) Targeting {
 }
 
 // ParseTargeting extracts the HB key-values from a flat parameter map,
-// returning nil when none are present.
+// returning nil when none are present. Keys are lower-cased; when
+// several spellings of one key are present, the value of the one
+// FoldWins picks is kept.
 func ParseTargeting(params map[string]string) Targeting {
 	var t Targeting
 	for k, v := range params {
-		if IsTargetingKey(k) {
-			if t == nil {
-				t = Targeting{}
-			}
-			t[strings.ToLower(k)] = v
+		if !IsTargetingKey(k) {
+			continue
 		}
+		lk := urlkit.LowerASCII(k)
+		if !FoldWins(params, k, lk) {
+			continue
+		}
+		if t == nil {
+			t = Targeting{}
+		}
+		t[lk] = v
 	}
 	return t
+}
+
+// FoldWins reports whether k is the spelling of its lower-cased form lk
+// whose value a case-insensitive reader of params keeps: the spelling
+// that is already lower case, otherwise the byte-smallest. The choice
+// depends only on the key set, never on map order. A lower-case k always
+// wins, so the common path neither scans params nor allocates.
+func FoldWins(params map[string]string, k, lk string) bool {
+	if k == lk {
+		return true
+	}
+	if _, ok := params[lk]; ok {
+		return false
+	}
+	for o := range params {
+		if o < k && urlkit.LowerASCII(o) == lk {
+			return false
+		}
+	}
+	return true
 }
 
 // Bidder returns the bidder named by the targeting set ("" if absent).

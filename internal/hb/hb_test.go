@@ -143,6 +143,27 @@ func TestParseTargeting(t *testing.T) {
 	}
 }
 
+// TestParseTargetingCaseCollision: spellings of one key that differ
+// only in case resolve by a fixed rule, not by map order — the spelling
+// already lower case wins, otherwise the byte-smallest.
+func TestParseTargetingCaseCollision(t *testing.T) {
+	cases := []struct {
+		params map[string]string
+		want   string
+	}{
+		{map[string]string{"hb_bidder": "a", "HB_BIDDER": "b"}, "a"},
+		{map[string]string{"Hb_Bidder": "c", "HB_BIDDER": "b", "hB_bidder": "d"}, "b"},
+		{map[string]string{"hb_bidder": "a", "HB_BIDDER": "b", "Hb_Bidder": "c", "hb_pb": "1.00"}, "a"},
+	}
+	for _, c := range cases {
+		for i := 0; i < 200; i++ {
+			if got := ParseTargeting(c.params).Bidder(); got != c.want {
+				t.Fatalf("call %d: ParseTargeting(%v).Bidder() = %q, want %q", i, c.params, got, c.want)
+			}
+		}
+	}
+}
+
 func TestTargetingLegacyKeys(t *testing.T) {
 	tg := ParseTargeting(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"})
 	if tg.Bidder() != "criteo" {

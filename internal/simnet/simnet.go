@@ -133,6 +133,12 @@ type Network struct {
 	baseRTT      time.Duration
 	jitter       time.Duration
 
+	// calls holds the visit's in-flight fetches (see netCall); gen is
+	// bumped by Reset, so an event still queued for a call made before
+	// the reset finds its generation stale and does nothing.
+	calls webreq.Slab[netCall]
+	gen   uint64
+
 	// Requests counts every Fetch, for traffic accounting. BytesOut and
 	// BytesIn are the virtual wire volume: request URL+payload bytes
 	// out, response payload bytes in (whatever survives faulting). Plain
@@ -165,11 +171,21 @@ func New(sched *clock.Scheduler, seed int64) *Network {
 func (n *Network) Seed() int64 { return n.seed }
 
 // Reset returns the network to the state New(sched, seed) would produce,
-// reusing the host and memoization tables' storage. The crawler pools
-// one network per worker and resets it between clean-slate visits; the
+// reusing the host and memoization tables' storage and the in-flight
+// call slab. The crawler pools one network per worker and resets it
+// between clean-slate visits, after resetting the scheduler; the
 // byte-identical-JSONL determinism suite is the proof no state survives
-// the reset.
+// the reset. Calls made before the reset never complete: their queued
+// events are no-ops.
 func (n *Network) Reset(seed int64) {
+	n.gen++
+	if n.Sched.Pending() == 0 {
+		n.calls.Reset()
+	} else {
+		// Events still queued point into the slab; rewinding it would
+		// hand their slots to new calls. Leave the old storage to them.
+		n.calls = webreq.Slab[netCall]{}
+	}
 	clear(n.hosts)
 	clear(n.resolved)
 	n.resolver = nil
@@ -328,7 +344,7 @@ func (n *Network) frand() *rng.Stream {
 }
 
 // applyFault evaluates a host's fault mode for one request. It returns
-// true when the request fails before reaching the server (nc.err set);
+// true when the request fails before reaching the server (nc.resp.Err set);
 // otherwise it may stretch nc.rtt and arm payload effects on nc
 // (truncation, garbling, mid-body reset, slow-loris delay). Draws are
 // taken in a fixed order, each gated only on the fault's configuration —
@@ -340,16 +356,16 @@ func (n *Network) applyFault(nc *netCall, f *FaultMode) bool {
 	// Availability windows are functions of virtual time alone.
 	elapsed := n.Sched.Now().Sub(n.start)
 	if f.OutageDuration > 0 && elapsed >= f.OutageStart && elapsed < f.OutageStart+f.OutageDuration {
-		nc.err = faultErrString(f, "connection refused")
+		nc.resp.Err = faultErrString(f, "connection refused")
 		return true
 	}
 	if f.FlapPeriod > 0 && (elapsed/f.FlapPeriod)%2 == 1 {
-		nc.err = faultErrString(f, "connection refused")
+		nc.resp.Err = faultErrString(f, "connection refused")
 		return true
 	}
 
 	if p := f.FailProb + f.RampPerSecond*elapsed.Seconds(); p > 0 && n.frand().Bool(p) {
-		nc.err = faultErrString(f, "connection reset")
+		nc.resp.Err = faultErrString(f, "connection reset")
 		return true
 	}
 	if f.SpikeProb > 0 && n.frand().Bool(f.SpikeProb) {
@@ -368,7 +384,7 @@ func (n *Network) applyFault(nc *netCall, f *FaultMode) bool {
 	}
 	if f.ResetMidBodyProb > 0 && n.frand().Bool(f.ResetMidBodyProb) {
 		nc.resetMid = true
-		nc.err = faultErrString(f, "connection reset mid-body")
+		nc.resp.Err = faultErrString(f, "connection reset mid-body")
 	}
 	if f.TruncateProb > 0 && n.frand().Bool(f.TruncateProb) {
 		// Keep a meaningful prefix so the payload is plausibly partial
@@ -428,41 +444,41 @@ func (e *Env) After(d time.Duration, fn func()) { e.net.Sched.After(d, fn) }
 func (e *Env) Post(fn func()) { e.net.Sched.Post(fn) }
 
 // netCall is the state of one in-flight simulated fetch. The fetch
-// pipeline (arrive at server -> run handler -> deliver response) used to
-// be a chain of closures, two per request; the whole chain now rides one
-// struct through the scheduler's closure-free AfterCall path.
+// pipeline (arrive at server -> run handler -> deliver response) rides
+// one struct through the scheduler's closure-free AfterCall path, and
+// the struct lives in the network's slab with its response inline: a
+// pooled network allocates nothing per fetch, and the *Response a page
+// records stays valid until the network's next Reset.
 type netCall struct {
 	net     *Network
+	gen     uint64 // net.gen at the fetch; a mismatch marks a stale event
 	handler BoundHandler
 	req     *webreq.Request
-	cb      func(*webreq.Response) // plain callback (Fetch)
 	cfn     func(*webreq.Response, any)
-	carg    any // receiver-style callback (FetchCall)
+	carg    any
 	rtt     time.Duration
-	resp    *webreq.Response // filled at the server, delivered at the page
-	err     string           // transport failure; delivered instead of a response
+	// resp is filled at the server and delivered at the page; a
+	// transport failure sets only Err.
+	resp webreq.Response
 
 	// Armed fault effects (applyFault); all zero on the fault-free path.
 	slow      time.Duration // slow-loris: extra delay before delivery
 	truncFrac float64       // truncate body to this fraction when > 0
 	garble    bool          // rewrite body with a foreign JSON field
-	resetMid  bool          // fail after the handler ran (err above)
+	resetMid  bool          // fail after the handler ran (resp.Err set)
 }
 
-// finish hands the response to whichever callback form the caller used.
-func (nc *netCall) finish(resp *webreq.Response) {
-	if nc.cb != nil {
-		nc.cb(resp)
-		return
-	}
-	nc.cfn(resp, nc.carg)
-}
+// stale reports whether nc was made before the network's last Reset.
+func (nc *netCall) stale() bool { return nc.gen != nc.net.gen }
 
 // netCallArrive runs when the request reaches the server (after rtt/2):
 // the handler computes the response, and delivery is scheduled after the
 // service time plus the return half of the RTT.
 func netCallArrive(a any) {
 	nc := a.(*netCall)
+	if nc.stale() {
+		return
+	}
 	status, body, service := nc.handler.call(nc.req)
 	if service < 0 {
 		service = 0
@@ -472,7 +488,7 @@ func netCallArrive(a any) {
 		// The server committed to a response; the connection died while
 		// it was in flight. The client pays the full wait and gets a
 		// transport error instead of a body.
-		nc.net.Sched.AfterCall(delay, netCallFail, nc)
+		nc.net.Sched.AfterCall(delay, netCallDeliver, nc)
 		return
 	}
 	if nc.truncFrac > 0 && len(body) > 0 {
@@ -482,32 +498,37 @@ func netCallArrive(a any) {
 		body = garbleBody(body)
 	}
 	nc.net.BytesIn += len(body)
-	nc.resp = &webreq.Response{RequestID: nc.req.ID, Status: status, Body: body}
+	nc.resp.Status, nc.resp.Body = status, body
 	nc.net.Sched.AfterCall(delay, netCallDeliver, nc)
 }
 
+// netCallDeliver hands the response (or the transport error) to the
+// caller's callback.
 func netCallDeliver(a any) {
 	nc := a.(*netCall)
-	nc.finish(nc.resp)
+	if nc.stale() {
+		return
+	}
+	nc.resp.RequestID = nc.req.ID
+	nc.cfn(&nc.resp, nc.carg)
 }
 
-// netCallFail delivers a transport-level error.
-func netCallFail(a any) {
-	nc := a.(*netCall)
-	nc.finish(&webreq.Response{RequestID: nc.req.ID, Err: nc.err})
+// runPlainCallback adapts a Fetch callback to the FetchCall convention.
+func runPlainCallback(resp *webreq.Response, arg any) {
+	arg.(func(*webreq.Response))(resp)
 }
 
 // Fetch resolves the request's host, applies faults, runs the handler at
 // the server after half an RTT, and delivers the response after service
 // time plus the other half RTT. Unknown hosts fail like dead DNS.
 func (e *Env) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
-	e.fetch(&netCall{net: e.net, req: req, cb: cb})
+	e.fetch(req, runPlainCallback, cb)
 }
 
 // FetchCall is Fetch with a receiver-style callback (fn(resp, arg)); it
 // implements the browser's closure-free CallFetcher capability.
 func (e *Env) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
-	e.fetch(&netCall{net: e.net, req: req, cfn: fn, carg: arg})
+	e.fetch(req, fn, arg)
 }
 
 // AfterCall schedules fn(arg) after d of virtual time (the browser's
@@ -516,9 +537,10 @@ func (e *Env) AfterCall(d time.Duration, fn func(any), arg any) {
 	e.net.Sched.AfterCall(d, fn, arg)
 }
 
-func (e *Env) fetch(nc *netCall) {
+func (e *Env) fetch(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
 	n := e.net
-	req := nc.req
+	nc := n.calls.Alloc()
+	*nc = netCall{net: n, gen: n.gen, req: req, cfn: fn, carg: arg}
 	n.Requests++
 	n.BytesOut += len(req.URL) + len(req.Body)
 	host := req.Host()
@@ -533,15 +555,15 @@ func (e *Env) fetch(nc *netCall) {
 
 	if fault, hasFault := n.faults[key]; hasFault {
 		if n.applyFault(nc, &fault) {
-			n.Sched.AfterCall(nc.rtt, netCallFail, nc)
+			n.Sched.AfterCall(nc.rtt, netCallDeliver, nc)
 			return
 		}
 	}
 
 	if !ok {
 		// Unresolvable host: error after a DNS-ish delay.
-		nc.err = "no such host " + strconv.Quote(host)
-		n.Sched.AfterCall(nc.rtt, netCallFail, nc)
+		nc.resp.Err = "no such host " + strconv.Quote(host)
+		n.Sched.AfterCall(nc.rtt, netCallDeliver, nc)
 		return
 	}
 

@@ -160,3 +160,67 @@ func TestPostAndAfter(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestResetMakesQueuedCallsStale: calls still queued when the network is
+// reset without its scheduler never complete — no handler run, no
+// callback, no traffic counted — and calls made after the reset, while
+// the stale events are still queued, get their own slots and complete
+// normally.
+func TestResetMakesQueuedCallsStale(t *testing.T) {
+	n, sched := newNet()
+	handled := 0
+	h := func(req *webreq.Request) (int, string, time.Duration) {
+		handled++
+		return 200, req.URL, 5 * time.Millisecond
+	}
+	n.Handle("adnxs.com", h)
+	env := n.Env()
+	stale := 0
+	for i := 0; i < 10; i++ { // enough to span several slab chunks
+		env.Fetch(&webreq.Request{ID: int64(i + 1), URL: "https://bid.adnxs.com/old"}, func(*webreq.Response) { stale++ })
+	}
+	n.Reset(2)
+	n.Handle("adnxs.com", h)
+	var got []string
+	for i := 0; i < 10; i++ {
+		env.Fetch(&webreq.Request{ID: int64(i + 1), URL: "https://bid.adnxs.com/new"}, func(r *webreq.Response) {
+			got = append(got, r.Body)
+		})
+	}
+	sched.Run()
+	if stale != 0 {
+		t.Fatalf("%d calls from before Reset completed", stale)
+	}
+	if handled != 10 || len(got) != 10 || n.Requests != 10 {
+		t.Fatalf("after Reset: %d handled, %d delivered, %d counted; want 10 each", handled, len(got), n.Requests)
+	}
+	for _, body := range got {
+		if body != "https://bid.adnxs.com/new" {
+			t.Fatalf("a post-Reset call delivered %q", body)
+		}
+	}
+}
+
+// TestPooledNetworkReusesCallStorage: once a network has carried a
+// visit, a reset network carries the same visit again without
+// allocating for its calls.
+func TestPooledNetworkReusesCallStorage(t *testing.T) {
+	n, sched := newNet()
+	env := n.Env()
+	cb := func(*webreq.Response) {}
+	reqs := make([]webreq.Request, 12)
+	visit := func() {
+		sched.Reset(time.Time{})
+		n.Reset(1)
+		n.Handle("adnxs.com", func(*webreq.Request) (int, string, time.Duration) { return 200, "ok", 0 })
+		for i := range reqs {
+			reqs[i] = webreq.Request{ID: int64(i + 1), URL: "https://bid.adnxs.com/x"}
+			env.Fetch(&reqs[i], cb)
+		}
+		sched.Run()
+	}
+	visit()
+	if allocs := testing.AllocsPerRun(20, visit); allocs != 0 {
+		t.Fatalf("a pooled visit of %d calls allocates %.0f times", len(reqs), allocs)
+	}
+}

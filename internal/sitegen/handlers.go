@@ -511,9 +511,10 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 
 		t := hb.Targeting{}
 		for k, v := range params {
-			kl := strings.ToLower(k)
-			if strings.HasSuffix(kl, "."+code) && hb.IsTargetingKey(strings.TrimSuffix(kl, "."+code)) {
-				t[strings.TrimSuffix(kl, "."+code)] = v
+			kl := urlkit.LowerASCII(k)
+			key, ok := slotKey(kl, code)
+			if ok && hb.IsTargetingKey(key) && hb.FoldWins(params, k, kl) {
+				t[key] = v
 			}
 		}
 		dec := srv.Decide(adserver.Request{
@@ -565,6 +566,16 @@ func (e *Ecosystem) HandleCDN(req *webreq.Request) (int, string, time.Duration) 
 	r := e.stream("cdn")
 	service := time.Duration(8+r.Intn(30)) * time.Millisecond
 	return 200, "/* js library stub */", service
+}
+
+// slotKey splits a per-slot targeting key "<key>.<code>" into its key,
+// reporting false when kl does not end in "."+code.
+func slotKey(kl, code string) (string, bool) {
+	n := len(kl) - len(code) - 1
+	if n < 0 || kl[n] != '.' || kl[n+1:] != code {
+		return "", false
+	}
+	return kl[:n], true
 }
 
 // creativeURL builds a creative fetch URL on the creative host.

@@ -228,6 +228,27 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 	}
 }
 
+// TestClientAdServerCaseCollidingTargeting: per-slot targeting keys
+// that differ only in case resolve like hb.ParseTargeting — the
+// lower-case spelling wins — on every request, not by map order.
+func TestClientAdServerCaseCollidingTargeting(t *testing.T) {
+	w, eco := ecoWorld(t)
+	site := firstSiteWithFacet(w, hb.FacetClient)
+	u := site.AdUnits[0]
+	url := urlkit.WithParams("https://adserver."+site.Domain+"/serve", map[string]string{
+		"slots":                        u.Code + "|" + u.PrimarySize().String(),
+		hb.KeyBidder + "." + u.Code:    "criteo",
+		"HB_BIDDER." + u.Code:          "appnexus",
+		hb.KeyPriceBuck + "." + u.Code: "19.90",
+	})
+	for i := 0; i < 50; i++ {
+		_, body, _ := eco.HandleSite(site, &webreq.Request{URL: url, Method: webreq.GET})
+		if !strings.Contains(body, u.Code+"|hb|") || !strings.Contains(body, hb.KeyBidder+"=criteo") {
+			t.Fatalf("request %d: want the hb fill by the lower-case spelling's bidder, got %q", i, body)
+		}
+	}
+}
+
 func TestInstallSimnetRegistersEverything(t *testing.T) {
 	w, _ := ecoWorld(t)
 	sched := clock.NewScheduler(time.Time{})

@@ -129,7 +129,7 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	if h.ShardCount < 1 {
 		return h, nil, fmt.Errorf("snapshot: shard count %d < 1", h.ShardCount)
 	}
-	h.Shards = make([]int, 0, nShards)
+	h.Shards = make([]int, 0, r.Cap(nShards))
 	for i := 0; i < nShards; i++ {
 		s := int(r.Uvarint())
 		if r.Err() != nil {
@@ -148,7 +148,7 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	if err := r.Err(); err != nil {
 		return h, nil, err
 	}
-	metrics := make([]Codec, 0, nMetrics)
+	metrics := make([]Codec, 0, r.Cap(nMetrics))
 	prev := ""
 	for i := 0; i < nMetrics; i++ {
 		name := r.String()

@@ -2,7 +2,11 @@ package snapshot_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
@@ -205,6 +209,52 @@ func TestUnmarshalRefusals(t *testing.T) {
 	unknown[i] = 'z'
 	if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(unknown)); err == nil {
 		t.Error("unknown metric name accepted")
+	}
+}
+
+// TestHostileShardBoundedAllocation: length prefixes in a shard file
+// that claim more than the file holds — a 2^30-entry shard list, a
+// 2^30-byte section payload — fail as truncations with less than 1 MiB
+// allocated, whether the file arrives as an in-memory reader or as a
+// plain stream. Unbounded, the payload case — a 22-byte file — would
+// allocate 1 GiB and the shard-list case 8 GiB.
+func TestHostileShardBoundedAllocation(t *testing.T) {
+	header := func(w *wire.Writer) {
+		w.Uvarint(snapshot.FormatVersion)
+		w.Int64(1) // seed
+		w.Uvarint(1)
+	}
+	var shards, payload bytes.Buffer
+	shards.WriteString("HBSHARD\n")
+	w := wire.NewWriter(&shards)
+	header(w)
+	w.Uvarint(1 << 30) // covered shard indices
+	w.Uvarint(0)
+	payload.WriteString("HBSHARD\n")
+	w = wire.NewWriter(&payload)
+	header(w)
+	w.Uvarint(1) // one covered shard: index 0
+	w.Uvarint(0)
+	w.Uvarint(1) // one section
+	w.String("x")
+	w.Uvarint(1 << 30) // payload length
+	w.Uvarint(0)
+	for name, file := range map[string][]byte{"shard list": shards.Bytes(), "section payload": payload.Bytes()} {
+		for src, rd := range map[string]func() io.Reader{
+			"bytes.Reader": func() io.Reader { return bytes.NewReader(file) },
+			"plain reader": func() io.Reader { return iotest.HalfReader(bytes.NewReader(file)) },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := snapshot.UnmarshalShard(rd())
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s from a %s: err %v, want unexpected EOF", name, src, err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("%s from a %s (%d-byte file): allocated %d bytes", name, src, len(file), n)
+			}
+		}
 	}
 }
 

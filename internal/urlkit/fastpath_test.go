@@ -126,6 +126,10 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 		{"slots": "a|300x250,b|728x90", "site": "x.example", "t": "1548979200000"},
 		{"q": "a b+c&d=e", "euro": "€", "empty": ""},
 		{},
+		// Bytes QueryEscape rewrites, in keys and values alike.
+		{"sp ace": "a b", "plus+": "1+2", "pct%": "100%", "sl/ash": "a/b/c",
+			"til~de": "~x~", "amp&": "a&b", "eq=": "k=v", "ünï": "日本語", "%zz": "\x00\xff"},
+		manyParams(20), // more keys than WithParams sorts on the stack
 	}
 	bases := []string{
 		"https://bid.adnxs.com/hb/v1/bid",
@@ -149,6 +153,26 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWithParamsOneAllocation: the fast path builds each URL in one
+// allocation, the returned string.
+func TestWithParamsOneAllocation(t *testing.T) {
+	params := map[string]string{"slot": "div-gpt-ad-1", "size": "300x250", "channel": "hb",
+		"hb_bidder": "rubicon", "hb_pb": "0.50", "q": "a b/c"}
+	if n := testing.AllocsPerRun(100, func() { WithParams("https://creatives.example/render", params) }); n != 1 {
+		t.Fatalf("WithParams allocates %.0f times per URL, want 1", n)
+	}
+}
+
+// manyParams returns n distinct parameters k00=v00, k01=v01, ...
+func manyParams(n int) map[string]string {
+	m := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		d := string(rune('0'+i/10)) + string(rune('0'+i%10))
+		m["k"+d] = "v" + d
+	}
+	return m
 }
 
 // TestRegistrableDomainScan pins the scan-based implementation against a

@@ -316,26 +316,6 @@ func unescapeComponent(s string) (string, bool) {
 	return u, true
 }
 
-// HasAnyParam reports whether the raw URL's query contains any of the
-// given keys. Keys are matched case-insensitively, as HB wrappers are
-// inconsistent about casing.
-func HasAnyParam(raw string, keys []string) bool {
-	params := QueryParams(raw)
-	if len(params) == 0 {
-		return false
-	}
-	lower := make(map[string]string, len(params))
-	for k, v := range params {
-		lower[strings.ToLower(k)] = v
-	}
-	for _, k := range keys {
-		if _, ok := lower[strings.ToLower(k)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // WithParams returns base with the given query parameters appended,
 // preserving any existing query. Parameters are encoded deterministically
 // (sorted by key) so generated URLs are stable across runs.
@@ -345,13 +325,35 @@ func WithParams(base string, params map[string]string) string {
 	// lower-cases schemes) and only bytes url.String leaves untouched in
 	// the authority and path. The output is byte-identical to the
 	// net/url path (url.Values.Encode sorts keys and escapes with
-	// QueryEscape) without allocating a Values map per call.
+	// QueryEscape) and is the URL's only allocation: keys sort in a
+	// stack array and escape straight into one pre-sized builder.
 	if i := strings.Index(base, "://"); i > 0 && isLowerScheme(base[:i]) &&
 		isCleanPathBytes(base[i+3:]) && strings.IndexByte(base[i+3:], '/') >= 0 {
 		if len(params) == 0 {
 			return base
 		}
-		return base + "?" + encodeSorted(params)
+		var arr [16]string
+		keys := arr[:0]
+		size := len(base) + 2*len(params) // '?' or '&', and '=', per pair
+		for k, v := range params {
+			keys = append(keys, k)
+			size += queryEscapedLen(k) + queryEscapedLen(v)
+		}
+		sort.Strings(keys)
+		var sb strings.Builder
+		sb.Grow(size)
+		sb.WriteString(base)
+		for i, k := range keys {
+			if i == 0 {
+				sb.WriteByte('?')
+			} else {
+				sb.WriteByte('&')
+			}
+			writeQueryEscaped(&sb, k)
+			sb.WriteByte('=')
+			writeQueryEscaped(&sb, params[k])
+		}
+		return sb.String()
 	}
 	u, err := url.Parse(base)
 	if err != nil {
@@ -365,25 +367,44 @@ func WithParams(base string, params map[string]string) string {
 	return u.String()
 }
 
-// encodeSorted renders params exactly like url.Values.Encode: keys
-// sorted, each key and value query-escaped.
-func encodeSorted(params map[string]string) string {
-	keys := make([]string, 0, len(params))
-	size := 0
-	for k, v := range params {
-		keys = append(keys, k)
-		size += len(k) + len(v) + 2
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.Grow(size)
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte('&')
+// queryUnescaped reports whether url.QueryEscape leaves c as it is.
+func queryUnescaped(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '-' || c == '_' || c == '.' || c == '~'
+}
+
+// queryEscapedLen returns len(url.QueryEscape(s)): a space becomes '+',
+// any other byte outside the unreserved set a three-byte %XX.
+func queryEscapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != ' ' && !queryUnescaped(c) {
+			n += 2
 		}
-		sb.WriteString(url.QueryEscape(k))
-		sb.WriteByte('=')
-		sb.WriteString(url.QueryEscape(params[k]))
 	}
-	return sb.String()
+	return n
+}
+
+// writeQueryEscaped writes url.QueryEscape(s) to sb, copying unescaped
+// runs whole.
+func writeQueryEscaped(sb *strings.Builder, s string) {
+	const hex = "0123456789ABCDEF"
+	for {
+		i := 0
+		for i < len(s) && queryUnescaped(s[i]) {
+			i++
+		}
+		sb.WriteString(s[:i])
+		if i == len(s) {
+			return
+		}
+		if c := s[i]; c == ' ' {
+			sb.WriteByte('+')
+		} else {
+			sb.WriteByte('%')
+			sb.WriteByte(hex[c>>4])
+			sb.WriteByte(hex[c&15])
+		}
+		s = s[i+1:]
+	}
 }

@@ -66,19 +66,6 @@ func TestQueryParams(t *testing.T) {
 	}
 }
 
-func TestHasAnyParamCaseInsensitive(t *testing.T) {
-	u := "https://x.example/r?HB_Bidder=a"
-	if !HasAnyParam(u, []string{"hb_bidder"}) {
-		t.Fatal("case-insensitive match failed")
-	}
-	if HasAnyParam(u, []string{"hb_pb"}) {
-		t.Fatal("false positive")
-	}
-	if HasAnyParam("https://x.example/", []string{"hb_pb"}) {
-		t.Fatal("no query should not match")
-	}
-}
-
 func TestWithParamsDeterministic(t *testing.T) {
 	base := "https://s.example/serve?keep=1"
 	got := WithParams(base, map[string]string{"b": "2", "a": "1"})

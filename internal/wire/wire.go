@@ -110,12 +110,28 @@ func (w *Writer) Strings(ss []string) {
 
 // Reader decodes primitives with a sticky error: after the first
 // failure every call returns the zero value and Err returns the cause.
+//
+// A length prefix never sizes an allocation beyond what the stream can
+// hold. When the source reports how many bytes remain (bytes.Reader,
+// which every snapshot section payload is), a prefix that claims more
+// than that fails before anything is allocated; otherwise a slice grows
+// in bounded steps as its bytes arrive. Either way a corrupt or hostile
+// prefix costs memory in proportion to the input, not to the prefix.
 type Reader struct {
-	r   io.ByteReader
-	src io.Reader
-	err error
-	buf [8]byte
+	r    io.ByteReader
+	src  io.Reader
+	left lener // src, when it can say how many bytes remain; else nil
+	err  error
+	buf  [8]byte
 }
+
+// lener is implemented by the in-memory readers (bytes.Reader,
+// bytes.Buffer, strings.Reader): Len is the number of unread bytes.
+type lener interface{ Len() int }
+
+// growStep bounds the first allocation for a length whose bytes the
+// source cannot vouch for; the slice doubles from there as they arrive.
+const growStep = 4096
 
 // byteReader adapts a plain io.Reader to io.ByteReader. Snapshot
 // sections arrive as in-memory buffers (bytes.Reader implements
@@ -136,7 +152,8 @@ func NewReader(r io.Reader) *Reader {
 	if !ok {
 		br = byteReader{r: r}
 	}
-	return &Reader{r: br, src: r}
+	left, _ := r.(lener)
+	return &Reader{r: br, src: r, left: left}
 }
 
 // Err returns the first read error, if any.
@@ -214,14 +231,52 @@ func (r *Reader) Float64() float64 {
 }
 
 // Len reads a length prefix, refusing implausible values before any
-// allocation sized by them.
-func (r *Reader) Len() int {
+// allocation sized by them: above maxLen, or more elements than bytes
+// remain in a source that knows (every element this codec writes takes
+// at least one byte). A prefix that overruns the stream fails as the
+// truncation it is, with io.ErrUnexpectedEOF.
+func (r *Reader) Len() int { return r.lenOf(1) }
+
+// lenOf is Len for elements of at least size bytes each.
+func (r *Reader) lenOf(size uint64) int {
 	n := r.Uvarint()
-	if n > maxLen {
+	switch {
+	case n > maxLen:
 		r.fail(ErrCorrupt)
+		return 0
+	case r.left != nil && n*size > uint64(r.left.Len()):
+		r.fail(io.ErrUnexpectedEOF)
 		return 0
 	}
 	return int(n)
+}
+
+// Cap is the capacity to start a slice with that will hold the n
+// elements a length prefix announced: n itself when Len has checked it
+// against the bytes remaining, at most growStep otherwise, so appending
+// grows the slice only as its elements actually arrive.
+func (r *Reader) Cap(n int) int {
+	if r.left != nil {
+		return n
+	}
+	return min(n, growStep)
+}
+
+// readN reads the n bytes a length prefix announced.
+func (r *Reader) readN(n int) []byte {
+	p := make([]byte, r.Cap(n))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r.src, p[got:]); err != nil {
+			r.fail(err)
+			return nil
+		}
+		if len(p) == n {
+			return p
+		}
+		got = len(p)
+		p = append(p, make([]byte, min(n-got, got))...)
+	}
 }
 
 // String reads a length-prefixed string.
@@ -230,9 +285,8 @@ func (r *Reader) String() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r.src, p); err != nil {
-		r.fail(err)
+	p := r.readN(n)
+	if r.err != nil {
 		return ""
 	}
 	return string(p)
@@ -244,24 +298,19 @@ func (r *Reader) Bytes() []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r.src, p); err != nil {
-		r.fail(err)
-		return nil
-	}
-	return p
+	return r.readN(n)
 }
 
 // Float64s reads a length-prefixed float64 slice (nil when empty, so
 // encode→decode→encode reproduces the bytes of a nil slice).
 func (r *Reader) Float64s() []float64 {
-	n := r.Len()
+	n := r.lenOf(8)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Float64()
+	xs := make([]float64, 0, r.Cap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		xs = append(xs, r.Float64())
 	}
 	if r.err != nil {
 		return nil
@@ -275,9 +324,9 @@ func (r *Reader) Strings() []string {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.String()
+	ss := make([]string, 0, r.Cap(n))
+	for i := 0; i < n && r.err == nil; i++ {
+		ss = append(ss, r.String())
 	}
 	if r.err != nil {
 		return nil

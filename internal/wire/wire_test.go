@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // TestRoundTrip drives every primitive through an encode→decode cycle
@@ -134,6 +137,81 @@ func TestImplausibleLengthRefused(t *testing.T) {
 	r := NewReader(bytes.NewReader(buf.Bytes()))
 	if s := r.String(); s != "" || r.Err() == nil {
 		t.Fatalf("implausible length accepted (s=%q err=%v)", s, r.Err())
+	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileLengthBoundedAllocation: a length prefix claiming far more
+// than the input holds fails as a truncation without allocating for the
+// claim — refused up front when the source knows how many bytes remain,
+// grown in bounded steps when it does not. Unbounded, a 5-byte input
+// claiming 1<<27 float64s would allocate 1 GiB.
+func TestHostileLengthBoundedAllocation(t *testing.T) {
+	prefix := func(n uint64) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Uvarint(n)
+		buf.WriteByte(7) // one byte of content
+		return buf.Bytes()
+	}
+	decoders := map[string]func(*Reader){
+		"Float64s": func(r *Reader) { r.Float64s() },
+		"String":   func(r *Reader) { _ = r.String() },
+		"Bytes":    func(r *Reader) { r.Bytes() },
+		"Strings":  func(r *Reader) { r.Strings() },
+	}
+	sources := map[string]func([]byte) io.Reader{
+		"bytes.Reader": func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"plain reader": func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+	}
+	for _, claim := range []uint64{1 << 27, maxLen} {
+		in := prefix(claim)
+		for dn, dec := range decoders {
+			for sn, src := range sources {
+				var err error
+				n := allocated(func() {
+					r := NewReader(src(in))
+					dec(r)
+					err = r.Err()
+				})
+				if err != io.ErrUnexpectedEOF {
+					t.Errorf("%s claiming %d from a %s: err %v, want io.ErrUnexpectedEOF", dn, claim, sn, err)
+				}
+				if n >= 1<<20 {
+					t.Errorf("%s claiming %d from a %s (%d-byte input) allocated %d bytes", dn, claim, sn, len(in), n)
+				}
+			}
+		}
+	}
+}
+
+// TestLongPayloadFromPlainReader: content longer than one growth step
+// decodes intact from a source that cannot report its length.
+func TestLongPayloadFromPlainReader(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789"), 3*growStep/10+7)
+	xs := make([]float64, growStep+3)
+	for i := range xs {
+		xs[i] = float64(i) / 3
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Bytes(want)
+	w.Float64s(xs)
+	r := NewReader(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	got, gotXs := r.Bytes(), r.Float64s()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || !reflect.DeepEqual(gotXs, xs) {
+		t.Fatal("payload longer than a growth step did not round-trip")
 	}
 }
 
