@@ -95,16 +95,20 @@ bench-gate:
 # Short fuzz run over the decoders of untrusted bytes: the rtb codec's
 # two targets and the JSONL record decoder's each differentially check
 # their fast path against encoding/json (struct equality, error parity;
-# the rtb targets also check the re-encode fixed point), and the shard
+# the rtb targets also check the re-encode fixed point), the shard
 # file decoder's checks refuse-not-panic and the re-marshal fixed
-# point. The committed corpora under internal/rtb/testdata/fuzz/,
-# internal/dataset/testdata/fuzz/ and internal/snapshot/testdata/fuzz/
-# also replay as plain unit tests on every 'make test'.
+# point, and the HTML scanner's checks never-panic, substrings of the
+# input and, on ASCII, equality with its reference implementation. The
+# committed corpora under internal/rtb/testdata/fuzz/,
+# internal/dataset/testdata/fuzz/, internal/snapshot/testdata/fuzz/ and
+# internal/htmlmeta/testdata/fuzz/ also replay as plain unit tests on
+# every 'make test'.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/htmlmeta
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

@@ -88,8 +88,11 @@ type Page struct {
 	busyUntil time.Time
 	closed    bool
 	fetches   webreq.Slab[pendingFetch] // this visit's requests; rewound by Rebind
+	doc       htmlmeta.Document         // this visit's parse; reused by the next
 
-	// Doc is the parsed document, set after load.
+	// Doc is the parsed document, set after load. It points into
+	// page-owned storage and is valid until Rebind: hold the strings it
+	// carries (substrings of the response body), never the Document.
 	Doc *htmlmeta.Document
 
 	// Trace is this visit's span recorder (nil = tracing off, the
@@ -117,12 +120,13 @@ func NewPage(env Env, opts Options) *Page {
 }
 
 // Rebind returns the page to the state NewPage(env, opts) would produce,
-// reusing the bus's, inspector's and pending-fetch storage. The crawler
-// pools one page per worker and rebinds it before every visit — the
-// "new, clean instance" policy without the per-visit bus/inspector/
-// hook-table/per-request allocations. Callers must not rebind while
-// callbacks of the previous visit can still fire (the crawler resets its
-// scheduler first, which drops them): their pending fetches are reused.
+// reusing the bus's, inspector's, pending-fetch and document storage.
+// The crawler pools one page per worker and rebinds it before every
+// visit — the "new, clean instance" policy without the per-visit
+// bus/inspector/hook-table/per-request allocations. Callers must not
+// rebind while callbacks of the previous visit can still fire (the
+// crawler resets its scheduler first, which drops them): their pending
+// fetches are reused.
 func (p *Page) Rebind(env Env, opts Options) {
 	p.URL = ""
 	p.Bus.Reset(!opts.NoEventHistory)
@@ -331,7 +335,8 @@ func (vs *visitState) onDoc(resp *webreq.Response) {
 		return
 	}
 	vs.res.Loaded = true
-	doc := htmlmeta.ParseCached(resp.Body)
+	doc := &vs.page.doc
+	htmlmeta.ParseInto(doc, resp.Body)
 	vs.page.Doc = doc
 	for _, s := range doc.Scripts {
 		if s.Src != "" {

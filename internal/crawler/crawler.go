@@ -432,6 +432,7 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	}
 	rt := vrt.rt
 	rt.Registry = w.Registry
+	rt.Configs = &w.Configs
 	rt.Overlay = opts.Overlay
 	rt.LastActivity = nil
 	bopts := browser.DefaultOptions()

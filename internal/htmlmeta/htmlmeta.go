@@ -5,10 +5,7 @@
 // forgiving tokenizer in the spirit of how real detectors grep markup.
 package htmlmeta
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Script describes one <script> element found in a document.
 type Script struct {
@@ -30,48 +27,59 @@ type Document struct {
 // browsers (and scrapers) treat real-world pages.
 func Parse(src string) *Document {
 	doc := &Document{}
-	lower := strings.ToLower(src)
+	ParseInto(doc, src)
+	return doc
+}
+
+// ParseInto is Parse into a caller-owned Document: it overwrites doc and
+// reuses the backing array of doc.Scripts, so a document parsed into
+// again and again stops allocating. Tag and attribute names match by
+// ASCII case folding on the source bytes, and every string it stores
+// (Title, Src, Inline) is a substring of src.
+func ParseInto(doc *Document, src string) {
+	doc.Title = ""
+	doc.Scripts = doc.Scripts[:0]
 	inHead := false
 	i := 0
 	n := len(src)
 	for i < n {
-		lt := strings.IndexByte(lower[i:], '<')
+		lt := strings.IndexByte(src[i:], '<')
 		if lt < 0 {
 			break
 		}
 		i += lt
 		switch {
-		case strings.HasPrefix(lower[i:], "<head"):
-			if isTagBoundary(lower, i+5) {
+		case hasPrefixFold(src[i:], "<head"):
+			if isTagBoundary(src, i+5) {
 				inHead = true
 			}
 			i++
-		case strings.HasPrefix(lower[i:], "</head"):
+		case hasPrefixFold(src[i:], "</head"):
 			inHead = false
 			i++
-		case strings.HasPrefix(lower[i:], "<body"):
+		case hasPrefixFold(src[i:], "<body"):
 			inHead = false
 			i++
-		case strings.HasPrefix(lower[i:], "<title"):
-			end := strings.Index(lower[i:], ">")
+		case hasPrefixFold(src[i:], "<title"):
+			end := strings.IndexByte(src[i:], '>')
 			if end < 0 {
 				i++
 				continue
 			}
 			start := i + end + 1
-			close := strings.Index(lower[start:], "</title")
+			close := indexFold(src[start:], "</title")
 			if close < 0 {
 				i++
 				continue
 			}
 			doc.Title = strings.TrimSpace(src[start : start+close])
 			i = start + close
-		case strings.HasPrefix(lower[i:], "<script"):
-			if !isTagBoundary(lower, i+7) {
+		case hasPrefixFold(src[i:], "<script"):
+			if !isTagBoundary(src, i+7) {
 				i++
 				continue
 			}
-			tagEnd := strings.IndexByte(lower[i:], '>')
+			tagEnd := strings.IndexByte(src[i:], '>')
 			if tagEnd < 0 {
 				i = n
 				continue
@@ -84,7 +92,7 @@ func Parse(src string) *Document {
 				Defer:  hasAttr(attrs, "defer"),
 			}
 			bodyStart := i + tagEnd + 1
-			close := strings.Index(lower[bodyStart:], "</script")
+			close := indexFold(src[bodyStart:], "</script")
 			if close < 0 {
 				if s.Src == "" {
 					s.Inline = strings.TrimSpace(src[bodyStart:])
@@ -102,36 +110,79 @@ func Parse(src string) *Document {
 			i++
 		}
 	}
-	return doc
 }
 
 // isTagBoundary reports whether the byte at position i terminates a tag
 // name (whitespace, '>', '/', or end of input).
-func isTagBoundary(lower string, i int) bool {
-	if i >= len(lower) {
+func isTagBoundary(src string, i int) bool {
+	if i >= len(src) {
 		return true
 	}
-	switch lower[i] {
+	switch src[i] {
 	case ' ', '\t', '\n', '\r', '>', '/':
 		return true
 	}
 	return false
 }
 
+// lowerASCII folds an ASCII upper-case letter to lower case and returns
+// every other byte unchanged.
+func lowerASCII(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		return b + 'a' - 'A'
+	}
+	return b
+}
+
+// hasPrefixFold reports whether s starts with prefix under ASCII case
+// folding; prefix must be lower-case.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for j := 0; j < len(prefix); j++ {
+		if lowerASCII(s[j]) != prefix[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexFold returns the index of the first match of needle in s under
+// ASCII case folding, or -1; needle must be lower-case and non-empty.
+func indexFold(s, needle string) int {
+	first := needle[0]
+	for i := 0; i+len(needle) <= len(s); i++ {
+		if first == '<' {
+			// The closing-tag needles: jump with the vectorized search.
+			j := strings.IndexByte(s[i:], '<')
+			if j < 0 {
+				return -1
+			}
+			i += j
+		} else if lowerASCII(s[i]) != first {
+			continue
+		}
+		if hasPrefixFold(s[i:], needle) {
+			return i
+		}
+	}
+	return -1
+}
+
 // attrValue extracts a (single- or double-quoted, or bare) attribute value
-// from a tag's attribute text, case-insensitively.
+// from a tag's attribute text, case-insensitively; name must be
+// lower-case.
 func attrValue(attrs, name string) string {
-	lower := strings.ToLower(attrs)
-	name = strings.ToLower(name)
 	idx := 0
 	for {
-		p := strings.Index(lower[idx:], name)
+		p := indexFold(attrs[idx:], name)
 		if p < 0 {
 			return ""
 		}
 		p += idx
 		// Must be a word boundary before and an '=' (possibly spaced) after.
-		if p > 0 && isWordByte(lower[p-1]) {
+		if p > 0 && isWordByte(attrs[p-1]) {
 			idx = p + len(name)
 			continue
 		}
@@ -168,29 +219,23 @@ func attrValue(attrs, name string) string {
 	}
 }
 
-// hasAttr reports whether a bare boolean attribute is present.
+// hasAttr reports whether a bare boolean attribute is present: name
+// (lower-case) preceded by a non-word byte or the start of attrs, and
+// followed by ' ', '>' or the end of attrs.
 func hasAttr(attrs, name string) bool {
-	lower := " " + strings.ToLower(attrs) + " "
-	name = strings.ToLower(name)
 	idx := 0
 	for {
-		p := strings.Index(lower[idx:], name)
+		p := indexFold(attrs[idx:], name)
 		if p < 0 {
 			return false
 		}
 		p += idx
-		before := lower[p-1]
-		afterIdx := p + len(name)
-		after := byte(' ')
-		if afterIdx < len(lower) {
-			after = lower[afterIdx]
+		end := p + len(name)
+		if (p == 0 || !isWordByte(attrs[p-1])) &&
+			(end == len(attrs) || attrs[end] == ' ' || attrs[end] == '>') {
+			return true
 		}
-		if !isWordByte(before) && (after == ' ' || after == '=' || after == '>') {
-			if after != '=' {
-				return true
-			}
-		}
-		idx = p + len(name)
+		idx = end
 	}
 }
 
@@ -205,48 +250,4 @@ func isSpaceByte(b byte) bool {
 		return true
 	}
 	return false
-}
-
-// parseCache memoizes Parse results by source text. Crawl visits fetch
-// the same generated page once per crawl day, and Parse is a pure
-// function of the source, so re-scanning identical markup is wasted
-// work. Callers must treat the returned Document as immutable (every
-// in-repo consumer already does: the page runtime and the static
-// analyzer only read it).
-//
-// The cache is bounded: once parseCacheMax distinct sources accumulate
-// it is cleared wholesale and rebuilds from live traffic, so a
-// long-lived process cycling through many worlds cannot retain every
-// page it ever saw. The bound is sized for the working set that repeats
-// — the HB subset a multi-day crawl re-visits (~5k pages per 35k-site
-// world) and the small worlds tests and benchmarks loop over — not for
-// one whole world, whose day-0 pages are each parsed once anyway. (A
-// per-Site cache would scope retention to the world's lifetime, but
-// this layer sees only response bodies, not sites; the bounded global
-// is the deliberate tradeoff.)
-var (
-	parseCache     sync.Map // string -> *Document
-	parseCacheN    int32
-	parseCacheLock sync.Mutex
-)
-
-const parseCacheMax = 16384
-
-// ParseCached is Parse memoized on the source text. Use it when the same
-// markup is parsed repeatedly (the crawler's per-visit document load);
-// the returned Document is shared and must not be modified.
-func ParseCached(src string) *Document {
-	if d, ok := parseCache.Load(src); ok {
-		return d.(*Document)
-	}
-	d := Parse(src)
-	parseCacheLock.Lock()
-	if parseCacheN >= parseCacheMax {
-		parseCache.Clear()
-		parseCacheN = 0
-	}
-	parseCacheN++
-	parseCacheLock.Unlock()
-	parseCache.Store(src, d)
-	return d
 }

@@ -1,6 +1,7 @@
 package htmlmeta
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,47 @@ func TestHasAttrEdge(t *testing.T) {
 		// async="false" is treated as valued, not bare; our model only
 		// reports bare flags.
 		t.Fatal("valued attr treated as bare")
+	}
+}
+
+// Bytes outside ASCII never shift what the scanner reads. The scanner it
+// replaced found offsets in a lower-cased copy of the page and sliced
+// the original with them; lowering can change the byte length (invalid
+// UTF-8 becomes the 3-byte U+FFFD, and 'İ' lowers to 3 bytes), so on
+// these inputs it panicked or returned the wrong text.
+func TestParseNonASCII(t *testing.T) {
+	cases := []struct {
+		name, in string
+		want     Document
+	}{
+		{"invalid UTF-8 before an unclosed script", "\xff\xff\xff\xff\xff\xff<script>",
+			Document{Scripts: []Script{{}}}},
+		{"invalid UTF-8 before a src script", "\xff\xff\xff\xff<script src=a>x</script>",
+			Document{Scripts: []Script{{Src: "a"}}}},
+		{"invalid UTF-8 title", "<title>\xff\xff</title><script>var x</script>",
+			Document{Title: "\xff\xff", Scripts: []Script{{Inline: "var x"}}}},
+		{"title whose lower case is longer", `<title>İstanbul</title><SCRIPT SRC="https://cdn.prebid.example/prebid.js" ASYNC></SCRIPT>`,
+			Document{Title: "İstanbul", Scripts: []Script{{Src: "https://cdn.prebid.example/prebid.js", Async: true}}}},
+		{"attribute text whose lower case is longer", `<head><script data-city="İİİİ" src="b.js" defer></script>`,
+			Document{Scripts: []Script{{Src: "b.js", InHead: true, Defer: true}}}},
+	}
+	for _, c := range cases {
+		if got := Parse(c.in); !reflect.DeepEqual(*got, c.want) {
+			t.Errorf("%s: Parse(%q) = %+v, want %+v", c.name, c.in, *got, c.want)
+		}
+	}
+}
+
+// ParseInto overwrites a used Document completely and, once its script
+// storage is large enough, allocates nothing.
+func TestParseIntoReusesDocument(t *testing.T) {
+	var doc Document
+	ParseInto(&doc, samplePage)
+	ParseInto(&doc, `<script src="only.js"></script>`)
+	if want := Parse(`<script src="only.js"></script>`); !reflect.DeepEqual(&doc, want) {
+		t.Fatalf("reused document = %+v, want %+v", doc, *want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseInto(&doc, samplePage) }); allocs != 0 {
+		t.Fatalf("ParseInto into a warm document allocated %.0f times", allocs)
 	}
 }

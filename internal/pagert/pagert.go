@@ -62,64 +62,36 @@ func (c *PageConfig) InlineScript() (string, error) {
 	return "var " + ConfigMarker + " = " + string(blob) + ";", nil
 }
 
-// cachedConfig memoizes one inline script's parse outcome.
-type cachedConfig struct {
-	cfg *PageConfig
-	err error
-}
-
-// configCache memoizes ExtractConfig by inline-script text: the crawler
-// re-visits each generated page every crawl day, and decoding the same
-// config JSON per visit was a measurable slice of crawl CPU. Parsing is
-// a pure function of the text; the cached PageConfig is shared and must
-// be treated as read-only (all library consumers only read it). Bounded
-// like htmlmeta's parse cache (and sized the same way — for the
-// repeating working set, not a whole world): past configCacheMax
-// distinct scripts the cache is cleared wholesale and rebuilds from
-// live traffic.
-var (
-	configCache     sync.Map // string -> cachedConfig
-	configCacheN    int32
-	configCacheLock sync.Mutex
-)
-
-const configCacheMax = 16384
-
 // ExtractConfig finds and parses the inline configuration in a document.
 // It returns (nil, nil) when the page carries no HB config.
 func ExtractConfig(doc *htmlmeta.Document) (*PageConfig, error) {
-	for _, s := range doc.Scripts {
-		if s.Src != "" || !strings.Contains(s.Inline, ConfigMarker) {
-			continue
-		}
-		if c, ok := configCache.Load(s.Inline); ok {
-			cc := c.(cachedConfig)
-			return cc.cfg, cc.err
-		}
-		cfg, err := parseInlineConfig(s.Inline)
-		configCacheLock.Lock()
-		if configCacheN >= configCacheMax {
-			configCache.Clear()
-			configCacheN = 0
-		}
-		configCacheN++
-		configCacheLock.Unlock()
-		configCache.Store(s.Inline, cachedConfig{cfg: cfg, err: err})
-		return cfg, err
+	inline, ok := configScript(doc)
+	if !ok {
+		return nil, nil
 	}
-	return nil, nil
+	return parseInlineConfig(inline)
+}
+
+// configScript returns the text of the document's inline config script.
+func configScript(doc *htmlmeta.Document) (string, bool) {
+	for _, s := range doc.Scripts {
+		if s.Src == "" && strings.Contains(s.Inline, ConfigMarker) {
+			return s.Inline, true
+		}
+	}
+	return "", false
 }
 
 func parseInlineConfig(inline string) (*PageConfig, error) {
 	start := strings.IndexByte(inline, '{')
 	end := strings.LastIndexByte(inline, '}')
 	if start < 0 || end <= start {
-		return nil, fmt.Errorf("pagert: malformed inline config") //hbvet:allow hotalloc cold error path, and parse outcomes are memoized in configCache
+		return nil, fmt.Errorf("pagert: malformed inline config") //hbvet:allow hotalloc cold error path, and parse outcomes are memoized per world (ConfigMemo)
 	}
 	var cfg PageConfig
-	//hbvet:allow hotalloc config parse is memoized in configCache: once per distinct page, not per visit
+	//hbvet:allow hotalloc config parse is memoized per world in ConfigMemo: once per distinct page, not per visit
 	if err := json.Unmarshal([]byte(inline[start:end+1]), &cfg); err != nil {
-		return nil, fmt.Errorf("pagert: parse inline config: %w", err) //hbvet:allow hotalloc cold error path behind the memoizing configCache
+		return nil, fmt.Errorf("pagert: parse inline config: %w", err) //hbvet:allow hotalloc cold error path behind the per-world ConfigMemo
 	}
 	for i := range cfg.AdUnits {
 		if err := cfg.AdUnits[i].NormalizeSizes(); err != nil {
@@ -129,10 +101,52 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 	return &cfg, nil
 }
 
+// ConfigMemo memoizes ExtractConfig by inline-script text for one world:
+// a crawl re-visits each generated page every crawl day, and a sweep
+// crawls the same pages once per variant, so decoding the same config
+// JSON on every visit was a measurable slice of crawl CPU. It is safe
+// for concurrent use, has no bound and is never cleared: it lives as
+// long as the world that owns it (sitegen.World.Configs). Its keys are
+// substrings of the world's own pages, so it retains nothing beyond one
+// decoded config per distinct inline config. A returned PageConfig is
+// shared and must be treated as read-only (OverlayConfig copies before
+// it writes). The zero value is ready to use; a nil *ConfigMemo decodes
+// every call.
+type ConfigMemo struct {
+	m sync.Map // inline-script text -> *memoConfig
+}
+
+// memoConfig is one inline script's decode outcome.
+type memoConfig struct {
+	cfg *PageConfig
+	err error
+}
+
+// Extract is ExtractConfig memoized on the config script's text.
+func (m *ConfigMemo) Extract(doc *htmlmeta.Document) (*PageConfig, error) {
+	inline, ok := configScript(doc)
+	if !ok {
+		return nil, nil
+	}
+	if m == nil {
+		return parseInlineConfig(inline)
+	}
+	if v, ok := m.m.Load(inline); ok {
+		e := v.(*memoConfig)
+		return e.cfg, e.err
+	}
+	cfg, err := parseInlineConfig(inline)
+	// A concurrent first visit may have stored the same script; every
+	// caller then shares whichever outcome landed first.
+	v, _ := m.m.LoadOrStore(inline, &memoConfig{cfg: cfg, err: err})
+	e := v.(*memoConfig)
+	return e.cfg, e.err
+}
+
 // OverlayConfig returns cfg with the overlay's wrapper interventions
 // (TimeoutMS, FixBadWrappers, MaxPartners) applied. The returned config
-// is a private copy whenever one of them is set — cached PageConfigs are
-// shared across visits and must never be written through — and cfg
+// is a private copy whenever one of them is set — memoized PageConfigs
+// are shared across visits and must never be written through — and cfg
 // itself otherwise: a nil overlay, or one that only faults, reshapes the
 // network or suppresses syncs, never touches the config. Ad-unit slices
 // are cloned only when the partner pool is actually trimmed.
@@ -205,9 +219,12 @@ type Activity struct {
 // Runtime implements browser.ScriptRuntime over the partner registry.
 type Runtime struct {
 	Registry *partners.Registry
+	// Configs memoizes the pages' inline-config decodes; the crawler sets
+	// the world's memo. Nil decodes every page's config afresh.
+	Configs *ConfigMemo
 	// Overlay, when non-nil, applies a scenario intervention to every
 	// page this runtime drives: the parsed wrapper config is transformed
-	// on a private copy at visit time (the cached PageConfig is shared
+	// on a private copy at visit time (the memoized PageConfig is shared
 	// across visits and stays untouched), and cookie-sync fan-out can be
 	// suppressed. A nil or zero overlay changes nothing.
 	Overlay *overlay.Overlay
@@ -240,7 +257,7 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 			break
 		}
 	}
-	cfg, err := ExtractConfig(doc)
+	cfg, err := rt.Configs.Extract(doc)
 	if err != nil {
 		act.ConfigErr = err.Error()
 		settle()

@@ -28,59 +28,101 @@ func (w *World) PageHTML(s *Site) string {
 	return s.html
 }
 
+// Markup of generated pages, in document order. renderPageHTML writes
+// them into one builder sized from their lengths.
+const (
+	pageOpen    = "<!DOCTYPE html>\n<html>\n<head>\n<title>"
+	pageScripts = "</title>\n" +
+		`<script src="` + JQueryCDN + `"></script>` + "\n" +
+		`<script src="https://analytics.static.example/ga.js" async></script>` + "\n"
+	prebidTag  = `<script src="` + PrebidCDN + `" async></script>` + "\n"
+	pubfoodTag = `<script src="` + PubfoodCDN + `" async></script>` + "\n"
+	gptTag     = `<script src="` + GPTCDN + `" async></script>` + "\n"
+	inlineOpen = "<script>"
+	inlineEnd  = "</script>\n"
+	// trapTag names an HB library inside a commented-out block a naive
+	// regex still matches; it is never executed.
+	trapTag   = "<!-- legacy, disabled:\n<script src=\"" + PrebidCDN + "\"></script>\n-->\n"
+	bodyOpen  = "</head>\n<body>\n<h1>"
+	bodyTitle = "</h1>\n"
+	slotOpen  = "<div id="
+	slotMid   = ` class="ad" data-size=`
+	slotEnd   = "></div>\n"
+	pageClose = "<p>Lorem ipsum editorial content.</p>\n</body>\n</html>\n"
+)
+
 // renderPageHTML renders a site's homepage: head scripts (analytics
 // noise, HB library includes, inline wrapper config) plus body slot divs.
 // Non-HB pages get ordinary scripts only; a small fraction get "trap"
 // markup that names an HB library without executing one — the
 // static-analysis false positives the paper warns about (§3.1).
 func (w *World) renderPageHTML(s *Site) string {
-	r := rng.SplitStable(w.Cfg.Seed, "html/"+s.Domain)
-	var head strings.Builder
-	head.WriteString("<title>" + s.Domain + "</title>\n")
-	head.WriteString(`<script src="` + JQueryCDN + `"></script>` + "\n")
-	head.WriteString(`<script src="https://analytics.static.example/ga.js" async></script>` + "\n")
-
+	var libs, inline, trap string
 	if s.HB {
-		cfg := w.pageConfig(s)
-		inline, err := cfg.InlineScript()
-		if err != nil {
-			inline = "/* config error: " + err.Error() + " */"
-		}
+		inline = w.inlineConfig(s)
 		switch s.Facet {
 		case hb.FacetClient:
+			libs = prebidTag
 			if s.Library == "pubfood" {
-				head.WriteString(`<script src="` + PubfoodCDN + `" async></script>` + "\n")
-			} else {
-				head.WriteString(`<script src="` + PrebidCDN + `" async></script>` + "\n")
+				libs = pubfoodTag
 			}
 		case hb.FacetHybrid:
-			head.WriteString(`<script src="` + PrebidCDN + `" async></script>` + "\n")
-			head.WriteString(`<script src="` + GPTCDN + `" async></script>` + "\n")
+			libs = prebidTag + gptTag
 		case hb.FacetServer:
-			head.WriteString(`<script src="` + GPTCDN + `" async></script>` + "\n")
+			libs = gptTag
 		}
-		head.WriteString("<script>" + inline + "</script>\n")
-	} else if r.Bool(0.015) {
-		// Static-analysis trap: a dead script tag naming prebid (inside a
-		// commented-out block a naive regex still matches), never executed.
-		head.WriteString("<!-- legacy, disabled:\n<script src=\"" + PrebidCDN + "\"></script>\n-->\n")
+	} else if rng.SplitStable(w.Cfg.Seed, "html/"+s.Domain).Bool(0.015) {
+		trap = trapTag
 	}
 
-	var body strings.Builder
-	body.WriteString("<h1>" + s.Domain + "</h1>\n")
+	size := len(pageOpen) + len(pageScripts) + len(bodyOpen) + len(bodyTitle) +
+		len(pageClose) + 2*len(s.Domain) + len(libs) + len(trap)
 	if s.HB {
+		size += len(inlineOpen) + len(inline) + len(inlineEnd)
+		for _, u := range s.AdUnits {
+			// Both quoted values plus their four quotes.
+			size += len(slotOpen) + len(slotMid) + len(slotEnd) +
+				len(u.Code) + len(u.PrimarySize().String()) + 4
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(pageOpen)
+	b.WriteString(s.Domain)
+	b.WriteString(pageScripts)
+	b.WriteString(libs)
+	if s.HB {
+		b.WriteString(inlineOpen)
+		b.WriteString(inline)
+		b.WriteString(inlineEnd)
+	}
+	b.WriteString(trap)
+	b.WriteString(bodyOpen)
+	b.WriteString(s.Domain)
+	b.WriteString(bodyTitle)
+	if s.HB {
+		var q [64]byte
 		for _, u := range s.AdUnits {
 			// strconv.Quote renders %q byte-identically for these
 			// ASCII codes/sizes (pinned by TestPageHTMLQuotingPinnedToFmt).
-			body.WriteString("<div id=" + strconv.Quote(u.Code) +
-				" class=\"ad\" data-size=" + strconv.Quote(u.PrimarySize().String()) +
-				"></div>\n")
+			b.WriteString(slotOpen)
+			b.Write(strconv.AppendQuote(q[:0], u.Code))
+			b.WriteString(slotMid)
+			b.Write(strconv.AppendQuote(q[:0], u.PrimarySize().String()))
+			b.WriteString(slotEnd)
 		}
 	}
-	body.WriteString("<p>Lorem ipsum editorial content.</p>\n")
+	b.WriteString(pageClose)
+	return b.String()
+}
 
-	return "<!DOCTYPE html>\n<html>\n<head>\n" + head.String() +
-		"</head>\n<body>\n" + body.String() + "</body>\n</html>\n"
+// inlineConfig renders an HB site's inline wrapper config script body.
+func (w *World) inlineConfig(s *Site) string {
+	inline, err := w.pageConfig(s).InlineScript()
+	if err != nil {
+		return "/* config error: " + err.Error() + " */"
+	}
+	return inline
 }
 
 // pageConfig builds the inline wrapper configuration for an HB site.

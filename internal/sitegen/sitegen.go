@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"headerbid/internal/hb"
+	"headerbid/internal/pagert"
 	"headerbid/internal/partners"
 	"headerbid/internal/prebid"
 	"headerbid/internal/rng"
@@ -162,6 +163,11 @@ type World struct {
 	// (visit, partner) was a top-10 crawl allocation.
 	exchMu    sync.Mutex
 	exchanges map[string]*rtb.Exchange
+
+	// Configs memoizes the decode of each HB page's inline wrapper
+	// config for this world's crawls (the crawler hands it to its page
+	// runtimes). It lives exactly as long as the world.
+	Configs pagert.ConfigMemo
 }
 
 // ExchangeFor returns the partner's internal RTB exchange, built once

@@ -1,6 +1,7 @@
 package staticdet
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -119,5 +120,25 @@ func TestContainsHBKeyword(t *testing.T) {
 	}
 	if ContainsHBKeyword("plain page about waterfalls") {
 		t.Fatal("keyword prefilter false positive")
+	}
+}
+
+// Markup that is not ASCII (a Latin-1 title, invalid UTF-8, letters
+// whose lower case is longer) must scan like its ASCII twin: the
+// scanner matches tag names on the raw bytes, so the bytes before a
+// library include cannot shift what it reads.
+func TestScanNonASCIIPage(t *testing.T) {
+	const include = `<script src="https://cdn.prebid.example/prebid.js" async></script>`
+	d := New()
+	want := d.Scan("<html><head><title>Cafe</title>\n" + include + "\n</head></html>")
+	if !want.HB || want.ScriptHits == 0 {
+		t.Fatalf("ASCII twin not detected: %+v", want)
+	}
+	for _, title := range []string{"Caf\xe9", "\xff\xff\xff\xff\xff\xff\xff\xff", "İstanbul"} {
+		got := d.Scan("<html><head><title>" + title + "</title>\n" + include + "\n</head></html>")
+		if got.HB != want.HB || got.ScriptHits != want.ScriptHits ||
+			strings.Join(got.Libraries, ",") != strings.Join(want.Libraries, ",") {
+			t.Errorf("title %q: Scan = %+v, want %+v", title, got, want)
+		}
 	}
 }
