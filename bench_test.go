@@ -2,8 +2,8 @@
 // (DESIGN.md §4 maps each to its analyzer and modules). Every benchmark
 // measures the analysis cost over a shared crawl dataset and reports the
 // headline numbers as custom metrics, so `go test -bench=. -benchmem`
-// regenerates the paper's rows. EXPERIMENTS.md records paper-vs-measured
-// for each one.
+// regenerates the paper's rows. The published value sits in a "paper:"
+// comment next to each metric it is compared with.
 package headerbid
 
 import (

@@ -480,13 +480,13 @@ func (d *Detector) onRequest(req *webreq.Request) {
 		if strings.Contains(req.URL, "/ssp/auction") {
 			d.hostedReq = req.Sent
 			d.hostedProvider = p.Slug
-			d.hostedSlots = parseSlotSpecs(params["slots"])
+			d.hostedSlots = parseSlotSpecs(params.Get("slots"))
 		}
 		if strings.Contains(req.URL, "/hb/v1/bid") {
 			if d.bidReqFirst.IsZero() {
 				d.bidReqFirst = req.Sent
 			}
-			if params["retry"] != "" {
+			if params.Get("retry") != "" {
 				d.bidRetries++
 			}
 		}
@@ -496,8 +496,8 @@ func (d *Detector) onRequest(req *webreq.Request) {
 	}
 
 	// HB parameter vocabulary in any request (creative fetches included).
-	for k := range params {
-		if hb.IsTargetingKey(k) {
+	for _, p := range params {
+		if hb.IsTargetingKey(p.Key) {
 			d.hbParamSeen = true
 			break
 		}
@@ -551,12 +551,12 @@ func (d *Detector) onResponse(req *webreq.Request, resp *webreq.Response) {
 	// state crawl set no hb_* keys, but the exchange still closes the HB
 	// round and bounds its latency).
 	params := req.Params()
-	if _, hasSlots := params["slots"]; hasSlots && !d.adSrvIsPartner && resp.OK() {
+	if _, hasSlots := params.Lookup("slots"); hasSlots && !d.adSrvIsPartner && resp.OK() {
 		pageReg := d.pageRegistrable()
 		firstParty := pageReg != "" && req.RegistrableHost() == pageReg
 		hasHBKey := false
-		for k := range params {
-			if hb.IsTargetingKey(stripSlotSuffix(k)) {
+		for _, p := range params {
+			if hb.IsTargetingKey(stripSlotSuffix(p.Key)) {
 				hasHBKey = true
 				break
 			}
@@ -578,7 +578,7 @@ func isHBEndpoint(url string) bool {
 }
 
 // countTraffic categorizes one request for the overhead analysis.
-func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
+func (d *Detector) countTraffic(req *webreq.Request, params urlkit.Query) {
 	switch {
 	case strings.Contains(req.URL, "/hb/v1/bid"):
 		d.traffic.BidRequests++
@@ -594,7 +594,7 @@ func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
 	case req.Kind == webreq.KindScript:
 		d.traffic.Scripts++
 	default:
-		if _, hasSlots := params["slots"]; hasSlots {
+		if _, hasSlots := params.Lookup("slots"); hasSlots {
 			d.traffic.AdServer++
 		} else {
 			d.traffic.Other++
@@ -603,7 +603,7 @@ func (d *Detector) countTraffic(req *webreq.Request, params map[string]string) {
 }
 
 // mineTargeting extracts server-side HB winners from hb_* parameters.
-func (d *Detector) mineTargeting(params map[string]string, at time.Time) {
+func (d *Detector) mineTargeting(params urlkit.Query, at time.Time) {
 	t := hb.ParseTargeting(params)
 	if t == nil {
 		return
@@ -617,7 +617,7 @@ func (d *Detector) mineTargeting(params map[string]string, at time.Time) {
 	if src := t[hb.KeySource]; src == "s2s" {
 		cpm, _ := t.Price()
 		// Prefer the exact hb_price over the bucketed hb_pb when present.
-		if raw, ok := params[hb.KeyPrice]; ok {
+		if raw, ok := params.Lookup(hb.KeyPrice); ok {
 			var f float64
 			if _, err := sscanFloat(raw, &f); err == nil {
 				cpm = f
@@ -626,7 +626,7 @@ func (d *Detector) mineTargeting(params map[string]string, at time.Time) {
 		size, _ := t.Size()
 		d.s2sWinners = append(d.s2sWinners, s2sWin{
 			Bid:  BidObs{Bidder: bidder, CPM: cpm, Size: size, Source: "s2s"},
-			Slot: params["slot"],
+			Slot: params.Get("slot"),
 		})
 	}
 }

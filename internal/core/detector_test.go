@@ -10,6 +10,7 @@ import (
 	"headerbid/internal/events"
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -156,7 +157,7 @@ func feedHostedFlow(p *browser.Page, withWinner bool) {
 		p.Inspector.SawRequest(req)
 		p.Bus.Emit(events.Event{Type: events.SlotRenderEnded, Time: at(300), AdUnit: "s1",
 			Size: hb.SizeMediumRectangle, Library: "gpt.js",
-			Params: map[string]string{"slot": "s1", hb.KeyBidder: "ix", hb.KeySource: "s2s"}})
+			Params: urlkit.Query{{Key: hb.KeyBidder, Value: "ix"}, {Key: hb.KeySource, Value: "s2s"}, {Key: "slot", Value: "s1"}}})
 	}
 }
 

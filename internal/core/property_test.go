@@ -12,6 +12,7 @@ import (
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
 	"headerbid/internal/rng"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -58,7 +59,7 @@ func TestDetectorNeverPanicsProperty(t *testing.T) {
 					Bidder:    reg.Slugs()[r.Intn(84)],
 					CPM:       r.Float64() * 5,
 					Size:      hb.Size{W: r.Intn(1000), H: r.Intn(1000)},
-					Params:    map[string]string{"hb_pb": "x", "slot": "a"},
+					Params:    urlkit.Query{{Key: "hb_pb", Value: "x"}, {Key: "slot", Value: "a"}},
 				})
 			case 1:
 				req := &webreq.Request{

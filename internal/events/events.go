@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"headerbid/internal/hb"
+	"headerbid/internal/urlkit"
 )
 
 // Type enumerates the HB library events the detector understands
@@ -64,7 +65,7 @@ type Event struct {
 	Size      hb.Size
 	// Params carries library-specific extras (hb_* targeting, deal ids),
 	// exactly the key-values the detector mines for Server-Side HB.
-	Params map[string]string
+	Params urlkit.Query
 	// Library names the emitting wrapper ("prebid.js", "gpt.js", ...).
 	Library string
 }

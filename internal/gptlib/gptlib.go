@@ -99,12 +99,12 @@ func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 		specs = append(specs, s.Code+"|"+s.Size.String())
 	}
 	endpoint := "https://hb." + provider.Host + "/ssp/auction"
-	hostedParams := map[string]string{
-		"site":  c.cfg.Site,
-		"slots": strings.Join(specs, ","),
+	hostedParams := urlkit.Query{
+		{Key: "site", Value: c.cfg.Site},
+		{Key: "slots", Value: strings.Join(specs, ",")},
 	}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(endpoint, hostedParams),
+		URL:    urlkit.WithQuery(endpoint, hostedParams),
 		Method: webreq.POST,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
@@ -167,7 +167,7 @@ func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Respon
 				c.emit(events.Event{
 					Type: events.SlotRenderEnded, Time: now,
 					AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
-					Params: urlkit.QueryParams(out.CreativeURL),
+					Params: req.Params(), // the fetch's own parse of the creative URL
 				})
 			}
 			finish()

@@ -101,7 +101,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 	// The render event must carry the hb_* params for the detector.
 	var sawBidder bool
 	for _, e := range bus.History() {
-		if e.Type == events.SlotRenderEnded && e.Params[hb.KeyBidder] == "rubicon" {
+		if e.Type == events.SlotRenderEnded && e.Params.Get(hb.KeyBidder) == "rubicon" {
 			sawBidder = true
 		}
 	}

@@ -364,61 +364,62 @@ func IsTargetingKey(name string) bool {
 type Targeting map[string]string
 
 // TargetingFromBid derives the standard targeting key-values for a winning
-// client-side bid.
-func TargetingFromBid(b Bid) Targeting {
-	t := Targeting{
-		KeyBidder:    b.Bidder,
-		KeyPriceBuck: PriceBucket(b.USDCPM()),
-		KeyAdID:      b.CreativeID,
-		KeySize:      b.Size.String(),
-		KeySource:    "client",
-		KeyFormat:    "banner",
+// client-side bid, as the key-sorted query a wrapper sends them to the
+// ad server in.
+func TargetingFromBid(b Bid) urlkit.Query {
+	q := make(urlkit.Query, 0, 8)
+	q = append(q, urlkit.Param{Key: KeyAdID, Value: b.CreativeID},
+		urlkit.Param{Key: KeyBidder, Value: b.Bidder})
+	if b.Currency != "" && b.Currency != USD {
+		q = append(q, urlkit.Param{Key: KeyCurrency, Value: string(b.Currency)})
 	}
 	if b.DealID != "" {
-		t[KeyDeal] = b.DealID
+		q = append(q, urlkit.Param{Key: KeyDeal, Value: b.DealID})
 	}
-	if b.Currency != "" && b.Currency != USD {
-		t[KeyCurrency] = string(b.Currency)
-	}
-	return t
+	return append(q,
+		urlkit.Param{Key: KeyFormat, Value: "banner"},
+		urlkit.Param{Key: KeyPriceBuck, Value: PriceBucket(b.USDCPM())},
+		urlkit.Param{Key: KeySize, Value: b.Size.String()},
+		urlkit.Param{Key: KeySource, Value: "client"})
 }
 
-// ParseTargeting extracts the HB key-values from a flat parameter map,
-// returning nil when none are present. Keys are lower-cased; when
-// several spellings of one key are present, the value of the one
-// FoldWins picks is kept.
-func ParseTargeting(params map[string]string) Targeting {
+// ParseTargeting extracts the HB key-values from a query, returning nil
+// when none are present. Keys are lower-cased; when several spellings
+// of one key are present, the value of the one FoldWins picks is kept.
+func ParseTargeting(q urlkit.Query) Targeting {
 	var t Targeting
-	for k, v := range params {
-		if !IsTargetingKey(k) {
+	for _, p := range q {
+		if !IsTargetingKey(p.Key) {
 			continue
 		}
-		lk := urlkit.LowerASCII(k)
-		if !FoldWins(params, k, lk) {
+		lk := urlkit.LowerASCII(p.Key)
+		if !FoldWins(q, p.Key, lk) {
 			continue
 		}
 		if t == nil {
 			t = Targeting{}
 		}
-		t[lk] = v
+		t[lk] = p.Value
 	}
 	return t
 }
 
 // FoldWins reports whether k is the spelling of its lower-cased form lk
-// whose value a case-insensitive reader of params keeps: the spelling
-// that is already lower case, otherwise the byte-smallest. The choice
-// depends only on the key set, never on map order. A lower-case k always
-// wins, so the common path neither scans params nor allocates.
-func FoldWins(params map[string]string, k, lk string) bool {
+// whose value a case-insensitive reader of q keeps: the spelling that is
+// already lower case, otherwise the byte-smallest. A lower-case k always
+// wins, so the common path neither scans q nor allocates.
+func FoldWins(q urlkit.Query, k, lk string) bool {
 	if k == lk {
 		return true
 	}
-	if _, ok := params[lk]; ok {
+	if _, ok := q.Lookup(lk); ok {
 		return false
 	}
-	for o := range params {
-		if o < k && urlkit.LowerASCII(o) == lk {
+	for _, p := range q {
+		if p.Key >= k {
+			break // keys are sorted: only smaller spellings precede k
+		}
+		if urlkit.LowerASCII(p.Key) == lk {
 			return false
 		}
 	}

@@ -1,10 +1,23 @@
 package hb
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"headerbid/internal/urlkit"
 )
+
+// query returns m's pairs as a key-sorted urlkit.Query.
+func query(m map[string]string) urlkit.Query {
+	var q urlkit.Query
+	for k, v := range m {
+		q.Set(k, v)
+	}
+	return q
+}
 
 func TestFacetRoundTrip(t *testing.T) {
 	for _, f := range Facets() {
@@ -107,7 +120,11 @@ func TestTargetingFromBidAndBack(t *testing.T) {
 		Bidder: "appnexus", CPM: 1.25, Currency: USD,
 		Size: Size{300, 250}, CreativeID: "cr-1", DealID: "deal-9",
 	}
-	tg := TargetingFromBid(b)
+	q := TargetingFromBid(b)
+	if !slices.IsSortedFunc(q, func(a, b urlkit.Param) int { return strings.Compare(a.Key, b.Key) }) {
+		t.Fatalf("TargetingFromBid = %v, not key-sorted", q)
+	}
+	tg := ParseTargeting(q)
 	if tg.Bidder() != "appnexus" {
 		t.Fatalf("bidder = %q", tg.Bidder())
 	}
@@ -131,21 +148,21 @@ func TestParseTargeting(t *testing.T) {
 		"slot":      "div-1",
 		"noise":     "x",
 	}
-	tg := ParseTargeting(params)
+	tg := ParseTargeting(query(params))
 	if tg == nil || tg.Bidder() != "rubicon" {
 		t.Fatalf("targeting = %v", tg)
 	}
 	if _, ok := tg["slot"]; ok {
 		t.Fatal("non-HB param leaked into targeting")
 	}
-	if ParseTargeting(map[string]string{"a": "b"}) != nil {
+	if ParseTargeting(query(map[string]string{"a": "b"})) != nil {
 		t.Fatal("no HB params should yield nil")
 	}
 }
 
 // TestParseTargetingCaseCollision: spellings of one key that differ
-// only in case resolve by a fixed rule, not by map order — the spelling
-// already lower case wins, otherwise the byte-smallest.
+// only in case resolve by a fixed rule, not by the order they come in —
+// the spelling already lower case wins, otherwise the byte-smallest.
 func TestParseTargetingCaseCollision(t *testing.T) {
 	cases := []struct {
 		params map[string]string
@@ -157,7 +174,7 @@ func TestParseTargetingCaseCollision(t *testing.T) {
 	}
 	for _, c := range cases {
 		for i := 0; i < 200; i++ {
-			if got := ParseTargeting(c.params).Bidder(); got != c.want {
+			if got := ParseTargeting(query(c.params)).Bidder(); got != c.want {
 				t.Fatalf("call %d: ParseTargeting(%v).Bidder() = %q, want %q", i, c.params, got, c.want)
 			}
 		}
@@ -165,7 +182,7 @@ func TestParseTargetingCaseCollision(t *testing.T) {
 }
 
 func TestTargetingLegacyKeys(t *testing.T) {
-	tg := ParseTargeting(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"})
+	tg := ParseTargeting(query(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"}))
 	if tg.Bidder() != "criteo" {
 		t.Fatalf("legacy bidder = %q", tg.Bidder())
 	}

@@ -71,7 +71,7 @@ type Profile struct {
 	bidEndpoint  string
 	syncEndpoint string
 	bidReqURL    string
-	bidReqParams map[string]string
+	bidReqParams urlkit.Query
 	latMu        float64
 	latSigma     float64
 	latReady     bool
@@ -86,8 +86,8 @@ func (p *Profile) precompute() {
 	p.syncEndpoint = "https://sync." + p.Host + "/pixel"
 	// "bidder" is hb.KeyBidderFull, prebid's bid-request parameter; the
 	// literal avoids a partners→hb dependency for one constant.
-	p.bidReqParams = map[string]string{"bidder": p.Slug}
-	p.bidReqURL = urlkit.WithParams(p.bidEndpoint, p.bidReqParams)
+	p.bidReqParams = urlkit.Query{{Key: "bidder", Value: p.Slug}}
+	p.bidReqURL = urlkit.WithQuery(p.bidEndpoint, p.bidReqParams)
 	p.latMu, p.latSigma = rng.LogNormalParams(p.MedianMS, p.P90MS)
 	p.latReady = true
 }
@@ -97,17 +97,17 @@ func (p *Profile) precompute() {
 // instead of once per bid request of every visit.
 func (p *Profile) BidRequestURL() string {
 	if p.bidReqURL == "" {
-		return urlkit.WithParams(p.BidEndpoint(), map[string]string{"bidder": p.Slug})
+		return urlkit.WithQuery(p.BidEndpoint(), p.BidRequestParams())
 	}
 	return p.bidReqURL
 }
 
 // BidRequestParams returns the shared query-parameter view matching
-// BidRequestURL (for webreq.Request.PrefillParams). The map is shared
+// BidRequestURL (for webreq.Request.PrefillParams). The query is shared
 // across every bid request to this partner: treat it as read-only.
-func (p *Profile) BidRequestParams() map[string]string {
+func (p *Profile) BidRequestParams() urlkit.Query {
 	if p.bidReqParams == nil {
-		return map[string]string{"bidder": p.Slug}
+		return urlkit.Query{{Key: "bidder", Value: p.Slug}}
 	}
 	return p.bidReqParams
 }

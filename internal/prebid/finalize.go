@@ -53,7 +53,7 @@ func (r *roundState) finalizeAuction() {
 		w.emit(events.Event{
 			Type: events.AuctionEnd, Time: now, AuctionID: uo.AuctionID,
 			AdUnit: u.Code, Library: "prebid.js",
-			Params: map[string]string{"bids": strconv.Itoa(len(uo.Bids))},
+			Params: urlkit.Query{{Key: "bids", Value: strconv.Itoa(len(uo.Bids))}},
 		})
 		uo.Winner = pickWinner(uo.Bids)
 	}
@@ -84,9 +84,9 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	params := map[string]string{
-		"site": w.cfg.Site,
-		"t":    strconv.FormatInt(now.UnixMilli(), 10),
+	params := urlkit.Query{
+		{Key: "site", Value: w.cfg.Site},
+		{Key: "t", Value: strconv.FormatInt(now.UnixMilli(), 10)},
 	}
 	var slotSpecs []string
 	for _, u := range w.cfg.AdUnits {
@@ -94,15 +94,15 @@ func (r *roundState) callAdServer() {
 		spec := u.Code + "|" + u.PrimarySize().String()
 		if uo.Winner != nil {
 			t := hb.TargetingFromBid(*uo.Winner)
-			for k, v := range t {
+			for _, p := range t {
 				// Scope keys per slot the way GPT encodes per-slot targeting.
-				params[k+"."+u.Code] = v
+				params.Set(p.Key+"."+u.Code, p.Value)
 			}
 			// Also set the flat keys for the best slot so simple parsers
 			// (and the detector's Server-Side heuristics) see them.
-			for k, v := range t {
-				if _, dup := params[k]; !dup {
-					params[k] = v
+			for _, p := range t {
+				if _, dup := params.Lookup(p.Key); !dup {
+					params.Set(p.Key, p.Value)
 				}
 			}
 		}
@@ -111,12 +111,12 @@ func (r *roundState) callAdServer() {
 				if b.Late {
 					continue
 				}
-				params[hb.KeyPriceBuck+"_"+b.Bidder] = hb.PriceBucket(b.USDCPM())
+				params.Set(hb.KeyPriceBuck+"_"+b.Bidder, hb.PriceBucket(b.USDCPM()))
 			}
 		}
 		slotSpecs = append(slotSpecs, spec)
 	}
-	params["slots"] = strings.Join(slotSpecs, ",")
+	params.Set("slots", strings.Join(slotSpecs, ","))
 
 	w.emit(events.Event{
 		Type: events.SetTargeting, Time: now, Library: "prebid.js",
@@ -124,13 +124,13 @@ func (r *roundState) callAdServer() {
 	})
 
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(w.cfg.AdServerURL, params),
+		URL:    urlkit.WithQuery(w.cfg.AdServerURL, params),
 		Method: webreq.GET,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
 	}
 	if !strings.Contains(w.cfg.AdServerURL, "?") {
-		// The query is exactly the map we just encoded: hand it to the
+		// The query is exactly the one we just encoded: hand it to the
 		// request so no hop (network, ad server, detector) re-parses it.
 		req.PrefillParams(params)
 	}
@@ -169,9 +169,9 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 				AdUnit: u.Code, Bidder: uo.Winner.Bidder,
 				CPM: uo.Winner.USDCPM(), Size: uo.Winner.Size,
 				Library: "prebid.js",
-				Params: map[string]string{
-					hb.KeyBidder:    uo.Winner.Bidder,
-					hb.KeyPriceBuck: hb.PriceBucket(uo.Winner.USDCPM()),
+				Params: urlkit.Query{
+					{Key: hb.KeyBidder, Value: uo.Winner.Bidder},
+					{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(uo.Winner.USDCPM())},
 				},
 			})
 		}
@@ -244,7 +244,7 @@ func (r *roundState) render(u AdUnit, uo *UnitOutcome, d slotDecision) {
 		w.emit(events.Event{
 			Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
 			AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
-			Params: map[string]string{"channel": d.Channel},
+			Params: urlkit.Query{{Key: "channel", Value: d.Channel}},
 		})
 		if d.Channel == "hb" && uo.Winner != nil {
 			// Winner notification beacon with the charged price.

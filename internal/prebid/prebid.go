@@ -27,6 +27,7 @@ import (
 	"headerbid/internal/obs"
 	"headerbid/internal/partners"
 	"headerbid/internal/rtb"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -333,7 +334,7 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 	}
 
 	// URL and query view are pre-rendered per profile (they depend only
-	// on the bidder); the params map is shared and read-only.
+	// on the bidder); the query is shared and read-only.
 	httpReq := &webreq.Request{
 		URL:    profile.BidRequestURL(),
 		Method: webreq.POST,
@@ -450,10 +451,10 @@ func (w *Wrapper) onBidResponse(round *roundState, idx int, bidder string, units
 				Type: events.BidResponse, Time: now, AuctionID: uo.AuctionID,
 				AdUnit: sb.ImpID, Bidder: bidder, CPM: bid.USDCPM(),
 				Currency: cur, Size: bid.Size, Library: "prebid.js",
-				Params: map[string]string{
-					hb.KeyBidder: bidder,
-					hb.KeySize:   bid.Size.String(),
-					"late":       strconv.FormatBool(br.Late),
+				Params: urlkit.Query{
+					{Key: hb.KeyBidder, Value: bidder},
+					{Key: hb.KeySize, Value: bid.Size.String()},
+					{Key: "late", Value: strconv.FormatBool(br.Late)},
 				},
 			})
 		}

@@ -12,6 +12,7 @@ import (
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
 	"headerbid/internal/rtb"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -84,9 +85,9 @@ func bidderResponder(latencies map[string]time.Duration, cpms map[string]float64
 			// is present.
 			params := webreqParams(req)
 			var lines []string
-			for _, spec := range strings.Split(params["slots"], ",") {
+			for _, spec := range strings.Split(params.Get("slots"), ",") {
 				code := strings.Split(spec, "|")[0]
-				if params[hb.KeyBidder+"."+code] != "" {
+				if params.Get(hb.KeyBidder+"."+code) != "" {
 					lines = append(lines, code+"|hb|https://creatives.example/render?slot="+code)
 				} else {
 					lines = append(lines, code+"|house|https://creatives.example/render?house=1&slot="+code)
@@ -101,7 +102,7 @@ func bidderResponder(latencies map[string]time.Duration, cpms map[string]float64
 	}
 }
 
-func webreqParams(req *webreq.Request) map[string]string { return req.Params() }
+func webreqParams(req *webreq.Request) urlkit.Query { return req.Params() }
 
 func testConfig(units int, bidders ...string) Config {
 	cfg := Config{

@@ -250,12 +250,12 @@ const retryBackoffBase = 100 * time.Millisecond
 func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, pending *int, onDone func(slug string),
 	body string, sent time.Time, attempt int) {
-	bidParams := map[string]string{hb.KeyBidderFull: prof.Slug}
+	bidParams := urlkit.Query{{Key: hb.KeyBidderFull, Value: prof.Slug}}
 	if attempt > 0 {
-		bidParams["retry"] = strconv.Itoa(attempt)
+		bidParams = append(bidParams, urlkit.Param{Key: "retry", Value: strconv.Itoa(attempt)})
 	}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(prof.BidEndpoint(), bidParams),
+		URL:    urlkit.WithQuery(prof.BidEndpoint(), bidParams),
 		Method: webreq.POST,
 		Kind:   webreq.KindXHR,
 		Body:   body,
@@ -330,21 +330,21 @@ func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotRes
 func (l *Library) callAdServer(res *Result, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, done func(*Result)) {
 	now := l.env.Now()
-	params := map[string]string{"site": l.cfg.Site}
+	params := urlkit.Query{{Key: "site", Value: l.cfg.Site}}
 	var specs []string
 	for _, s := range l.cfg.Slots {
 		specs = append(specs, s.Name+"|"+s.Size.String())
 		if w := bySlot[s.Name].Winner; w != nil {
-			for k, v := range hb.TargetingFromBid(*w) {
-				params[k+"."+s.Name] = v
+			for _, p := range hb.TargetingFromBid(*w) {
+				params.Set(p.Key+"."+s.Name, p.Value)
 			}
 		}
 	}
-	params["slots"] = joinComma(specs)
+	params.Set("slots", joinComma(specs))
 	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: params})
 
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(l.cfg.AdServerURL, params),
+		URL:    urlkit.WithQuery(l.cfg.AdServerURL, params),
 		Method: webreq.GET,
 		Kind:   webreq.KindXHR,
 		Sent:   now,
@@ -391,9 +391,10 @@ func (l *Library) render(res *Result, bySlot map[string]*SlotResult,
 		channel := parts[1]
 		fails := len(parts) > 3 && parts[3] == "fail"
 		pending++
-		l.env.Fetch(&webreq.Request{
+		creq := &webreq.Request{
 			URL: parts[2], Method: webreq.GET, Kind: webreq.KindCreative, Sent: l.env.Now(),
-		}, func(cresp *webreq.Response) { //hbvet:allow hotalloc per-creative callback captures per-line state; flattening it is ROADMAP hot-path item 1
+		}
+		l.env.Fetch(creq, func(cresp *webreq.Response) { //hbvet:allow hotalloc one closure per creative fetch: it carries the line's slot, channel and fail flag to the response, and Fetch offers no other per-request state
 			pending--
 			now := l.env.Now()
 			if fails || !cresp.OK() {
@@ -414,7 +415,7 @@ func (l *Library) render(res *Result, bySlot map[string]*SlotResult,
 					Type: events.SlotRenderEnded, Time: now,
 					AuctionID: auctionIDs[slotName], AdUnit: slotName,
 					Size: slotSize(l.cfg.Slots, slotName), Library: "pubfood.js",
-					Params: urlkit.QueryParams(parts[2]),
+					Params: creq.Params(), // the fetch's own parse of the creative URL
 				})
 			}
 			finish()

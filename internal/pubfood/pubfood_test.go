@@ -55,10 +55,10 @@ func responder(latency time.Duration, cpm float64) func(req *webreq.Request) (ti
 		case strings.Contains(req.URL, "/serve"):
 			params := req.Params()
 			var lines []string
-			for _, spec := range strings.Split(params["slots"], ",") {
+			for _, spec := range strings.Split(params.Get("slots"), ",") {
 				code := strings.Split(spec, "|")[0]
 				ch := "house"
-				if params[hb.KeyBidder+"."+code] != "" {
+				if params.Get(hb.KeyBidder+"."+code) != "" {
 					ch = "hb"
 				}
 				lines = append(lines, code+"|"+ch+"|https://creatives.example/render?slot="+code)

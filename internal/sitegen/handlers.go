@@ -304,12 +304,12 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 	defer e.mu.Unlock()
 	r := e.stream("hosted/" + p.Slug)
 	params := req.Params()
-	siteDomain := params["site"]
+	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
 
 	service := p.SampleLatency(r)
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		// Each hosted slot triggers its own seat auction at the provider
 		// (Fig 20: more auctioned slots, higher latency).
 		service += time.Duration(18+r.Intn(30)) * time.Millisecond
@@ -323,18 +323,25 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 		}
 		var line string
 		channel := "house"
+		sz := size.String()
 		if winner != "" && cpm >= floor {
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: winner, hb.KeyPriceBuck: hb.PriceBucket(cpm),
-				hb.KeySize: size.String(), hb.KeySource: "s2s",
-				hb.KeyPrice: fmt4(cpm),
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "hb"},
+				{Key: hb.KeyBidder, Value: winner},
+				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(cpm)},
+				{Key: hb.KeyPrice, Value: fmt4(cpm)},
+				{Key: hb.KeySize, Value: sz},
+				{Key: hb.KeySource, Value: "s2s"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|hb|" + curl
 		} else {
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "house",
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "house"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|house|" + curl
 		}
@@ -394,7 +401,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 	defer e.mu.Unlock()
 	r := e.stream("gampad")
 	params := req.Params()
-	siteDomain := params["site"]
+	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
 	floor := 0.005
 	renderFail := 0.02
@@ -410,13 +417,13 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 
 	srv := e.adServerFor("dfp/" + siteDomain)
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(20+r.Intn(35))/infra) * time.Millisecond
 
 		// Client-side HB candidate from per-slot targeting.
-		clientBidder := params[hb.KeyBidder+"."+code]
+		clientBidder := params.Get(hb.KeyBidder + "." + code)
 		clientCPM := 0.0
-		if pb := params[hb.KeyPriceBuck+"."+code]; pb != "" {
+		if pb := params.Get(hb.KeyPriceBuck + "." + code); pb != "" {
 			if f, err := strconv.ParseFloat(pb, 64); err == nil {
 				clientCPM = f
 			}
@@ -433,34 +440,47 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 
 		var line string
 		channel := "house"
+		sz := size.String()
 		switch {
 		case clientCPM >= floor && clientCPM >= ssCPM && clientBidder != "":
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: clientBidder, hb.KeyPriceBuck: hb.PriceBucket(clientCPM),
-				hb.KeySize: size.String(), hb.KeySource: "client",
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "hb"},
+				{Key: hb.KeyBidder, Value: clientBidder},
+				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(clientCPM)},
+				{Key: hb.KeySize, Value: sz},
+				{Key: hb.KeySource, Value: "client"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|hb|" + curl
 		case ssCPM >= floor && ssBidder != "":
 			channel = "hb"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: ssBidder, hb.KeyPriceBuck: hb.PriceBucket(ssCPM),
-				hb.KeySize: size.String(), hb.KeySource: "s2s",
-				hb.KeyPrice: fmt4(ssCPM),
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "hb"},
+				{Key: hb.KeyBidder, Value: ssBidder},
+				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(ssCPM)},
+				{Key: hb.KeyPrice, Value: fmt4(ssCPM)},
+				{Key: hb.KeySize, Value: sz},
+				{Key: hb.KeySource, Value: "s2s"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|hb|" + curl
 		case dec.Channel == "direct":
 			channel = "direct"
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "direct",
-				"li": dec.LineItem,
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "direct"},
+				{Key: "li", Value: dec.LineItem},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|direct|" + curl
 		default:
-			curl := creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "house",
+			curl := creativeURL(urlkit.Query{
+				{Key: "channel", Value: "house"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 			line = code + "|house|" + curl
 		}
@@ -506,15 +526,15 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
 	var lines []string
-	forEachSlotSpec(params["slots"], func(code string, size hb.Size) {
+	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(12+r.Intn(20))/s.InfraQuality) * time.Millisecond
 
 		t := hb.Targeting{}
-		for k, v := range params {
-			kl := urlkit.LowerASCII(k)
+		for _, p := range params {
+			kl := urlkit.LowerASCII(p.Key)
 			key, ok := slotKey(kl, code)
-			if ok && hb.IsTargetingKey(key) && hb.FoldWins(params, k, kl) {
-				t[key] = v
+			if ok && hb.IsTargetingKey(key) && hb.FoldWins(params, p.Key, kl) {
+				t[key] = p.Value
 			}
 		}
 		dec := srv.Decide(adserver.Request{
@@ -525,20 +545,27 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 		}
 
 		var curl string
+		sz := size.String()
 		switch dec.Channel {
 		case "hb":
-			curl = creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": "hb",
-				hb.KeyBidder: dec.Bidder, hb.KeyPriceBuck: hb.PriceBucket(dec.CPM),
-				hb.KeySize: size.String(), hb.KeySource: "client",
+			curl = creativeURL(urlkit.Query{
+				{Key: "channel", Value: "hb"},
+				{Key: hb.KeyBidder, Value: dec.Bidder},
+				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(dec.CPM)},
+				{Key: hb.KeySize, Value: sz},
+				{Key: hb.KeySource, Value: "client"},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 		case "unfilled":
 			lines = append(lines, code+"|unfilled|")
 			return
 		default:
-			curl = creativeURL(map[string]string{
-				"slot": code, "size": size.String(), "channel": dec.Channel,
-				"li": dec.LineItem,
+			curl = creativeURL(urlkit.Query{
+				{Key: "channel", Value: dec.Channel},
+				{Key: "li", Value: dec.LineItem},
+				{Key: "size", Value: sz},
+				{Key: "slot", Value: code},
 			})
 		}
 		line := code + "|" + dec.Channel + "|" + curl
@@ -579,8 +606,8 @@ func slotKey(kl, code string) (string, bool) {
 }
 
 // creativeURL builds a creative fetch URL on the creative host.
-func creativeURL(params map[string]string) string {
-	return urlkit.WithParams("https://"+CreativeHost+"/render", params)
+func creativeURL(q urlkit.Query) string {
+	return urlkit.WithQuery("https://"+CreativeHost+"/render", q)
 }
 
 func round4(x float64) float64 { return math.Round(x*10000) / 10000 }

@@ -132,8 +132,8 @@ func TestHandleHostedLines(t *testing.T) {
 		specs = append(specs, u.Code+"|"+u.PrimarySize().String())
 	}
 	req := &webreq.Request{
-		URL: urlkit.WithParams("https://hb."+p.Host+"/ssp/auction", map[string]string{
-			"site": site.Domain, "slots": strings.Join(specs, ","),
+		URL: urlkit.WithQuery("https://hb."+p.Host+"/ssp/auction", urlkit.Query{
+			{Key: "site", Value: site.Domain}, {Key: "slots", Value: strings.Join(specs, ",")},
 		}),
 		Method: webreq.POST,
 	}
@@ -170,11 +170,11 @@ func TestHandleGampadComparesClientAndServerDemand(t *testing.T) {
 	u := site.AdUnits[0]
 	// Client bid so high it must win whenever the slot fills via HB.
 	req := &webreq.Request{
-		URL: urlkit.WithParams("https://securepubads.doubleclick.net/gampad/ads", map[string]string{
-			"site":                         site.Domain,
-			"slots":                        u.Code + "|" + u.PrimarySize().String(),
-			hb.KeyBidder + "." + u.Code:    "appnexus",
-			hb.KeyPriceBuck + "." + u.Code: "19.90",
+		URL: urlkit.WithQuery("https://securepubads.doubleclick.net/gampad/ads", urlkit.Query{
+			{Key: hb.KeyBidder + "." + u.Code, Value: "appnexus"},
+			{Key: hb.KeyPriceBuck + "." + u.Code, Value: "19.90"},
+			{Key: "site", Value: site.Domain},
+			{Key: "slots", Value: u.Code + "|" + u.PrimarySize().String()},
 		}),
 		Method: webreq.GET,
 	}
@@ -188,9 +188,9 @@ func TestHandleGampadComparesClientAndServerDemand(t *testing.T) {
 
 	// Without client targeting the slot can only fill via s2s/direct/house.
 	req2 := &webreq.Request{
-		URL: urlkit.WithParams("https://securepubads.doubleclick.net/gampad/ads", map[string]string{
-			"site":  site.Domain,
-			"slots": u.Code + "|" + u.PrimarySize().String(),
+		URL: urlkit.WithQuery("https://securepubads.doubleclick.net/gampad/ads", urlkit.Query{
+			{Key: "site", Value: site.Domain},
+			{Key: "slots", Value: u.Code + "|" + u.PrimarySize().String()},
 		}),
 		Method: webreq.GET,
 	}
@@ -213,10 +213,10 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 
 	u := site.AdUnits[0]
 	status2, body2, _ := eco.HandleSite(site, &webreq.Request{
-		URL: urlkit.WithParams("https://adserver."+site.Domain+"/serve", map[string]string{
-			"slots":                        u.Code + "|" + u.PrimarySize().String(),
-			hb.KeyBidder + "." + u.Code:    "criteo",
-			hb.KeyPriceBuck + "." + u.Code: "19.90",
+		URL: urlkit.WithQuery("https://adserver."+site.Domain+"/serve", urlkit.Query{
+			{Key: hb.KeyBidder + "." + u.Code, Value: "criteo"},
+			{Key: hb.KeyPriceBuck + "." + u.Code, Value: "19.90"},
+			{Key: "slots", Value: u.Code + "|" + u.PrimarySize().String()},
 		}),
 		Method: webreq.GET,
 	})
@@ -230,16 +230,17 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 
 // TestClientAdServerCaseCollidingTargeting: per-slot targeting keys
 // that differ only in case resolve like hb.ParseTargeting — the
-// lower-case spelling wins — on every request, not by map order.
+// lower-case spelling wins, though the upper-case one sorts first — on
+// every request.
 func TestClientAdServerCaseCollidingTargeting(t *testing.T) {
 	w, eco := ecoWorld(t)
 	site := firstSiteWithFacet(w, hb.FacetClient)
 	u := site.AdUnits[0]
-	url := urlkit.WithParams("https://adserver."+site.Domain+"/serve", map[string]string{
-		"slots":                        u.Code + "|" + u.PrimarySize().String(),
-		hb.KeyBidder + "." + u.Code:    "criteo",
-		"HB_BIDDER." + u.Code:          "appnexus",
-		hb.KeyPriceBuck + "." + u.Code: "19.90",
+	url := urlkit.WithQuery("https://adserver."+site.Domain+"/serve", urlkit.Query{
+		{Key: "HB_BIDDER." + u.Code, Value: "appnexus"},
+		{Key: hb.KeyBidder + "." + u.Code, Value: "criteo"},
+		{Key: hb.KeyPriceBuck + "." + u.Code, Value: "19.90"},
+		{Key: "slots", Value: u.Code + "|" + u.PrimarySize().String()},
 	})
 	for i := 0; i < 50; i++ {
 		_, body, _ := eco.HandleSite(site, &webreq.Request{URL: url, Method: webreq.GET})

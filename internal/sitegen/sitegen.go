@@ -212,9 +212,9 @@ func (w *World) HBSites() []*Site {
 // siteDomain renders "siteNNNNN.example" (zero-padded to five digits,
 // byte-identical to the fmt.Sprintf("site%05d.example", rank) it
 // replaces — pinned by TestSiteDomainPinnedToFmt). World generation
-// mints one domain per site, which makes this a hot spot once the
-// sharded 10M-site worlds of ROADMAP item 2 regenerate their slice of
-// the population per process.
+// mints one domain per site, and a sharded crawl has every process
+// regenerate its slice of the population, so a formatted call per site
+// would be paid once per site in every shard.
 func siteDomain(rank int) string {
 	digits := strconv.Itoa(rank)
 	b := make([]byte, 0, len("site.example")+max(5, len(digits)))

@@ -2,6 +2,7 @@ package urlkit
 
 import (
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,8 @@ func refHost(raw string) string {
 	return strings.ToLower(u.Hostname())
 }
 
-// refQueryParams is the pre-overhaul net/url implementation of
-// QueryParams.
+// refQueryParams is the net/url reference for ParseQuery: a
+// key->first-value map, nil when nothing is recoverable.
 func refQueryParams(raw string) map[string]string {
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -37,7 +38,7 @@ func refQueryParams(raw string) map[string]string {
 	return out
 }
 
-// refWithParams is the pre-overhaul net/url implementation of WithParams.
+// refWithParams is the net/url reference for WithQuery, over a map.
 func refWithParams(base string, params map[string]string) string {
 	u, err := url.Parse(base)
 	if err != nil {
@@ -99,21 +100,55 @@ func TestHostMatchesNetURL(t *testing.T) {
 	}
 }
 
+// queryOf returns the key-sorted Query holding m's pairs.
+func queryOf(m map[string]string) Query {
+	var q Query
+	for k, v := range m {
+		q.Set(k, v)
+	}
+	return q
+}
+
+// checkParseQuery reports where ParseQuery(raw) departs from the net/url
+// reference: nil-ness, the key set and each key's first value, and a
+// strictly key-sorted result.
+func checkParseQuery(t *testing.T, raw string) {
+	t.Helper()
+	got, want := ParseQuery(raw), refQueryParams(raw)
+	if (got == nil) != (want == nil) {
+		t.Errorf("ParseQuery(%q) nil-ness = %v, reference %v", raw, got == nil, want == nil)
+		return
+	}
+	if len(got) != len(want) {
+		t.Errorf("ParseQuery(%q) = %v, reference %v", raw, got, want)
+		return
+	}
+	for k, v := range want {
+		if g, ok := got.Lookup(k); !ok || g != v {
+			t.Errorf("ParseQuery(%q) value of %q = %q (present %v), reference %q", raw, k, g, ok, v)
+		}
+	}
+	if !got.sorted() {
+		t.Errorf("ParseQuery(%q) = %v, not strictly key-sorted", raw, got)
+	}
+}
+
 func TestQueryParamsMatchesNetURL(t *testing.T) {
 	for _, raw := range corpus {
-		got, want := QueryParams(raw), refQueryParams(raw)
-		if (got == nil) != (want == nil) {
-			t.Errorf("QueryParams(%q) nil-ness = %v, reference %v", raw, got == nil, want == nil)
-			continue
+		checkParseQuery(t, raw)
+	}
+}
+
+// TestParseQueryNoQueryAllocatesNothing: a URL without a query parses to
+// an empty, non-nil Query at no allocation.
+func TestParseQueryNoQueryAllocatesNothing(t *testing.T) {
+	for _, raw := range []string{"https://adserver.site00042.example/serve", "https://cdn.prebid.example/prebid.js", "https://www.site00042.example/#/route"} {
+		var q Query
+		if n := testing.AllocsPerRun(100, func() { q = ParseQuery(raw) }); n != 0 {
+			t.Errorf("ParseQuery(%q) allocates %.0f times, want 0", raw, n)
 		}
-		if len(got) != len(want) {
-			t.Errorf("QueryParams(%q) = %v, reference %v", raw, got, want)
-			continue
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("QueryParams(%q)[%q] = %q, reference %q", raw, k, got[k], v)
-			}
+		if q == nil || len(q) != 0 {
+			t.Errorf("ParseQuery(%q) = %#v, want an empty non-nil Query", raw, q)
 		}
 	}
 }
@@ -129,7 +164,7 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 		// Bytes QueryEscape rewrites, in keys and values alike.
 		{"sp ace": "a b", "plus+": "1+2", "pct%": "100%", "sl/ash": "a/b/c",
 			"til~de": "~x~", "amp&": "a&b", "eq=": "k=v", "ünï": "日本語", "%zz": "\x00\xff"},
-		manyParams(20), // more keys than WithParams sorts on the stack
+		manyParams(20),
 	}
 	bases := []string{
 		"https://bid.adnxs.com/hb/v1/bid",
@@ -148,8 +183,20 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 	}
 	for _, base := range bases {
 		for _, params := range paramSets {
-			if got, want := WithParams(base, params), refWithParams(base, params); got != want {
-				t.Errorf("WithParams(%q, %v) = %q, reference %q", base, params, got, want)
+			want := refWithParams(base, params)
+			q := queryOf(params)
+			if got := WithQuery(base, q); got != want {
+				t.Errorf("WithQuery(%q, %v) = %q, reference %q", base, q, got, want)
+			}
+			// Out of key order, and with a key repeated, the bytes stay
+			// the reference's: the last value of a key wins.
+			messy := slices.Clone(q)
+			slices.Reverse(messy)
+			if len(messy) > 0 {
+				messy = append(Query{{messy[0].Key, "stale"}}, messy...)
+			}
+			if got := WithQuery(base, messy); got != want {
+				t.Errorf("WithQuery(%q, %v) = %q, reference %q", base, messy, got, want)
 			}
 		}
 	}
@@ -158,10 +205,10 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 // TestWithParamsOneAllocation: the fast path builds each URL in one
 // allocation, the returned string.
 func TestWithParamsOneAllocation(t *testing.T) {
-	params := map[string]string{"slot": "div-gpt-ad-1", "size": "300x250", "channel": "hb",
-		"hb_bidder": "rubicon", "hb_pb": "0.50", "q": "a b/c"}
-	if n := testing.AllocsPerRun(100, func() { WithParams("https://creatives.example/render", params) }); n != 1 {
-		t.Fatalf("WithParams allocates %.0f times per URL, want 1", n)
+	q := Query{{"channel", "hb"}, {"hb_bidder", "rubicon"}, {"hb_pb", "0.50"},
+		{"q", "a b/c"}, {"size", "300x250"}, {"slot", "div-gpt-ad-1"}}
+	if n := testing.AllocsPerRun(100, func() { WithQuery("https://creatives.example/render", q) }); n != 1 {
+		t.Fatalf("WithQuery allocates %.0f times per URL, want 1", n)
 	}
 }
 

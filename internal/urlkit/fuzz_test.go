@@ -1,0 +1,46 @@
+package urlkit
+
+import (
+	"slices"
+	"strings"
+	"testing"
+)
+
+// FuzzQuery checks ParseQuery and WithQuery against their net/url
+// references on arbitrary input. ParseQuery(raw) must agree with
+// refQueryParams on nil-ness and on every key's first value, and come
+// back strictly key-sorted. WithQuery then gets raw's own pieces: the
+// text before the first '?' as the base, and the '&'/'='-split query
+// text as pairs in input order — out of key order, with keys repeated
+// and bytes that need escaping. It must produce the bytes refWithParams
+// builds from a map assigned pair by pair (the last value of a key
+// wins), and the same bytes again from the key-sorted form of the pairs, without
+// changing the query it was given.
+// The committed corpus under testdata/fuzz/FuzzQuery/ holds one URL of
+// each shape the simulation mints and the malformed cases of
+// fastpath_test.go's corpus.
+func FuzzQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		checkParseQuery(t, raw)
+
+		base, rawQuery, _ := strings.Cut(raw, "?")
+		var q Query
+		m := map[string]string{}
+		for _, pair := range strings.Split(rawQuery, "&") {
+			k, v, _ := strings.Cut(pair, "=")
+			q = append(q, Param{k, v})
+			m[k] = v
+		}
+		want := refWithParams(base, m)
+		given := slices.Clone(q)
+		if got := WithQuery(base, q); got != want {
+			t.Fatalf("WithQuery(%q, %v) = %q, reference %q", base, q, got, want)
+		}
+		if !slices.Equal(q, given) {
+			t.Fatalf("WithQuery changed its query argument %v to %v", given, q)
+		}
+		if got := WithQuery(base, queryOf(m)); got != want {
+			t.Fatalf("WithQuery(%q, %v) = %q, reference %q", base, queryOf(m), got, want)
+		}
+	})
+}

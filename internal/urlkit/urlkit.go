@@ -12,7 +12,7 @@ package urlkit
 
 import (
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -110,10 +110,10 @@ func isLowerScheme(s string) bool {
 	return len(s) > 0
 }
 
-// isCleanPathBytes reports whether every byte of an authority+path
-// string is one net/url's String would pass through unescaped (the
-// unreserved and path sub-delim sets). Anything else — '?', '#', '%',
-// spaces, controls, non-ASCII — disqualifies the fast path.
+// isCleanPathBytes reports whether every byte of a URL path is one
+// net/url's String would pass through unescaped (the unreserved and
+// path sub-delim sets). Anything else — '?', '#', '%', spaces,
+// controls, non-ASCII — disqualifies the fast path.
 func isCleanPathBytes(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -211,26 +211,100 @@ func SameRegistrableDomain(a, b string) bool {
 	return RegistrableDomain(a) == RegistrableDomain(b) && RegistrableDomain(a) != ""
 }
 
-// QueryParams parses the query component of a raw URL into a flat
-// key->first-value map. Parsing is tolerant: a malformed query yields the
-// parameters that could be recovered.
-func QueryParams(raw string) map[string]string {
-	// Control characters make url.Parse fail wherever they appear, and
-	// a failed parse yields nil; short-circuit them exactly.
-	if hasControlByte(raw) {
-		return nil
+// Param is one key/value pair of a Query.
+type Param struct {
+	Key, Value string
+}
+
+// Query is a URL query as key/value pairs sorted by key, each key once.
+// It is the one form a query takes on the crawl path: builders write it
+// as a literal in key order, WithQuery encodes it in that order, and
+// ParseQuery reads a URL's query back into one. A built or parsed Query
+// is shared by every hop of its request: treat it as read-only.
+type Query []Param
+
+// search returns the index of the first pair whose key is not below k.
+func (q Query) search(k string) int {
+	lo, hi := 0, len(q)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q[m].Key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
+}
+
+// Lookup returns the value of key k and whether the query has it.
+func (q Query) Lookup(k string) (string, bool) {
+	if i := q.search(k); i < len(q) && q[i].Key == k {
+		return q[i].Value, true
+	}
+	return "", false
+}
+
+// Get returns the value of key k, or "" when the query lacks it.
+func (q Query) Get(k string) string {
+	v, _ := q.Lookup(k)
+	return v
+}
+
+// Set assigns v to key k, inserting the pair at its sorted place when k
+// is new: the map assignment of a query built key by key.
+func (q *Query) Set(k, v string) {
+	i := q.search(k)
+	if i < len(*q) && (*q)[i].Key == k {
+		(*q)[i].Value = v
+		return
+	}
+	*q = slices.Insert(*q, i, Param{k, v})
+}
+
+// sorted reports whether q's keys strictly increase.
+func (q Query) sorted() bool {
+	for i := 1; i < len(q); i++ {
+		if q[i-1].Key >= q[i].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// sortKeys stably sorts q by key and keeps one pair per key: the first
+// when keepLast is false, the last when it is true.
+func sortKeys(q Query, keepLast bool) Query {
+	slices.SortStableFunc(q, func(a, b Param) int { return strings.Compare(a.Key, b.Key) })
+	n := 0
+	for _, p := range q {
+		if n > 0 && q[n-1].Key == p.Key {
+			if keepLast {
+				q[n-1] = p
+			}
+			continue
+		}
+		q[n] = p
+		n++
+	}
+	return q[:n]
+}
+
+// ParseQuery parses the query component of a raw URL into a Query that
+// keeps each key's first value. Parsing is tolerant: a malformed query
+// yields the parameters that could be recovered, and nil when none
+// could. A URL without a query yields an empty, non-nil Query and
+// allocates nothing.
+func ParseQuery(raw string) Query {
 	// Locate the query without parsing the whole URL: the fragment is
-	// stripped first, exactly as net/url does, so a '?' inside the
-	// fragment ("#/route?x=y") is not mistaken for a query. The fast
-	// path applies only to absolute URLs whose authority passes the
-	// strict byte check; anything unusual — including URLs net/url
-	// rejects outright — takes the net/url slow path so its semantics
-	// (a nil result on parse error) are preserved exactly.
-	pre := raw
-	if i := strings.IndexByte(pre, '#'); i >= 0 {
-		pre = pre[:i]
-	}
+	// cut off first, exactly as net/url does, so a '?' inside it
+	// ("#/route?x=y") is not mistaken for a query. The fast path applies
+	// only to absolute URLs net/url is sure to accept: an authority that
+	// passes the strict byte check, no control byte before the fragment,
+	// and no escape in the path or the fragment (net/url rejects a
+	// malformed one). Anything else takes the net/url slow path so its
+	// semantics (a nil result on parse error) are preserved exactly.
+	pre, frag, _ := strings.Cut(raw, "#")
 	q := ""
 	if i := strings.IndexByte(pre, '?'); i >= 0 {
 		q = pre[i+1:]
@@ -243,7 +317,10 @@ func QueryParams(raw string) map[string]string {
 		if j := strings.IndexByte(rest, '/'); j >= 0 {
 			end = j
 		}
-		_, fast = plainHostPort(rest[:end])
+		path := rest[end:]
+		_, ok := plainHostPort(rest[:end])
+		fast = ok && !hasControlByte(path) && !hasControlByte(q) &&
+			strings.IndexByte(path, '%') < 0 && strings.IndexByte(frag, '%') < 0
 	}
 	if !fast {
 		u, err := url.Parse(raw)
@@ -253,9 +330,9 @@ func QueryParams(raw string) map[string]string {
 		q = u.RawQuery
 	}
 	if q == "" {
-		return map[string]string{}
+		return Query{}
 	}
-	out := make(map[string]string, 8)
+	out := make(Query, 0, strings.Count(q, "&")+1)
 	sawErr := false
 	for q != "" {
 		var pair string
@@ -265,7 +342,7 @@ func QueryParams(raw string) map[string]string {
 		}
 		if strings.IndexByte(pair, ';') >= 0 {
 			// net/url rejects semicolon separators; drop the pair like
-			// ParseQuery drops invalid pairs.
+			// url.ParseQuery drops invalid pairs.
 			sawErr = true
 			continue
 		}
@@ -280,14 +357,15 @@ func QueryParams(raw string) map[string]string {
 			sawErr = true
 			continue
 		}
-		if _, dup := out[k]; !dup { // first value wins, like v[0]
-			out[k] = v
-		}
+		out = append(out, Param{k, v})
 	}
 	if sawErr && len(out) == 0 {
-		// ParseQuery returns (empty, err) when nothing was recovered,
-		// which the nil-on-failure contract maps to nil.
+		// url.ParseQuery returns (empty, err) when nothing was
+		// recovered, which the nil-on-failure contract maps to nil.
 		return nil
+	}
+	if !out.sorted() {
+		out = sortKeys(out, false) // first value wins, like v[0]
 	}
 	return out
 }
@@ -316,42 +394,52 @@ func unescapeComponent(s string) (string, bool) {
 	return u, true
 }
 
-// WithParams returns base with the given query parameters appended,
-// preserving any existing query. Parameters are encoded deterministically
-// (sorted by key) so generated URLs are stable across runs.
-func WithParams(base string, params map[string]string) string {
+// WithQuery returns base with q's parameters appended, preserving any
+// query base already has; a key in both takes q's value. Keys are
+// encoded sorted, so generated URLs are stable across runs. A q out of
+// key order, or with a key repeated, encodes as a map assigned pair by
+// pair would (the last value of a key wins): a misordered literal costs
+// a copy, never different bytes.
+func WithQuery(base string, q Query) string {
+	if !q.sorted() {
+		q = sortKeys(slices.Clone(q), true)
+	}
 	// Fast path: a clean absolute base with no query/fragment and nothing
-	// net/url would re-normalize — a lower-case scheme (url.URL.String
-	// lower-cases schemes) and only bytes url.String leaves untouched in
-	// the authority and path. The output is byte-identical to the
-	// net/url path (url.Values.Encode sorts keys and escapes with
-	// QueryEscape) and is the URL's only allocation: keys sort in a
-	// stack array and escape straight into one pre-sized builder.
-	if i := strings.Index(base, "://"); i > 0 && isLowerScheme(base[:i]) &&
-		isCleanPathBytes(base[i+3:]) && strings.IndexByte(base[i+3:], '/') >= 0 {
-		if len(params) == 0 {
+	// net/url would re-normalize or reject — a lower-case scheme
+	// (url.URL.String lower-cases schemes), an authority that passes the
+	// strict host[:port] check (net/url rejects a non-numeric port, and
+	// then base comes back as it is) and only bytes url.String leaves
+	// untouched in the path. The output is byte-identical to the net/url
+	// path (url.Values.Encode sorts keys and escapes with QueryEscape)
+	// and is the URL's only allocation: the pairs escape in order
+	// straight into one pre-sized builder.
+	fast := false
+	if i := strings.Index(base, "://"); i > 0 && isLowerScheme(base[:i]) {
+		rest := base[i+3:]
+		if j := strings.IndexByte(rest, '/'); j >= 0 && isCleanPathBytes(rest[j:]) {
+			_, fast = plainHostPort(rest[:j])
+		}
+	}
+	if fast {
+		if len(q) == 0 {
 			return base
 		}
-		var arr [16]string
-		keys := arr[:0]
-		size := len(base) + 2*len(params) // '?' or '&', and '=', per pair
-		for k, v := range params {
-			keys = append(keys, k)
-			size += queryEscapedLen(k) + queryEscapedLen(v)
+		size := len(base) + 2*len(q) // '?' or '&', and '=', per pair
+		for _, p := range q {
+			size += queryEscapedLen(p.Key) + queryEscapedLen(p.Value)
 		}
-		sort.Strings(keys)
 		var sb strings.Builder
 		sb.Grow(size)
 		sb.WriteString(base)
-		for i, k := range keys {
+		for i, p := range q {
 			if i == 0 {
 				sb.WriteByte('?')
 			} else {
 				sb.WriteByte('&')
 			}
-			writeQueryEscaped(&sb, k)
+			writeQueryEscaped(&sb, p.Key)
 			sb.WriteByte('=')
-			writeQueryEscaped(&sb, params[k])
+			writeQueryEscaped(&sb, p.Value)
 		}
 		return sb.String()
 	}
@@ -359,11 +447,11 @@ func WithParams(base string, params map[string]string) string {
 	if err != nil {
 		return base
 	}
-	q := u.Query()
-	for k, v := range params {
-		q.Set(k, v)
+	v := u.Query()
+	for _, p := range q {
+		v.Set(p.Key, p.Value)
 	}
-	u.RawQuery = q.Encode() // Encode sorts keys.
+	u.RawQuery = v.Encode() // Encode sorts keys.
 	return u.String()
 }
 

@@ -1,6 +1,7 @@
 package urlkit
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,28 +55,44 @@ func TestSameRegistrableDomain(t *testing.T) {
 }
 
 func TestQueryParams(t *testing.T) {
-	p := QueryParams("https://x.example/ads?hb_bidder=appnexus&hb_pb=0.50&empty")
-	if p["hb_bidder"] != "appnexus" || p["hb_pb"] != "0.50" {
+	p := ParseQuery("https://x.example/ads?hb_pb=0.50&hb_bidder=appnexus&empty&hb_pb=9")
+	if p.Get("hb_bidder") != "appnexus" || p.Get("hb_pb") != "0.50" {
 		t.Fatalf("params = %v", p)
 	}
-	if _, ok := p["empty"]; !ok {
+	if _, ok := p.Lookup("empty"); !ok {
 		t.Fatal("bare key missing")
 	}
-	if QueryParams("://bad") != nil {
+	if _, ok := p.Lookup("missing"); ok {
+		t.Fatal("absent key found")
+	}
+	if ParseQuery("://bad") != nil {
 		t.Fatal("malformed URL should yield nil")
 	}
 }
 
 func TestWithParamsDeterministic(t *testing.T) {
 	base := "https://s.example/serve?keep=1"
-	got := WithParams(base, map[string]string{"b": "2", "a": "1"})
+	got := WithQuery(base, Query{{"b", "2"}, {"a", "1"}})
 	want := "https://s.example/serve?a=1&b=2&keep=1"
 	if got != want {
-		t.Fatalf("WithParams = %q, want %q", got, want)
+		t.Fatalf("WithQuery = %q, want %q", got, want)
 	}
 }
 
-// Property: params written by WithParams are recovered by QueryParams.
+// TestQuerySet: Set keeps the query key-sorted, inserting new keys and
+// overwriting present ones like a map assignment.
+func TestQuerySet(t *testing.T) {
+	var q Query
+	for _, p := range []Param{{"t", "1"}, {"site", "a"}, {"slots", "x"}, {"hb_pb.b", "2"}, {"site", "b"}} {
+		q.Set(p.Key, p.Value)
+	}
+	want := Query{{"hb_pb.b", "2"}, {"site", "b"}, {"slots", "x"}, {"t", "1"}}
+	if !slices.Equal(q, want) {
+		t.Fatalf("q = %v, want %v", q, want)
+	}
+}
+
+// Property: params written by WithQuery are recovered by ParseQuery.
 func TestParamsRoundTripProperty(t *testing.T) {
 	f := func(keysRaw, valsRaw []string) bool {
 		params := map[string]string{}
@@ -86,14 +103,14 @@ func TestParamsRoundTripProperty(t *testing.T) {
 			}
 			params[k] = valsRaw[i]
 		}
-		u := WithParams("https://host.example/p", params)
-		got := QueryParams(u)
+		u := WithQuery("https://host.example/p", queryOf(params))
+		got := ParseQuery(u)
 		for k, v := range params {
-			if got[k] != v {
+			if got.Get(k) != v {
 				return false
 			}
 		}
-		return true
+		return len(got) == len(params)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -123,9 +123,9 @@ func (s *Syncer) Run(done func(*Result)) {
 func (s *Syncer) firePixel(p *partners.Profile, root string, depth int, pending *int, res *Result, finish func()) {
 	res.PixelsFired++
 	uid := syncUID(uint32(s.rng.Int63() & 0xffffffff))
-	pixelParams := map[string]string{"uid": uid, "site": s.cfg.Site}
+	pixelParams := urlkit.Query{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}
 	req := &webreq.Request{
-		URL:    urlkit.WithParams(p.SyncEndpoint(), pixelParams),
+		URL:    urlkit.WithQuery(p.SyncEndpoint(), pixelParams),
 		Method: webreq.GET,
 		Kind:   webreq.KindBeacon,
 		Sent:   s.env.Now(),

@@ -55,7 +55,7 @@ type Request struct {
 	host        string
 	registrable string
 	paramsDone  bool
-	params      map[string]string
+	params      urlkit.Query
 }
 
 func (r *Request) ensureHost() {
@@ -75,25 +75,25 @@ func (r *Request) Host() string { r.ensureHost(); return r.host }
 func (r *Request) RegistrableHost() string { r.ensureHost(); return r.registrable }
 
 // Params returns the request's query parameters, parsed once and cached.
-// The returned map is shared with every other caller (and possibly with
-// the builder that prefilled it): treat it as read-only.
-func (r *Request) Params() map[string]string {
+// The returned query is shared with every other caller (and possibly
+// with the builder that prefilled it): treat it as read-only.
+func (r *Request) Params() urlkit.Query {
 	if !r.paramsDone {
 		r.paramsDone = true
-		r.params = urlkit.QueryParams(r.URL)
+		r.params = urlkit.ParseQuery(r.URL)
 	}
 	return r.params
 }
 
-// PrefillParams seeds the query-parameter cache with the map the URL was
-// just built from (urlkit.WithParams), so the server side never re-parses
-// what the client side encoded. The map is retained and shared; neither
-// the builder nor any reader may modify it afterwards. Only valid when
-// params matches the URL's full query (base URL carried no query of its
-// own).
-func (r *Request) PrefillParams(params map[string]string) {
+// PrefillParams seeds the query-parameter cache with the query the URL
+// was just built from (urlkit.WithQuery), so the server side never
+// re-parses what the client side encoded. The query is retained and
+// shared; neither the builder nor any reader may modify it afterwards.
+// Only valid when q is key-sorted with distinct keys and matches the
+// URL's full query (base URL carried no query of its own).
+func (r *Request) PrefillParams(q urlkit.Query) {
 	r.paramsDone = true
-	r.params = params
+	r.params = q
 }
 
 // Response is the matching response delivered to the page.

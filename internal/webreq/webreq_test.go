@@ -128,7 +128,7 @@ func TestRequestParamsAndHost(t *testing.T) {
 	if r.Host() != "ads.example.com" {
 		t.Fatalf("host = %q", r.Host())
 	}
-	if r.Params()["hb_pb"] != "0.5" {
+	if r.Params().Get("hb_pb") != "0.5" {
 		t.Fatalf("params = %v", r.Params())
 	}
 }
