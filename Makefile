@@ -2,11 +2,11 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
-# the measured numbers it is derived from): the gate measures 63.4 since
-# the fifth pass gave every URL query on the crawl path one key-sorted
-# slice form (urlkit.Query), and the ceiling keeps about 10% headroom
-# over that.
-ALLOCS_CEILING ?= 70
+# the measured numbers it is derived from): the gate measures 60.0 since
+# the sixth pass seeded each world's config memo with the configs it
+# renders, so no visit decodes the world's own config JSON, and the
+# ceiling keeps about 10% headroom over that.
+ALLOCS_CEILING ?= 66
 
 # Max throughput the metrics-attached crawl may give up vs the bare
 # crawl, in percent (the streaming-metrics design goal is <=10%).
@@ -100,9 +100,10 @@ bench-gate:
 # file decoder's checks refuse-not-panic and the re-marshal fixed
 # point, the HTML scanner's checks never-panic, substrings of the
 # input and, on ASCII, equality with its reference implementation, the
-# URL query target checks ParseQuery and WithQuery against net/url,
-# and the wire reader's checks never-panic, allocation linear in the
-# input and the same reads from both source kinds. The committed
+# URL query target checks ParseQuery and WithQuery against net/url, the
+# URL host target checks Host against net/url, and the wire reader's
+# checks never-panic, allocation linear in the input and the same reads
+# from both source kinds. The committed
 # corpora under internal/rtb/testdata/fuzz/,
 # internal/dataset/testdata/fuzz/, internal/snapshot/testdata/fuzz/,
 # internal/htmlmeta/testdata/fuzz/, internal/urlkit/testdata/fuzz/ and
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/htmlmeta
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime $(FUZZTIME) ./internal/urlkit
+	$(GO) test -run '^$$' -fuzz '^FuzzHost$$' -fuzztime $(FUZZTIME) ./internal/urlkit
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep

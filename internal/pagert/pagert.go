@@ -82,16 +82,19 @@ func configScript(doc *htmlmeta.Document) (string, bool) {
 	return "", false
 }
 
+// parseInlineConfig decodes a config script. On the crawl path it runs
+// only for pages the world did not render itself: the world seeds its
+// ConfigMemo with every config it writes into a page.
 func parseInlineConfig(inline string) (*PageConfig, error) {
 	start := strings.IndexByte(inline, '{')
 	end := strings.LastIndexByte(inline, '}')
 	if start < 0 || end <= start {
-		return nil, fmt.Errorf("pagert: malformed inline config") //hbvet:allow hotalloc cold error path, and parse outcomes are memoized per world (ConfigMemo)
+		return nil, fmt.Errorf("pagert: malformed inline config") //hbvet:allow hotalloc cold error path: the world renders well-formed configs and seeds their decodes
 	}
 	var cfg PageConfig
-	//hbvet:allow hotalloc config parse is memoized per world in ConfigMemo: once per distinct page, not per visit
+	//hbvet:allow hotalloc decode of foreign pages only (memo-less runtimes, tests): a crawled world seeds its ConfigMemo with the configs it renders
 	if err := json.Unmarshal([]byte(inline[start:end+1]), &cfg); err != nil {
-		return nil, fmt.Errorf("pagert: parse inline config: %w", err) //hbvet:allow hotalloc cold error path behind the per-world ConfigMemo
+		return nil, fmt.Errorf("pagert: parse inline config: %w", err) //hbvet:allow hotalloc cold error path: foreign pages only, like the decode above
 	}
 	for i := range cfg.AdUnits {
 		if err := cfg.AdUnits[i].NormalizeSizes(); err != nil {
@@ -104,14 +107,16 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 // ConfigMemo memoizes ExtractConfig by inline-script text for one world:
 // a crawl re-visits each generated page every crawl day, and a sweep
 // crawls the same pages once per variant, so decoding the same config
-// JSON on every visit was a measurable slice of crawl CPU. It is safe
-// for concurrent use, has no bound and is never cleared: it lives as
-// long as the world that owns it (sitegen.World.Configs). Its keys are
-// substrings of the world's own pages, so it retains nothing beyond one
-// decoded config per distinct inline config. A returned PageConfig is
-// shared and must be treated as read-only (OverlayConfig copies before
-// it writes). The zero value is ready to use; a nil *ConfigMemo decodes
-// every call.
+// JSON on every visit was a measurable slice of crawl CPU. The world
+// that renders a page seeds the memo with the config it encoded (Seed),
+// so even a page's first visit decodes nothing; Extract decodes only
+// text nobody seeded. It is safe for concurrent use, has no bound and
+// is never cleared: it lives as long as the world that owns it
+// (sitegen.World.Configs). Its keys are substrings of the world's own
+// pages, so it retains nothing beyond one config per distinct inline
+// config. A returned PageConfig is shared and must be treated as
+// read-only (OverlayConfig copies before it writes). The zero value is
+// ready to use; a nil *ConfigMemo decodes every call.
 type ConfigMemo struct {
 	m sync.Map // inline-script text -> *memoConfig
 }
@@ -120,6 +125,16 @@ type ConfigMemo struct {
 type memoConfig struct {
 	cfg *PageConfig
 	err error
+}
+
+// Seed records cfg as the outcome of decoding inline, the config script
+// a renderer wrote with cfg.InlineScript, so the page's first visit
+// reads the value the renderer already holds instead of decoding the
+// renderer's own output. cfg must deep-equal what ExtractConfig decodes
+// from inline (sizes normalized) and is shared read-only from here on.
+// Text that already has an outcome keeps it.
+func (m *ConfigMemo) Seed(inline string, cfg *PageConfig) {
+	m.m.LoadOrStore(inline, &memoConfig{cfg: cfg})
 }
 
 // Extract is ExtractConfig memoized on the config script's text.

@@ -23,25 +23,25 @@ func (r *roundState) finalizeAuction() {
 	w := r.wrapper
 	now := w.env.Now()
 
-	// bidTimeout for bidders still pending at the deadline.
-	for bidder := range r.pending {
-		w.emit(events.Event{
-			Type: events.BidTimeout, Time: now, Bidder: bidder, Library: "prebid.js",
-		})
-	}
-
-	if vt := w.vt(); vt.Enabled() {
+	vt := w.vt()
+	if vt.Enabled() {
 		vt.Span(obs.TrackAuction, "auction", r.started, now, obs.SpanOpts{
 			Detail: w.cfg.Site,
 		})
-		// Timeout instants derive from the deterministic Bidders slice,
-		// never from ranging over r.pending — trace bytes must not
-		// depend on map iteration order (hbvet: detwall).
-		for i := range r.result.Bidders {
-			br := &r.result.Bidders[i]
-			if br.Responded.IsZero() {
-				vt.Instant(obs.TrackBidderPrefix+br.Bidder, "timeout", now, "")
-			}
+	}
+	// A bidTimeout event, and a trace instant, for each bidder still
+	// pending at the deadline, in request order: subscribers and trace
+	// bytes see the same sequence on every run.
+	for i := range r.result.Bidders {
+		bidder := r.result.Bidders[i].Bidder
+		if !r.pending[bidder] {
+			continue
+		}
+		w.emit(events.Event{
+			Type: events.BidTimeout, Time: now, Bidder: bidder, Library: "prebid.js",
+		})
+		if vt.Enabled() {
+			vt.Instant(obs.TrackBidderPrefix+bidder, "timeout", now, "")
 		}
 	}
 

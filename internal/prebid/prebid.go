@@ -19,7 +19,6 @@ package prebid
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"headerbid/internal/events"
@@ -107,22 +106,53 @@ type BidderResult struct {
 	Latency   time.Duration
 	Late      bool
 	Error     string
-	// Retries counts transport-level retransmissions (see maxBidRetries);
+	// Retries counts transport-level retransmissions (see MaxBidRetries);
 	// Latency spans from the first attempt through the final response.
 	Retries int
 	Bids    []hb.Bid
 }
 
-// maxBidRetries bounds per-bidder retransmissions after transport-level
+// MaxBidRetries bounds per-bidder retransmissions after transport-level
 // failures (connection reset/refused — not HTTP or decode errors, which
 // a real adapter would not retry). Retries run on the page's virtual
 // clock with exponential backoff, so the degradation path is exactly as
-// deterministic as the happy path.
-const maxBidRetries = 1
+// deterministic as the happy path. Both client wrappers (this one and
+// pubfood) follow this one policy, and both build their bid POSTs with
+// BidPost.
+const MaxBidRetries = 1
 
-// retryBackoffBase is the first retry's backoff; attempt k waits
-// retryBackoffBase << k.
-const retryBackoffBase = 100 * time.Millisecond
+// RetryBackoffBase is the first retry's backoff; attempt k waits
+// RetryBackoffBase << k.
+const RetryBackoffBase = 100 * time.Millisecond
+
+// BidPost builds attempt number attempt (0 for the first) of a wrapper's
+// bid POST to partner p. body is the encoded bid request and payload the
+// value it was encoded from. The URL is p's pre-rendered bid URL,
+// "<bid endpoint>?bidder=<slug>", plus "&retry=N" on retransmission N:
+// the way real adapters tag retransmissions, and what lets the detector
+// count retries off the wire. The request carries its query and its
+// payload prefilled, so no in-process hop parses either.
+func BidPost(p *partners.Profile, body string, payload *rtb.BidRequest, attempt int, sent time.Time) *webreq.Request {
+	req := &webreq.Request{
+		URL:    p.BidRequestURL(),
+		Method: webreq.POST,
+		Kind:   webreq.KindXHR,
+		Body:   body,
+		Sent:   sent,
+	}
+	params := p.BidRequestParams()
+	if attempt > 0 {
+		// "retry" sorts after the bid URL's only key, "bidder", so the
+		// appended query stays key-sorted; the full slice expression
+		// keeps the shared first-attempt query unwritten.
+		n := strconv.Itoa(attempt)
+		req.URL += "&retry=" + n
+		params = append(params[:len(params):len(params)], urlkit.Param{Key: "retry", Value: n})
+	}
+	req.PrefillParams(params)
+	req.PrefillBody(payload)
+	return req
+}
 
 // UnitOutcome is the per-ad-unit auction outcome.
 type UnitOutcome struct {
@@ -333,64 +363,34 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		})
 	}
 
-	// URL and query view are pre-rendered per profile (they depend only
-	// on the bidder); the query is shared and read-only.
-	httpReq := &webreq.Request{
-		URL:    profile.BidRequestURL(),
-		Method: webreq.POST,
-		Kind:   webreq.KindXHR,
-		Body:   body,
-		Sent:   now,
-	}
-	httpReq.PrefillParams(profile.BidRequestParams())
 	br := BidderResult{Bidder: bidder, Requested: now}
 	round.result.Bidders = append(round.result.Bidders, br)
 	idx := len(round.result.Bidders) - 1
 
-	w.env.Fetch(httpReq, func(resp *webreq.Response) {
-		w.onBidResponse(round, idx, bidder, unitsForBidder, body, 0, resp)
-	})
+	w.dispatchBid(round, idx, profile, unitsForBidder, body, req, 0)
 }
 
-// retryBidRequest re-issues a failed bid POST (same body). The retry URL
-// carries a retry=N parameter — the way real adapters tag
-// retransmissions — which is also what lets the detector count retries
-// off the wire without new instrumentation channels. No BidRequested
-// event is re-emitted: the auction asked once.
-func (w *Wrapper) retryBidRequest(round *roundState, idx int, bidder string, units []string, body string, attempt int) {
-	profile, ok := w.reg.BySlug(bidder)
-	if !ok {
-		return
-	}
-	url := profile.BidRequestURL()
-	sep := "?"
-	if strings.IndexByte(url, '?') >= 0 {
-		sep = "&"
-	}
-	httpReq := &webreq.Request{
-		URL:    url + sep + "retry=" + strconv.Itoa(attempt),
-		Method: webreq.POST,
-		Kind:   webreq.KindXHR,
-		Body:   body,
-		Sent:   w.env.Now(),
-	}
-	w.env.Fetch(httpReq, func(resp *webreq.Response) {
-		w.onBidResponse(round, idx, bidder, units, body, attempt, resp)
+// dispatchBid issues attempt number attempt of a bidder's bid POST (the
+// same body every time; BidPost tags retransmissions retry=N). A retry
+// re-emits no BidRequested event: the auction asked once.
+func (w *Wrapper) dispatchBid(round *roundState, idx int, profile *partners.Profile, units []string, body string, payload *rtb.BidRequest, attempt int) {
+	w.env.Fetch(BidPost(profile, body, payload, attempt, w.env.Now()), func(resp *webreq.Response) {
+		w.onBidResponse(round, idx, profile, units, body, payload, attempt, resp)
 	})
 }
 
 // onBidResponse handles one bidder's HTTP response (possibly after the
 // deadline, in which case the bids are recorded as late).
-func (w *Wrapper) onBidResponse(round *roundState, idx int, bidder string, units []string, body string, attempt int, resp *webreq.Response) {
-	if resp.Err != "" && attempt < maxBidRetries && !round.finalized {
+func (w *Wrapper) onBidResponse(round *roundState, idx int, profile *partners.Profile, units []string, body string, payload *rtb.BidRequest, attempt int, resp *webreq.Response) {
+	bidder := round.result.Bidders[idx].Bidder
+	if resp.Err != "" && attempt < MaxBidRetries && !round.finalized {
 		// Transport failure with retry budget left: back off and
 		// retransmit instead of conceding the bidder. The bidder stays
 		// in round.pending, so early finalization keeps waiting for the
 		// retry outcome (bounded by the wrapper timeout either way).
 		round.result.Bidders[idx].Retries++
-		backoff := retryBackoffBase << attempt
-		w.env.After(backoff, func() {
-			w.retryBidRequest(round, idx, bidder, units, body, attempt+1)
+		w.env.After(RetryBackoffBase<<attempt, func() {
+			w.dispatchBid(round, idx, profile, units, body, payload, attempt+1)
 		})
 		return
 	}

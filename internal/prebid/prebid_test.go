@@ -3,6 +3,7 @@ package prebid
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -440,5 +441,30 @@ func TestBidResponsesAfterDeadlineStillEmitEvents(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("late bidResponse event suppressed")
+	}
+}
+
+// Bidders still pending at the deadline each get a bidTimeout event, in
+// the order their requests went out. Subscribers see one sequence on
+// every run; ranging over the pending set would shuffle it.
+func TestBidTimeoutsInRequestOrder(t *testing.T) {
+	bidders := []string{"sovrn", "appnexus", "pubmatic", "rubicon", "openx"}
+	late := map[string]time.Duration{}
+	for _, b := range bidders {
+		late[b] = 10 * time.Second // past the 3s deadline
+	}
+	for run := 0; run < 20; run++ {
+		env := newFakeEnv()
+		env.respond = bidderResponder(late, nil)
+		_, bus := runWrapper(t, env, testConfig(1, bidders...))
+		var got []string
+		for _, e := range bus.History() {
+			if e.Type == events.BidTimeout {
+				got = append(got, e.Bidder)
+			}
+		}
+		if !slices.Equal(got, bidders) {
+			t.Fatalf("run %d: bidTimeout order %v, want request order %v", run, got, bidders)
+		}
 	}
 }

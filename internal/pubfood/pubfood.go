@@ -17,6 +17,7 @@ import (
 	"headerbid/internal/hb"
 	"headerbid/internal/obs"
 	"headerbid/internal/partners"
+	"headerbid/internal/prebid"
 	"headerbid/internal/rtb"
 	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
@@ -141,24 +142,25 @@ func (l *Library) Start(done func(*Result)) {
 		}
 		finalized = true
 		end := l.env.Now()
-		// Providers that have not answered by the deadline time out; the
-		// event lets observers attribute their eventual responses as late.
-		for name := range outstanding {
-			l.emit(events.Event{
-				Type: events.BidTimeout, Time: end, Bidder: name, Library: "pubfood.js",
-			})
-		}
-		if vt := l.vt(); vt.Enabled() {
+		vt := l.vt()
+		if vt.Enabled() {
 			vt.Span(obs.TrackAuction, "auction", res.Started, end, obs.SpanOpts{
 				Detail: l.cfg.Site,
 			})
-			// Timeout instants derive from the deterministic Providers
-			// slice (outstanding is only consulted per key), so trace
-			// bytes never depend on map iteration order.
-			for _, p := range l.cfg.Providers {
-				if prof, ok := l.reg.BySlug(p.Name); ok && outstanding[prof.Slug] {
-					vt.Instant(obs.TrackBidderPrefix+prof.Slug, "timeout", end, "")
-				}
+		}
+		// Providers that have not answered by the deadline time out, in
+		// request order; the event lets observers attribute their
+		// eventual responses as late.
+		for _, p := range l.cfg.Providers {
+			prof, ok := l.reg.BySlug(p.Name)
+			if !ok || !outstanding[prof.Slug] {
+				continue
+			}
+			l.emit(events.Event{
+				Type: events.BidTimeout, Time: end, Bidder: prof.Slug, Library: "pubfood.js",
+			})
+			if vt.Enabled() {
+				vt.Instant(obs.TrackBidderPrefix+prof.Slug, "timeout", end, "")
 			}
 		}
 		for _, s := range l.cfg.Slots {
@@ -220,7 +222,7 @@ func (l *Library) sendBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 			AdUnit: s.Name, Bidder: prof.Slug, Library: "pubfood.js",
 		})
 	}
-	breq := rtb.BidRequest{
+	breq := &rtb.BidRequest{
 		ID:   "pf-" + prof.Slug + "-" + strconv.FormatInt(now.UnixNano(), 10),
 		Imp:  imps,
 		Site: rtb.Site{Domain: l.cfg.Site},
@@ -232,40 +234,24 @@ func (l *Library) sendBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 		onDone(prof.Slug)
 		return
 	}
-	l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, now, 0)
+	l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, breq, now, 0)
 }
 
-// maxBidRetries / retryBackoffBase mirror the prebid wrapper's bounded
-// transport-retry policy: retransmit connection-level failures on the
-// virtual clock, never HTTP or decode errors.
-const maxBidRetries = 1
-const retryBackoffBase = 100 * time.Millisecond
-
-// dispatchBid issues one bid POST attempt. A transport failure with
-// retry budget left backs off and retransmits (the retry URL carries a
-// retry=N tag, which is how the detector counts retransmissions); the
-// provider is only marked done — and pending only decremented — when
-// its final attempt resolves, so auction completion waits for the retry
-// outcome (bounded by the auction deadline either way).
+// dispatchBid issues one bid POST attempt, built and retried under
+// prebid's transport-retry policy (prebid.BidPost, prebid.MaxBidRetries):
+// a transport failure with retry budget left backs off on the virtual
+// clock and retransmits. The provider is only marked done — and pending
+// only decremented — when its final attempt resolves, so auction
+// completion waits for the retry outcome (bounded by the auction
+// deadline either way).
 func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, pending *int, onDone func(slug string),
-	body string, sent time.Time, attempt int) {
-	bidParams := urlkit.Query{{Key: hb.KeyBidderFull, Value: prof.Slug}}
-	if attempt > 0 {
-		bidParams = append(bidParams, urlkit.Param{Key: "retry", Value: strconv.Itoa(attempt)})
-	}
-	req := &webreq.Request{
-		URL:    urlkit.WithQuery(prof.BidEndpoint(), bidParams),
-		Method: webreq.POST,
-		Kind:   webreq.KindXHR,
-		Body:   body,
-		Sent:   l.env.Now(),
-	}
-	req.PrefillParams(bidParams)
+	body string, payload *rtb.BidRequest, sent time.Time, attempt int) {
+	req := prebid.BidPost(prof, body, payload, attempt, l.env.Now())
 	l.env.Fetch(req, func(resp *webreq.Response) {
-		if resp.Err != "" && attempt < maxBidRetries {
-			l.env.After(retryBackoffBase<<attempt, func() {
-				l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, sent, attempt+1)
+		if resp.Err != "" && attempt < prebid.MaxBidRetries {
+			l.env.After(prebid.RetryBackoffBase<<attempt, func() {
+				l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, payload, sent, attempt+1)
 			})
 			return
 		}

@@ -2,6 +2,7 @@ package pubfood
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -204,5 +205,31 @@ func TestPubfoodMultiSlot(t *testing.T) {
 	}
 	if bidReqs != 1 {
 		t.Fatalf("bid requests = %d, want 1", bidReqs)
+	}
+}
+
+// Providers still outstanding at the deadline each get a bidTimeout
+// event, in the order their requests went out (the Providers order), on
+// every run.
+func TestPubfoodBidTimeoutsInRequestOrder(t *testing.T) {
+	names := []string{"sovrn", "appnexus", "pubmatic", "rubicon", "openx"}
+	c := cfg()
+	c.Providers = nil
+	for _, n := range names {
+		c.Providers = append(c.Providers, BidProvider{Name: n})
+	}
+	for run := 0; run < 20; run++ {
+		env := newFakeEnv()
+		env.respond = responder(5*time.Second, 1.0) // past the 2s deadline
+		_, bus := runLib(t, env, c)
+		var got []string
+		for _, e := range bus.History() {
+			if e.Type == events.BidTimeout {
+				got = append(got, e.Bidder)
+			}
+		}
+		if !slices.Equal(got, names) {
+			t.Fatalf("run %d: bidTimeout order %v, want request order %v", run, got, names)
+		}
 	}
 }

@@ -190,9 +190,10 @@ func (e *Ecosystem) HandlePartner(p *partners.Profile, req *webreq.Request) (int
 }
 
 // bidScratch is the pooled working set of one handleBid call: the
-// decoded request (whose Imp/Ext backing arrays the codec reuses), the
-// response under construction, and a one-element seat array so the
-// single-seat response never allocates a SeatBid slice.
+// decode target for a request that carries no typed body (whose Imp/Ext
+// backing arrays the codec reuses), the response under construction,
+// and a one-element seat array so the single-seat response never
+// allocates a SeatBid slice.
 type bidScratch struct {
 	req  rtb.BidRequest
 	resp rtb.BidResponse
@@ -211,8 +212,8 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	sc := bidScratchPool.Get().(*bidScratch)
 	defer bidScratchPool.Put(sc)
 
-	breq := &sc.req
-	if err := rtb.UnmarshalBidRequest(req.Body, breq); err != nil {
+	breq, err := bidRequestOf(req, &sc.req)
+	if err != nil {
 		return 400, `{"nbr":2}`, 10 * time.Millisecond
 	}
 
@@ -294,6 +295,20 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 		return 500, `{}`, service
 	}
 	return 200, body, service
+}
+
+// bidRequestOf returns the bid request req carries: the value the
+// wrapper encoded into its body (webreq.Request.PrefillBody), or else
+// the body decoded into dst, as for every request that crossed a real
+// socket. The result is read-only.
+func bidRequestOf(req *webreq.Request, dst *rtb.BidRequest) (*rtb.BidRequest, error) {
+	if v, ok := req.BodyValue().(*rtb.BidRequest); ok && v != nil {
+		return v, nil
+	}
+	if err := rtb.UnmarshalBidRequest(req.Body, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // handleHosted answers a hosted (Server-Side HB) auction: the provider

@@ -58,8 +58,9 @@ const (
 // static-analysis false positives the paper warns about (§3.1).
 func (w *World) renderPageHTML(s *Site) string {
 	var libs, inline, trap string
+	var cfg *pagert.PageConfig
 	if s.HB {
-		inline = w.inlineConfig(s)
+		cfg, inline = w.inlineConfig(s)
 		switch s.Facet {
 		case hb.FacetClient:
 			libs = prebidTag
@@ -91,8 +92,10 @@ func (w *World) renderPageHTML(s *Site) string {
 	b.WriteString(s.Domain)
 	b.WriteString(pageScripts)
 	b.WriteString(libs)
+	inlineAt := 0
 	if s.HB {
 		b.WriteString(inlineOpen)
+		inlineAt = b.Len()
 		b.WriteString(inline)
 		b.WriteString(inlineEnd)
 	}
@@ -113,19 +116,31 @@ func (w *World) renderPageHTML(s *Site) string {
 		}
 	}
 	b.WriteString(pageClose)
-	return b.String()
-}
-
-// inlineConfig renders an HB site's inline wrapper config script body.
-func (w *World) inlineConfig(s *Site) string {
-	inline, err := w.pageConfig(s).InlineScript()
-	if err != nil {
-		return "/* config error: " + err.Error() + " */"
+	page := b.String()
+	if cfg != nil {
+		// The memo key is the page's own copy of the script text, so the
+		// memo retains nothing the cached page does not.
+		w.Configs.Seed(page[inlineAt:inlineAt+len(inline)], cfg)
 	}
-	return inline
+	return page
 }
 
-// pageConfig builds the inline wrapper configuration for an HB site.
+// inlineConfig renders an HB site's inline wrapper config script body and
+// returns the config it encodes, which renderPageHTML seeds into
+// World.Configs: the measurement side then never decodes JSON this world
+// wrote. The config is nil when rendering failed.
+func (w *World) inlineConfig(s *Site) (*pagert.PageConfig, string) {
+	cfg := w.pageConfig(s)
+	inline, err := cfg.InlineScript()
+	if err != nil {
+		return nil, "/* config error: " + err.Error() + " */"
+	}
+	return cfg, inline
+}
+
+// pageConfig builds the inline wrapper configuration for an HB site. Its
+// ad units share their Sizes and Bidders arrays with the site's, which
+// nothing writes after generation.
 func (w *World) pageConfig(s *Site) *pagert.PageConfig {
 	units := make([]prebid.AdUnit, len(s.AdUnits))
 	copy(units, s.AdUnits)

@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
+
+	"headerbid/internal/htmlmeta"
+	"headerbid/internal/pagert"
 )
 
 // renderedPagesSHA256 digests every page of a 5,000-site seed-1 world
@@ -30,4 +35,55 @@ func TestRenderedPagesPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != renderedPagesSHA256 {
 		t.Fatalf("rendered pages digest = %s, want %s", got, renderedPagesSHA256)
 	}
+}
+
+// TestSeededConfigsMatchDecode: the config the renderer seeds into
+// World.Configs must be exactly what the measurement side decodes from
+// the page it rendered, or a page's first visit would run a wrapper
+// setup its bytes do not describe. Every HB page of two seeds' worlds is
+// checked: the memo's first answer for the page must be the seeded
+// config (its ad units share the site's arrays, which no decode does)
+// and deep-equal pagert.ExtractConfig on the page. The pages must cover
+// every facet and the pubfood, bad-wrapper, send-all-bids and
+// multi-device setups.
+func TestSeededConfigsMatchDecode(t *testing.T) {
+	covered := map[string]int{}
+	for _, seed := range []int64{1, 2} {
+		w := genWorld(t, 3000, seed)
+		for _, s := range w.HBSites() {
+			doc := htmlmeta.Parse(w.PageHTML(s))
+			want, err := pagert.ExtractConfig(doc)
+			if err != nil || want == nil {
+				t.Fatalf("seed %d %s: page config does not decode: %v", seed, s.Domain, err)
+			}
+			got, err := w.Configs.Extract(doc)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: memo holds %+v (err %v), the page decodes to %+v", seed, s.Domain, got, err, want)
+			}
+			if len(got.AdUnits) == 0 || &got.AdUnits[0].Sizes[0] != &s.AdUnits[0].Sizes[0] {
+				t.Fatalf("seed %d %s: the first Extract decoded the page instead of returning the seeded config", seed, s.Domain)
+			}
+			covered[got.Facet]++
+			if got.Library == "pubfood" {
+				covered["pubfood"]++
+			}
+			if got.BadWrapper {
+				covered["bad-wrapper"]++
+			}
+			if got.SendAllBids {
+				covered["send-all-bids"]++
+			}
+			for _, u := range got.AdUnits {
+				if strings.HasSuffix(u.Code, "-tablet") {
+					covered["multi-device"]++
+				}
+			}
+		}
+	}
+	for _, k := range []string{"client", "server", "hybrid", "pubfood", "bad-wrapper", "send-all-bids", "multi-device"} {
+		if covered[k] == 0 {
+			t.Errorf("no %s page among the checked worlds", k)
+		}
+	}
+	t.Logf("pages covered: %v", covered)
 }

@@ -90,6 +90,11 @@ var corpus = []string{
 	"http://host.example/x?a;b=1",
 	"http://host.example/x?bad=%zz",
 	"http://host.example/x?bad=%zz&worse=%zy",
+	// A malformed escape in the path or the fragment makes net/url
+	// reject the URL, so Host must give "" for it too.
+	"http://h/%0X",
+	"http://h/a#%zz",
+	"http://h/a?q=%zz#ok",
 }
 
 func TestHostMatchesNetURL(t *testing.T) {

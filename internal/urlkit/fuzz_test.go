@@ -44,3 +44,17 @@ func FuzzQuery(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHost checks Host against its net/url reference, refHost, on
+// arbitrary input: the same lower-cased host, and "" wherever net/url
+// rejects the URL. The committed corpus under testdata/fuzz/FuzzHost/
+// holds one URL of each shape the simulation mints and the two
+// malformed escapes (in a path and in a fragment) the fast path once
+// accepted.
+func FuzzHost(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		if got, want := Host(raw), refHost(raw); got != want {
+			t.Fatalf("Host(%q) = %q, reference %q", raw, got, want)
+		}
+	})
+}

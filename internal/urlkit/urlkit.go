@@ -38,6 +38,8 @@ func Host(raw string) string {
 	// (userinfo, IPv6 literals, escapes, spaces, a non-numeric port, a
 	// second colon, ...) falls through to net/url so the semantics —
 	// including its rejections — stay exactly the standard library's.
+	// So does an escape in the path or the fragment: net/url rejects a
+	// malformed one, which makes the host "".
 	if i := strings.Index(raw, "://"); i > 0 && isPlainScheme(raw[:i]) && !hasControlByte(raw) {
 		rest := raw[i+3:]
 		end := len(rest)
@@ -48,7 +50,7 @@ func Host(raw string) string {
 				break
 			}
 		}
-		if host, ok := plainHostPort(rest[:end]); ok {
+		if host, ok := plainHostPort(rest[:end]); ok && !escapeOutsideQuery(rest[end:]) {
 			return lowerASCII(host)
 		}
 	}
@@ -57,6 +59,15 @@ func Host(raw string) string {
 		return ""
 	}
 	return strings.ToLower(u.Hostname())
+}
+
+// escapeOutsideQuery reports whether a URL's path-query-fragment tail
+// has a '%' in its path or its fragment, the parts whose escapes net/url
+// validates. The query is left out: net/url keeps it raw.
+func escapeOutsideQuery(tail string) bool {
+	pre, frag, _ := strings.Cut(tail, "#")
+	path, _, _ := strings.Cut(pre, "?")
+	return strings.IndexByte(path, '%') >= 0 || strings.IndexByte(frag, '%') >= 0
 }
 
 // plainHostPort strips an optional numeric port from a "host[:port]"

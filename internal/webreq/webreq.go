@@ -56,6 +56,10 @@ type Request struct {
 	registrable string
 	paramsDone  bool
 	params      urlkit.Query
+
+	// bodyValue is the value Body was encoded from (PrefillBody); nil
+	// unless an in-process builder handed it over.
+	bodyValue any
 }
 
 func (r *Request) ensureHost() {
@@ -95,6 +99,20 @@ func (r *Request) PrefillParams(q urlkit.Query) {
 	r.paramsDone = true
 	r.params = q
 }
+
+// PrefillBody hands the request the value its Body was just encoded
+// from, so an in-process handler reads the builder's value instead of
+// decoding the builder's own bytes: the body-side twin of PrefillParams.
+// It is typed any because the body codecs (rtb) sit above this package.
+// The value is retained and shared; neither the builder nor any reader
+// may modify it afterwards, and it must be exactly what decoding Body
+// yields. Only builders set it. No typed value crosses a socket, so a
+// handler must still decode Body when BodyValue is nil.
+func (r *Request) PrefillBody(v any) { r.bodyValue = v }
+
+// BodyValue returns the value PrefillBody handed over, or nil. Treat it
+// as read-only.
+func (r *Request) BodyValue() any { return r.bodyValue }
 
 // Response is the matching response delivered to the page.
 type Response struct {

@@ -68,8 +68,9 @@ func runOps(src io.Reader, ops []byte) string {
 // (values and errors) from both sources, since a length prefix the
 // stream cannot hold fails as a truncation either way. The
 // committed corpus under testdata/fuzz/FuzzReader/ holds a well-formed
-// stream of every primitive and the hostile and corrupt cases of
-// wire_test.go.
+// stream of every primitive, the hostile and corrupt cases of
+// wire_test.go, and a Strings count the stream cannot hold whose
+// elements reach a corrupt length first.
 func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops, data []byte) {
 		var transcripts []string

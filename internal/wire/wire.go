@@ -117,6 +117,7 @@ func (w *Writer) Strings(ss []string) {
 // than that fails before anything is allocated; otherwise a slice grows
 // in bounded steps as its bytes arrive. Either way a corrupt or hostile
 // prefix costs memory in proportion to the input, not to the prefix.
+// Strings is the exception to failing early: see there.
 type Reader struct {
 	r    io.ByteReader
 	src  io.Reader
@@ -239,25 +240,32 @@ func (r *Reader) Len() int { return r.lenOf(1) }
 
 // lenOf is Len for elements of at least size bytes each.
 func (r *Reader) lenOf(size uint64) int {
-	n := r.Uvarint()
-	switch {
-	case n > maxLen:
-		r.fail(ErrCorrupt)
-		return 0
-	case r.left != nil && n*size > uint64(r.left.Len()):
+	n := r.count()
+	if r.left != nil && uint64(n)*size > uint64(r.left.Len()) {
 		r.fail(io.ErrUnexpectedEOF)
+		return 0
+	}
+	return n
+}
+
+// count reads a length prefix and refuses it above maxLen only.
+func (r *Reader) count() int {
+	n := r.Uvarint()
+	if n > maxLen {
+		r.fail(ErrCorrupt)
 		return 0
 	}
 	return int(n)
 }
 
 // Cap is the capacity to start a slice with that will hold the n
-// elements a length prefix announced: n itself when Len has checked it
-// against the bytes remaining, at most growStep otherwise, so appending
+// elements a length prefix announced: at most the bytes remaining when
+// the source reports them (every element takes at least one byte), which
+// is n itself after Len; at most growStep otherwise. Appending then
 // grows the slice only as its elements actually arrive.
 func (r *Reader) Cap(n int) int {
 	if r.left != nil {
-		return n
+		return min(n, r.left.Len())
 	}
 	return min(n, growStep)
 }
@@ -318,9 +326,15 @@ func (r *Reader) Float64s() []float64 {
 	return xs
 }
 
-// Strings reads a length-prefixed string slice (nil when empty).
+// Strings reads a length-prefixed string slice (nil when empty). Its
+// count is refused above maxLen but not checked against the bytes
+// remaining: each element carries its own length prefix, so a count the
+// stream cannot hold fails where the elements run out. Checking it up
+// front would report a truncation on a source that knows its length
+// where a plain source, reading element by element, first meets a
+// corrupt element and reports that. Cap still bounds the allocation.
 func (r *Reader) Strings() []string {
-	n := r.Len()
+	n := r.count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
