@@ -18,7 +18,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -168,9 +168,10 @@ type Detector struct {
 	registry *partners.Registry
 	page     *browser.Page
 
-	// event-channel state
-	auctions    map[string]*auctionState
-	auctionIDs  []string
+	// event-channel state: states holds this visit's auctions in
+	// creation order, auctions indexes it by auction ID
+	auctions    map[string]int
+	states      []auctionState
 	libs        map[string]bool
 	eventCount  int
 	renderFails int
@@ -235,11 +236,15 @@ type s2sWin struct {
 	Slot string
 }
 
+// auctionState is one auction under reconstruction. Its obs.Bids storage
+// is reused by the auction that takes its slot on a later visit, so
+// Observation copies the bids out; obs.Winner stays nil, winner says
+// which bid won.
 type auctionState struct {
-	obs      AuctionObs
-	ended    bool
-	endTime  time.Time
-	bidTimes []time.Time
+	obs     AuctionObs
+	ended   bool
+	endTime time.Time
+	winner  int // 1 + index of the winning bid in obs.Bids; 0 for none
 }
 
 // Options selects the detector's observation channels. The paper argues
@@ -280,10 +285,9 @@ func AttachWithOptions(page *browser.Page, reg *partners.Registry, opts Options)
 // produces, but keeps the storage of its maps and slices and its bound
 // hook funcs, so re-attaching a pooled detector allocates nothing. The
 // crawler keeps one detector per worker and reattaches it after
-// rebinding the page. The previous attachment's Observation shares that
-// storage and is invalid afterwards; dataset.FromObservation copies
-// everything it keeps except PartnerErrors, which is why that map is
-// dropped here rather than cleared.
+// rebinding the page. The maps of the previous attachment's Observation
+// are this storage and are invalid afterwards; its slices are its own.
+// dataset.FromObservation copies everything it keeps.
 func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Options) {
 	clear(d.auctions)
 	clear(d.libs)
@@ -295,12 +299,13 @@ func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Opt
 	clear(d.partnerLats)
 	clear(d.partnerLateLats)
 	clear(d.timedOut)
+	clear(d.partnerErrs)
 	clear(d.s2sWinners)
 	*d = Detector{
 		registry:        reg,
 		page:            page,
 		auctions:        d.auctions,
-		auctionIDs:      d.auctionIDs[:0],
+		states:          d.states[:0],
 		libs:            d.libs,
 		rendered:        d.rendered,
 		failed:          d.failed,
@@ -310,6 +315,8 @@ func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Opt
 		partnerLats:     d.partnerLats,
 		partnerLateLats: d.partnerLateLats,
 		timedOut:        d.timedOut,
+		partnerErrs:     d.partnerErrs,
+		hostedSlots:     d.hostedSlots[:0],
 		s2sWinners:      d.s2sWinners[:0],
 		onEventFn:       d.onEventFn,
 		onRequestFn:     d.onRequestFn,
@@ -384,7 +391,6 @@ func (d *Detector) onEvent(e events.Event) {
 			bid.Latency = lat
 		}
 		st.obs.Bids = append(st.obs.Bids, bid)
-		st.bidTimes = append(st.bidTimes, e.Time)
 	case events.BidTimeout:
 		// The bidder missed the wrapper deadline; its (eventual) response
 		// latency belongs in the late-bid analysis, not the partner
@@ -402,14 +408,14 @@ func (d *Detector) onEvent(e events.Event) {
 		st := d.auction(e.AuctionID)
 		for i := range st.obs.Bids {
 			if st.obs.Bids[i].Bidder == e.Bidder && !st.obs.Bids[i].Late {
-				st.obs.Winner = &st.obs.Bids[i]
+				st.winner = i + 1
 				break
 			}
 		}
-		if st.obs.Winner == nil {
+		if st.winner == 0 {
 			w := BidObs{Bidder: e.Bidder, CPM: e.CPM, Size: e.Size, Source: "client"}
 			st.obs.Bids = append(st.obs.Bids, w)
-			st.obs.Winner = &st.obs.Bids[len(st.obs.Bids)-1]
+			st.winner = len(st.obs.Bids)
 		}
 		d.markWinner(e.Bidder)
 	case events.SlotRenderEnded:
@@ -435,18 +441,23 @@ func (d *Detector) onEvent(e events.Event) {
 	}
 }
 
+// auction returns the state of auction id, creating it on first use in
+// the next slot of states, whose bid storage it reuses. The pointer is
+// valid until the next call.
 func (d *Detector) auction(id string) *auctionState {
-	st, ok := d.auctions[id]
-	if !ok {
-		if d.auctions == nil {
-			d.auctions = make(map[string]*auctionState, 4)
-		}
-		st = &auctionState{}
-		st.obs.ID = id
-		d.auctions[id] = st
-		d.auctionIDs = append(d.auctionIDs, id)
+	if i, ok := d.auctions[id]; ok {
+		return &d.states[i]
 	}
-	return st
+	if d.auctions == nil {
+		d.auctions = make(map[string]int, 4)
+	}
+	d.auctions[id] = len(d.states)
+	var bids []BidObs
+	if n := len(d.states); n < cap(d.states) {
+		bids = d.states[:n+1][n].obs.Bids[:0]
+	}
+	d.states = append(d.states, auctionState{obs: AuctionObs{ID: id, Bids: bids}})
+	return &d.states[len(d.states)-1]
 }
 
 // markWinner records a winning bidder, materializing the set lazily.
@@ -480,7 +491,7 @@ func (d *Detector) onRequest(req *webreq.Request) {
 		if strings.Contains(req.URL, "/ssp/auction") {
 			d.hostedReq = req.Sent
 			d.hostedProvider = p.Slug
-			d.hostedSlots = parseSlotSpecs(params.Get("slots"))
+			d.hostedSlots = appendSlotSpecs(d.hostedSlots[:0], params.Get("slots"))
 		}
 		if strings.Contains(req.URL, "/hb/v1/bid") {
 			if d.bidReqFirst.IsZero() {
@@ -602,33 +613,65 @@ func (d *Detector) countTraffic(req *webreq.Request, params urlkit.Query) {
 	}
 }
 
-// mineTargeting extracts server-side HB winners from hb_* parameters.
+// mineTargeting extracts server-side HB winners from hb_* parameters,
+// read in place by hb.ScanTargeting.
 func (d *Detector) mineTargeting(params urlkit.Query, at time.Time) {
-	t := hb.ParseTargeting(params)
-	if t == nil {
+	var bidder, partner, source, pb, price, size string
+	var found, hasBidder, hasPB, hasPrice, hasSize bool
+	ts := hb.ScanTargeting(params)
+	for k, v, ok := ts.Next(); ok; k, v, ok = ts.Next() {
+		found = true
+		switch k {
+		case hb.KeyBidder:
+			bidder, hasBidder = v, true
+		case hb.KeyPartner:
+			partner = v
+		case hb.KeySource:
+			source = v
+		case hb.KeyPriceBuck:
+			pb, hasPB = v, true
+		case hb.KeyPrice:
+			price, hasPrice = v, true
+		case hb.KeySize:
+			size, hasSize = v, true
+		}
+	}
+	if !found {
 		return
 	}
 	d.hbParamSeen = true
-	bidder := t.Bidder()
+	if !hasBidder {
+		bidder = partner // the legacy key, as hb.Targeting.Bidder reads it
+	}
 	if bidder == "" {
 		return
 	}
 	d.markWinner(bidder)
-	if src := t[hb.KeySource]; src == "s2s" {
-		cpm, _ := t.Price()
-		// Prefer the exact hb_price over the bucketed hb_pb when present.
-		if raw, ok := params.Lookup(hb.KeyPrice); ok {
-			var f float64
-			if _, err := sscanFloat(raw, &f); err == nil {
-				cpm = f
-			}
-		}
-		size, _ := t.Size()
-		d.s2sWinners = append(d.s2sWinners, s2sWin{
-			Bid:  BidObs{Bidder: bidder, CPM: cpm, Size: size, Source: "s2s"},
-			Slot: params.Get("slot"),
-		})
+	if source != "s2s" {
+		return
 	}
+	// The price bucket, else the raw price, as hb.Targeting.Price reads
+	// them; an exact hb_price, spelled in lower case, wins over both.
+	var cpm float64
+	if f, err := strconv.ParseFloat(pb, 64); hasPB && err == nil {
+		cpm = f
+	} else if f, err := strconv.ParseFloat(price, 64); hasPrice && err == nil {
+		cpm = f
+	}
+	if raw, ok := params.Lookup(hb.KeyPrice); ok {
+		var f float64
+		if _, err := sscanFloat(raw, &f); err == nil {
+			cpm = f
+		}
+	}
+	var sz hb.Size
+	if hasSize {
+		sz, _ = hb.ParseSize(size)
+	}
+	d.s2sWinners = append(d.s2sWinners, s2sWin{
+		Bid:  BidObs{Bidder: bidder, CPM: cpm, Size: sz, Source: "s2s"},
+		Slot: params.Get("slot"),
+	})
 }
 
 // lastPartnerLatency returns the most recent observed bid latency for a
@@ -645,22 +688,26 @@ func (d *Detector) lastPartnerLatency(slug string, late bool) (time.Duration, bo
 	return ls[len(ls)-1], true
 }
 
-func parseSlotSpecs(s string) []slotSpec {
+// appendSlotSpecs appends the slots of a "code|size,code|size" spec list
+// to dst; a spec without a parseable size keeps a zero size.
+func appendSlotSpecs(dst []slotSpec, s string) []slotSpec {
 	if s == "" {
-		return nil
+		return dst
 	}
-	var out []slotSpec
-	for _, spec := range strings.Split(s, ",") {
-		parts := strings.Split(spec, "|")
-		sp := slotSpec{Code: parts[0]}
-		if len(parts) > 1 {
-			if sz, err := hb.ParseSize(parts[1]); err == nil {
+	for more := true; more; {
+		var spec string
+		spec, s, more = strings.Cut(s, ",")
+		code, rest, hasSize := strings.Cut(spec, "|")
+		sp := slotSpec{Code: code}
+		if hasSize {
+			sizeStr, _, _ := strings.Cut(rest, "|")
+			if sz, err := hb.ParseSize(sizeStr); err == nil {
 				sp.Size = sz
 			}
 		}
-		out = append(out, sp)
+		dst = append(dst, sp)
 	}
-	return out
+	return dst
 }
 
 func stripSlotSuffix(k string) string {
@@ -685,11 +732,18 @@ func sscanFloat(s string, out *float64) (int, error) {
 // ---------------------------------------------------------------------------
 
 // Observation finalizes and returns what the detector learned. Call it
-// after the page has settled; it is idempotent.
+// after the page has settled; it is idempotent. Every slice of the
+// observation is its own, sized exactly: all bids of all auctions share
+// one backing array, each auction holding a full slice of it. The maps
+// PartnerLatency, PartnerLateLatency and PartnerErrors are the
+// detector's own and valid until the next Reattach.
 func (d *Detector) Observation() *Observation {
 	o := &Observation{
 		URL:                d.page.URL,
 		Domain:             d.pageRegistrable(),
+		Libraries:          sortedKeys(d.libs),
+		PartnersSeen:       sortedKeys(d.partnerSeen),
+		WinnersSeen:        sortedKeys(d.winnerSeen),
 		PartnerLatency:     d.partnerLats,
 		PartnerLateLatency: d.partnerLateLats,
 		EventCount:         d.eventCount,
@@ -702,23 +756,51 @@ func (d *Detector) Observation() *Observation {
 	if n := d.traffic.BidRequests - d.bidResponses; n > 0 {
 		o.BidsAbandoned = n
 	}
-	for lib := range d.libs {
-		o.Libraries = append(o.Libraries, lib)
-	}
-	sort.Strings(o.Libraries)
-	for s := range d.partnerSeen {
-		o.PartnersSeen = append(o.PartnersSeen, s)
-	}
-	sort.Strings(o.PartnersSeen)
-	for s := range d.winnerSeen {
-		o.WinnersSeen = append(o.WinnersSeen, s)
-	}
-	sort.Strings(o.WinnersSeen)
 
-	// Client-channel auctions.
+	// Client-channel auctions are the event-channel states. Server-channel
+	// auctions: every slot offered in the hosted request is an auction the
+	// page ran remotely; slots whose responses carried an s2s winner get
+	// that winner as their (only visible) bid. Hybrid pages attach their
+	// server-side winners to the matching client auction as additional
+	// (server-sourced) bids.
 	clientAuctions := false
-	for _, id := range d.auctionIDs {
-		st := d.auctions[id]
+	nBids := 0
+	for i := range d.states {
+		st := &d.states[i]
+		if len(st.obs.Bids) > 0 || !st.obs.Start.IsZero() {
+			clientAuctions = true
+		}
+		nBids += len(st.obs.Bids)
+	}
+	hostedFlow := !d.hostedReq.IsZero()
+	hosted := hostedFlow && !clientAuctions
+	hybrid := !hosted && clientAuctions && len(d.s2sWinners) > 0
+	nAuctions := len(d.states)
+	switch {
+	case hosted:
+		nAuctions += len(d.hostedSlots)
+		for _, sp := range d.hostedSlots {
+			if d.lastS2SWin(sp.Code) != nil {
+				nBids++
+			}
+		}
+	case hybrid:
+		for _, w := range d.s2sWinners {
+			if d.s2sOwner(w.Slot) >= 0 {
+				nBids++
+			}
+		}
+	}
+	if nAuctions > 0 {
+		o.Auctions = make([]AuctionObs, 0, nAuctions)
+	}
+	var bids []BidObs
+	if nBids > 0 {
+		bids = make([]BidObs, 0, nBids)
+	}
+
+	for i := range d.states {
+		st := &d.states[i]
 		a := st.obs
 		if a.AdUnit != "" {
 			a.Rendered = d.rendered[a.AdUnit]
@@ -727,24 +809,31 @@ func (d *Detector) Observation() *Observation {
 				a.Size = sz
 			}
 		}
-		if len(a.Bids) > 0 || !a.Start.IsZero() {
-			clientAuctions = true
+		lo := len(bids)
+		bids = append(bids, st.obs.Bids...)
+		if hybrid {
+			for _, w := range d.s2sWinners {
+				if d.s2sOwner(w.Slot) == i {
+					bids = append(bids, w.Bid)
+				}
+			}
+		}
+		a.Bids = nil
+		if hi := len(bids); hi > lo {
+			a.Bids = bids[lo:hi:hi]
+			switch {
+			case st.winner > 0:
+				a.Winner = &a.Bids[st.winner-1]
+			case hi-lo > len(st.obs.Bids):
+				a.Winner = &a.Bids[len(st.obs.Bids)] // the first server-side winner
+			}
 		}
 		o.Auctions = append(o.Auctions, a)
 	}
-
-	// Server-channel auctions: every slot offered in the hosted request is
-	// an auction the page ran remotely; slots whose responses carried an
-	// s2s winner get that winner as their (only visible) bid.
-	hostedFlow := !d.hostedReq.IsZero()
-	if hostedFlow && !clientAuctions {
-		winBySlot := make(map[string]*s2sWin, len(d.s2sWinners))
-		for i := range d.s2sWinners {
-			winBySlot[d.s2sWinners[i].Slot] = &d.s2sWinners[i]
-		}
+	if hosted {
 		for i, sp := range d.hostedSlots {
 			a := AuctionObs{
-				ID:       o.Domain + "-ss-" + itoa(i+1),
+				ID:       hostedAuctionID(o.Domain, i+1),
 				AdUnit:   sp.Code,
 				Size:     sp.Size,
 				Start:    d.hostedReq,
@@ -752,32 +841,18 @@ func (d *Detector) Observation() *Observation {
 				Rendered: d.rendered[sp.Code],
 				Failed:   d.failed[sp.Code],
 			}
-			if w, ok := winBySlot[sp.Code]; ok {
-				a.Bids = []BidObs{w.Bid}
+			if w := d.lastS2SWin(sp.Code); w != nil {
+				bids = append(bids, w.Bid)
+				a.Bids = bids[len(bids)-1 : len(bids) : len(bids)]
 				a.Winner = &a.Bids[0]
 			}
 			o.Auctions = append(o.Auctions, a)
 		}
-	} else if clientAuctions && len(d.s2sWinners) > 0 {
-		// Hybrid pages: attach server-side winners to the matching client
-		// auction as additional (server-sourced) bids.
-		byUnit := make(map[string]*AuctionObs, len(o.Auctions))
-		for i := range o.Auctions {
-			byUnit[o.Auctions[i].AdUnit] = &o.Auctions[i]
-		}
-		for _, w := range d.s2sWinners {
-			if a, ok := byUnit[w.Slot]; ok {
-				a.Bids = append(a.Bids, w.Bid)
-				if a.Winner == nil {
-					a.Winner = &a.Bids[len(a.Bids)-1]
-				}
-			}
-		}
 	}
 
 	// Slots auctioned: client auctions plus hosted slot specs.
-	o.AdSlotsAuctioned = len(d.auctionIDs)
-	if hostedFlow && !clientAuctions {
+	o.AdSlotsAuctioned = len(d.states)
+	if hosted {
 		o.AdSlotsAuctioned = len(d.hostedSlots)
 	}
 
@@ -817,16 +892,46 @@ func (d *Detector) Observation() *Observation {
 	return o
 }
 
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
+// sortedKeys returns m's keys sorted, in a slice of exactly their number
+// (nil for none).
+func sortedKeys(m map[string]bool) []string {
+	if len(m) == 0 {
+		return nil
 	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	return string(b[i:])
+	slices.Sort(out)
+	return out
+}
+
+// lastS2SWin returns the server-side winner mined last for slot, or nil.
+func (d *Detector) lastS2SWin(slot string) *s2sWin {
+	for i := len(d.s2sWinners) - 1; i >= 0; i-- {
+		if d.s2sWinners[i].Slot == slot {
+			return &d.s2sWinners[i]
+		}
+	}
+	return nil
+}
+
+// s2sOwner returns the index of the client auction a hybrid page's
+// server-side winner for slot attaches to, the last auction of that ad
+// unit, or -1.
+func (d *Detector) s2sOwner(slot string) int {
+	for i := len(d.states) - 1; i >= 0; i-- {
+		if d.states[i].obs.AdUnit == slot {
+			return i
+		}
+	}
+	return -1
+}
+
+// hostedAuctionID renders "<domain>-ss-<n>" in one allocation.
+func hostedAuctionID(domain string, n int) string {
+	var buf [64]byte
+	b := append(buf[:0], domain...)
+	b = append(b, "-ss-"...)
+	return string(strconv.AppendInt(b, int64(n), 10))
 }

@@ -106,7 +106,12 @@ func (t TrafficRecord) HBRelated() int {
 // FacetValue parses the record's facet.
 func (r *SiteRecord) FacetValue() hb.Facet { return hb.ParseFacet(r.Facet) }
 
-// FromObservation converts a detector observation into a record.
+// FromObservation converts a detector observation into a record. Every
+// slice and map is sized exactly and owned by the record: all bids of
+// the record share one backing array, and so do all of its latencies,
+// each auction or partner holding a full slice of it (as the fast
+// decoder lays them out). Nothing the record holds aliases the
+// detector's reused storage (DESIGN.md §5.3).
 func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, errStr string) *SiteRecord {
 	rec := &SiteRecord{
 		Domain:           o.Domain,
@@ -127,26 +132,39 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 			Scripts:     o.Traffic.Scripts,
 			Other:       o.Traffic.Other,
 		},
-		PartnerErrors: o.PartnerErrors,
-		Retries:       o.BidRetries,
-		Abandoned:     o.BidsAbandoned,
-		Loaded:        loaded,
-		TimedOut:      timedOut,
-		Err:           errStr,
+		Retries:   o.BidRetries,
+		Abandoned: o.BidsAbandoned,
+		Loaded:    loaded,
+		TimedOut:  timedOut,
+		Err:       errStr,
 	}
 	if o.HB {
 		rec.Facet = o.Facet.Short()
 	}
 	if len(o.PartnerLatency) > 0 {
-		rec.PartnerLatencyMS = make(map[string][]float64, len(o.PartnerLatency))
-		for slug, lats := range o.PartnerLatency {
-			for _, l := range lats {
-				rec.PartnerLatencyMS[slug] = append(rec.PartnerLatencyMS[slug], ms(l))
-			}
+		rec.PartnerLatencyMS = latencyMS(o.PartnerLatency)
+	}
+	if len(o.PartnerErrors) > 0 {
+		rec.PartnerErrors = make(map[string]int, len(o.PartnerErrors))
+		for slug, n := range o.PartnerErrors {
+			rec.PartnerErrors[slug] = n
 		}
 	}
-	for _, a := range o.Auctions {
-		ar := AuctionRecord{
+	if len(o.Auctions) == 0 {
+		return rec
+	}
+	nBids := 0
+	for i := range o.Auctions {
+		nBids += len(o.Auctions[i].Bids)
+	}
+	var bids []BidRecord
+	if nBids > 0 {
+		bids = make([]BidRecord, 0, nBids)
+	}
+	rec.Auctions = make([]AuctionRecord, len(o.Auctions))
+	for i := range o.Auctions {
+		a, ar := &o.Auctions[i], &rec.Auctions[i]
+		*ar = AuctionRecord{
 			ID:       a.ID,
 			AdUnit:   a.AdUnit,
 			Rendered: a.Rendered,
@@ -158,6 +176,7 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 		if !a.Start.IsZero() && !a.End.IsZero() {
 			ar.DurationMS = ms(a.End.Sub(a.Start))
 		}
+		lo := len(bids)
 		for _, b := range a.Bids {
 			br := BidRecord{
 				Bidder:    b.Bidder,
@@ -169,32 +188,61 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 			if !b.Size.IsZero() {
 				br.Size = b.Size.String()
 			}
-			ar.Bids = append(ar.Bids, br)
+			bids = append(bids, br)
+		}
+		if hi := len(bids); hi > lo {
+			ar.Bids = bids[lo:hi:hi]
 		}
 		if a.Winner != nil {
 			ar.Winner = a.Winner.Bidder
 			ar.WinnerCPM = a.Winner.CPM
 		}
-		rec.Auctions = append(rec.Auctions, ar)
 	}
 	return rec
 }
 
+// latencyMS converts the per-partner latency series to milliseconds: an
+// exactly sized map whose series share one backing array. A partner
+// with an empty series gets no entry.
+func latencyMS(lats map[string][]time.Duration) map[string][]float64 {
+	n, keys := 0, 0
+	for _, ls := range lats {
+		n += len(ls)
+		if len(ls) > 0 {
+			keys++
+		}
+	}
+	vals := make([]float64, 0, n)
+	out := make(map[string][]float64, keys)
+	for slug, ls := range lats {
+		if len(ls) == 0 {
+			continue
+		}
+		lo := len(vals)
+		for _, l := range ls {
+			vals = append(vals, ms(l)) //hbvet:allow detwall where a series sits in vals follows map order, but each is a full slice (cap == len): nothing observable depends on it
+		}
+		out[slug] = vals[lo:len(vals):len(vals)]
+	}
+	return out
+}
+
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Writer appends records to a JSONL stream.
+// Writer appends records to a JSONL stream, one line per record: the
+// bytes json.Encoder writes, encoded without reflection from the field
+// tables (schema.go).
 type Writer struct {
 	w   *bufio.Writer
 	c   io.Closer
-	enc *json.Encoder
+	enc encoder
 	n   int
 }
 
 // NewWriter wraps an io.Writer; Close flushes (and closes when the
 // underlying writer is a Closer passed via NewFileWriter).
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	return &Writer{w: bw, enc: json.NewEncoder(bw)}
+	return &Writer{w: bufio.NewWriterSize(w, 1<<20)}
 }
 
 // NewFileWriter creates/truncates a JSONL dataset file.
@@ -208,13 +256,20 @@ func NewFileWriter(path string) (*Writer, error) {
 	return w, nil
 }
 
-// Write appends one record.
+// Write appends one record. A record JSON cannot represent (a NaN or
+// infinite float) returns encoding/json's error and writes nothing.
 func (w *Writer) Write(rec *SiteRecord) error {
+	if err := w.enc.record(rec); err != nil {
+		return err
+	}
+	if _, err := w.w.Write(w.enc.buf); err != nil {
+		return err
+	}
 	w.n++
-	return w.enc.Encode(rec)
+	return nil
 }
 
-// Count reports records written.
+// Count reports the records written.
 func (w *Writer) Count() int { return w.n }
 
 // Close flushes and closes the underlying file (if any).
@@ -319,16 +374,18 @@ func NewSummaryAccumulator() *SummaryAccumulator {
 
 // Add folds one record in.
 func (a *SummaryAccumulator) Add(r *SiteRecord) {
-	if !a.siteSeen[r.Domain] {
-		a.siteSeen[r.Domain] = true
-		a.s.SitesCrawled++
-	}
+	// One map operation per set: an assignment that grew the set added a
+	// new domain.
+	n := len(a.siteSeen)
+	a.siteSeen[r.Domain] = true
+	a.s.SitesCrawled += len(a.siteSeen) - n
 	if r.VisitDay > a.maxDay {
 		a.maxDay = r.VisitDay
 	}
-	if r.HB && !a.hbSeen[r.Domain] {
+	if r.HB {
+		n := len(a.hbSeen)
 		a.hbSeen[r.Domain] = true
-		a.s.SitesWithHB++
+		a.s.SitesWithHB += len(a.hbSeen) - n
 	}
 	a.s.Auctions += len(r.Auctions)
 	for _, au := range r.Auctions {

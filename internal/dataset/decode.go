@@ -71,108 +71,117 @@ func newLineDecoder() *lineDecoder {
 func (d *lineDecoder) decode(line []byte, rec *SiteRecord) bool {
 	d.b, d.i = line, 0
 	d.ws()
-	ok := d.record(rec) && d.end()
+	ok := decodeObject(d, siteFields, rec) && d.end()
 	d.b = nil
 	return ok
 }
 
-func (d *lineDecoder) record(rec *SiteRecord) bool {
-	return d.object(func(key []byte) (bit uint32, ok bool) {
-		switch string(key) {
-		case "domain":
-			rec.Domain, ok = d.copied()
-			return 1 << 0, ok
-		case "rank":
-			rec.Rank, ok = d.int()
-			return 1 << 1, ok
-		case "visit_day":
-			rec.VisitDay, ok = d.int()
-			return 1 << 2, ok
-		case "hb":
-			rec.HB, ok = d.bool()
-			return 1 << 3, ok
-		case "facet":
-			rec.Facet, ok = d.vocab()
-			return 1 << 4, ok
-		case "libraries":
-			rec.Libraries, ok = d.vocabs()
-			return 1 << 5, ok
-		case "partners":
-			rec.Partners, ok = d.vocabs()
-			return 1 << 6, ok
-		case "winners":
-			rec.Winners, ok = d.vocabs()
-			return 1 << 7, ok
-		case "auctions":
-			rec.Auctions, ok = d.auctionList()
-			return 1 << 8, ok
-		case "hb_latency_ms":
-			rec.TotalHBLatencyMS, ok = d.float()
-			return 1 << 9, ok
-		case "ad_slots":
-			rec.AdSlotsAuctioned, ok = d.int()
-			return 1 << 10, ok
-		case "partner_latency_ms":
-			rec.PartnerLatencyMS, ok = d.latencyMap()
-			return 1 << 11, ok
-		case "traffic":
-			return 1 << 12, d.traffic(&rec.Traffic)
-		case "partner_errors":
-			rec.PartnerErrors, ok = d.errorMap()
-			return 1 << 13, ok
-		case "retries":
-			rec.Retries, ok = d.int()
-			return 1 << 14, ok
-		case "abandoned":
-			rec.Abandoned, ok = d.int()
-			return 1 << 15, ok
-		case "quarantined":
-			rec.Quarantined, ok = d.bool()
-			return 1 << 16, ok
-		case "panic_site":
-			rec.PanicSite, ok = d.copied()
-			return 1 << 17, ok
-		case "loaded":
-			rec.Loaded, ok = d.bool()
-			return 1 << 18, ok
-		case "timed_out":
-			rec.TimedOut, ok = d.bool()
-			return 1 << 19, ok
-		case "err":
-			rec.Err, ok = d.copied()
-			return 1 << 20, ok
+// decodeObject decodes one object into r, dispatching each member on
+// the field table the writer encodes from. A key the table lacks
+// declines (json folds case and ignores unknown keys), and so does a
+// key seen twice: a member's bit in the duplicate mask is its index.
+func decodeObject[R any](d *lineDecoder, fields []field[R], r *R) bool {
+	if !d.eat('{') {
+		return false
+	}
+	d.ws()
+	if d.eat('}') {
+		return true
+	}
+	var seen uint32
+	next := 0
+	for {
+		i := next
+		if !expectKey(d, fields, i) {
+			key, ok := d.str()
+			if !ok {
+				return false
+			}
+			if i = lookupField(fields, key, next); i < 0 {
+				return false
+			}
 		}
-		return 0, false
-	})
+		d.ws()
+		if !d.eat(':') {
+			return false
+		}
+		d.ws()
+		if seen&(1<<i) != 0 {
+			return false
+		}
+		seen |= 1 << i
+		next = i + 1
+		if !d.value(fields[i].ptr(r), fields[i].interned) {
+			return false
+		}
+		if more, ok := d.next('}'); !more {
+			return ok
+		}
+	}
 }
 
-func (d *lineDecoder) traffic(t *TrafficRecord) bool {
-	return d.object(func(key []byte) (bit uint32, ok bool) {
-		switch string(key) {
-		case "bid_requests":
-			t.BidRequests, ok = d.int()
-			return 1 << 0, ok
-		case "hosted_calls":
-			t.HostedCalls, ok = d.int()
-			return 1 << 1, ok
-		case "ad_server":
-			t.AdServer, ok = d.int()
-			return 1 << 2, ok
-		case "creatives":
-			t.Creatives, ok = d.int()
-			return 1 << 3, ok
-		case "beacons":
-			t.Beacons, ok = d.int()
-			return 1 << 4, ok
-		case "scripts":
-			t.Scripts, ok = d.int()
-			return 1 << 5, ok
-		case "other":
-			t.Other, ok = d.int()
-			return 1 << 6, ok
+// expectKey consumes the key of fields[i], the member the writer puts
+// next, when the cursor sits on it as a plain JSON string: a key the
+// writer's order predicts costs one comparison instead of a string
+// scan. Table keys hold no byte JSON escapes, so a match is that key.
+func expectKey[R any](d *lineDecoder, fields []field[R], i int) bool {
+	if i >= len(fields) {
+		return false
+	}
+	k := fields[i].key
+	end := d.i + len(k) + 2
+	if end > len(d.b) || d.b[d.i] != '"' || d.b[end-1] != '"' || string(d.b[d.i+1:end-1]) != k {
+		return false
+	}
+	d.i = end
+	return true
+}
+
+// lookupField returns the index of the member named key, or -1. The
+// search starts at hint, the index after the previous member's: a line
+// in the writer's order finds each key on the first comparison.
+func lookupField[R any](fields []field[R], key []byte, hint int) int {
+	for j := range fields {
+		i := hint + j
+		if i >= len(fields) {
+			i -= len(fields)
 		}
-		return 0, false
-	})
+		if k := fields[i].key; len(k) == len(key) && k[0] == key[0] && k == string(key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// value decodes the member's value into the field p points to.
+func (d *lineDecoder) value(p any, interned bool) (ok bool) {
+	switch v := p.(type) {
+	case *string:
+		if interned {
+			*v, ok = d.vocab()
+		} else {
+			*v, ok = d.copied()
+		}
+	case *int:
+		*v, ok = d.int()
+	case *bool:
+		*v, ok = d.bool()
+	case *float64:
+		*v, ok = d.float()
+	case *[]string:
+		*v, ok = d.vocabs()
+	case *[]AuctionRecord:
+		*v, ok = d.auctionList()
+	case *[]BidRecord:
+		ok = d.bidList()
+	case *map[string][]float64:
+		*v, ok = d.latencyMap()
+	case *map[string]int:
+		*v, ok = d.errorMap()
+	case *TrafficRecord:
+		ok = decodeObject(d, trafficFields, v)
+	}
+	return ok
 }
 
 // auctionList decodes the auctions array. Every auction's bids land in
@@ -184,7 +193,7 @@ func (d *lineDecoder) auctionList() ([]AuctionRecord, bool) {
 	ok := d.array(func() bool {
 		d.auctions = append(d.auctions, AuctionRecord{})
 		d.bidSpans = append(d.bidSpans, span{lo: -1})
-		return d.auction(len(d.auctions) - 1)
+		return decodeObject(d, auctionFields, &d.auctions[len(d.auctions)-1])
 	})
 	if !ok {
 		return nil, false
@@ -201,71 +210,17 @@ func (d *lineDecoder) auctionList() ([]AuctionRecord, bool) {
 	return out, true
 }
 
-func (d *lineDecoder) auction(k int) bool {
-	a := &d.auctions[k]
-	return d.object(func(key []byte) (bit uint32, ok bool) {
-		switch string(key) {
-		case "id":
-			a.ID, ok = d.copied()
-			return 1 << 0, ok
-		case "ad_unit":
-			a.AdUnit, ok = d.vocab()
-			return 1 << 1, ok
-		case "size":
-			a.Size, ok = d.vocab()
-			return 1 << 2, ok
-		case "duration_ms":
-			a.DurationMS, ok = d.float()
-			return 1 << 3, ok
-		case "bids":
-			lo := len(d.bids)
-			ok = d.array(func() bool {
-				d.bids = append(d.bids, BidRecord{})
-				return d.bid(&d.bids[len(d.bids)-1])
-			})
-			d.bidSpans[k] = span{lo, len(d.bids)}
-			return 1 << 4, ok
-		case "winner":
-			a.Winner, ok = d.vocab()
-			return 1 << 5, ok
-		case "winner_cpm":
-			a.WinnerCPM, ok = d.float()
-			return 1 << 6, ok
-		case "rendered":
-			a.Rendered, ok = d.bool()
-			return 1 << 7, ok
-		case "failed":
-			a.Failed, ok = d.bool()
-			return 1 << 8, ok
-		}
-		return 0, false
+// bidList decodes the bids of the auction being decoded, the last of
+// d.auctions, into d.bids and records their span; auctionList hands
+// them their final slice.
+func (d *lineDecoder) bidList() bool {
+	lo := len(d.bids)
+	ok := d.array(func() bool {
+		d.bids = append(d.bids, BidRecord{})
+		return decodeObject(d, bidFields, &d.bids[len(d.bids)-1])
 	})
-}
-
-func (d *lineDecoder) bid(b *BidRecord) bool {
-	return d.object(func(key []byte) (bit uint32, ok bool) {
-		switch string(key) {
-		case "bidder":
-			b.Bidder, ok = d.vocab()
-			return 1 << 0, ok
-		case "cpm":
-			b.CPM, ok = d.float()
-			return 1 << 1, ok
-		case "size":
-			b.Size, ok = d.vocab()
-			return 1 << 2, ok
-		case "late":
-			b.Late, ok = d.bool()
-			return 1 << 3, ok
-		case "latency_ms":
-			b.LatencyMS, ok = d.float()
-			return 1 << 4, ok
-		case "source":
-			b.Source, ok = d.vocab()
-			return 1 << 5, ok
-		}
-		return 0, false
-	})
+	d.bidSpans[len(d.bidSpans)-1] = span{lo, len(d.bids)}
+	return ok
 }
 
 // latencyMap decodes partner_latency_ms. All of the record's latencies
@@ -433,15 +388,19 @@ func (d *lineDecoder) str() ([]byte, bool) {
 	}
 	b, start := d.b, d.i
 	for i := start; i < len(b); {
-		c := b[i]
-		switch {
+		// Plain bytes, the common case, cost one table load each.
+		for i < len(b) && plainStrByte[b[i]] {
+			i++
+		}
+		if i == len(b) {
+			break
+		}
+		switch c := b[i]; {
 		case c == '"':
 			d.i = i + 1
 			return b[start:i], true
-		case c == '\\' || c < 0x20:
+		case c < utf8.RuneSelf: // a backslash or a control byte
 			return nil, false
-		case c < utf8.RuneSelf:
-			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
@@ -452,6 +411,15 @@ func (d *lineDecoder) str() ([]byte, bool) {
 	}
 	return nil, false
 }
+
+// plainStrByte marks the ASCII bytes a JSON string carries unescaped
+// and unchanged: everything but controls, '"' and '\\'.
+var plainStrByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // copied decodes a per-site string into its own allocation.
 func (d *lineDecoder) copied() (string, bool) {
@@ -579,6 +547,47 @@ func (d *lineDecoder) float() (float64, bool) {
 	if !ok {
 		return 0, false
 	}
+	if f, ok := shortDecimal(tok); ok {
+		return f, true
+	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	return f, err == nil
 }
+
+// shortDecimal parses a number token without an exponent and with at
+// most 15 digits, the form the writer gives prices and latencies, as
+// ParseFloat would: its digits m < 10¹⁵ < 2⁵³ and the power of ten 10ᵏ
+// it is divided by are exact float64s, so m/10ᵏ is one correctly
+// rounded division, which is ParseFloat's correctly rounded result.
+func shortDecimal(tok []byte) (float64, bool) {
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	var m uint64
+	digits, scale := 0, -1
+	for i, c := range tok {
+		switch {
+		case c >= '0' && c <= '9':
+			m = m*10 + uint64(c-'0')
+			digits++
+		case c == '.':
+			scale = len(tok) - i - 1
+		default:
+			return 0, false // an exponent
+		}
+	}
+	if digits > 15 {
+		return 0, false
+	}
+	f := float64(m)
+	if scale > 0 {
+		f /= pow10[scale]
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}

@@ -190,3 +190,77 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeRecord holds Writer to encoding/json, its reference: a
+// record built from the fuzzed strings, floats and int must encode to
+// exactly the bytes json.Encoder writes for it, or both must fail, and
+// a failed Write must write nothing. Every field is set, then mask
+// zeroes fields through the tables (bits 0–20 the record's, 21–29 the
+// first auction's, 30–35 its first bid's, 36–42 the traffic's), so
+// omitempty is exercised member by member. The committed corpus under
+// testdata/fuzz/FuzzEncodeRecord/ seeds invalid UTF-8, "<>&",
+// U+2028/U+2029, control bytes, −0, 1e-7, 5e-324, 1e21,
+// 999999999.999999, NaN and ±Inf.
+func FuzzEncodeRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s1, s2 string, x, y float64, n int, mask uint64) {
+		rec := &SiteRecord{
+			Domain: s1, Rank: n, VisitDay: -n, HB: true, Facet: s2,
+			Libraries: []string{s1, s2}, Partners: []string{s2}, Winners: []string{},
+			Auctions: []AuctionRecord{
+				{ID: s1, AdUnit: s2, Size: s1, DurationMS: x,
+					Bids: []BidRecord{
+						{Bidder: s1, CPM: x, Size: s2, Late: true, LatencyMS: y, Source: s1},
+						{Bidder: s2, CPM: y},
+					},
+					Winner: s2, WinnerCPM: y, Rendered: true, Failed: true},
+				{ID: s2, Bids: []BidRecord{}},
+			},
+			TotalHBLatencyMS: y, AdSlotsAuctioned: n,
+			PartnerLatencyMS: map[string][]float64{s1: {x, y}, s2 + "\x00": {}, s1 + s2 + "z": nil},
+			Traffic:          TrafficRecord{BidRequests: n, HostedCalls: 1, AdServer: 2, Creatives: 3, Beacons: 4, Scripts: 5, Other: -n},
+			PartnerErrors:    map[string]int{s1: n, s2 + "<": 1},
+			Retries:          n, Abandoned: 1, Quarantined: true, PanicSite: s2,
+			Loaded: true, TimedOut: true, Err: s1 + s2,
+		}
+		zeroFields(siteFields, rec, mask)
+		if len(rec.Auctions) > 0 {
+			a := &rec.Auctions[0]
+			zeroFields(auctionFields, a, mask>>21)
+			if len(a.Bids) > 0 {
+				zeroFields(bidFields, &a.Bids[0], mask>>30)
+			}
+		}
+		zeroFields(trafficFields, &rec.Traffic, mask>>36)
+
+		var want bytes.Buffer
+		werr := json.NewEncoder(&want).Encode(rec)
+		var got bytes.Buffer
+		w := NewWriter(&got)
+		gerr := w.Write(rec)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("Writer error %v, encoding/json error %v", gerr, werr)
+		}
+		if werr != nil {
+			if got.Len() != 0 || w.Count() != 0 || gerr.Error() != werr.Error() {
+				t.Fatalf("failed Write: wrote %q, Count %d, error %v (encoding/json: %v)", got.Bytes(), w.Count(), gerr, werr)
+			}
+			return
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Writer wrote\n%s\nencoding/json writes\n%s", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// zeroFields sets to its zero value every field of r whose table index
+// has its bit set in mask.
+func zeroFields[R any](fields []field[R], r *R, mask uint64) {
+	for i := range fields {
+		if mask&(1<<i) != 0 {
+			reflect.ValueOf(fields[i].ptr(r)).Elem().SetZero()
+		}
+	}
+}

@@ -115,8 +115,8 @@ func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 	})
 }
 
-// onResponse parses per-slot creative lines (same wire shape as the ad
-// server: "slot|channel|creativeURL[|fail]") and renders them.
+// onResponse reads the per-slot creative lines (hb.SlotLine, the ad
+// server's wire shape) and renders them.
 func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Response, done func(*ServerSideResult)) {
 	res.Responded = c.env.Now()
 	pending := 0
@@ -130,18 +130,17 @@ func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Respon
 		finish()
 		return
 	}
-	lines := strings.Split(resp.Body, "\n")
-	for _, line := range lines {
-		parts := strings.Split(strings.TrimSpace(line), "|")
-		if len(parts) < 3 {
-			continue
-		}
-		slot := c.slotByCode(parts[0])
+	lines := hb.ScanSlotLines(resp.Body)
+	for line, ok := lines.Next(); ok; line, ok = lines.Next() {
+		slot := c.slotByCode(line.Slot)
 		if slot == nil {
 			continue
 		}
-		out := SlotOutcome{Code: slot.Code, Size: slot.Size, CreativeURL: parts[2]}
-		fails := len(parts) > 3 && parts[3] == "fail"
+		out := SlotOutcome{Code: slot.Code, Size: slot.Size, CreativeURL: line.CreativeURL}
+		fails := line.Fails
+		if res.Slots == nil {
+			res.Slots = make([]SlotOutcome, 0, len(c.cfg.Slots))
+		}
 		res.Slots = append(res.Slots, out)
 		idx := len(res.Slots) - 1
 		if out.CreativeURL == "" {

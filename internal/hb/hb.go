@@ -287,7 +287,8 @@ func (b Bid) USDCPM() float64 {
 
 // PriceBucket quantizes a CPM to prebid's default "medium" price
 // granularity: $0.10 increments, capped at $20. The bucketed string is
-// what wrappers actually put in hb_pb.
+// what wrappers actually put in hb_pb. Every bucket is interned, so the
+// call allocates nothing.
 func PriceBucket(cpm float64) string {
 	if cpm < 0 {
 		cpm = 0
@@ -296,8 +297,24 @@ func PriceBucket(cpm float64) string {
 		cpm = 20
 	}
 	cents := int(cpm*100) / 10 * 10
-	// Render "D.CC" without fmt. Buckets step by $0.10 and cap at $20, so
-	// the fractional part is always one of ten constants.
+	if i := cents / 10; i >= 0 && i < len(priceBuckets) {
+		return priceBuckets[i]
+	}
+	return renderBucket(cents) // NaN, on platforms where int(NaN) is negative
+}
+
+// priceBuckets holds renderBucket(10*i) for every bucket of [0, 20].
+var priceBuckets [201]string
+
+func init() {
+	for i := range priceBuckets {
+		priceBuckets[i] = renderBucket(10 * i)
+	}
+}
+
+// renderBucket renders a bucket's cents as "D.CC" without fmt. Buckets
+// step by $0.10, so the fractional part is one of ten constants.
+func renderBucket(cents int) string {
 	b := make([]byte, 0, 8)
 	b = strconv.AppendInt(b, int64(cents/100), 10)
 	b = append(b, '.')
@@ -367,16 +384,21 @@ type Targeting map[string]string
 // client-side bid, as the key-sorted query a wrapper sends them to the
 // ad server in.
 func TargetingFromBid(b Bid) urlkit.Query {
-	q := make(urlkit.Query, 0, 8)
-	q = append(q, urlkit.Param{Key: KeyAdID, Value: b.CreativeID},
+	return AppendTargeting(make(urlkit.Query, 0, 8), b)
+}
+
+// AppendTargeting appends TargetingFromBid(b)'s pairs, in key order, to
+// dst: at most eight.
+func AppendTargeting(dst urlkit.Query, b Bid) urlkit.Query {
+	dst = append(dst, urlkit.Param{Key: KeyAdID, Value: b.CreativeID},
 		urlkit.Param{Key: KeyBidder, Value: b.Bidder})
 	if b.Currency != "" && b.Currency != USD {
-		q = append(q, urlkit.Param{Key: KeyCurrency, Value: string(b.Currency)})
+		dst = append(dst, urlkit.Param{Key: KeyCurrency, Value: string(b.Currency)})
 	}
 	if b.DealID != "" {
-		q = append(q, urlkit.Param{Key: KeyDeal, Value: b.DealID})
+		dst = append(dst, urlkit.Param{Key: KeyDeal, Value: b.DealID})
 	}
-	return append(q,
+	return append(dst,
 		urlkit.Param{Key: KeyFormat, Value: "banner"},
 		urlkit.Param{Key: KeyPriceBuck, Value: PriceBucket(b.USDCPM())},
 		urlkit.Param{Key: KeySize, Value: b.Size.String()},
@@ -384,24 +406,46 @@ func TargetingFromBid(b Bid) urlkit.Query {
 }
 
 // ParseTargeting extracts the HB key-values from a query, returning nil
-// when none are present. Keys are lower-cased; when several spellings
-// of one key are present, the value of the one FoldWins picks is kept.
+// when none are present: the pairs of ScanTargeting, collected.
 func ParseTargeting(q urlkit.Query) Targeting {
 	var t Targeting
-	for _, p := range q {
-		if !IsTargetingKey(p.Key) {
-			continue
-		}
-		lk := urlkit.LowerASCII(p.Key)
-		if !FoldWins(q, p.Key, lk) {
-			continue
-		}
+	ts := ScanTargeting(q)
+	for k, v, ok := ts.Next(); ok; k, v, ok = ts.Next() {
 		if t == nil {
 			t = Targeting{}
 		}
-		t[lk] = p.Value
+		t[k] = v
 	}
 	return t
+}
+
+// TargetingScanner walks the HB targeting of a query in key order
+// without building a map. Keys are lower-cased; when several spellings
+// of one key are present, only the one FoldWins picks is returned, with
+// its value. A key already in lower case, the only kind wrappers send,
+// costs no allocation.
+type TargetingScanner struct {
+	q urlkit.Query
+	i int
+}
+
+// ScanTargeting returns a scanner over q's targeting.
+func ScanTargeting(q urlkit.Query) TargetingScanner { return TargetingScanner{q: q} }
+
+// Next returns the next targeting key, lower-cased, and its value, or
+// false when none is left.
+func (s *TargetingScanner) Next() (key, value string, ok bool) {
+	for s.i < len(s.q) {
+		p := s.q[s.i]
+		s.i++
+		if !IsTargetingKey(p.Key) {
+			continue
+		}
+		if lk := urlkit.LowerASCII(p.Key); FoldWins(s.q, p.Key, lk) {
+			return lk, p.Value, true
+		}
+	}
+	return "", "", false
 }
 
 // FoldWins reports whether k is the spelling of its lower-cased form lk

@@ -1,6 +1,7 @@
 package prebid
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -84,40 +85,7 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	params := urlkit.Query{
-		{Key: "site", Value: w.cfg.Site},
-		{Key: "t", Value: strconv.FormatInt(now.UnixMilli(), 10)},
-	}
-	var slotSpecs []string
-	for _, u := range w.cfg.AdUnits {
-		uo := r.units[u.Code]
-		spec := u.Code + "|" + u.PrimarySize().String()
-		if uo.Winner != nil {
-			t := hb.TargetingFromBid(*uo.Winner)
-			for _, p := range t {
-				// Scope keys per slot the way GPT encodes per-slot targeting.
-				params.Set(p.Key+"."+u.Code, p.Value)
-			}
-			// Also set the flat keys for the best slot so simple parsers
-			// (and the detector's Server-Side heuristics) see them.
-			for _, p := range t {
-				if _, dup := params.Lookup(p.Key); !dup {
-					params.Set(p.Key, p.Value)
-				}
-			}
-		}
-		if w.cfg.SendAllBids {
-			for _, b := range uo.Bids {
-				if b.Late {
-					continue
-				}
-				params.Set(hb.KeyPriceBuck+"_"+b.Bidder, hb.PriceBucket(b.USDCPM()))
-			}
-		}
-		slotSpecs = append(slotSpecs, spec)
-	}
-	params.Set("slots", strings.Join(slotSpecs, ","))
-
+	params := r.adServerQuery(now)
 	w.emit(events.Event{
 		Type: events.SetTargeting, Time: now, Library: "prebid.js",
 		Params: params,
@@ -139,6 +107,91 @@ func (r *roundState) callAdServer() {
 	})
 }
 
+// adServerQuery builds the ad-server request's query: the site, the
+// time, the slot specs and, for every unit with a winner, its targeting,
+// scoped per slot the way GPT encodes per-slot targeting, and flat as
+// well, so simple parsers (and the detector's Server-Side heuristics)
+// see it; with send-all-bids, also every on-time bid's price bucket. It
+// is the query of a map assigned in that order — a flat key keeps the
+// first unit's value, any other key its last value — built in scratch,
+// sorted once and copied out at its final length.
+func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
+	w := r.wrapper
+	var scratch [48]urlkit.Param
+	q := append(scratch[:0],
+		urlkit.Param{Key: "site", Value: w.cfg.Site},
+		urlkit.Param{Key: "t", Value: strconv.FormatInt(now.UnixMilli(), 10)})
+	// Flat keys never collide with the per-slot ("key.slot"), send-all
+	// ("hb_pb_bidder"), site, t or slots keys, so first-wins among the
+	// flat keys alone is first-wins in the whole query.
+	var flatBuf, tBuf [8]urlkit.Param
+	flat := flatBuf[:0]
+	specLen := 0
+	for _, u := range w.cfg.AdUnits {
+		specLen += len(u.Code) + len(u.PrimarySize().String()) + 2
+		uo := r.units[u.Code]
+		if uo.Winner != nil {
+			t := hb.AppendTargeting(tBuf[:0], *uo.Winner)
+			keys := slotScopedKeys(t, u.Code)
+			for _, p := range t {
+				k := keys[:len(p.Key)+1+len(u.Code)]
+				keys = keys[len(k):]
+				q = append(q, urlkit.Param{Key: k, Value: p.Value})
+				if !hasKey(flat, p.Key) {
+					flat = append(flat, p)
+				}
+			}
+		}
+		if w.cfg.SendAllBids {
+			for _, b := range uo.Bids {
+				if !b.Late {
+					q = append(q, urlkit.Param{Key: hb.KeyPriceBuck + "_" + b.Bidder, Value: hb.PriceBucket(b.USDCPM())})
+				}
+			}
+		}
+	}
+	var slots strings.Builder
+	slots.Grow(specLen)
+	for i, u := range w.cfg.AdUnits {
+		if i > 0 {
+			slots.WriteByte(',')
+		}
+		slots.WriteString(u.Code)
+		slots.WriteByte('|')
+		slots.WriteString(u.PrimarySize().String())
+	}
+	q = append(q, flat...)
+	q = append(q, urlkit.Param{Key: "slots", Value: slots.String()})
+	return slices.Clone(urlkit.SortQuery(q))
+}
+
+// hasKey reports whether q, in any order, has key k.
+func hasKey(q urlkit.Query, k string) bool {
+	for _, p := range q {
+		if p.Key == k {
+			return true
+		}
+	}
+	return false
+}
+
+// slotScopedKeys returns the per-slot forms "key.code" of t's keys,
+// concatenated in one string (one allocation for the whole unit).
+func slotScopedKeys(t urlkit.Query, code string) string {
+	n := 0
+	for _, p := range t {
+		n += len(p.Key) + 1 + len(code)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, p := range t {
+		b.WriteString(p.Key)
+		b.WriteByte('.')
+		b.WriteString(code)
+	}
+	return b.String()
+}
+
 // onAdServerResponse records the end of the HB round and triggers
 // creative rendering per slot.
 func (r *roundState) onAdServerResponse(resp *webreq.Response) {
@@ -154,14 +207,14 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 		vt.Span(obs.TrackAdServer, "adserver", r.adServerSent, now, obs.SpanOpts{Detail: detail})
 	}
 
-	decisions := parseAdServerBody(resp)
+	body := ""
+	if resp != nil && resp.OK() {
+		body = resp.Body
+	}
 	for _, u := range w.cfg.AdUnits {
 		uo := r.units[u.Code]
 		uo.AdServerLatency = now.Sub(uo.End)
-		d, ok := decisions[u.Code]
-		if !ok {
-			d = slotDecision{Channel: "unfilled"}
-		}
+		d := slotDecision(body, u.Code)
 		uo.Channel = d.Channel
 		if d.Channel == "hb" && uo.Winner != nil {
 			w.emit(events.Event{
@@ -180,41 +233,24 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 	r.maybeDone()
 }
 
-// slotDecision is the per-slot decision parsed from the ad-server body.
-type slotDecision struct {
-	Channel     string
-	CreativeURL string
-	Fails       bool
-}
-
-// parseAdServerBody extracts per-slot creative URLs from the ad-server
-// response. The body format is one line per slot:
-//
-//	slot|channel|creativeURL[|fail]
-//
-// Unknown/malformed lines are skipped — pages must tolerate garbage.
-func parseAdServerBody(resp *webreq.Response) map[string]slotDecision {
-	out := make(map[string]slotDecision)
-	if resp == nil || !resp.OK() {
-		return out
-	}
-	for _, line := range strings.Split(resp.Body, "\n") {
-		parts := strings.Split(strings.TrimSpace(line), "|")
-		if len(parts) < 3 {
-			continue
+// slotDecision returns the ad server's decision for one slot: the last
+// line of the body (hb.SlotLine) naming the slot, or channel "unfilled"
+// when none does. Malformed lines are skipped — pages must tolerate
+// garbage.
+func slotDecision(body, code string) hb.SlotLine {
+	d := hb.SlotLine{Channel: "unfilled"}
+	sc := hb.ScanSlotLines(body)
+	for l, ok := sc.Next(); ok; l, ok = sc.Next() {
+		if l.Slot == code {
+			d = l
 		}
-		d := slotDecision{Channel: parts[1], CreativeURL: parts[2]}
-		if len(parts) > 3 && parts[3] == "fail" {
-			d.Fails = true
-		}
-		out[parts[0]] = d
 	}
-	return out
+	return d
 }
 
 // render fetches the creative for one slot and fires the render events,
 // including the winner-notification beacon for HB wins (protocol Step 4).
-func (r *roundState) render(u AdUnit, uo *UnitOutcome, d slotDecision) {
+func (r *roundState) render(u AdUnit, uo *UnitOutcome, d hb.SlotLine) {
 	w := r.wrapper
 	if d.CreativeURL == "" {
 		// Nothing to render (unfilled); the slot stays empty.

@@ -364,21 +364,19 @@ func (l *Library) render(res *Result, bySlot map[string]*SlotResult,
 		finish()
 		return
 	}
-	for _, line := range splitLines(resp.Body) {
-		parts := splitPipe(line)
-		if len(parts) < 3 || parts[2] == "" {
+	lines := hb.ScanSlotLines(resp.Body)
+	for line, ok := lines.Next(); ok; line, ok = lines.Next() {
+		if line.CreativeURL == "" {
 			continue
 		}
-		sr, ok := bySlot[parts[0]]
-		if !ok {
+		sr, found := bySlot[line.Slot]
+		if !found {
 			continue
 		}
-		slotName := parts[0]
-		channel := parts[1]
-		fails := len(parts) > 3 && parts[3] == "fail"
+		slotName, channel, fails := line.Slot, line.Channel, line.Fails
 		pending++
 		creq := &webreq.Request{
-			URL: parts[2], Method: webreq.GET, Kind: webreq.KindCreative, Sent: l.env.Now(),
+			URL: line.CreativeURL, Method: webreq.GET, Kind: webreq.KindCreative, Sent: l.env.Now(),
 		}
 		l.env.Fetch(creq, func(cresp *webreq.Response) { //hbvet:allow hotalloc one closure per creative fetch: it carries the line's slot, channel and fail flag to the response, and Fetch offers no other per-request state
 			pending--
@@ -433,33 +431,5 @@ func joinComma(xs []string) string {
 		}
 		out += x
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-func splitPipe(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '|' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	out = append(out, s[start:])
 	return out
 }

@@ -49,12 +49,13 @@ var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024
 // hexDigits matches encoding/json's lowercase hex table.
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s as a JSON string, replicating
-// encoding/json's appendString with escapeHTML=true: printable ASCII
-// except `"`, `\`, `<`, `>`, `&` passes through, control characters get
-// short escapes or \u00xx, invalid UTF-8 becomes �, and
-// U+2028/U+2029 are escaped for JSONP safety.
-func appendJSONString(dst []byte, s string) []byte {
+// AppendJSONString appends s as a JSON string, replicating
+// encoding/json's appendString with escapeHTML=true (json.Encoder's
+// default): printable ASCII except `"`, `\`, `<`, `>`, `&` passes
+// through, control characters get short escapes or \u00xx, invalid UTF-8
+// becomes �, and U+2028/U+2029 are escaped for JSONP safety. The
+// JSONL dataset writer shares it.
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -106,14 +107,18 @@ func appendJSONString(dst []byte, s string) []byte {
 	return dst
 }
 
-// appendJSONFloat appends f the way encoding/json's floatEncoder does:
+// AppendJSONFloat appends f the way encoding/json's floatEncoder does:
 // shortest representation, 'f' format except for very small/large
 // magnitudes which use 'e' with the exponent's leading zero stripped.
 // NaN and infinities are not representable; ok=false makes the caller
 // fall back to json.Marshal so the error value matches stdlib exactly.
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+// The JSONL dataset writer shares it.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, false
+	}
+	if n, ok := micros(f); ok {
+		return appendMicros(dst, n), true
 	}
 	abs := math.Abs(f)
 	format := byte('f')
@@ -129,6 +134,49 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
 		}
 	}
 	return dst, true
+}
+
+// micros returns the n with f == n/1e6 exactly, for a finite f with
+// |f| >= 1e-6 and |n| < 1e15 — the prices and millisecond latencies the
+// simulation writes. The division is correctly rounded, so the decimal
+// n·10⁻⁶ parses back to f; it has at most 15 significant digits, and
+// two such decimals never parse to the same float64, so no shorter
+// decimal does. It is therefore the shortest round-trip form strconv
+// would find, in the 'f' format encoding/json uses for this range.
+func micros(f float64) (int64, bool) {
+	if math.Abs(f) < 1e-6 {
+		return 0, false
+	}
+	n := math.Round(f * 1e6)
+	if math.Abs(n) >= 1e15 || n/1e6 != f {
+		return 0, false
+	}
+	return int64(n), true
+}
+
+// appendMicros appends n·10⁻⁶ in decimal: the integer part, then the six
+// implied decimals without their trailing zeros.
+func appendMicros(dst []byte, n int64) []byte {
+	if n < 0 {
+		dst = append(dst, '-')
+		n = -n
+	}
+	dst = strconv.AppendInt(dst, n/1e6, 10)
+	frac := n % 1e6
+	if frac == 0 {
+		return dst
+	}
+	var b [7]byte
+	b[0] = '.'
+	for i := 6; i > 0; i-- {
+		b[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	end := len(b)
+	for b[end-1] == '0' {
+		end--
+	}
+	return append(dst, b[:end]...)
 }
 
 // extVerbatim reports whether raw can be appended to the output as-is
@@ -172,7 +220,7 @@ func (r *BidRequest) AppendJSON(dst []byte) ([]byte, error) {
 func (r *BidRequest) appendFast(dst []byte) ([]byte, bool) {
 	ok := true
 	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, r.ID)
+	dst = AppendJSONString(dst, r.ID)
 	dst = append(dst, `,"imp":`...)
 	if r.Imp == nil {
 		dst = append(dst, "null"...)
@@ -189,18 +237,18 @@ func (r *BidRequest) appendFast(dst []byte) ([]byte, bool) {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"site":{"domain":`...)
-	dst = appendJSONString(dst, r.Site.Domain)
+	dst = AppendJSONString(dst, r.Site.Domain)
 	dst = append(dst, `,"page":`...)
-	dst = appendJSONString(dst, r.Site.Page)
+	dst = AppendJSONString(dst, r.Site.Page)
 	if r.Site.Ref != "" {
 		dst = append(dst, `,"ref":`...)
-		dst = appendJSONString(dst, r.Site.Ref)
+		dst = AppendJSONString(dst, r.Site.Ref)
 	}
 	dst = append(dst, `},"user":{`...)
 	comma := false
 	if r.User.BuyerUID != "" {
 		dst = append(dst, `"buyeruid":`...)
-		dst = appendJSONString(dst, r.User.BuyerUID)
+		dst = AppendJSONString(dst, r.User.BuyerUID)
 		comma = true
 	}
 	if len(r.User.Segments) > 0 {
@@ -212,7 +260,7 @@ func (r *BidRequest) appendFast(dst []byte) ([]byte, bool) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, seg)
+			dst = AppendJSONString(dst, seg)
 		}
 		dst = append(dst, ']')
 	}
@@ -238,7 +286,7 @@ func (r *BidRequest) appendFast(dst []byte) ([]byte, bool) {
 
 func (imp *Impression) appendFast(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, imp.ID)
+	dst = AppendJSONString(dst, imp.ID)
 	dst = append(dst, `,"banner":{"format":`...)
 	if imp.Banner.Format == nil {
 		dst = append(dst, "null"...)
@@ -261,13 +309,13 @@ func (imp *Impression) appendFast(dst []byte) ([]byte, bool) {
 	if imp.FloorCPM != 0 {
 		dst = append(dst, `,"bidfloor":`...)
 		var ok bool
-		if dst, ok = appendJSONFloat(dst, imp.FloorCPM); !ok {
+		if dst, ok = AppendJSONFloat(dst, imp.FloorCPM); !ok {
 			return dst, false
 		}
 	}
 	if imp.TagID != "" {
 		dst = append(dst, `,"tagid":`...)
-		dst = appendJSONString(dst, imp.TagID)
+		dst = AppendJSONString(dst, imp.TagID)
 	}
 	dst = append(dst, '}')
 	return dst, true
@@ -290,7 +338,7 @@ func (r *BidResponse) AppendJSON(dst []byte) ([]byte, error) {
 
 func (r *BidResponse) appendFast(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, r.ID)
+	dst = AppendJSONString(dst, r.ID)
 	if len(r.SeatBid) > 0 {
 		dst = append(dst, `,"seatbid":[`...)
 		for i := range r.SeatBid {
@@ -299,7 +347,7 @@ func (r *BidResponse) appendFast(dst []byte) ([]byte, bool) {
 			}
 			sb := &r.SeatBid[i]
 			dst = append(dst, `{"seat":`...)
-			dst = appendJSONString(dst, sb.Seat)
+			dst = AppendJSONString(dst, sb.Seat)
 			dst = append(dst, `,"bid":`...)
 			if sb.Bid == nil {
 				dst = append(dst, "null"...)
@@ -322,7 +370,7 @@ func (r *BidResponse) appendFast(dst []byte) ([]byte, bool) {
 	}
 	if r.Currency != "" {
 		dst = append(dst, `,"cur":`...)
-		dst = appendJSONString(dst, r.Currency)
+		dst = AppendJSONString(dst, r.Currency)
 	}
 	if r.NBR != 0 {
 		dst = append(dst, `,"nbr":`...)
@@ -334,10 +382,10 @@ func (r *BidResponse) appendFast(dst []byte) ([]byte, bool) {
 
 func (b *SeatOne) appendFast(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"impid":`...)
-	dst = appendJSONString(dst, b.ImpID)
+	dst = AppendJSONString(dst, b.ImpID)
 	dst = append(dst, `,"price":`...)
 	var ok bool
-	if dst, ok = appendJSONFloat(dst, b.Price); !ok {
+	if dst, ok = AppendJSONFloat(dst, b.Price); !ok {
 		return dst, false
 	}
 	dst = append(dst, `,"w":`...)
@@ -346,19 +394,19 @@ func (b *SeatOne) appendFast(dst []byte) ([]byte, bool) {
 	dst = strconv.AppendInt(dst, int64(b.H), 10)
 	if b.AdMarkup != "" {
 		dst = append(dst, `,"adm":`...)
-		dst = appendJSONString(dst, b.AdMarkup)
+		dst = AppendJSONString(dst, b.AdMarkup)
 	}
 	if b.CrID != "" {
 		dst = append(dst, `,"crid":`...)
-		dst = appendJSONString(dst, b.CrID)
+		dst = AppendJSONString(dst, b.CrID)
 	}
 	if b.DealID != "" {
 		dst = append(dst, `,"dealid":`...)
-		dst = appendJSONString(dst, b.DealID)
+		dst = AppendJSONString(dst, b.DealID)
 	}
 	if b.NURL != "" {
 		dst = append(dst, `,"nurl":`...)
-		dst = appendJSONString(dst, b.NURL)
+		dst = AppendJSONString(dst, b.NURL)
 	}
 	dst = append(dst, '}')
 	return dst, true

@@ -323,7 +323,7 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 	site, _ := e.World.SiteByDomain(siteDomain)
 
 	service := p.SampleLatency(r)
-	var lines []string
+	buf, body := getBody()
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		// Each hosted slot triggers its own seat auction at the provider
 		// (Fig 20: more auctioned slots, higher latency).
@@ -336,12 +336,11 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 			floor = site.FloorCPM
 			renderFail = site.RenderFailProb
 		}
-		var line string
 		channel := "house"
 		sz := size.String()
 		if winner != "" && cpm >= floor {
 			channel = "hb"
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: winner},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(cpm)},
@@ -351,24 +350,21 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|hb|" + curl
 		} else {
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "house"},
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|house|" + curl
 		}
 		if r.Bool(renderFail) {
-			line += "|fail"
+			body = append(body, "|fail"...)
 		}
 		if vt := e.vt(); vt.Enabled() {
 			vt.Instant(obs.TrackAdServer, "s2s-slot", req.Sent, code+"="+channel)
 		}
-		lines = append(lines, line)
 	})
-	return 200, strings.Join(lines, "\n"), service
+	return 200, putBody(buf, body), service
 }
 
 // seatAuction resolves one hosted-auction slot among the connected seats:
@@ -431,7 +427,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 	service := time.Duration(float64(120+r.Intn(120)) / infra * float64(time.Millisecond))
 
 	srv := e.adServerFor("dfp/" + siteDomain)
-	var lines []string
+	buf, body := getBody()
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(20+r.Intn(35))/infra) * time.Millisecond
 
@@ -447,19 +443,16 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 		// Server-side candidate from DFP's exchange.
 		ssBidder, ssCPM := e.seatAuction(r, size, hb.FacetHybrid)
 
-		// Direct / house fallback via the line-item book.
-		dec := srv.Decide(adserver.Request{
-			Site: siteDomain, AdUnit: code, Size: size,
-			Targeting: hb.Targeting{},
-		})
+		// Direct / house fallback via the line-item book (no targeting:
+		// the client candidate is weighed here, not by the book).
+		dec := srv.Decide(adserver.Request{Site: siteDomain, AdUnit: code, Size: size})
 
-		var line string
 		channel := "house"
 		sz := size.String()
 		switch {
 		case clientCPM >= floor && clientCPM >= ssCPM && clientBidder != "":
 			channel = "hb"
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: clientBidder},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(clientCPM)},
@@ -468,10 +461,9 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|hb|" + curl
 		case ssCPM >= floor && ssBidder != "":
 			channel = "hb"
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: ssBidder},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(ssCPM)},
@@ -481,34 +473,30 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|hb|" + curl
 		case dec.Channel == "direct":
 			channel = "direct"
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "direct"},
 				{Key: "li", Value: dec.LineItem},
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|direct|" + curl
 		default:
-			curl := creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, channel, urlkit.Query{
 				{Key: "channel", Value: "house"},
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
-			line = code + "|house|" + curl
 		}
 		if r.Bool(renderFail) {
-			line += "|fail"
+			body = append(body, "|fail"...)
 		}
 		if vt := e.vt(); vt.Enabled() {
 			vt.Instant(obs.TrackAdServer, "gampad-slot", req.Sent, code+"="+channel)
 		}
-		lines = append(lines, line)
 	})
 	_ = p
-	return 200, strings.Join(lines, "\n"), service
+	return 200, putBody(buf, body), service
 }
 
 // ---------------------------------------------------------------------------
@@ -540,7 +528,7 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 	srv := e.adServerFor(s.Domain)
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
-	var lines []string
+	buf, body := getBody()
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(12+r.Intn(20))/s.InfraQuality) * time.Millisecond
 
@@ -559,11 +547,10 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 			vt.Instant(obs.TrackAdServer, "pub-slot", req.Sent, code+"="+dec.Channel)
 		}
 
-		var curl string
 		sz := size.String()
 		switch dec.Channel {
 		case "hb":
-			curl = creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, dec.Channel, urlkit.Query{
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: dec.Bidder},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(dec.CPM)},
@@ -573,23 +560,21 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 				{Key: "slot", Value: code},
 			})
 		case "unfilled":
-			lines = append(lines, code+"|unfilled|")
+			body = appendSlotLine(body, code, dec.Channel, nil)
 			return
 		default:
-			curl = creativeURL(urlkit.Query{
+			body = appendSlotLine(body, code, dec.Channel, urlkit.Query{
 				{Key: "channel", Value: dec.Channel},
 				{Key: "li", Value: dec.LineItem},
 				{Key: "size", Value: sz},
 				{Key: "slot", Value: code},
 			})
 		}
-		line := code + "|" + dec.Channel + "|" + curl
 		if r.Bool(s.RenderFailProb) {
-			line += "|fail"
+			body = append(body, "|fail"...)
 		}
-		lines = append(lines, line)
 	})
-	return 200, strings.Join(lines, "\n"), service
+	return 200, putBody(buf, body), service
 }
 
 // HandleCreative serves ad markup.
@@ -620,9 +605,42 @@ func slotKey(kl, code string) (string, bool) {
 	return kl[:n], true
 }
 
-// creativeURL builds a creative fetch URL on the creative host.
-func creativeURL(q urlkit.Query) string {
-	return urlkit.WithQuery("https://"+CreativeHost+"/render", q)
+// bodyPool holds the buffers ad-server bodies are written into, so a
+// body costs one allocation: its string.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBody takes an empty body buffer from the pool.
+func getBody() (*[]byte, []byte) {
+	buf := bodyPool.Get().(*[]byte)
+	return buf, (*buf)[:0]
+}
+
+// putBody returns the finished body as a string and the buffer, which
+// may have grown, to the pool.
+func putBody(buf *[]byte, body []byte) string {
+	s := string(body)
+	*buf = body
+	bodyPool.Put(buf)
+	return s
+}
+
+// appendSlotLine starts a slot's line of an ad-server body (the
+// hb.SlotLine wire shape): the slot, the channel and the creative URL
+// carrying q, written in place on the creative host; a nil q leaves the
+// URL empty. The caller appends "|fail" for a creative that will fail to
+// render. Lines are separated by '\n'.
+func appendSlotLine(body []byte, code, channel string, q urlkit.Query) []byte {
+	if len(body) > 0 {
+		body = append(body, '\n')
+	}
+	body = append(body, code...)
+	body = append(body, '|')
+	body = append(body, channel...)
+	body = append(body, '|')
+	if q != nil {
+		body = urlkit.AppendQuery(body, "https://"+CreativeHost+"/render", q)
+	}
+	return body
 }
 
 func round4(x float64) float64 { return math.Round(x*10000) / 10000 }

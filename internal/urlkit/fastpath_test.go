@@ -193,6 +193,9 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 			if got := WithQuery(base, q); got != want {
 				t.Errorf("WithQuery(%q, %v) = %q, reference %q", base, q, got, want)
 			}
+			if got := AppendQuery([]byte("x|"), base, q); string(got) != "x|"+want {
+				t.Errorf("AppendQuery(\"x|\", %q, %v) = %q, reference %q", base, q, got, want)
+			}
 			// Out of key order, and with a key repeated, the bytes stay
 			// the reference's: the last value of a key wins.
 			messy := slices.Clone(q)
@@ -214,6 +217,17 @@ func TestWithParamsOneAllocation(t *testing.T) {
 		{"q", "a b/c"}, {"size", "300x250"}, {"slot", "div-gpt-ad-1"}}
 	if n := testing.AllocsPerRun(100, func() { WithQuery("https://creatives.example/render", q) }); n != 1 {
 		t.Fatalf("WithQuery allocates %.0f times per URL, want 1", n)
+	}
+}
+
+// TestAppendQueryInPlace: written into a buffer with room, a URL costs
+// no allocation at all.
+func TestAppendQueryInPlace(t *testing.T) {
+	q := Query{{"channel", "hb"}, {"hb_bidder", "rubicon"}, {"hb_pb", "0.50"},
+		{"q", "a b/c"}, {"size", "300x250"}, {"slot", "div-gpt-ad-1"}}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { AppendQuery(buf[:0], "https://creatives.example/render", q) }); n != 0 {
+		t.Fatalf("AppendQuery allocates %.0f times into a buffer with room, want 0", n)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // and bytes that need escaping. It must produce the bytes refWithParams
 // builds from a map assigned pair by pair (the last value of a key
 // wins), and the same bytes again from the key-sorted form of the pairs, without
-// changing the query it was given.
+// changing the query it was given. AppendQuery onto a non-empty prefix
+// must give the prefix followed by those same bytes, leave the prefix as
+// it was and, again, the query too.
 // The committed corpus under testdata/fuzz/FuzzQuery/ holds one URL of
 // each shape the simulation mints and the malformed cases of
 // fastpath_test.go's corpus.
@@ -41,6 +43,14 @@ func FuzzQuery(f *testing.F) {
 		}
 		if got := WithQuery(base, queryOf(m)); got != want {
 			t.Fatalf("WithQuery(%q, %v) = %q, reference %q", base, queryOf(m), got, want)
+		}
+		const prefix = "div-1|hb|"
+		dst := append(make([]byte, 0, len(prefix)+len(raw)/2), prefix...)
+		if got := AppendQuery(dst, base, q); string(got) != prefix+want {
+			t.Fatalf("AppendQuery(%q, %q, %v) = %q, want the prefix and %q", prefix, base, q, got, want)
+		}
+		if string(dst) != prefix || !slices.Equal(q, given) {
+			t.Fatalf("AppendQuery changed its arguments: prefix %q, query %v to %v", dst, given, q)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"slices"
 	"strings"
+	"unsafe"
 )
 
 // multiLabelSuffixes lists the multi-label public suffixes that actually
@@ -301,6 +302,17 @@ func sortKeys(q Query, keepLast bool) Query {
 	return q[:n]
 }
 
+// SortQuery sorts q by key in place, keeping each key's last value, and
+// returns the sorted prefix: the query a map assigned q's pairs in order
+// would hold. Built pair by pair and sorted once, a query costs no
+// insertion per key.
+func SortQuery(q Query) Query {
+	if q.sorted() {
+		return q
+	}
+	return sortKeys(q, true)
+}
+
 // ParseQuery parses the query component of a raw URL into a Query that
 // keeps each key's first value. Parsing is tolerant: a malformed query
 // yields the parameters that could be recovered, and nil when none
@@ -412,48 +424,64 @@ func unescapeComponent(s string) (string, bool) {
 // pair would (the last value of a key wins): a misordered literal costs
 // a copy, never different bytes.
 func WithQuery(base string, q Query) string {
-	if !q.sorted() {
-		q = sortKeys(slices.Clone(q), true)
+	q = keySorted(q)
+	if !plainBase(base) {
+		return slowWithQuery(base, q)
 	}
-	// Fast path: a clean absolute base with no query/fragment and nothing
-	// net/url would re-normalize or reject — a lower-case scheme
-	// (url.URL.String lower-cases schemes), an authority that passes the
-	// strict host[:port] check (net/url rejects a non-numeric port, and
-	// then base comes back as it is) and only bytes url.String leaves
-	// untouched in the path. The output is byte-identical to the net/url
-	// path (url.Values.Encode sorts keys and escapes with QueryEscape)
-	// and is the URL's only allocation: the pairs escape in order
-	// straight into one pre-sized builder.
-	fast := false
-	if i := strings.Index(base, "://"); i > 0 && isLowerScheme(base[:i]) {
-		rest := base[i+3:]
-		if j := strings.IndexByte(rest, '/'); j >= 0 && isCleanPathBytes(rest[j:]) {
-			_, fast = plainHostPort(rest[:j])
-		}
+	if len(q) == 0 {
+		return base
 	}
-	if fast {
-		if len(q) == 0 {
-			return base
-		}
-		size := len(base) + 2*len(q) // '?' or '&', and '=', per pair
-		for _, p := range q {
-			size += queryEscapedLen(p.Key) + queryEscapedLen(p.Value)
-		}
-		var sb strings.Builder
-		sb.Grow(size)
-		sb.WriteString(base)
-		for i, p := range q {
-			if i == 0 {
-				sb.WriteByte('?')
-			} else {
-				sb.WriteByte('&')
-			}
-			writeQueryEscaped(&sb, p.Key)
-			sb.WriteByte('=')
-			writeQueryEscaped(&sb, p.Value)
-		}
-		return sb.String()
+	b := appendPairs(make([]byte, 0, encodedLen(base, q)), base, q)
+	// The URL's only allocation: b is never written again, so the string
+	// takes over its memory the way strings.Builder.String does.
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendQuery appends WithQuery(base, q) to dst and returns the extended
+// buffer: a URL written in place, inside a larger body, without a string
+// of its own. dst grows at most once on the fast path.
+func AppendQuery(dst []byte, base string, q Query) []byte {
+	q = keySorted(q)
+	if !plainBase(base) {
+		return append(dst, slowWithQuery(base, q)...)
 	}
+	return appendPairs(slices.Grow(dst, encodedLen(base, q)), base, q)
+}
+
+// keySorted returns q when its keys strictly increase, else a sorted
+// copy that keeps each key's last value.
+func keySorted(q Query) Query {
+	if q.sorted() {
+		return q
+	}
+	return sortKeys(slices.Clone(q), true)
+}
+
+// plainBase is the fast-path check of WithQuery and AppendQuery: a clean
+// absolute base with no query/fragment and nothing net/url would
+// re-normalize or reject — a lower-case scheme (url.URL.String
+// lower-cases schemes), an authority that passes the strict host[:port]
+// check (net/url rejects a non-numeric port, and then base comes back as
+// it is) and only bytes url.String leaves untouched in the path. For such
+// a base appendPairs writes the bytes the net/url path builds
+// (url.Values.Encode sorts keys and escapes with QueryEscape).
+func plainBase(base string) bool {
+	i := strings.Index(base, "://")
+	if i <= 0 || !isLowerScheme(base[:i]) {
+		return false
+	}
+	rest := base[i+3:]
+	j := strings.IndexByte(rest, '/')
+	if j < 0 || !isCleanPathBytes(rest[j:]) {
+		return false
+	}
+	_, ok := plainHostPort(rest[:j])
+	return ok
+}
+
+// slowWithQuery is WithQuery through net/url, for any base plainBase
+// does not accept.
+func slowWithQuery(base string, q Query) string {
 	u, err := url.Parse(base)
 	if err != nil {
 		return base
@@ -464,6 +492,31 @@ func WithQuery(base string, q Query) string {
 	}
 	u.RawQuery = v.Encode() // Encode sorts keys.
 	return u.String()
+}
+
+// encodedLen returns the length of base with the key-sorted q appended.
+func encodedLen(base string, q Query) int {
+	n := len(base) + 2*len(q) // '?' or '&', and '=', per pair
+	for _, p := range q {
+		n += queryEscapedLen(p.Key) + queryEscapedLen(p.Value)
+	}
+	return n
+}
+
+// appendPairs appends base and then q's pairs, escaped, in order.
+func appendPairs(dst []byte, base string, q Query) []byte {
+	dst = append(dst, base...)
+	for i, p := range q {
+		if i == 0 {
+			dst = append(dst, '?')
+		} else {
+			dst = append(dst, '&')
+		}
+		dst = appendQueryEscaped(dst, p.Key)
+		dst = append(dst, '=')
+		dst = appendQueryEscaped(dst, p.Value)
+	}
+	return dst
 }
 
 // queryUnescaped reports whether url.QueryEscape leaves c as it is.
@@ -484,25 +537,23 @@ func queryEscapedLen(s string) int {
 	return n
 }
 
-// writeQueryEscaped writes url.QueryEscape(s) to sb, copying unescaped
-// runs whole.
-func writeQueryEscaped(sb *strings.Builder, s string) {
+// appendQueryEscaped appends url.QueryEscape(s) to dst, copying
+// unescaped runs whole.
+func appendQueryEscaped(dst []byte, s string) []byte {
 	const hex = "0123456789ABCDEF"
 	for {
 		i := 0
 		for i < len(s) && queryUnescaped(s[i]) {
 			i++
 		}
-		sb.WriteString(s[:i])
+		dst = append(dst, s[:i]...)
 		if i == len(s) {
-			return
+			return dst
 		}
 		if c := s[i]; c == ' ' {
-			sb.WriteByte('+')
+			dst = append(dst, '+')
 		} else {
-			sb.WriteByte('%')
-			sb.WriteByte(hex[c>>4])
-			sb.WriteByte(hex[c&15])
+			dst = append(dst, '%', hex[c>>4], hex[c&15])
 		}
 		s = s[i+1:]
 	}
