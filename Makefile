@@ -77,10 +77,11 @@ lint-tools:
 bench:
 	$(GO) test -run '^$$' -bench Crawl_EndToEnd -benchtime 5x -benchmem .
 
-# One-iteration smoke run, as executed in CI: fails loudly if the crawl
-# path breaks, finishes in seconds.
+# One-iteration smoke run of every root benchmark (crawl gates, paper
+# figures, ablations, sweeps), as executed in CI: fails loudly if the
+# crawl path or any benchmark breaks, finishes in seconds.
 bench-smoke:
-	$(GO) test -run '^$$' -bench Crawl_EndToEnd -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # CI gate: bench smoke plus the committed ceilings — allocs/visit, the
 # metrics-attached-crawl overhead (full figure report must cost <=

@@ -134,7 +134,7 @@ func BenchmarkAblationTimeout(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				recs := crawler.CrawlWorld(w, crawler.DefaultOptions(47))
-				lat := analysis.LatencyCDF(recs)
+				lat := fold(analysis.NewLatencyAccumulator(), recs).Result()
 				med = lat.MedianMS
 				var bids, late int
 				revenue = 0

@@ -1,9 +1,10 @@
 // Benchmark harness: one benchmark per table and figure of the paper
-// (DESIGN.md §4 maps each to its analyzer and modules). Every benchmark
-// measures the analysis cost over a shared crawl dataset and reports the
-// headline numbers as custom metrics, so `go test -bench=. -benchmem`
-// regenerates the paper's rows. The published value sits in a "paper:"
-// comment next to each metric it is compared with.
+// (DESIGN.md §4 maps each to its metric). Every benchmark measures the
+// cost of folding a shared crawl dataset into the figure's metric and
+// reports the headline numbers as custom metrics, so
+// `go test -bench=. -benchmem` regenerates the paper's rows. The
+// published value sits in a "paper:" comment next to each metric it is
+// compared with.
 package headerbid
 
 import (
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"headerbid/internal/analysis"
+	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 	"headerbid/internal/hb"
 	"headerbid/internal/staticdet"
@@ -39,7 +41,7 @@ func benchData(b *testing.B) (*World, []*dataset.SiteRecord) {
 		cfg := DefaultWorldConfig(1)
 		cfg.NumSites = benchWorldSize
 		benchWorld = GenerateWorld(cfg)
-		benchRecs = Crawl(benchWorld, DefaultCrawlConfig(1))
+		benchRecs = crawler.CrawlWorld(benchWorld, DefaultCrawlConfig(1))
 	})
 	return benchWorld, benchRecs
 }
@@ -50,7 +52,7 @@ func BenchmarkTable1_DatasetSummary(b *testing.B) {
 	var sum dataset.Summary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum = dataset.Summarize(recs)
+		sum = fold(analysis.NewSummary(), recs).Summary()
 	}
 	b.ReportMetric(float64(sum.SitesCrawled), "sites")
 	b.ReportMetric(100*sum.AdoptionRate(), "hb_pct")        // paper: 14.28
@@ -65,7 +67,7 @@ func BenchmarkAdoptionByRankBand(b *testing.B) {
 	var bands []analysis.RankBandAdoption
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bands = analysis.AdoptionByRankBand(recs)
+		bands = fold(analysis.NewAdoptionByRankBand(), recs).Result()
 	}
 	if len(bands) > 0 {
 		b.ReportMetric(100*bands[0].Adoption, "top5k_pct") // paper: 20-23
@@ -95,7 +97,7 @@ func BenchmarkFacetBreakdown(b *testing.B) {
 	var shares []analysis.FacetShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shares = analysis.FacetBreakdown(recs)
+		shares = fold(analysis.NewFacetBreakdown(), recs).Result()
 	}
 	for _, s := range shares {
 		switch s.Facet {
@@ -115,7 +117,7 @@ func BenchmarkFigure8_TopPartners(b *testing.B) {
 	var top []analysis.PartnerShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		top = analysis.TopPartners(recs, 11)
+		top = fold(analysis.NewTopPartners(11), recs).Result()
 	}
 	for _, p := range top {
 		if p.Slug == "dfp" {
@@ -131,7 +133,7 @@ func BenchmarkFigure9_PartnersPerSite(b *testing.B) {
 	var res analysis.PartnersPerSiteResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.PartnersPerSite(recs)
+		res = fold(analysis.NewPartnersPerSite(), recs).Result()
 	}
 	b.ReportMetric(100*res.FracOne, "one_pct")   // paper: >50
 	b.ReportMetric(100*res.FracGE5, "ge5_pct")   // paper: ~20
@@ -145,7 +147,7 @@ func BenchmarkFigure10_PartnerCombos(b *testing.B) {
 	var combos []analysis.ComboShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		combos = analysis.PartnerCombos(recs, 15)
+		combos = fold(analysis.NewPartnerCombos(15), recs).Result()
 	}
 	for _, c := range combos {
 		switch c.Key {
@@ -166,7 +168,7 @@ func BenchmarkFigure11_PartnersPerFacet(b *testing.B) {
 	var byFacet map[hb.Facet][]analysis.PartnerBidShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		byFacet = analysis.PartnersPerFacet(recs, 10)
+		byFacet = fold(analysis.NewPartnersPerFacet(10), recs).Result()
 	}
 	if rows := byFacet[hb.FacetServer]; len(rows) > 0 {
 		b.ReportMetric(100*rows[0].Share, "server_top_pct")
@@ -183,7 +185,7 @@ func BenchmarkFigure12_LatencyCDF(b *testing.B) {
 	var res analysis.LatencyCDFResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.LatencyCDF(recs)
+		res = fold(analysis.NewLatencyAccumulator(), recs).Result()
 	}
 	b.ReportMetric(res.MedianMS, "median_ms")
 	b.ReportMetric(100*res.FracOver1s, "gt1s_pct")
@@ -197,12 +199,12 @@ func BenchmarkFigure12_LatencyCDF(b *testing.B) {
 // stable.
 func BenchmarkFigure13_LatencyVsRank(b *testing.B) {
 	_, recs := benchData(b)
-	var out = analysis.LatencyVsRank(recs, 500)
+	var out = fold(analysis.NewLatencyVsRank(500), recs).Result()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = analysis.LatencyVsRank(recs, 500)
+		out = fold(analysis.NewLatencyVsRank(500), recs).Result()
 	}
-	agg := analysis.LatencyVsRank(recs, 2500)
+	agg := fold(analysis.NewLatencyVsRank(2500), recs).Result()
 	if len(agg) > 1 {
 		b.ReportMetric(agg[0].Stats.Median, "top_median_ms")
 		b.ReportMetric(agg[len(agg)-1].Stats.Median, "tail_median_ms")
@@ -217,7 +219,7 @@ func BenchmarkFigure14_PartnerLatency(b *testing.B) {
 	var res analysis.PartnerLatencyExtremes
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.LatencyExtremes(recs, world.Registry, 10, 5)
+		res = fold(analysis.NewPartnerLatencies(), recs).Extremes(world.Registry, 10, 5)
 	}
 	if len(res.Fastest) > 0 {
 		b.ReportMetric(res.Fastest[0].Stats.Median, "fastest_median_ms")
@@ -234,7 +236,7 @@ func BenchmarkFigure15_LatencyVsPartnerCount(b *testing.B) {
 	var rows []analysis.CountLatency
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.LatencyVsPartnerCount(recs, 15)
+		rows = fold(analysis.NewLatencyVsPartnerCount(15), recs).Result()
 	}
 	for _, r := range rows {
 		switch r.Partners {
@@ -252,10 +254,10 @@ func BenchmarkFigure15_LatencyVsPartnerCount(b *testing.B) {
 // by partner popularity (popular partners: tighter spreads).
 func BenchmarkFigure16_LatencyVsPopularity(b *testing.B) {
 	world, recs := benchData(b)
-	var bins = analysis.LatencyVsPopularity(recs, world.Registry, 10)
+	var bins = fold(analysis.NewLatencyVsPopularity(world.Registry, 10), recs).Result()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bins = analysis.LatencyVsPopularity(recs, world.Registry, 10)
+		bins = fold(analysis.NewLatencyVsPopularity(world.Registry, 10), recs).Result()
 	}
 	// Single tail bins are sparse; average the head (top-20 ranks) and
 	// the tail (rank >40) spans so the trend is sampled robustly.
@@ -283,7 +285,7 @@ func BenchmarkFigure17_LateBidsCDF(b *testing.B) {
 	var res analysis.LateBidsResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.LateBids(recs)
+		res = fold(analysis.NewLateBids(), recs).Result()
 	}
 	b.ReportMetric(res.MedianLateShare, "median_late_pct")
 	b.ReportMetric(res.P90LateShare, "p90_late_pct")
@@ -297,7 +299,7 @@ func BenchmarkFigure18_LateBidsPerPartner(b *testing.B) {
 	var rows []analysis.PartnerLateShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.LateBidsPerPartner(recs, 0, 2)
+		rows = fold(analysis.NewLateBidsPerPartner(0, 2), recs).Result()
 	}
 	over50 := 0
 	for _, r := range rows {
@@ -318,7 +320,7 @@ func BenchmarkFigure19_SlotsPerSite(b *testing.B) {
 	var res analysis.SlotsPerSiteResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.SlotsPerSite(recs)
+		res = fold(analysis.NewSlotsPerSite(), recs).Result()
 	}
 	if e := res.ByFacet[hb.FacetHybrid]; e != nil {
 		b.ReportMetric(e.Quantile(0.5), "hybrid_median")
@@ -334,7 +336,7 @@ func BenchmarkFigure20_LatencyVsSlots(b *testing.B) {
 	var rows []analysis.CountLatency
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.LatencyVsSlots(recs, 15)
+		rows = fold(analysis.NewLatencyVsSlots(15), recs).Result()
 	}
 	for _, r := range rows {
 		switch r.Partners {
@@ -353,7 +355,7 @@ func BenchmarkFigure21_SlotSizes(b *testing.B) {
 	var byFacet map[hb.Facet][]analysis.SizeShare
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		byFacet = analysis.SlotSizes(recs, 10)
+		byFacet = fold(analysis.NewSlotSizes(10), recs).Result()
 	}
 	for _, f := range hb.Facets() {
 		rows := byFacet[f]
@@ -370,7 +372,7 @@ func BenchmarkFigure22_PriceCDF(b *testing.B) {
 	var res analysis.PriceCDFResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = analysis.PriceCDF(recs)
+		res = fold(analysis.NewPriceCDF(), recs).Result()
 	}
 	if e := res.ByFacet[hb.FacetClient]; e != nil {
 		b.ReportMetric(e.Quantile(0.5), "client_median_cpm")
@@ -388,7 +390,7 @@ func BenchmarkFigure23_PricePerSize(b *testing.B) {
 	var rows []analysis.SizePrice
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.PricePerSize(recs, 5)
+		rows = fold(analysis.NewPricePerSize(5), recs).Result()
 	}
 	for _, r := range rows {
 		switch r.Size {
@@ -406,10 +408,10 @@ func BenchmarkFigure23_PricePerSize(b *testing.B) {
 // (popular partners bid low and consistently).
 func BenchmarkFigure24_PriceVsPopularity(b *testing.B) {
 	world, recs := benchData(b)
-	var bins = analysis.PriceVsPopularity(recs, world.Registry, 10)
+	var bins = fold(analysis.NewPriceVsPopularity(world.Registry, 10), recs).Result()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bins = analysis.PriceVsPopularity(recs, world.Registry, 10)
+		bins = fold(analysis.NewPriceVsPopularity(world.Registry, 10), recs).Result()
 	}
 	if len(bins) > 1 {
 		b.ReportMetric(bins[0].Stats.Median, "top10_median_cpm")
@@ -424,7 +426,7 @@ func BenchmarkHBVsWaterfall(b *testing.B) {
 	var cmp analysis.ProtocolComparison
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp = analysis.CompareWithWaterfall(world, recs, 1)
+		cmp = fold(analysis.NewWaterfallComparison(world, 1), recs).Result()
 	}
 	b.ReportMetric(cmp.HBLatency.Median, "hb_median_ms")
 	b.ReportMetric(cmp.WaterfallLatency.Median, "wf_median_ms")
@@ -441,7 +443,7 @@ func BenchmarkTrafficOverhead(b *testing.B) {
 	var ts analysis.TrafficSummary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts = analysis.Traffic(recs, passes)
+		ts = fold(analysis.NewTraffic(passes), recs).Result()
 	}
 	b.ReportMetric(ts.BidRequests.Mean, "bidreq_mean")
 	b.ReportMetric(ts.HBRelated.Mean, "hbreq_mean")
@@ -450,8 +452,9 @@ func BenchmarkTrafficOverhead(b *testing.B) {
 }
 
 // BenchmarkCrawl_EndToEnd is the crawl-throughput gate: a full
-// world-generation-excluded crawl of a fixed site population, reporting
-// sites/sec (wall-clock crawl throughput), ns/visit and allocs/visit.
+// world-generation-excluded crawl of a fixed site population by an
+// Experiment that keeps no records, reporting sites/sec (wall-clock
+// crawl throughput), ns/visit and allocs/visit.
 // CI runs it with -benchtime=1x as a smoke test; PERF.md records the
 // before/after profiles of the hot-path overhaul against it.
 func BenchmarkCrawl_EndToEnd(b *testing.B) {
@@ -465,9 +468,9 @@ func BenchmarkCrawl_EndToEnd(b *testing.B) {
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs := Crawl(world, opts)
-		if len(recs) != sites {
-			b.Fatalf("got %d records, want %d", len(recs), sites)
+		res, err := NewExperiment(WithWorld(world), WithCrawlConfig(opts)).Run(context.Background())
+		if err != nil || res.Stats.Visits != sites {
+			b.Fatalf("run failed: %v (%d visits, want %d)", err, res.Stats.Visits, sites)
 		}
 	}
 	b.StopTimer()
@@ -521,30 +524,31 @@ func BenchmarkCrawl_EndToEndMetrics(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/visits, "ns/visit")
 }
 
-// BenchmarkCrawl_MetricsOverhead measures the throughput cost of
-// attaching the full figure report — the number the bench gate's <=10%
-// assertion reads (overhead_pct). Bare and metrics-attached crawls are
-// interleaved inside one run (alternating order) and each side is
-// summarized by its *minimum* crawl time: the workload is deterministic,
-// so scheduler contention and GC pauses only ever add time, making the
-// per-side minimum a noise-robust estimate of true cost where a ratio
-// of sums would let one contended crawl swing the result. Noise
-// therefore almost always inflates overhead_pct — which is what lets
-// the bench gate retry contention-inflated attempts without biasing a
-// real regression toward passing. The crawl is ~3x larger than the
-// EndToEnd gate's so each sample is long enough (~45ms) to average out
-// scheduler jitter within itself.
-func BenchmarkCrawl_MetricsOverhead(b *testing.B) {
+// crawlOverhead measures the throughput cost of the options extra
+// returns (fresh ones per crawl) — the overhead_pct the bench gate's
+// ratio ceilings read, with bare_sites/sec and the extended side's
+// sites/sec under metric. Bare and extended crawls are interleaved
+// inside one run (alternating order) and each side is summarized by its
+// *minimum* crawl time: the workload is deterministic, so scheduler
+// contention and GC pauses only ever add time, making the per-side
+// minimum a noise-robust estimate of true cost where a ratio of sums
+// would let one contended crawl swing the result. Noise therefore almost
+// always inflates overhead_pct — which is what lets the bench gate retry
+// contention-inflated attempts without biasing a real regression toward
+// passing. The crawl is ~3x larger than the EndToEnd gate's so each
+// sample is long enough (~45ms) to average out scheduler jitter within
+// itself.
+func crawlOverhead(b *testing.B, metric string, extra func() []ExperimentOption) {
 	const sites = 1200
 	cfg := DefaultWorldConfig(7)
 	cfg.NumSites = sites
 	world := GenerateWorld(cfg)
 	opts := DefaultCrawlConfig(7)
 
-	runOnce := func(withMetrics bool) time.Duration {
+	runOnce := func(extended bool) time.Duration {
 		eopts := []ExperimentOption{WithWorld(world), WithCrawlConfig(opts)}
-		if withMetrics {
-			eopts = append(eopts, WithMetrics(NewFigureReport()))
+		if extended {
+			eopts = append(eopts, extra()...)
 		}
 		start := time.Now()
 		res, err := NewExperiment(eopts...).Run(context.Background())
@@ -576,121 +580,46 @@ func BenchmarkCrawl_MetricsOverhead(b *testing.B) {
 	if bareMin > 0 {
 		b.ReportMetric(100*(withMin.Seconds()-bareMin.Seconds())/bareMin.Seconds(), "overhead_pct")
 		b.ReportMetric(sites/bareMin.Seconds(), "bare_sites/sec")
-		b.ReportMetric(sites/withMin.Seconds(), "metrics_sites/sec")
+		b.ReportMetric(sites/withMin.Seconds(), metric)
 	}
+}
+
+// BenchmarkCrawl_MetricsOverhead measures the throughput cost of
+// attaching the full figure report — the number the bench gate's <=10%
+// assertion reads (overhead_pct).
+func BenchmarkCrawl_MetricsOverhead(b *testing.B) {
+	crawlOverhead(b, "metrics_sites/sec", func() []ExperimentOption {
+		return []ExperimentOption{WithMetrics(NewFigureReport())}
+	})
 }
 
 // BenchmarkCrawl_ObsOverhead measures the throughput cost of compiling
 // the observability layer into the crawl — run telemetry on every visit
 // plus a sampled trace plan (8 of 1200 sites recorded, written to a
 // discarding sink) — the number the bench gate's obs ceiling reads
-// (overhead_pct). Same per-side-minimum interleaving discipline as
-// BenchmarkCrawl_MetricsOverhead: the workload is deterministic, so
-// noise only ever inflates a side's time, making the minimum a robust
-// estimate and gate retries safe. The untraced majority of visits is
-// what the guarded-emission pattern (hbvet: obsguard) keeps free; this
-// benchmark is the end-to-end check that it actually held.
+// (overhead_pct). The untraced majority of visits is what the
+// guarded-emission pattern (hbvet: obsguard) keeps free; this benchmark
+// is the end-to-end check that it actually held.
 func BenchmarkCrawl_ObsOverhead(b *testing.B) {
-	const sites = 1200
-	cfg := DefaultWorldConfig(7)
-	cfg.NumSites = sites
-	world := GenerateWorld(cfg)
-	opts := DefaultCrawlConfig(7)
-
-	runOnce := func(withObs bool) time.Duration {
-		eopts := []ExperimentOption{WithWorld(world), WithCrawlConfig(opts)}
-		if withObs {
-			eopts = append(eopts,
-				WithTelemetry(NewTelemetry()),
-				WithTrace(TracePlan{MaxSites: 8}),
-				WithSink(NewTraceSink(io.Discard)))
+	crawlOverhead(b, "obs_sites/sec", func() []ExperimentOption {
+		return []ExperimentOption{
+			WithTelemetry(NewTelemetry()),
+			WithTrace(TracePlan{MaxSites: 8}),
+			WithSink(NewTraceSink(io.Discard)),
 		}
-		start := time.Now()
-		res, err := NewExperiment(eopts...).Run(context.Background())
-		if err != nil || res.Stats.Visits != sites {
-			b.Fatalf("run failed: %v (%d visits)", err, res.Stats.Visits)
-		}
-		return time.Since(start)
-	}
-	runOnce(false) // warm up pools and page caches off the clock
-
-	var bareMin, withMin time.Duration
-	keepMin := func(d *time.Duration, v time.Duration) {
-		if *d == 0 || v < *d {
-			*d = v
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			keepMin(&bareMin, runOnce(false))
-			keepMin(&withMin, runOnce(true))
-		} else {
-			keepMin(&withMin, runOnce(true))
-			keepMin(&bareMin, runOnce(false))
-		}
-	}
-	b.StopTimer()
-
-	if bareMin > 0 {
-		b.ReportMetric(100*(withMin.Seconds()-bareMin.Seconds())/bareMin.Seconds(), "overhead_pct")
-		b.ReportMetric(sites/bareMin.Seconds(), "bare_sites/sec")
-		b.ReportMetric(sites/withMin.Seconds(), "obs_sites/sec")
-	}
-}
-
-// BenchmarkCrawlThroughput measures end-to-end crawl cost per site on the
-// virtual clock (the operational cost of the methodology itself).
-func BenchmarkCrawlThroughput(b *testing.B) {
-	cfg := DefaultWorldConfig(3)
-	cfg.NumSites = 300
-	world := GenerateWorld(cfg)
-	opts := DefaultCrawlConfig(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recs := Crawl(world, opts)
-		if len(recs) != 300 {
-			b.Fatalf("got %d records", len(recs))
-		}
-	}
-	b.ReportMetric(300, "sites/op")
+	})
 }
 
 // BenchmarkCrawlStreamingVsBatch documents the memory profile of the
-// streaming Experiment against the batch facade on the same crawl
-// (JSONL dataset + Table-1 summary either way). allocs/op are
-// near-identical by construction — every visit allocates its record
-// either way — so the win is what must stay reachable at once:
-// the batch path holds the full record slice until the crawl ends
-// (retained_records/retained_B, growing with world size), the streaming
-// path folds each record into incremental accumulators and drops it
-// (retention flat in crawl size).
+// streaming Experiment (JSONL dataset + Table-1 summary): allocs/op
+// cover every visit's record, but each record is folded into
+// incremental accumulators and dropped, so retention stays flat in
+// crawl size (retained_records).
 func BenchmarkCrawlStreamingVsBatch(b *testing.B) {
 	cfg := DefaultWorldConfig(3)
 	cfg.NumSites = 400
 	world := GenerateWorld(cfg)
 
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		var recs []*dataset.SiteRecord
-		for i := 0; i < b.N; i++ {
-			recs = Crawl(world, DefaultCrawlConfig(3))
-			var cw countWriter
-			if err := WriteDataset(&cw, recs); err != nil {
-				b.Fatal(err)
-			}
-			sum := Summarize(recs)
-			if sum.SitesCrawled != 400 {
-				b.Fatalf("sites = %d", sum.SitesCrawled)
-			}
-		}
-		b.StopTimer()
-		// Everything serialized was simultaneously live in the slice.
-		var cw countWriter
-		_ = WriteDataset(&cw, recs)
-		b.ReportMetric(float64(len(recs)), "retained_records")
-		b.ReportMetric(float64(cw), "retained_B")
-	})
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

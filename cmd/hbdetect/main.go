@@ -49,18 +49,21 @@ func main() {
 
 	// A single-site, single-day Experiment: the same streaming pipeline
 	// the full crawl uses, filtered down to one visit.
-	collect := headerbid.NewCollectSink()
+	var recs []*headerbid.SiteRecord
 	_, err := headerbid.NewExperiment(
 		headerbid.WithWorld(world),
 		headerbid.WithSeed(*seed),
 		headerbid.WithFirstDay(*day),
 		headerbid.WithSiteFilter(func(s *headerbid.Site) bool { return s.Domain == site.Domain }),
-		headerbid.WithSink(collect),
+		headerbid.WithSink(headerbid.SinkFunc(func(v headerbid.Visit) error {
+			recs = append(recs, v.Record)
+			return nil
+		})),
 	).Run(context.Background())
-	if err != nil || len(collect.Records()) != 1 {
-		log.Fatalf("visit failed: err=%v records=%d", err, len(collect.Records()))
+	if err != nil || len(recs) != 1 {
+		log.Fatalf("visit failed: err=%v records=%d", err, len(recs))
 	}
-	rec := collect.Records()[0]
+	rec := recs[0]
 
 	fmt.Printf("detected      hb=%v facet=%s libraries=%v\n", rec.HB, rec.Facet, rec.Libraries)
 	fmt.Printf("partners      %v\n", rec.Partners)

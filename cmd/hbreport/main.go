@@ -96,15 +96,16 @@ func main() {
 	}
 
 	if *summary {
-		// Table-1 only: fold into the lone summary accumulator.
-		sink := headerbid.NewSummarySink()
+		// Table-1 only: fold into the lone summary metric.
+		m := headerbid.NewSummaryMetric()
 		n := stream(func(rec *headerbid.SiteRecord) error {
-			return sink.Consume(headerbid.Visit{Record: rec})
+			m.Add(rec)
+			return nil
 		})
 		if n == 0 {
 			log.Fatal("empty dataset")
 		}
-		s := sink.Summary()
+		s := m.Summary()
 		fmt.Printf("records          %d\n", n)
 		fmt.Printf("sites crawled    %d\n", s.SitesCrawled)
 		fmt.Printf("sites with HB    %d (%.2f%%)\n", s.SitesWithHB, 100*s.AdoptionRate())

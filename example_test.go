@@ -10,11 +10,11 @@ import (
 // ExampleNewExperiment shows the streaming pipeline: one configurable
 // entry point, pluggable sinks, incremental results.
 func ExampleNewExperiment() {
-	sum := headerbid.NewSummarySink()
+	sum := headerbid.NewSummaryMetric()
 	res, err := headerbid.NewExperiment(
 		headerbid.WithSites(500),
 		headerbid.WithSeed(1),
-		headerbid.WithSink(sum),
+		headerbid.WithSink(headerbid.NewMetricSink(sum)),
 	).Run(context.Background())
 	if err != nil {
 		fmt.Println("crawl failed:", err)
@@ -26,13 +26,17 @@ func ExampleNewExperiment() {
 }
 
 // ExampleGenerateWorld shows the minimal generate→crawl→summarize flow
-// (the legacy batch facade, kept as a wrapper over the Experiment).
+// over an explicitly generated world.
 func ExampleGenerateWorld() {
 	cfg := headerbid.DefaultWorldConfig(1)
 	cfg.NumSites = 500
 	world := headerbid.GenerateWorld(cfg)
-	recs := headerbid.Crawl(world, headerbid.DefaultCrawlConfig(1))
-	sum := headerbid.Summarize(recs)
+	res, err := headerbid.NewExperiment(headerbid.WithWorld(world), headerbid.WithSeed(1)).Run(context.Background())
+	if err != nil {
+		fmt.Println("crawl failed:", err)
+		return
+	}
+	sum := res.Summary
 	fmt.Println(sum.SitesCrawled, "sites crawled,", sum.DemandPartners > 0, "partners seen")
 	// Output: 500 sites crawled, true partners seen
 }

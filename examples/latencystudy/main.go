@@ -1,10 +1,10 @@
 // Latency study: crawl a mid-sized synthetic web with the streaming
 // Experiment pipeline and reproduce the paper's core latency findings —
 // the total-HB-latency CDF (Figure 12, accumulated incrementally while
-// the crawl runs), latency vs number of demand partners (Figure 15,
-// accumulated as a sharded streaming Metric on the worker goroutines),
-// and the headline HB-vs-waterfall comparison ("HB latency can be up
-// to 3x waterfall in the median case").
+// the crawl runs), latency vs number of demand partners (Figure 15) and
+// the headline HB-vs-waterfall comparison ("HB latency can be up to 3x
+// waterfall in the median case"), both accumulated as sharded streaming
+// Metrics on the worker goroutines.
 package main
 
 import (
@@ -23,21 +23,24 @@ func main() {
 
 	const seed = 11
 
+	// The waterfall comparison runs its baseline over the world, so the
+	// world is generated first and the metric bound to it.
+	cfg := headerbid.DefaultWorldConfig(seed)
+	cfg.NumSites = 3000
+	world := headerbid.GenerateWorld(cfg)
+
 	// Figure 12 accumulates while visits stream (every Run computes it as
-	// Results.Latency). Figure 15 rides the metrics API: each crawl
-	// worker folds its visits into a private shard, merged when the run
-	// ends — no record slice, no emit-path serialization. Only the
-	// waterfall comparison still needs the full records, so a CollectSink
-	// bridges that one analysis.
+	// Results.Latency). Figure 15 and the waterfall comparison ride the
+	// metrics API: each crawl worker folds its visits into a private
+	// shard, merged when the run ends — no record slice, no emit-path
+	// serialization.
 	latVsPartners := headerbid.NewLatencyVsPartnerCount(10)
-	collect := headerbid.NewCollectSink()
-	exp := headerbid.NewExperiment(
-		headerbid.WithSites(3000),
+	vsWaterfall := headerbid.NewWaterfallComparison(world, seed)
+	res, err := headerbid.NewExperiment(
+		headerbid.WithWorld(world),
 		headerbid.WithSeed(seed),
-		headerbid.WithMetrics(latVsPartners),
-		headerbid.WithSink(collect),
-	)
-	res, err := exp.Run(context.Background())
+		headerbid.WithMetrics(latVsPartners, vsWaterfall),
+	).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func main() {
 	rw.Figure15(latVsPartners.Result())
 
 	// Headline: HB vs the waterfall standard over the same partners.
-	cmp := headerbid.CompareWithWaterfall(exp.World(), collect.Records(), seed)
+	cmp := vsWaterfall.Result()
 	rw.Comparison(cmp)
 
 	fmt.Printf("\npaper: median ≈600ms, ≥3s in ~10%% of sites, HB/waterfall median ratio up to 3x\n")

@@ -234,6 +234,9 @@ type Results struct {
 // CrawlStats counts crawl health: visits, loads, timeouts, HB sites.
 type CrawlStats = crawler.Stats
 
+// LatencyStats is the Figure-12 latency CDF with the paper's markers.
+type LatencyStats = analysis.LatencyCDFResult
+
 // statsMetric folds crawl-health counters as a sharded metric.
 type statsMetric struct {
 	s CrawlStats
@@ -311,6 +314,10 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 	//hbvet:allow detwall Results.Elapsed is wall-clock run metadata for operators; simulated time comes from the per-visit clock.Scheduler
 	start := time.Now()
 	if !e.shard.IsZero() && !e.shard.Valid() {
+		// The run never starts, but the sinks were handed over: close
+		// them so file sinks release their handles. The shard error is
+		// the one to report.
+		_ = e.closeSinks()
 		return Results{}, fmt.Errorf("headerbid: invalid shard %d/%d", e.shard.Index, e.shard.Count)
 	}
 	w := e.World()
@@ -374,12 +381,7 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 		}
 	}
 
-	var closeErr error
-	for i, s := range e.sinks {
-		if err := s.Close(); err != nil && closeErr == nil {
-			closeErr = fmt.Errorf("closing sink %d (%T): %w", i, s, err)
-		}
-	}
+	closeErr := e.closeSinks()
 
 	res := Results{
 		Summary: sum.Summary(),
@@ -392,4 +394,16 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 		return res, runErr
 	}
 	return res, closeErr
+}
+
+// closeSinks closes every attached sink once, in attachment order, and
+// returns the first error.
+func (e *Experiment) closeSinks() error {
+	var closeErr error
+	for i, s := range e.sinks {
+		if err := s.Close(); err != nil && closeErr == nil {
+			closeErr = fmt.Errorf("closing sink %d (%T): %w", i, s, err)
+		}
+	}
+	return closeErr
 }

@@ -8,32 +8,39 @@ import (
 	"testing"
 	"time"
 
-	"headerbid/internal/analysis"
+	"headerbid/internal/crawler"
+	"headerbid/internal/dataset"
 )
 
-// TestStreamingSummaryMatchesBatch is the redesign's core equivalence
-// claim: a crawl driven through a SummarySink and a LatencySink computes
-// byte-identical Summary and latency stats to the batch
-// Summarize(Crawl(...)) / analysis.LatencyCDF path on a seeded 1k-site
-// world — without the experiment retaining a single record.
+// TestStreamingSummaryMatchesBatch is the pipeline's core equivalence
+// claim: an Experiment computes the same Summary and latency stats, on
+// its sharded Results and through ordered MetricSinks, and streams the
+// same JSONL bytes as the crawler's own record slice folded once and
+// written in order — on a seeded 1k-site world, without the experiment
+// retaining a single record.
 func TestStreamingSummaryMatchesBatch(t *testing.T) {
 	const seed, sites = 1, 1000
-	cfg := DefaultWorldConfig(seed)
-	cfg.NumSites = sites
-	w := GenerateWorld(cfg)
+	w := smallWorld(sites, seed)
 
-	// Batch path (the deprecated facade).
-	recs := Crawl(w, DefaultCrawlConfig(seed))
-	batchSum := Summarize(recs)
-	batchLat := analysis.LatencyCDF(recs)
+	// Reference: crawler.CrawlWorld's records, folded once.
+	recs := crawler.CrawlWorld(w, DefaultCrawlConfig(seed))
+	batchSum := fold(NewSummaryMetric(), recs).Summary()
+	batchLat := fold(NewLatencyAccumulator(), recs).Result()
 	var batchJSONL bytes.Buffer
-	if err := WriteDataset(&batchJSONL, recs); err != nil {
+	jw := dataset.NewWriter(&batchJSONL)
+	for _, r := range recs {
+		if err := jw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Streaming path: summary + latency + JSONL sinks, no retention.
-	sumSink := NewSummarySink()
-	latSink := NewLatencySink()
+	// Streaming path: summary + latency on the ordered path, JSONL sink,
+	// no retention.
+	sumSink := NewMetricSink(NewSummaryMetric())
+	latSink := NewMetricSink(NewLatencyAccumulator())
 	var streamJSONL bytes.Buffer
 	res, err := NewExperiment(
 		WithWorld(w),
@@ -44,25 +51,22 @@ func TestStreamingSummaryMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := sumSink.Summary(); got != batchSum {
+	if got := sumSink.Metric().Snapshot(); got != batchSum {
 		t.Fatalf("summary sink diverged:\n got %+v\nwant %+v", got, batchSum)
-	}
-	if got := sumSink.Summary().AdoptionRate(); got != batchSum.AdoptionRate() {
-		t.Fatalf("adoption rate diverged: %v vs %v", got, batchSum.AdoptionRate())
 	}
 	if res.Summary != batchSum {
 		t.Fatalf("Results.Summary diverged:\n got %+v\nwant %+v", res.Summary, batchSum)
 	}
-	if got := latSink.Result(); !reflect.DeepEqual(got, batchLat) {
+	if got := latSink.Metric().Snapshot(); !reflect.DeepEqual(got, batchLat) {
 		t.Fatalf("latency sink diverged:\n got %+v\nwant %+v", got, batchLat)
 	}
 	if !reflect.DeepEqual(res.Latency, batchLat) {
 		t.Fatalf("Results.Latency diverged")
 	}
-	// The streamed dataset must be byte-identical to the batch one: same
+	// The streamed dataset must be byte-identical to the reference: same
 	// records, same order, same encoding.
 	if !bytes.Equal(streamJSONL.Bytes(), batchJSONL.Bytes()) {
-		t.Fatalf("streamed JSONL differs from batch JSONL (%d vs %d bytes)",
+		t.Fatalf("streamed JSONL differs from the crawler's records (%d vs %d bytes)",
 			streamJSONL.Len(), batchJSONL.Len())
 	}
 	if res.Stats.Visits != sites || res.Stats.HB != batchSum.SitesWithHB {
@@ -139,7 +143,7 @@ func TestExperimentSinkErrorAborts(t *testing.T) {
 // TestExperimentOptions: option plumbing — explicit world config, days,
 // workers, site filter and first-day offset all reach the crawler.
 func TestExperimentOptions(t *testing.T) {
-	collect := NewCollectSink()
+	var collected []*SiteRecord
 	res, err := NewExperiment(
 		WithWorldConfig(func() WorldConfig {
 			c := DefaultWorldConfig(9)
@@ -149,7 +153,7 @@ func TestExperimentOptions(t *testing.T) {
 		WithSeed(9),
 		WithDays(2),
 		WithWorkers(2),
-		WithSink(collect),
+		WithSink(appendTo(&collected)),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -157,30 +161,30 @@ func TestExperimentOptions(t *testing.T) {
 	if res.Summary.SitesCrawled != 150 || res.Summary.CrawlDays != 2 {
 		t.Fatalf("summary = %+v", res.Summary)
 	}
-	if len(collect.Records()) <= 150 {
-		t.Fatalf("2-day crawl emitted %d records, want >150", len(collect.Records()))
+	if len(collected) <= 150 {
+		t.Fatalf("2-day crawl emitted %d records, want >150", len(collected))
 	}
 
 	// Filtered single-site experiment on a specific day.
 	exp := NewExperiment(WithSites(150), WithSeed(9))
 	site := exp.World().HBSites()[0]
-	one := NewCollectSink()
+	var one []*SiteRecord
 	_, err = NewExperiment(
 		WithWorld(exp.World()),
 		WithSeed(9),
 		WithFirstDay(2),
 		WithSiteFilter(func(s *Site) bool { return s.Domain == site.Domain }),
-		WithSink(one),
+		WithSink(appendTo(&one)),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(one.Records()) != 1 || one.Records()[0].VisitDay != 2 {
-		t.Fatalf("filtered records = %+v", one.Records())
+	if len(one) != 1 || one[0].VisitDay != 2 {
+		t.Fatalf("filtered records = %+v", one)
 	}
 	// Must match the single-page entry point exactly.
 	want := VisitSite(exp.World(), site, 2, DefaultCrawlConfig(9))
-	if got := one.Records()[0]; got.TotalHBLatencyMS != want.TotalHBLatencyMS || got.HB != want.HB {
+	if got := one[0]; got.TotalHBLatencyMS != want.TotalHBLatencyMS || got.HB != want.HB {
 		t.Fatalf("filtered visit diverged from VisitSite: %+v vs %+v", got, want)
 	}
 }
@@ -209,24 +213,21 @@ func TestWithSeedOverridesWorldConfig(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork: the legacy batch facade must keep its
-// exact behavior now that it rides on the Experiment.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	cfg := DefaultWorldConfig(4)
-	cfg.NumSites = 120
-	w := GenerateWorld(cfg)
-	recs := Crawl(w, DefaultCrawlConfig(4))
-	if len(recs) != 120 {
-		t.Fatalf("Crawl returned %d records", len(recs))
+// closeCounter is a sink that counts its Close calls.
+type closeCounter struct{ closes int }
+
+func (c *closeCounter) Consume(Visit) error { return nil }
+func (c *closeCounter) Close() error        { c.closes++; return nil }
+
+// TestInvalidShardClosesSinks: a run refused for an invalid shard never
+// crawls, but it still closes every sink exactly once, as Run promises.
+func TestInvalidShardClosesSinks(t *testing.T) {
+	c := &closeCounter{}
+	_, err := NewExperiment(WithSites(50), WithShard(3, 2), WithSink(c)).Run(context.Background())
+	if err == nil {
+		t.Fatal("invalid shard 3/2 accepted")
 	}
-	var last, total int
-	recs2 := CrawlWithProgress(w, DefaultCrawlConfig(4), func(d, tot int) { last, total = d, tot })
-	if last != 120 || total != 120 {
-		t.Fatalf("progress ended at %d/%d", last, total)
-	}
-	for i := range recs {
-		if recs[i].Domain != recs2[i].Domain || recs[i].TotalHBLatencyMS != recs2[i].TotalHBLatencyMS {
-			t.Fatalf("wrapper crawls diverged at %d", i)
-		}
+	if c.closes != 1 {
+		t.Fatalf("sink closed %d times, want 1", c.closes)
 	}
 }

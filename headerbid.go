@@ -45,15 +45,11 @@
 // Single runs apply one intervention with WithOverlay; overlays are
 // applied at visit time and never mutate the shared world.
 //
-// The legacy batch entry points (Crawl, Summarize, WriteDataset, ...)
-// remain as thin deprecated wrappers over the Experiment and Metrics.
-//
 // The package is a thin facade; the implementation lives in internal/
 // packages (see DESIGN.md for the system inventory).
 package headerbid
 
 import (
-	"context"
 	"io"
 
 	"headerbid/internal/analysis"
@@ -140,56 +136,11 @@ func Partners() *Registry { return partners.Default() }
 // DefaultCrawlConfig mirrors the paper's crawl policy.
 func DefaultCrawlConfig(seed int64) CrawlConfig { return crawler.DefaultOptions(seed) }
 
-// Crawl measures a world with clean-slate instances on the simulated
-// network and returns one record per site visit.
-//
-// Deprecated: Crawl materializes the whole dataset and cannot be
-// cancelled. Use NewExperiment with sinks (or a CollectSink when the
-// full slice is genuinely needed) and Run(ctx).
-func Crawl(w *World, cfg CrawlConfig) []*SiteRecord {
-	c := NewCollectSink()
-	// Background context + in-memory sinks: Run cannot fail here.
-	_, _ = NewExperiment(WithWorld(w), WithCrawlConfig(cfg), WithSink(c)).Run(context.Background())
-	return c.Records()
-}
-
-// CrawlWithProgress is Crawl with a progress callback.
-//
-// Deprecated: use NewExperiment with WithProgress (or NewProgressSink)
-// and Run(ctx).
-func CrawlWithProgress(w *World, cfg CrawlConfig, progress func(done, total int)) []*SiteRecord {
-	c := NewCollectSink()
-	_, _ = NewExperiment(WithWorld(w), WithCrawlConfig(cfg),
-		WithSink(c), WithProgress(progress)).Run(context.Background())
-	return c.Records()
-}
-
 // VisitSite measures one site (one clean-slate visit) and returns its
 // record — the single-page entry point HBDetector exposes as a browser
 // extension in the paper.
 func VisitSite(w *World, s *Site, day int, cfg CrawlConfig) *SiteRecord {
 	return crawler.VisitSimulated(w, s, day, cfg)
-}
-
-// Summarize computes the Table 1 numbers.
-//
-// Deprecated: use a SummarySink on a running Experiment (or
-// Results.Summary, which every Run computes) so the numbers accumulate
-// without retaining records.
-func Summarize(recs []*SiteRecord) Summary { return dataset.Summarize(recs) }
-
-// WriteDataset writes records as JSONL.
-//
-// Deprecated: attach a JSONLSink to an Experiment to stream the dataset
-// to disk while the crawl runs.
-func WriteDataset(w io.Writer, recs []*SiteRecord) error {
-	sink := NewJSONLSink(w)
-	for _, r := range recs {
-		if err := sink.Consume(Visit{Record: r}); err != nil {
-			return err
-		}
-	}
-	return sink.Close()
 }
 
 // ReadDatasetStream decodes a JSONL dataset record by record, handing
@@ -198,12 +149,6 @@ func ReadDatasetStream(r io.Reader, fn func(*SiteRecord) error) error {
 	return dataset.ReadStream(r, fn)
 }
 
-// ReadDataset loads a JSONL dataset.
-//
-// Deprecated: use ReadDatasetStream to process records without holding
-// the whole dataset (ReadDataset remains for analyses that need it all).
-func ReadDataset(r io.Reader) ([]*SiteRecord, error) { return dataset.Read(r) }
-
 // NewFigureReport returns an empty full-figure-report metric over the
 // study's demand-partner registry. Attach it to an Experiment with
 // WithMetrics (or fold a JSONL stream into it with Add) and Render the
@@ -211,19 +156,6 @@ func ReadDataset(r io.Reader) ([]*SiteRecord, error) { return dataset.Read(r) }
 // is byte-identical across worker counts.
 func NewFigureReport() *FigureReport {
 	return report.NewFigures(partners.Default())
-}
-
-// Report renders every dataset-derived table and figure to w.
-//
-// Deprecated: Report consumes a materialized record slice. Use
-// NewFigureReport with WithMetrics (live runs) or ReadDatasetStream
-// (datasets) to build the same report in streaming memory.
-func Report(w io.Writer, recs []*SiteRecord) {
-	fr := NewFigureReport()
-	for _, r := range recs {
-		fr.Add(r)
-	}
-	fr.Render(w)
 }
 
 // NewArchive builds the historical snapshot archive (top-1k per year).
@@ -235,9 +167,16 @@ func AdoptionOverYears(a *Archive) []analysis.YearAdoption {
 	return analysis.AdoptionOverYears(a, staticdet.New())
 }
 
-// CompareWithWaterfall runs the paired HB vs waterfall experiment.
-func CompareWithWaterfall(w *World, recs []*SiteRecord, seed int64) analysis.ProtocolComparison {
-	return analysis.CompareWithWaterfall(w, recs, seed)
+// WaterfallComparison is the §7.2 HB-vs-waterfall comparison as a
+// Metric bound to one world: it keeps each HB site's measured latencies,
+// and its Result runs the waterfall baseline over that world.
+type WaterfallComparison = analysis.WaterfallComparisonMetric
+
+// NewWaterfallComparison returns an empty §7.2 metric bound to w (attach
+// it with WithMetrics to a run over w); the waterfall baseline is
+// deterministic in seed.
+func NewWaterfallComparison(w *World, seed int64) *WaterfallComparison {
+	return analysis.NewWaterfallComparison(w, seed)
 }
 
 // Browser/Detector access for custom environments (see examples/livecapture).

@@ -2,6 +2,7 @@ package headerbid
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"headerbid/internal/hb"
@@ -10,21 +11,43 @@ import (
 // The facade tests exercise the whole public workflow a downstream user
 // follows: generate, crawl, summarize, persist, report, compare.
 
-func smallCrawl(t *testing.T, sites int, seed int64) (*World, []*SiteRecord) {
-	t.Helper()
+// fold adds every record to m in order and returns m — the one-pass
+// reference the Experiment's sharded metrics are compared against.
+func fold[M Metric](m M, recs []*SiteRecord) M {
+	for _, r := range recs {
+		m.Add(r)
+	}
+	return m
+}
+
+func smallWorld(sites int, seed int64) *World {
 	cfg := DefaultWorldConfig(seed)
 	cfg.NumSites = sites
-	w := GenerateWorld(cfg)
-	recs := Crawl(w, DefaultCrawlConfig(seed))
-	return w, recs
+	return GenerateWorld(cfg)
+}
+
+// appendTo returns a sink that appends every emitted record to *dst.
+func appendTo(dst *[]*SiteRecord) Sink {
+	return SinkFunc(func(v Visit) error {
+		*dst = append(*dst, v.Record)
+		return nil
+	})
 }
 
 func TestPublicWorkflow(t *testing.T) {
-	w, recs := smallCrawl(t, 300, 2)
-	if len(recs) != 300 {
-		t.Fatalf("records = %d", len(recs))
+	w := smallWorld(300, 2)
+	var jsonl bytes.Buffer
+	live := NewFigureReport()
+	vsWaterfall := NewWaterfallComparison(w, 2)
+	res, err := NewExperiment(
+		WithWorld(w), WithSeed(2),
+		WithSink(NewJSONLSink(&jsonl)),
+		WithMetrics(live, vsWaterfall),
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := Summarize(recs)
+	sum := res.Summary
 	if sum.SitesCrawled != 300 || sum.SitesWithHB == 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -32,33 +55,42 @@ func TestPublicWorkflow(t *testing.T) {
 		t.Fatalf("adoption = %v", sum.AdoptionRate())
 	}
 
-	// Round-trip the dataset through the public serializers.
-	var buf bytes.Buffer
-	if err := WriteDataset(&buf, recs); err != nil {
-		t.Fatal(err)
+	// Round-trip the dataset through the public reader: the report
+	// folded from the JSONL must render what the live run accumulated.
+	replay := NewFigureReport()
+	n := 0
+	if err := ReadDatasetStream(&jsonl, func(r *SiteRecord) error {
+		n++
+		replay.Add(r)
+		return nil
+	}); err != nil || n != 300 {
+		t.Fatalf("round trip: n=%d err=%v", n, err)
 	}
-	back, err := ReadDataset(&buf)
-	if err != nil || len(back) != len(recs) {
-		t.Fatalf("round trip: n=%d err=%v", len(back), err)
-	}
-
-	// The full report renders from the public entry point.
-	var report bytes.Buffer
-	Report(&report, back)
-	if report.Len() == 0 {
-		t.Fatal("empty report")
+	var liveOut, replayOut bytes.Buffer
+	live.Render(&liveOut)
+	replay.Render(&replayOut)
+	if liveOut.Len() == 0 || !bytes.Equal(liveOut.Bytes(), replayOut.Bytes()) {
+		t.Fatalf("report from the JSONL (%d bytes) differs from the live report (%d bytes)",
+			replayOut.Len(), liveOut.Len())
 	}
 
 	// Waterfall comparison via the facade.
-	cmp := CompareWithWaterfall(w, recs, 2)
-	if cmp.Sites == 0 {
+	if cmp := vsWaterfall.Result(); cmp.Sites == 0 {
 		t.Fatal("comparison saw no sites")
 	}
 }
 
 func TestCrawlDeterministicViaFacade(t *testing.T) {
-	_, a := smallCrawl(t, 150, 7)
-	_, b := smallCrawl(t, 150, 7)
+	w := smallWorld(150, 7)
+	var a, b []*SiteRecord
+	for _, dst := range []*[]*SiteRecord{&a, &b} {
+		if _, err := NewExperiment(WithWorld(w), WithSeed(7), WithSink(appendTo(dst))).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(a) != 150 || len(b) != 150 {
+		t.Fatalf("records = %d and %d, want 150", len(a), len(b))
+	}
 	for i := range a {
 		if a[i].Domain != b[i].Domain || a[i].HB != b[i].HB ||
 			a[i].TotalHBLatencyMS != b[i].TotalHBLatencyMS {
@@ -68,7 +100,7 @@ func TestCrawlDeterministicViaFacade(t *testing.T) {
 }
 
 func TestVisitSiteSinglePage(t *testing.T) {
-	w, _ := smallCrawl(t, 100, 3)
+	w := smallWorld(100, 3)
 	site := w.HBSites()[0]
 	rec := VisitSite(w, site, 0, DefaultCrawlConfig(3))
 	if !rec.HB {
@@ -105,13 +137,14 @@ func TestFacetConstantsWired(t *testing.T) {
 }
 
 func TestCrawlWithProgressReportsCompletion(t *testing.T) {
-	cfg := DefaultWorldConfig(9)
-	cfg.NumSites = 80
-	w := GenerateWorld(cfg)
+	w := smallWorld(80, 9)
 	var last, total int
-	CrawlWithProgress(w, DefaultCrawlConfig(9), func(done, tot int) {
+	_, err := NewExperiment(WithWorld(w), WithSeed(9), WithProgress(func(done, tot int) {
 		last, total = done, tot
-	})
+	})).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if last != 80 || total != 80 {
 		t.Fatalf("progress ended at %d/%d", last, total)
 	}

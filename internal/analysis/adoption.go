@@ -87,17 +87,49 @@ type ProtocolComparison struct {
 	RevenueLossMean float64
 }
 
-// CompareWithWaterfall runs the waterfall baseline over every HB site of
-// the world (one slot per site, the site's configured partners as the
-// chain) and compares per-site latency against the measured HB latencies
-// in recs. Deterministic in seed.
-func CompareWithWaterfall(w *sitegen.World, recs []*dataset.SiteRecord, seed int64) ProtocolComparison {
-	latByDomain := map[string][]float64{}
-	for _, r := range recs {
-		if r.HB && r.TotalHBLatencyMS > 0 {
-			latByDomain[r.Domain] = append(latByDomain[r.Domain], r.TotalHBLatencyMS)
-		}
+// WaterfallComparisonMetric accumulates the §7.2 comparison
+// incrementally: every measured total HB latency, grouped by domain.
+// The waterfall baseline needs the world, so the metric is bound to one
+// at construction and runs the baseline only when Result is called.
+type WaterfallComparisonMetric struct {
+	w    *sitegen.World
+	seed int64
+	lat  map[string][]float64
+}
+
+// NewWaterfallComparison returns an empty §7.2 metric bound to w; the
+// waterfall baseline it runs is deterministic in seed.
+func NewWaterfallComparison(w *sitegen.World, seed int64) *WaterfallComparisonMetric {
+	return &WaterfallComparisonMetric{w: w, seed: seed, lat: make(map[string][]float64)}
+}
+
+// Name identifies the metric.
+func (m *WaterfallComparisonMetric) Name() string { return "waterfall_comparison" }
+
+// Add keeps the record's total HB latency under its domain.
+func (m *WaterfallComparisonMetric) Add(r *dataset.SiteRecord) {
+	if r.HB && r.TotalHBLatencyMS > 0 {
+		m.lat[r.Domain] = append(m.lat[r.Domain], r.TotalHBLatencyMS)
 	}
+}
+
+// NewShard returns a fresh empty accumulator bound to the same world.
+func (m *WaterfallComparisonMetric) NewShard() Metric { return NewWaterfallComparison(m.w, m.seed) }
+
+// Merge folds a shard in.
+func (m *WaterfallComparisonMetric) Merge(other Metric) {
+	mergeSamples(m.lat, mergeArg[*WaterfallComparisonMetric](m, other).lat)
+}
+
+// Snapshot returns Result.
+func (m *WaterfallComparisonMetric) Snapshot() any { return m.Result() }
+
+// Result runs the waterfall baseline over every HB site of the world
+// (one slot per site, the site's configured partners as the chain) and
+// compares per-site latency against the HB latencies measured for it.
+// Deterministic in the seed.
+func (m *WaterfallComparisonMetric) Result() ProtocolComparison {
+	w, seed, latByDomain := m.w, m.seed, m.lat
 
 	var hbLat, wfLat []float64
 	var ratios []float64

@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"headerbid/internal/crawler"
+	"headerbid/internal/dataset"
 	"headerbid/internal/sitegen"
 	"headerbid/internal/staticdet"
 	"headerbid/internal/wayback"
@@ -45,12 +48,18 @@ func TestAdoptionOverYearsNilDetectorDefaults(t *testing.T) {
 	}
 }
 
-func TestCompareWithWaterfall(t *testing.T) {
+// waterfallCrawl is the 1200-site crawl the §7.2 tests compare on.
+func waterfallCrawl(t *testing.T) (*sitegen.World, []*dataset.SiteRecord) {
+	t.Helper()
 	cfg := sitegen.DefaultConfig(5)
 	cfg.NumSites = 1200
 	w := sitegen.Generate(cfg)
-	recs := crawler.CrawlWorld(w, crawler.DefaultOptions(5))
-	cmp := CompareWithWaterfall(w, recs, 5)
+	return w, crawler.CrawlWorld(w, crawler.DefaultOptions(5))
+}
+
+func TestCompareWithWaterfall(t *testing.T) {
+	w, recs := waterfallCrawl(t)
+	cmp := fold(NewWaterfallComparison(w, 5), recs).Result()
 
 	if cmp.Sites < 100 {
 		t.Fatalf("too few compared sites: %d", cmp.Sites)
@@ -74,8 +83,40 @@ func TestCompareWithWaterfall(t *testing.T) {
 		t.Fatalf("negative revenue loss: %v", cmp.RevenueLossMean)
 	}
 	// Determinism.
-	cmp2 := CompareWithWaterfall(w, recs, 5)
+	cmp2 := fold(NewWaterfallComparison(w, 5), recs).Result()
 	if cmp.MedianRatio != cmp2.MedianRatio {
 		t.Fatal("comparison not deterministic")
+	}
+}
+
+// TestWaterfallComparisonMergeLaws: the §7.2 metric split over shards
+// and merged in permuted order must equal one in-order fold, and its
+// Result must not consume the state it reads.
+func TestWaterfallComparisonMergeLaws(t *testing.T) {
+	w, recs := waterfallCrawl(t)
+	m := NewWaterfallComparison(w, 5)
+	if m.Name() != "waterfall_comparison" {
+		t.Errorf("Name() = %q", m.Name())
+	}
+	want := fold(m, recs).Result()
+	if again := m.Result(); !reflect.DeepEqual(again, want) {
+		t.Fatal("a second Result differs from the first")
+	}
+	for _, nshards := range []int{2, 3, 7} {
+		rng := rand.New(rand.NewSource(int64(nshards)))
+		shards := make([]Metric, nshards)
+		for i := range shards {
+			shards[i] = m.NewShard()
+		}
+		for _, r := range recs {
+			shards[rng.Intn(nshards)].Add(r)
+		}
+		root := NewWaterfallComparison(w, 5)
+		for _, i := range rng.Perm(nshards) {
+			root.Merge(shards[i])
+		}
+		if got := root.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: permuted merge diverged from one fold:\ngot  %+v\nwant %+v", nshards, got, want)
+		}
 	}
 }

@@ -3,9 +3,8 @@
 // incremental, mergeable accumulator over dataset.SiteRecord (see
 // metric.go for the contract) — so a crawl of any size can compute every
 // figure without materializing the record slice, and per-worker shards
-// merge into results identical to a single ordered pass. Each legacy
-// batch function (one per table/figure, see DESIGN.md §4 for the index)
-// remains as a thin fold-then-result wrapper over its metric.
+// merge into results identical to a single ordered pass. DESIGN.md §4
+// maps each table and figure to its metric constructor.
 package analysis
 
 import (
@@ -97,12 +96,6 @@ func (m *AdoptionByRankBandMetric) Result() []RankBandAdoption {
 	return out
 }
 
-// AdoptionByRankBand reproduces §3.2: HB share in the top 5k, 5k-15k and
-// the tail — the batch fold over NewAdoptionByRankBand.
-func AdoptionByRankBand(recs []*dataset.SiteRecord) []RankBandAdoption {
-	return foldAll(NewAdoptionByRankBand(), recs).Result()
-}
-
 // FacetShare is one facet's share of HB sites.
 type FacetShare struct {
 	Facet hb.Facet
@@ -161,11 +154,6 @@ func (m *FacetBreakdownMetric) Result() []FacetShare {
 		out = append(out, FacetShare{Facet: f, Sites: n, Share: share})
 	}
 	return out
-}
-
-// FacetBreakdown reproduces §4.6: server 48%, hybrid 34.7%, client 17.3%.
-func FacetBreakdown(recs []*dataset.SiteRecord) []FacetShare {
-	return foldAll(NewFacetBreakdown(), recs).Result()
 }
 
 // ---------------------------------------------------------------------------
@@ -240,12 +228,6 @@ func (m *TopPartnersMetric) Result() []PartnerShare {
 	return out
 }
 
-// TopPartners reproduces Figure 8: the percentage of HB sites each
-// demand partner participates in, descending; k<=0 returns all.
-func TopPartners(recs []*dataset.SiteRecord, k int) []PartnerShare {
-	return foldAll(NewTopPartners(k), recs).Result()
-}
-
 // UniquePartnersMetric counts distinct partners incrementally.
 type UniquePartnersMetric struct {
 	set map[string]bool
@@ -284,11 +266,6 @@ func (m *UniquePartnersMetric) Snapshot() any { return m.Result() }
 
 // Result reports the distinct partner count.
 func (m *UniquePartnersMetric) Result() int { return len(m.set) }
-
-// UniquePartners counts distinct partners across the dataset.
-func UniquePartners(recs []*dataset.SiteRecord) int {
-	return foldAll(NewUniquePartners(), recs).Result()
-}
 
 // PartnersPerSiteResult reproduces Figure 9: the distribution of demand
 // partners per HB site. Returns the ECDF plus the headline fractions.
@@ -363,11 +340,6 @@ func (m *PartnersPerSiteMetric) Result() PartnersPerSiteResult {
 	}
 }
 
-// PartnersPerSite computes the Figure 9 distribution.
-func PartnersPerSite(recs []*dataset.SiteRecord) PartnersPerSiteResult {
-	return foldAll(NewPartnersPerSite(), recs).Result()
-}
-
 // ComboShare is one demand-partner combination's share (Figure 10).
 type ComboShare struct {
 	Combo []string // sorted slugs
@@ -414,7 +386,7 @@ func (m *PartnerCombosMetric) Snapshot() any { return m.Result() }
 
 // Result computes the combination shares over everything added. Sites
 // whose first HB record listed no partners count toward the share
-// denominator but form no combination, matching the batch semantics.
+// denominator but form no combination.
 func (m *PartnerCombosMetric) Result() []ComboShare {
 	counts := map[string]int{}
 	members := map[string][]string{}
@@ -446,12 +418,6 @@ func (m *PartnerCombosMetric) Result() []ComboShare {
 		out = out[:m.k]
 	}
 	return out
-}
-
-// PartnerCombos reproduces Figure 10: the most frequent partner
-// combinations, descending; k<=0 returns all.
-func PartnerCombos(recs []*dataset.SiteRecord, k int) []ComboShare {
-	return foldAll(NewPartnerCombos(k), recs).Result()
 }
 
 // PartnerBidShare is one partner's share of observed bids within a facet
@@ -543,10 +509,4 @@ func (m *PartnersPerFacetMetric) Result() map[hb.Facet][]PartnerBidShare {
 		out[facet] = shares
 	}
 	return out
-}
-
-// PartnersPerFacet reproduces Figure 11: top partners by share of bids,
-// per HB facet; k<=0 returns all.
-func PartnersPerFacet(recs []*dataset.SiteRecord, k int) map[hb.Facet][]PartnerBidShare {
-	return foldAll(NewPartnersPerFacet(k), recs).Result()
 }

@@ -62,7 +62,7 @@ func fixtureRecords() []*dataset.SiteRecord {
 }
 
 func TestAdoptionByRankBand(t *testing.T) {
-	bands := AdoptionByRankBand(fixtureRecords())
+	bands := fold(NewAdoptionByRankBand(), fixtureRecords()).Result()
 	// Ranks 1, 3 and 600 all sit in the top band; the mid band is empty
 	// and therefore omitted; rank 20000 forms the tail band.
 	if len(bands) != 2 {
@@ -78,7 +78,7 @@ func TestAdoptionByRankBand(t *testing.T) {
 }
 
 func TestFacetBreakdown(t *testing.T) {
-	shares := FacetBreakdown(fixtureRecords())
+	shares := fold(NewFacetBreakdown(), fixtureRecords()).Result()
 	got := map[hb.Facet]float64{}
 	for _, s := range shares {
 		got[s.Facet] = s.Share
@@ -92,7 +92,7 @@ func TestFacetBreakdown(t *testing.T) {
 }
 
 func TestTopPartners(t *testing.T) {
-	top := TopPartners(fixtureRecords(), 0)
+	top := fold(NewTopPartners(0), fixtureRecords()).Result()
 	if top[0].Slug != "criteo" && top[0].Slug != "dfp" {
 		t.Fatalf("top = %+v", top)
 	}
@@ -107,13 +107,13 @@ func TestTopPartners(t *testing.T) {
 	if byName["appnexus"].Sites != 1 {
 		t.Fatalf("appnexus = %+v", byName["appnexus"])
 	}
-	if len(TopPartners(fixtureRecords(), 2)) != 2 {
+	if len(fold(NewTopPartners(2), fixtureRecords()).Result()) != 2 {
 		t.Fatal("k limit ignored")
 	}
 }
 
 func TestPartnersPerSite(t *testing.T) {
-	res := PartnersPerSite(fixtureRecords())
+	res := fold(NewPartnersPerSite(), fixtureRecords()).Result()
 	if res.SiteCount != 3 {
 		t.Fatalf("sites = %d", res.SiteCount)
 	}
@@ -126,7 +126,7 @@ func TestPartnersPerSite(t *testing.T) {
 }
 
 func TestPartnerCombos(t *testing.T) {
-	combos := PartnerCombos(fixtureRecords(), 0)
+	combos := fold(NewPartnerCombos(0), fixtureRecords()).Result()
 	keys := map[string]int{}
 	for _, c := range combos {
 		keys[c.Key] = c.Sites
@@ -137,7 +137,7 @@ func TestPartnerCombos(t *testing.T) {
 }
 
 func TestPartnersPerFacet(t *testing.T) {
-	byFacet := PartnersPerFacet(fixtureRecords(), 0)
+	byFacet := fold(NewPartnersPerFacet(0), fixtureRecords()).Result()
 	server := byFacet[hb.FacetServer]
 	if len(server) != 1 || server[0].Slug != "rubicon" || server[0].Share != 1 {
 		t.Fatalf("server = %+v", server)
@@ -149,13 +149,13 @@ func TestPartnersPerFacet(t *testing.T) {
 }
 
 func TestUniquePartners(t *testing.T) {
-	if n := UniquePartners(fixtureRecords()); n != 4 { // dfp, appnexus, criteo, rubicon
+	if n := fold(NewUniquePartners(), fixtureRecords()).Result(); n != 4 { // dfp, appnexus, criteo, rubicon
 		t.Fatalf("unique = %d", n)
 	}
 }
 
 func TestLatencyCDF(t *testing.T) {
-	res := LatencyCDF(fixtureRecords())
+	res := fold(NewLatencyAccumulator(), fixtureRecords()).Result()
 	if res.Sites != 3 {
 		t.Fatalf("sites = %d", res.Sites)
 	}
@@ -168,7 +168,7 @@ func TestLatencyCDF(t *testing.T) {
 }
 
 func TestLatencyVsRank(t *testing.T) {
-	bins := LatencyVsRank(fixtureRecords(), 500)
+	bins := fold(NewLatencyVsRank(500), fixtureRecords()).Result()
 	if len(bins) != 3 {
 		t.Fatalf("bins = %d", len(bins))
 	}
@@ -178,7 +178,7 @@ func TestLatencyVsRank(t *testing.T) {
 }
 
 func TestPartnerLatenciesAndExtremes(t *testing.T) {
-	sums := PartnerLatencies(fixtureRecords())
+	sums := fold(NewPartnerLatencies(), fixtureRecords()).Result()
 	byName := map[string]PartnerLatencySummary{}
 	for _, s := range sums {
 		byName[s.Slug] = s
@@ -186,7 +186,7 @@ func TestPartnerLatenciesAndExtremes(t *testing.T) {
 	if byName["appnexus"].Samples != 2 || byName["appnexus"].Stats.Median != 325 {
 		t.Fatalf("appnexus = %+v", byName["appnexus"])
 	}
-	ext := LatencyExtremes(fixtureRecords(), partners.Default(), 2, 1)
+	ext := fold(NewPartnerLatencies(), fixtureRecords()).Extremes(partners.Default(), 2, 1)
 	if len(ext.Fastest) != 2 || ext.Fastest[0].Slug != "criteo" {
 		t.Fatalf("fastest = %+v", ext.Fastest)
 	}
@@ -199,7 +199,7 @@ func TestPartnerLatenciesAndExtremes(t *testing.T) {
 }
 
 func TestLatencyVsPartnerCount(t *testing.T) {
-	rows := LatencyVsPartnerCount(fixtureRecords(), 15)
+	rows := fold(NewLatencyVsPartnerCount(15), fixtureRecords()).Result()
 	byCount := map[int]CountLatency{}
 	for _, r := range rows {
 		byCount[r.Partners] = r
@@ -216,7 +216,7 @@ func TestLatencyVsPartnerCount(t *testing.T) {
 }
 
 func TestLateBids(t *testing.T) {
-	res := LateBids(fixtureRecords())
+	res := fold(NewLateBids(), fixtureRecords()).Result()
 	if res.TotalAuctions != 4 { // auctions with >=1 bid: x1, y1, y2, z1
 		t.Fatalf("total = %d", res.TotalAuctions)
 	}
@@ -232,7 +232,7 @@ func TestLateBids(t *testing.T) {
 }
 
 func TestLateBidsPerPartner(t *testing.T) {
-	rows := LateBidsPerPartner(fixtureRecords(), 0, 1)
+	rows := fold(NewLateBidsPerPartner(0, 1), fixtureRecords()).Result()
 	byName := map[string]PartnerLateShare{}
 	for _, r := range rows {
 		byName[r.Slug] = r
@@ -249,7 +249,7 @@ func TestLateBidsPerPartner(t *testing.T) {
 }
 
 func TestSlotsPerSite(t *testing.T) {
-	res := SlotsPerSite(fixtureRecords())
+	res := fold(NewSlotsPerSite(), fixtureRecords()).Result()
 	if res.ByFacet[hb.FacetServer].Quantile(0.5) != 2 {
 		t.Fatalf("server slots = %v", res.ByFacet[hb.FacetServer].Quantile(0.5))
 	}
@@ -259,7 +259,7 @@ func TestSlotsPerSite(t *testing.T) {
 }
 
 func TestLatencyVsSlots(t *testing.T) {
-	rows := LatencyVsSlots(fixtureRecords(), 15)
+	rows := fold(NewLatencyVsSlots(15), fixtureRecords()).Result()
 	byCount := map[int]CountLatency{}
 	for _, r := range rows {
 		byCount[r.Partners] = r
@@ -270,7 +270,7 @@ func TestLatencyVsSlots(t *testing.T) {
 }
 
 func TestSlotSizes(t *testing.T) {
-	byFacet := SlotSizes(fixtureRecords(), 0)
+	byFacet := fold(NewSlotSizes(0), fixtureRecords()).Result()
 	hybrid := byFacet[hb.FacetHybrid]
 	if len(hybrid) != 2 {
 		t.Fatalf("hybrid sizes = %+v", hybrid)
@@ -283,7 +283,7 @@ func TestSlotSizes(t *testing.T) {
 }
 
 func TestPriceCDF(t *testing.T) {
-	res := PriceCDF(fixtureRecords())
+	res := fold(NewPriceCDF(), fixtureRecords()).Result()
 	client := res.ByFacet[hb.FacetClient]
 	if client.Len() != 1 || client.Quantile(0.5) != 0.60 {
 		t.Fatalf("client prices = %v", client.Values())
@@ -294,7 +294,7 @@ func TestPriceCDF(t *testing.T) {
 }
 
 func TestPricePerSize(t *testing.T) {
-	rows := PricePerSize(fixtureRecords(), 1)
+	rows := fold(NewPricePerSize(1), fixtureRecords()).Result()
 	if len(rows) == 0 {
 		t.Fatal("no sizes")
 	}
@@ -310,7 +310,7 @@ func TestPricePerSize(t *testing.T) {
 }
 
 func TestPriceVsPopularity(t *testing.T) {
-	bins := PriceVsPopularity(fixtureRecords(), partners.Default(), 10)
+	bins := fold(NewPriceVsPopularity(partners.Default(), 10), fixtureRecords()).Result()
 	if len(bins) == 0 {
 		t.Fatal("no bins")
 	}
@@ -327,11 +327,11 @@ func TestDedupeAcrossDays(t *testing.T) {
 		Domain: "s1.example", Rank: 1, VisitDay: 1, HB: true, Facet: "server",
 		Partners: []string{"dfp"}, Loaded: true,
 	})
-	res := PartnersPerSite(recs)
+	res := fold(NewPartnersPerSite(), recs).Result()
 	if res.SiteCount != 3 {
 		t.Fatalf("dedupe failed: %d sites", res.SiteCount)
 	}
-	bands := AdoptionByRankBand(recs)
+	bands := fold(NewAdoptionByRankBand(), recs).Result()
 	if bands[0].Sites != 3 {
 		t.Fatalf("dedupe failed in bands: %+v", bands[0])
 	}
@@ -339,14 +339,14 @@ func TestDedupeAcrossDays(t *testing.T) {
 
 func TestEmptyDatasetSafe(t *testing.T) {
 	var empty []*dataset.SiteRecord
-	_ = FacetBreakdown(empty)
-	_ = TopPartners(empty, 5)
-	_ = PartnersPerSite(empty)
-	_ = PartnerCombos(empty, 5)
-	_ = LatencyCDF(empty)
-	_ = LateBids(empty)
-	_ = SlotsPerSite(empty)
-	_ = PriceCDF(empty)
-	_ = PricePerSize(empty, 1)
+	_ = fold(NewFacetBreakdown(), empty).Result()
+	_ = fold(NewTopPartners(5), empty).Result()
+	_ = fold(NewPartnersPerSite(), empty).Result()
+	_ = fold(NewPartnerCombos(5), empty).Result()
+	_ = fold(NewLatencyAccumulator(), empty).Result()
+	_ = fold(NewLateBids(), empty).Result()
+	_ = fold(NewSlotsPerSite(), empty).Result()
+	_ = fold(NewPriceCDF(), empty).Result()
+	_ = fold(NewPricePerSize(1), empty).Result()
 	// No panics is the assertion.
 }

@@ -115,8 +115,3 @@ func (m *DegradationMetric) Result() DegradationResult {
 	}
 	return res
 }
-
-// Degradation computes the degradation summary over a dataset.
-func Degradation(recs []*dataset.SiteRecord) DegradationResult {
-	return foldAll(NewDegradation(), recs).Result()
-}

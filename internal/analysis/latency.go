@@ -40,8 +40,7 @@ func NewLatencyAccumulator() *LatencyAccumulator { return &LatencyAccumulator{} 
 // Name identifies the metric.
 func (a *LatencyAccumulator) Name() string { return "latency_cdf" }
 
-// Add folds one record in (non-HB and latency-free records are ignored,
-// mirroring the batch filter).
+// Add folds one record in (non-HB and latency-free records are ignored).
 func (a *LatencyAccumulator) Add(r *dataset.SiteRecord) {
 	if r.HB && r.TotalHBLatencyMS > 0 {
 		a.xs = append(a.xs, r.TotalHBLatencyMS)
@@ -73,12 +72,6 @@ func (a *LatencyAccumulator) Result() LatencyCDFResult {
 		FracOver5s: 1 - e.P(5000),
 		Sites:      len(a.xs),
 	}
-}
-
-// LatencyCDF computes the total HB latency CDF across HB sites — the
-// batch convenience over LatencyAccumulator.
-func LatencyCDF(recs []*dataset.SiteRecord) LatencyCDFResult {
-	return foldAll(NewLatencyAccumulator(), recs).Result()
 }
 
 // LatencyVsRankMetric accumulates Figure 13 incrementally: per-rank-bin
@@ -119,12 +112,6 @@ func (m *LatencyVsRankMetric) Snapshot() any { return m.Result() }
 
 // Result computes the per-bin whisker summaries over everything added.
 func (m *LatencyVsRankMetric) Result() []stats.BinSummary { return m.b.Summaries() }
-
-// LatencyVsRank reproduces Figure 13: per-rank-bin whisker summaries of
-// HB latency (bins of binWidth ranks, the paper uses 500).
-func LatencyVsRank(recs []*dataset.SiteRecord, binWidth int) []stats.BinSummary {
-	return foldAll(NewLatencyVsRank(binWidth), recs).Result()
-}
 
 // PartnerLatencySummary is one partner's observed latency profile.
 type PartnerLatencySummary struct {
@@ -189,12 +176,6 @@ func (m *PartnerLatenciesMetric) Extremes(reg *partners.Registry, k, minSamples 
 	return extremesOf(m.Result(), reg, k, minSamples)
 }
 
-// PartnerLatencies aggregates observed per-partner bid latencies across
-// the dataset (the raw material of Figures 14 and 16).
-func PartnerLatencies(recs []*dataset.SiteRecord) []PartnerLatencySummary {
-	return foldAll(NewPartnerLatencies(), recs).Result()
-}
-
 // PartnerLatencyExtremes is Figure 14: the fastest partners, the top
 // partners by market share, and the slowest partners.
 type PartnerLatencyExtremes struct {
@@ -235,12 +216,6 @@ func extremesOf(all []PartnerLatencySummary, reg *partners.Registry, k, minSampl
 		}
 	}
 	return res
-}
-
-// LatencyExtremes computes Figure 14. k bounds each group; minSamples
-// filters out partners with too few observations to summarize honestly.
-func LatencyExtremes(recs []*dataset.SiteRecord, reg *partners.Registry, k, minSamples int) PartnerLatencyExtremes {
-	return foldAll(NewPartnerLatencies(), recs).Extremes(reg, k, minSamples)
 }
 
 // CountLatency is Figure 15: latency and site share at one partner count.
@@ -335,11 +310,6 @@ func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 	return out
 }
 
-// LatencyVsPartnerCount reproduces Figure 15.
-func LatencyVsPartnerCount(recs []*dataset.SiteRecord, maxPartners int) []CountLatency {
-	return foldAll(NewLatencyVsPartnerCount(maxPartners), recs).Result()
-}
-
 // LatencyVsPopularityMetric accumulates Figure 16 incrementally:
 // per-popularity-rank-bin latency samples.
 type LatencyVsPopularityMetric struct {
@@ -400,13 +370,6 @@ func (m *LatencyVsPopularityMetric) Snapshot() any { return m.Result() }
 
 // Result computes the per-bin whisker summaries over everything added.
 func (m *LatencyVsPopularityMetric) Result() []stats.BinSummary { return m.b.Summaries() }
-
-// LatencyVsPopularity reproduces Figure 16: per-popularity-rank-bin
-// latency whiskers (partners ranked by registry popularity, bins of
-// binWidth, the paper uses 10).
-func LatencyVsPopularity(recs []*dataset.SiteRecord, reg *partners.Registry, binWidth int) []stats.BinSummary {
-	return foldAll(NewLatencyVsPopularity(reg, binWidth), recs).Result()
-}
 
 // ---------------------------------------------------------------------------
 // Late bids (Figures 17, 18)
@@ -509,11 +472,6 @@ func (m *LateBidsMetric) Result() LateBidsResult {
 	return res
 }
 
-// LateBids computes Figure 17.
-func LateBids(recs []*dataset.SiteRecord) LateBidsResult {
-	return foldAll(NewLateBids(), recs).Result()
-}
-
 // PartnerLateShare is Figure 18: one partner's late-bid rate.
 type PartnerLateShare struct {
 	Slug      string
@@ -601,10 +559,4 @@ func (m *LateBidsPerPartnerMetric) Result() []PartnerLateShare {
 		out = out[:m.k]
 	}
 	return out
-}
-
-// LateBidsPerPartner computes Figure 18, descending by late share;
-// minBids filters noise; k<=0 returns all.
-func LateBidsPerPartner(recs []*dataset.SiteRecord, k, minBids int) []PartnerLateShare {
-	return foldAll(NewLateBidsPerPartner(k, minBids), recs).Result()
 }

@@ -9,9 +9,9 @@ import (
 	"headerbid/internal/sitegen"
 )
 
-// TestLatencyAccumulatorMatchesBatch feeds a real crawl record-by-record
-// and requires the streaming result to be deep-equal to the batch CDF —
-// markers, sample count and the full ECDF.
+// TestLatencyAccumulatorMatchesBatch feeds a real crawl round-robin into
+// four shards and requires the merged result to be deep-equal to one
+// in-order fold — markers, sample count and the full ECDF.
 func TestLatencyAccumulatorMatchesBatch(t *testing.T) {
 	cfg := sitegen.DefaultConfig(17)
 	cfg.NumSites = 400
@@ -19,12 +19,16 @@ func TestLatencyAccumulatorMatchesBatch(t *testing.T) {
 	recs := crawler.CrawlWorld(w, crawler.DefaultOptions(17))
 
 	acc := NewLatencyAccumulator()
-	for _, r := range recs {
-		acc.Add(r)
+	shards := []Metric{acc.NewShard(), acc.NewShard(), acc.NewShard(), acc.NewShard()}
+	for i, r := range recs {
+		shards[i%len(shards)].Add(r)
 	}
-	got, want := acc.Result(), LatencyCDF(recs)
+	for i := len(shards) - 1; i >= 0; i-- {
+		acc.Merge(shards[i])
+	}
+	got, want := acc.Result(), fold(NewLatencyAccumulator(), recs).Result()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming CDF diverged:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("sharded CDF diverged:\n got %+v\nwant %+v", got, want)
 	}
 	if got.Sites == 0 {
 		t.Fatal("no latency samples in a 400-site crawl")

@@ -7,19 +7,18 @@ import (
 )
 
 // A Metric is a streaming, mergeable accumulator over site records — the
-// unit of the metrics API that replaced the batch analysis layer. Every
-// figure-level analysis in this package is a Metric; the batch functions
-// remain as thin fold-then-result wrappers over them.
+// unit of the metrics API. Every figure-level analysis in this package
+// is a Metric, and none takes a record slice.
 //
 // The contract every Metric must satisfy (and the metric-law tests
 // enforce for each implementation):
 //
 //   - Add folds one record into the accumulator. Implementations must be
 //     order-insensitive up to the result: folding the same record
-//     multiset in any order yields the same Snapshot. (Analyses that
-//     batch-deduped "the first record per domain" key on the minimum
-//     VisitDay instead, which coincides with stream order — crawls emit
-//     by day, then rank — while staying order-free.)
+//     multiset in any order yields the same Snapshot. (Analyses of "the
+//     first record per domain" key on the minimum VisitDay, which
+//     coincides with stream order — crawls emit by day, then rank —
+//     while staying order-free.)
 //   - NewShard returns a fresh, empty accumulator of the same kind and
 //     configuration, for independent per-worker accumulation. Shards
 //     share no state with their parent or each other; Add on distinct
@@ -62,15 +61,6 @@ func mergeArg[T Metric](self Metric, other Metric) T {
 	return t
 }
 
-// foldAll folds every record into m and returns m — the batch
-// convenience every legacy analysis function is now a wrapper over.
-func foldAll[M Metric](m M, recs []*dataset.SiteRecord) M {
-	for _, r := range recs {
-		m.Add(r)
-	}
-	return m
-}
-
 // firstOf retains, per domain, the payload of the record with the
 // smallest VisitDay — the streaming equivalent of dedupeByDomain. The
 // crawl emits by day then rank, so "first record per domain in stream
@@ -92,7 +82,7 @@ func newFirstOf[T any]() firstOf[T] {
 
 // add records val for domain unless an earlier-day value is already held.
 // Ties keep the incumbent, so within one shard the first-added record
-// wins — matching batch dedupe on (hypothetical) same-day duplicates.
+// wins on (hypothetical) same-day duplicates.
 func (f firstOf[T]) add(domain string, day int, val T) {
 	if cur, ok := f.m[domain]; !ok || day < cur.day {
 		f.m[domain] = firstEntry[T]{day: day, val: val}

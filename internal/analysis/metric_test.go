@@ -117,80 +117,66 @@ func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
 	return recs
 }
 
-// metricCase pairs a metric constructor with its batch ancestor.
+// fold adds every record to m in order and returns m: the one-pass
+// reference that sharded merges are compared against, and the way the
+// fixture tests compute a metric's result.
+func fold[M Metric](m M, recs []*dataset.SiteRecord) M {
+	for _, r := range recs {
+		m.Add(r)
+	}
+	return m
+}
+
+// metricCase names a metric constructor.
 type metricCase struct {
 	name   string
 	metric func() Metric
-	batch  func(recs []*dataset.SiteRecord) any
 }
 
 func metricCases() []metricCase {
 	reg := partners.Default()
 	return []metricCase{
-		{"summary", func() Metric { return NewSummary() },
-			func(rs []*dataset.SiteRecord) any { return dataset.Summarize(rs) }},
-		{"adoption_by_rank_band", func() Metric { return NewAdoptionByRankBand() },
-			func(rs []*dataset.SiteRecord) any { return AdoptionByRankBand(rs) }},
-		{"facet_breakdown", func() Metric { return NewFacetBreakdown() },
-			func(rs []*dataset.SiteRecord) any { return FacetBreakdown(rs) }},
-		{"top_partners", func() Metric { return NewTopPartners(7) },
-			func(rs []*dataset.SiteRecord) any { return TopPartners(rs, 7) }},
-		{"unique_partners", func() Metric { return NewUniquePartners() },
-			func(rs []*dataset.SiteRecord) any { return UniquePartners(rs) }},
-		{"partners_per_site", func() Metric { return NewPartnersPerSite() },
-			func(rs []*dataset.SiteRecord) any { return PartnersPerSite(rs) }},
-		{"partner_combos", func() Metric { return NewPartnerCombos(10) },
-			func(rs []*dataset.SiteRecord) any { return PartnerCombos(rs, 10) }},
-		{"partners_per_facet", func() Metric { return NewPartnersPerFacet(6) },
-			func(rs []*dataset.SiteRecord) any { return PartnersPerFacet(rs, 6) }},
-		{"latency_cdf", func() Metric { return NewLatencyAccumulator() },
-			func(rs []*dataset.SiteRecord) any { return LatencyCDF(rs) }},
-		{"latency_vs_rank", func() Metric { return NewLatencyVsRank(500) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsRank(rs, 500) }},
-		{"partner_latencies", func() Metric { return NewPartnerLatencies() },
-			func(rs []*dataset.SiteRecord) any { return PartnerLatencies(rs) }},
-		{"latency_vs_partner_count", func() Metric { return NewLatencyVsPartnerCount(8) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsPartnerCount(rs, 8) }},
-		{"latency_vs_popularity", func() Metric { return NewLatencyVsPopularity(reg, 10) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsPopularity(rs, reg, 10) }},
-		{"late_bids", func() Metric { return NewLateBids() },
-			func(rs []*dataset.SiteRecord) any { return LateBids(rs) }},
-		{"late_bids_per_partner", func() Metric { return NewLateBidsPerPartner(10, 2) },
-			func(rs []*dataset.SiteRecord) any { return LateBidsPerPartner(rs, 10, 2) }},
-		{"slots_per_site", func() Metric { return NewSlotsPerSite() },
-			func(rs []*dataset.SiteRecord) any { return SlotsPerSite(rs) }},
-		{"latency_vs_slots", func() Metric { return NewLatencyVsSlots(8) },
-			func(rs []*dataset.SiteRecord) any { return LatencyVsSlots(rs, 8) }},
-		{"slot_sizes", func() Metric { return NewSlotSizes(6) },
-			func(rs []*dataset.SiteRecord) any { return SlotSizes(rs, 6) }},
-		{"price_cdf", func() Metric { return NewPriceCDF() },
-			func(rs []*dataset.SiteRecord) any { return PriceCDF(rs) }},
-		{"price_per_size", func() Metric { return NewPricePerSize(3) },
-			func(rs []*dataset.SiteRecord) any { return PricePerSize(rs, 3) }},
-		{"price_vs_popularity", func() Metric { return NewPriceVsPopularity(reg, 10) },
-			func(rs []*dataset.SiteRecord) any { return PriceVsPopularity(rs, reg, 10) }},
-		{"traffic", func() Metric { return NewTraffic(1.5) },
-			func(rs []*dataset.SiteRecord) any { return Traffic(rs, 1.5) }},
-		{"degradation", func() Metric { return NewDegradation() },
-			func(rs []*dataset.SiteRecord) any { return Degradation(rs) }},
+		{"summary", func() Metric { return NewSummary() }},
+		{"adoption_by_rank_band", func() Metric { return NewAdoptionByRankBand() }},
+		{"facet_breakdown", func() Metric { return NewFacetBreakdown() }},
+		{"top_partners", func() Metric { return NewTopPartners(7) }},
+		{"unique_partners", func() Metric { return NewUniquePartners() }},
+		{"partners_per_site", func() Metric { return NewPartnersPerSite() }},
+		{"partner_combos", func() Metric { return NewPartnerCombos(10) }},
+		{"partners_per_facet", func() Metric { return NewPartnersPerFacet(6) }},
+		{"latency_cdf", func() Metric { return NewLatencyAccumulator() }},
+		{"latency_vs_rank", func() Metric { return NewLatencyVsRank(500) }},
+		{"partner_latencies", func() Metric { return NewPartnerLatencies() }},
+		{"latency_vs_partner_count", func() Metric { return NewLatencyVsPartnerCount(8) }},
+		{"latency_vs_popularity", func() Metric { return NewLatencyVsPopularity(reg, 10) }},
+		{"late_bids", func() Metric { return NewLateBids() }},
+		{"late_bids_per_partner", func() Metric { return NewLateBidsPerPartner(10, 2) }},
+		{"slots_per_site", func() Metric { return NewSlotsPerSite() }},
+		{"latency_vs_slots", func() Metric { return NewLatencyVsSlots(8) }},
+		{"slot_sizes", func() Metric { return NewSlotSizes(6) }},
+		{"price_cdf", func() Metric { return NewPriceCDF() }},
+		{"price_per_size", func() Metric { return NewPricePerSize(3) }},
+		{"price_vs_popularity", func() Metric { return NewPriceVsPopularity(reg, 10) }},
+		{"traffic", func() Metric { return NewTraffic(1.5) }},
+		{"degradation", func() Metric { return NewDegradation() }},
 	}
 }
 
-// TestMetricStreamingMatchesBatch: folding the stream in order must
-// reproduce the batch ancestor's result exactly, for every metric.
+// TestMetricStreamingMatchesBatch: Add is order-insensitive up to the
+// result — the stream folded record by record in crawl order must match
+// the same batch of records folded in shuffled orders, for every metric.
 func TestMetricStreamingMatchesBatch(t *testing.T) {
 	recs := synthRecords(t, 1)
 	for _, tc := range metricCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			m := tc.metric()
-			if m.Name() != tc.name {
-				t.Errorf("Name() = %q, want %q", m.Name(), tc.name)
-			}
-			for _, r := range recs {
-				m.Add(r)
-			}
-			if got, want := m.Snapshot(), tc.batch(recs); !reflect.DeepEqual(got, want) {
-				t.Errorf("streamed result diverged from batch:\ngot  %#v\nwant %#v", got, want)
+			want := fold(tc.metric(), recs).Snapshot()
+			rng := rand.New(rand.NewSource(1))
+			shuffled := append([]*dataset.SiteRecord(nil), recs...)
+			for trial := 0; trial < 3; trial++ {
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				if got := fold(tc.metric(), shuffled).Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shuffle %d: result depends on Add order:\ngot  %#v\nwant %#v", trial, got, want)
+				}
 			}
 		})
 	}
@@ -199,13 +185,16 @@ func TestMetricStreamingMatchesBatch(t *testing.T) {
 // TestMetricMergeLaws: splitting the stream across shards (as the crawl
 // worker pool does) and merging them — in arbitrary permutations and
 // arbitrary groupings — must be result-identical to a single in-order
-// accumulation, for every metric.
+// fold, for every metric. Each metric must also report its case name.
 func TestMetricMergeLaws(t *testing.T) {
 	for _, tc := range metricCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			if m := tc.metric(); m.Name() != tc.name {
+				t.Errorf("Name() = %q, want %q", m.Name(), tc.name)
+			}
 			for _, seed := range []int64{1, 2} {
 				recs := synthRecords(t, seed)
-				want := tc.batch(recs)
+				want := fold(tc.metric(), recs).Snapshot()
 
 				for _, nshards := range []int{2, 3, 7} {
 					rng := rand.New(rand.NewSource(seed*100 + int64(nshards)))
@@ -228,7 +217,7 @@ func TestMetricMergeLaws(t *testing.T) {
 						root.Merge(shards[i])
 					}
 					if got := root.Snapshot(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d, %d shards: permuted merge diverged from batch", seed, nshards)
+						t.Fatalf("seed %d, %d shards: permuted merge diverged from one fold", seed, nshards)
 					}
 
 					// Associativity: rebuild the shards, pair them up
@@ -254,7 +243,7 @@ func TestMetricMergeLaws(t *testing.T) {
 					root = tc.metric()
 					root.Merge(shards[0])
 					if got := root.Snapshot(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d, %d shards: tree merge diverged from batch", seed, nshards)
+						t.Fatalf("seed %d, %d shards: tree merge diverged from one fold", seed, nshards)
 					}
 				}
 			}
@@ -289,7 +278,7 @@ func TestPartnerCombosKeepsLiteralSlugs(t *testing.T) {
 }
 
 // TestExtremesMatchesBatchOverShards pins the Figure-14 method on the
-// merged partner-latency metric to the batch LatencyExtremes.
+// merged partner-latency metric to Extremes over one in-order fold.
 func TestExtremesMatchesBatchOverShards(t *testing.T) {
 	recs := synthRecords(t, 3)
 	reg := partners.Default()
@@ -302,7 +291,7 @@ func TestExtremesMatchesBatchOverShards(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if got, want := a.Extremes(reg, 10, 5), LatencyExtremes(recs, reg, 10, 5); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded Extremes diverged from batch")
+	if got, want := a.Extremes(reg, 10, 5), fold(NewPartnerLatencies(), recs).Extremes(reg, 10, 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("sharded Extremes diverged from one fold")
 	}
 }

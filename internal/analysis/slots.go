@@ -84,11 +84,6 @@ func (m *SlotsPerSiteMetric) Result() SlotsPerSiteResult {
 	return res
 }
 
-// SlotsPerSite computes Figure 19.
-func SlotsPerSite(recs []*dataset.SiteRecord) SlotsPerSiteResult {
-	return foldAll(NewSlotsPerSite(), recs).Result()
-}
-
 // LatencyVsSlotsMetric accumulates Figure 20 incrementally: latency
 // samples per clamped auctioned-slot count over every HB record.
 type LatencyVsSlotsMetric struct {
@@ -144,12 +139,6 @@ func (m *LatencyVsSlotsMetric) Result() []CountLatency {
 		out = append(out, CountLatency{Partners: n, Stats: box, Sites: len(xs)})
 	}
 	return out
-}
-
-// LatencyVsSlots reproduces Figure 20: latency whiskers per auctioned
-// slot count (1..maxSlots, higher counts clamped).
-func LatencyVsSlots(recs []*dataset.SiteRecord, maxSlots int) []CountLatency {
-	return foldAll(NewLatencyVsSlots(maxSlots), recs).Result()
 }
 
 // SizeShare is Figure 21: one slot dimension's share of auctioned slots
@@ -245,12 +234,6 @@ func (m *SlotSizesMetric) Result() map[hb.Facet][]SizeShare {
 	return out
 }
 
-// SlotSizes computes Figure 21: top slot dimensions per facet; k<=0
-// returns all.
-func SlotSizes(recs []*dataset.SiteRecord, k int) map[hb.Facet][]SizeShare {
-	return foldAll(NewSlotSizes(k), recs).Result()
-}
-
 // ---------------------------------------------------------------------------
 // Bid prices (Figures 22, 23, 24)
 // ---------------------------------------------------------------------------
@@ -323,11 +306,6 @@ func (m *PriceCDFMetric) Result() PriceCDFResult {
 		res.FracOverHalf = float64(m.over) / float64(m.total)
 	}
 	return res
-}
-
-// PriceCDF computes Figure 22 from every observed bid.
-func PriceCDF(recs []*dataset.SiteRecord) PriceCDFResult {
-	return foldAll(NewPriceCDF(), recs).Result()
 }
 
 // SizePrice is Figure 23: price distribution for one slot dimension.
@@ -410,12 +388,6 @@ func (m *PricePerSizeMetric) Result() []SizePrice {
 	return out
 }
 
-// PricePerSize computes Figure 23, ordered by slot area (the paper's
-// x-axis ordering); minBids filters sparsely observed sizes.
-func PricePerSize(recs []*dataset.SiteRecord, minBids int) []SizePrice {
-	return foldAll(NewPricePerSize(minBids), recs).Result()
-}
-
 // PriceVsPopularityMetric accumulates Figure 24 incrementally: CPM
 // samples per partner-popularity bin.
 type PriceVsPopularityMetric struct {
@@ -470,9 +442,3 @@ func (m *PriceVsPopularityMetric) Snapshot() any { return m.Result() }
 
 // Result computes the per-bin whisker summaries over everything added.
 func (m *PriceVsPopularityMetric) Result() []stats.BinSummary { return m.b.Summaries() }
-
-// PriceVsPopularity reproduces Figure 24: bid-price whiskers per
-// partner-popularity bin (bins of binWidth, the paper uses 10).
-func PriceVsPopularity(recs []*dataset.SiteRecord, reg *partners.Registry, binWidth int) []stats.BinSummary {
-	return foldAll(NewPriceVsPopularity(reg, binWidth), recs).Result()
-}

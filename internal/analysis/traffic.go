@@ -119,10 +119,3 @@ func (m *TrafficMetric) Result() TrafficSummary {
 	}
 	return out
 }
-
-// Traffic computes the overhead summary from a crawl dataset.
-// expectedWaterfallPasses is the mean number of passes a waterfall walks
-// before filling (from the paired waterfall experiment; ~1-2 in practice).
-func Traffic(recs []*dataset.SiteRecord, expectedWaterfallPasses float64) TrafficSummary {
-	return foldAll(NewTraffic(expectedWaterfallPasses), recs).Result()
-}

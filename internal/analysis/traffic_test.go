@@ -31,7 +31,7 @@ func trafficFixture() []*dataset.SiteRecord {
 }
 
 func TestTrafficSummary(t *testing.T) {
-	ts := Traffic(trafficFixture(), 2.0)
+	ts := fold(NewTraffic(2.0), trafficFixture()).Result()
 	if ts.Sites != 2 {
 		t.Fatalf("sites = %d", ts.Sites)
 	}
@@ -52,11 +52,11 @@ func TestTrafficSummary(t *testing.T) {
 }
 
 func TestTrafficEmptyAndNoBaseline(t *testing.T) {
-	ts := Traffic(nil, 2)
+	ts := fold(NewTraffic(2), nil).Result()
 	if ts.Sites != 0 || ts.AmplificationVsWaterfall != 0 {
 		t.Fatalf("empty summary = %+v", ts)
 	}
-	ts2 := Traffic(trafficFixture(), 0)
+	ts2 := fold(NewTraffic(0), trafficFixture()).Result()
 	if ts2.AmplificationVsWaterfall != 0 {
 		t.Fatal("no baseline should yield zero amplification")
 	}

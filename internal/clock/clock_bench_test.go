@@ -1,67 +1,9 @@
 package clock
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 )
-
-// heapScheduler is the pre-overhaul scheduler (container/heap over *event
-// nodes), kept as a benchmark reference so the zero-alloc value-heap
-// replacement can be compared against the shape it replaced. The timer
-// wheel alternative was rejected for the production scheduler because
-// exact (time, seq) total ordering — which determinism requires — forces
-// per-bucket sorting that erases the wheel's advantage at this
-// simulation's typical queue depths (tens of pending events per visit).
-type heapEvent struct {
-	at  time.Time
-	seq uint64
-	fn  func()
-}
-
-type heapEventQueue []*heapEvent
-
-func (q heapEventQueue) Len() int { return len(q) }
-func (q heapEventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
-}
-func (q heapEventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *heapEventQueue) Push(x any)   { *q = append(*q, x.(*heapEvent)) }
-func (q *heapEventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
-
-type heapScheduler struct {
-	now   time.Time
-	seq   uint64
-	queue heapEventQueue
-}
-
-func (s *heapScheduler) After(d time.Duration, fn func()) {
-	s.seq++
-	heap.Push(&s.queue, &heapEvent{at: s.now.Add(d), seq: s.seq, fn: fn})
-}
-
-func (s *heapScheduler) Run() int {
-	n := 0
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*heapEvent)
-		if ev.at.After(s.now) {
-			s.now = ev.at
-		}
-		n++
-		ev.fn()
-	}
-	return n
-}
 
 // benchEvents mirrors a busy visit: interleaved schedule/fire with
 // re-scheduling from inside callbacks (fetch -> handler -> delivery).
@@ -74,26 +16,6 @@ func BenchmarkScheduler_ScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler(time.Time{})
-		fired := 0
-		for j := 0; j < benchEvents; j++ {
-			d := time.Duration(j%37) * time.Millisecond
-			s.After(d, func() {
-				s.After(time.Millisecond, func() { fired++ })
-			})
-		}
-		s.Run()
-		if fired != benchEvents {
-			b.Fatalf("fired %d, want %d", fired, benchEvents)
-		}
-	}
-}
-
-// BenchmarkScheduler_ScheduleFire_OldHeap is the same workload on the
-// container/heap reference, for PERF.md's before/after table.
-func BenchmarkScheduler_ScheduleFire_OldHeap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := &heapScheduler{now: Epoch}
 		fired := 0
 		for j := 0; j < benchEvents; j++ {
 			d := time.Duration(j%37) * time.Millisecond

@@ -668,8 +668,7 @@ func (s *Stats) Merge(o Stats) {
 	s.HB += o.HB
 }
 
-// Add folds one record into the stats (the streaming counterpart of
-// StatsOf).
+// Add folds one record into the stats.
 func (s *Stats) Add(r *dataset.SiteRecord) {
 	s.Visits++
 	if r.Loaded {
@@ -681,15 +680,6 @@ func (s *Stats) Add(r *dataset.SiteRecord) {
 	if r.HB {
 		s.HB++
 	}
-}
-
-// StatsOf computes crawl stats.
-func StatsOf(recs []*dataset.SiteRecord) Stats {
-	var st Stats
-	for _, r := range recs {
-		st.Add(r)
-	}
-	return st
 }
 
 // String renders the stats.

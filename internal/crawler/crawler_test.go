@@ -24,7 +24,10 @@ func TestCrawlDetectsHB(t *testing.T) {
 	}
 
 	// Every record should have loaded.
-	st := StatsOf(recs)
+	var st Stats
+	for _, r := range recs {
+		st.Add(r)
+	}
 	if st.Loaded != 400 {
 		t.Fatalf("loaded=%d, want 400", st.Loaded)
 	}
@@ -100,7 +103,11 @@ func TestCrawlMultiDay(t *testing.T) {
 	opts := DefaultOptions(3)
 	opts.Days = 3
 	recs := CrawlWorld(w, opts)
-	sum := dataset.Summarize(recs)
+	acc := dataset.NewSummaryAccumulator()
+	for _, r := range recs {
+		acc.Add(r)
+	}
+	sum := acc.Summary()
 	if sum.CrawlDays != 3 {
 		t.Fatalf("crawl days = %d, want 3", sum.CrawlDays)
 	}

@@ -318,29 +318,6 @@ func ReadStream(r io.Reader, fn func(*SiteRecord) error) error {
 	return nil
 }
 
-// Read loads all records from a JSONL stream.
-func Read(r io.Reader) ([]*SiteRecord, error) {
-	var out []*SiteRecord
-	err := ReadStream(r, func(rec *SiteRecord) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadFile loads a JSONL dataset file.
-func ReadFile(path string) ([]*SiteRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // Summary is the dataset roll-up the paper reports as Table 1.
 type Summary struct {
 	SitesCrawled   int
@@ -445,16 +422,6 @@ func (a *SummaryAccumulator) Summary() Summary {
 	s.DemandPartners = len(a.partnerSet)
 	s.CrawlDays = a.maxDay + 1
 	return s
-}
-
-// Summarize computes the Table 1 numbers from records — the batch
-// convenience over SummaryAccumulator.
-func Summarize(recs []*SiteRecord) Summary {
-	a := NewSummaryAccumulator()
-	for _, r := range recs {
-		a.Add(r)
-	}
-	return a.Summary()
 }
 
 // AdoptionRate returns the fraction of distinct sites with HB.

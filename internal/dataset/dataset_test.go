@@ -2,7 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +42,25 @@ func sampleRecords() []*SiteRecord {
 	}
 }
 
+// readAll decodes a whole JSONL stream through ReadStream.
+func readAll(r io.Reader) ([]*SiteRecord, error) {
+	var out []*SiteRecord
+	err := ReadStream(r, func(rec *SiteRecord) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
+// summarize folds recs into one SummaryAccumulator.
+func summarize(recs []*SiteRecord) Summary {
+	a := NewSummaryAccumulator()
+	for _, r := range recs {
+		a.Add(r)
+	}
+	return a.Summary()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -52,7 +75,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if w.Count() != 3 {
 		t.Fatalf("count = %d", w.Count())
 	}
-	back, err := Read(&buf)
+	back, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +102,12 @@ func TestFileWriterAndReader(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := readAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +118,17 @@ func TestFileWriterAndReader(t *testing.T) {
 
 func TestReadSkipsBlankRejectsGarbage(t *testing.T) {
 	ok := "{\"domain\":\"x.example\",\"rank\":1,\"visit_day\":0,\"hb\":false,\"loaded\":true}\n\n"
-	recs, err := Read(strings.NewReader(ok))
+	recs, err := readAll(strings.NewReader(ok))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
-	if _, err := Read(strings.NewReader("not json\n")); err == nil {
+	if _, err := readAll(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage line accepted")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize(sampleRecords())
+	s := summarize(sampleRecords())
 	if s.SitesCrawled != 2 {
 		t.Fatalf("sites = %d, want 2 (a.example deduped)", s.SitesCrawled)
 	}
@@ -124,7 +152,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := summarize(nil)
 	if s.SitesCrawled != 0 || s.AdoptionRate() != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
@@ -197,7 +225,7 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	back, err := Read(&buf)
+	back, err := readAll(&buf)
 	if err != nil || len(back) != 1 || len(back[0].Auctions) != 5000 {
 		t.Fatalf("large record: n=%d err=%v", len(back), err)
 	}
@@ -206,7 +234,7 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 	// A mixed multi-day dataset with repeats, shared partners and non-HB
 	// sites: the incremental path must agree field-for-field with the
-	// batch Summarize.
+	// roll-up counted by hand, and so must a sharded merge.
 	recs := []*SiteRecord{
 		{Domain: "a.example", VisitDay: 0, HB: true, Partners: []string{"criteo", "rubicon"},
 			Winners: []string{"criteo"}, Auctions: []AuctionRecord{{ID: "1", Bids: []BidRecord{{Bidder: "criteo"}, {Bidder: "rubicon"}}}}},
@@ -215,12 +243,29 @@ func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 			Auctions: []AuctionRecord{{ID: "2", Bids: []BidRecord{{Bidder: "appnexus"}}}}},
 		{Domain: "c.example", VisitDay: 2, HB: true, Winners: []string{"dfp"}},
 	}
+	// a and c have HB; criteo, rubicon, appnexus and dfp are contacted or
+	// win; two auctions carry three bids; days 0-2.
+	want := Summary{SitesCrawled: 3, SitesWithHB: 2, Auctions: 2, Bids: 3, DemandPartners: 4, CrawlDays: 3}
 	acc := NewSummaryAccumulator()
 	for _, r := range recs {
 		acc.Add(r)
 	}
-	if got, want := acc.Summary(), Summarize(recs); got != want {
-		t.Fatalf("accumulator = %+v, batch = %+v", got, want)
+	if got := acc.Summary(); got != want {
+		t.Fatalf("accumulator = %+v, want %+v", got, want)
+	}
+	odd, even := NewSummaryAccumulator(), NewSummaryAccumulator()
+	for i, r := range recs {
+		if i%2 == 0 {
+			even.Add(r)
+		} else {
+			odd.Add(r)
+		}
+	}
+	merged := NewSummaryAccumulator()
+	merged.Merge(odd)
+	merged.Merge(even)
+	if got := merged.Summary(); got != want {
+		t.Fatalf("sharded merge = %+v, want %+v", got, want)
 	}
 	// Partial snapshots must be valid too (Summary() is not a finalizer).
 	acc2 := NewSummaryAccumulator()
@@ -231,7 +276,7 @@ func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
 	acc2.Add(recs[1])
 	acc2.Add(recs[2])
 	acc2.Add(recs[3])
-	if got, want := acc2.Summary(), Summarize(recs); got != want {
+	if got := acc2.Summary(); got != want {
 		t.Fatalf("snapshot-then-continue diverged: %+v vs %+v", got, want)
 	}
 }
@@ -258,16 +303,16 @@ func TestReadStreamMatchesRead(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streamed) != len(batch) {
-		t.Fatalf("streamed %d, batch %d", len(streamed), len(batch))
-	}
-	for i := range batch {
-		if streamed[i].Domain != batch[i].Domain || streamed[i].HB != batch[i].HB {
-			t.Fatalf("record %d diverged", i)
+	// encoding/json, line by line, is the format's reference decoder.
+	var batch []*SiteRecord
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		rec := new(SiteRecord)
+		if err := json.Unmarshal(line, rec); err != nil {
+			t.Fatal(err)
 		}
+		batch = append(batch, rec)
+	}
+	if !reflect.DeepEqual(streamed, batch) {
+		t.Fatalf("streamed records differ from encoding/json:\n got %+v\nwant %+v", streamed, batch)
 	}
 }

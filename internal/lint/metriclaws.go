@@ -9,9 +9,9 @@ import (
 // Metriclaws enforces the structural half of the analysis.Metric
 // contract — the merge laws that make per-worker sharded accumulation
 // invisible in the output. The metric-law tests prove the algebra
-// (commutativity, associativity, streaming-vs-batch equality) at run
-// time; this analyzer catches the implementation shapes that break it
-// before a test ever runs:
+// (commutativity, associativity, sharded merges equal to one in-order
+// fold) at run time; this analyzer catches the implementation shapes
+// that break it before a test ever runs:
 //
 //   - Add and Merge declared with a value receiver mutate a copy: every
 //     record folded into a shard would be silently dropped.

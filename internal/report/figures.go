@@ -15,8 +15,8 @@ import (
 // single analysis.Metric. Attach it to a live crawl (per-worker shards,
 // merged at run end) or fold a JSONL stream into it record by record —
 // either way the full report renders without the record slice ever being
-// materialized, and the output is byte-identical to the legacy batch
-// path (which is now a fold over this type) regardless of worker count.
+// materialized, and the output is byte-identical regardless of worker
+// count.
 //
 // The section parameters (top-k cutoffs, bin widths, sample floors) are
 // fixed to the ones the paper's figures use.

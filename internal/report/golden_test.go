@@ -36,7 +36,7 @@ func readGolden(t *testing.T) []byte {
 }
 
 // TestFullReportMatchesPreRedesignGolden pins the streaming figure
-// report to the batch report the pre-metrics pipeline produced: every
+// report to the report the pre-metrics batch pipeline produced: every
 // ported analysis must be result-identical to its batch ancestor, and
 // the rendered bytes prove it for all 21 sections at once.
 func TestFullReportMatchesPreRedesignGolden(t *testing.T) {
@@ -46,19 +46,8 @@ func TestFullReportMatchesPreRedesignGolden(t *testing.T) {
 	recs := goldenRecords(t)
 	golden := readGolden(t)
 
-	var batch bytes.Buffer
-	New(&batch).Full(recs, partners.Default())
-	if !bytes.Equal(batch.Bytes(), golden) {
-		t.Errorf("batch Full output diverged from pre-redesign golden (len %d vs %d)",
-			batch.Len(), len(golden))
-	}
-
-	f := NewFigures(partners.Default())
-	for _, r := range recs {
-		f.Add(r)
-	}
 	var stream bytes.Buffer
-	f.Render(&stream)
+	fold(NewFigures(partners.Default()), recs).Render(&stream)
 	if !bytes.Equal(stream.Bytes(), golden) {
 		t.Errorf("streamed Figures output diverged from pre-redesign golden (len %d vs %d)",
 			stream.Len(), len(golden))

@@ -11,7 +11,6 @@ import (
 	"headerbid/internal/analysis"
 	"headerbid/internal/dataset"
 	"headerbid/internal/hb"
-	"headerbid/internal/partners"
 	"headerbid/internal/stats"
 )
 
@@ -305,16 +304,4 @@ func bar(frac float64, width int) string {
 		n = width
 	}
 	return strings.Repeat("#", n)
-}
-
-// Full renders every dataset-derived section in paper order — the batch
-// convenience over a streaming Figures set (fold, then render); the
-// world-dependent sections (Figure 4, the waterfall comparison) are
-// rendered separately by their dedicated commands.
-func (r *Writer) Full(recs []*dataset.SiteRecord, reg *partners.Registry) {
-	f := NewFigures(reg)
-	for _, rec := range recs {
-		f.Add(rec)
-	}
-	r.Figures(f)
 }

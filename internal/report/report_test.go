@@ -37,6 +37,14 @@ func fixture() []*dataset.SiteRecord {
 	}
 }
 
+// fold adds every record to m in order and returns m.
+func fold[M analysis.Metric](m M, recs []*dataset.SiteRecord) M {
+	for _, r := range recs {
+		m.Add(r)
+	}
+	return m
+}
+
 func render(t *testing.T, f func(*Writer)) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -45,7 +53,7 @@ func render(t *testing.T, f func(*Writer)) string {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	out := render(t, func(w *Writer) { w.Table1(dataset.Summarize(fixture())) })
+	out := render(t, func(w *Writer) { w.Table1(fold(analysis.NewSummary(), fixture()).Summary()) })
 	for _, want := range []string{"websites crawled", "3", "websites with HB", "auctions detected"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 output missing %q:\n%s", want, out)
@@ -55,7 +63,7 @@ func TestTable1Rendering(t *testing.T) {
 
 func TestFullReportRendersEverySection(t *testing.T) {
 	var buf bytes.Buffer
-	New(&buf).Full(fixture(), partners.Default())
+	fold(NewFigures(partners.Default()), fixture()).Render(&buf)
 	out := buf.String()
 	sections := []string{
 		"Table 1", "rank band", "Facet breakdown",
@@ -72,7 +80,7 @@ func TestFullReportRendersEverySection(t *testing.T) {
 }
 
 func TestFigure12Markers(t *testing.T) {
-	out := render(t, func(w *Writer) { w.Figure12(analysis.LatencyCDF(fixture())) })
+	out := render(t, func(w *Writer) { w.Figure12(fold(analysis.NewLatencyAccumulator(), fixture()).Result()) })
 	if !strings.Contains(out, "median=") || !strings.Contains(out, ">3s=") {
 		t.Fatalf("latency markers missing:\n%s", out)
 	}
@@ -95,7 +103,7 @@ func TestComparisonRendering(t *testing.T) {
 
 func TestEmptyCDFHandled(t *testing.T) {
 	out := render(t, func(w *Writer) {
-		w.Figure9(analysis.PartnersPerSite(nil))
+		w.Figure9(analysis.NewPartnersPerSite().Result())
 	})
 	if !strings.Contains(out, "no samples") && !strings.Contains(out, "P(=1)") {
 		t.Fatalf("empty CDF crashed or vanished:\n%s", out)

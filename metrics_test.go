@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"headerbid/internal/analysis"
+	"headerbid/internal/crawler"
 )
 
 // metricsTestWorld is shared across the metrics integration tests (world
@@ -41,7 +42,7 @@ func renderFigureReport(t *testing.T, w *World, workers int) []byte {
 // TestFigureReportByteIdenticalAcrossWorkers is the metrics-API
 // determinism gate: the full figure report must be byte-identical
 // whether the crawl folded shards on one worker or NumCPU workers, and
-// identical to the batch path over the collected record slice.
+// identical to the crawler's own record slice folded once.
 func TestFigureReportByteIdenticalAcrossWorkers(t *testing.T) {
 	w := metricsTestWorld(t)
 
@@ -53,11 +54,10 @@ func TestFigureReportByteIdenticalAcrossWorkers(t *testing.T) {
 
 	opts := DefaultCrawlConfig(5)
 	opts.Days = 2
-	recs := Crawl(w, opts)
 	var batch bytes.Buffer
-	Report(&batch, recs)
+	fold(NewFigureReport(), crawler.CrawlWorld(w, opts)).Render(&batch)
 	if !bytes.Equal(one, batch.Bytes()) {
-		t.Fatal("sharded figure report differs from the batch Report over collected records")
+		t.Fatal("sharded figure report differs from one fold over the crawler's records")
 	}
 	if len(one) == 0 || !bytes.Contains(one, []byte("Figure 24")) {
 		t.Fatal("figure report suspiciously incomplete")
@@ -125,30 +125,27 @@ func TestResultsMetricsBag(t *testing.T) {
 	}
 }
 
-// TestCollectSinkMultiRunAndReset pins the CollectSink contract: records
-// accumulate across runs until Reset.
-func TestCollectSinkMultiRunAndReset(t *testing.T) {
-	cfg := DefaultWorldConfig(9)
-	cfg.NumSites = 60
-	w := GenerateWorld(cfg)
-
-	c := NewCollectSink()
-	for i := 0; i < 2; i++ {
-		if _, err := NewExperiment(WithWorld(w), WithSeed(9), WithSink(c)).Run(context.Background()); err != nil {
+// TestWaterfallComparisonAcrossWorkers: the §7.2 metric attached to a
+// run must give the same comparison at 1 and 4 workers, equal to one
+// fold over the crawler's records.
+func TestWaterfallComparisonAcrossWorkers(t *testing.T) {
+	w := metricsTestWorld(t)
+	run := func(workers int) analysis.ProtocolComparison {
+		m := NewWaterfallComparison(w, 5)
+		if _, err := NewExperiment(WithWorld(w), WithSeed(5), WithWorkers(workers), WithMetrics(m)).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		return m.Result()
 	}
-	if got := len(c.Records()); got != 120 {
-		t.Fatalf("after two runs: %d records, want 120 (multi-run accumulation)", got)
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("comparison differs between 1 and 4 workers:\n 1: %+v\n 4: %+v", one, four)
 	}
-	c.Reset()
-	if len(c.Records()) != 0 {
-		t.Fatal("Reset did not clear collected records")
+	want := fold(NewWaterfallComparison(w, 5), crawler.CrawlWorld(w, DefaultCrawlConfig(5))).Result()
+	if !reflect.DeepEqual(one, want) {
+		t.Fatalf("comparison differs from one fold:\n got %+v\nwant %+v", one, want)
 	}
-	if _, err := NewExperiment(WithWorld(w), WithSeed(9), WithSink(c)).Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(c.Records()); got != 60 {
-		t.Fatalf("after Reset + one run: %d records, want 60", got)
+	if one.Sites == 0 {
+		t.Fatal("comparison saw no sites")
 	}
 }

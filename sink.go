@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 
-	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 	"headerbid/internal/obs"
@@ -20,8 +19,7 @@ type Visit = crawler.Visit
 // returning a non-nil error aborts the crawl. Close is called exactly
 // once when the run ends (normally, by cancellation, or by error) and
 // must flush any buffered state; a sink instance belongs to one run
-// unless its type documents otherwise (CollectSink explicitly supports
-// multi-run accumulation).
+// unless its type documents otherwise.
 //
 // Sinks serialize on the ordered emit path. For aggregation that doesn't
 // need the stream order, attach a Metric via WithMetrics instead: it
@@ -67,39 +65,6 @@ func (s *MetricSink) Close() error { return nil }
 
 // Metric returns the wrapped metric.
 func (s *MetricSink) Metric() Metric { return s.m }
-
-// CollectSink retains every record — the bridge back to the batch world
-// for analyses that genuinely need the full slice (waterfall comparison,
-// ad-hoc exploration). Everything figure-level is covered by Metrics
-// (see NewFigureReport) without retention.
-//
-// Unlike other sinks, a CollectSink may be reused across runs: records
-// keep accumulating over every run it is attached to until Reset is
-// called. Close never discards state.
-type CollectSink struct {
-	recs []*SiteRecord
-}
-
-// NewCollectSink returns an empty collector.
-func NewCollectSink() *CollectSink { return &CollectSink{} }
-
-// Consume retains the record.
-func (c *CollectSink) Consume(v Visit) error {
-	c.recs = append(c.recs, v.Record)
-	return nil
-}
-
-// Close is a no-op: collected records survive the run, and further runs
-// keep appending (multi-run accumulation is part of the contract).
-func (c *CollectSink) Close() error { return nil }
-
-// Records returns everything collected so far, across every run this
-// sink was attached to since the last Reset.
-func (c *CollectSink) Records() []*SiteRecord { return c.recs }
-
-// Reset discards all collected records, returning the sink to its
-// freshly constructed state so it can start a new accumulation.
-func (c *CollectSink) Reset() { c.recs = nil }
 
 // JSONLSink streams records to a JSONL dataset as they complete, so a
 // 35k-site crawl writes its dataset with O(1) record memory.
@@ -175,58 +140,6 @@ func (s *TraceSink) Close() error {
 	}
 	return err
 }
-
-// SummarySink folds each record into an incremental Table-1 Summary on
-// the ordered emit path — a thin adapter over the summary Metric; state
-// is O(distinct sites + partners), never O(records).
-type SummarySink struct {
-	m *analysis.SummaryMetric
-}
-
-// NewSummarySink returns an empty summary accumulator sink.
-func NewSummarySink() *SummarySink {
-	return &SummarySink{m: analysis.NewSummary()}
-}
-
-// Consume folds the record in.
-func (s *SummarySink) Consume(v Visit) error {
-	s.m.Add(v.Record)
-	return nil
-}
-
-// Close is a no-op; Summary stays readable after the run.
-func (s *SummarySink) Close() error { return nil }
-
-// Summary returns the roll-up over everything consumed so far (valid
-// mid-run and after).
-func (s *SummarySink) Summary() Summary { return s.m.Summary() }
-
-// LatencyStats is the Figure-12 latency CDF with the paper's markers.
-type LatencyStats = analysis.LatencyCDFResult
-
-// LatencySink aggregates total-HB-latency samples on the ordered emit
-// path — a thin adapter over the latency Metric: one float64 per HB site
-// instead of the whole record slice.
-type LatencySink struct {
-	m *analysis.LatencyAccumulator
-}
-
-// NewLatencySink returns an empty latency aggregation sink.
-func NewLatencySink() *LatencySink {
-	return &LatencySink{m: analysis.NewLatencyAccumulator()}
-}
-
-// Consume folds the record's HB latency in (non-HB records are ignored).
-func (s *LatencySink) Consume(v Visit) error {
-	s.m.Add(v.Record)
-	return nil
-}
-
-// Close is a no-op; Result stays readable after the run.
-func (s *LatencySink) Close() error { return nil }
-
-// Result computes the latency CDF over everything consumed so far.
-func (s *LatencySink) Result() LatencyStats { return s.m.Result() }
 
 // NewProgressSink reports per-day crawl progress to fn as visits stream
 // out (fn receives visits-done and visits-scheduled for the current
