@@ -11,7 +11,8 @@
 // 0..n-1 must be present; -partial renders whatever coverage the inputs
 // provide (useful while a fleet is still crawling), and -merge-out
 // writes the folded state back out as a combined shard file for later
-// completion.
+// completion. With -merge-out - the state goes to stdout in place of
+// the report, so -summary is refused with it.
 //
 // Usage:
 //
@@ -24,76 +25,97 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"headerbid"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is hbmerge over the given arguments and output streams. It
+// returns the exit status: 0 on success, 1 when a shard file or the
+// fold is refused, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbmerge", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		partial  = flag.Bool("partial", false, "allow rendering an incomplete fold (missing shards reported on stderr)")
-		summary  = flag.Bool("summary", false, "print only the Table-1 summary instead of the full figure report")
-		mergeOut = flag.String("merge-out", "", "write the folded metric state to this combined shard file ('-' for stdout)")
+		partial  = fs.Bool("partial", false, "allow rendering an incomplete fold (missing shards reported on stderr)")
+		summary  = fs.Bool("summary", false, "print only the Table-1 summary instead of the full figure report")
+		mergeOut = fs.String("merge-out", "", "write the folded metric state to this combined shard file ('-' for stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "hbmerge: "+format+"\n", a...) }
+	fail := func(format string, a ...any) int {
+		logf(format, a...)
+		return 1
+	}
 
-	log.SetFlags(0)
-	log.SetPrefix("hbmerge: ")
-
-	paths := flag.Args()
-	if len(paths) == 0 {
-		log.Fatal("no shard files given (usage: hbmerge [flags] shard0.hbs shard1.hbs ...)")
+	paths := fs.Args()
+	switch {
+	case len(paths) == 0:
+		logf("no shard files given (usage: hbmerge [flags] shard0.hbs shard1.hbs ...)")
+		return 2
+	case *summary && *mergeOut == "-":
+		logf("-summary and -merge-out - both write to stdout; use one of them")
+		return 2
 	}
 
 	var fold headerbid.ShardFold
 	for _, path := range paths {
 		h, ms, err := headerbid.ReadShardFile(path)
 		if err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
 		if err := fold.Add(h, ms); err != nil {
-			log.Fatalf("%s: %v", path, err)
+			return fail("%s: %v", path, err)
 		}
 	}
 
 	h := fold.Header()
 	if !fold.Complete() {
 		if !*partial {
-			log.Fatalf("incomplete fold: %d/%d shards covered, missing %v (use -partial to render anyway)",
+			return fail("incomplete fold: %d/%d shards covered, missing %v (use -partial to render anyway)",
 				len(h.Shards), h.ShardCount, fold.Missing())
 		}
-		fmt.Fprintf(os.Stderr, "hbmerge: partial fold: %d/%d shards, missing %v\n",
-			len(h.Shards), h.ShardCount, fold.Missing())
+		logf("partial fold: %d/%d shards, missing %v", len(h.Shards), h.ShardCount, fold.Missing())
 	}
-	fmt.Fprintf(os.Stderr, "hbmerge: folded %d file(s): seed %d, %d/%d shard(s)\n",
-		len(paths), h.Seed, len(h.Shards), h.ShardCount)
+	logf("folded %d file(s): seed %d, %d/%d shard(s)", len(paths), h.Seed, len(h.Shards), h.ShardCount)
 
-	if *mergeOut != "" {
+	switch *mergeOut {
+	case "":
+	case "-":
+		if err := headerbid.MarshalShard(stdout, h, fold.Metrics()); err != nil {
+			return fail("%v", err)
+		}
+	default:
 		if err := headerbid.WriteShardFile(*mergeOut, h, fold.Metrics()); err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
-		if *mergeOut != "-" {
-			log.Printf("folded state written to %s", *mergeOut)
-		}
+		logf("folded state written to %s", *mergeOut)
 	}
 
 	m, ok := fold.Get("figure_report")
 	if !ok {
-		log.Fatal("shard files carry no figure_report metric")
+		return fail("shard files carry no figure_report metric")
 	}
 	fr := m.(*headerbid.FigureReport)
 	if *summary {
 		s := fr.Summary()
-		fmt.Printf("sites crawled    %d\n", s.SitesCrawled)
-		fmt.Printf("sites with HB    %d (%.2f%%)\n", s.SitesWithHB, 100*s.AdoptionRate())
-		fmt.Printf("auctions         %d\n", s.Auctions)
-		fmt.Printf("bids             %d\n", s.Bids)
-		fmt.Printf("demand partners  %d\n", s.DemandPartners)
-		fmt.Printf("crawl days       %d\n", s.CrawlDays)
-		return
+		fmt.Fprintf(stdout, "sites crawled    %d\n", s.SitesCrawled)
+		fmt.Fprintf(stdout, "sites with HB    %d (%.2f%%)\n", s.SitesWithHB, 100*s.AdoptionRate())
+		fmt.Fprintf(stdout, "auctions         %d\n", s.Auctions)
+		fmt.Fprintf(stdout, "bids             %d\n", s.Bids)
+		fmt.Fprintf(stdout, "demand partners  %d\n", s.DemandPartners)
+		fmt.Fprintf(stdout, "crawl days       %d\n", s.CrawlDays)
+		return 0
 	}
 	if *mergeOut != "-" {
-		fr.Render(os.Stdout)
+		fr.Render(stdout)
 	}
+	return 0
 }

@@ -8,6 +8,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,36 +29,24 @@ type RankBandAdoption struct {
 	Adoption float64
 }
 
-// AdoptionByRankBandMetric accumulates §3.2 incrementally: one (rank,
-// hb) cell per distinct domain, first visit wins.
-type AdoptionByRankBandMetric struct {
-	sites firstOf[rankHB]
-}
-
-type rankHB struct {
-	rank int
-	hb   bool
-}
+// AdoptionByRankBandMetric is §3.2 over a site table: the rank and HB
+// flag of each domain's first record.
+type AdoptionByRankBandMetric struct{ siteView }
 
 // NewAdoptionByRankBand returns an empty §3.2 rank-band metric.
 func NewAdoptionByRankBand() *AdoptionByRankBandMetric {
-	return &AdoptionByRankBandMetric{sites: newFirstOf[rankHB]()}
+	return &AdoptionByRankBandMetric{ownSites()}
 }
 
 // Name identifies the metric.
 func (m *AdoptionByRankBandMetric) Name() string { return "adoption_by_rank_band" }
-
-// Add folds one record in.
-func (m *AdoptionByRankBandMetric) Add(r *dataset.SiteRecord) {
-	m.sites.add(r.Domain, r.VisitDay, rankHB{rank: r.Rank, hb: r.HB})
-}
 
 // NewShard returns a fresh empty accumulator.
 func (m *AdoptionByRankBandMetric) NewShard() Metric { return NewAdoptionByRankBand() }
 
 // Merge folds a shard in.
 func (m *AdoptionByRankBandMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*AdoptionByRankBandMetric](m, other).sites)
+	m.merge(&mergeArg[*AdoptionByRankBandMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -71,17 +60,18 @@ func (m *AdoptionByRankBandMetric) Result() []RankBandAdoption {
 		{Lo: 15001, Hi: 1 << 30},
 	}
 	maxRank := 0
-	m.sites.each(func(_ string, s rankHB) {
+	for _, s := range m.sites.first {
+		rank := int(s.rank)
 		for i := range bands {
-			if s.rank >= bands[i].Lo && s.rank <= bands[i].Hi {
+			if rank >= bands[i].Lo && rank <= bands[i].Hi {
 				bands[i].Sites++
 				if s.hb {
 					bands[i].HBSites++
 				}
 			}
 		}
-		maxRank = max(maxRank, s.rank)
-	})
+		maxRank = max(maxRank, rank)
+	}
 	var out []RankBandAdoption
 	for _, b := range bands {
 		if b.Sites == 0 {
@@ -103,34 +93,24 @@ type FacetShare struct {
 	Share float64
 }
 
-// FacetBreakdownMetric accumulates §4.6 incrementally: the facet of the
-// first HB record per domain.
-type FacetBreakdownMetric struct {
-	sites firstOf[hb.Facet]
-}
+// FacetBreakdownMetric is §4.6 over a site table: the facet of each
+// domain's first HB record.
+type FacetBreakdownMetric struct{ siteView }
 
 // NewFacetBreakdown returns an empty §4.6 facet metric.
 func NewFacetBreakdown() *FacetBreakdownMetric {
-	return &FacetBreakdownMetric{sites: newFirstOf[hb.Facet]()}
+	return &FacetBreakdownMetric{ownSites()}
 }
 
 // Name identifies the metric.
 func (m *FacetBreakdownMetric) Name() string { return "facet_breakdown" }
-
-// Add folds one record in (non-HB records are ignored).
-func (m *FacetBreakdownMetric) Add(r *dataset.SiteRecord) {
-	if !r.HB {
-		return
-	}
-	m.sites.add(r.Domain, r.VisitDay, r.FacetValue())
-}
 
 // NewShard returns a fresh empty accumulator.
 func (m *FacetBreakdownMetric) NewShard() Metric { return NewFacetBreakdown() }
 
 // Merge folds a shard in.
 func (m *FacetBreakdownMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*FacetBreakdownMetric](m, other).sites)
+	m.merge(&mergeArg[*FacetBreakdownMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -139,8 +119,10 @@ func (m *FacetBreakdownMetric) Snapshot() any { return m.Result() }
 // Result computes the per-facet shares over everything added.
 func (m *FacetBreakdownMetric) Result() []FacetShare {
 	counts := map[hb.Facet]int{}
-	m.sites.each(func(_ string, f hb.Facet) { counts[f]++ })
-	total := m.sites.len()
+	for _, s := range m.sites.hb {
+		counts[s.facet]++
+	}
+	total := len(m.sites.hb)
 	var out []FacetShare
 	for _, f := range []hb.Facet{hb.FacetServer, hb.FacetHybrid, hb.FacetClient, hb.FacetUnknown} {
 		n := counts[f]
@@ -167,35 +149,27 @@ type PartnerShare struct {
 	Share float64 // fraction of HB sites the partner appears on
 }
 
-// TopPartnersMetric accumulates Figure 8 incrementally: the partner list
-// of the first HB record per domain.
+// TopPartnersMetric is Figure 8 over a site table: the partner list of
+// each domain's first HB record.
 type TopPartnersMetric struct {
-	k     int
-	sites firstOf[[]string]
+	siteView
+	k int
 }
 
 // NewTopPartners returns an empty Figure-8 metric; k<=0 reports all.
 func NewTopPartners(k int) *TopPartnersMetric {
-	return &TopPartnersMetric{k: k, sites: newFirstOf[[]string]()}
+	return &TopPartnersMetric{siteView: ownSites(), k: k}
 }
 
 // Name identifies the metric.
 func (m *TopPartnersMetric) Name() string { return "top_partners" }
-
-// Add folds one record in (non-HB records are ignored).
-func (m *TopPartnersMetric) Add(r *dataset.SiteRecord) {
-	if !r.HB {
-		return
-	}
-	m.sites.add(r.Domain, r.VisitDay, r.Partners)
-}
 
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *TopPartnersMetric) NewShard() Metric { return NewTopPartners(m.k) }
 
 // Merge folds a shard in.
 func (m *TopPartnersMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*TopPartnersMetric](m, other).sites)
+	m.merge(&mergeArg[*TopPartnersMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -204,12 +178,12 @@ func (m *TopPartnersMetric) Snapshot() any { return m.Result() }
 // Result computes the partner coverage table over everything added.
 func (m *TopPartnersMetric) Result() []PartnerShare {
 	counts := map[string]int{}
-	m.sites.each(func(_ string, ps []string) {
-		for _, p := range ps {
+	for _, s := range m.sites.hb {
+		for _, p := range s.partners {
 			counts[p]++
 		}
-	})
-	total := m.sites.len()
+	}
+	total := len(m.sites.hb)
 	out := make([]PartnerShare, 0, len(counts))
 	for slug, n := range counts {
 		out = append(out, PartnerShare{
@@ -278,34 +252,24 @@ type PartnersPerSiteResult struct {
 	SiteCount int
 }
 
-// PartnersPerSiteMetric accumulates Figure 9 incrementally: the partner
-// count of the first HB record per domain.
-type PartnersPerSiteMetric struct {
-	sites firstOf[int]
-}
+// PartnersPerSiteMetric is Figure 9 over a site table: the partner
+// count of each domain's first HB record.
+type PartnersPerSiteMetric struct{ siteView }
 
 // NewPartnersPerSite returns an empty Figure-9 metric.
 func NewPartnersPerSite() *PartnersPerSiteMetric {
-	return &PartnersPerSiteMetric{sites: newFirstOf[int]()}
+	return &PartnersPerSiteMetric{ownSites()}
 }
 
 // Name identifies the metric.
 func (m *PartnersPerSiteMetric) Name() string { return "partners_per_site" }
-
-// Add folds one record in (non-HB records are ignored).
-func (m *PartnersPerSiteMetric) Add(r *dataset.SiteRecord) {
-	if !r.HB {
-		return
-	}
-	m.sites.add(r.Domain, r.VisitDay, len(r.Partners))
-}
 
 // NewShard returns a fresh empty accumulator.
 func (m *PartnersPerSiteMetric) NewShard() Metric { return NewPartnersPerSite() }
 
 // Merge folds a shard in.
 func (m *PartnersPerSiteMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*PartnersPerSiteMetric](m, other).sites)
+	m.merge(&mergeArg[*PartnersPerSiteMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -316,7 +280,8 @@ func (m *PartnersPerSiteMetric) Result() PartnersPerSiteResult {
 	var xs []float64
 	maxC := 0
 	one, ge5, ge10 := 0, 0, 0
-	m.sites.each(func(_ string, n int) {
+	for _, s := range m.sites.hb {
+		n := len(s.partners)
 		xs = append(xs, float64(n))
 		if n == 1 {
 			one++
@@ -328,7 +293,8 @@ func (m *PartnersPerSiteMetric) Result() PartnersPerSiteResult {
 			ge10++
 		}
 		maxC = max(maxC, n)
-	})
+	}
+	slices.Sort(xs)
 	total := max(1, len(xs))
 	return PartnersPerSiteResult{
 		ECDF:      stats.NewECDF(xs),
@@ -348,37 +314,29 @@ type ComboShare struct {
 	Share float64
 }
 
-// PartnerCombosMetric accumulates Figure 10 incrementally: the partner
-// list of the first HB record per domain. Combination keys are built at
+// PartnerCombosMetric is Figure 10 over a site table: the partner list
+// of each domain's first HB record. Combination keys are built at
 // Result time — one sort+join per distinct site, not per visit, keeping
 // the per-record fold cheap on multi-day crawls.
 type PartnerCombosMetric struct {
-	k     int
-	sites firstOf[[]string]
+	siteView
+	k int
 }
 
 // NewPartnerCombos returns an empty Figure-10 metric; k<=0 reports all.
 func NewPartnerCombos(k int) *PartnerCombosMetric {
-	return &PartnerCombosMetric{k: k, sites: newFirstOf[[]string]()}
+	return &PartnerCombosMetric{siteView: ownSites(), k: k}
 }
 
 // Name identifies the metric.
 func (m *PartnerCombosMetric) Name() string { return "partner_combos" }
-
-// Add folds one record in (non-HB records are ignored).
-func (m *PartnerCombosMetric) Add(r *dataset.SiteRecord) {
-	if !r.HB {
-		return
-	}
-	m.sites.add(r.Domain, r.VisitDay, r.Partners)
-}
 
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *PartnerCombosMetric) NewShard() Metric { return NewPartnerCombos(m.k) }
 
 // Merge folds a shard in.
 func (m *PartnerCombosMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*PartnerCombosMetric](m, other).sites)
+	m.merge(&mergeArg[*PartnerCombosMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -390,17 +348,17 @@ func (m *PartnerCombosMetric) Snapshot() any { return m.Result() }
 func (m *PartnerCombosMetric) Result() []ComboShare {
 	counts := map[string]int{}
 	members := map[string][]string{}
-	m.sites.each(func(_ string, ps []string) {
-		if len(ps) == 0 {
-			return
+	for _, s := range m.sites.hb {
+		if len(s.partners) == 0 {
+			continue
 		}
-		sorted := append([]string(nil), ps...)
+		sorted := append([]string(nil), s.partners...)
 		sort.Strings(sorted)
 		key := strings.Join(sorted, "+")
 		counts[key]++
 		members[key] = sorted
-	})
-	total := m.sites.len()
+	}
+	total := len(m.sites.hb)
 	out := make([]ComboShare, 0, len(counts))
 	for key, n := range counts {
 		out = append(out, ComboShare{

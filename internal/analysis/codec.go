@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"headerbid/internal/hb"
@@ -36,32 +38,6 @@ type Codec interface {
 // order; every decoded empty slice is nil — both are what keeps the
 // encoding a pure function of accumulated state.
 // ---------------------------------------------------------------------------
-
-func encodeFirstOf[T any](w *wire.Writer, f firstOf[T], enc func(*wire.Writer, T)) {
-	doms := make([]string, 0, len(f.m))
-	for d := range f.m {
-		doms = append(doms, d)
-	}
-	sort.Strings(doms)
-	w.Uvarint(uint64(len(doms)))
-	for _, d := range doms {
-		e := f.m[d]
-		w.String(d)
-		w.Int(e.day)
-		enc(w, e.val)
-	}
-}
-
-func decodeFirstOf[T any](r *wire.Reader, dec func(*wire.Reader) T) firstOf[T] {
-	n := r.Len()
-	f := firstOf[T]{m: make(map[string]firstEntry[T], n)}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		d := r.String()
-		day := r.Int()
-		f.m[d] = firstEntry[T]{day: day, val: dec(r)}
-	}
-	return f
-}
 
 func encodeStringCounts(w *wire.Writer, m map[string]int) {
 	ks := make([]string, 0, len(m))
@@ -155,95 +131,75 @@ func sortedFacets[T any](m map[hb.Facet]T) []hb.Facet {
 	return ks
 }
 
+// encodeSet writes a string set as its sorted members.
+func encodeSet(w *wire.Writer, m map[string]bool) { w.Strings(slices.Sorted(maps.Keys(m))) }
+
+func decodeSet(r *wire.Reader) map[string]bool {
+	ks := r.Strings()
+	m := make(map[string]bool, len(ks))
+	for _, k := range ks {
+		m[k] = true
+	}
+	return m
+}
+
 // ---------------------------------------------------------------------------
 // Per-metric codecs, in the order the metrics are defined across
-// analysis.go / latency.go / slots.go / traffic.go / degradation.go.
-// SummaryMetric needs none here: it embeds *dataset.SummaryAccumulator,
-// whose EncodeState/DecodeState promote.
+// metric.go / analysis.go / latency.go / slots.go / traffic.go /
+// degradation.go. The first-visit metrics that keep no state beside
+// their site table use siteView's promoted codec (sites.go).
 // ---------------------------------------------------------------------------
 
 // EncodeState implements Codec.
-func (m *AdoptionByRankBandMetric) EncodeState(w *wire.Writer) {
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, v rankHB) {
-		w.Int(v.rank)
-		w.Bool(v.hb)
-	})
+func (m *SummaryMetric) EncodeState(w *wire.Writer) {
+	m.siteView.EncodeState(w)
+	encodeSet(w, m.partners)
+	w.Int(m.auctions)
+	w.Int(m.bids)
+	w.Int(m.maxDay)
 }
 
 // DecodeState implements Codec.
-func (m *AdoptionByRankBandMetric) DecodeState(r *wire.Reader) error {
-	m.sites = decodeFirstOf(r, func(r *wire.Reader) rankHB {
-		return rankHB{rank: r.Int(), hb: r.Bool()}
-	})
-	return r.Err()
-}
-
-// EncodeState implements Codec.
-func (m *FacetBreakdownMetric) EncodeState(w *wire.Writer) {
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, f hb.Facet) { w.Int(int(f)) })
-}
-
-// DecodeState implements Codec.
-func (m *FacetBreakdownMetric) DecodeState(r *wire.Reader) error {
-	m.sites = decodeFirstOf(r, func(r *wire.Reader) hb.Facet { return hb.Facet(r.Int()) })
+func (m *SummaryMetric) DecodeState(r *wire.Reader) error {
+	m.siteView.DecodeState(r)
+	m.partners = decodeSet(r)
+	m.auctions = r.Int()
+	m.bids = r.Int()
+	m.maxDay = r.Int()
 	return r.Err()
 }
 
 // EncodeState implements Codec.
 func (m *TopPartnersMetric) EncodeState(w *wire.Writer) {
 	w.Int(m.k)
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, ps []string) { w.Strings(ps) })
+	m.siteView.EncodeState(w)
 }
 
 // DecodeState implements Codec.
 func (m *TopPartnersMetric) DecodeState(r *wire.Reader) error {
 	m.k = r.Int()
-	m.sites = decodeFirstOf(r, (*wire.Reader).Strings)
-	return r.Err()
+	return m.siteView.DecodeState(r)
 }
 
 // EncodeState implements Codec.
-func (m *UniquePartnersMetric) EncodeState(w *wire.Writer) {
-	ks := make([]string, 0, len(m.set))
-	for k := range m.set {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	w.Strings(ks)
-}
+func (m *UniquePartnersMetric) EncodeState(w *wire.Writer) { encodeSet(w, m.set) }
 
 // DecodeState implements Codec.
 func (m *UniquePartnersMetric) DecodeState(r *wire.Reader) error {
-	ks := r.Strings()
-	m.set = make(map[string]bool, len(ks))
-	for _, k := range ks {
-		m.set[k] = true
-	}
-	return r.Err()
-}
-
-// EncodeState implements Codec.
-func (m *PartnersPerSiteMetric) EncodeState(w *wire.Writer) {
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, n int) { w.Int(n) })
-}
-
-// DecodeState implements Codec.
-func (m *PartnersPerSiteMetric) DecodeState(r *wire.Reader) error {
-	m.sites = decodeFirstOf(r, (*wire.Reader).Int)
+	m.set = decodeSet(r)
 	return r.Err()
 }
 
 // EncodeState implements Codec.
 func (m *PartnerCombosMetric) EncodeState(w *wire.Writer) {
 	w.Int(m.k)
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, ps []string) { w.Strings(ps) })
+	m.siteView.EncodeState(w)
 }
 
 // DecodeState implements Codec.
 func (m *PartnerCombosMetric) DecodeState(r *wire.Reader) error {
 	m.k = r.Int()
-	m.sites = decodeFirstOf(r, (*wire.Reader).Strings)
-	return r.Err()
+	return m.siteView.DecodeState(r)
 }
 
 // EncodeState implements Codec. The facet-keyed maps are fixed to
@@ -300,14 +256,14 @@ func (m *PartnerLatenciesMetric) DecodeState(r *wire.Reader) error {
 // EncodeState implements Codec.
 func (m *LatencyVsPartnerCountMetric) EncodeState(w *wire.Writer) {
 	w.Int(m.maxPartners)
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, n int) { w.Int(n) })
+	m.siteView.EncodeState(w)
 	encodeIntSamples(w, m.byCount)
 }
 
 // DecodeState implements Codec.
 func (m *LatencyVsPartnerCountMetric) DecodeState(r *wire.Reader) error {
 	m.maxPartners = r.Int()
-	m.sites = decodeFirstOf(r, (*wire.Reader).Int)
+	m.siteView.DecodeState(r)
 	m.byCount = decodeIntSamples(r)
 	return r.Err()
 }
@@ -354,22 +310,6 @@ func (m *LateBidsPerPartnerMetric) DecodeState(r *wire.Reader) error {
 	m.minBids = r.Int()
 	m.bids = decodeStringCounts(r)
 	m.late = decodeStringCounts(r)
-	return r.Err()
-}
-
-// EncodeState implements Codec.
-func (m *SlotsPerSiteMetric) EncodeState(w *wire.Writer) {
-	encodeFirstOf(w, m.sites, func(w *wire.Writer, s siteSlots) {
-		w.Int(s.slots)
-		w.Int(int(s.facet))
-	})
-}
-
-// DecodeState implements Codec.
-func (m *SlotsPerSiteMetric) DecodeState(r *wire.Reader) error {
-	m.sites = decodeFirstOf(r, func(r *wire.Reader) siteSlots {
-		return siteSlots{slots: r.Int(), facet: hb.Facet(r.Int())}
-	})
 	return r.Err()
 }
 

@@ -226,12 +226,12 @@ type CountLatency struct {
 	SiteShare float64
 }
 
-// LatencyVsPartnerCountMetric accumulates Figure 15 incrementally:
-// per-domain partner counts (first HB record wins) plus latency samples
-// per capped partner count over every HB record.
+// LatencyVsPartnerCountMetric accumulates Figure 15: the partner count
+// of each domain's first HB record, read from a site table, plus latency
+// samples per capped partner count over every HB record.
 type LatencyVsPartnerCountMetric struct {
+	siteView
 	maxPartners int
-	sites       firstOf[int]
 	byCount     map[int][]float64
 }
 
@@ -242,8 +242,8 @@ func NewLatencyVsPartnerCount(maxPartners int) *LatencyVsPartnerCountMetric {
 		maxPartners = 15
 	}
 	return &LatencyVsPartnerCountMetric{
+		siteView:    ownSites(),
 		maxPartners: maxPartners,
-		sites:       newFirstOf[int](),
 		byCount:     make(map[int][]float64),
 	}
 }
@@ -251,14 +251,13 @@ func NewLatencyVsPartnerCount(maxPartners int) *LatencyVsPartnerCountMetric {
 // Name identifies the metric.
 func (m *LatencyVsPartnerCountMetric) Name() string { return "latency_vs_partner_count" }
 
-// Add folds one record in (non-HB records are ignored).
+// Add folds one record in (non-HB records only reach the site table).
 func (m *LatencyVsPartnerCountMetric) Add(r *dataset.SiteRecord) {
+	m.siteView.Add(r)
 	if !r.HB {
 		return
 	}
-	n := len(r.Partners)
-	m.sites.add(r.Domain, r.VisitDay, n)
-	if n > 0 && r.TotalHBLatencyMS > 0 {
+	if n := len(r.Partners); n > 0 && r.TotalHBLatencyMS > 0 {
 		c := min(n, m.maxPartners)
 		m.byCount[c] = append(m.byCount[c], r.TotalHBLatencyMS)
 	}
@@ -272,7 +271,7 @@ func (m *LatencyVsPartnerCountMetric) NewShard() Metric {
 // Merge folds a shard in.
 func (m *LatencyVsPartnerCountMetric) Merge(other Metric) {
 	o := mergeArg[*LatencyVsPartnerCountMetric](m, other)
-	m.sites.merge(o.sites)
+	m.merge(&o.siteView)
 	mergeSamples(m.byCount, o.byCount)
 }
 
@@ -283,13 +282,12 @@ func (m *LatencyVsPartnerCountMetric) Snapshot() any { return m.Result() }
 func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 	siteCount := map[int]int{}
 	totalSites := 0
-	m.sites.each(func(_ string, n int) {
-		if n == 0 {
-			return
+	for _, s := range m.sites.hb {
+		if n := len(s.partners); n > 0 {
+			siteCount[min(n, m.maxPartners)]++
+			totalSites++
 		}
-		siteCount[min(n, m.maxPartners)]++
-		totalSites++
-	})
+	}
 	var out []CountLatency
 	for n := 1; n <= m.maxPartners; n++ {
 		xs := m.byCount[n]

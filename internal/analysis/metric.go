@@ -61,66 +61,6 @@ func mergeArg[T Metric](self Metric, other Metric) T {
 	return t
 }
 
-// firstOf retains, per domain, the payload of the record with the
-// smallest VisitDay — the streaming equivalent of dedupeByDomain. The
-// crawl emits by day then rank, so "first record per domain in stream
-// order" and "record with the minimum visit day" are the same record;
-// unlike stream position, the minimum day survives arbitrary sharding,
-// which is what makes dedupe-based metrics mergeable.
-type firstOf[T any] struct {
-	m map[string]firstEntry[T]
-}
-
-type firstEntry[T any] struct {
-	day int
-	val T
-}
-
-func newFirstOf[T any]() firstOf[T] {
-	return firstOf[T]{m: make(map[string]firstEntry[T])}
-}
-
-// add records val for domain unless an earlier-day value is already held.
-// Ties keep the incumbent, so within one shard the first-added record
-// wins on (hypothetical) same-day duplicates.
-func (f firstOf[T]) add(domain string, day int, val T) {
-	if cur, ok := f.m[domain]; !ok || day < cur.day {
-		f.m[domain] = firstEntry[T]{day: day, val: val}
-	}
-}
-
-// merge folds another shard's choices in, keeping the smaller day per
-// domain. A crawl visits each (domain, day) at most once, so no two
-// shards ever tie and the merge is commutative and associative.
-//
-// The argument is consumed: a shard passed to merge must not be added
-// to or merged again afterwards (the experiment discards shards once
-// folded in). That is what lets an empty receiver — the common "first
-// shard into the root" case — adopt the shard's map outright instead of
-// re-inserting every entry through the grow-and-rehash ramp.
-func (f *firstOf[T]) merge(o firstOf[T]) {
-	if len(f.m) == 0 {
-		f.m = o.m
-		return
-	}
-	for dom, e := range o.m {
-		if cur, ok := f.m[dom]; !ok || e.day < cur.day {
-			f.m[dom] = e
-		}
-	}
-}
-
-// each calls fn for every retained (domain, value) pair, in map order —
-// callers must aggregate order-insensitively.
-func (f firstOf[T]) each(fn func(domain string, val T)) {
-	for dom, e := range f.m {
-		fn(dom, e.val)
-	}
-}
-
-// len reports how many domains are retained.
-func (f firstOf[T]) len() int { return len(f.m) }
-
 // mergeSamples appends per-key sample slices map-wise — the shard merge
 // for every map[K][]float64 accumulator. Downstream summaries (ECDF,
 // Box) sort the samples, so append order never reaches the result.
@@ -145,27 +85,66 @@ func mergeCounts[K comparable](dst, src map[K]int) {
 	}
 }
 
-// SummaryMetric is the Table-1 roll-up as a Metric: a mergeable wrapper
-// around dataset.SummaryAccumulator.
+// SummaryMetric is the Table-1 roll-up as a Metric. Sites crawled and
+// sites with HB are the lengths of its site table's two maps; auctions,
+// bids, crawl days and demand partners are folded per record.
 type SummaryMetric struct {
-	*dataset.SummaryAccumulator
+	siteView
+	auctions, bids int
+	maxDay         int
+	partners       map[string]bool
 }
 
 // NewSummary returns an empty Table-1 summary metric.
 func NewSummary() *SummaryMetric {
-	return &SummaryMetric{SummaryAccumulator: dataset.NewSummaryAccumulator()}
+	return &SummaryMetric{siteView: ownSites(), maxDay: -1, partners: make(map[string]bool)}
 }
 
 // Name identifies the metric.
 func (m *SummaryMetric) Name() string { return "summary" }
+
+// Add folds one record in.
+func (m *SummaryMetric) Add(r *dataset.SiteRecord) {
+	m.siteView.Add(r)
+	m.maxDay = max(m.maxDay, r.VisitDay)
+	m.auctions += len(r.Auctions)
+	for _, au := range r.Auctions {
+		m.bids += len(au.Bids)
+	}
+	for _, p := range r.Partners {
+		m.partners[p] = true
+	}
+	for _, p := range r.Winners {
+		m.partners[p] = true
+	}
+}
 
 // NewShard returns a fresh empty summary accumulator.
 func (m *SummaryMetric) NewShard() Metric { return NewSummary() }
 
 // Merge folds a shard in.
 func (m *SummaryMetric) Merge(other Metric) {
-	m.SummaryAccumulator.Merge(mergeArg[*SummaryMetric](m, other).SummaryAccumulator)
+	o := mergeArg[*SummaryMetric](m, other)
+	m.merge(&o.siteView)
+	m.auctions += o.auctions
+	m.bids += o.bids
+	m.maxDay = max(m.maxDay, o.maxDay)
+	for p := range o.partners {
+		m.partners[p] = true
+	}
 }
 
 // Snapshot returns the dataset.Summary over everything folded in.
 func (m *SummaryMetric) Snapshot() any { return m.Summary() }
+
+// Summary returns the Table-1 roll-up over everything folded in.
+func (m *SummaryMetric) Summary() dataset.Summary {
+	return dataset.Summary{
+		SitesCrawled:   len(m.sites.first),
+		SitesWithHB:    len(m.sites.hb),
+		Auctions:       m.auctions,
+		Bids:           m.bids,
+		DemandPartners: len(m.partners),
+		CrawlDays:      m.maxDay + 1,
+	}
+}

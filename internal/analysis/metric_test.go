@@ -15,7 +15,10 @@ import (
 // same (day, rank) stream order a real crawl emits — with enough variety
 // to exercise every metric's filters (empty partner lists, zero slots,
 // missing latencies, zero CPMs, unparseable sizes, s2s and late bids,
-// unknown facets, multi-day dedupe).
+// unknown facets, multi-day dedupe). Some sites found without HB on day
+// 0 have an HB record on day 1, as when two crawls of one world (first
+// days 0 and 1) are folded into one report: their first record and
+// their first HB record are different records.
 func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -99,12 +102,14 @@ func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
 		return rec
 	}
 
-	var recs, hbDay0 []*dataset.SiteRecord
+	var recs, hbDay0, plainDay0 []*dataset.SiteRecord
 	for i := 0; i < 400; i++ {
 		rec := makeRec(fmt.Sprintf("site%04d.example", i), 1+rng.Intn(20000), 0, rng.Float64() < 0.45)
 		recs = append(recs, rec)
 		if rec.HB {
 			hbDay0 = append(hbDay0, rec)
+		} else {
+			plainDay0 = append(plainDay0, rec)
 		}
 	}
 	for _, r0 := range hbDay0 {
@@ -112,6 +117,11 @@ func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
 			// Day-1 revisits occasionally lose the HB detection, so the
 			// min-day dedupe has non-trivial work to do.
 			recs = append(recs, makeRec(r0.Domain, r0.Rank, 1, rng.Float64() < 0.9))
+		}
+	}
+	for _, r0 := range plainDay0 {
+		if rng.Float64() < 0.3 {
+			recs = append(recs, makeRec(r0.Domain, r0.Rank, 1, true))
 		}
 	}
 	return recs

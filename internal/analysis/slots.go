@@ -22,39 +22,24 @@ type SlotsPerSiteResult struct {
 	FracOver20 float64
 }
 
-// SlotsPerSiteMetric accumulates Figure 19 incrementally: the auctioned
-// slot count and facet of the first HB record per domain.
-type SlotsPerSiteMetric struct {
-	sites firstOf[siteSlots]
-}
-
-type siteSlots struct {
-	slots int
-	facet hb.Facet
-}
+// SlotsPerSiteMetric is Figure 19 over a site table: the auctioned slot
+// count and facet of each domain's first HB record.
+type SlotsPerSiteMetric struct{ siteView }
 
 // NewSlotsPerSite returns an empty Figure-19 metric.
 func NewSlotsPerSite() *SlotsPerSiteMetric {
-	return &SlotsPerSiteMetric{sites: newFirstOf[siteSlots]()}
+	return &SlotsPerSiteMetric{ownSites()}
 }
 
 // Name identifies the metric.
 func (m *SlotsPerSiteMetric) Name() string { return "slots_per_site" }
-
-// Add folds one record in (non-HB records are ignored).
-func (m *SlotsPerSiteMetric) Add(r *dataset.SiteRecord) {
-	if !r.HB {
-		return
-	}
-	m.sites.add(r.Domain, r.VisitDay, siteSlots{slots: r.AdSlotsAuctioned, facet: r.FacetValue()})
-}
 
 // NewShard returns a fresh empty accumulator.
 func (m *SlotsPerSiteMetric) NewShard() Metric { return NewSlotsPerSite() }
 
 // Merge folds a shard in.
 func (m *SlotsPerSiteMetric) Merge(other Metric) {
-	m.sites.merge(mergeArg[*SlotsPerSiteMetric](m, other).sites)
+	m.merge(&mergeArg[*SlotsPerSiteMetric](m, other).siteView)
 }
 
 // Snapshot returns Result.
@@ -64,16 +49,16 @@ func (m *SlotsPerSiteMetric) Snapshot() any { return m.Result() }
 func (m *SlotsPerSiteMetric) Result() SlotsPerSiteResult {
 	byFacet := map[hb.Facet][]float64{}
 	over20, total := 0, 0
-	m.sites.each(func(_ string, s siteSlots) {
+	for _, s := range m.sites.hb {
 		if s.slots <= 0 {
-			return
+			continue
 		}
 		byFacet[s.facet] = append(byFacet[s.facet], float64(s.slots))
 		total++
 		if s.slots > 20 {
 			over20++
 		}
-	})
+	}
 	res := SlotsPerSiteResult{ByFacet: map[hb.Facet]*stats.ECDF{}}
 	for f, xs := range byFacet {
 		res.ByFacet[f] = stats.NewECDF(xs)

@@ -328,102 +328,6 @@ type Summary struct {
 	CrawlDays      int
 }
 
-// SummaryAccumulator folds records into a Summary one at a time, so
-// Table-1 numbers never require the whole dataset in memory. Its state
-// is O(distinct sites + distinct partners), not O(records).
-type SummaryAccumulator struct {
-	s          Summary
-	partnerSet map[string]bool
-	siteSeen   map[string]bool
-	hbSeen     map[string]bool
-	maxDay     int
-}
-
-// NewSummaryAccumulator returns an empty accumulator.
-func NewSummaryAccumulator() *SummaryAccumulator {
-	return &SummaryAccumulator{
-		partnerSet: make(map[string]bool),
-		siteSeen:   make(map[string]bool),
-		hbSeen:     make(map[string]bool),
-		maxDay:     -1,
-	}
-}
-
-// Add folds one record in.
-func (a *SummaryAccumulator) Add(r *SiteRecord) {
-	// One map operation per set: an assignment that grew the set added a
-	// new domain.
-	n := len(a.siteSeen)
-	a.siteSeen[r.Domain] = true
-	a.s.SitesCrawled += len(a.siteSeen) - n
-	if r.VisitDay > a.maxDay {
-		a.maxDay = r.VisitDay
-	}
-	if r.HB {
-		n := len(a.hbSeen)
-		a.hbSeen[r.Domain] = true
-		a.s.SitesWithHB += len(a.hbSeen) - n
-	}
-	a.s.Auctions += len(r.Auctions)
-	for _, au := range r.Auctions {
-		a.s.Bids += len(au.Bids)
-	}
-	for _, p := range r.Partners {
-		a.partnerSet[p] = true
-	}
-	for _, p := range r.Winners {
-		a.partnerSet[p] = true
-	}
-}
-
-// Merge folds another accumulator's state into a. Because every counter
-// is derived from sets (or is a plain sum), merging per-worker shards in
-// any order yields the same Summary as a single in-order accumulation.
-// The argument is consumed — it must not be added to or merged again
-// afterwards — which lets a still-empty receiver adopt the shard's sets
-// wholesale instead of re-inserting every domain and partner.
-func (a *SummaryAccumulator) Merge(o *SummaryAccumulator) {
-	if len(a.siteSeen) == 0 && len(a.hbSeen) == 0 && len(a.partnerSet) == 0 {
-		a.siteSeen, a.hbSeen, a.partnerSet = o.siteSeen, o.hbSeen, o.partnerSet
-		a.s.SitesCrawled += o.s.SitesCrawled
-		a.s.SitesWithHB += o.s.SitesWithHB
-		a.s.Auctions += o.s.Auctions
-		a.s.Bids += o.s.Bids
-		if o.maxDay > a.maxDay {
-			a.maxDay = o.maxDay
-		}
-		return
-	}
-	for d := range o.siteSeen {
-		if !a.siteSeen[d] {
-			a.siteSeen[d] = true
-			a.s.SitesCrawled++
-		}
-	}
-	for d := range o.hbSeen {
-		if !a.hbSeen[d] {
-			a.hbSeen[d] = true
-			a.s.SitesWithHB++
-		}
-	}
-	for p := range o.partnerSet {
-		a.partnerSet[p] = true
-	}
-	a.s.Auctions += o.s.Auctions
-	a.s.Bids += o.s.Bids
-	if o.maxDay > a.maxDay {
-		a.maxDay = o.maxDay
-	}
-}
-
-// Summary returns the roll-up over everything added so far.
-func (a *SummaryAccumulator) Summary() Summary {
-	s := a.s
-	s.DemandPartners = len(a.partnerSet)
-	s.CrawlDays = a.maxDay + 1
-	return s
-}
-
 // AdoptionRate returns the fraction of distinct sites with HB.
 func (s Summary) AdoptionRate() float64 {
 	if s.SitesCrawled == 0 {

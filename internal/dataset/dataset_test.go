@@ -52,15 +52,6 @@ func readAll(r io.Reader) ([]*SiteRecord, error) {
 	return out, err
 }
 
-// summarize folds recs into one SummaryAccumulator.
-func summarize(recs []*SiteRecord) Summary {
-	a := NewSummaryAccumulator()
-	for _, r := range recs {
-		a.Add(r)
-	}
-	return a.Summary()
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -124,37 +115,6 @@ func TestReadSkipsBlankRejectsGarbage(t *testing.T) {
 	}
 	if _, err := readAll(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage line accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := summarize(sampleRecords())
-	if s.SitesCrawled != 2 {
-		t.Fatalf("sites = %d, want 2 (a.example deduped)", s.SitesCrawled)
-	}
-	if s.SitesWithHB != 1 {
-		t.Fatalf("hb sites = %d", s.SitesWithHB)
-	}
-	if s.Auctions != 2 || s.Bids != 2 {
-		t.Fatalf("auctions=%d bids=%d", s.Auctions, s.Bids)
-	}
-	// Partner count derives from Partners+Winners sets: dfp, appnexus.
-	// rubicon appears only inside a bid, not as a contacted partner.
-	if s.DemandPartners != 2 {
-		t.Fatalf("partners = %d, want 2", s.DemandPartners)
-	}
-	if s.CrawlDays != 2 {
-		t.Fatalf("days = %d", s.CrawlDays)
-	}
-	if s.AdoptionRate() != 0.5 {
-		t.Fatalf("adoption = %v", s.AdoptionRate())
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := summarize(nil)
-	if s.SitesCrawled != 0 || s.AdoptionRate() != 0 {
-		t.Fatalf("empty summary = %+v", s)
 	}
 }
 
@@ -228,56 +188,6 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 	back, err := readAll(&buf)
 	if err != nil || len(back) != 1 || len(back[0].Auctions) != 5000 {
 		t.Fatalf("large record: n=%d err=%v", len(back), err)
-	}
-}
-
-func TestSummaryAccumulatorMatchesBatch(t *testing.T) {
-	// A mixed multi-day dataset with repeats, shared partners and non-HB
-	// sites: the incremental path must agree field-for-field with the
-	// roll-up counted by hand, and so must a sharded merge.
-	recs := []*SiteRecord{
-		{Domain: "a.example", VisitDay: 0, HB: true, Partners: []string{"criteo", "rubicon"},
-			Winners: []string{"criteo"}, Auctions: []AuctionRecord{{ID: "1", Bids: []BidRecord{{Bidder: "criteo"}, {Bidder: "rubicon"}}}}},
-		{Domain: "b.example", VisitDay: 0},
-		{Domain: "a.example", VisitDay: 1, HB: true, Partners: []string{"appnexus"},
-			Auctions: []AuctionRecord{{ID: "2", Bids: []BidRecord{{Bidder: "appnexus"}}}}},
-		{Domain: "c.example", VisitDay: 2, HB: true, Winners: []string{"dfp"}},
-	}
-	// a and c have HB; criteo, rubicon, appnexus and dfp are contacted or
-	// win; two auctions carry three bids; days 0-2.
-	want := Summary{SitesCrawled: 3, SitesWithHB: 2, Auctions: 2, Bids: 3, DemandPartners: 4, CrawlDays: 3}
-	acc := NewSummaryAccumulator()
-	for _, r := range recs {
-		acc.Add(r)
-	}
-	if got := acc.Summary(); got != want {
-		t.Fatalf("accumulator = %+v, want %+v", got, want)
-	}
-	odd, even := NewSummaryAccumulator(), NewSummaryAccumulator()
-	for i, r := range recs {
-		if i%2 == 0 {
-			even.Add(r)
-		} else {
-			odd.Add(r)
-		}
-	}
-	merged := NewSummaryAccumulator()
-	merged.Merge(odd)
-	merged.Merge(even)
-	if got := merged.Summary(); got != want {
-		t.Fatalf("sharded merge = %+v, want %+v", got, want)
-	}
-	// Partial snapshots must be valid too (Summary() is not a finalizer).
-	acc2 := NewSummaryAccumulator()
-	acc2.Add(recs[0])
-	if s := acc2.Summary(); s.SitesCrawled != 1 || s.SitesWithHB != 1 || s.CrawlDays != 1 {
-		t.Fatalf("partial snapshot = %+v", s)
-	}
-	acc2.Add(recs[1])
-	acc2.Add(recs[2])
-	acc2.Add(recs[3])
-	if got := acc2.Summary(); got != want {
-		t.Fatalf("snapshot-then-continue diverged: %+v vs %+v", got, want)
 	}
 }
 

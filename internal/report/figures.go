@@ -20,8 +20,13 @@ import (
 //
 // The section parameters (top-k cutoffs, bin widths, sample floors) are
 // fixed to the ones the paper's figures use.
+//
+// The eight first-visit sections (Table 1, §3.2, §4.6, Figures 8, 9, 10,
+// 15 and 19) are views over one site table, so each record's domain is
+// added, merged and encoded once for all of them.
 type Figures struct {
-	reg *partners.Registry
+	reg   *partners.Registry
+	sites *analysis.SiteTable
 
 	summary       *analysis.SummaryMetric
 	adoption      *analysis.AdoptionByRankBandMetric
@@ -45,13 +50,13 @@ type Figures struct {
 	priceVsPop    *analysis.PriceVsPopularityMetric
 	traffic       *analysis.TrafficMetric
 
-	// all lists every member in a fixed order for Add/Merge fan-out;
-	// nonHB is the subset whose Add consumes non-HB records (every other
-	// member self-filters on r.HB). Both are declared together in
-	// NewFigures — extend nonHB whenever a new member counts non-HB
-	// records, or the fast path below will silently starve it.
-	all   []analysis.Metric
-	nonHB []analysis.Metric
+	// all lists every accumulator besides the site table in a fixed
+	// order for Add/Merge fan-out: the six pure site-table views are not
+	// in it, and the summary and Figure 15 fold only their per-record
+	// state. Of its members only the summary counts non-HB records;
+	// every other one self-filters on r.HB, which is what lets Add skip
+	// them for non-HB records.
+	all []analysis.Metric
 }
 
 // NewFigures returns an empty figure-report accumulator rendering with
@@ -59,6 +64,7 @@ type Figures struct {
 func NewFigures(reg *partners.Registry) *Figures {
 	f := &Figures{
 		reg:           reg,
+		sites:         analysis.NewSiteTable(),
 		summary:       analysis.NewSummary(),
 		adoption:      analysis.NewAdoptionByRankBand(),
 		facets:        analysis.NewFacetBreakdown(),
@@ -81,14 +87,14 @@ func NewFigures(reg *partners.Registry) *Figures {
 		priceVsPop:    analysis.NewPriceVsPopularity(reg, 10),
 		traffic:       analysis.NewTraffic(0),
 	}
+	f.sites.Share(f.summary, f.adoption, f.facets, f.topPartners, f.perSite,
+		f.combos, f.latVsPartners, f.slotsPerSite)
 	f.all = []analysis.Metric{
-		f.summary, f.adoption, f.facets, f.topPartners, f.perSite,
-		f.combos, f.perFacet, f.latency, f.latVsRank, f.partnerLat,
+		f.summary, f.perFacet, f.latency, f.latVsRank, f.partnerLat,
 		f.latVsPartners, f.latVsPop, f.lateBids, f.latePerPart,
-		f.slotsPerSite, f.latVsSlots, f.slotSizes, f.priceCDF,
-		f.pricePerSize, f.priceVsPop, f.traffic,
+		f.latVsSlots, f.slotSizes, f.priceCDF, f.pricePerSize,
+		f.priceVsPop, f.traffic,
 	}
-	f.nonHB = []analysis.Metric{f.summary, f.adoption}
 	return f
 }
 
@@ -96,15 +102,13 @@ func NewFigures(reg *partners.Registry) *Figures {
 func (f *Figures) Name() string { return "figure_report" }
 
 // Add folds one record into every section. Non-HB records only touch
-// the members that count them (Table 1 and rank-band adoption, the
-// nonHB subset); every other member ignores them, so the ~86% non-HB
-// majority of a paper-calibrated crawl skips 19 interface dispatches
-// per record.
+// the site table and Table 1's counters; every other member ignores
+// them, so the ~86% non-HB majority of a paper-calibrated crawl skips
+// 14 interface dispatches per record.
 func (f *Figures) Add(r *dataset.SiteRecord) {
+	f.sites.Add(r)
 	if !r.HB {
-		for _, m := range f.nonHB {
-			m.Add(r)
-		}
+		f.summary.Add(r)
 		return
 	}
 	for _, m := range f.all {
@@ -121,6 +125,7 @@ func (f *Figures) Merge(other analysis.Metric) {
 	if !ok {
 		panic(fmt.Sprintf("report: cannot merge %T into *Figures", other))
 	}
+	f.sites.Merge(o.sites)
 	for i, m := range f.all {
 		m.Merge(o.all[i])
 	}
@@ -131,10 +136,12 @@ func (f *Figures) Merge(other analysis.Metric) {
 //hbvet:allow metriclaws Figures is a composite view over sub-metrics; Render needs the live accumulator, and callers treat it as read-only
 func (f *Figures) Snapshot() any { return f }
 
-// EncodeState serializes every section in the fixed f.all order. The
-// section set and order are part of the snapshot format: changing
-// either is a format change and must bump snapshot.FormatVersion.
+// EncodeState serializes the site table, then every accumulator in the
+// fixed f.all order. The accumulator set and order are part of the
+// snapshot format: changing either is a format change and must bump
+// snapshot.FormatVersion.
 func (f *Figures) EncodeState(w *wire.Writer) {
+	f.sites.EncodeState(w)
 	for _, m := range f.all {
 		m.(analysis.Codec).EncodeState(w)
 	}
@@ -142,6 +149,9 @@ func (f *Figures) EncodeState(w *wire.Writer) {
 
 // DecodeState replaces every section's state with the serialized one.
 func (f *Figures) DecodeState(r *wire.Reader) error {
+	if err := f.sites.DecodeState(r); err != nil {
+		return err
+	}
 	for _, m := range f.all {
 		if err := m.(analysis.Codec).DecodeState(r); err != nil {
 			return err

@@ -183,10 +183,13 @@ func renderRow(w io.Writer, v, base *VariantResult, name string) {
 // sharded fold path and obeys the merge laws (sample slices are
 // summarized only at result time, after sorting; counters are sums;
 // per-site values dedupe on minimum visit day, a record property that
-// survives arbitrary sharding).
+// survives arbitrary sharding). Table 1 and the partners per HB site
+// are two views over one site table.
 type variantAgg struct {
-	sum   *dataset.SummaryAccumulator
-	stats crawler.Stats
+	sites   *analysis.SiteTable
+	sum     *analysis.SummaryMetric
+	perSite *analysis.PartnersPerSiteMetric
+	stats   crawler.Stats
 
 	bids, late int
 	latencies  []float64
@@ -194,7 +197,6 @@ type variantAgg struct {
 	winners    int
 
 	partnerSet map[string]bool
-	siteFirst  map[string]siteFirst // per-domain min-day partner count
 
 	beacons, requests int
 
@@ -203,18 +205,16 @@ type variantAgg struct {
 	extra []analysis.Metric
 }
 
-type siteFirst struct {
-	day      int
-	partners int
-}
-
 func newVariantAgg(extra []analysis.Metric) *variantAgg {
-	return &variantAgg{
-		sum:        dataset.NewSummaryAccumulator(),
+	a := &variantAgg{
+		sites:      analysis.NewSiteTable(),
+		sum:        analysis.NewSummary(),
+		perSite:    analysis.NewPartnersPerSite(),
 		partnerSet: make(map[string]bool),
-		siteFirst:  make(map[string]siteFirst),
 		extra:      extra,
 	}
+	a.sites.Share(a.sum, a.perSite)
+	return a
 }
 
 // Name identifies the metric.
@@ -222,6 +222,7 @@ func (a *variantAgg) Name() string { return "scenario_variant" }
 
 // Add folds one record in.
 func (a *variantAgg) Add(r *dataset.SiteRecord) {
+	a.sites.Add(r)
 	a.sum.Add(r)
 	a.stats.Add(r)
 	a.requests += r.Traffic.Total()
@@ -246,9 +247,6 @@ func (a *variantAgg) Add(r *dataset.SiteRecord) {
 	}
 	for _, p := range r.Partners {
 		a.partnerSet[p] = true
-	}
-	if cur, ok := a.siteFirst[r.Domain]; !ok || r.VisitDay < cur.day {
-		a.siteFirst[r.Domain] = siteFirst{day: r.VisitDay, partners: len(r.Partners)}
 	}
 	for _, au := range r.Auctions {
 		if au.Winner != "" && au.WinnerCPM > 0 {
@@ -282,6 +280,7 @@ func (a *variantAgg) Merge(other analysis.Metric) {
 	if !ok {
 		panic(fmt.Sprintf("scenario: cannot merge %T into %T", other, a))
 	}
+	a.sites.Merge(o.sites)
 	a.sum.Merge(o.sum)
 	a.stats.Merge(o.stats)
 	a.bids += o.bids
@@ -291,11 +290,6 @@ func (a *variantAgg) Merge(other analysis.Metric) {
 	a.winners += o.winners
 	for p := range o.partnerSet {
 		a.partnerSet[p] = true
-	}
-	for dom, sf := range o.siteFirst {
-		if cur, ok := a.siteFirst[dom]; !ok || sf.day < cur.day {
-			a.siteFirst[dom] = sf
-		}
 	}
 	a.beacons += o.beacons
 	a.requests += o.requests
@@ -350,13 +344,12 @@ func (a *variantAgg) result(axis, name string, ov overlay.Overlay, elapsed time.
 			res.TotalWinCPM += c
 		}
 	}
-	hbSites, partnerSum := 0, 0
-	for _, sf := range a.siteFirst {
-		hbSites++
-		partnerSum += sf.partners
-	}
-	if hbSites > 0 {
-		res.MeanPartnersPerHBSite = float64(partnerSum) / float64(hbSites)
+	if ps := a.perSite.Result(); ps.SiteCount > 0 {
+		partnerSum := 0.0 // a sum of small integers, exact in any order
+		for _, n := range ps.ECDF.Values() {
+			partnerSum += n
+		}
+		res.MeanPartnersPerHBSite = partnerSum / float64(ps.SiteCount)
 	}
 	return res
 }

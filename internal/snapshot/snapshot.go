@@ -20,8 +20,8 @@
 // Sections are written sorted by name and payloads are length-prefixed,
 // so the bytes are a pure function of (header, metric states) and equal
 // folds marshal to equal files regardless of how the shards were
-// grouped on the way in. Decoding a section verifies the payload is
-// consumed exactly.
+// grouped on the way in. Decoding verifies that each section payload,
+// and the file itself, is consumed exactly.
 package snapshot
 
 import (
@@ -37,7 +37,7 @@ import (
 // FormatVersion is the shard-file format this build reads and writes.
 // Bump it for any wire-visible change: a metric codec layout, the
 // registry name set, or the section framing.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const magic = "HBSHARD\n"
 
@@ -100,9 +100,10 @@ func MarshalShard(w io.Writer, h Header, metrics []Codec) error {
 	return ww.Err()
 }
 
-// UnmarshalShard reads one shard file, instantiating each section's
-// metric from the registry and refusing unknown formats, unknown metric
-// names, and malformed payloads.
+// UnmarshalShard reads one whole shard file, instantiating each
+// section's metric from the registry and refusing unknown formats,
+// unknown metric names, malformed payloads and bytes after the last
+// section.
 func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	var h Header
 	got := make([]byte, len(magic))
@@ -172,6 +173,9 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 			return h, nil, fmt.Errorf("snapshot: decode %q: %w", name, err)
 		}
 		metrics = append(metrics, m)
+	}
+	if err := r.Close(); err != nil {
+		return h, nil, fmt.Errorf("snapshot: bytes after the last section: %w", err)
 	}
 	return h, metrics, nil
 }

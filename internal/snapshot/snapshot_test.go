@@ -177,8 +177,8 @@ func TestShardFileRoundTrip(t *testing.T) {
 }
 
 // TestUnmarshalRefusals: the reader refuses wrong magic, unknown format
-// versions, unknown metric names, and truncated files — never returning
-// a silently partial result.
+// versions, unknown metric names, truncated files and bytes after the
+// last section — never returning a silently partial result.
 func TestUnmarshalRefusals(t *testing.T) {
 	m, _ := snapshot.New("summary")
 	file := shardFileBytes(t, snapshot.Header{Seed: 1, ShardCount: 1, Shards: []int{0}}, []snapshot.Codec{m})
@@ -198,6 +198,11 @@ func TestUnmarshalRefusals(t *testing.T) {
 		if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(file[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d bytes accepted", cut, len(file))
 		}
+	}
+
+	trailing := append(bytes.Clone(file), 'X')
+	if _, _, err := snapshot.UnmarshalShard(bytes.NewReader(trailing)); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("a byte after the last section: err %v, want %v", err, wire.ErrCorrupt)
 	}
 
 	// Corrupt the section name: "summary" occurs once in the file.

@@ -41,8 +41,8 @@ func MarshalShard(w io.Writer, h ShardHeader, metrics []MetricCodec) error {
 	return snapshot.MarshalShard(w, h, metrics)
 }
 
-// UnmarshalShard reads one shard file, refusing unknown format versions
-// and metric names.
+// UnmarshalShard reads one whole shard file, refusing unknown format
+// versions, unknown metric names and bytes after the last section.
 func UnmarshalShard(r io.Reader) (ShardHeader, []MetricCodec, error) {
 	return snapshot.UnmarshalShard(r)
 }
