@@ -99,8 +99,8 @@ bench-gate:
 # two targets and the JSONL record decoder's each differentially check
 # their fast path against encoding/json (struct equality, error parity;
 # the rtb targets also check the re-encode fixed point), the shard
-# file decoder's checks refuse-not-panic and the re-marshal fixed
-# point, the HTML scanner's checks never-panic, substrings of the
+# file decoder's checks refuse-not-panic, render-without-hanging and
+# the re-marshal fixed point, the HTML scanner's checks never-panic, substrings of the
 # input and, on ASCII, equality with its reference implementation, the
 # URL query target checks ParseQuery and WithQuery against net/url, the
 # URL host target checks Host against net/url, and the wire reader's
@@ -113,18 +113,21 @@ bench-gate:
 # internal/dataset/testdata/fuzz/, internal/snapshot/testdata/fuzz/,
 # internal/htmlmeta/testdata/fuzz/, internal/urlkit/testdata/fuzz/,
 # internal/wire/testdata/fuzz/ and internal/hb/testdata/fuzz/ also
-# replay as plain unit tests on every 'make test'.
+# replay as plain unit tests on every 'make test'. Minimizing a new
+# input is capped at 1 s: under the default 60 s a worker can spend
+# the whole run minimizing one large input (a 19.5 kB shard file),
+# leaving the target at 0 execs/s.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) ./internal/rtb
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) ./internal/rtb
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/dataset
-	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime $(FUZZTIME) ./internal/dataset
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) ./internal/snapshot
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/htmlmeta
-	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime $(FUZZTIME) ./internal/urlkit
-	$(GO) test -run '^$$' -fuzz '^FuzzHost$$' -fuzztime $(FUZZTIME) ./internal/urlkit
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzSlotLines$$' -fuzztime $(FUZZTIME) ./internal/hb
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rtb
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rtb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/htmlmeta
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/urlkit
+	$(GO) test -run '^$$' -fuzz '^FuzzHost$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/urlkit
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzSlotLines$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/hb
 
 # Counterfactual-sweep smoke: a small timeout+partners+network sweep
 # over one shared world, comparison rendered to stdout.

@@ -92,6 +92,7 @@ type ProtocolComparison struct {
 // The waterfall baseline needs the world, so the metric is bound to one
 // at construction and runs the baseline only when Result is called.
 type WaterfallComparisonMetric struct {
+	state
 	w    *sitegen.World
 	seed int64
 	lat  map[string][]float64
@@ -100,7 +101,8 @@ type WaterfallComparisonMetric struct {
 // NewWaterfallComparison returns an empty §7.2 metric bound to w; the
 // waterfall baseline it runs is deterministic in seed.
 func NewWaterfallComparison(w *sitegen.World, seed int64) *WaterfallComparisonMetric {
-	return &WaterfallComparisonMetric{w: w, seed: seed, lat: make(map[string][]float64)}
+	m := &WaterfallComparisonMetric{w: w, seed: seed, lat: make(map[string][]float64)}
+	return hold(m, (*keyed[string])(&m.lat))
 }
 
 // Name identifies the metric.
@@ -115,11 +117,6 @@ func (m *WaterfallComparisonMetric) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty accumulator bound to the same world.
 func (m *WaterfallComparisonMetric) NewShard() Metric { return NewWaterfallComparison(m.w, m.seed) }
-
-// Merge folds a shard in.
-func (m *WaterfallComparisonMetric) Merge(other Metric) {
-	mergeSamples(m.lat, mergeArg[*WaterfallComparisonMetric](m, other).lat)
-}
 
 // Snapshot returns Result.
 func (m *WaterfallComparisonMetric) Snapshot() any { return m.Result() }

@@ -31,11 +31,15 @@ type RankBandAdoption struct {
 
 // AdoptionByRankBandMetric is §3.2 over a site table: the rank and HB
 // flag of each domain's first record.
-type AdoptionByRankBandMetric struct{ siteView }
+type AdoptionByRankBandMetric struct {
+	state
+	siteView
+}
 
 // NewAdoptionByRankBand returns an empty §3.2 rank-band metric.
 func NewAdoptionByRankBand() *AdoptionByRankBandMetric {
-	return &AdoptionByRankBandMetric{ownSites()}
+	m := &AdoptionByRankBandMetric{siteView: ownSites()}
+	return hold(m, &m.siteView)
 }
 
 // Name identifies the metric.
@@ -43,11 +47,6 @@ func (m *AdoptionByRankBandMetric) Name() string { return "adoption_by_rank_band
 
 // NewShard returns a fresh empty accumulator.
 func (m *AdoptionByRankBandMetric) NewShard() Metric { return NewAdoptionByRankBand() }
-
-// Merge folds a shard in.
-func (m *AdoptionByRankBandMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*AdoptionByRankBandMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *AdoptionByRankBandMetric) Snapshot() any { return m.Result() }
@@ -95,11 +94,15 @@ type FacetShare struct {
 
 // FacetBreakdownMetric is §4.6 over a site table: the facet of each
 // domain's first HB record.
-type FacetBreakdownMetric struct{ siteView }
+type FacetBreakdownMetric struct {
+	state
+	siteView
+}
 
 // NewFacetBreakdown returns an empty §4.6 facet metric.
 func NewFacetBreakdown() *FacetBreakdownMetric {
-	return &FacetBreakdownMetric{ownSites()}
+	m := &FacetBreakdownMetric{siteView: ownSites()}
+	return hold(m, &m.siteView)
 }
 
 // Name identifies the metric.
@@ -107,11 +110,6 @@ func (m *FacetBreakdownMetric) Name() string { return "facet_breakdown" }
 
 // NewShard returns a fresh empty accumulator.
 func (m *FacetBreakdownMetric) NewShard() Metric { return NewFacetBreakdown() }
-
-// Merge folds a shard in.
-func (m *FacetBreakdownMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*FacetBreakdownMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *FacetBreakdownMetric) Snapshot() any { return m.Result() }
@@ -152,13 +150,15 @@ type PartnerShare struct {
 // TopPartnersMetric is Figure 8 over a site table: the partner list of
 // each domain's first HB record.
 type TopPartnersMetric struct {
+	state
 	siteView
 	k int
 }
 
 // NewTopPartners returns an empty Figure-8 metric; k<=0 reports all.
 func NewTopPartners(k int) *TopPartnersMetric {
-	return &TopPartnersMetric{siteView: ownSites(), k: k}
+	m := &TopPartnersMetric{siteView: ownSites(), k: k}
+	return hold(m, (*param)(&m.k), &m.siteView)
 }
 
 // Name identifies the metric.
@@ -166,11 +166,6 @@ func (m *TopPartnersMetric) Name() string { return "top_partners" }
 
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *TopPartnersMetric) NewShard() Metric { return NewTopPartners(m.k) }
-
-// Merge folds a shard in.
-func (m *TopPartnersMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*TopPartnersMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *TopPartnersMetric) Snapshot() any { return m.Result() }
@@ -204,12 +199,14 @@ func (m *TopPartnersMetric) Result() []PartnerShare {
 
 // UniquePartnersMetric counts distinct partners incrementally.
 type UniquePartnersMetric struct {
+	state
 	set map[string]bool
 }
 
 // NewUniquePartners returns an empty distinct-partner counter.
 func NewUniquePartners() *UniquePartnersMetric {
-	return &UniquePartnersMetric{set: make(map[string]bool)}
+	m := &UniquePartnersMetric{set: make(map[string]bool)}
+	return hold(m, (*strset)(&m.set))
 }
 
 // Name identifies the metric.
@@ -227,13 +224,6 @@ func (m *UniquePartnersMetric) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty accumulator.
 func (m *UniquePartnersMetric) NewShard() Metric { return NewUniquePartners() }
-
-// Merge folds a shard in.
-func (m *UniquePartnersMetric) Merge(other Metric) {
-	for p := range mergeArg[*UniquePartnersMetric](m, other).set {
-		m.set[p] = true
-	}
-}
 
 // Snapshot returns Result.
 func (m *UniquePartnersMetric) Snapshot() any { return m.Result() }
@@ -254,11 +244,15 @@ type PartnersPerSiteResult struct {
 
 // PartnersPerSiteMetric is Figure 9 over a site table: the partner
 // count of each domain's first HB record.
-type PartnersPerSiteMetric struct{ siteView }
+type PartnersPerSiteMetric struct {
+	state
+	siteView
+}
 
 // NewPartnersPerSite returns an empty Figure-9 metric.
 func NewPartnersPerSite() *PartnersPerSiteMetric {
-	return &PartnersPerSiteMetric{ownSites()}
+	m := &PartnersPerSiteMetric{siteView: ownSites()}
+	return hold(m, &m.siteView)
 }
 
 // Name identifies the metric.
@@ -266,11 +260,6 @@ func (m *PartnersPerSiteMetric) Name() string { return "partners_per_site" }
 
 // NewShard returns a fresh empty accumulator.
 func (m *PartnersPerSiteMetric) NewShard() Metric { return NewPartnersPerSite() }
-
-// Merge folds a shard in.
-func (m *PartnersPerSiteMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*PartnersPerSiteMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *PartnersPerSiteMetric) Snapshot() any { return m.Result() }
@@ -319,13 +308,15 @@ type ComboShare struct {
 // Result time — one sort+join per distinct site, not per visit, keeping
 // the per-record fold cheap on multi-day crawls.
 type PartnerCombosMetric struct {
+	state
 	siteView
 	k int
 }
 
 // NewPartnerCombos returns an empty Figure-10 metric; k<=0 reports all.
 func NewPartnerCombos(k int) *PartnerCombosMetric {
-	return &PartnerCombosMetric{siteView: ownSites(), k: k}
+	m := &PartnerCombosMetric{siteView: ownSites(), k: k}
+	return hold(m, (*param)(&m.k), &m.siteView)
 }
 
 // Name identifies the metric.
@@ -333,11 +324,6 @@ func (m *PartnerCombosMetric) Name() string { return "partner_combos" }
 
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *PartnerCombosMetric) NewShard() Metric { return NewPartnerCombos(m.k) }
-
-// Merge folds a shard in.
-func (m *PartnerCombosMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*PartnerCombosMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *PartnerCombosMetric) Snapshot() any { return m.Result() }
@@ -389,22 +375,21 @@ type PartnerBidShare struct {
 // PartnersPerFacetMetric accumulates Figure 11 incrementally: per-facet
 // bid counts per partner, over every HB record (all days).
 type PartnersPerFacetMetric struct {
+	state
 	k      int
-	counts map[hb.Facet]map[string]int
-	totals map[hb.Facet]int
+	counts [3]map[string]int // in hb.Facets() order
+	totals [3]int
 }
 
 // NewPartnersPerFacet returns an empty Figure-11 metric; k<=0 reports all.
 func NewPartnersPerFacet(k int) *PartnersPerFacetMetric {
-	m := &PartnersPerFacetMetric{
-		k:      k,
-		counts: make(map[hb.Facet]map[string]int, 3),
-		totals: make(map[hb.Facet]int, 3),
+	m := &PartnersPerFacetMetric{k: k}
+	acc := []accumulator{(*param)(&m.k)}
+	for i := range m.counts {
+		m.counts[i] = map[string]int{}
+		acc = append(acc, (*tally[string, int])(&m.counts[i]), (*sum)(&m.totals[i]))
 	}
-	for _, f := range hb.Facets() {
-		m.counts[f] = map[string]int{}
-	}
-	return m
+	return hold(m, acc...)
 }
 
 // Name identifies the metric.
@@ -415,11 +400,11 @@ func (m *PartnersPerFacetMetric) Add(r *dataset.SiteRecord) {
 	if !r.HB {
 		return
 	}
-	f := r.FacetValue()
-	counts := m.counts[f]
-	if counts == nil {
+	f := facetIndex(r.FacetValue())
+	if f < 0 {
 		return
 	}
+	counts := m.counts[f]
 	for _, a := range r.Auctions {
 		for _, b := range a.Bids {
 			counts[b.Bidder]++
@@ -431,24 +416,15 @@ func (m *PartnersPerFacetMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *PartnersPerFacetMetric) NewShard() Metric { return NewPartnersPerFacet(m.k) }
 
-// Merge folds a shard in.
-func (m *PartnersPerFacetMetric) Merge(other Metric) {
-	o := mergeArg[*PartnersPerFacetMetric](m, other)
-	for f, counts := range o.counts {
-		mergeCounts(m.counts[f], counts)
-	}
-	mergeCounts(m.totals, o.totals)
-}
-
 // Snapshot returns Result.
 func (m *PartnersPerFacetMetric) Snapshot() any { return m.Result() }
 
 // Result computes the per-facet bid shares over everything added.
 func (m *PartnersPerFacetMetric) Result() map[hb.Facet][]PartnerBidShare {
 	out := make(map[hb.Facet][]PartnerBidShare, 3)
-	for _, facet := range hb.Facets() {
-		counts := m.counts[facet]
-		total := m.totals[facet]
+	for i, facet := range hb.Facets() {
+		counts := m.counts[i]
+		total := m.totals[i]
 		shares := make([]PartnerBidShare, 0, len(counts))
 		for slug, n := range counts {
 			shares = append(shares, PartnerBidShare{
@@ -468,3 +444,6 @@ func (m *PartnersPerFacetMetric) Result() map[hb.Facet][]PartnerBidShare {
 	}
 	return out
 }
+
+// facetIndex is f's position in hb.Facets(), or -1 for FacetUnknown.
+func facetIndex(f hb.Facet) int { return slices.Index(hb.Facets(), f) }

@@ -45,27 +45,34 @@ func (r DegradationResult) AbandonmentRate() float64 {
 
 // DegradationMetric accumulates DegradationResult incrementally.
 type DegradationMetric struct {
-	res  DegradationResult
-	errs map[string]int // lazy: fault-free crawls never allocate it
+	state
+	visits, quarantined int
+	retries, abandoned  int
+	bidPosts, bidErrors int
+	errs                map[string]int // lazy: fault-free crawls never allocate it
 }
 
 // NewDegradation creates the accumulator.
-func NewDegradation() *DegradationMetric { return &DegradationMetric{} }
+func NewDegradation() *DegradationMetric {
+	m := &DegradationMetric{}
+	return hold(m, (*sum)(&m.visits), (*sum)(&m.quarantined), (*sum)(&m.retries), (*sum)(&m.abandoned),
+		(*sum)(&m.bidPosts), (*sum)(&m.bidErrors), (*tally[string, int])(&m.errs))
+}
 
 // Name identifies the metric.
 func (m *DegradationMetric) Name() string { return "degradation" }
 
 // Add folds one record in.
 func (m *DegradationMetric) Add(r *dataset.SiteRecord) {
-	m.res.Visits++
+	m.visits++
 	if r.Quarantined {
-		m.res.Quarantined++
+		m.quarantined++
 	}
-	m.res.Retries += r.Retries
-	m.res.Abandoned += r.Abandoned
-	m.res.BidPosts += r.Traffic.BidRequests
+	m.retries += r.Retries
+	m.abandoned += r.Abandoned
+	m.bidPosts += r.Traffic.BidRequests
 	for slug, n := range r.PartnerErrors {
-		m.res.BidErrors += n
+		m.bidErrors += n
 		if m.errs == nil {
 			m.errs = make(map[string]int, 4)
 		}
@@ -76,30 +83,16 @@ func (m *DegradationMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator.
 func (m *DegradationMetric) NewShard() Metric { return NewDegradation() }
 
-// Merge folds a shard in.
-func (m *DegradationMetric) Merge(other Metric) {
-	o := mergeArg[*DegradationMetric](m, other)
-	m.res.Visits += o.res.Visits
-	m.res.Quarantined += o.res.Quarantined
-	m.res.Retries += o.res.Retries
-	m.res.Abandoned += o.res.Abandoned
-	m.res.BidPosts += o.res.BidPosts
-	m.res.BidErrors += o.res.BidErrors
-	for slug, n := range o.errs {
-		if m.errs == nil {
-			m.errs = make(map[string]int, len(o.errs))
-		}
-		m.errs[slug] += n
-	}
-}
-
 // Snapshot returns the DegradationResult.
 func (m *DegradationMetric) Snapshot() any { return m.Result() }
 
 // Result finalizes the summary (the partner ranking is sorted here, so
 // the result is independent of fold and merge order).
 func (m *DegradationMetric) Result() DegradationResult {
-	res := m.res
+	res := DegradationResult{
+		Visits: m.visits, Quarantined: m.quarantined, Retries: m.retries,
+		Abandoned: m.abandoned, BidPosts: m.bidPosts, BidErrors: m.bidErrors,
+	}
 	if len(m.errs) > 0 {
 		res.PartnerErrors = make([]PartnerErrorCount, 0, len(m.errs))
 		for slug, n := range m.errs {

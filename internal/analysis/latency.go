@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
@@ -31,11 +32,15 @@ type LatencyCDFResult struct {
 // holding the record slice: only the per-site latency samples (one
 // float64 per HB site) are retained.
 type LatencyAccumulator struct {
+	state
 	xs []float64
 }
 
 // NewLatencyAccumulator returns an empty accumulator.
-func NewLatencyAccumulator() *LatencyAccumulator { return &LatencyAccumulator{} }
+func NewLatencyAccumulator() *LatencyAccumulator {
+	a := &LatencyAccumulator{}
+	return hold(a, (*samples)(&a.xs))
+}
 
 // Name identifies the metric.
 func (a *LatencyAccumulator) Name() string { return "latency_cdf" }
@@ -49,11 +54,6 @@ func (a *LatencyAccumulator) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty accumulator.
 func (a *LatencyAccumulator) NewShard() Metric { return NewLatencyAccumulator() }
-
-// Merge folds a shard's samples in (the CDF sorts, so order is moot).
-func (a *LatencyAccumulator) Merge(other Metric) {
-	a.xs = append(a.xs, mergeArg[*LatencyAccumulator](a, other).xs...)
-}
 
 // Snapshot returns Result.
 func (a *LatencyAccumulator) Snapshot() any { return a.Result() }
@@ -77,6 +77,7 @@ func (a *LatencyAccumulator) Result() LatencyCDFResult {
 // LatencyVsRankMetric accumulates Figure 13 incrementally: per-rank-bin
 // latency samples.
 type LatencyVsRankMetric struct {
+	state
 	b *stats.Binner
 }
 
@@ -86,7 +87,8 @@ func NewLatencyVsRank(binWidth int) *LatencyVsRankMetric {
 	if binWidth <= 0 {
 		binWidth = 500
 	}
-	return &LatencyVsRankMetric{b: stats.NewBinner(binWidth)}
+	m := &LatencyVsRankMetric{b: stats.NewBinner(binWidth)}
+	return hold(m, (*binner)(m.b))
 }
 
 // Name identifies the metric.
@@ -101,11 +103,6 @@ func (m *LatencyVsRankMetric) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty accumulator with the same bin width.
 func (m *LatencyVsRankMetric) NewShard() Metric { return NewLatencyVsRank(m.b.Width) }
-
-// Merge folds a shard in.
-func (m *LatencyVsRankMetric) Merge(other Metric) {
-	m.b.Merge(mergeArg[*LatencyVsRankMetric](m, other).b)
-}
 
 // Snapshot returns Result.
 func (m *LatencyVsRankMetric) Snapshot() any { return m.Result() }
@@ -123,12 +120,14 @@ type PartnerLatencySummary struct {
 // PartnerLatenciesMetric accumulates observed per-partner bid latencies
 // incrementally — the raw material of Figures 14 and 16.
 type PartnerLatenciesMetric struct {
+	state
 	byPartner map[string][]float64
 }
 
 // NewPartnerLatencies returns an empty per-partner latency metric.
 func NewPartnerLatencies() *PartnerLatenciesMetric {
-	return &PartnerLatenciesMetric{byPartner: make(map[string][]float64)}
+	m := &PartnerLatenciesMetric{byPartner: make(map[string][]float64)}
+	return hold(m, (*keyed[string])(&m.byPartner))
 }
 
 // Name identifies the metric.
@@ -146,11 +145,6 @@ func (m *PartnerLatenciesMetric) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty accumulator.
 func (m *PartnerLatenciesMetric) NewShard() Metric { return NewPartnerLatencies() }
-
-// Merge folds a shard in.
-func (m *PartnerLatenciesMetric) Merge(other Metric) {
-	mergeSamples(m.byPartner, mergeArg[*PartnerLatenciesMetric](m, other).byPartner)
-}
 
 // Snapshot returns Result.
 func (m *PartnerLatenciesMetric) Snapshot() any { return m.Result() }
@@ -230,6 +224,7 @@ type CountLatency struct {
 // of each domain's first HB record, read from a site table, plus latency
 // samples per capped partner count over every HB record.
 type LatencyVsPartnerCountMetric struct {
+	state
 	siteView
 	maxPartners int
 	byCount     map[int][]float64
@@ -241,11 +236,12 @@ func NewLatencyVsPartnerCount(maxPartners int) *LatencyVsPartnerCountMetric {
 	if maxPartners <= 0 {
 		maxPartners = 15
 	}
-	return &LatencyVsPartnerCountMetric{
+	m := &LatencyVsPartnerCountMetric{
 		siteView:    ownSites(),
 		maxPartners: maxPartners,
 		byCount:     make(map[int][]float64),
 	}
+	return hold(m, (*param)(&m.maxPartners), &m.siteView, (*keyed[int])(&m.byCount))
 }
 
 // Name identifies the metric.
@@ -268,17 +264,12 @@ func (m *LatencyVsPartnerCountMetric) NewShard() Metric {
 	return NewLatencyVsPartnerCount(m.maxPartners)
 }
 
-// Merge folds a shard in.
-func (m *LatencyVsPartnerCountMetric) Merge(other Metric) {
-	o := mergeArg[*LatencyVsPartnerCountMetric](m, other)
-	m.merge(&o.siteView)
-	mergeSamples(m.byCount, o.byCount)
-}
-
 // Snapshot returns Result.
 func (m *LatencyVsPartnerCountMetric) Snapshot() any { return m.Result() }
 
-// Result computes the Figure-15 rows over everything added.
+// Result computes the Figure-15 rows over everything added. It walks
+// the counts present, not 1..maxPartners: a decoded clamp can be
+// arbitrarily large.
 func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 	siteCount := map[int]int{}
 	totalSites := 0
@@ -289,9 +280,9 @@ func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 		}
 	}
 	var out []CountLatency
-	for n := 1; n <= m.maxPartners; n++ {
+	for _, n := range slices.Sorted(maps.Keys(m.byCount)) {
 		xs := m.byCount[n]
-		if len(xs) == 0 {
+		if n < 1 || n > m.maxPartners || len(xs) == 0 {
 			continue
 		}
 		box, err := stats.BoxOf(xs)
@@ -311,6 +302,7 @@ func (m *LatencyVsPartnerCountMetric) Result() []CountLatency {
 // LatencyVsPopularityMetric accumulates Figure 16 incrementally:
 // per-popularity-rank-bin latency samples.
 type LatencyVsPopularityMetric struct {
+	state
 	reg *partners.Registry
 	b   *stats.Binner
 }
@@ -321,7 +313,8 @@ func NewLatencyVsPopularity(reg *partners.Registry, binWidth int) *LatencyVsPopu
 	if binWidth <= 0 {
 		binWidth = 10
 	}
-	return &LatencyVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+	m := &LatencyVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+	return hold(m, (*binner)(m.b))
 }
 
 // Name identifies the metric.
@@ -358,11 +351,6 @@ func (m *LatencyVsPopularityMetric) NewShard() Metric {
 	return NewLatencyVsPopularity(m.reg, m.b.Width)
 }
 
-// Merge folds a shard in.
-func (m *LatencyVsPopularityMetric) Merge(other Metric) {
-	m.b.Merge(mergeArg[*LatencyVsPopularityMetric](m, other).b)
-}
-
 // Snapshot returns Result.
 func (m *LatencyVsPopularityMetric) Snapshot() any { return m.Result() }
 
@@ -392,13 +380,18 @@ type LateBidsResult struct {
 // LateBidsMetric accumulates Figure 17 incrementally: per-auction late
 // shares plus prevalence counters.
 type LateBidsMetric struct {
+	state
 	shares                  []float64
 	totalAuctions, withLate int
 	one, twoPlus, fourPlus  int
 }
 
 // NewLateBids returns an empty Figure-17 metric.
-func NewLateBids() *LateBidsMetric { return &LateBidsMetric{} }
+func NewLateBids() *LateBidsMetric {
+	m := &LateBidsMetric{}
+	return hold(m, (*samples)(&m.shares), (*sum)(&m.totalAuctions), (*sum)(&m.withLate),
+		(*sum)(&m.one), (*sum)(&m.twoPlus), (*sum)(&m.fourPlus))
+}
 
 // Name identifies the metric.
 func (m *LateBidsMetric) Name() string { return "late_bids" }
@@ -439,17 +432,6 @@ func (m *LateBidsMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator.
 func (m *LateBidsMetric) NewShard() Metric { return NewLateBids() }
 
-// Merge folds a shard in.
-func (m *LateBidsMetric) Merge(other Metric) {
-	o := mergeArg[*LateBidsMetric](m, other)
-	m.shares = append(m.shares, o.shares...)
-	m.totalAuctions += o.totalAuctions
-	m.withLate += o.withLate
-	m.one += o.one
-	m.twoPlus += o.twoPlus
-	m.fourPlus += o.fourPlus
-}
-
 // Snapshot returns Result.
 func (m *LateBidsMetric) Snapshot() any { return m.Result() }
 
@@ -481,6 +463,7 @@ type PartnerLateShare struct {
 // LateBidsPerPartnerMetric accumulates Figure 18 incrementally:
 // per-partner bid and late-bid counters.
 type LateBidsPerPartnerMetric struct {
+	state
 	k, minBids int
 	bids       map[string]int
 	late       map[string]int
@@ -489,11 +472,12 @@ type LateBidsPerPartnerMetric struct {
 // NewLateBidsPerPartner returns an empty Figure-18 metric; minBids
 // filters noise; k<=0 reports all.
 func NewLateBidsPerPartner(k, minBids int) *LateBidsPerPartnerMetric {
-	return &LateBidsPerPartnerMetric{
+	m := &LateBidsPerPartnerMetric{
 		k: k, minBids: minBids,
 		bids: make(map[string]int),
 		late: make(map[string]int),
 	}
+	return hold(m, (*param)(&m.k), (*param)(&m.minBids), (*tally[string, int])(&m.bids), (*tally[string, int])(&m.late))
 }
 
 // Name identifies the metric.
@@ -521,13 +505,6 @@ func (m *LateBidsPerPartnerMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same filters.
 func (m *LateBidsPerPartnerMetric) NewShard() Metric {
 	return NewLateBidsPerPartner(m.k, m.minBids)
-}
-
-// Merge folds a shard in.
-func (m *LateBidsPerPartnerMetric) Merge(other Metric) {
-	o := mergeArg[*LateBidsPerPartnerMetric](m, other)
-	mergeCounts(m.bids, o.bids)
-	mergeCounts(m.late, o.late)
 }
 
 // Snapshot returns Result.

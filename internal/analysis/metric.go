@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"headerbid/internal/dataset"
-)
+import "headerbid/internal/dataset"
 
 // A Metric is a streaming, mergeable accumulator over site records — the
 // unit of the metrics API. Every figure-level analysis in this package
@@ -33,7 +29,9 @@ import (
 //
 // Concrete metrics also expose a typed result method (e.g.
 // (*TopPartnersMetric).Result); Snapshot is the uniform access path used
-// by result bags and equality tests.
+// by result bags and equality tests. Every metric in this package gets
+// Merge and the Codec methods from its embedded state (state.go): its
+// constructor lists the metric's state once, as accumulators.
 type Metric interface {
 	// Name identifies the metric inside a run's results bag.
 	Name() string
@@ -50,45 +48,11 @@ type Metric interface {
 	Snapshot() any
 }
 
-// mergeArg asserts that other is the same concrete metric type as self,
-// panicking with a uniform message otherwise (merging foreign metrics is
-// a programming error, not a data error).
-func mergeArg[T Metric](self Metric, other Metric) T {
-	t, ok := other.(T)
-	if !ok {
-		panic(fmt.Sprintf("analysis: cannot merge %T into %T", other, self))
-	}
-	return t
-}
-
-// mergeSamples appends per-key sample slices map-wise — the shard merge
-// for every map[K][]float64 accumulator. Downstream summaries (ECDF,
-// Box) sort the samples, so append order never reaches the result.
-// Keys the destination has never seen adopt the shard's slice instead
-// of copying it (merge arguments are consumed, so the aliasing is
-// invisible); the first shard folded into an empty root transfers its
-// entire sample set without a single copy.
-func mergeSamples[K comparable](dst, src map[K][]float64) {
-	for k, xs := range src {
-		if cur, ok := dst[k]; ok {
-			dst[k] = append(cur, xs...)
-		} else {
-			dst[k] = xs
-		}
-	}
-}
-
-// mergeCounts adds per-key counters map-wise.
-func mergeCounts[K comparable](dst, src map[K]int) {
-	for k, n := range src {
-		dst[k] += n
-	}
-}
-
 // SummaryMetric is the Table-1 roll-up as a Metric. Sites crawled and
 // sites with HB are the lengths of its site table's two maps; auctions,
 // bids, crawl days and demand partners are folded per record.
 type SummaryMetric struct {
+	state
 	siteView
 	auctions, bids int
 	maxDay         int
@@ -97,7 +61,8 @@ type SummaryMetric struct {
 
 // NewSummary returns an empty Table-1 summary metric.
 func NewSummary() *SummaryMetric {
-	return &SummaryMetric{siteView: ownSites(), maxDay: -1, partners: make(map[string]bool)}
+	m := &SummaryMetric{siteView: ownSites(), maxDay: -1, partners: make(map[string]bool)}
+	return hold(m, &m.siteView, (*strset)(&m.partners), (*sum)(&m.auctions), (*sum)(&m.bids), (*peak)(&m.maxDay))
 }
 
 // Name identifies the metric.
@@ -121,18 +86,6 @@ func (m *SummaryMetric) Add(r *dataset.SiteRecord) {
 
 // NewShard returns a fresh empty summary accumulator.
 func (m *SummaryMetric) NewShard() Metric { return NewSummary() }
-
-// Merge folds a shard in.
-func (m *SummaryMetric) Merge(other Metric) {
-	o := mergeArg[*SummaryMetric](m, other)
-	m.merge(&o.siteView)
-	m.auctions += o.auctions
-	m.bids += o.bids
-	m.maxDay = max(m.maxDay, o.maxDay)
-	for p := range o.partners {
-		m.partners[p] = true
-	}
-}
 
 // Snapshot returns the dataset.Summary over everything folded in.
 func (m *SummaryMetric) Snapshot() any { return m.Summary() }

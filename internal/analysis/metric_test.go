@@ -52,7 +52,7 @@ func synthRecords(t *testing.T, seed int64) []*dataset.SiteRecord {
 				ID: fmt.Sprintf("a%d", a), AdUnit: "u",
 				Size: sizes[rng.Intn(len(sizes))],
 			}
-			for b := rng.Intn(4); b > 0; b-- {
+			for b := rng.Intn(7); b > 0; b-- {
 				bid := dataset.BidRecord{
 					Bidder:    slugs[rng.Intn(len(slugs))],
 					CPM:       rng.Float64() * 1.2,
@@ -270,6 +270,53 @@ func TestMetricMergeRejectsForeignKind(t *testing.T) {
 		}
 	}()
 	NewLateBids().Merge(NewPriceCDF())
+}
+
+// TestEveryStateFieldListed: Merge and the codec see only the fields a
+// metric's constructor lists, so every field of every metric must be
+// reached by exactly one entry of its list, by pointer identity. The
+// only exemptions are constructor dependencies that are not state.
+func TestEveryStateFieldListed(t *testing.T) {
+	deps := map[string]bool{"reg": true, "w": true, "seed": true}
+	ms := []Metric{NewWaterfallComparison(nil, 1)}
+	for _, tc := range metricCases() {
+		ms = append(ms, tc.metric())
+	}
+	for _, m := range ms {
+		acc := m.(stateful).list().acc
+		entries := make(map[uintptr]reflect.Type, len(acc))
+		for _, a := range acc {
+			entries[reflect.ValueOf(a).Pointer()] = reflect.TypeOf(a)
+		}
+		reached := 0
+		var walk func(name string, f reflect.Value)
+		walk = func(name string, f reflect.Value) {
+			addr, ptr := f.UnsafeAddr(), reflect.PointerTo(f.Type())
+			if f.Kind() == reflect.Pointer { // an accumulator over the pointee
+				addr, ptr = f.Pointer(), f.Type()
+			}
+			if e, ok := entries[addr]; ok && ptr.ConvertibleTo(e) {
+				reached++
+				return
+			}
+			if f.Kind() == reflect.Array {
+				for i := range f.Len() {
+					walk(fmt.Sprintf("%s[%d]", name, i), f.Index(i))
+				}
+				return
+			}
+			t.Errorf("%s: field %s is in no entry of the state list", m.Name(), name)
+		}
+		v := reflect.ValueOf(m).Elem()
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.Type != reflect.TypeOf(state{}) && !deps[f.Name] {
+				walk(f.Name, v.Field(i))
+			}
+		}
+		if reached != len(acc) {
+			t.Errorf("%s: %d list entries reach %d fields", m.Name(), len(acc), reached)
+		}
+	}
 }
 
 // TestPartnerCombosKeepsLiteralSlugs: combo membership must come from

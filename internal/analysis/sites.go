@@ -145,9 +145,9 @@ func (t *SiteTable) Share(ms ...Metric) {
 }
 
 // siteView is embedded by the eight first-visit metrics: the site table
-// a metric reads, which it folds itself unless the table is shared. The
-// metrics that keep no other state use its Add and codec methods as
-// their own.
+// a metric reads, which it folds itself unless the table is shared. It
+// is the accumulator those metrics list for their table, and the
+// metrics that keep no other state use its Add as their own.
 type siteView struct {
 	sites  *SiteTable
 	shared bool // the table's owner folds it (SiteTable.Share)
@@ -164,21 +164,19 @@ func (v *siteView) Add(r *dataset.SiteRecord) {
 	}
 }
 
-func (v *siteView) merge(o *siteView) {
+func (v *siteView) merge(o accumulator) {
 	if !v.shared {
-		v.sites.Merge(o.sites)
+		v.sites.Merge(o.(*siteView).sites)
 	}
 }
 
-// EncodeState implements Codec.
-func (v *siteView) EncodeState(w *wire.Writer) {
+func (v *siteView) encode(w *wire.Writer) {
 	if !v.shared {
 		v.sites.EncodeState(w)
 	}
 }
 
-// DecodeState implements Codec.
-func (v *siteView) DecodeState(r *wire.Reader) error {
+func (v *siteView) decode(r *wire.Reader) error {
 	if !v.shared {
 		return v.sites.DecodeState(r)
 	}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"headerbid/internal/dataset"
@@ -24,11 +26,15 @@ type SlotsPerSiteResult struct {
 
 // SlotsPerSiteMetric is Figure 19 over a site table: the auctioned slot
 // count and facet of each domain's first HB record.
-type SlotsPerSiteMetric struct{ siteView }
+type SlotsPerSiteMetric struct {
+	state
+	siteView
+}
 
 // NewSlotsPerSite returns an empty Figure-19 metric.
 func NewSlotsPerSite() *SlotsPerSiteMetric {
-	return &SlotsPerSiteMetric{ownSites()}
+	m := &SlotsPerSiteMetric{siteView: ownSites()}
+	return hold(m, &m.siteView)
 }
 
 // Name identifies the metric.
@@ -36,11 +42,6 @@ func (m *SlotsPerSiteMetric) Name() string { return "slots_per_site" }
 
 // NewShard returns a fresh empty accumulator.
 func (m *SlotsPerSiteMetric) NewShard() Metric { return NewSlotsPerSite() }
-
-// Merge folds a shard in.
-func (m *SlotsPerSiteMetric) Merge(other Metric) {
-	m.merge(&mergeArg[*SlotsPerSiteMetric](m, other).siteView)
-}
 
 // Snapshot returns Result.
 func (m *SlotsPerSiteMetric) Snapshot() any { return m.Result() }
@@ -72,6 +73,7 @@ func (m *SlotsPerSiteMetric) Result() SlotsPerSiteResult {
 // LatencyVsSlotsMetric accumulates Figure 20 incrementally: latency
 // samples per clamped auctioned-slot count over every HB record.
 type LatencyVsSlotsMetric struct {
+	state
 	maxSlots int
 	byCount  map[int][]float64
 }
@@ -82,7 +84,8 @@ func NewLatencyVsSlots(maxSlots int) *LatencyVsSlotsMetric {
 	if maxSlots <= 0 {
 		maxSlots = 15
 	}
-	return &LatencyVsSlotsMetric{maxSlots: maxSlots, byCount: make(map[int][]float64)}
+	m := &LatencyVsSlotsMetric{maxSlots: maxSlots, byCount: make(map[int][]float64)}
+	return hold(m, (*param)(&m.maxSlots), (*keyed[int])(&m.byCount))
 }
 
 // Name identifies the metric.
@@ -104,18 +107,18 @@ func (m *LatencyVsSlotsMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same clamp.
 func (m *LatencyVsSlotsMetric) NewShard() Metric { return NewLatencyVsSlots(m.maxSlots) }
 
-// Merge folds a shard in.
-func (m *LatencyVsSlotsMetric) Merge(other Metric) {
-	mergeSamples(m.byCount, mergeArg[*LatencyVsSlotsMetric](m, other).byCount)
-}
-
 // Snapshot returns Result.
 func (m *LatencyVsSlotsMetric) Snapshot() any { return m.Result() }
 
-// Result computes the Figure-20 rows over everything added.
+// Result computes the Figure-20 rows over everything added. It walks
+// the counts present, not 1..maxSlots: a decoded clamp can be
+// arbitrarily large.
 func (m *LatencyVsSlotsMetric) Result() []CountLatency {
 	var out []CountLatency
-	for n := 1; n <= m.maxSlots; n++ {
+	for _, n := range slices.Sorted(maps.Keys(m.byCount)) {
+		if n < 1 || n > m.maxSlots {
+			continue
+		}
 		xs := m.byCount[n]
 		box, err := stats.BoxOf(xs)
 		if err != nil {
@@ -137,22 +140,21 @@ type SizeShare struct {
 // SlotSizesMetric accumulates Figure 21 incrementally: per-facet slot
 // dimension counts over every HB record's auctions.
 type SlotSizesMetric struct {
+	state
 	k      int
-	counts map[hb.Facet]map[hb.Size]int
-	totals map[hb.Facet]int
+	counts [3]map[hb.Size]int // in hb.Facets() order
+	totals [3]int
 }
 
 // NewSlotSizes returns an empty Figure-21 metric; k<=0 reports all.
 func NewSlotSizes(k int) *SlotSizesMetric {
-	m := &SlotSizesMetric{
-		k:      k,
-		counts: make(map[hb.Facet]map[hb.Size]int, 3),
-		totals: make(map[hb.Facet]int, 3),
+	m := &SlotSizesMetric{k: k}
+	acc := []accumulator{(*param)(&m.k)}
+	for i := range m.counts {
+		m.counts[i] = map[hb.Size]int{}
+		acc = append(acc, (*tally[hb.Size, int])(&m.counts[i]), (*sum)(&m.totals[i]))
 	}
-	for _, f := range hb.Facets() {
-		m.counts[f] = map[hb.Size]int{}
-	}
-	return m
+	return hold(m, acc...)
 }
 
 // Name identifies the metric.
@@ -163,11 +165,11 @@ func (m *SlotSizesMetric) Add(r *dataset.SiteRecord) {
 	if !r.HB {
 		return
 	}
-	f := r.FacetValue()
-	counts := m.counts[f]
-	if counts == nil {
+	f := facetIndex(r.FacetValue())
+	if f < 0 {
 		return
 	}
+	counts := m.counts[f]
 	for _, a := range r.Auctions {
 		sz, err := hb.ParseSize(a.Size)
 		if err != nil {
@@ -181,24 +183,15 @@ func (m *SlotSizesMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same k.
 func (m *SlotSizesMetric) NewShard() Metric { return NewSlotSizes(m.k) }
 
-// Merge folds a shard in.
-func (m *SlotSizesMetric) Merge(other Metric) {
-	o := mergeArg[*SlotSizesMetric](m, other)
-	for f, counts := range o.counts {
-		mergeCounts(m.counts[f], counts)
-	}
-	mergeCounts(m.totals, o.totals)
-}
-
 // Snapshot returns Result.
 func (m *SlotSizesMetric) Snapshot() any { return m.Result() }
 
 // Result computes the per-facet dimension shares over everything added.
 func (m *SlotSizesMetric) Result() map[hb.Facet][]SizeShare {
 	out := map[hb.Facet][]SizeShare{}
-	for _, facet := range hb.Facets() {
-		counts := m.counts[facet]
-		total := m.totals[facet]
+	for i, facet := range hb.Facets() {
+		counts := m.counts[i]
+		total := m.totals[i]
 		shares := make([]SizeShare, 0, len(counts))
 		for sz, n := range counts {
 			shares = append(shares, SizeShare{
@@ -234,13 +227,15 @@ type PriceCDFResult struct {
 // PriceCDFMetric accumulates Figure 22 incrementally: per-facet CPM
 // samples over every observed bid.
 type PriceCDFMetric struct {
+	state
 	byFacet     map[hb.Facet][]float64
 	over, total int
 }
 
 // NewPriceCDF returns an empty Figure-22 metric.
 func NewPriceCDF() *PriceCDFMetric {
-	return &PriceCDFMetric{byFacet: make(map[hb.Facet][]float64)}
+	m := &PriceCDFMetric{byFacet: make(map[hb.Facet][]float64)}
+	return hold(m, (*keyed[hb.Facet])(&m.byFacet), (*sum)(&m.over), (*sum)(&m.total))
 }
 
 // Name identifies the metric.
@@ -270,14 +265,6 @@ func (m *PriceCDFMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator.
 func (m *PriceCDFMetric) NewShard() Metric { return NewPriceCDF() }
 
-// Merge folds a shard in.
-func (m *PriceCDFMetric) Merge(other Metric) {
-	o := mergeArg[*PriceCDFMetric](m, other)
-	mergeSamples(m.byFacet, o.byFacet)
-	m.over += o.over
-	m.total += o.total
-}
-
 // Snapshot returns Result.
 func (m *PriceCDFMetric) Snapshot() any { return m.Result() }
 
@@ -303,6 +290,7 @@ type SizePrice struct {
 // PricePerSizeMetric accumulates Figure 23 incrementally: CPM samples
 // per slot dimension.
 type PricePerSizeMetric struct {
+	state
 	minBids int
 	bySize  map[hb.Size][]float64
 }
@@ -310,7 +298,8 @@ type PricePerSizeMetric struct {
 // NewPricePerSize returns an empty Figure-23 metric; minBids filters
 // sparsely observed sizes.
 func NewPricePerSize(minBids int) *PricePerSizeMetric {
-	return &PricePerSizeMetric{minBids: minBids, bySize: make(map[hb.Size][]float64)}
+	m := &PricePerSizeMetric{minBids: minBids, bySize: make(map[hb.Size][]float64)}
+	return hold(m, (*param)(&m.minBids), (*keyed[hb.Size])(&m.bySize))
 }
 
 // Name identifies the metric.
@@ -342,11 +331,6 @@ func (m *PricePerSizeMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same filter.
 func (m *PricePerSizeMetric) NewShard() Metric { return NewPricePerSize(m.minBids) }
 
-// Merge folds a shard in.
-func (m *PricePerSizeMetric) Merge(other Metric) {
-	mergeSamples(m.bySize, mergeArg[*PricePerSizeMetric](m, other).bySize)
-}
-
 // Snapshot returns Result.
 func (m *PricePerSizeMetric) Snapshot() any { return m.Result() }
 
@@ -376,6 +360,7 @@ func (m *PricePerSizeMetric) Result() []SizePrice {
 // PriceVsPopularityMetric accumulates Figure 24 incrementally: CPM
 // samples per partner-popularity bin.
 type PriceVsPopularityMetric struct {
+	state
 	reg *partners.Registry
 	b   *stats.Binner
 }
@@ -386,7 +371,8 @@ func NewPriceVsPopularity(reg *partners.Registry, binWidth int) *PriceVsPopulari
 	if binWidth <= 0 {
 		binWidth = 10
 	}
-	return &PriceVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+	m := &PriceVsPopularityMetric{reg: reg, b: stats.NewBinner(binWidth)}
+	return hold(m, (*binner)(m.b))
 }
 
 // Name identifies the metric.
@@ -415,11 +401,6 @@ func (m *PriceVsPopularityMetric) Add(r *dataset.SiteRecord) {
 // bin width.
 func (m *PriceVsPopularityMetric) NewShard() Metric {
 	return NewPriceVsPopularity(m.reg, m.b.Width)
-}
-
-// Merge folds a shard in.
-func (m *PriceVsPopularityMetric) Merge(other Metric) {
-	m.b.Merge(mergeArg[*PriceVsPopularityMetric](m, other).b)
 }
 
 // Snapshot returns Result.

@@ -37,6 +37,7 @@ type TrafficSummary struct {
 // over integer request counts (exact in float64), so shard merges in any
 // order reproduce the single-pass result bit for bit.
 type TrafficMetric struct {
+	state
 	passes float64 // expected waterfall passes for the amplification ratio
 
 	bidReqs, hbRel, total []float64
@@ -51,11 +52,14 @@ type TrafficMetric struct {
 // before filling (from the paired waterfall experiment; ~1-2 in
 // practice); <=0 disables the amplification estimate.
 func NewTraffic(expectedWaterfallPasses float64) *TrafficMetric {
-	return &TrafficMetric{
+	m := &TrafficMetric{
 		passes:     expectedWaterfallPasses,
 		sumByFacet: make(map[hb.Facet]float64),
 		cntByFacet: make(map[hb.Facet]int),
 	}
+	return hold(m, (*fparam)(&m.passes), (*samples)(&m.bidReqs), (*samples)(&m.hbRel), (*samples)(&m.total),
+		(*tally[hb.Facet, float64])(&m.sumByFacet), (*tally[hb.Facet, int])(&m.cntByFacet),
+		(*fsum)(&m.fanoutSum), (*sum)(&m.fanoutN))
 }
 
 // Name identifies the metric.
@@ -81,20 +85,6 @@ func (m *TrafficMetric) Add(r *dataset.SiteRecord) {
 // NewShard returns a fresh empty accumulator with the same passes
 // estimate.
 func (m *TrafficMetric) NewShard() Metric { return NewTraffic(m.passes) }
-
-// Merge folds a shard in.
-func (m *TrafficMetric) Merge(other Metric) {
-	o := mergeArg[*TrafficMetric](m, other)
-	m.bidReqs = append(m.bidReqs, o.bidReqs...)
-	m.hbRel = append(m.hbRel, o.hbRel...)
-	m.total = append(m.total, o.total...)
-	for f, sum := range o.sumByFacet {
-		m.sumByFacet[f] += sum
-	}
-	mergeCounts(m.cntByFacet, o.cntByFacet)
-	m.fanoutSum += o.fanoutSum
-	m.fanoutN += o.fanoutN
-}
 
 // Snapshot returns Result.
 func (m *TrafficMetric) Snapshot() any { return m.Result() }

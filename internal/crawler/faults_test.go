@@ -3,6 +3,8 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +128,11 @@ func TestCleanRunMatchesFaultFreeBaseline(t *testing.T) {
 // a faulted visit on the pooled runtime allocates exactly what the same
 // visit without an overlay does. The fault is zero-shaped (no draws, no
 // payload effects), so any difference is the cost of carrying faults.
+//
+// A collection empties the runtime's pools, and refilling them counts
+// as visit allocations on whichever side it lands. So the collector is
+// off after one full cycle, and each side is the least of three
+// batches; equality stays exact.
 func TestFaultedVisitAllocParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race (sync.Pool drops items)")
@@ -143,8 +150,13 @@ func TestFaultedVisitAllocParity(t *testing.T) {
 	}
 
 	vrt := newVisitRuntime()
-	clean := testing.AllocsPerRun(10, func() { vrt.visit(w, site, 0, opts, nil, nil) })
-	faulted := testing.AllocsPerRun(10, func() { vrt.visit(w, site, 0, fopts, faults, nil) })
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := func(visit func()) float64 {
+		return min(testing.AllocsPerRun(10, visit), testing.AllocsPerRun(10, visit), testing.AllocsPerRun(10, visit))
+	}
+	clean := least(func() { vrt.visit(w, site, 0, opts, nil, nil) })
+	faulted := least(func() { vrt.visit(w, site, 0, fopts, faults, nil) })
 	if faulted != clean {
 		t.Fatalf("faulted visit allocates %.0f, clean visit %.0f: faults must cost no per-visit allocation", faulted, clean)
 	}

@@ -2,18 +2,22 @@ package snapshot_test
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"headerbid/internal/crawler"
+	"headerbid/internal/report"
 	"headerbid/internal/sitegen"
 	"headerbid/internal/snapshot"
 )
 
 // FuzzUnmarshalShard holds the shard-file decoder to its contract on
-// arbitrary bytes: UnmarshalShard never panics, and any file it accepts
-// re-marshals to bytes that unmarshal and marshal again to themselves —
-// a byte fixed point, which is what lets hbmerge re-marshal partial
-// folds. Seed corpus: fuzzSeeds below plus the committed files under
+// arbitrary bytes: UnmarshalShard never panics, any file it accepts
+// renders (every metric's Snapshot, and the figure report's Render, as
+// hbmerge does) without panicking or hanging, and it re-marshals to
+// bytes that unmarshal and marshal again to themselves — a byte fixed
+// point, which is what lets hbmerge re-marshal partial folds. Seed
+// corpus: fuzzSeeds below plus the committed files under
 // testdata/fuzz/. CI runs the target briefly via `make fuzz-smoke`.
 func FuzzUnmarshalShard(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
@@ -23,6 +27,12 @@ func FuzzUnmarshalShard(f *testing.F) {
 		h, ms, err := snapshot.UnmarshalShard(bytes.NewReader(file))
 		if err != nil {
 			return
+		}
+		for _, m := range ms {
+			m.Snapshot()
+			if fr, ok := m.(*report.Figures); ok {
+				fr.Render(io.Discard)
+			}
 		}
 		once := shardFileBytes(t, h, ms)
 		h2, ms2, err := snapshot.UnmarshalShard(bytes.NewReader(once))

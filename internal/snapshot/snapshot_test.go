@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"testing"
 	"testing/iotest"
+	"time"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 	"headerbid/internal/report"
@@ -259,6 +261,37 @@ func TestHostileShardBoundedAllocation(t *testing.T) {
 			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 				t.Errorf("%s from a %s (%d-byte file): allocated %d bytes", name, src, len(file), n)
 			}
+		}
+	}
+}
+
+// TestHugeClampRendersPromptly: Figures 15 and 20 clamp their counts
+// at a configured maximum that the file carries. A Result that walked
+// every count up to the clamp would never return on a hostile one, so
+// each section decoded with a clamp of 1<<62 must still render its one
+// row within a deadline.
+func TestHugeClampRendersPromptly(t *testing.T) {
+	for _, name := range []string{"latency_vs_partner_count", "latency_vs_slots"} {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		w.Int(1 << 62)
+		if name == "latency_vs_partner_count" {
+			w.Uvarint(0) // the site table: no domains,
+			w.Uvarint(0) // no HB domains
+		}
+		w.Uvarint(1) // latency samples at one count: 3
+		w.Int(3)
+		w.Float64s([]float64{250})
+		m := decodeFresh(t, name, buf.Bytes())
+		done := make(chan any, 1)
+		go func() { done <- m.Snapshot() }()
+		select {
+		case got := <-done:
+			if rows := got.([]analysis.CountLatency); len(rows) != 1 || rows[0].Partners != 3 {
+				t.Errorf("%s: rows %+v, want one at count 3", name, rows)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Result has not returned 5 s after decoding a clamp of 1<<62", name)
 		}
 	}
 }
