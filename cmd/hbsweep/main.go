@@ -20,7 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -31,36 +31,57 @@ import (
 )
 
 func main() {
-	var (
-		sites    = flag.Int("sites", 5000, "number of sites in the shared generated world")
-		days     = flag.Int("days", 1, "crawl days per variant")
-		seed     = flag.Int64("seed", 1, "world + crawl seed (identical seeds reproduce identical comparisons)")
-		workers  = flag.Int("workers", 0, "crawl parallelism per variant (0 = NumCPU)")
-		parallel = flag.Int("parallel", 2, "variants crawled concurrently")
-		timeouts = flag.String("timeouts", "default", "timeout axis: comma-separated wrapper deadlines in ms, 'default', or '' to skip the axis")
-		partner  = flag.String("partners", "default", "partner-ablation axis: comma-separated pool caps, 'default', or '' to skip")
-		profiles = flag.String("profiles", "default", "network axis: comma-separated profile names (fiber,cable,4g,3g), 'default', or '' to skip")
-		sync     = flag.Bool("sync", false, "add the cookie-sync ablation axis")
-		wrapper  = flag.Bool("fix-wrappers", false, "add the repaired-wrapper axis")
-		faults   = flag.String("faults", "", "fault axis: comma-separated transport failure rates (0..1, e.g. 0.05,0.2), 'default' for the built-in ladder, '' to skip")
-		faultFor = flag.String("fault-partner", "", "restrict the fault axis to one partner slug ('' = ecosystem-wide)")
-		chaos    = flag.Bool("chaos", false, "add the chaos axis: outage, flapping, slow-loris, mid-body resets, truncated/garbled bodies, error ramp")
-		out      = flag.String("o", "", "directory for per-variant JSONL datasets (empty = no datasets)")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	log.SetFlags(0)
-	log.SetPrefix("hbsweep: ")
+// run is hbsweep over the given arguments and output streams. It
+// returns the exit status: 0 on success, 1 when an axis level or the
+// sweep is refused, 2 on a usage error, 130 when interrupted.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		sites    = fs.Int("sites", 5000, "number of sites in the shared generated world")
+		days     = fs.Int("days", 1, "crawl days per variant")
+		seed     = fs.Int64("seed", 1, "world + crawl seed (identical seeds reproduce identical comparisons)")
+		workers  = fs.Int("workers", 0, "crawl parallelism per variant (0 = NumCPU)")
+		parallel = fs.Int("parallel", 2, "variants crawled concurrently")
+		timeouts = fs.String("timeouts", "default", "timeout axis: comma-separated wrapper deadlines in ms, 'default', or '' to skip the axis")
+		partner  = fs.String("partners", "default", "partner-ablation axis: comma-separated pool caps, 'default', or '' to skip")
+		profiles = fs.String("profiles", "default", "network axis: comma-separated profile names (fiber,cable,4g,3g), 'default', or '' to skip")
+		sync     = fs.Bool("sync", false, "add the cookie-sync ablation axis")
+		wrapper  = fs.Bool("fix-wrappers", false, "add the repaired-wrapper axis")
+		faults   = fs.String("faults", "", "fault axis: comma-separated transport failure rates (0..1, e.g. 0.05,0.2), 'default' for the built-in ladder, '' to skip")
+		faultFor = fs.String("fault-partner", "", "restrict the fault axis to one partner slug ('' = ecosystem-wide)")
+		chaos    = fs.Bool("chaos", false, "add the chaos axis: outage, flapping, slow-loris, mid-body resets, truncated/garbled bodies, error ramp")
+		out      = fs.String("o", "", "directory for per-variant JSONL datasets (empty = no datasets)")
+		quiet    = fs.Bool("q", false, "suppress progress output")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "hbsweep: "+format+"\n", a...) }
+	fail := func(format string, a ...any) int {
+		logf(format, a...)
+		return 1
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	var axes []headerbid.Axis
-	if ms, on := intLevels(*timeouts); on {
+	ms, on, err := intLevels(*timeouts)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if on {
 		axes = append(axes, headerbid.TimeoutAxis(ms...))
 	}
-	if caps, on := intLevels(*partner); on {
+	caps, on, err := intLevels(*partner)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if on {
 		axes = append(axes, headerbid.PartnerAxis(caps...))
 	}
 	if names, on := strLevels(*profiles); on {
@@ -68,7 +89,7 @@ func main() {
 		for _, n := range names {
 			p, ok := headerbid.NetworkProfileByName(n)
 			if !ok {
-				log.Fatalf("unknown network profile %q (built-ins: fiber, cable, 4g, 3g)", n)
+				return fail("unknown network profile %q (built-ins: fiber, cable, 4g, 3g)", n)
 			}
 			ps = append(ps, p)
 		}
@@ -80,7 +101,11 @@ func main() {
 	if *wrapper {
 		axes = append(axes, headerbid.WrapperAxis())
 	}
-	if rates, on := floatLevels(*faults); on {
+	rates, on, err := floatLevels(*faults)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if on {
 		if *faultFor != "" {
 			axes = append(axes, headerbid.PartnerFaultAxis(*faultFor, rates...))
 		} else {
@@ -91,7 +116,7 @@ func main() {
 		axes = append(axes, headerbid.ChaosAxis())
 	}
 	if len(axes) == 0 {
-		log.Fatal("every axis disabled; enable at least one")
+		return fail("every axis disabled; enable at least one")
 	}
 
 	opts := []headerbid.SweepOption{
@@ -107,7 +132,7 @@ func main() {
 	if *out != "" {
 		jsonl, err := headerbid.NewVariantJSONLSink(*out)
 		if err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
 		opts = append(opts, headerbid.WithSweepSink(jsonl))
 	}
@@ -120,7 +145,7 @@ func main() {
 		opts = append(opts, headerbid.WithSweepSink(headerbid.SweepSinkFunc(func(v headerbid.SweepVisit) error {
 			done++
 			if done%2000 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\rsweeping... %d/%d visits", done, total)
+				fmt.Fprintf(stderr, "\rsweeping... %d/%d visits", done, total)
 			}
 			return nil
 		})))
@@ -130,60 +155,61 @@ func main() {
 	start := time.Now()
 	cmp, err := headerbid.NewSweep(opts...).Run(ctx)
 	if !*quiet {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 	if errors.Is(err, context.Canceled) {
-		log.Println("interrupted; no comparison rendered")
-		os.Exit(130)
+		logf("interrupted; no comparison rendered")
+		return 130
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail("%v", err)
 	}
 
-	cmp.Render(os.Stdout)
+	cmp.Render(stdout)
 	//hbvet:allow detwall operator-facing wall-clock duration of the whole sweep run
 	elapsed := time.Since(start).Round(time.Millisecond)
-	log.Printf("swept %d variants over one %d-site world in %s",
+	logf("swept %d variants over one %d-site world in %s",
 		len(cmp.Variants()), cmp.Sites, elapsed)
 	if *out != "" {
-		log.Printf("per-variant datasets written under %s", *out)
+		logf("per-variant datasets written under %s", *out)
 	}
+	return 0
 }
 
 // intLevels parses a comma-separated int list; "default" means the
 // axis's built-in ladder (empty slice), "" disables the axis.
-func intLevels(s string) ([]int, bool) {
+func intLevels(s string) ([]int, bool, error) {
 	names, on := strLevels(s)
 	if !on {
-		return nil, false
+		return nil, false, nil
 	}
 	out := make([]int, 0, len(names))
 	for _, f := range names {
 		n, err := strconv.Atoi(f)
 		if err != nil || n <= 0 {
-			log.Fatalf("bad level %q: want a positive integer, 'default' or ''", f)
+			return nil, false, fmt.Errorf("bad level %q: want a positive integer, 'default' or ''", f)
 		}
 		out = append(out, n)
 	}
-	return out, true
+	return out, true, nil
 }
 
 // floatLevels parses a comma-separated probability list with the same
 // default/disable conventions.
-func floatLevels(s string) ([]float64, bool) {
+func floatLevels(s string) ([]float64, bool, error) {
 	names, on := strLevels(s)
 	if !on {
-		return nil, false
+		return nil, false, nil
 	}
 	out := make([]float64, 0, len(names))
 	for _, f := range names {
 		p, err := strconv.ParseFloat(f, 64)
 		if err != nil || p <= 0 || p > 1 {
-			log.Fatalf("bad rate %q: want a probability in (0,1], 'default' or ''", f)
+			return nil, false, fmt.Errorf("bad rate %q: want a probability in (0,1], 'default' or ''", f)
 		}
 		out = append(out, p)
 	}
-	return out, true
+	return out, true, nil
 }
 
 // strLevels parses a comma-separated list with the same default/disable

@@ -123,38 +123,74 @@ func DefaultConfig(seed int64) Config {
 // deterministic: all randomness flows from the seeded stream.
 type Server struct {
 	cfg   Config
-	rng   *rng.Stream
+	rng   rng.Stream
 	items []LineItem
-	// stats
-	decisions []Decision
+	// fills counts decisions per channel (channels order) for
+	// FillRateByChannel.
+	fills [len(channels)]int
+}
+
+// channels names the decision channels in the order Server.fills counts
+// them.
+var channels = [...]string{"hb", "direct", "price-priority", "house", "unfilled"}
+
+// Book is a server's state before its first decision: its config, its
+// generated line-item book and its stream just after generating it. A
+// book is a pure function of the config, so it is built once (per
+// world, per ad server in package sitegen) and shared read-only: every
+// Server started from it with Reset decides exactly as a server New
+// built from the same config.
+type Book struct {
+	cfg   Config
+	items []LineItem
+	rng   rng.Stream
+}
+
+// NewBook generates the line-item book for cfg.
+func NewBook(cfg Config) *Book {
+	b := &Book{cfg: cfg}
+	b.rng.Reseed(cfg.Seed)
+	b.items = generateBook(&b.rng, cfg)
+	return b
 }
 
 // New creates a server with a generated line-item book.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, rng: rng.New(cfg.Seed)}
-	s.items = s.generateBook()
+	s := &Server{}
+	s.Reset(NewBook(cfg))
 	return s
+}
+
+// Reset returns s to the state a server New built from b's config
+// starts in, reusing s's line-item storage: the book's items are copied
+// (decisions consume their Remaining counts), their size lists are
+// shared read-only, and the stream restarts at the book's state.
+func (s *Server) Reset(b *Book) {
+	s.cfg = b.cfg
+	s.rng = b.rng
+	s.items = append(s.items[:0], b.items...)
+	s.fills = [len(channels)]int{}
 }
 
 // generateBook creates a small plausible set of line items: a few direct
 // campaigns with frequency caps, remnant price-priority demand, and a
 // house ad that always fills.
-func (s *Server) generateBook() []LineItem {
+func generateBook(r *rng.Stream, cfg Config) []LineItem {
 	var items []LineItem
-	nDirect := s.rng.UniformInt(0, 3)
+	nDirect := r.UniformInt(0, 3)
 	for i := 0; i < nDirect; i++ {
 		items = append(items, LineItem{
 			ID:        "direct-" + strconv.Itoa(i+1),
 			Type:      Direct,
-			CPM:       s.rng.LogNormal(logm(s.cfg.DirectCPMMedian), 0.4),
-			Sizes:     []hb.Size{hb.SizeMediumRectangle, hb.SizeLeaderboard}[0 : 1+s.rng.Intn(2)],
-			Remaining: s.rng.UniformInt(100, 10000),
+			CPM:       r.LogNormal(logm(cfg.DirectCPMMedian), 0.4),
+			Sizes:     []hb.Size{hb.SizeMediumRectangle, hb.SizeLeaderboard}[0 : 1+r.Intn(2)],
+			Remaining: r.UniformInt(100, 10000),
 		})
 	}
 	items = append(items, LineItem{
 		ID:        "pp-1",
 		Type:      PricePriority,
-		CPM:       s.rng.LogNormal(logm(0.08), 0.6),
+		CPM:       r.LogNormal(logm(0.08), 0.6),
 		Remaining: -1,
 	})
 	items = append(items, LineItem{
@@ -216,7 +252,12 @@ func (s *Server) Decide(req Request) Decision {
 			d.Channel = "unfilled"
 		}
 	}
-	s.decisions = append(s.decisions, d)
+	for i, ch := range channels {
+		if ch == d.Channel {
+			s.fills[i]++
+			break
+		}
+	}
 	return d
 }
 
@@ -259,21 +300,21 @@ func (s *Server) consume(li *LineItem) {
 	}
 }
 
-// Decisions returns the decision log.
-func (s *Server) Decisions() []Decision { return s.decisions }
-
-// FillRateByChannel summarizes the decision log.
+// FillRateByChannel returns each channel's share of the decisions made
+// so far (nil before the first).
 func (s *Server) FillRateByChannel() map[string]float64 {
-	if len(s.decisions) == 0 {
+	total := 0
+	for _, n := range s.fills {
+		total += n
+	}
+	if total == 0 {
 		return nil
 	}
-	counts := make(map[string]int)
-	for _, d := range s.decisions {
-		counts[d.Channel]++
-	}
-	out := make(map[string]float64, len(counts))
-	for ch, n := range counts {
-		out[ch] = float64(n) / float64(len(s.decisions))
+	out := make(map[string]float64, len(channels))
+	for i, n := range s.fills {
+		if n > 0 {
+			out[channels[i]] = float64(n) / float64(total)
+		}
 	}
 	return out
 }

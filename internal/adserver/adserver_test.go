@@ -192,3 +192,35 @@ func TestLineItemTypeString(t *testing.T) {
 		t.Fatal("unknown type string wrong")
 	}
 }
+
+// TestResetRestartsFromBook: a server restarted from a book decides
+// exactly as a fresh server of the same config, however much an earlier
+// run on it consumed. Direct orders always fill here, so the run
+// exhausts them (Remaining reaches 0) and the channel sequence shows
+// whether the restart restored their counts and the stream.
+func TestResetRestartsFromBook(t *testing.T) {
+	cfg := DefaultConfig(6) // three direct orders for 300x250, 18,016 impressions in all
+	cfg.DirectFill = 1
+	channels := func(s *Server) []string {
+		out := make([]string, 0, 25000)
+		for i := 0; i < cap(out); i++ {
+			out = append(out, s.Decide(Request{Site: "x", AdUnit: "u", Size: hb.SizeMediumRectangle}).Channel)
+		}
+		return out
+	}
+	want := channels(New(cfg))
+	if want[0] != "direct" || want[len(want)-1] == "direct" {
+		t.Fatalf("direct orders did not run out: first %s, last %s", want[0], want[len(want)-1])
+	}
+	book := NewBook(cfg)
+	s := New(cfg)
+	for run := 0; run < 2; run++ {
+		s.Reset(book)
+		got := channels(s)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d, decision %d: %s after Reset, %s on a fresh server", run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -87,8 +87,15 @@ type Page struct {
 	opts      Options
 	busyUntil time.Time
 	closed    bool
-	fetches   webreq.Slab[pendingFetch] // this visit's requests; rewound by Rebind
-	doc       htmlmeta.Document         // this visit's parse; reused by the next
+	// This visit's storage, rewound by Rebind: the requests the page and
+	// its scripts issue (NewRequest), their pending deliveries, the
+	// pending timers, the parse and the visit's own state.
+	requests webreq.Slab[webreq.Request]
+	fetches  webreq.Slab[pendingFetch]
+	timers   webreq.Slab[pendingTimer]
+	doc      htmlmeta.Document
+	visit    visitState
+	settle   func() // visit.settle, bound once per page
 
 	// Doc is the parsed document, set after load. It points into
 	// page-owned storage and is valid until Rebind: hold the strings it
@@ -116,22 +123,25 @@ func NewPage(env Env, opts Options) *Page {
 	}
 	p.envFetch, _ = env.(CallFetcher)
 	p.envSched, _ = env.(CallScheduler)
+	p.settle = p.visit.settle
 	return p
 }
 
 // Rebind returns the page to the state NewPage(env, opts) would produce,
-// reusing the bus's, inspector's, pending-fetch and document storage.
-// The crawler pools one page per worker and rebinds it before every
-// visit — the "new, clean instance" policy without the per-visit
-// bus/inspector/hook-table/per-request allocations. Callers must not
-// rebind while callbacks of the previous visit can still fire (the
-// crawler resets its scheduler first, which drops them): their pending
-// fetches are reused.
+// reusing the bus's, inspector's, request, pending-fetch, timer and
+// document storage. The crawler pools one page per worker and rebinds
+// it before every visit — the "new, clean instance" policy without the
+// per-visit bus/inspector/hook-table/per-request allocations. Callers
+// must not rebind while callbacks of the previous visit can still fire
+// (the crawler resets its scheduler first, which drops them): their
+// requests, pending fetches and timers are reused.
 func (p *Page) Rebind(env Env, opts Options) {
 	p.URL = ""
 	p.Bus.Reset(!opts.NoEventHistory)
 	p.Inspector.Reset()
+	p.requests.Reset()
 	p.fetches.Reset()
+	p.timers.Reset()
 	p.env = env
 	p.envFetch, _ = env.(CallFetcher)
 	p.envSched, _ = env.(CallScheduler)
@@ -150,15 +160,50 @@ func (p *Page) VisitTrace() *obs.VisitTrace { return p.Trace }
 // Now implements the library Env.
 func (p *Page) Now() time.Time { return p.env.Now() }
 
+// NewRequest returns a zeroed request in page-owned storage for the
+// page or one of its scripts to fill and Fetch. It is valid until the
+// page's next Rebind, which is as long as the page's inspector records
+// it and its visit can reach it.
+func (p *Page) NewRequest() *webreq.Request { return p.requests.Alloc() }
+
 // After implements the library Env; callbacks are dropped once the page
 // is closed (navigated away / crawler teardown).
-func (p *Page) After(d time.Duration, fn func()) {
-	p.env.After(d, func() {
-		if !p.closed {
-			fn()
-		}
-	})
+func (p *Page) After(d time.Duration, fn func()) { p.AfterCall(d, runTimerFunc, fn) }
+
+// AfterCall is After with a receiver-style callback: fn(arg) runs after
+// d unless the page has been closed by then. The pending timer lives in
+// the page's storage, so on an Env with CallScheduler a timer allocates
+// nothing.
+func (p *Page) AfterCall(d time.Duration, fn func(any), arg any) {
+	if p.envSched == nil {
+		p.env.After(d, func() {
+			if !p.closed {
+				fn(arg)
+			}
+		})
+		return
+	}
+	t := p.timers.Alloc()
+	*t = pendingTimer{p: p, fn: fn, arg: arg}
+	p.envSched.AfterCall(d, pendingTimerRun, t)
 }
+
+// pendingTimer is one scheduled page timer (AfterCall).
+type pendingTimer struct {
+	p   *Page
+	fn  func(any)
+	arg any
+}
+
+func pendingTimerRun(a any) {
+	t := a.(*pendingTimer)
+	if !t.p.closed {
+		t.fn(t.arg)
+	}
+}
+
+// runTimerFunc adapts an After callback to the AfterCall convention.
+func runTimerFunc(a any) { a.(func())() }
 
 // Post schedules fn on the page loop as soon as possible.
 func (p *Page) Post(fn func()) { p.After(0, fn) }
@@ -177,7 +222,8 @@ func (p *Page) Closed() bool { return p.closed }
 // allocates nothing per request.
 type pendingFetch struct {
 	p     *Page
-	cb    func(*webreq.Response)
+	cb    func(*webreq.Response, any)
+	arg   any
 	resp  *webreq.Response
 	reqID int64
 }
@@ -228,13 +274,23 @@ func (pf *pendingFetch) run() {
 	resp := pf.resp
 	resp.Received = p.env.Now()
 	p.Inspector.SawResponse(resp)
-	pf.cb(resp)
+	pf.cb(resp, pf.arg)
 }
 
 // Fetch implements the library Env: the request is recorded by the
 // inspector, sent through the raw network, and its response delivery is
 // serialized through the page's main thread before cb runs.
 func (p *Page) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
+	p.FetchCall(req, runFetchFunc, cb)
+}
+
+// runFetchFunc adapts a Fetch callback to the FetchCall convention.
+func runFetchFunc(resp *webreq.Response, a any) { a.(func(*webreq.Response))(resp) }
+
+// FetchCall is Fetch with a receiver-style callback: fn(resp, arg) runs
+// on delivery. With a closure-free Env underneath, a fetch whose
+// callback is a package-level function allocates nothing.
+func (p *Page) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
 	if p.closed {
 		return
 	}
@@ -247,7 +303,7 @@ func (p *Page) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	req.ID = p.Inspector.NextID()
 	p.Inspector.SawRequest(req)
 	pf := p.fetches.Alloc()
-	*pf = pendingFetch{p: p, cb: cb, reqID: req.ID}
+	*pf = pendingFetch{p: p, cb: fn, arg: arg, reqID: req.ID}
 	if p.envFetch != nil {
 		p.envFetch.FetchCall(req, pendingFetchNet, pf)
 		return
@@ -291,12 +347,12 @@ func New(env Env, rt ScriptRuntime, opts Options) *Browser {
 // visitState carries one visit (timeout, document load, script fetches,
 // runtime start) across its async steps. The previous implementation
 // threaded the same state through a chain of per-visit closures; the
-// struct form allocates once and lets the timeout ride the scheduler's
-// closure-free path.
+// struct lives in its page, is rewound by the page's next visit and
+// rides the closure-free fetch and timer paths.
 type visitState struct {
 	b         *Browser
 	page      *Page
-	res       *VisitResult
+	res       VisitResult
 	done      func(*Page, *VisitResult)
 	finished  bool
 	started   time.Time
@@ -306,9 +362,12 @@ type visitState struct {
 func (vs *visitState) finish() {
 	if !vs.finished && vs.done != nil {
 		vs.finished = true
-		vs.done(vs.page, vs.res)
+		vs.done(vs.page, &vs.res)
 	}
 }
+
+func visitDocCall(resp *webreq.Response, a any)    { a.(*visitState).onDoc(resp) }
+func visitScriptCall(resp *webreq.Response, a any) { a.(*visitState).onScript(resp) }
 
 // visitTimeout aborts the visit at the page-load deadline.
 func visitTimeout(a any) {
@@ -347,13 +406,13 @@ func (vs *visitState) onDoc(resp *webreq.Response) {
 		vs.scriptsReady()
 		return
 	}
-	cb := vs.onScript // one method value shared by every script fetch
 	for _, s := range doc.Scripts {
 		if s.Src == "" {
 			continue
 		}
-		req := &webreq.Request{URL: s.Src, Method: webreq.GET, Kind: webreq.KindScript}
-		vs.page.Fetch(req, cb)
+		req := vs.page.NewRequest()
+		req.URL, req.Method, req.Kind = s.Src, webreq.GET, webreq.KindScript
+		vs.page.FetchCall(req, visitScriptCall, vs)
 	}
 }
 
@@ -368,7 +427,7 @@ func (vs *visitState) onScript(*webreq.Response) {
 // to the script runtime, then report the visit.
 func (vs *visitState) scriptsReady() {
 	if vs.b.Runtime != nil {
-		vs.b.Runtime.RunScripts(vs.page, vs.page.Doc, vs.settle)
+		vs.b.Runtime.RunScripts(vs.page, vs.page.Doc, vs.page.settle)
 	}
 	vs.finish()
 }
@@ -385,14 +444,16 @@ func (b *Browser) Visit(url string, done func(*Page, *VisitResult)) *Page {
 
 // VisitPage is Visit on a caller-supplied (pooled) page. The page is
 // rebound to this browser's Env and Options first, so a reused page is
-// observationally identical to the fresh one Visit creates.
+// observationally identical to the fresh one Visit creates. The
+// VisitResult done receives lives in the page until its next visit.
 func (b *Browser) VisitPage(page *Page, url string, done func(*Page, *VisitResult)) *Page {
 	page.Rebind(b.Env, b.Opts)
 	page.URL = url
-	vs := &visitState{
+	vs := &page.visit
+	*vs = visitState{
 		b:       b,
 		page:    page,
-		res:     &VisitResult{URL: url},
+		res:     VisitResult{URL: url},
 		done:    done,
 		started: b.Env.Now(),
 	}
@@ -405,8 +466,9 @@ func (b *Browser) VisitPage(page *Page, url string, done func(*Page, *VisitResul
 		}
 	}
 
-	docReq := &webreq.Request{URL: url, Method: webreq.GET, Kind: webreq.KindDocument}
-	page.Fetch(docReq, vs.onDoc)
+	docReq := page.NewRequest()
+	docReq.URL, docReq.Method, docReq.Kind = url, webreq.GET, webreq.KindDocument
+	page.FetchCall(docReq, visitDocCall, vs)
 	return page
 }
 

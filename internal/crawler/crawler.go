@@ -434,7 +434,6 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	rt.Registry = w.Registry
 	rt.Configs = &w.Configs
 	rt.Overlay = opts.Overlay
-	rt.LastActivity = nil
 	bopts := browser.DefaultOptions()
 	bopts.NoEventHistory = true // the detector consumes events live
 	if opts.PageTimeout > 0 {

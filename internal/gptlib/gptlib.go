@@ -20,12 +20,12 @@ import (
 	"headerbid/internal/webreq"
 )
 
-// Env is the page capability the library needs (identical to prebid.Env;
-// redeclared locally per Go interface convention).
+// Env is the page capability the library needs (the call-style shape of
+// prebid.Env; redeclared locally per Go interface convention).
 type Env interface {
 	Now() time.Time
-	After(d time.Duration, fn func())
-	Fetch(req *webreq.Request, cb func(*webreq.Response))
+	FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any)
+	NewRequest() *webreq.Request
 }
 
 // Slot is one defined ad slot.
@@ -68,66 +68,108 @@ func (r *ServerSideResult) Latency() time.Duration {
 	return r.Responded.Sub(r.Requested)
 }
 
-// ServerSideClient drives a hosted auction.
+// ServerSideClient drives a hosted auction. The result and the render
+// state live in the client and are reused by its next Run, and by the
+// next page after Reset: a result is valid until then, and the previous
+// run's callbacks must no longer fire.
 type ServerSideClient struct {
 	env Env
 	bus *events.Bus
 	reg *partners.Registry
 	cfg ServerSideConfig
+
+	res     ServerSideResult
+	done    func(*ServerSideResult)
+	pending int
+	renders webreq.Slab[slotRender] // one per creative fetch
+}
+
+// slotRender is one slot's creative fetch.
+type slotRender struct {
+	c     *ServerSideClient
+	idx   int // index in res.Slots
+	fails bool
+	req   *webreq.Request
 }
 
 // NewServerSide creates a hosted-HB client.
 func NewServerSide(env Env, bus *events.Bus, reg *partners.Registry, cfg ServerSideConfig) *ServerSideClient {
-	return &ServerSideClient{env: env, bus: bus, reg: reg, cfg: cfg}
+	c := &ServerSideClient{}
+	c.Reset(env, bus, reg, cfg)
+	return c
+}
+
+// Reset rebinds the client to a new page, as NewServerSide would create
+// it, keeping its storage for reuse.
+func (c *ServerSideClient) Reset(env Env, bus *events.Bus, reg *partners.Registry, cfg ServerSideConfig) {
+	c.env, c.bus, c.reg, c.cfg = env, bus, reg, cfg
 }
 
 // Run issues the single hosted-auction request and renders the returned
 // impressions. done receives the result after all renders settle.
 func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 	now := c.env.Now()
-	res := &ServerSideResult{Site: c.cfg.Site, Provider: c.cfg.Provider, Requested: now}
+	c.res = ServerSideResult{Site: c.cfg.Site, Provider: c.cfg.Provider, Requested: now, Slots: c.res.Slots[:0]}
+	c.done, c.pending = done, 0
+	c.renders.Reset()
 
 	provider, ok := c.reg.BySlug(c.cfg.Provider)
 	if !ok {
 		if done != nil {
-			done(res)
+			done(&c.res)
 		}
 		return
 	}
-	var specs []string
-	for _, s := range c.cfg.Slots {
-		specs = append(specs, s.Code+"|"+s.Size.String())
-	}
-	endpoint := "https://hb." + provider.Host + "/ssp/auction"
 	hostedParams := urlkit.Query{
 		{Key: "site", Value: c.cfg.Site},
-		{Key: "slots", Value: strings.Join(specs, ",")},
+		{Key: "slots", Value: c.slotSpecs()},
 	}
-	req := &webreq.Request{
-		URL:    urlkit.WithQuery(endpoint, hostedParams),
-		Method: webreq.POST,
-		Kind:   webreq.KindXHR,
-		Sent:   now,
-	}
+	req := c.env.NewRequest()
+	req.URL = urlkit.WithQuery(provider.HostedAuctionURL(), hostedParams)
+	req.Method = webreq.POST
+	req.Kind = webreq.KindXHR
+	req.Sent = now
 	req.PrefillParams(hostedParams)
-	c.env.Fetch(req, func(resp *webreq.Response) {
-		c.onResponse(res, resp, done)
-	})
+	c.env.FetchCall(req, hostedResponseCall, c)
+}
+
+// slotSpecs renders the slots as "code|WxH,code|WxH,...".
+func (c *ServerSideClient) slotSpecs() string {
+	n := 0
+	for _, s := range c.cfg.Slots {
+		n += len(s.Code) + len(s.Size.String()) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, s := range c.cfg.Slots {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(s.Code)
+		b.WriteByte('|')
+		b.WriteString(s.Size.String())
+	}
+	return b.String()
+}
+
+func hostedResponseCall(resp *webreq.Response, a any) { a.(*ServerSideClient).onResponse(resp) }
+
+// finish reports the result once nothing is pending.
+func (c *ServerSideClient) finish() {
+	if c.pending == 0 && c.done != nil {
+		done := c.done
+		c.done = nil
+		done(&c.res)
+	}
 }
 
 // onResponse reads the per-slot creative lines (hb.SlotLine, the ad
 // server's wire shape) and renders them.
-func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Response, done func(*ServerSideResult)) {
+func (c *ServerSideClient) onResponse(resp *webreq.Response) {
+	res := &c.res
 	res.Responded = c.env.Now()
-	pending := 0
-	finish := func() {
-		if pending == 0 && done != nil {
-			done(res)
-			done = nil
-		}
-	}
 	if resp.Err != "" || !resp.OK() {
-		finish()
+		c.finish()
 		return
 	}
 	lines := hb.ScanSlotLines(resp.Body)
@@ -137,42 +179,45 @@ func (c *ServerSideClient) onResponse(res *ServerSideResult, resp *webreq.Respon
 			continue
 		}
 		out := SlotOutcome{Code: slot.Code, Size: slot.Size, CreativeURL: line.CreativeURL}
-		fails := line.Fails
-		if res.Slots == nil {
-			res.Slots = make([]SlotOutcome, 0, len(c.cfg.Slots))
-		}
 		res.Slots = append(res.Slots, out)
-		idx := len(res.Slots) - 1
 		if out.CreativeURL == "" {
 			continue
 		}
-		pending++
-		req := &webreq.Request{
-			URL: out.CreativeURL, Method: webreq.GET,
-			Kind: webreq.KindCreative, Sent: c.env.Now(),
-		}
-		c.env.Fetch(req, func(cresp *webreq.Response) {
-			now := c.env.Now()
-			pending--
-			so := &res.Slots[idx]
-			if fails || cresp.Err != "" || !cresp.OK() {
-				so.RenderFailed = true
-				c.emit(events.Event{
-					Type: events.AdRenderFailed, Time: now,
-					AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
-				})
-			} else {
-				so.Rendered = true
-				c.emit(events.Event{
-					Type: events.SlotRenderEnded, Time: now,
-					AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
-					Params: req.Params(), // the fetch's own parse of the creative URL
-				})
-			}
-			finish()
+		c.pending++
+		req := c.env.NewRequest()
+		req.URL = out.CreativeURL
+		req.Method = webreq.GET
+		req.Kind = webreq.KindCreative
+		req.Sent = c.env.Now()
+		sr := c.renders.Alloc()
+		*sr = slotRender{c: c, idx: len(res.Slots) - 1, fails: line.Fails, req: req}
+		c.env.FetchCall(req, slotRenderCall, sr)
+	}
+	c.finish()
+}
+
+func slotRenderCall(resp *webreq.Response, a any) { a.(*slotRender).onCreative(resp) }
+
+func (sr *slotRender) onCreative(cresp *webreq.Response) {
+	c := sr.c
+	now := c.env.Now()
+	c.pending--
+	so := &c.res.Slots[sr.idx]
+	if sr.fails || cresp.Err != "" || !cresp.OK() {
+		so.RenderFailed = true
+		c.emit(events.Event{
+			Type: events.AdRenderFailed, Time: now,
+			AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
+		})
+	} else {
+		so.Rendered = true
+		c.emit(events.Event{
+			Type: events.SlotRenderEnded, Time: now,
+			AdUnit: so.Code, Size: so.Size, Library: "gpt.js",
+			Params: sr.req.Params(), // the fetch's own parse of the creative URL
 		})
 	}
-	finish()
+	c.finish()
 }
 
 func (c *ServerSideClient) slotByCode(code string) *Slot {

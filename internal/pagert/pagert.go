@@ -10,6 +10,7 @@ package pagert
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -219,19 +220,11 @@ func capPartners(units []prebid.AdUnit, max int) []prebid.AdUnit {
 	return out
 }
 
-// Activity reports what the runtime executed on a page, for ground-truth
-// assertions in tests (the detector must agree with this).
-type Activity struct {
-	RanPrebid     bool
-	RanPubfood    bool
-	RanServerSide bool
-	PrebidResult  *prebid.Result
-	PubfoodResult *pubfood.Result
-	ServerResult  *gptlib.ServerSideResult
-	ConfigErr     string
-}
-
 // Runtime implements browser.ScriptRuntime over the partner registry.
+// It drives one page at a time: the wrappers and the sync layer it runs
+// on a page are reused on the next one, so a page's callbacks must no
+// longer fire when the runtime's next RunScripts starts (the crawler
+// resets its scheduler before every visit; a closed page drops them).
 type Runtime struct {
 	Registry *partners.Registry
 	// Configs memoizes the pages' inline-config decodes; the crawler sets
@@ -243,9 +236,15 @@ type Runtime struct {
 	// across visits and stays untouched), and cookie-sync fan-out can be
 	// suppressed. A nil or zero overlay changes nothing.
 	Overlay *overlay.Overlay
-	// LastActivity records the most recent page's activity (the crawler
-	// uses one Runtime per page, so this is unambiguous there).
-	LastActivity *Activity
+
+	// Protocol state reused page after page, rebound by RunScripts.
+	prebid     prebid.Wrapper
+	server     gptlib.ServerSideClient
+	syncer     usersync.Syncer
+	slugs      []string
+	settle     func()
+	prebidDone func(*prebid.Result)
+	serverDone func(*gptlib.ServerSideResult)
 }
 
 // New creates a runtime.
@@ -262,9 +261,6 @@ func New(reg *partners.Registry) *Runtime { return &Runtime{Registry: reg} }
 // The client/hybrid distinction lives in the ad-server behaviour (and in
 // what the detector can see), not in the wrapper code, mirroring reality.
 func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle func()) {
-	act := &Activity{}
-	rt.LastActivity = act
-
 	hasLib := false
 	for _, s := range doc.Scripts {
 		if s.Src != "" && browser.IsKnownHBLibrary(s.Src) {
@@ -273,44 +269,43 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 		}
 	}
 	cfg, err := rt.Configs.Extract(doc)
-	if err != nil {
-		act.ConfigErr = err.Error()
-		settle()
-		return
-	}
-	if !hasLib || cfg == nil || cfg.Facet == "" {
+	if err != nil || !hasLib || cfg == nil || cfg.Facet == "" {
 		// Page without executable HB — including the static-analysis trap
-		// pages that merely *name* an HB library without config.
+		// pages that merely *name* an HB library without config, and
+		// pages whose config does not decode.
 		settle()
 		return
 	}
 	cfg = OverlayConfig(cfg, rt.Overlay)
+	rt.settle = settle
+	if rt.prebidDone == nil {
+		rt.prebidDone = func(*prebid.Result) { rt.settle() }
+		rt.serverDone = func(*gptlib.ServerSideResult) { rt.settle() }
+	}
 
 	// User tracking rides along with the HB library load (protocol Step 1):
 	// cookie-sync pixels fan out to the page's demand partners. They run
 	// concurrently with the auction and do not gate settle().
-	var partnerSlugs []string
-	seen := map[string]bool{}
+	slugs := rt.slugs[:0]
 	for _, u := range cfg.AdUnits {
 		for _, b := range u.Bidders {
-			if !seen[b] {
-				seen[b] = true
-				partnerSlugs = append(partnerSlugs, b)
+			if !slices.Contains(slugs, b) {
+				slugs = append(slugs, b)
 			}
 		}
 	}
 	if cfg.ServerPartner != "" {
-		partnerSlugs = append(partnerSlugs, cfg.ServerPartner)
+		slugs = append(slugs, cfg.ServerPartner)
 	}
-	if len(partnerSlugs) > 0 && !(rt.Overlay != nil && rt.Overlay.DisableSync) {
-		sync := usersync.New(p, rt.Registry, usersync.DefaultConfig(cfg.Site, partnerSlugs), seedFromSite(cfg.Site))
-		sync.Run(nil)
+	rt.slugs = slugs
+	if len(slugs) > 0 && !(rt.Overlay != nil && rt.Overlay.DisableSync) {
+		rt.syncer.Reset(p, rt.Registry, usersync.DefaultConfig(cfg.Site, slugs), seedFromSite(cfg.Site))
+		rt.syncer.Run(nil)
 	}
 
 	switch cfg.Facet {
 	case "client", "hybrid":
 		if cfg.Library == "pubfood" {
-			act.RanPubfood = true
 			var slots []pubfood.Slot
 			for _, u := range cfg.AdUnits {
 				slots = append(slots, pubfood.Slot{
@@ -335,14 +330,10 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 				AdServerURL: cfg.AdServerURL,
 				FloorCPM:    cfg.FloorCPM,
 			})
-			lib.Start(func(res *pubfood.Result) {
-				act.PubfoodResult = res
-				settle()
-			})
+			lib.Start(func(*pubfood.Result) { settle() })
 			return
 		}
-		act.RanPrebid = true
-		w := prebid.New(p, p.Bus, rt.Registry, prebid.Config{
+		rt.prebid.Reset(p, p.Bus, rt.Registry, prebid.Config{
 			Site:        cfg.Site,
 			Page:        p.URL,
 			AdUnits:     cfg.AdUnits,
@@ -352,23 +343,15 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 			AdServerURL: cfg.AdServerURL,
 			FloorCPM:    cfg.FloorCPM,
 		})
-		w.RequestBids(func(res *prebid.Result) {
-			act.PrebidResult = res
-			settle()
-		})
+		rt.prebid.RequestBids(rt.prebidDone)
 	case "server":
-		act.RanServerSide = true
-		c := gptlib.NewServerSide(p, p.Bus, rt.Registry, gptlib.ServerSideConfig{
+		rt.server.Reset(p, p.Bus, rt.Registry, gptlib.ServerSideConfig{
 			Site:     cfg.Site,
 			Provider: cfg.ServerPartner,
 			Slots:    gptlib.SlotsFromAdUnits(cfg.AdUnits),
 		})
-		c.Run(func(res *gptlib.ServerSideResult) {
-			act.ServerResult = res
-			settle()
-		})
+		rt.server.Run(rt.serverDone)
 	default:
-		act.ConfigErr = "unknown facet " + cfg.Facet
 		settle()
 	}
 }

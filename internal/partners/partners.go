@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"headerbid/internal/rng"
@@ -75,6 +76,14 @@ type Profile struct {
 	latMu        float64
 	latSigma     float64
 	latReady     bool
+
+	// Protocol constants, rendered for the whole registry on first use
+	// (Registry.renderWire) rather than at construction: the registries
+	// built to decode or render metrics never send a bid request. reg
+	// is nil for a profile built outside a registry.
+	reg       *Registry
+	bidReqExt []byte
+	hostedURL string
 }
 
 // HasRole reports whether the profile has the given role flag.
@@ -111,6 +120,38 @@ func (p *Profile) BidRequestParams() urlkit.Query {
 	}
 	return p.bidReqParams
 }
+
+// BidRequestExt returns the OpenRTB ext a prebid adapter sends this
+// partner, {"prebid":{"bidder":"<slug>"}}. Slugs are plain ASCII
+// identifiers, so no JSON escaping is needed. The bytes are shared by
+// every bid request to this partner: treat them as read-only.
+func (p *Profile) BidRequestExt() []byte {
+	if p.reg == nil {
+		return bidRequestExt(p.Slug)
+	}
+	p.reg.renderWire()
+	return p.bidReqExt
+}
+
+func bidRequestExt(slug string) []byte {
+	b := make([]byte, 0, len(slug)+26)
+	b = append(b, `{"prebid":{"bidder":"`...)
+	b = append(b, slug...)
+	b = append(b, `"}}`...)
+	return b
+}
+
+// HostedAuctionURL returns the endpoint of the partner's hosted
+// (server-side) auction.
+func (p *Profile) HostedAuctionURL() string {
+	if p.reg == nil {
+		return hostedAuctionURL(p.Host)
+	}
+	p.reg.renderWire()
+	return p.hostedURL
+}
+
+func hostedAuctionURL(host string) string { return "https://hb." + host + "/ssp/auction" }
 
 // BidEndpoint returns the URL wrappers POST bid requests to.
 func (p *Profile) BidEndpoint() string {
@@ -185,6 +226,20 @@ type Registry struct {
 	serverSide []*Profile
 	domains    map[string]bool
 	rankBySlug map[string]int
+
+	wireOnce sync.Once // renderWire
+}
+
+// renderWire renders every profile's protocol constants, once per
+// registry; the crawl's workers and sweep variants share them read-only.
+func (r *Registry) renderWire() {
+	r.wireOnce.Do(func() {
+		for i := range r.profiles {
+			p := &r.profiles[i]
+			p.bidReqExt = bidRequestExt(p.Slug)
+			p.hostedURL = hostedAuctionURL(p.Host)
+		}
+	})
 }
 
 // NewRegistry builds a registry from profiles. Duplicate slugs panic: the
@@ -202,6 +257,7 @@ func NewRegistry(profiles []Profile) *Registry {
 			panic("partners: duplicate slug " + p.Slug)
 		}
 		p.precompute()
+		p.reg = r
 		r.bySlug[p.Slug] = p
 		r.byDomain[urlkit.RegistrableDomain(p.Host)] = p
 	}

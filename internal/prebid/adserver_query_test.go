@@ -22,7 +22,7 @@ func setByKey(r *roundState, now time.Time) urlkit.Query {
 	}
 	var specs []string
 	for _, u := range w.cfg.AdUnits {
-		uo := r.units[u.Code]
+		uo := r.unit(u.Code)
 		specs = append(specs, u.Code+"|"+u.PrimarySize().String())
 		if uo.Winner != nil {
 			t := hb.TargetingFromBid(*uo.Winner)
@@ -60,17 +60,19 @@ func TestAdServerQueryMatchesSetByKey(t *testing.T) {
 	for _, sendAll := range []bool{false, true} {
 		w := &Wrapper{cfg: Config{Site: "site00042.example", SendAllBids: sendAll,
 			AdUnits: []AdUnit{unit("div-2"), unit("div-1"), unit("div-3"), unit("div-2")}}}
-		r := &roundState{wrapper: w, units: map[string]*UnitOutcome{}}
+		r := &roundState{wrapper: w}
 		euro := bid("criteo", 1.3, hb.EUR, false)
 		euro.DealID = "deal-7"
-		for code, bids := range map[string][]hb.Bid{
+		bids := map[string][]hb.Bid{
 			"div-1": {bid("ix", 0.41, hb.USD, false), bid("rubicon", 0.9, hb.USD, true)},
 			"div-2": {euro, bid("ix", 0.2, hb.USD, false)},
 			"div-3": nil,
-		} {
-			uo := &UnitOutcome{AdUnit: code, Bids: bids}
-			uo.Winner = pickWinner(uo.Bids)
-			r.units[code] = uo
+		}
+		for _, u := range w.cfg.AdUnits {
+			w.units = append(w.units, UnitOutcome{AdUnit: u.Code, Bids: bids[u.Code]})
+		}
+		for i := range w.units {
+			w.units[i].Winner = pickWinner(w.units[i].Bids)
 		}
 		now := time.Unix(1548979200, 0)
 		got, want := r.adServerQuery(now), setByKey(r, now)

@@ -35,7 +35,7 @@ func (r *roundState) finalizeAuction() {
 	// bytes see the same sequence on every run.
 	for i := range r.result.Bidders {
 		bidder := r.result.Bidders[i].Bidder
-		if !r.pending[bidder] {
+		if !w.sends[i].pending {
 			continue
 		}
 		w.emit(events.Event{
@@ -49,7 +49,7 @@ func (r *roundState) finalizeAuction() {
 	// Per-unit auctionEnd + provisional (client-side) winner selection:
 	// highest on-time USD CPM; ties break to the earliest response.
 	for _, u := range w.cfg.AdUnits {
-		uo := r.units[u.Code]
+		uo := r.unit(u.Code)
 		uo.End = now
 		w.emit(events.Event{
 			Type: events.AuctionEnd, Time: now, AuctionID: uo.AuctionID,
@@ -91,21 +91,20 @@ func (r *roundState) callAdServer() {
 		Params: params,
 	})
 
-	req := &webreq.Request{
-		URL:    urlkit.WithQuery(w.cfg.AdServerURL, params),
-		Method: webreq.GET,
-		Kind:   webreq.KindXHR,
-		Sent:   now,
-	}
+	req := w.env.NewRequest()
+	req.URL = urlkit.WithQuery(w.cfg.AdServerURL, params)
+	req.Method = webreq.GET
+	req.Kind = webreq.KindXHR
+	req.Sent = now
 	if !strings.Contains(w.cfg.AdServerURL, "?") {
 		// The query is exactly the one we just encoded: hand it to the
 		// request so no hop (network, ad server, detector) re-parses it.
 		req.PrefillParams(params)
 	}
-	w.env.Fetch(req, func(resp *webreq.Response) {
-		r.onAdServerResponse(resp)
-	})
+	w.env.FetchCall(req, adServerResponseCall, r)
 }
+
+func adServerResponseCall(resp *webreq.Response, a any) { a.(*roundState).onAdServerResponse(resp) }
 
 // adServerQuery builds the ad-server request's query: the site, the
 // time, the slot specs and, for every unit with a winner, its targeting,
@@ -129,7 +128,7 @@ func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
 	specLen := 0
 	for _, u := range w.cfg.AdUnits {
 		specLen += len(u.Code) + len(u.PrimarySize().String()) + 2
-		uo := r.units[u.Code]
+		uo := r.unit(u.Code)
 		if uo.Winner != nil {
 			t := hb.AppendTargeting(tBuf[:0], *uo.Winner)
 			keys := slotScopedKeys(t, u.Code)
@@ -211,8 +210,11 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 	if resp != nil && resp.OK() {
 		body = resp.Body
 	}
-	for _, u := range w.cfg.AdUnits {
-		uo := r.units[u.Code]
+	// At most one render per unit: sized before any is handed out, so
+	// the render calls never move.
+	w.renders = slices.Grow(w.renders[:0], len(w.cfg.AdUnits))
+	for i, u := range w.cfg.AdUnits {
+		uo := r.unit(u.Code)
 		uo.AdServerLatency = now.Sub(uo.End)
 		d := slotDecision(body, u.Code)
 		uo.Channel = d.Channel
@@ -228,7 +230,7 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 				},
 			})
 		}
-		r.render(u, uo, d)
+		r.render(i, uo, d)
 	}
 	r.maybeDone()
 }
@@ -248,9 +250,18 @@ func slotDecision(body, code string) hb.SlotLine {
 	return d
 }
 
+// renderCall is one slot's creative fetch: the ad unit (its index in
+// the config), its outcome and the ad server's decision.
+type renderCall struct {
+	round *roundState
+	unit  int
+	uo    *UnitOutcome
+	d     hb.SlotLine
+}
+
 // render fetches the creative for one slot and fires the render events,
 // including the winner-notification beacon for HB wins (protocol Step 4).
-func (r *roundState) render(u AdUnit, uo *UnitOutcome, d hb.SlotLine) {
+func (r *roundState) render(unit int, uo *UnitOutcome, d hb.SlotLine) {
 	w := r.wrapper
 	if d.CreativeURL == "" {
 		// Nothing to render (unfilled); the slot stays empty.
@@ -258,40 +269,52 @@ func (r *roundState) render(u AdUnit, uo *UnitOutcome, d hb.SlotLine) {
 		return
 	}
 	r.rendersPending++
-	req := &webreq.Request{
-		URL:    d.CreativeURL,
-		Method: webreq.GET,
-		Kind:   webreq.KindCreative,
-		Sent:   w.env.Now(),
-	}
-	w.env.Fetch(req, func(resp *webreq.Response) {
-		now := w.env.Now()
-		r.rendersPending--
-		if d.Fails || resp.Err != "" || !resp.OK() {
-			uo.RenderFailed = true
-			w.emit(events.Event{
-				Type: events.AdRenderFailed, Time: now, AuctionID: uo.AuctionID,
-				AdUnit: u.Code, Size: u.PrimarySize(), Library: "prebid.js",
-			})
-			r.maybeDone()
-			return
-		}
-		uo.Rendered = true
+	w.renders = append(w.renders, renderCall{round: r, unit: unit, uo: uo, d: d})
+	req := w.env.NewRequest()
+	req.URL = d.CreativeURL
+	req.Method = webreq.GET
+	req.Kind = webreq.KindCreative
+	req.Sent = w.env.Now()
+	w.env.FetchCall(req, creativeCall, &w.renders[len(w.renders)-1])
+}
+
+func creativeCall(resp *webreq.Response, a any) { a.(*renderCall).onCreative(resp) }
+
+// ignoreResponse is the callback of a fetch nobody waits for.
+func ignoreResponse(*webreq.Response, any) {}
+
+func (rc *renderCall) onCreative(resp *webreq.Response) {
+	r, uo, d := rc.round, rc.uo, rc.d
+	w := r.wrapper
+	u := &w.cfg.AdUnits[rc.unit]
+	now := w.env.Now()
+	r.rendersPending--
+	if d.Fails || resp.Err != "" || !resp.OK() {
+		uo.RenderFailed = true
 		w.emit(events.Event{
-			Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
-			AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
-			Params: urlkit.Query{{Key: "channel", Value: d.Channel}},
+			Type: events.AdRenderFailed, Time: now, AuctionID: uo.AuctionID,
+			AdUnit: u.Code, Size: u.PrimarySize(), Library: "prebid.js",
 		})
-		if d.Channel == "hb" && uo.Winner != nil {
-			// Winner notification beacon with the charged price.
-			nurl := winNURL(bidderHost(w, uo.Winner.Bidder), uo.AuctionID,
-				uo.Winner.Bidder, uo.Winner.USDCPM())
-			w.env.Fetch(&webreq.Request{
-				URL: nurl, Method: webreq.GET, Kind: webreq.KindBeacon, Sent: now,
-			}, func(*webreq.Response) {})
-		}
 		r.maybeDone()
+		return
+	}
+	uo.Rendered = true
+	w.emit(events.Event{
+		Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
+		AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
+		Params: urlkit.Query{{Key: "channel", Value: d.Channel}},
 	})
+	if d.Channel == "hb" && uo.Winner != nil {
+		// Winner notification beacon with the charged price.
+		req := w.env.NewRequest()
+		req.URL = winNURL(bidderHost(w, uo.Winner.Bidder), uo.AuctionID,
+			uo.Winner.Bidder, uo.Winner.USDCPM())
+		req.Method = webreq.GET
+		req.Kind = webreq.KindBeacon
+		req.Sent = now
+		w.env.FetchCall(req, ignoreResponse, nil)
+	}
+	r.maybeDone()
 }
 
 // maybeDone invokes the round's done callback once the ad server has

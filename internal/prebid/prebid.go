@@ -18,6 +18,7 @@
 package prebid
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -31,15 +32,20 @@ import (
 )
 
 // Env is the slice of browser capability the wrapper needs. It matches
-// the page environment provided by package browser.
+// the page environment provided by package browser. Callbacks are
+// (function, argument) pairs, so the wrapper schedules its steps on its
+// own pooled state instead of allocating a closure per fetch or timer.
 type Env interface {
 	// Now returns the page's current time.
 	Now() time.Time
-	// After schedules fn on the page's event loop after d.
-	After(d time.Duration, fn func())
-	// Fetch issues an asynchronous request; cb runs on the page's event
-	// loop when the response is delivered (or errors).
-	Fetch(req *webreq.Request, cb func(*webreq.Response))
+	// AfterCall schedules fn(arg) on the page's event loop after d.
+	AfterCall(d time.Duration, fn func(any), arg any)
+	// FetchCall issues an asynchronous request; fn(resp, arg) runs on
+	// the page's event loop when the response is delivered (or errors).
+	FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any)
+	// NewRequest returns a zeroed request to fill and fetch, valid for
+	// the rest of the page's visit.
+	NewRequest() *webreq.Request
 }
 
 // AdUnit is one configured ad slot.
@@ -125,21 +131,20 @@ const MaxBidRetries = 1
 // RetryBackoffBase << k.
 const RetryBackoffBase = 100 * time.Millisecond
 
-// BidPost builds attempt number attempt (0 for the first) of a wrapper's
-// bid POST to partner p. body is the encoded bid request and payload the
-// value it was encoded from. The URL is p's pre-rendered bid URL,
-// "<bid endpoint>?bidder=<slug>", plus "&retry=N" on retransmission N:
-// the way real adapters tag retransmissions, and what lets the detector
-// count retries off the wire. The request carries its query and its
-// payload prefilled, so no in-process hop parses either.
-func BidPost(p *partners.Profile, body string, payload *rtb.BidRequest, attempt int, sent time.Time) *webreq.Request {
-	req := &webreq.Request{
-		URL:    p.BidRequestURL(),
-		Method: webreq.POST,
-		Kind:   webreq.KindXHR,
-		Body:   body,
-		Sent:   sent,
-	}
+// BidPost fills req, a zeroed request, as attempt number attempt (0 for
+// the first) of a wrapper's bid POST to partner p, and returns it. body
+// is the encoded bid request and payload the value it was encoded from.
+// The URL is p's pre-rendered bid URL, "<bid endpoint>?bidder=<slug>",
+// plus "&retry=N" on retransmission N: the way real adapters tag
+// retransmissions, and what lets the detector count retries off the
+// wire. The request carries its query and its payload prefilled, so no
+// in-process hop parses either.
+func BidPost(req *webreq.Request, p *partners.Profile, body string, payload *rtb.BidRequest, attempt int, sent time.Time) *webreq.Request {
+	req.URL = p.BidRequestURL()
+	req.Method = webreq.POST
+	req.Kind = webreq.KindXHR
+	req.Body = body
+	req.Sent = sent
 	params := p.BidRequestParams()
 	if attempt > 0 {
 		// "retry" sorts after the bid URL's only key, "bidder", so the
@@ -172,7 +177,8 @@ type UnitOutcome struct {
 // Result is the outcome of one full wrapper round (all ad units). Units
 // point at live outcomes: bids that arrive after the round concluded
 // (late responses) are still appended, which is exactly how the detector
-// observes lateness.
+// observes lateness. A Result lives in its wrapper's storage and is
+// valid until the wrapper's next RequestBids or Reset.
 type Result struct {
 	Site  string
 	Units []*UnitOutcome
@@ -193,7 +199,13 @@ func (r *Result) TotalLatency() time.Duration {
 	return r.AdServerResponded.Sub(r.FirstBidRequest)
 }
 
-// Wrapper is one page's prebid instance.
+// Wrapper is one page's prebid instance. It runs one auction round at a
+// time: the round's state lives in the wrapper and is reused by its next
+// round, and by the next page after Reset, so a pooled wrapper allocates
+// no per-unit or per-bidder bookkeeping once its storage covers the
+// largest round it has run. A round's callbacks must not fire after the
+// next RequestBids or Reset (the crawler resets its scheduler, dropping
+// them, before every visit).
 type Wrapper struct {
 	env Env
 	bus *events.Bus
@@ -206,14 +218,31 @@ type Wrapper struct {
 	traceSrc obs.TraceSource
 
 	auctionSeq int
+
+	// The round's storage (RequestBids rewinds it).
+	round   roundState
+	result  Result
+	units   []UnitOutcome // one per ad unit, in config order
+	bidders []string      // distinct bidders, in first-seen order
+	sends   []bidSend     // one per bidder sent a request, as result.Bidders
+	formats []rtb.Format  // every unit's formats, in config order
+	renders []renderCall  // one per rendered slot
 }
 
 // New creates a wrapper. bus receives the wrapper's DOM events; reg maps
 // bidder codes to endpoints.
 func New(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) *Wrapper {
-	w := &Wrapper{env: env, bus: bus, reg: reg, cfg: cfg}
-	w.traceSrc, _ = env.(obs.TraceSource)
+	w := &Wrapper{}
+	w.Reset(env, bus, reg, cfg)
 	return w
+}
+
+// Reset rebinds the wrapper to a new page, as New would create it,
+// keeping its round storage for reuse.
+func (w *Wrapper) Reset(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) {
+	w.env, w.bus, w.reg, w.cfg = env, bus, reg, cfg
+	w.traceSrc, _ = env.(obs.TraceSource)
+	w.auctionSeq = 0
 }
 
 // vt returns the visit's recorder (nil when untraced). Callers emit
@@ -229,23 +258,19 @@ func (w *Wrapper) vt() *obs.VisitTrace {
 // It never blocks; all work happens on the page event loop.
 func (w *Wrapper) RequestBids(done func(*Result)) {
 	start := w.env.Now()
-	res := &Result{Site: w.cfg.Site}
-	round := &roundState{
-		wrapper: w,
-		result:  res,
-		started: start,
-		pending: make(map[string]bool),
-		units:   make(map[string]*UnitOutcome, len(w.cfg.AdUnits)),
-		done:    done,
-	}
+	w.result = Result{Site: w.cfg.Site, Units: w.result.Units[:0], Bidders: w.result.Bidders[:0]}
+	round := &w.round
+	*round = roundState{wrapper: w, result: &w.result, started: start, done: done}
 
 	// Per-unit auction bookkeeping + events.
-	for _, u := range w.cfg.AdUnits {
+	n := len(w.cfg.AdUnits)
+	w.units = slices.Grow(w.units[:0], n)[:n]
+	for i, u := range w.cfg.AdUnits {
 		w.auctionSeq++
 		aid := appendID(w.cfg.Site, "-a", int64(w.auctionSeq))
-		uo := &UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start}
-		round.units[u.Code] = uo
-		res.Units = append(res.Units, uo)
+		uo := &w.units[i]
+		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start}
+		w.result.Units = append(w.result.Units, uo)
 		w.emit(events.Event{
 			Type: events.AuctionInit, Time: start, AuctionID: aid,
 			AdUnit: u.Code, Library: "prebid.js",
@@ -253,32 +278,34 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	}
 	w.emit(events.Event{Type: events.RequestBids, Time: start, Library: "prebid.js"})
 
-	bidders := w.collectBidders()
-	if len(bidders) == 0 {
+	w.collectBidders()
+	if len(w.bidders) == 0 {
 		// Nothing to do: go straight to the ad server (house/direct only).
 		round.finalizeAuction()
 		return
 	}
 
+	w.layoutFormats()
+	w.sends = slices.Grow(w.sends[:0], len(w.bidders))
 	timeout := w.cfg.Timeout()
-	for _, bidder := range bidders {
+	for _, bidder := range w.bidders {
 		w.sendBidRequest(round, bidder, timeout)
 	}
 
 	if w.cfg.BadWrapper {
 		// Misconfigured wrapper: contact the ad server right away; every
 		// bid response will arrive after finalization and count late.
-		w.env.After(0, round.finalizeAuction)
+		w.env.AfterCall(0, finalizeCall, round)
 	} else {
-		w.env.After(timeout, round.finalizeAuction)
+		w.env.AfterCall(timeout, finalizeCall, round)
 	}
 }
 
-// collectBidders returns the distinct bidder codes across ad units, in
+// collectBidders gathers the distinct bidder codes across ad units, in
 // first-seen order. Configs list at most a couple dozen bidders, so the
 // dedupe is a linear scan of the output instead of a throwaway set.
-func (w *Wrapper) collectBidders() []string {
-	var out []string
+func (w *Wrapper) collectBidders() {
+	out := w.bidders[:0]
 	for _, u := range w.cfg.AdUnits {
 		for _, b := range u.Bidders {
 			if !contains(out, b) {
@@ -286,22 +313,70 @@ func (w *Wrapper) collectBidders() []string {
 			}
 		}
 	}
-	return out
+	w.bidders = out
+}
+
+// layoutFormats writes every ad unit's formats, in config order, into
+// one array; each bidder's impression of a unit shares the unit's part
+// of it read-only (sendBidRequest).
+func (w *Wrapper) layoutFormats() {
+	total := 0
+	for _, u := range w.cfg.AdUnits {
+		total += len(u.Sizes)
+	}
+	if w.formats == nil || cap(w.formats) < total {
+		// Never nil, so a unit without sizes gets an empty list, as
+		// the encoder's "format":[] requires.
+		w.formats = make([]rtb.Format, total)
+	}
+	w.formats = w.formats[:total]
+	i := 0
+	for _, u := range w.cfg.AdUnits {
+		for _, s := range u.Sizes {
+			w.formats[i] = rtb.Format{W: s.W, H: s.H}
+			i++
+		}
+	}
 }
 
 // roundState carries one auction round across async callbacks.
 type roundState struct {
 	wrapper        *Wrapper
 	result         *Result
-	started        time.Time       // auction open (trace span anchor)
-	adServerSent   time.Time       // ad-server request issued (trace span anchor)
-	pending        map[string]bool // bidders not yet responded
-	units          map[string]*UnitOutcome
+	started        time.Time // auction open (trace span anchor)
+	adServerSent   time.Time // ad-server request issued (trace span anchor)
+	pending        int       // bidders not yet responded (bidSend.pending)
 	finalized      bool
 	responded      int
 	rendersPending int
 	done           func(*Result)
 	doneSent       bool
+}
+
+// unit returns the outcome of the last ad unit with code, or nil.
+func (r *roundState) unit(code string) *UnitOutcome {
+	units := r.wrapper.units
+	for i := len(units) - 1; i >= 0; i-- {
+		if units[i].AdUnit == code {
+			return &units[i]
+		}
+	}
+	return nil
+}
+
+func finalizeCall(a any) { a.(*roundState).finalizeAuction() }
+
+// bidSend is one bidder's request within a round: the payload and its
+// encoding, reused by retransmissions, and the state the response
+// callback needs.
+type bidSend struct {
+	round   *roundState
+	idx     int // index in result.Bidders
+	profile *partners.Profile
+	body    string
+	payload rtb.BidRequest
+	attempt int
+	pending bool // no final response yet
 }
 
 // sendBidRequest issues one bidder's POST covering every ad unit that
@@ -312,16 +387,15 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		// Unknown adapter: prebid logs and skips. Nothing hits the wire.
 		return
 	}
-	imps := make([]rtb.Impression, 0, len(w.cfg.AdUnits))
-	unitsForBidder := make([]string, 0, len(w.cfg.AdUnits))
+	w.sends = w.sends[:len(w.sends)+1]
+	sd := &w.sends[len(w.sends)-1]
+	imps := sd.payload.Imp[:0]
+	off := 0
 	for _, u := range w.cfg.AdUnits {
+		formats := w.formats[off : off+len(u.Sizes) : off+len(u.Sizes)]
+		off += len(u.Sizes)
 		if !contains(u.Bidders, bidder) {
 			continue
-		}
-		unitsForBidder = append(unitsForBidder, u.Code)
-		formats := make([]rtb.Format, len(u.Sizes))
-		for i, s := range u.Sizes {
-			formats[i] = rtb.Format{W: s.W, H: s.H}
 		}
 		imps = append(imps, rtb.Impression{
 			ID:       u.Code,
@@ -330,7 +404,9 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 			TagID:    u.Code,
 		})
 	}
+	sd.payload.Imp = imps // kept for the next round's reuse either way
 	if len(imps) == 0 {
+		w.sends = w.sends[:len(w.sends)-1]
 		return
 	}
 
@@ -338,70 +414,81 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 	if round.result.FirstBidRequest.IsZero() {
 		round.result.FirstBidRequest = now
 	}
-	round.pending[bidder] = true
-
-	req := &rtb.BidRequest{
+	sd.payload = rtb.BidRequest{
 		ID:   bidRequestID(w.cfg.Site, bidder, now.UnixNano()),
 		Imp:  imps,
 		Site: rtb.Site{Domain: w.cfg.Site, Page: w.cfg.Page},
 		TMax: int(timeout / time.Millisecond),
-		Ext:  prebidExt(bidder),
+		Ext:  profile.BidRequestExt(),
 	}
-	body, err := req.EncodeString()
+	body, err := sd.payload.EncodeString()
 	if err != nil {
-		delete(round.pending, bidder)
+		w.sends = w.sends[:len(w.sends)-1]
 		return
 	}
 
-	for _, code := range unitsForBidder {
-		uo := round.units[code]
+	for i := range imps {
+		code := imps[i].ID
 		// The bidder already rides the event's Bidder field; the former
 		// Params copy duplicated it at one map allocation per unit.
 		w.emit(events.Event{
-			Type: events.BidRequested, Time: now, AuctionID: uo.AuctionID,
+			Type: events.BidRequested, Time: now, AuctionID: round.unit(code).AuctionID,
 			AdUnit: code, Bidder: bidder, Library: "prebid.js",
 		})
 	}
 
-	br := BidderResult{Bidder: bidder, Requested: now}
-	round.result.Bidders = append(round.result.Bidders, br)
-	idx := len(round.result.Bidders) - 1
-
-	w.dispatchBid(round, idx, profile, unitsForBidder, body, req, 0)
+	round.result.Bidders = append(round.result.Bidders, BidderResult{Bidder: bidder, Requested: now})
+	sd.round, sd.idx, sd.profile, sd.body, sd.attempt = round, len(round.result.Bidders)-1, profile, body, 0
+	sd.pending = true
+	round.pending++
+	w.dispatchBid(sd)
 }
 
-// dispatchBid issues attempt number attempt of a bidder's bid POST (the
+// dispatchBid issues the current attempt of a bidder's bid POST (the
 // same body every time; BidPost tags retransmissions retry=N). A retry
 // re-emits no BidRequested event: the auction asked once.
-func (w *Wrapper) dispatchBid(round *roundState, idx int, profile *partners.Profile, units []string, body string, payload *rtb.BidRequest, attempt int) {
-	w.env.Fetch(BidPost(profile, body, payload, attempt, w.env.Now()), func(resp *webreq.Response) {
-		w.onBidResponse(round, idx, profile, units, body, payload, attempt, resp)
-	})
+func (w *Wrapper) dispatchBid(sd *bidSend) {
+	req := BidPost(w.env.NewRequest(), sd.profile, sd.body, &sd.payload, sd.attempt, w.env.Now())
+	w.env.FetchCall(req, bidResponseCall, sd)
+}
+
+func bidResponseCall(resp *webreq.Response, a any) {
+	sd := a.(*bidSend)
+	sd.round.wrapper.onBidResponse(sd, resp)
+}
+
+// bidRetryCall retransmits after the backoff.
+func bidRetryCall(a any) {
+	sd := a.(*bidSend)
+	sd.attempt++
+	sd.round.wrapper.dispatchBid(sd)
 }
 
 // onBidResponse handles one bidder's HTTP response (possibly after the
 // deadline, in which case the bids are recorded as late).
-func (w *Wrapper) onBidResponse(round *roundState, idx int, profile *partners.Profile, units []string, body string, payload *rtb.BidRequest, attempt int, resp *webreq.Response) {
-	bidder := round.result.Bidders[idx].Bidder
-	if resp.Err != "" && attempt < MaxBidRetries && !round.finalized {
+func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
+	round := sd.round
+	if resp.Err != "" && sd.attempt < MaxBidRetries && !round.finalized {
 		// Transport failure with retry budget left: back off and
 		// retransmit instead of conceding the bidder. The bidder stays
-		// in round.pending, so early finalization keeps waiting for the
-		// retry outcome (bounded by the wrapper timeout either way).
-		round.result.Bidders[idx].Retries++
-		w.env.After(RetryBackoffBase<<attempt, func() {
-			w.dispatchBid(round, idx, profile, units, body, payload, attempt+1)
-		})
+		// pending, so early finalization keeps waiting for the retry
+		// outcome (bounded by the wrapper timeout either way).
+		round.result.Bidders[sd.idx].Retries++
+		w.env.AfterCall(RetryBackoffBase<<sd.attempt, bidRetryCall, sd)
 		return
 	}
 
 	now := w.env.Now()
-	br := &round.result.Bidders[idx]
+	br := &round.result.Bidders[sd.idx]
+	bidder := br.Bidder
 	br.Responded = now
 	br.Latency = now.Sub(br.Requested)
 	br.Late = round.finalized
 	round.responded++
-	delete(round.pending, bidder)
+	if sd.pending {
+		sd.pending = false
+		round.pending--
+	}
 
 	if resp.Err != "" || !resp.OK() {
 		if resp.Err != "" {
@@ -427,8 +514,8 @@ func (w *Wrapper) onBidResponse(round *roundState, idx int, profile *partners.Pr
 	}
 	for _, seat := range parsed.SeatBid {
 		for _, sb := range seat.Bid {
-			uo, ok := round.units[sb.ImpID]
-			if !ok {
+			uo := round.unit(sb.ImpID)
+			if uo == nil {
 				continue
 			}
 			bid := hb.Bid{
@@ -480,7 +567,7 @@ func (w *Wrapper) traceBidSpan(br *BidderResult) {
 // maybeEarlyFinalize ends the auction before the deadline once every
 // bidder has answered (prebid's normal fast path).
 func (w *Wrapper) maybeEarlyFinalize(round *roundState) {
-	if !round.finalized && len(round.pending) == 0 {
+	if !round.finalized && round.pending == 0 {
 		round.finalizeAuction()
 	}
 }
@@ -502,21 +589,15 @@ func appendID(prefix, sep string, n int64) string {
 	return prefix + sep + strconv.FormatInt(n, 10)
 }
 
-// prebidExt renders the OpenRTB ext fragment {"prebid":{"bidder":"x"}}
-// directly; bidder slugs are plain ASCII identifiers, so no JSON
-// escaping is needed and the bytes match the former map encoding.
-func prebidExt(bidder string) []byte {
-	b := make([]byte, 0, len(bidder)+26)
-	b = append(b, `{"prebid":{"bidder":"`...)
-	b = append(b, bidder...)
-	b = append(b, `"}}`...)
-	return b
-}
-
-// bidRequestID renders "<site>-<bidder>-<unixnano>" with one strconv
-// format and a single four-operand concatenation.
+// bidRequestID renders "<site>-<bidder>-<unixnano>" in one allocation.
 func bidRequestID(site, bidder string, nano int64) string {
-	return site + "-" + bidder + "-" + strconv.FormatInt(nano, 10)
+	var buf [96]byte
+	b := append(buf[:0], site...)
+	b = append(b, '-')
+	b = append(b, bidder...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, nano, 10)
+	return string(b)
 }
 
 func (w *Wrapper) emit(e events.Event) {

@@ -31,9 +31,12 @@ func newFakeEnv() *fakeEnv {
 	return &fakeEnv{sched: clock.NewScheduler(time.Time{})}
 }
 
-func (f *fakeEnv) Now() time.Time                   { return f.sched.Now() }
-func (f *fakeEnv) After(d time.Duration, fn func()) { f.sched.After(d, fn) }
-func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
+func (f *fakeEnv) Now() time.Time              { return f.sched.Now() }
+func (f *fakeEnv) NewRequest() *webreq.Request { return new(webreq.Request) }
+func (f *fakeEnv) AfterCall(d time.Duration, fn func(any), arg any) {
+	f.sched.AfterCall(d, fn, arg)
+}
+func (f *fakeEnv) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
 	f.fetched = append(f.fetched, req.URL)
 	lat, resp := f.respond(req)
 	if resp == nil {
@@ -41,7 +44,7 @@ func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	}
 	f.sched.After(lat, func() {
 		resp.Received = f.sched.Now()
-		cb(resp)
+		fn(resp, arg)
 	})
 }
 

@@ -28,6 +28,9 @@ type Env interface {
 	Now() time.Time
 	After(d time.Duration, fn func())
 	Fetch(req *webreq.Request, cb func(*webreq.Response))
+	// NewRequest returns a zeroed request to fill and fetch, valid for
+	// the rest of the page's visit.
+	NewRequest() *webreq.Request
 }
 
 // Slot is one pubfood slot definition (pubfood separates slots from the
@@ -247,7 +250,7 @@ func (l *Library) sendBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, pending *int, onDone func(slug string),
 	body string, payload *rtb.BidRequest, sent time.Time, attempt int) {
-	req := prebid.BidPost(prof, body, payload, attempt, l.env.Now())
+	req := prebid.BidPost(l.env.NewRequest(), prof, body, payload, attempt, l.env.Now())
 	l.env.Fetch(req, func(resp *webreq.Response) {
 		if resp.Err != "" && attempt < prebid.MaxBidRetries {
 			l.env.After(prebid.RetryBackoffBase<<attempt, func() {
@@ -329,12 +332,11 @@ func (l *Library) callAdServer(res *Result, bySlot map[string]*SlotResult,
 	params.Set("slots", joinComma(specs))
 	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: params})
 
-	req := &webreq.Request{
-		URL:    urlkit.WithQuery(l.cfg.AdServerURL, params),
-		Method: webreq.GET,
-		Kind:   webreq.KindXHR,
-		Sent:   now,
-	}
+	req := l.env.NewRequest()
+	req.URL = urlkit.WithQuery(l.cfg.AdServerURL, params)
+	req.Method = webreq.GET
+	req.Kind = webreq.KindXHR
+	req.Sent = now
 	if !strings.Contains(l.cfg.AdServerURL, "?") {
 		req.PrefillParams(params)
 	}
@@ -375,9 +377,8 @@ func (l *Library) render(res *Result, bySlot map[string]*SlotResult,
 		}
 		slotName, channel, fails := line.Slot, line.Channel, line.Fails
 		pending++
-		creq := &webreq.Request{
-			URL: line.CreativeURL, Method: webreq.GET, Kind: webreq.KindCreative, Sent: l.env.Now(),
-		}
+		creq := l.env.NewRequest()
+		creq.URL, creq.Method, creq.Kind, creq.Sent = line.CreativeURL, webreq.GET, webreq.KindCreative, l.env.Now()
 		l.env.Fetch(creq, func(cresp *webreq.Response) { //hbvet:allow hotalloc one closure per creative fetch: it carries the line's slot, channel and fail flag to the response, and Fetch offers no other per-request state
 			pending--
 			now := l.env.Now()

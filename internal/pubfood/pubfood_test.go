@@ -25,6 +25,7 @@ func newFakeEnv() *fakeEnv { return &fakeEnv{sched: clock.NewScheduler(time.Time
 
 func (f *fakeEnv) Now() time.Time                   { return f.sched.Now() }
 func (f *fakeEnv) After(d time.Duration, fn func()) { f.sched.After(d, fn) }
+func (f *fakeEnv) NewRequest() *webreq.Request      { return new(webreq.Request) }
 func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	f.fetched = append(f.fetched, req.URL)
 	lat, resp := f.respond(req)

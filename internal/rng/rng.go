@@ -86,14 +86,26 @@ func mix64(z uint64) uint64 {
 // for a Stream.
 func Mix64(z uint64) uint64 { return mix64(z) }
 
-// hashName is FNV-1a over name without allocating.
-func hashName(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+// Name is a stream name in hashed form (FNV-1a, computed without
+// allocating). The hash is built one piece at a time, so a caller that
+// derives "eco/bid/"+slug on every visit keeps NameOf("eco/bid/") and
+// appends the slug instead of concatenating:
+// NameOf(a).Append(b) == NameOf(a+b).
+type Name uint64
+
+// NameOf hashes name.
+func NameOf(name string) Name {
+	return Name(14695981039346656037).Append(name)
+}
+
+// Append continues the hash with s.
+func (n Name) Append(s string) Name {
+	h := uint64(n)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return h
+	return Name(h)
 }
 
 // Derive returns the independent child stream identified by name. The
@@ -102,7 +114,7 @@ func hashName(name string) uint64 {
 // parent has made or how many siblings were derived first.
 func (s *Stream) Derive(name string) *Stream {
 	c := &Stream{}
-	c.reseed(mix64(s.key ^ hashName(name)))
+	c.reseed(mix64(s.key ^ uint64(NameOf(name))))
 	return c
 }
 
@@ -116,8 +128,15 @@ func (s *Stream) Derive(name string) *Stream {
 // dynamic but each child must be independent of enumeration order.
 func SplitStable(seed int64, name string) *Stream {
 	s := &Stream{}
-	s.reseed(mix64(uint64(seed) ^ hashName(name)))
+	s.ReseedStable(seed, NameOf(name))
 	return s
+}
+
+// ReseedStable reinitializes the stream in place to the state
+// SplitStable(seed, name) starts from, name given in hashed form: the
+// allocation-free way for a pooled owner to restart a named stream.
+func (s *Stream) ReseedStable(seed int64, name Name) {
+	s.reseed(mix64(uint64(seed) ^ uint64(name)))
 }
 
 // Uint64 returns the next 64 uniform bits (xoshiro256**).

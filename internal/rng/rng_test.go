@@ -34,6 +34,25 @@ func TestSplitStableDistinctNames(t *testing.T) {
 	}
 }
 
+// TestReseedStableMatchesSplitStable pins the pooled restart to the
+// allocating derivation: a used stream reseeded in place from a name
+// hashed in pieces draws exactly what SplitStable's fresh stream draws.
+func TestReseedStableMatchesSplitStable(t *testing.T) {
+	s := New(1)
+	for _, c := range []struct{ prefix, name string }{
+		{"eco/bid/", "appnexus"}, {"eco/gampad", ""}, {"", "eco/cdn"}, {"eco/doc/", "site00042.example"},
+	} {
+		s.NormFloat64() // leave a spare deviate behind: reseeding must drop it
+		s.ReseedStable(99, NameOf(c.prefix).Append(c.name))
+		want := SplitStable(99, c.prefix+c.name)
+		for i := 0; i < 64; i++ {
+			if g, w := s.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("%q+%q draw %d: reseeded %v, SplitStable %v", c.prefix, c.name, i, g, w)
+			}
+		}
+	}
+}
+
 func TestBoolBounds(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 100; i++ {

@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"headerbid/internal/crawler"
@@ -159,5 +161,65 @@ func TestComparisonDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if len(serial) == 0 {
 		t.Fatal("empty render")
+	}
+}
+
+// sweepDatasets runs a sweep and returns every variant's dataset bytes,
+// keyed by variant name. Variants emit from their own goroutines.
+func sweepDatasets(t *testing.T, sw *Sweep) map[string][]byte {
+	t.Helper()
+	var mu sync.Mutex
+	bufs := map[string]*bytes.Buffer{}
+	sw.Emit = func(axis, name string, v crawler.Visit) error {
+		line, err := json.Marshal(v.Record)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if bufs[name] == nil {
+			bufs[name] = new(bytes.Buffer)
+		}
+		bufs[name].Write(line)
+		bufs[name].WriteByte('\n')
+		return nil
+	}
+	if _, err := sw.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(bufs))
+	for name, b := range bufs {
+		out[name] = b.Bytes()
+	}
+	return out
+}
+
+// TestConcurrentVariantsShareWorldMemos: four variants, four workers
+// each, crawl one cold world at once, so they build and read the same
+// sites' memos (pages, configs, ad-server books) concurrently. Each
+// variant's dataset must equal the same variant swept one at a time on
+// one worker over another cold world. Under -race this is the check
+// that the world memos are safe for concurrent variants.
+func TestConcurrentVariantsShareWorldMemos(t *testing.T) {
+	const sites, seed = 300, 29
+	sweep := func(concurrency, workers int) map[string][]byte {
+		opts := crawler.DefaultOptions(seed)
+		opts.Days = 2
+		opts.Workers = workers
+		return sweepDatasets(t, &Sweep{
+			World:       testWorld(t, sites, seed),
+			Opts:        opts,
+			Axes:        []Axis{TimeoutAxis(500), FaultAxis(0.5), SyncAxis()},
+			Concurrency: concurrency,
+		})
+	}
+	want, got := sweep(1, 1), sweep(4, 4)
+	if len(want) != 4 {
+		t.Fatalf("sweep ran %d variants, want 4", len(want))
+	}
+	for name, w := range want {
+		if !bytes.Equal(got[name], w) {
+			t.Errorf("variant %s: concurrent sweep wrote %d bytes, sequential %d", name, len(got[name]), len(w))
+		}
 	}
 }

@@ -99,9 +99,53 @@ type Ecosystem struct {
 	// single-goroutine. All emission sits behind Enabled (obsguard).
 	trace *obs.VisitTrace
 
-	mu        sync.Mutex
-	adServers map[string]*adserver.Server // per site domain
-	streams   map[string]*rng.Stream      // per purpose
+	mu sync.Mutex
+	// streams and adServers are the lazily started per-purpose streams
+	// and per-site ad servers. Their values come from pools that reset
+	// (InstallVisit) rewinds rather than frees, so a pooled visit
+	// binding restarts them in place.
+	streams    map[streamKey]*rng.Stream
+	adServers  map[adServerKey]*adserver.Server
+	streamPool []*rng.Stream
+	serverPool []*adserver.Server
+}
+
+// streamKind names the purpose of an ecosystem stream; with a partner
+// slug or a site domain it names the stream itself.
+type streamKind uint8
+
+const (
+	streamBid streamKind = iota
+	streamHosted
+	streamGampad
+	streamDoc
+	streamPubsrv
+	streamCreative
+	streamCDN
+)
+
+// streamPrefix holds each kind's stream-name prefix, hashed: the stream
+// of (kind, name) is rng.SplitStable(seed, prefix+name).
+var streamPrefix = [...]rng.Name{
+	streamBid:      rng.NameOf("eco/bid/"),
+	streamHosted:   rng.NameOf("eco/hosted/"),
+	streamGampad:   rng.NameOf("eco/gampad"),
+	streamDoc:      rng.NameOf("eco/doc/"),
+	streamPubsrv:   rng.NameOf("eco/pubsrv/"),
+	streamCreative: rng.NameOf("eco/creative"),
+	streamCDN:      rng.NameOf("eco/cdn"),
+}
+
+type streamKey struct {
+	kind streamKind
+	name string
+}
+
+// adServerKey names a site's ad server: its own (client facet) or its
+// DFP network (hybrid facet).
+type adServerKey struct {
+	dfp    bool
+	domain string
 }
 
 // SetTrace attaches the visit's span recorder so server-side decisions
@@ -129,31 +173,65 @@ func NewEcosystemSeed(w *World, seed int64) *Ecosystem {
 	return &Ecosystem{World: w, seed: seed}
 }
 
-// stream returns the named deterministic stream, creating it on first use.
-func (e *Ecosystem) stream(name string) *rng.Stream {
-	s, ok := e.streams[name]
+// reset rewinds the ecosystem for a new visit: every stream and ad
+// server restarts on first use, in storage the previous visit used.
+func (e *Ecosystem) reset(w *World, seed int64) {
+	e.World = w
+	e.seed = seed
+	e.trace = nil
+	clear(e.streams)
+	clear(e.adServers)
+	e.streamPool = e.streamPool[:0]
+	e.serverPool = e.serverPool[:0]
+}
+
+// stream returns the named deterministic stream, starting it on first
+// use at the state rng.SplitStable(seed, "eco/"+purpose+name) gives.
+func (e *Ecosystem) stream(kind streamKind, name string) *rng.Stream {
+	k := streamKey{kind, name}
+	s, ok := e.streams[k]
 	if !ok {
 		if e.streams == nil {
-			e.streams = make(map[string]*rng.Stream, 8)
+			e.streams = make(map[streamKey]*rng.Stream, 8)
 		}
-		s = rng.SplitStable(e.seed, "eco/"+name)
-		e.streams[name] = s
+		s = pooled(&e.streamPool)
+		s.ReseedStable(e.seed, streamPrefix[kind].Append(name))
+		e.streams[k] = s
 	}
 	return s
 }
 
-// adServerFor returns the lazily created ad server of a site.
-func (e *Ecosystem) adServerFor(domain string) *adserver.Server {
-	srv, ok := e.adServers[domain]
+// adServerFor returns a site's ad server, started on first use from the
+// world's memoized line-item book.
+func (e *Ecosystem) adServerFor(dfp bool, domain string) *adserver.Server {
+	k := adServerKey{dfp, domain}
+	srv, ok := e.adServers[k]
 	if !ok {
 		if e.adServers == nil {
-			e.adServers = make(map[string]*adserver.Server, 2)
+			e.adServers = make(map[adServerKey]*adserver.Server, 2)
 		}
-		seed := rng.SplitStable(e.World.Cfg.Seed, "adsrv/"+domain).Int63()
-		srv = adserver.New(adserver.DefaultConfig(seed))
-		e.adServers[domain] = srv
+		srv = pooled(&e.serverPool)
+		srv.Reset(e.World.adServerBook(dfp, domain))
+		e.adServers[k] = srv
 	}
 	return srv
+}
+
+// pooled hands out the next value of a pool whose length counts the
+// values in use: a value a previous visit used when one is left over
+// (its capacity), a new one otherwise.
+func pooled[T any](pool *[]*T) *T {
+	p := *pool
+	if len(p) < cap(p) {
+		p = p[:len(p)+1]
+		if p[len(p)-1] == nil {
+			p[len(p)-1] = new(T)
+		}
+	} else {
+		p = append(p, new(T))
+	}
+	*pool = p
+	return p[len(p)-1]
 }
 
 // exchangeFor returns a partner's internal RTB exchange — shared across
@@ -227,7 +305,7 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	bids := sc.bids[:0]
 
 	e.mu.Lock()
-	r := e.stream("bid/" + p.Slug)
+	r := e.stream(streamBid, p.Slug)
 
 	// Service time: the partner's own latency plus internal auction work.
 	service := p.SampleLatency(r)
@@ -317,7 +395,7 @@ func bidRequestOf(req *webreq.Request, dst *rtb.BidRequest) (*rtb.BidRequest, er
 func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int, string, time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := e.stream("hosted/" + p.Slug)
+	r := e.stream(streamHosted, p.Slug)
 	params := req.Params()
 	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
@@ -410,7 +488,7 @@ func (e *Ecosystem) seatAuction(r *rng.Stream, size hb.Size, facet hb.Facet) (wi
 func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int, string, time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := e.stream("gampad")
+	r := e.stream(streamGampad, "")
 	params := req.Params()
 	siteDomain := params.Get("site")
 	site, _ := e.World.SiteByDomain(siteDomain)
@@ -426,7 +504,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 	// DFP decisioning: base cost plus per-slot work, better for top sites.
 	service := time.Duration(float64(120+r.Intn(120)) / infra * float64(time.Millisecond))
 
-	srv := e.adServerFor("dfp/" + siteDomain)
+	srv := e.adServerFor(true, siteDomain)
 	buf, body := getBody()
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(20+r.Intn(35))/infra) * time.Millisecond
@@ -513,7 +591,7 @@ func (e *Ecosystem) HandleSite(s *Site, req *webreq.Request) (int, string, time.
 	case strings.HasPrefix(host, "adserver."):
 		return e.handleClientAdServer(s, req)
 	default:
-		r := e.stream("doc/" + s.Domain)
+		r := e.stream(streamDoc, s.Domain)
 		ms := r.LogNormal(math.Log(90/s.InfraQuality), 0.5)
 		return 200, e.World.PageHTML(s), time.Duration(ms * float64(time.Millisecond))
 	}
@@ -523,9 +601,9 @@ func (e *Ecosystem) HandleSite(s *Site, req *webreq.Request) (int, string, time.
 // it trusts the wrapper's targeting, applies the floor and the line-item
 // book, and returns per-slot creative lines.
 func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, string, time.Duration) {
-	r := e.stream("pubsrv/" + s.Domain)
+	r := e.stream(streamPubsrv, s.Domain)
 	params := req.Params()
-	srv := e.adServerFor(s.Domain)
+	srv := e.adServerFor(false, s.Domain)
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
 	buf, body := getBody()
@@ -581,7 +659,7 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 func (e *Ecosystem) HandleCreative(req *webreq.Request) (int, string, time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := e.stream("creative")
+	r := e.stream(streamCreative, "")
 	service := time.Duration(5+r.Intn(20)) * time.Millisecond
 	return 200, `<div class="creative">ad</div>`, service
 }
@@ -590,7 +668,7 @@ func (e *Ecosystem) HandleCreative(req *webreq.Request) (int, string, time.Durat
 func (e *Ecosystem) HandleCDN(req *webreq.Request) (int, string, time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := e.stream("cdn")
+	r := e.stream(streamCDN, "")
 	service := time.Duration(8+r.Intn(30)) * time.Millisecond
 	return 200, "/* js library stub */", service
 }
@@ -776,17 +854,13 @@ func visitDispatch(req *webreq.Request, arg any) (int, string, time.Duration) {
 
 // InstallVisit wires one visit onto a network through a caller-owned
 // (pooled) binding and returns the visit's ecosystem, which lives
-// inside the binding. The previous visit's lazy ecosystem maps keep
-// their storage; their entries are cleared.
+// inside the binding. The previous visit's streams and ad servers are
+// restarted in place when this visit first uses them.
 func (w *World) InstallVisit(n *simnet.Network, s *Site, b *VisitBinding) *Ecosystem {
 	b.w = w
 	b.site = s
 	b.siteKey = urlkit.RegistrableDomain(s.Domain)
-	b.eco.World = w
-	b.eco.seed = w.Cfg.Seed ^ n.Seed()
-	b.eco.trace = nil
-	clear(b.eco.adServers)
-	clear(b.eco.streams)
+	b.eco.reset(w, w.Cfg.Seed^n.Seed())
 	n.SetCallResolver(b)
 	return &b.eco
 }

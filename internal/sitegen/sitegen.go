@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"sync"
 
+	"headerbid/internal/adserver"
 	"headerbid/internal/hb"
 	"headerbid/internal/pagert"
 	"headerbid/internal/partners"
@@ -119,6 +120,11 @@ type Site struct {
 	// pure function of the site, and crawls re-visit sites daily.
 	htmlOnce sync.Once
 	html     string
+
+	// books memoizes the site's ad-server line-item books (see
+	// World.adServerBook): [0] its own ad server, [1] its DFP network's.
+	bookOnce [2]sync.Once
+	book     [2]*adserver.Book
 }
 
 // PageURL returns the canonical page URL the crawler visits.
@@ -184,6 +190,34 @@ func (w *World) ExchangeFor(p *partners.Profile) *rtb.Exchange {
 		w.exchanges[p.Slug] = ex
 	}
 	return ex
+}
+
+// adServerBook returns the line-item book of a site's ad server (dfp
+// selects its DFP network's), built once per world: a server is seeded
+// by the world seed and the domain alone, so every visit's server
+// starts from the same book and stream state. A domain outside the
+// world gets a fresh book on every call.
+func (w *World) adServerBook(dfp bool, domain string) *adserver.Book {
+	s, ok := w.byDomain[domain]
+	if !ok {
+		return newAdServerBook(w.Cfg.Seed, dfp, domain)
+	}
+	i := 0
+	if dfp {
+		i = 1
+	}
+	s.bookOnce[i].Do(func() { s.book[i] = newAdServerBook(w.Cfg.Seed, dfp, domain) })
+	return s.book[i]
+}
+
+// newAdServerBook builds the book of the server named "adsrv/<domain>",
+// or "adsrv/dfp/<domain>" for a DFP network.
+func newAdServerBook(seed int64, dfp bool, domain string) *adserver.Book {
+	name := "adsrv/" + domain
+	if dfp {
+		name = "adsrv/dfp/" + domain
+	}
+	return adserver.NewBook(adserver.DefaultConfig(rng.SplitStable(seed, name).Int63()))
 }
 
 // Generate builds a world deterministically from cfg — the unsharded

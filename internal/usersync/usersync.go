@@ -18,10 +18,12 @@ import (
 	"headerbid/internal/webreq"
 )
 
-// Env is the page capability needed to fire pixels.
+// Env is the page capability needed to fire pixels (the call-style shape
+// of prebid.Env).
 type Env interface {
 	Now() time.Time
-	Fetch(req *webreq.Request, cb func(*webreq.Response))
+	FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any)
+	NewRequest() *webreq.Request
 }
 
 // Config tunes sync behaviour for one page.
@@ -58,28 +60,59 @@ type Result struct {
 	Partners    []string
 }
 
-// Syncer fires sync pixels for a page.
+// Syncer fires sync pixels for a page. Its stream and pixel state are
+// reused by the next page after Reset; a Syncer runs one page at a time,
+// and the previous page's callbacks must no longer fire.
 type Syncer struct {
 	env Env
 	reg *partners.Registry
 	cfg Config
-	rng *rng.Stream
+	rng rng.Stream
 
 	// traceSrc hands out the current visit's span recorder when the env
 	// is a browser page; nil otherwise.
 	traceSrc obs.TraceSource
+
+	// Run's state: the tally (nil when nobody asked for it), the pixels
+	// and chain hops still in flight, and the pixels themselves.
+	res     *Result
+	done    func(*Result)
+	pending int
+	pixels  webreq.Slab[pixel]
 }
+
+// pixel is one sync pixel in flight. root is the slug of the chain's
+// origin partner: trace spans land on the root's track, where hops are
+// strictly sequential — two chains may visit the same partner
+// concurrently, so keying the track by the current partner would break
+// the trace's span-nesting invariant.
+type pixel struct {
+	s     *Syncer
+	p     *partners.Profile
+	root  string
+	depth int
+	sent  time.Time
+}
+
+// syncStream is the hashed prefix of a page's sync stream name,
+// "usersync/<site>".
+var syncStream = rng.NameOf("usersync/")
 
 // New creates a syncer; seed makes pixel decisions reproducible.
 func New(env Env, reg *partners.Registry, cfg Config, seed int64) *Syncer {
-	s := &Syncer{
-		env: env,
-		reg: reg,
-		cfg: cfg,
-		rng: rng.SplitStable(seed, "usersync/"+cfg.Site),
-	}
-	s.traceSrc, _ = env.(obs.TraceSource)
+	s := &Syncer{}
+	s.Reset(env, reg, cfg, seed)
 	return s
+}
+
+// Reset rebinds the syncer to a new page, as New would create it,
+// keeping its pixel storage for reuse.
+func (s *Syncer) Reset(env Env, reg *partners.Registry, cfg Config, seed int64) {
+	s.env, s.reg, s.cfg = env, reg, cfg
+	s.rng.ReseedStable(seed, syncStream.Append(cfg.Site))
+	s.traceSrc, _ = env.(obs.TraceSource)
+	s.res, s.done, s.pending = nil, nil, 0
+	s.pixels.Reset()
 }
 
 // vt returns the visit's recorder (nil when untraced). Callers emit
@@ -91,65 +124,79 @@ func (s *Syncer) vt() *obs.VisitTrace {
 	return s.traceSrc.VisitTrace()
 }
 
-// Run fires the page's sync pixels; done receives the tally after every
-// pixel (and chain hop) resolves.
+// Run fires the page's sync pixels; done, when non-nil, receives the
+// tally after every pixel (and chain hop) resolves. A nil done keeps no
+// tally.
 func (s *Syncer) Run(done func(*Result)) {
-	res := &Result{}
-	pending := 0
-	finish := func() {
-		if pending == 0 && done != nil {
-			done(res)
-			done = nil
-		}
+	s.done, s.pending = done, 0
+	s.res = nil
+	if done != nil {
+		s.res = &Result{}
 	}
 	for _, slug := range s.cfg.Partners {
 		p, ok := s.reg.BySlug(slug)
 		if !ok || !s.rng.Bool(s.cfg.SyncProb) {
 			continue
 		}
-		res.Partners = append(res.Partners, slug)
-		pending++
-		s.firePixel(p, p.Slug, 0, &pending, res, finish)
+		if s.res != nil {
+			s.res.Partners = append(s.res.Partners, slug)
+		}
+		s.pending++
+		s.firePixel(p, p.Slug, 0)
 	}
-	finish()
+	s.finish()
 }
 
-// firePixel sends one sync pixel and possibly chains to a random other
-// partner (cookie matching between exchanges). root is the slug of the
-// chain's origin partner: trace spans land on the root's track, where
-// hops are strictly sequential — two chains may visit the same partner
-// concurrently, so keying the track by the current partner would break
-// the trace's span-nesting invariant.
-func (s *Syncer) firePixel(p *partners.Profile, root string, depth int, pending *int, res *Result, finish func()) {
-	res.PixelsFired++
+// finish hands the tally over once nothing is in flight.
+func (s *Syncer) finish() {
+	if s.pending == 0 && s.done != nil {
+		done := s.done
+		s.done = nil
+		done(s.res)
+	}
+}
+
+// firePixel sends one sync pixel; its response may chain to a random
+// other partner (cookie matching between exchanges).
+func (s *Syncer) firePixel(p *partners.Profile, root string, depth int) {
+	if s.res != nil {
+		s.res.PixelsFired++
+	}
 	uid := syncUID(uint32(s.rng.Int63() & 0xffffffff))
 	pixelParams := urlkit.Query{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}
-	req := &webreq.Request{
-		URL:    urlkit.WithQuery(p.SyncEndpoint(), pixelParams),
-		Method: webreq.GET,
-		Kind:   webreq.KindBeacon,
-		Sent:   s.env.Now(),
-	}
+	req := s.env.NewRequest()
+	req.URL = urlkit.WithQuery(p.SyncEndpoint(), pixelParams)
+	req.Method = webreq.GET
+	req.Kind = webreq.KindBeacon
+	req.Sent = s.env.Now()
 	req.PrefillParams(pixelParams)
-	sent := req.Sent
-	s.env.Fetch(req, func(*webreq.Response) {
-		if vt := s.vt(); vt.Enabled() {
-			detail := ""
-			if depth > 0 {
-				detail = "hop " + strconv.Itoa(depth) + " " + p.Slug
-			}
-			vt.Span(obs.TrackSyncPrefix+root, "pixel", sent, s.env.Now(), obs.SpanOpts{Detail: detail})
+	px := s.pixels.Alloc()
+	*px = pixel{s: s, p: p, root: root, depth: depth, sent: req.Sent}
+	s.env.FetchCall(req, pixelCall, px)
+}
+
+func pixelCall(_ *webreq.Response, a any) { a.(*pixel).onResponse() }
+
+func (px *pixel) onResponse() {
+	s, p := px.s, px.p
+	if vt := s.vt(); vt.Enabled() {
+		detail := ""
+		if px.depth > 0 {
+			detail = "hop " + strconv.Itoa(px.depth) + " " + p.Slug
 		}
-		if depth < s.cfg.MaxChain && s.rng.Bool(s.cfg.ChainProb) {
-			if next := s.randomOtherPartner(p.Slug); next != nil {
-				res.Chained++
-				s.firePixel(next, root, depth+1, pending, res, finish)
-				return
+		vt.Span(obs.TrackSyncPrefix+px.root, "pixel", px.sent, s.env.Now(), obs.SpanOpts{Detail: detail})
+	}
+	if px.depth < s.cfg.MaxChain && s.rng.Bool(s.cfg.ChainProb) {
+		if next := s.randomOtherPartner(p.Slug); next != nil {
+			if s.res != nil {
+				s.res.Chained++
 			}
+			s.firePixel(next, px.root, px.depth+1)
+			return
 		}
-		*pending--
-		finish()
-	})
+	}
+	s.pending--
+	s.finish()
 }
 
 func (s *Syncer) randomOtherPartner(exclude string) *partners.Profile {

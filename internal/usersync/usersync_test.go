@@ -15,11 +15,12 @@ type fakeEnv struct {
 	fetched []string
 }
 
-func (f *fakeEnv) Now() time.Time { return f.sched.Now() }
-func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
+func (f *fakeEnv) Now() time.Time              { return f.sched.Now() }
+func (f *fakeEnv) NewRequest() *webreq.Request { return new(webreq.Request) }
+func (f *fakeEnv) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
 	f.fetched = append(f.fetched, req.URL)
 	f.sched.After(5*time.Millisecond, func() {
-		cb(&webreq.Response{RequestID: req.ID, Status: 204, Received: f.sched.Now()})
+		fn(&webreq.Response{RequestID: req.ID, Status: 204, Received: f.sched.Now()}, arg)
 	})
 }
 
