@@ -50,7 +50,8 @@ vet:
 # The static-analysis gate, identical for CI and developers: go vet,
 # then gofmt (any file it would reformat fails the gate), then hbvet
 # (the repo's own analyzers — determinism wall, hot-path allocations,
-# metric laws, ctx hygiene, recover scope, guarded trace emission) over
+# metric laws, ctx hygiene, recover scope, guarded trace emission, dead
+# exports in internal/) over
 # every package in the module, cmd/ and examples/ included, then
 # staticcheck when installed (CI pins it through lint-tools; a bare
 # container still gets vet+gofmt+hbvet, which need nothing beyond the Go

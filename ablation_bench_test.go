@@ -5,13 +5,14 @@
 package headerbid
 
 import (
+	"strconv"
 	"testing"
 
 	"headerbid/internal/analysis"
 	"headerbid/internal/core"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
-	"headerbid/internal/sitegen"
+	"headerbid/internal/overlay"
 	"headerbid/internal/staticdet"
 	"headerbid/internal/stats"
 )
@@ -108,8 +109,8 @@ func BenchmarkAblationStaticVsDynamic(b *testing.B) {
 		recs := crawler.CrawlWorld(w, crawler.DefaultOptions(43))
 		dynRecall, dynPrecision, _ = accuracy(w, recs)
 	}
-	staticRecall := float64(staticTP) / float64(maxi(1, staticTP+staticFN))
-	staticPrecision := float64(staticTP) / float64(maxi(1, staticTP+staticFP))
+	staticRecall := float64(staticTP) / float64(max(1, staticTP+staticFN))
+	staticPrecision := float64(staticTP) / float64(max(1, staticTP+staticFP))
 	b.ReportMetric(100*staticRecall, "static_recall_pct")
 	b.ReportMetric(100*staticPrecision, "static_precision_pct")
 	b.ReportMetric(float64(staticFP), "static_false_pos")
@@ -119,21 +120,21 @@ func BenchmarkAblationStaticVsDynamic(b *testing.B) {
 
 // BenchmarkAblationTimeout sweeps the wrapper deadline: shorter deadlines
 // cut page latency but lose late (potentially higher) bids — the
-// trade-off behind the industry's 3-second default.
+// trade-off behind the industry's 3-second default. One world is crawled
+// per deadline, the deadline overriding every publisher's through the
+// overlay (as hbsweep -timeouts does).
 func BenchmarkAblationTimeout(b *testing.B) {
+	w := ablationWorld(47)
 	for _, timeoutMS := range []int{1000, 3000, 8000} {
-		timeoutMS := timeoutMS
-		b.Run(itoa(timeoutMS)+"ms", func(b *testing.B) {
-			cfg := sitegen.DefaultConfig(47)
-			cfg.NumSites = ablationSites
-			cfg.ForceTimeoutMS = timeoutMS
-			w := sitegen.Generate(cfg)
+		b.Run(strconv.Itoa(timeoutMS)+"ms", func(b *testing.B) {
+			opts := crawler.DefaultOptions(47)
+			opts.Overlay = &overlay.Overlay{TimeoutMS: timeoutMS}
 			var med float64
 			var lateShare float64
 			var revenue float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recs := crawler.CrawlWorld(w, crawler.DefaultOptions(47))
+				recs := crawler.CrawlWorld(w, opts)
 				lat := fold(analysis.NewLatencyAccumulator(), recs).Result()
 				med = lat.MedianMS
 				var bids, late int
@@ -195,25 +196,4 @@ func BenchmarkAblationNetworkQueue(b *testing.B) {
 	b.ReportMetric(busyQ, "queued_ge4p_mean_ms")
 	b.ReportMetric(busyNoQ, "unqueued_ge4p_mean_ms")
 	b.ReportMetric(busyQ-busyNoQ, "queue_cost_ms")
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

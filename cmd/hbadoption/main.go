@@ -15,7 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 
@@ -23,22 +23,31 @@ import (
 )
 
 func main() {
-	var (
-		top  = flag.Int("top", 1000, "publishers per yearly list")
-		seed = flag.Int64("seed", 1, "archive seed")
-		live = flag.Int("live", 0, "also crawl an N-site world for rendered present-day adoption (0 = skip)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	log.SetFlags(0)
-	log.SetPrefix("hbadoption: ")
+// run is hbadoption over the given arguments and output streams. It
+// returns the exit status: 0 on success (an interrupted live crawl
+// included, after saying so), 1 when the live crawl fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbadoption", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		top  = fs.Int("top", 1000, "publishers per yearly list")
+		seed = fs.Int64("seed", 1, "archive seed")
+		live = fs.Int("live", 0, "also crawl an N-site world for rendered present-day adoption (0 = skip)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	archive := headerbid.NewArchive(*seed, *top)
 	years := headerbid.AdoptionOverYears(archive)
 
-	fmt.Println("Figure 4: Header Bidding adoption, yearly top lists (static analysis)")
+	fmt.Fprintln(stdout, "Figure 4: Header Bidding adoption, yearly top lists (static analysis)")
 	for _, y := range years {
-		fmt.Printf("%d  sites=%-5d detected=%-4d rate=%5.1f%%  (ground truth %5.1f%%)\n",
+		fmt.Fprintf(stdout, "%d  sites=%-5d detected=%-4d rate=%5.1f%%  (ground truth %5.1f%%)\n",
 			y.Year, y.Sites, y.Detected, 100*y.Rate, 100*y.TrueRate)
 	}
 
@@ -50,13 +59,15 @@ func main() {
 			headerbid.WithSeed(*seed),
 		).Run(ctx)
 		if errors.Is(err, context.Canceled) {
-			log.Printf("live crawl interrupted after %d visits", res.Stats.Visits)
-			return
+			fmt.Fprintf(stderr, "hbadoption: live crawl interrupted after %d visits\n", res.Stats.Visits)
+			return 0
 		}
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintf(stderr, "hbadoption: %v\n", err)
+			return 1
 		}
-		fmt.Printf("\nrendered crawl (%d sites, dynamic detection): rate=%5.1f%%\n",
+		fmt.Fprintf(stdout, "\nrendered crawl (%d sites, dynamic detection): rate=%5.1f%%\n",
 			res.Summary.SitesCrawled, 100*res.Summary.AdoptionRate())
 	}
+	return 0
 }

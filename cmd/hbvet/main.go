@@ -2,15 +2,20 @@
 // the internal/lint analyzer suite. It enforces, at compile time, the
 // contracts every reported figure rests on — the determinism wall
 // (detwall), the hot-path allocation discipline (hotalloc), the metric
-// merge laws (metriclaws), and streaming cancellation hygiene
-// (sinkctx).
+// merge laws (metriclaws), streaming cancellation hygiene (sinkctx),
+// the panic quarantine (recoverscope), guarded trace emission
+// (obsguard) — and keeps internal/ free of exported names that only
+// tests reach (deadexport).
 //
 // Usage:
 //
 //	hbvet [-rules detwall,hotalloc] [-list] [packages]
 //
 // With no package arguments it checks ./... (which includes the cmd/
-// and examples/ trees). Exit status is 1 when any diagnostic is
+// and examples/ trees). deadexport judges a name by its uses across the
+// whole module whatever the packages named, so
+// `hbvet -rules deadexport ./internal/stats` reports what ./... reports
+// for stats. Exit status is 1 when any diagnostic is
 // reported, 2 on load or usage errors. Suppress an intentional
 // violation in place with
 //

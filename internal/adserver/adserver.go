@@ -8,9 +8,7 @@ package adserver
 
 import (
 	"math"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"headerbid/internal/hb"
@@ -89,8 +87,6 @@ type Request struct {
 	AdUnit    string
 	Size      hb.Size
 	Targeting hb.Targeting
-	// AuctionID threads the wrapper's auction through the server logs.
-	AuctionID string
 }
 
 // Config tunes a publisher's ad server.
@@ -125,21 +121,13 @@ type Server struct {
 	cfg   Config
 	rng   rng.Stream
 	items []LineItem
-	// fills counts decisions per channel (channels order) for
-	// FillRateByChannel.
-	fills [len(channels)]int
 }
-
-// channels names the decision channels in the order Server.fills counts
-// them.
-var channels = [...]string{"hb", "direct", "price-priority", "house", "unfilled"}
 
 // Book is a server's state before its first decision: its config, its
 // generated line-item book and its stream just after generating it. A
 // book is a pure function of the config, so it is built once (per
 // world, per ad server in package sitegen) and shared read-only: every
-// Server started from it with Reset decides exactly as a server New
-// built from the same config.
+// Server started from it with Reset decides the same way.
 type Book struct {
 	cfg   Config
 	items []LineItem
@@ -154,22 +142,15 @@ func NewBook(cfg Config) *Book {
 	return b
 }
 
-// New creates a server with a generated line-item book.
-func New(cfg Config) *Server {
-	s := &Server{}
-	s.Reset(NewBook(cfg))
-	return s
-}
-
-// Reset returns s to the state a server New built from b's config
-// starts in, reusing s's line-item storage: the book's items are copied
-// (decisions consume their Remaining counts), their size lists are
-// shared read-only, and the stream restarts at the book's state.
+// Reset returns s to the state a server starts in with b's book,
+// reusing s's line-item storage: the book's items are copied (decisions
+// consume their Remaining counts), their size lists are shared
+// read-only, and the stream restarts at the book's state. The zero
+// Server is ready for its first Reset.
 func (s *Server) Reset(b *Book) {
 	s.cfg = b.cfg
 	s.rng = b.rng
 	s.items = append(s.items[:0], b.items...)
-	s.fills = [len(channels)]int{}
 }
 
 // generateBook creates a small plausible set of line items: a few direct
@@ -201,9 +182,6 @@ func generateBook(r *rng.Stream, cfg Config) []LineItem {
 	})
 	return items
 }
-
-// Floor returns the configured HB floor price.
-func (s *Server) Floor() float64 { return s.cfg.FloorCPM }
 
 // Decide resolves one ad request against HB targeting and the line-item
 // book, implementing the paper's Step 3: "the ad server will check the
@@ -252,12 +230,6 @@ func (s *Server) Decide(req Request) Decision {
 			d.Channel = "unfilled"
 		}
 	}
-	for i, ch := range channels {
-		if ch == d.Channel {
-			s.fills[i]++
-			break
-		}
-	}
 	return d
 }
 
@@ -298,70 +270,6 @@ func (s *Server) consume(li *LineItem) {
 	if li.Remaining > 0 {
 		li.Remaining--
 	}
-}
-
-// FillRateByChannel returns each channel's share of the decisions made
-// so far (nil before the first).
-func (s *Server) FillRateByChannel() map[string]float64 {
-	total := 0
-	for _, n := range s.fills {
-		total += n
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(channels))
-	for i, n := range s.fills {
-		if n > 0 {
-			out[channels[i]] = float64(n) / float64(total)
-		}
-	}
-	return out
-}
-
-// RenderTag builds the ad-server response markup for a decision: a
-// creative snippet whose URL carries the HB key-values back to the page.
-// This is the response the detector mines on Server-Side and Hybrid HB
-// (Section 4.2: "after inspecting the responses received by the browser,
-// we can discover the parameters referring to HB").
-func RenderTag(d Decision, t hb.Targeting) string {
-	var sb strings.Builder
-	sb.WriteString(`<div class="ad-slot" data-adunit="`)
-	sb.WriteString(d.AdUnit)
-	sb.WriteString(`">`)
-	sb.WriteString(`<img src="https://creatives.example/render?` + renderParams(d, t) + `"/>`)
-	sb.WriteString(`</div>`)
-	return sb.String()
-}
-
-func renderParams(d Decision, t hb.Targeting) string {
-	pairs := []string{
-		"slot=" + d.AdUnit,
-		"size=" + d.Size.String(),
-		"channel=" + d.Channel,
-	}
-	if d.Channel == "hb" {
-		pairs = append(pairs,
-			hb.KeyBidder+"="+d.Bidder,
-			hb.KeyPriceBuck+"="+hb.PriceBucket(d.CPM),
-			hb.KeySize+"="+d.Size.String(),
-		)
-		// Propagate any extra targeting (cache ids, deals) the wrapper set.
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if k == hb.KeyBidder || k == hb.KeyPriceBuck || k == hb.KeySize {
-				continue
-			}
-			pairs = append(pairs, k+"="+t[k])
-		}
-	} else if d.LineItem != "" {
-		pairs = append(pairs, "li="+d.LineItem, "cpm="+strconv.FormatFloat(d.CPM, 'f', 4, 64))
-	}
-	return strings.Join(pairs, "&")
 }
 
 func logm(x float64) float64 {

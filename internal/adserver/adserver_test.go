@@ -1,7 +1,6 @@
 package adserver
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +8,14 @@ import (
 )
 
 func newServer(seed int64) *Server {
-	return New(DefaultConfig(seed))
+	return start(DefaultConfig(seed))
+}
+
+// start builds a server the way the crawl does: from a book, by Reset.
+func start(cfg Config) *Server {
+	s := new(Server)
+	s.Reset(NewBook(cfg))
+	return s
 }
 
 func TestDecideHBWinsAboveFloor(t *testing.T) {
@@ -37,7 +43,7 @@ func TestDecideHBWinsAboveFloor(t *testing.T) {
 func TestDecideHBBelowFloorNeverWins(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.FloorCPM = 0.5
-	s := New(cfg)
+	s := start(cfg)
 	for i := 0; i < 100; i++ {
 		d := s.Decide(Request{
 			Site: "x.example", AdUnit: "u1", Size: hb.SizeMediumRectangle,
@@ -71,7 +77,7 @@ func TestDirectOrderConsumesImpressions(t *testing.T) {
 	// Force direct fills with a config that always has direct demand.
 	cfg := DefaultConfig(11)
 	cfg.DirectFill = 1.0
-	s := New(cfg)
+	s := start(cfg)
 	var direct *LineItem
 	for i := range s.items {
 		if s.items[i].Type == Direct {
@@ -112,20 +118,25 @@ func TestDecisionLatencyPositive(t *testing.T) {
 	}
 }
 
+// TestFillRateByChannelSumsToOne: over a run of decisions, the shares of
+// the five channels sum to one (every decision fills exactly one).
 func TestFillRateByChannelSumsToOne(t *testing.T) {
 	s := newServer(6)
-	for i := 0; i < 200; i++ {
-		s.Decide(Request{Site: "x", AdUnit: "u", Size: hb.SizeMediumRectangle})
+	fills := map[string]int{"hb": 0, "direct": 0, "price-priority": 0, "house": 0, "unfilled": 0}
+	const n = 200
+	for i := 0; i < n; i++ {
+		d := s.Decide(Request{Site: "x", AdUnit: "u", Size: hb.SizeMediumRectangle})
+		if _, ok := fills[d.Channel]; !ok {
+			t.Fatalf("decision %d in unknown channel %q", i, d.Channel)
+		}
+		fills[d.Channel]++
 	}
 	var total float64
-	for _, f := range s.FillRateByChannel() {
-		total += f
+	for _, f := range fills {
+		total += float64(f) / n
 	}
 	if total < 0.999 || total > 1.001 {
 		t.Fatalf("fill rates sum to %v", total)
-	}
-	if s2 := newServer(7); s2.FillRateByChannel() != nil {
-		t.Fatal("empty server should report nil fill rates")
 	}
 }
 
@@ -155,7 +166,7 @@ func TestDecisionInvariantsProperty(t *testing.T) {
 		default:
 			return false
 		}
-		if d.Channel == "hb" && d.CPM < s.Floor()-1e-9 {
+		if d.Channel == "hb" && d.CPM < s.cfg.FloorCPM-1e-9 {
 			return false
 		}
 		if d.Channel == "house" && d.CPM != 0 {
@@ -165,21 +176,6 @@ func TestDecisionInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRenderTagCarriesHBParams(t *testing.T) {
-	d := Decision{AdUnit: "u1", Size: hb.SizeMediumRectangle, Channel: "hb",
-		Bidder: "rubicon", CPM: 0.31}
-	tag := RenderTag(d, hb.Targeting{hb.KeyCacheID: "abc"})
-	for _, want := range []string{"hb_bidder=rubicon", "hb_pb=0.30", "hb_size=300x250", "hb_cache_id=abc"} {
-		if !strings.Contains(tag, want) {
-			t.Errorf("tag missing %q: %s", want, tag)
-		}
-	}
-	house := RenderTag(Decision{AdUnit: "u", Size: hb.SizeLeaderboard, Channel: "house", LineItem: "house-1"}, nil)
-	if strings.Contains(house, "hb_bidder") {
-		t.Fatalf("house tag leaked HB params: %s", house)
 	}
 }
 
@@ -194,7 +190,7 @@ func TestLineItemTypeString(t *testing.T) {
 }
 
 // TestResetRestartsFromBook: a server restarted from a book decides
-// exactly as a fresh server of the same config, however much an earlier
+// exactly as a fresh server of the same book, however much an earlier
 // run on it consumed. Direct orders always fill here, so the run
 // exhausts them (Remaining reaches 0) and the channel sequence shows
 // whether the restart restored their counts and the stream.
@@ -208,12 +204,12 @@ func TestResetRestartsFromBook(t *testing.T) {
 		}
 		return out
 	}
-	want := channels(New(cfg))
+	want := channels(start(cfg))
 	if want[0] != "direct" || want[len(want)-1] == "direct" {
 		t.Fatalf("direct orders did not run out: first %s, last %s", want[0], want[len(want)-1])
 	}
 	book := NewBook(cfg)
-	s := New(cfg)
+	s := start(cfg)
 	for run := 0; run < 2; run++ {
 		s.Reset(book)
 		got := channels(s)

@@ -173,6 +173,8 @@ func (m *WaterfallComparisonMetric) Result() ProtocolComparison {
 // MeanWaterfallPasses runs the waterfall baseline over the world's HB
 // sites and returns the mean number of passes walked per slot — the
 // denominator of the traffic-amplification estimate.
+//
+//hbvet:allow deadexport paper value: the §7.3 amplification denominator, reported only by the root BenchmarkTrafficOverhead until the fidelity scorecard (ROADMAP item 1) reads it
 func MeanWaterfallPasses(w *sitegen.World, seed int64) float64 {
 	var sum float64
 	var n int

@@ -27,22 +27,6 @@ type PartnerErrorCount struct {
 	Errors int
 }
 
-// BidErrorRate is the transport-failure share of bid posts.
-func (r DegradationResult) BidErrorRate() float64 {
-	if r.BidPosts == 0 {
-		return 0
-	}
-	return float64(r.BidErrors) / float64(r.BidPosts)
-}
-
-// AbandonmentRate is the never-answered share of bid posts.
-func (r DegradationResult) AbandonmentRate() float64 {
-	if r.BidPosts == 0 {
-		return 0
-	}
-	return float64(r.Abandoned) / float64(r.BidPosts)
-}
-
 // DegradationMetric accumulates DegradationResult incrementally.
 type DegradationMetric struct {
 	state

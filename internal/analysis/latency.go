@@ -58,9 +58,6 @@ func (a *LatencyAccumulator) NewShard() Metric { return NewLatencyAccumulator() 
 // Snapshot returns Result.
 func (a *LatencyAccumulator) Snapshot() any { return a.Result() }
 
-// Samples reports how many latency samples have been folded in.
-func (a *LatencyAccumulator) Samples() int { return len(a.xs) }
-
 // Result computes the CDF over everything added so far.
 func (a *LatencyAccumulator) Result() LatencyCDFResult {
 	e := stats.NewECDF(a.xs)

@@ -9,6 +9,7 @@
 package browser
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
@@ -57,11 +58,6 @@ type Options struct {
 	// PageTimeout aborts the visit if the document does not load in time
 	// (the crawler uses 60s, mirroring the paper's crawl policy).
 	PageTimeout time.Duration
-	// NoEventHistory creates pages whose event bus dispatches without
-	// recording history. Detectors subscribe and consume events live, so
-	// the crawler enables this; tests that assert on Bus.History leave it
-	// off.
-	NoEventHistory bool
 }
 
 // DefaultOptions mirror the crawl configuration in the paper.
@@ -111,12 +107,8 @@ type Page struct {
 
 // NewPage creates a page bound to env.
 func NewPage(env Env, opts Options) *Page {
-	bus := events.NewBus()
-	if opts.NoEventHistory {
-		bus = events.NewBusNoHistory()
-	}
 	p := &Page{
-		Bus:       bus,
+		Bus:       new(events.Bus),
 		Inspector: webreq.NewInspector(),
 		env:       env,
 		opts:      opts,
@@ -137,7 +129,7 @@ func NewPage(env Env, opts Options) *Page {
 // requests, pending fetches and timers are reused.
 func (p *Page) Rebind(env Env, opts Options) {
 	p.URL = ""
-	p.Bus.Reset(!opts.NoEventHistory)
+	p.Bus.Reset()
 	p.Inspector.Reset()
 	p.requests.Reset()
 	p.fetches.Reset()
@@ -211,9 +203,6 @@ func (p *Page) Post(fn func()) { p.After(0, fn) }
 // Close tears the page down; pending callbacks become no-ops, like
 // handlers after navigation.
 func (p *Page) Close() { p.closed = true }
-
-// Closed reports whether the page has been torn down.
-func (p *Page) Closed() bool { return p.closed }
 
 // pendingFetch is one in-flight page request: the former
 // Fetch-closure -> deliver-closure chain flattened onto a single struct
@@ -328,7 +317,6 @@ type VisitResult struct {
 	TimedOut   bool
 	Err        string
 	DocLatency time.Duration
-	Scripts    int
 	Settled    bool
 }
 
@@ -476,29 +464,7 @@ func errString(resp *webreq.Response) string {
 	if resp.Err != "" {
 		return resp.Err
 	}
-	return "http status " + itoa(resp.Status)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return "http status " + strconv.Itoa(resp.Status)
 }
 
 // IsKnownHBLibrary reports whether a script URL loads one of the HB

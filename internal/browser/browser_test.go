@@ -277,10 +277,10 @@ func TestVisitPageReuseMatchesFreshVisit(t *testing.T) {
 	if again != pooled {
 		t.Fatal("VisitPage did not reuse the supplied page")
 	}
-	if pooled.Closed() {
+	if pooled.closed {
 		t.Fatal("rebound page still closed")
 	}
-	if vr2 == nil || vr2.Loaded != ref.Loaded || vr2.Scripts != ref.Scripts || vr2.DocLatency != ref.DocLatency {
+	if vr2 == nil || vr2.Loaded != ref.Loaded || vr2.DocLatency != ref.DocLatency {
 		t.Fatalf("reused-page visit %+v != fresh visit %+v", vr2, ref)
 	}
 	if got, want := len(pooled.Inspector.Exchanges()), len(refPage.Inspector.Exchanges()); got != want {

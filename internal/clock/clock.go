@@ -1,27 +1,16 @@
-// Package clock provides time sources and a deterministic discrete-event
-// scheduler. The scheduler is the heart of the simulated-network
-// environment: it models a single-threaded JavaScript-style event loop in
-// virtual time, so a crawl of tens of thousands of pages finishes in
-// milliseconds of wall time while preserving the ordering and timing
-// semantics of the real protocol.
+// Package clock provides a deterministic discrete-event scheduler, the
+// heart of the simulated-network environment: it models a
+// single-threaded JavaScript-style event loop in virtual time, so a
+// crawl of tens of thousands of pages finishes in milliseconds of wall
+// time while preserving the ordering and timing semantics of the real
+// protocol.
 package clock
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
-
-// Clock is a source of time. Production code uses Wall; simulations use a
-// Scheduler, whose Now advances only when events run.
-type Clock interface {
-	Now() time.Time
-}
-
-// Wall is a Clock backed by the system clock.
-type Wall struct{}
-
-// Now returns the current wall-clock time.
-func (Wall) Now() time.Time { return time.Now() }
 
 // Epoch is the virtual time origin used by simulations. The particular
 // date is arbitrary but fixed so runs are reproducible; it corresponds to
@@ -64,9 +53,6 @@ type Scheduler struct {
 	seq     uint64
 	queue   []event
 	running bool
-	stopped bool
-	steps   uint64
-	maxStep uint64
 }
 
 // NewScheduler returns a scheduler whose clock starts at start. If start
@@ -105,9 +91,6 @@ func (s *Scheduler) Reset(start time.Time) {
 	s.now = start
 	s.nowKey = start.UnixNano()
 	s.seq = 0
-	s.steps = 0
-	s.maxStep = 0
-	s.stopped = false
 }
 
 // Now returns the current virtual time.
@@ -234,17 +217,6 @@ func (s *Scheduler) Post(fn func()) { s.After(0, fn) }
 // Pending reports the number of events waiting to run.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// SetStepLimit bounds the number of callbacks Run may execute; 0 means no
-// limit. It guards against runaway feedback loops in simulations.
-func (s *Scheduler) SetStepLimit(n uint64) { s.maxStep = n }
-
-// Steps reports how many callbacks have been executed so far.
-func (s *Scheduler) Steps() uint64 { return s.steps }
-
-// Stop makes Run return after the currently executing callback. Pending
-// events remain queued.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // advanceTo moves the clock forward to the event's timestamp.
 func (s *Scheduler) advanceTo(key int64) {
 	if key > s.nowKey {
@@ -262,59 +234,18 @@ func (ev *event) run() {
 	ev.afn(ev.arg)
 }
 
-// Run executes queued events in order until the queue drains, Stop is
-// called, or the step limit is reached. It returns the number of events
-// executed during this call.
-func (s *Scheduler) Run() int {
-	if s.running {
-		//hbvet:allow recoverscope API-misuse precondition: reentrant Run is a harness bug, not visit data
-		panic("clock: Run called reentrantly")
-	}
-	s.running = true
-	s.stopped = false
-	defer func() { s.running = false }()
-
-	executed := 0
-	for len(s.queue) > 0 && !s.stopped {
-		if s.maxStep > 0 && s.steps >= s.maxStep {
-			break
-		}
-		ev := s.pop()
-		s.advanceTo(ev.key)
-		s.steps++
-		executed++
-		ev.run()
-	}
-	return executed
-}
+// Run executes queued events in order until the queue drains. It
+// returns the number of events executed during this call.
+//
+//hbvet:allow deadexport test seam: the tests of browser, prebid, pubfood, gptlib, usersync, simnet and sitegen drain their fake envs with it; the crawl bounds every visit with RunUntil
+func (s *Scheduler) Run() int { return s.drain(math.MaxInt64) }
 
 // RunUntil executes queued events whose time is <= deadline; the clock is
 // advanced to deadline afterwards even if no event lands exactly there.
 // It returns the number of events executed.
 func (s *Scheduler) RunUntil(deadline time.Time) int {
-	if s.running {
-		//hbvet:allow recoverscope API-misuse precondition: reentrant RunUntil is a harness bug, not visit data
-		panic("clock: RunUntil called reentrantly")
-	}
-	s.running = true
-	s.stopped = false
-	defer func() { s.running = false }()
-
 	deadlineKey := deadline.UnixNano()
-	executed := 0
-	for len(s.queue) > 0 && !s.stopped {
-		if s.maxStep > 0 && s.steps >= s.maxStep {
-			break
-		}
-		if s.queue[0].key > deadlineKey {
-			break
-		}
-		ev := s.pop()
-		s.advanceTo(ev.key)
-		s.steps++
-		executed++
-		ev.run()
-	}
+	executed := s.drain(deadlineKey)
 	if deadlineKey > s.nowKey {
 		s.now = deadline
 		s.nowKey = deadlineKey
@@ -322,14 +253,28 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 	return executed
 }
 
-// RunFor is RunUntil(now + d).
-func (s *Scheduler) RunFor(d time.Duration) int {
-	return s.RunUntil(s.Now().Add(d))
+// drain executes queued events, in order, whose key is <= deadlineKey.
+func (s *Scheduler) drain(deadlineKey int64) int {
+	if s.running {
+		//hbvet:allow recoverscope API-misuse precondition: a reentrant Run or RunUntil is a harness bug, not visit data
+		panic("clock: Run or RunUntil called reentrantly")
+	}
+	s.running = true
+	defer func() { s.running = false }()
+
+	executed := 0
+	for len(s.queue) > 0 && s.queue[0].key <= deadlineKey {
+		ev := s.pop()
+		s.advanceTo(ev.key)
+		executed++
+		ev.run()
+	}
+	return executed
 }
 
 // String describes the scheduler state, useful in test failures.
 func (s *Scheduler) String() string {
 	//hbvet:allow hotalloc debug String() runs only in test-failure output, never per visit
-	return fmt.Sprintf("Scheduler{now=%s pending=%d steps=%d}",
-		s.Now().Format(time.RFC3339Nano), len(s.queue), s.steps)
+	return fmt.Sprintf("Scheduler{now=%s pending=%d}",
+		s.Now().Format(time.RFC3339Nano), len(s.queue))
 }

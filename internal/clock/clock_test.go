@@ -99,35 +99,29 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRunForAdvancesRelative: running for a duration (RunUntil now+d,
+// as the crawl bounds a visit) advances the clock relative to now.
 func TestRunForAdvancesRelative(t *testing.T) {
 	s := NewScheduler(time.Time{})
-	s.RunFor(2 * time.Second)
-	s.RunFor(3 * time.Second)
+	s.RunUntil(s.Now().Add(2 * time.Second))
+	s.RunUntil(s.Now().Add(3 * time.Second))
 	if got := s.Now().Sub(Epoch); got != 5*time.Second {
 		t.Fatalf("clock advanced %v, want 5s", got)
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler(time.Time{})
-	ran := 0
-	s.After(time.Millisecond, func() { ran++; s.Stop() })
-	s.After(2*time.Millisecond, func() { ran++ })
-	s.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Stop should halt the loop)", ran)
-	}
-}
-
+// TestSchedulerStepLimit: a runaway feedback loop is bounded by the
+// deadline the crawl runs each visit to.
 func TestSchedulerStepLimit(t *testing.T) {
 	s := NewScheduler(time.Time{})
-	s.SetStepLimit(5)
 	var feed func()
 	feed = func() { s.After(time.Millisecond, feed) }
 	s.After(time.Millisecond, feed)
-	s.Run()
-	if s.Steps() != 5 {
-		t.Fatalf("steps = %d, want 5 (runaway loop not bounded)", s.Steps())
+	if steps := s.RunUntil(Epoch.Add(5 * time.Millisecond)); steps != 5 {
+		t.Fatalf("steps = %d, want 5 (runaway loop not bounded)", steps)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d, want the loop's next step", s.Pending())
 	}
 }
 
@@ -197,16 +191,6 @@ func TestSchedulerOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWallClock(t *testing.T) {
-	var w Wall
-	before := time.Now()
-	got := w.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("Wall.Now %v outside [%v, %v]", got, before, after)
 	}
 }
 

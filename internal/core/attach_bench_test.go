@@ -42,7 +42,7 @@ func benchAttachNonHB(b *testing.B, eager bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		page := browser.NewPage(env, browser.Options{NoEventHistory: true})
+		page := browser.NewPage(env, browser.Options{})
 		page.URL = "https://www.site00001.example/"
 		det := Attach(page, reg)
 		obs := det.Observation()

@@ -56,17 +56,6 @@ type AuctionObs struct {
 	Failed   bool
 }
 
-// LateBids counts the auction's late bids.
-func (a *AuctionObs) LateBids() int {
-	n := 0
-	for _, b := range a.Bids {
-		if b.Late {
-			n++
-		}
-	}
-	return n
-}
-
 // Observation is everything HBDetector learned about one page visit.
 type Observation struct {
 	URL    string
@@ -133,26 +122,6 @@ type TrafficCounts struct {
 	Beacons     int // win notifications + sync pixels
 	Scripts     int // library/script loads
 	Other       int
-}
-
-// Total sums all categories.
-func (t TrafficCounts) Total() int {
-	return t.BidRequests + t.HostedCalls + t.AdServer + t.Creatives +
-		t.Beacons + t.Scripts + t.Other
-}
-
-// HBRelated sums the categories attributable to the HB protocol itself.
-func (t TrafficCounts) HBRelated() int {
-	return t.BidRequests + t.HostedCalls + t.AdServer + t.Creatives + t.Beacons
-}
-
-// Bids returns all observed bids across auctions.
-func (o *Observation) Bids() []BidObs {
-	var out []BidObs
-	for _, a := range o.Auctions {
-		out = append(out, a.Bids...)
-	}
-	return out
 }
 
 // Detector is one page's HBDetector instance. Attach it before the page

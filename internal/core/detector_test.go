@@ -257,8 +257,14 @@ func TestLateBidJudgedByTiming(t *testing.T) {
 		"https://adserver.pub.example/serve?slots=u1%7C300x250&hb_bidder.u1=appnexus", "")
 	o := det.Observation()
 	a := o.Auctions[0]
-	if a.LateBids() != 1 {
-		t.Fatalf("late bids = %d, want 1", a.LateBids())
+	late := 0
+	for _, b := range a.Bids {
+		if b.Late {
+			late++
+		}
+	}
+	if late != 1 {
+		t.Fatalf("late bids = %d, want 1", late)
 	}
 	for _, b := range a.Bids {
 		if b.Bidder == "rubicon" && !b.Late {

@@ -23,8 +23,12 @@ import (
 // internally consistent (late bids never win; facet implies HB).
 func TestDetectorNeverPanicsProperty(t *testing.T) {
 	reg := partners.Default()
-	eventTypes := append(events.AllTypes(),
-		events.Type("junkEvent"), events.Type(""), events.Type("auctioninit"))
+	eventTypes := []events.Type{
+		events.AuctionInit, events.RequestBids, events.BidRequested, events.BidResponse,
+		events.BidTimeout, events.AuctionEnd, events.BidWon, events.SetTargeting,
+		events.SlotRenderEnded, events.AdRenderFailed,
+		events.Type("junkEvent"), events.Type(""), events.Type("auctioninit"),
+	}
 
 	check := func(seed int64, steps uint8) (ok bool) {
 		defer func() {
@@ -56,7 +60,7 @@ func TestDetectorNeverPanicsProperty(t *testing.T) {
 					Time:      clockAt(r.Intn(10000)),
 					AuctionID: fmt.Sprintf("a%d", r.Intn(4)),
 					AdUnit:    fmt.Sprintf("u%d", r.Intn(4)),
-					Bidder:    reg.Slugs()[r.Intn(84)],
+					Bidder:    reg.All()[r.Intn(84)].Slug,
 					CPM:       r.Float64() * 5,
 					Size:      hb.Size{W: r.Intn(1000), H: r.Intn(1000)},
 					Params:    urlkit.Query{{Key: "hb_pb", Value: "x"}, {Key: "slot", Value: "a"}},
@@ -91,7 +95,8 @@ func TestDetectorNeverPanicsProperty(t *testing.T) {
 				return false
 			}
 		}
-		if o.Traffic.Total() > o.RequestCount {
+		tc := o.Traffic
+		if tc.BidRequests+tc.HostedCalls+tc.AdServer+tc.Creatives+tc.Beacons+tc.Scripts+tc.Other > o.RequestCount {
 			return false // traffic categories must not over-count
 		}
 		return true

@@ -347,6 +347,8 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 // (visit order: by day, then rank) — the batch convenience over
 // CrawlStream for callers that want the whole dataset in memory. It
 // returns no records when the overlay names an unknown fault target.
+//
+//hbvet:allow deadexport test seam: the reference fold of the determinism, golden-report and shard tests in the root package, analysis, crawler, report and snapshot; production streams with CrawlStream
 func CrawlWorld(w *sitegen.World, opts Options) []*dataset.SiteRecord {
 	all := make([]*dataset.SiteRecord, 0, len(w.Sites))
 	// Background context + collecting emit: the only possible error is
@@ -435,7 +437,6 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 	rt.Configs = &w.Configs
 	rt.Overlay = opts.Overlay
 	bopts := browser.DefaultOptions()
-	bopts.NoEventHistory = true // the detector consumes events live
 	if opts.PageTimeout > 0 {
 		bopts.PageTimeout = opts.PageTimeout
 	}

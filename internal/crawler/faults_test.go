@@ -27,7 +27,7 @@ func visitWithNet(t *testing.T, w *sitegen.World, s *sitegen.Site,
 	t.Helper()
 	sched := clock.NewScheduler(time.Time{})
 	net := simnet.New(sched, 99)
-	w.InstallSimnet(net)
+	w.InstallVisit(net, s, &sitegen.VisitBinding{})
 	if prep != nil {
 		prep(net)
 	}

@@ -30,17 +30,8 @@ const (
 	AdRenderFailed  Type = "adRenderFailed"  // an ad failed to render
 )
 
-// AllTypes lists every event type in protocol order.
-func AllTypes() []Type {
-	return []Type{
-		AuctionInit, RequestBids, BidRequested, BidResponse, BidTimeout,
-		AuctionEnd, BidWon, SetTargeting, SlotRenderEnded, AdRenderFailed,
-	}
-}
-
-// Valid reports whether t is a known event type. The detector calls this
-// on every event of every visit, so it is a switch rather than a scan of
-// a freshly allocated AllTypes slice.
+// Valid reports whether t is a known event type. The detector calls it
+// on every event of every visit.
 func (t Type) Valid() bool {
 	switch t {
 	case AuctionInit, RequestBids, BidRequested, BidResponse, BidTimeout,
@@ -85,17 +76,12 @@ type Listener func(Event)
 // in order, and the detector relies on that ordering. The zero value is
 // ready to use.
 //
-// Listeners live in append-ordered slices (registration order is the
-// dispatch order), so Emit is a plain iteration — the previous
-// map-keyed registry sorted a freshly allocated ID slice on every event
-// of every visit. Cancel nils the entry rather than splicing, so
-// unsubscribing from inside a listener during dispatch cannot skip or
-// re-run sibling listeners.
+// Listeners live in an append-ordered slice (registration order is the
+// dispatch order), so Emit is a plain iteration. Cancel nils the entry
+// rather than splicing, so unsubscribing from inside a listener during
+// dispatch cannot skip or re-run sibling listeners.
 type Bus struct {
-	byType    map[Type][]Listener
-	wildcards []Listener
-	history   []Event
-	keepAll   bool
+	listeners []Listener
 	// gen is bumped by Reset. Cancel funcs capture the generation they
 	// were issued under and become no-ops after a Reset, so a stale
 	// cancel from a previous page cannot nil a listener slot the current
@@ -103,95 +89,33 @@ type Bus struct {
 	gen uint64
 }
 
-// NewBus returns an empty bus that also records event history (used by
-// tests and the detector's late analysis passes).
-func NewBus() *Bus {
-	return &Bus{keepAll: true}
-}
-
-// NewBusNoHistory returns a bus that dispatches without recording
-// history. The crawler uses it: detector listeners consume events as
-// they fire, and retaining tens of events per visit only fed the GC.
-func NewBusNoHistory() *Bus {
-	return &Bus{}
-}
-
-// Subscribe registers fn for a single event type and returns an
-// unsubscribe handle.
-func (b *Bus) Subscribe(t Type, fn Listener) (cancel func()) {
-	if b.byType == nil {
-		b.byType = make(map[Type][]Listener)
-	}
-	b.byType[t] = append(b.byType[t], fn)
-	idx := len(b.byType[t]) - 1
-	gen := b.gen
-	return func() {
-		if b.gen == gen {
-			b.byType[t][idx] = nil
-		}
-	}
-}
-
 // SubscribeAll registers fn for every event type.
 func (b *Bus) SubscribeAll(fn Listener) (cancel func()) {
-	b.wildcards = append(b.wildcards, fn)
-	idx := len(b.wildcards) - 1
+	b.listeners = append(b.listeners, fn)
+	idx := len(b.listeners) - 1
 	gen := b.gen
 	return func() {
 		if b.gen == gen {
-			b.wildcards[idx] = nil
+			b.listeners[idx] = nil
 		}
 	}
 }
 
-// Reset returns the bus to the state NewBus (keepAll=true) or
-// NewBusNoHistory (keepAll=false) would produce, reusing the listener
-// tables' and history's storage. Pages pooled across crawl visits reset
-// their bus instead of allocating a new one; outstanding cancel funcs
-// from before the reset become no-ops.
-func (b *Bus) Reset(keepAll bool) {
+// Reset returns the bus to its zero state, reusing the listener
+// table's storage. Pages pooled across crawl visits reset their bus
+// instead of allocating a new one; outstanding cancel funcs from before
+// the reset become no-ops.
+func (b *Bus) Reset() {
 	b.gen++
-	for t, ls := range b.byType {
-		clear(ls)
-		b.byType[t] = ls[:0]
-	}
-	clear(b.wildcards)
-	b.wildcards = b.wildcards[:0]
-	b.keepAll = keepAll
-	if keepAll {
-		clear(b.history)
-		b.history = b.history[:0]
-	} else {
-		b.history = nil
-	}
+	clear(b.listeners)
+	b.listeners = b.listeners[:0]
 }
 
-// Emit delivers e to listeners in deterministic (registration) order and
-// appends it to history.
+// Emit delivers e to listeners in deterministic (registration) order.
 func (b *Bus) Emit(e Event) {
-	if b.keepAll || b.history != nil {
-		b.history = append(b.history, e)
-	}
-	for _, fn := range b.byType[e.Type] {
+	for _, fn := range b.listeners {
 		if fn != nil {
 			fn(e)
 		}
 	}
-	for _, fn := range b.wildcards {
-		if fn != nil {
-			fn(e)
-		}
-	}
-}
-
-// History returns all events emitted so far, in order.
-func (b *Bus) History() []Event { return b.history }
-
-// CountByType tallies history by event type.
-func (b *Bus) CountByType() map[Type]int {
-	out := make(map[Type]int)
-	for _, e := range b.history {
-		out[e.Type]++
-	}
-	return out
 }

@@ -1,38 +1,51 @@
 package events
 
 import (
+	"strings"
 	"testing"
 
 	"headerbid/internal/hb"
 )
 
-func TestBusSubscribeAndEmit(t *testing.T) {
-	b := NewBus()
+// allTypes lists every event type in protocol order.
+var allTypes = []Type{
+	AuctionInit, RequestBids, BidRequested, BidResponse, BidTimeout,
+	AuctionEnd, BidWon, SetTargeting, SlotRenderEnded, AdRenderFailed,
+}
+
+// record subscribes a listener that keeps every event the bus emits.
+func record(b *Bus) *[]Event {
 	var got []Event
-	b.Subscribe(BidResponse, func(e Event) { got = append(got, e) })
+	b.SubscribeAll(func(e Event) { got = append(got, e) })
+	return &got
+}
+
+func TestBusSubscribeAndEmit(t *testing.T) {
+	var b Bus
+	got := record(&b)
 	b.Emit(Event{Type: BidResponse, Bidder: "appnexus", CPM: 0.5})
-	b.Emit(Event{Type: AuctionEnd}) // different type, must not deliver
-	if len(got) != 1 || got[0].Bidder != "appnexus" {
-		t.Fatalf("got %v", got)
+	b.Emit(Event{Type: AuctionEnd})
+	if len(*got) != 2 || (*got)[0].Bidder != "appnexus" || (*got)[0].CPM != 0.5 || (*got)[1].Type != AuctionEnd {
+		t.Fatalf("got %v", *got)
 	}
 }
 
 func TestBusSubscribeAll(t *testing.T) {
-	b := NewBus()
+	var b Bus
 	n := 0
 	b.SubscribeAll(func(Event) { n++ })
-	for _, typ := range AllTypes() {
+	for _, typ := range allTypes {
 		b.Emit(Event{Type: typ})
 	}
-	if n != len(AllTypes()) {
-		t.Fatalf("wildcard saw %d, want %d", n, len(AllTypes()))
+	if n != len(allTypes) {
+		t.Fatalf("wildcard saw %d, want %d", n, len(allTypes))
 	}
 }
 
 func TestBusUnsubscribe(t *testing.T) {
-	b := NewBus()
+	var b Bus
 	n := 0
-	cancel := b.Subscribe(BidWon, func(Event) { n++ })
+	cancel := b.SubscribeAll(func(Event) { n++ })
 	b.Emit(Event{Type: BidWon})
 	cancel()
 	b.Emit(Event{Type: BidWon})
@@ -42,10 +55,10 @@ func TestBusUnsubscribe(t *testing.T) {
 }
 
 func TestBusDeliveryOrder(t *testing.T) {
-	b := NewBus()
+	var b Bus
 	var order []int
-	b.Subscribe(AuctionInit, func(Event) { order = append(order, 1) })
-	b.Subscribe(AuctionInit, func(Event) { order = append(order, 2) })
+	b.SubscribeAll(func(Event) { order = append(order, 1) })
+	b.SubscribeAll(func(Event) { order = append(order, 2) })
 	b.SubscribeAll(func(Event) { order = append(order, 3) })
 	b.Emit(Event{Type: AuctionInit})
 	want := []int{1, 2, 3}
@@ -56,24 +69,30 @@ func TestBusDeliveryOrder(t *testing.T) {
 	}
 }
 
+// TestBusHistoryAndCounts: a recording listener sees every emitted
+// event, in emission order.
 func TestBusHistoryAndCounts(t *testing.T) {
-	b := NewBus()
+	var b Bus
+	got := record(&b)
 	b.Emit(Event{Type: AuctionInit})
 	b.Emit(Event{Type: BidResponse})
 	b.Emit(Event{Type: BidResponse})
-	if len(b.History()) != 3 {
-		t.Fatalf("history = %d", len(b.History()))
+	if len(*got) != 3 {
+		t.Fatalf("recorded %d events", len(*got))
 	}
-	counts := b.CountByType()
-	if counts[BidResponse] != 2 || counts[AuctionInit] != 1 {
-		t.Fatalf("counts = %v", counts)
+	counts := make(map[Type]int)
+	for _, e := range *got {
+		counts[e.Type]++
+	}
+	if counts[BidResponse] != 2 || counts[AuctionInit] != 1 || (*got)[0].Type != AuctionInit {
+		t.Fatalf("counts = %v, order = %v", counts, *got)
 	}
 }
 
 func TestZeroValueBusUsable(t *testing.T) {
 	var b Bus
 	ok := false
-	b.Subscribe(BidWon, func(Event) { ok = true })
+	b.SubscribeAll(func(Event) { ok = true })
 	b.Emit(Event{Type: BidWon})
 	if !ok {
 		t.Fatal("zero-value bus did not deliver")
@@ -81,7 +100,7 @@ func TestZeroValueBusUsable(t *testing.T) {
 }
 
 func TestTypeValid(t *testing.T) {
-	for _, typ := range AllTypes() {
+	for _, typ := range allTypes {
 		if !typ.Valid() {
 			t.Errorf("type %q invalid", typ)
 		}
@@ -96,34 +115,21 @@ func TestEventString(t *testing.T) {
 		Bidder: "rubicon", CPM: 0.1234, Size: hb.Size{W: 300, H: 250}}
 	s := e.String()
 	for _, want := range []string{"bidResponse", "a1", "rubicon", "300x250"} {
-		if !contains(s, want) {
+		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
 }
 
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 func TestListenerModificationDuringEmit(t *testing.T) {
 	// A listener registering another listener mid-emit must not corrupt
 	// delivery (new listener takes effect for subsequent emits).
-	b := NewBus()
+	var b Bus
 	n := 0
-	b.Subscribe(AuctionEnd, func(Event) {
+	b.SubscribeAll(func(Event) {
 		n++
 		if n == 1 {
-			b.Subscribe(AuctionEnd, func(Event) { n += 10 })
+			b.SubscribeAll(func(Event) { n += 10 })
 		}
 	})
 	b.Emit(Event{Type: AuctionEnd})
@@ -138,19 +144,16 @@ func TestListenerModificationDuringEmit(t *testing.T) {
 }
 
 func TestBusReset(t *testing.T) {
-	b := NewBus()
+	var b Bus
 	n := 0
-	cancelOld := b.Subscribe(AuctionInit, func(Event) { n++ })
+	cancelOld := b.SubscribeAll(func(Event) { n++ })
 	b.SubscribeAll(func(Event) { n += 100 })
 	b.Emit(Event{Type: AuctionInit})
 	if n != 101 {
 		t.Fatalf("pre-reset n = %d", n)
 	}
 
-	b.Reset(true)
-	if len(b.History()) != 0 {
-		t.Fatalf("history survived reset: %d events", len(b.History()))
-	}
+	b.Reset()
 	n = 0
 	b.Emit(Event{Type: AuctionInit})
 	if n != 0 {
@@ -159,20 +162,10 @@ func TestBusReset(t *testing.T) {
 
 	// A cancel issued before the reset must not nil a listener slot the
 	// reset bus has re-used.
-	b.Subscribe(AuctionInit, func(Event) { n++ })
+	b.SubscribeAll(func(Event) { n++ })
 	cancelOld()
 	b.Emit(Event{Type: AuctionInit})
 	if n != 1 {
 		t.Fatalf("stale cancel killed new listener: n = %d", n)
-	}
-	if len(b.History()) != 2 {
-		t.Fatalf("history after reset = %d, want 2", len(b.History()))
-	}
-
-	// Reset to the no-history policy stops recording.
-	b.Reset(false)
-	b.Emit(Event{Type: AuctionEnd})
-	if b.History() != nil {
-		t.Fatalf("no-history bus recorded %d events", len(b.History()))
 	}
 }

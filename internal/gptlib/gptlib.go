@@ -60,14 +60,6 @@ type SlotOutcome struct {
 	RenderFailed bool
 }
 
-// Latency is the single round trip to the hosted provider.
-func (r *ServerSideResult) Latency() time.Duration {
-	if r.Responded.IsZero() {
-		return 0
-	}
-	return r.Responded.Sub(r.Requested)
-}
-
 // ServerSideClient drives a hosted auction. The result and the render
 // state live in the client and are reused by its next Run, and by the
 // next page after Reset: a result is valid until then, and the previous
@@ -92,15 +84,8 @@ type slotRender struct {
 	req   *webreq.Request
 }
 
-// NewServerSide creates a hosted-HB client.
-func NewServerSide(env Env, bus *events.Bus, reg *partners.Registry, cfg ServerSideConfig) *ServerSideClient {
-	c := &ServerSideClient{}
-	c.Reset(env, bus, reg, cfg)
-	return c
-}
-
-// Reset rebinds the client to a new page, as NewServerSide would create
-// it, keeping its storage for reuse.
+// Reset binds the client to a page, keeping its storage for reuse. The
+// zero ServerSideClient is ready for its first Reset.
 func (c *ServerSideClient) Reset(env Env, bus *events.Bus, reg *partners.Registry, cfg ServerSideConfig) {
 	c.env, c.bus, c.reg, c.cfg = env, bus, reg, cfg
 }

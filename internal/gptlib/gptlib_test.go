@@ -59,17 +59,37 @@ func testCfg() ServerSideConfig {
 	}
 }
 
-func run(t *testing.T, env *fakeEnv, cfg ServerSideConfig) (*ServerSideResult, *events.Bus) {
+func run(t *testing.T, env *fakeEnv, cfg ServerSideConfig) (*ServerSideResult, *eventLog) {
 	t.Helper()
-	bus := events.NewBus()
-	c := NewServerSide(env, bus, partners.Default(), cfg)
+	bus := new(events.Bus)
+	log := logEvents(bus)
+	var c ServerSideClient
+	c.Reset(env, bus, partners.Default(), cfg)
 	var res *ServerSideResult
 	c.Run(func(r *ServerSideResult) { res = r })
 	env.sched.Run()
 	if res == nil {
 		t.Fatal("hosted client never completed")
 	}
-	return res, bus
+	return res, log
+}
+
+// eventLog keeps every event a bus emits, in order.
+type eventLog struct{ events []events.Event }
+
+func logEvents(bus *events.Bus) *eventLog {
+	l := &eventLog{}
+	bus.SubscribeAll(func(e events.Event) { l.events = append(l.events, e) })
+	return l
+}
+
+// counts tallies the log by event type.
+func (l *eventLog) counts() map[events.Type]int {
+	out := make(map[events.Type]int)
+	for _, e := range l.events {
+		out[e.Type]++
+	}
+	return out
 }
 
 func TestHostedAuctionHappyPath(t *testing.T) {
@@ -77,10 +97,10 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 	env.respond = hostedResponder(
 		"s1|hb|https://creatives.example/render?slot=s1&hb_bidder=rubicon&hb_pb=0.30&hb_size=300x250&hb_source=s2s\n" +
 			"s2|house|https://creatives.example/render?slot=s2&channel=house")
-	res, bus := run(t, env, testCfg())
+	res, evs := run(t, env, testCfg())
 
-	if res.Latency() < 250*time.Millisecond {
-		t.Fatalf("latency = %v", res.Latency())
+	if lat := res.Responded.Sub(res.Requested); lat < 250*time.Millisecond {
+		t.Fatalf("latency = %v", lat)
 	}
 	if len(res.Slots) != 2 {
 		t.Fatalf("slots = %d", len(res.Slots))
@@ -90,7 +110,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 			t.Fatalf("slot %s not rendered", s.Code)
 		}
 	}
-	counts := bus.CountByType()
+	counts := evs.counts()
 	if counts[events.SlotRenderEnded] != 2 {
 		t.Fatalf("slotRenderEnded = %d", counts[events.SlotRenderEnded])
 	}
@@ -100,7 +120,7 @@ func TestHostedAuctionHappyPath(t *testing.T) {
 	}
 	// The render event must carry the hb_* params for the detector.
 	var sawBidder bool
-	for _, e := range bus.History() {
+	for _, e := range evs.events {
 		if e.Type == events.SlotRenderEnded && e.Params.Get(hb.KeyBidder) == "rubicon" {
 			sawBidder = true
 		}
@@ -131,11 +151,11 @@ func TestHostedSingleRequest(t *testing.T) {
 func TestHostedRenderFailure(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = hostedResponder("s1|hb|https://creatives.example/render?slot=s1&hb_bidder=ix|fail")
-	res, bus := run(t, env, testCfg())
+	res, evs := run(t, env, testCfg())
 	if !res.Slots[0].RenderFailed {
 		t.Fatal("render failure not recorded")
 	}
-	if bus.CountByType()[events.AdRenderFailed] != 1 {
+	if evs.counts()[events.AdRenderFailed] != 1 {
 		t.Fatal("adRenderFailed missing")
 	}
 }

@@ -341,20 +341,10 @@ const (
 	KeyBidderFull = "bidder"     // prebid bid-request parameter
 )
 
-// targetingKeys backs TargetingKeys and the IsTargetingKey scan (the
-// public accessor returns a copy; the detector consults the shared array
-// on every request parameter, where a fresh slice per call was measurable
-// crawl overhead).
+// targetingKeys are the hb_* keys the IsTargetingKey scan recognizes.
 var targetingKeys = [...]string{
 	KeyBidder, KeyPriceBuck, KeyAdID, KeySize, KeySource, KeyFormat,
 	KeyDeal, KeyCacheID, KeyCurrency, KeyPartner, KeyPrice,
-}
-
-// TargetingKeys returns every hb_* key in a stable order.
-func TargetingKeys() []string {
-	out := make([]string, len(targetingKeys))
-	copy(out, targetingKeys[:])
-	return out
 }
 
 // IsTargetingKey reports whether a query-parameter name is HB-specific.
@@ -403,20 +393,6 @@ func AppendTargeting(dst urlkit.Query, b Bid) urlkit.Query {
 		urlkit.Param{Key: KeyPriceBuck, Value: PriceBucket(b.USDCPM())},
 		urlkit.Param{Key: KeySize, Value: b.Size.String()},
 		urlkit.Param{Key: KeySource, Value: "client"})
-}
-
-// ParseTargeting extracts the HB key-values from a query, returning nil
-// when none are present: the pairs of ScanTargeting, collected.
-func ParseTargeting(q urlkit.Query) Targeting {
-	var t Targeting
-	ts := ScanTargeting(q)
-	for k, v, ok := ts.Next(); ok; k, v, ok = ts.Next() {
-		if t == nil {
-			t = Targeting{}
-		}
-		t[k] = v
-	}
-	return t
 }
 
 // TargetingScanner walks the HB targeting of a query in key order
@@ -489,57 +465,4 @@ func (t Targeting) Price() (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Size returns the declared creative size, ok=false when absent/invalid.
-func (t Targeting) Size() (Size, bool) {
-	v, ok := t[KeySize]
-	if !ok {
-		return Size{}, false
-	}
-	s, err := ParseSize(v)
-	if err != nil {
-		return Size{}, false
-	}
-	return s, true
-}
-
-// AuctionOutcome summarizes one completed HB auction for one ad unit.
-type AuctionOutcome struct {
-	AuctionID string
-	AdUnit    string
-	Site      string
-	Facet     Facet
-	Start     time.Time
-	End       time.Time
-	Bids      []Bid
-	Winner    *Bid // nil when no bid met the floor
-	FloorCPM  float64
-	Rendered  bool
-	Failed    bool // adRenderFailed
-}
-
-// Duration returns the auction's total duration.
-func (a AuctionOutcome) Duration() time.Duration { return a.End.Sub(a.Start) }
-
-// OnTimeBids returns the bids that arrived before the wrapper deadline.
-func (a AuctionOutcome) OnTimeBids() []Bid {
-	out := make([]Bid, 0, len(a.Bids))
-	for _, b := range a.Bids {
-		if !b.Late {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// LateBids returns the bids that missed the wrapper deadline.
-func (a AuctionOutcome) LateBids() []Bid {
-	var out []Bid
-	for _, b := range a.Bids {
-		if b.Late {
-			out = append(out, b)
-		}
-	}
-	return out
 }

@@ -5,10 +5,23 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"headerbid/internal/urlkit"
 )
+
+// collect gathers ScanTargeting's pairs into a Targeting, nil when the
+// query carries none.
+func collect(q urlkit.Query) Targeting {
+	var t Targeting
+	ts := ScanTargeting(q)
+	for k, v, ok := ts.Next(); ok; k, v, ok = ts.Next() {
+		if t == nil {
+			t = Targeting{}
+		}
+		t[k] = v
+	}
+	return t
+}
 
 // query returns m's pairs as a key-sorted urlkit.Query.
 func query(m map[string]string) urlkit.Query {
@@ -124,7 +137,7 @@ func TestTargetingFromBidAndBack(t *testing.T) {
 	if !slices.IsSortedFunc(q, func(a, b urlkit.Param) int { return strings.Compare(a.Key, b.Key) }) {
 		t.Fatalf("TargetingFromBid = %v, not key-sorted", q)
 	}
-	tg := ParseTargeting(q)
+	tg := collect(q)
 	if tg.Bidder() != "appnexus" {
 		t.Fatalf("bidder = %q", tg.Bidder())
 	}
@@ -132,9 +145,8 @@ func TestTargetingFromBidAndBack(t *testing.T) {
 	if !ok || price != 1.20 { // bucketed
 		t.Fatalf("price = %v, %v", price, ok)
 	}
-	size, ok := tg.Size()
-	if !ok || size != b.Size {
-		t.Fatalf("size = %v, %v", size, ok)
+	if size, err := ParseSize(tg[KeySize]); err != nil || size != b.Size {
+		t.Fatalf("size = %v, %v", size, err)
 	}
 	if tg[KeyDeal] != "deal-9" {
 		t.Fatal("deal id dropped")
@@ -148,14 +160,14 @@ func TestParseTargeting(t *testing.T) {
 		"slot":      "div-1",
 		"noise":     "x",
 	}
-	tg := ParseTargeting(query(params))
+	tg := collect(query(params))
 	if tg == nil || tg.Bidder() != "rubicon" {
 		t.Fatalf("targeting = %v", tg)
 	}
 	if _, ok := tg["slot"]; ok {
 		t.Fatal("non-HB param leaked into targeting")
 	}
-	if ParseTargeting(query(map[string]string{"a": "b"})) != nil {
+	if collect(query(map[string]string{"a": "b"})) != nil {
 		t.Fatal("no HB params should yield nil")
 	}
 }
@@ -174,15 +186,15 @@ func TestParseTargetingCaseCollision(t *testing.T) {
 	}
 	for _, c := range cases {
 		for i := 0; i < 200; i++ {
-			if got := ParseTargeting(query(c.params)).Bidder(); got != c.want {
-				t.Fatalf("call %d: ParseTargeting(%v).Bidder() = %q, want %q", i, c.params, got, c.want)
+			if got := collect(query(c.params)).Bidder(); got != c.want {
+				t.Fatalf("call %d: collect(%v).Bidder() = %q, want %q", i, c.params, got, c.want)
 			}
 		}
 	}
 }
 
 func TestTargetingLegacyKeys(t *testing.T) {
-	tg := ParseTargeting(query(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"}))
+	tg := collect(query(map[string]string{"hb_partner": "criteo", "hb_price": "0.42"}))
 	if tg.Bidder() != "criteo" {
 		t.Fatalf("legacy bidder = %q", tg.Bidder())
 	}
@@ -211,32 +223,10 @@ func TestBidUSDCPM(t *testing.T) {
 	}
 }
 
-func TestAuctionOutcomeHelpers(t *testing.T) {
-	now := time.Now()
-	a := AuctionOutcome{
-		Start: now,
-		End:   now.Add(400 * time.Millisecond),
-		Bids: []Bid{
-			{Bidder: "a", Late: false},
-			{Bidder: "b", Late: true},
-			{Bidder: "c", Late: false},
-		},
-	}
-	if a.Duration() != 400*time.Millisecond {
-		t.Fatalf("duration = %v", a.Duration())
-	}
-	if n := len(a.OnTimeBids()); n != 2 {
-		t.Fatalf("on-time = %d", n)
-	}
-	if n := len(a.LateBids()); n != 1 {
-		t.Fatalf("late = %d", n)
-	}
-}
-
 func TestTargetingKeysAllRecognized(t *testing.T) {
-	for _, k := range TargetingKeys() {
+	for _, k := range targetingKeys {
 		if !IsTargetingKey(k) {
-			t.Errorf("key %q from TargetingKeys not recognized", k)
+			t.Errorf("key %q from targetingKeys not recognized", k)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"regexp"
 	"strings"
@@ -15,13 +16,16 @@ import (
 //	expr // want <rule> "message substring"
 //
 // (several rule/substring pairs may follow one want). The harness
-// typechecks the package with LoadDir, runs the analyzer directly —
+// typechecks the package with loadDir, runs the analyzer directly —
 // bypassing its Applies scope filter, since testdata lives at a
 // synthetic import path — and then requires an exact match: every want
 // satisfied by a diagnostic on its line, every diagnostic claimed by a
 // want. //hbvet:allow directives in testdata are honored exactly as in
 // real code, so a suppressed site simply carries no want: if
-// suppression regressed, the stray diagnostic fails the test.
+// suppression regressed, the stray diagnostic fails the test. The
+// cross-package rule, deadexport, gets a whole module instead
+// (testdata/src/deadexport, with its own go.mod), loaded with Load as
+// hbvet loads the repository.
 
 func TestDetwallTestdata(t *testing.T)    { checkTestdata(t, Detwall, "detwall") }
 func TestHotallocTestdata(t *testing.T)   { checkTestdata(t, Hotalloc, "hotalloc") }
@@ -30,6 +34,54 @@ func TestSinkctxTestdata(t *testing.T)    { checkTestdata(t, Sinkctx, "sinkctx")
 func TestObsguardTestdata(t *testing.T)   { checkTestdata(t, Obsguard, "obsguard") }
 func TestRecoverscopeTestdata(t *testing.T) {
 	checkTestdata(t, Recoverscope, "recoverscope")
+}
+
+// TestDeadexportTestdata runs deadexport the way hbvet does, Load then
+// RunAnalyzers, over testdata/src/deadexport: a module of its own with
+// internal packages, a command, a non-internal package and a test file.
+// Over ./... every want must match. Over one package, however spelled,
+// the rule must report exactly that package's share of the ./...
+// findings: the use index is module-wide whatever the patterns.
+func TestDeadexportTestdata(t *testing.T) {
+	const dir = "testdata/src/deadexport"
+	pkgs, all := runLoaded(t, Deadexport, dir, "./...")
+	var wants []*expectation
+	for _, pkg := range pkgs[0].Module.Packages {
+		wants = append(wants, parseWants(pkg.Fset, pkg)...)
+	}
+	if len(wants) == 0 {
+		t.Fatalf("%s declares no // want expectations", dir)
+	}
+	matchWants(t, wants, all)
+
+	var want []Diagnostic
+	for _, d := range all {
+		if strings.Contains(d.Pos.Filename, "/internal/stats/") {
+			want = append(want, d)
+		}
+	}
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("testdata must have findings inside and outside internal/stats (%d of %d)", len(want), len(all))
+	}
+	for _, pattern := range []string{"./internal/stats", "./internal/stats/", "deadexport/internal/stats"} {
+		if _, one := runLoaded(t, Deadexport, dir, pattern); fmt.Sprint(one) != fmt.Sprint(want) {
+			t.Fatalf("deadexport over %s:\n%v\nwant the ./... findings there:\n%v", pattern, one, want)
+		}
+	}
+}
+
+// runLoaded loads patterns in dir as hbvet does and runs one analyzer.
+func runLoaded(t *testing.T, a *Analyzer, dir string, patterns ...string) ([]*Package, []Diagnostic) {
+	t.Helper()
+	pkgs, err := Load(dir, patterns...)
+	if err != nil {
+		t.Fatalf("loading %s %v: %v", dir, patterns, err)
+	}
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs, diags
 }
 
 // expectation is one parsed `// want rule "substring"` pair.
@@ -74,7 +126,7 @@ func parseWants(fset *token.FileSet, pkg *Package) []*expectation {
 // outside the module graph (imports resolve against the real module).
 func loadTestdata(t *testing.T, name string) *Package {
 	t.Helper()
-	pkg, err := LoadDir(".", "testdata/src/"+name, "hbvettest/"+name)
+	pkg, err := loadDir(".", "testdata/src/"+name, "hbvettest/"+name)
 	if err != nil {
 		t.Fatalf("loading testdata/src/%s: %v", name, err)
 	}
@@ -114,8 +166,12 @@ func checkTestdata(t *testing.T, a *Analyzer, name string) {
 	if len(wants) == 0 {
 		t.Fatalf("testdata/src/%s declares no // want expectations", name)
 	}
-	diags := runOn(t, a, pkg)
+	matchWants(t, wants, runOn(t, a, pkg))
+}
 
+// matchWants requires a one-to-one match between diagnostics and wants.
+func matchWants(t *testing.T, wants []*expectation, diags []Diagnostic) {
+	t.Helper()
 outer:
 	for _, d := range diags {
 		for _, w := range wants {

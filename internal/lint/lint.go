@@ -1,14 +1,17 @@
 // Package lint is hbvet's analyzer suite: repo-specific static checks
 // that turn this codebase's load-bearing conventions — virtual clock
 // only, seeded RNG only, no map-iteration-order leaks, fmt-free hot
-// paths, lawful mergeable metrics, ctx-aware streaming — into
-// compile-time diagnostics instead of late golden-test failures.
+// paths, lawful mergeable metrics, ctx-aware streaming, no exported
+// surface in internal/ that only tests reach — into compile-time
+// diagnostics instead of late golden-test failures.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, Reportf, testdata-driven tests) but is built on the
-// standard library alone: the container this repo builds in has no
-// module proxy access, so hbvet typechecks packages itself from `go
-// list -export` output (see load.go) rather than importing x/tools.
+// standard library alone: the repository builds without a module proxy,
+// so hbvet typechecks packages itself from `go list -export` output
+// (see load.go) rather than importing x/tools. A Pass sees one package;
+// Pass.Module adds every package of the main module, for the one
+// cross-package rule (deadexport).
 //
 // # Suppression
 //
@@ -17,13 +20,14 @@
 //	//hbvet:allow <rule> <reason>
 //
 // where <rule> is an analyzer name (detwall, hotalloc, metriclaws,
-// sinkctx, recoverscope, obsguard) and <reason> is free text explaining why the violation is
-// intentional — the reason is mandatory; a bare allow is itself
-// reported. The directive covers its own line (trailing comment) and
-// the first line after its comment group (standalone comment above the
-// offending statement). Livenet and cmd code legitimately touch the
-// wall clock; the directive is how they say so in place, with the
-// justification kept next to the code it excuses.
+// sinkctx, recoverscope, obsguard, deadexport) and <reason> is free
+// text explaining why the violation is intentional — the reason is
+// mandatory; a bare allow is itself reported. The directive covers its
+// own line (trailing comment) and the first line after its comment
+// group (standalone comment above the offending statement). Livenet and
+// cmd code legitimately touch the wall clock; the directive is how they
+// say so in place, with the justification kept next to the code it
+// excuses.
 package lint
 
 import (
@@ -73,6 +77,9 @@ type Pass struct {
 	// PkgPath is the import path under analysis (Pkg.Path(), kept
 	// separately so synthetic testdata packages can carry real paths).
 	PkgPath string
+	// Module is the whole main module, for rules that read uses across
+	// packages (nil when the package was checked on its own).
+	Module *Module
 
 	supp  *suppressions
 	diags *[]Diagnostic
@@ -96,7 +103,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // runs exactly this set; the driver's meta-test asserts no analyzer
 // declared in this package is missing from it.
 func All() []*Analyzer {
-	return []*Analyzer{Detwall, Hotalloc, Metriclaws, Sinkctx, Recoverscope, Obsguard}
+	return []*Analyzer{Detwall, Hotalloc, Metriclaws, Sinkctx, Recoverscope, Obsguard, Deadexport}
 }
 
 // knownRule reports whether name names a registered analyzer (used to
@@ -220,6 +227,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				PkgPath:  pkg.Path,
+				Module:   pkg.Module,
 				supp:     supp,
 				diags:    &diags,
 			}

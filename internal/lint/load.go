@@ -36,6 +36,23 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Module is the main module of the run that loaded the package (nil
+	// for a package loadDir checks on its own).
+	Module *Module
+}
+
+// A Module is the main module as one Load saw it: its path and every
+// non-test package in it, typechecked in one file set whatever patterns
+// chose the packages under analysis. A rule that judges a declaration
+// by its uses across the module (deadexport) reads it, so it reports
+// the same for one package as for ./... .
+type Module struct {
+	Path     string
+	Packages []*Package // sorted by import path
+
+	// dead memoizes deadexport's module-wide verdict: the unused
+	// exported declarations of each internal package, by import path.
+	dead map[string][]exportedDecl
 }
 
 // listedPackage is the subset of `go list -json` output hbvet consumes.
@@ -46,17 +63,19 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Main bool }
 	Error      *struct{ Err string }
 }
 
-// goList runs `go list -export -deps -json` over patterns in dir and
-// returns the decoded packages (dependencies first, roots flagged with
-// DepOnly=false).
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error",
-	}, patterns...)
+// goList runs `go list -json` over patterns in dir and returns the
+// decoded packages. With deps it lists their dependencies too (first,
+// roots flagged with DepOnly=false) and builds their export data.
+func goList(dir string, deps bool, patterns []string) ([]*listedPackage, error) {
+	args := []string{"list", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Module,Error"}
+	if deps {
+		args = append(args, "-export", "-deps")
+	}
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -103,16 +122,31 @@ func newTypesInfo() *types.Info {
 }
 
 // Load typechecks the packages matching patterns (resolved relative to
-// dir, e.g. "./..."), returning them sorted by import path. Test files
-// are not loaded: hbvet checks the shipped sources; tests measure wall
-// time and seed ad-hoc RNGs legitimately.
+// dir, e.g. "./..."), returning them sorted by import path. It also
+// typechecks the rest of the main module, which each returned package's
+// Module lists, so a module-wide rule sees every use whatever the
+// patterns. Test files are not loaded: hbvet checks the shipped
+// sources; tests measure wall time and seed ad-hoc RNGs legitimately,
+// and a name only tests use is what deadexport reports.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, patterns)
+	modPath, err := mainModulePath(dir)
 	if err != nil {
 		return nil, err
+	}
+	named, err := goList(dir, false, patterns)
+	if err != nil {
+		return nil, err
+	}
+	listed, err := goList(dir, true, append(patterns[:len(patterns):len(patterns)], modPath+"/..."))
+	if err != nil {
+		return nil, err
+	}
+	requested := make(map[string]bool, len(named))
+	for _, p := range named {
+		requested[p.ImportPath] = true
 	}
 	exports := make(map[string]string, len(listed))
 	var roots []*listedPackage
@@ -131,7 +165,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	pkgs := make([]*Package, 0, len(roots))
+	mod := &Module{Path: modPath}
+	var targets []*Package
 	for _, r := range roots {
 		files := make([]string, len(r.GoFiles))
 		for i, f := range r.GoFiles {
@@ -141,17 +176,36 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		pkg.Module = mod
+		if r.Module != nil && r.Module.Main {
+			mod.Packages = append(mod.Packages, pkg)
+		}
+		if requested[r.ImportPath] {
+			targets = append(targets, pkg)
+		}
 	}
-	return pkgs, nil
+	return targets, nil
 }
 
-// LoadDir typechecks a single directory of Go files as the package at
+// mainModulePath returns the path of the module dir belongs to.
+func mainModulePath(dir string) (string, error) {
+	cmd := exec.Command("go", "list", "-m")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("go list -m: %v\n%s", err, stderr.String())
+	}
+	return string(bytes.TrimSpace(out)), nil
+}
+
+// loadDir typechecks a single directory of Go files as the package at
 // the given (possibly synthetic) import path, resolving its imports via
 // `go list -export` run from moduleDir. This is the testdata loader:
 // testdata packages live outside the module's package graph but still
 // get full type information.
-func LoadDir(moduleDir, pkgDir, pkgPath string) (*Package, error) {
+func loadDir(moduleDir, pkgDir, pkgPath string) (*Package, error) {
 	entries, err := os.ReadDir(pkgDir)
 	if err != nil {
 		return nil, err
@@ -194,7 +248,7 @@ func LoadDir(moduleDir, pkgDir, pkgPath string) (*Package, error) {
 
 	exports := make(map[string]string)
 	if len(patterns) > 0 {
-		listed, err := goList(moduleDir, patterns)
+		listed, err := goList(moduleDir, true, patterns)
 		if err != nil {
 			return nil, err
 		}

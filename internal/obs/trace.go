@@ -241,6 +241,8 @@ type traceEvent struct {
 // touch but never partially overlap. This is the trace-smoke oracle: it
 // proves a crawl's trace loads in Perfetto-compatible tooling without
 // needing Perfetto in CI.
+//
+//hbvet:allow deadexport check tests compare against: the trace validator of obs's tests, the root trace_test.go and trace-smoke (TestTraceArtifact)
 func ValidateTrace(r io.Reader) error {
 	var doc struct {
 		TraceEvents []traceEvent `json:"traceEvents"`

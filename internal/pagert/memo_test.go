@@ -31,7 +31,7 @@ func memoTestDocs(t *testing.T, n int) []*htmlmeta.Document {
 
 // Concurrent first visits of the same pages share one decode per
 // config: every caller gets the same *PageConfig (or the same error),
-// equal to what the pure ExtractConfig decodes.
+// equal to what a memo-less decode gives.
 func TestConfigMemoConcurrent(t *testing.T) {
 	docs := memoTestDocs(t, 16)
 	var memo ConfigMemo
@@ -56,9 +56,9 @@ func TestConfigMemoConcurrent(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		for i := range docs {
 			j := (i + g) % len(docs)
-			want, wantErr := ExtractConfig(docs[j])
+			want, wantErr := decode(docs[j])
 			if !reflect.DeepEqual(got[g][i], want) || (errs[g][i] == nil) != (wantErr == nil) {
-				t.Fatalf("goroutine %d page %d: Extract = %+v, %v; ExtractConfig = %+v, %v",
+				t.Fatalf("goroutine %d page %d: Extract = %+v, %v; decode = %+v, %v",
 					g, j, got[g][i], errs[g][i], want, wantErr)
 			}
 			// Goroutine 0 read page j at index j.

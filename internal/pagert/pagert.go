@@ -63,16 +63,6 @@ func (c *PageConfig) InlineScript() (string, error) {
 	return "var " + ConfigMarker + " = " + string(blob) + ";", nil
 }
 
-// ExtractConfig finds and parses the inline configuration in a document.
-// It returns (nil, nil) when the page carries no HB config.
-func ExtractConfig(doc *htmlmeta.Document) (*PageConfig, error) {
-	inline, ok := configScript(doc)
-	if !ok {
-		return nil, nil
-	}
-	return parseInlineConfig(inline)
-}
-
 // configScript returns the text of the document's inline config script.
 func configScript(doc *htmlmeta.Document) (string, bool) {
 	for _, s := range doc.Scripts {
@@ -105,7 +95,7 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 	return &cfg, nil
 }
 
-// ConfigMemo memoizes ExtractConfig by inline-script text for one world:
+// ConfigMemo memoizes Extract's decode by inline-script text for one world:
 // a crawl re-visits each generated page every crawl day, and a sweep
 // crawls the same pages once per variant, so decoding the same config
 // JSON on every visit was a measurable slice of crawl CPU. The world
@@ -131,14 +121,16 @@ type memoConfig struct {
 // Seed records cfg as the outcome of decoding inline, the config script
 // a renderer wrote with cfg.InlineScript, so the page's first visit
 // reads the value the renderer already holds instead of decoding the
-// renderer's own output. cfg must deep-equal what ExtractConfig decodes
+// renderer's own output. cfg must deep-equal what Extract decodes
 // from inline (sizes normalized) and is shared read-only from here on.
 // Text that already has an outcome keeps it.
 func (m *ConfigMemo) Seed(inline string, cfg *PageConfig) {
 	m.m.LoadOrStore(inline, &memoConfig{cfg: cfg})
 }
 
-// Extract is ExtractConfig memoized on the config script's text.
+// Extract finds and parses the inline configuration in a document,
+// memoized on the config script's text. It returns (nil, nil) when the
+// page carries no HB config.
 func (m *ConfigMemo) Extract(doc *htmlmeta.Document) (*PageConfig, error) {
 	inline, ok := configScript(doc)
 	if !ok {

@@ -8,6 +8,13 @@ import (
 	"headerbid/internal/prebid"
 )
 
+// decode extracts a page's config without a memo: a nil *ConfigMemo
+// decodes every call.
+func decode(doc *htmlmeta.Document) (*PageConfig, error) {
+	var m *ConfigMemo
+	return m.Extract(doc)
+}
+
 func TestInlineScriptRoundTrip(t *testing.T) {
 	cfg := &PageConfig{
 		Site:        "pub.example",
@@ -27,7 +34,7 @@ func TestInlineScriptRoundTrip(t *testing.T) {
 		t.Fatalf("inline = %q", inline)
 	}
 	doc := htmlmeta.Parse("<head><script>" + inline + "</script></head>")
-	back, err := ExtractConfig(doc)
+	back, err := decode(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +48,7 @@ func TestInlineScriptRoundTrip(t *testing.T) {
 
 func TestExtractConfigAbsent(t *testing.T) {
 	doc := htmlmeta.Parse("<head><script>var other = 1;</script></head>")
-	cfg, err := ExtractConfig(doc)
+	cfg, err := decode(doc)
 	if err != nil || cfg != nil {
 		t.Fatalf("cfg=%v err=%v, want nil,nil", cfg, err)
 	}
@@ -49,11 +56,11 @@ func TestExtractConfigAbsent(t *testing.T) {
 
 func TestExtractConfigMalformed(t *testing.T) {
 	doc := htmlmeta.Parse("<head><script>var " + ConfigMarker + " = {broken;</script></head>")
-	if _, err := ExtractConfig(doc); err == nil {
+	if _, err := decode(doc); err == nil {
 		t.Fatal("malformed config accepted")
 	}
 	doc2 := htmlmeta.Parse("<head><script>var " + ConfigMarker + " = notjson;</script></head>")
-	if _, err := ExtractConfig(doc2); err == nil {
+	if _, err := decode(doc2); err == nil {
 		t.Fatal("config without braces accepted")
 	}
 }
@@ -61,7 +68,7 @@ func TestExtractConfigMalformed(t *testing.T) {
 func TestExtractConfigBadSizes(t *testing.T) {
 	doc := htmlmeta.Parse(`<head><script>var ` + ConfigMarker +
 		` = {"site":"x","facet":"client","adUnits":[{"code":"u","sizes":["banana"]}]};</script></head>`)
-	if _, err := ExtractConfig(doc); err == nil {
+	if _, err := decode(doc); err == nil {
 		t.Fatal("invalid slot size accepted")
 	}
 }

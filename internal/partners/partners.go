@@ -221,10 +221,8 @@ type Registry struct {
 	// reallocates instead of scribbling over the shared backing array;
 	// the contents themselves are shared and must not be modified.
 	all        []*Profile
-	slugs      []string
 	bidders    []*Profile
 	serverSide []*Profile
-	domains    map[string]bool
 	rankBySlug map[string]int
 
 	wireOnce sync.Once // renderWire
@@ -269,11 +267,9 @@ func NewRegistry(profiles []Profile) *Registry {
 	}
 	sort.SliceStable(r.all, func(a, b int) bool { return r.all[a].Weight > r.all[b].Weight })
 
-	r.slugs = make([]string, len(r.all))
 	r.rankBySlug = make(map[string]int, len(r.all))
 	var nBidders, nServer int
 	for i, p := range r.all {
-		r.slugs[i] = p.Slug
 		r.rankBySlug[p.Slug] = i + 1
 		if p.HasRole(RoleBidder) {
 			nBidders++
@@ -292,10 +288,6 @@ func NewRegistry(profiles []Profile) *Registry {
 			r.serverSide = append(r.serverSide, p)
 		}
 	}
-	r.domains = make(map[string]bool, len(r.byDomain))
-	for d := range r.byDomain {
-		r.domains[d] = true
-	}
 	return r
 }
 
@@ -309,10 +301,6 @@ func (r *Registry) Len() int { return len(r.profiles) }
 // order, as used when the paper bins partners by popularity). The slice
 // is shared and computed at construction; callers must not modify it.
 func (r *Registry) All() []*Profile { return r.all }
-
-// Slugs returns all slugs in popularity order. The slice is shared;
-// callers must not modify it.
-func (r *Registry) Slugs() []string { return r.slugs }
 
 // BySlug looks a partner up by bidder code.
 func (r *Registry) BySlug(slug string) (*Profile, bool) {
@@ -337,12 +325,6 @@ func (r *Registry) ByDomain(domain string) (*Profile, bool) {
 	p, ok := r.byDomain[domain]
 	return p, ok
 }
-
-// Domains returns the registrable-domain set of all partner endpoints —
-// the "HB list" the WebRequest inspector applies (Figure 3). The map is
-// shared and computed at construction (every per-visit detector holds
-// this set); callers must treat it as read-only.
-func (r *Registry) Domains() map[string]bool { return r.domains }
 
 // Bidders returns the partners that can answer client-side bid requests,
 // in popularity order. The slice is shared; callers must not modify it.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"headerbid/internal/rng"
+	"headerbid/internal/urlkit"
 )
 
 func TestDefaultRegistryHas84Partners(t *testing.T) {
@@ -198,11 +199,15 @@ func TestEndpointsResolveBackToPartner(t *testing.T) {
 	}
 }
 
+// TestDomainsCoverAllPartners: every partner's registrable endpoint
+// domain attributes to that partner (no two partners share a domain).
 func TestDomainsCoverAllPartners(t *testing.T) {
 	r := Default()
-	d := r.Domains()
-	if len(d) != r.Len() {
-		t.Fatalf("domain set has %d entries, want %d (host collision?)", len(d), r.Len())
+	for _, p := range r.All() {
+		got, ok := r.ByDomain(urlkit.RegistrableDomain(p.Host))
+		if !ok || got != p {
+			t.Fatalf("domain of %s attributes to %v (host collision?)", p.Slug, got)
+		}
 	}
 }
 

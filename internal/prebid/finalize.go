@@ -359,11 +359,3 @@ func winNURL(host, auctionID, bidder string, cpm float64) string {
 	b = strconv.AppendFloat(b, cpm, 'f', 4, 64)
 	return string(b)
 }
-
-// WaitBudget estimates how long a caller should let the page settle after
-// RequestBids for everything (timeout, ad server, renders, beacons) to
-// conclude: the wrapper deadline plus a grace period, matching the
-// crawler's "page loaded + 5 seconds" policy.
-func (c Config) WaitBudget() time.Duration {
-	return c.Timeout() + 5*time.Second
-}

@@ -191,14 +191,6 @@ type Result struct {
 	Bidders []BidderResult
 }
 
-// TotalLatency is the paper's per-site HB latency metric.
-func (r *Result) TotalLatency() time.Duration {
-	if r.AdServerResponded.IsZero() || r.FirstBidRequest.IsZero() {
-		return 0
-	}
-	return r.AdServerResponded.Sub(r.FirstBidRequest)
-}
-
 // Wrapper is one page's prebid instance. It runs one auction round at a
 // time: the round's state lives in the wrapper and is reused by its next
 // round, and by the next page after Reset, so a pooled wrapper allocates
@@ -229,16 +221,9 @@ type Wrapper struct {
 	renders []renderCall  // one per rendered slot
 }
 
-// New creates a wrapper. bus receives the wrapper's DOM events; reg maps
-// bidder codes to endpoints.
-func New(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) *Wrapper {
-	w := &Wrapper{}
-	w.Reset(env, bus, reg, cfg)
-	return w
-}
-
-// Reset rebinds the wrapper to a new page, as New would create it,
-// keeping its round storage for reuse.
+// Reset binds the wrapper to a page, keeping its round storage for
+// reuse: bus receives the wrapper's DOM events; reg maps bidder codes to
+// endpoints. The zero Wrapper is ready for its first Reset.
 func (w *Wrapper) Reset(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) {
 	w.env, w.bus, w.reg, w.cfg = env, bus, reg, cfg
 	w.traceSrc, _ = env.(obs.TraceSource)
@@ -308,7 +293,7 @@ func (w *Wrapper) collectBidders() {
 	out := w.bidders[:0]
 	for _, u := range w.cfg.AdUnits {
 		for _, b := range u.Bidders {
-			if !contains(out, b) {
+			if !slices.Contains(out, b) {
 				out = append(out, b)
 			}
 		}
@@ -394,7 +379,7 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 	for _, u := range w.cfg.AdUnits {
 		formats := w.formats[off : off+len(u.Sizes) : off+len(u.Sizes)]
 		off += len(u.Sizes)
-		if !contains(u.Bidders, bidder) {
+		if !slices.Contains(u.Bidders, bidder) {
 			continue
 		}
 		imps = append(imps, rtb.Impression{
@@ -570,15 +555,6 @@ func (w *Wrapper) maybeEarlyFinalize(round *roundState) {
 	if !round.finalized && round.pending == 0 {
 		round.finalizeAuction()
 	}
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // appendID renders "<prefix><sep><n>" (the auction-ID shape previously

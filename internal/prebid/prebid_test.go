@@ -125,17 +125,37 @@ func testConfig(units int, bidders ...string) Config {
 	return cfg
 }
 
-func runWrapper(t *testing.T, env *fakeEnv, cfg Config) (*Result, *events.Bus) {
+func runWrapper(t *testing.T, env *fakeEnv, cfg Config) (*Result, *eventLog) {
 	t.Helper()
-	bus := events.NewBus()
-	w := New(env, bus, partners.Default(), cfg)
+	bus := new(events.Bus)
+	log := logEvents(bus)
+	var w Wrapper
+	w.Reset(env, bus, partners.Default(), cfg)
 	var result *Result
 	w.RequestBids(func(r *Result) { result = r })
 	env.sched.Run()
 	if result == nil {
 		t.Fatal("wrapper never completed")
 	}
-	return result, bus
+	return result, log
+}
+
+// eventLog keeps every event a bus emits, in order.
+type eventLog struct{ events []events.Event }
+
+func logEvents(bus *events.Bus) *eventLog {
+	l := &eventLog{}
+	bus.SubscribeAll(func(e events.Event) { l.events = append(l.events, e) })
+	return l
+}
+
+// counts tallies the log by event type.
+func (l *eventLog) counts() map[events.Type]int {
+	out := make(map[events.Type]int)
+	for _, e := range l.events {
+		out[e.Type]++
+	}
+	return out
 }
 
 func TestAuctionHappyPath(t *testing.T) {
@@ -144,7 +164,7 @@ func TestAuctionHappyPath(t *testing.T) {
 		map[string]time.Duration{"appnexus": 200 * time.Millisecond, "rubicon": 300 * time.Millisecond},
 		map[string]float64{"appnexus": 0.50, "rubicon": 0.80},
 	)
-	res, bus := runWrapper(t, env, testConfig(2, "appnexus", "rubicon"))
+	res, evs := runWrapper(t, env, testConfig(2, "appnexus", "rubicon"))
 
 	if len(res.Units) != 2 {
 		t.Fatalf("units = %d", len(res.Units))
@@ -162,11 +182,11 @@ func TestAuctionHappyPath(t *testing.T) {
 	}
 
 	// Early finalize: both bidders answered well before the 3s deadline.
-	if lat := res.TotalLatency(); lat > time.Second || lat < 300*time.Millisecond {
+	if lat := res.AdServerResponded.Sub(res.FirstBidRequest); lat > time.Second || lat < 300*time.Millisecond {
 		t.Fatalf("total latency = %v, want ≈350ms (early finalize)", lat)
 	}
 
-	counts := bus.CountByType()
+	counts := evs.counts()
 	if counts[events.AuctionInit] != 2 || counts[events.AuctionEnd] != 2 {
 		t.Fatalf("auction events: %v", counts)
 	}
@@ -205,7 +225,7 @@ func TestLateBidderExcludedFromAuction(t *testing.T) {
 		},
 		map[string]float64{"appnexus": 0.10, "rubicon": 9.99},
 	)
-	res, bus := runWrapper(t, env, testConfig(1, "appnexus", "rubicon"))
+	res, evs := runWrapper(t, env, testConfig(1, "appnexus", "rubicon"))
 
 	u := res.Units[0]
 	if u.Winner == nil || u.Winner.Bidder != "appnexus" {
@@ -223,11 +243,11 @@ func TestLateBidderExcludedFromAuction(t *testing.T) {
 	if !lateSeen {
 		t.Fatal("late bid not recorded at all (the detector needs it)")
 	}
-	if bus.CountByType()[events.BidTimeout] != 1 {
-		t.Fatalf("bidTimeout events = %d, want 1", bus.CountByType()[events.BidTimeout])
+	if evs.counts()[events.BidTimeout] != 1 {
+		t.Fatalf("bidTimeout events = %d, want 1", evs.counts()[events.BidTimeout])
 	}
 	// The round finalized at the deadline, not at rubicon's 5s.
-	if lat := res.TotalLatency(); lat < 3*time.Second || lat > 4*time.Second {
+	if lat := res.AdServerResponded.Sub(res.FirstBidRequest); lat < 3*time.Second || lat > 4*time.Second {
 		t.Fatalf("total latency = %v, want just over 3s", lat)
 	}
 }
@@ -341,11 +361,11 @@ func TestRenderFailureFiresAdRenderFailed(t *testing.T) {
 		}
 		return bidderResponder(nil, map[string]float64{"appnexus": 0.5})(req)
 	}
-	res, bus := runWrapper(t, env, testConfig(1, "appnexus"))
+	res, evs := runWrapper(t, env, testConfig(1, "appnexus"))
 	if !res.Units[0].RenderFailed {
 		t.Fatal("render failure not recorded")
 	}
-	if bus.CountByType()[events.AdRenderFailed] != 1 {
+	if evs.counts()[events.AdRenderFailed] != 1 {
 		t.Fatal("adRenderFailed event missing")
 	}
 }
@@ -435,9 +455,9 @@ func TestBidResponsesAfterDeadlineStillEmitEvents(t *testing.T) {
 		map[string]time.Duration{"appnexus": 10 * time.Second},
 		map[string]float64{"appnexus": 1.0},
 	)
-	_, bus := runWrapper(t, env, testConfig(1, "appnexus"))
+	_, evs := runWrapper(t, env, testConfig(1, "appnexus"))
 	found := false
-	for _, e := range bus.History() {
+	for _, e := range evs.events {
 		if e.Type == events.BidResponse && e.Bidder == "appnexus" {
 			found = true
 		}
@@ -459,9 +479,9 @@ func TestBidTimeoutsInRequestOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		env := newFakeEnv()
 		env.respond = bidderResponder(late, nil)
-		_, bus := runWrapper(t, env, testConfig(1, bidders...))
+		_, evs := runWrapper(t, env, testConfig(1, bidders...))
 		var got []string
-		for _, e := range bus.History() {
+		for _, e := range evs.events {
 			if e.Type == events.BidTimeout {
 				got = append(got, e.Bidder)
 			}

@@ -90,7 +90,10 @@ func randomizedResponder(seed int64) func(req *webreq.Request) (time.Duration, *
 //  5. every bid belongs to a configured ad unit.
 func TestAuctionInvariantsProperty(t *testing.T) {
 	reg := partners.Default()
-	slugs := reg.Slugs()
+	var slugs []string
+	for _, p := range reg.All() {
+		slugs = append(slugs, p.Slug)
+	}
 
 	check := func(seed int64, nBiddersRaw, nUnitsRaw, timeoutRaw uint8) bool {
 		nBidders := int(nBiddersRaw)%6 + 1
@@ -120,7 +123,8 @@ func TestAuctionInvariantsProperty(t *testing.T) {
 
 		env := newFakeEnv()
 		env.respond = randomizedResponder(seed)
-		w := New(env, events.NewBus(), reg, cfg)
+		var w Wrapper
+		w.Reset(env, new(events.Bus), reg, cfg)
 		var result *Result
 		w.RequestBids(func(r *Result) { result = r })
 		env.sched.Run()
@@ -150,7 +154,7 @@ func TestAuctionInvariantsProperty(t *testing.T) {
 				return false // invariant 3
 			}
 		}
-		if lat := result.TotalLatency(); lat > deadline+2*time.Second {
+		if lat := result.AdServerResponded.Sub(result.FirstBidRequest); lat > deadline+2*time.Second {
 			return false // invariant 4
 		}
 		return true

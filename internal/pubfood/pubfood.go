@@ -80,14 +80,6 @@ type Result struct {
 	AdServerResponded time.Time
 }
 
-// TotalLatency mirrors the paper's HB latency definition.
-func (r *Result) TotalLatency() time.Duration {
-	if r.AdServerResponded.IsZero() {
-		return 0
-	}
-	return r.AdServerResponded.Sub(r.Started)
-}
-
 // Library drives one pubfood round.
 type Library struct {
 	env Env
@@ -329,7 +321,7 @@ func (l *Library) callAdServer(res *Result, bySlot map[string]*SlotResult,
 			}
 		}
 	}
-	params.Set("slots", joinComma(specs))
+	params.Set("slots", strings.Join(specs, ","))
 	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: params})
 
 	req := l.env.NewRequest()
@@ -422,15 +414,4 @@ func slotSize(slots []Slot, name string) hb.Size {
 		}
 	}
 	return hb.Size{}
-}
-
-func joinComma(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ","
-		}
-		out += x
-	}
-	return out
 }

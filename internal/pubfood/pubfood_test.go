@@ -82,9 +82,10 @@ func cfg() Config {
 	}
 }
 
-func runLib(t *testing.T, env *fakeEnv, c Config) (*Result, *events.Bus) {
+func runLib(t *testing.T, env *fakeEnv, c Config) (*Result, *eventLog) {
 	t.Helper()
-	bus := events.NewBus()
+	bus := new(events.Bus)
+	log := logEvents(bus)
 	lib := New(env, bus, partners.Default(), c)
 	var res *Result
 	lib.Start(func(r *Result) { res = r })
@@ -92,13 +93,31 @@ func runLib(t *testing.T, env *fakeEnv, c Config) (*Result, *events.Bus) {
 	if res == nil {
 		t.Fatal("pubfood round never completed")
 	}
-	return res, bus
+	return res, log
+}
+
+// eventLog keeps every event a bus emits, in order.
+type eventLog struct{ events []events.Event }
+
+func logEvents(bus *events.Bus) *eventLog {
+	l := &eventLog{}
+	bus.SubscribeAll(func(e events.Event) { l.events = append(l.events, e) })
+	return l
+}
+
+// counts tallies the log by event type.
+func (l *eventLog) counts() map[events.Type]int {
+	out := make(map[events.Type]int)
+	for _, e := range l.events {
+		out[e.Type]++
+	}
+	return out
 }
 
 func TestPubfoodHappyPath(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = responder(150*time.Millisecond, 0.33)
-	res, bus := runLib(t, env, cfg())
+	res, evs := runLib(t, env, cfg())
 
 	if len(res.Slots) != 1 {
 		t.Fatalf("slots = %d", len(res.Slots))
@@ -107,10 +126,10 @@ func TestPubfoodHappyPath(t *testing.T) {
 	if s.Winner == nil || s.Winner.CPM != 0.33 || !s.Rendered {
 		t.Fatalf("slot = %+v winner=%+v", s, s.Winner)
 	}
-	if res.TotalLatency() < 150*time.Millisecond {
-		t.Fatalf("latency = %v", res.TotalLatency())
+	if lat := res.AdServerResponded.Sub(res.Started); lat < 150*time.Millisecond {
+		t.Fatalf("latency = %v", lat)
 	}
-	counts := bus.CountByType()
+	counts := evs.counts()
 	for _, typ := range []events.Type{
 		events.AuctionInit, events.RequestBids, events.BidRequested,
 		events.BidResponse, events.AuctionEnd, events.BidWon,
@@ -121,7 +140,7 @@ func TestPubfoodHappyPath(t *testing.T) {
 		}
 	}
 	// Every event must carry the pubfood library label except renders.
-	for _, e := range bus.History() {
+	for _, e := range evs.events {
 		if e.Library != "pubfood.js" {
 			t.Fatalf("event %s has library %q", e.Type, e.Library)
 		}
@@ -185,7 +204,7 @@ func TestPubfoodMultiSlot(t *testing.T) {
 	env.respond = responder(100*time.Millisecond, 0.5)
 	c := cfg()
 	c.Slots = append(c.Slots, Slot{Name: "pf-2", Size: hb.SizeLeaderboard, Elem: "div-2"})
-	res, bus := runLib(t, env, c)
+	res, evs := runLib(t, env, c)
 	if len(res.Slots) != 2 {
 		t.Fatalf("slots = %d", len(res.Slots))
 	}
@@ -194,7 +213,7 @@ func TestPubfoodMultiSlot(t *testing.T) {
 			t.Fatalf("slot %s no winner", s.Slot)
 		}
 	}
-	if bus.CountByType()[events.AuctionInit] != 2 {
+	if evs.counts()[events.AuctionInit] != 2 {
 		t.Fatal("one auctionInit per slot expected")
 	}
 	// Single provider: exactly one bid request despite two slots.
@@ -222,9 +241,9 @@ func TestPubfoodBidTimeoutsInRequestOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		env := newFakeEnv()
 		env.respond = responder(5*time.Second, 1.0) // past the 2s deadline
-		_, bus := runLib(t, env, c)
+		_, evs := runLib(t, env, c)
 		var got []string
-		for _, e := range bus.History() {
+		for _, e := range evs.events {
 			if e.Type == events.BidTimeout {
 				got = append(got, e.Bidder)
 			}

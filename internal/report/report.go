@@ -59,15 +59,6 @@ func (r *Writer) FacetBreakdown(shares []analysis.FacetShare) {
 	}
 }
 
-// Figure4 renders the adoption-over-years study.
-func (r *Writer) Figure4(years []analysis.YearAdoption) {
-	r.Section("Figure 4: HB adoption per year (top-1k lists, static analysis)")
-	for _, y := range years {
-		r.printf("%d  detected=%5.1f%%  (ground truth %5.1f%%)  %s\n",
-			y.Year, 100*y.Rate, 100*y.TrueRate, bar(y.Rate, 40))
-	}
-}
-
 // Figure8 renders top demand partners.
 func (r *Writer) Figure8(top []analysis.PartnerShare) {
 	r.Section("Figure 8: top Demand Partners (% of HB websites)")

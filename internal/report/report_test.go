@@ -118,15 +118,3 @@ func TestBarClamped(t *testing.T) {
 		t.Fatal("bar not clamped low")
 	}
 }
-
-func TestFigure4Rendering(t *testing.T) {
-	out := render(t, func(w *Writer) {
-		w.Figure4([]analysis.YearAdoption{
-			{Year: 2014, Sites: 1000, Detected: 100, Rate: 0.10, TrueRate: 0.10},
-			{Year: 2019, Sites: 1000, Detected: 210, Rate: 0.21, TrueRate: 0.21},
-		})
-	})
-	if !strings.Contains(out, "2014") || !strings.Contains(out, "2019") {
-		t.Fatalf("figure 4 output:\n%s", out)
-	}
-}

@@ -112,6 +112,8 @@ func (n Name) Append(s string) Name {
 // derivation uses only the parent's stable key — never its generator
 // state — so the child is identical regardless of how many draws the
 // parent has made or how many siblings were derived first.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only the rng tests call it (the five TestDerive* tests and TestSeedingIsCheap)
 func (s *Stream) Derive(name string) *Stream {
 	c := &Stream{}
 	c.reseed(mix64(s.key ^ uint64(NameOf(name))))
@@ -229,11 +231,6 @@ func (s *Stream) NormFloat64() float64 {
 	}
 }
 
-// Normal returns a normal sample with the given mean and stddev.
-func (s *Stream) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.NormFloat64()
-}
-
 // LogNormal returns a lognormal sample: exp(N(mu, sigma)). Latencies of
 // demand partners are modelled lognormally, matching the long-tailed
 // response times the paper reports (medians 41ms-1290ms with heavy tails).
@@ -243,6 +240,8 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 
 // Exponential returns an exponential sample with the given mean
 // (inversion: -mean * ln(1-U), with 1-U in (0,1]).
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestExponentialMean calls it
 func (s *Stream) Exponential(mean float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -251,6 +250,8 @@ func (s *Stream) Exponential(mean float64) float64 {
 }
 
 // Pareto returns a bounded Pareto sample with shape alpha on [lo, hi].
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestParetoBounds calls it
 func (s *Stream) Pareto(alpha, lo, hi float64) float64 {
 	if lo <= 0 || hi <= lo || alpha <= 0 {
 		return lo
@@ -270,13 +271,6 @@ func (s *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle shuffles n elements using swap (Fisher-Yates).
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, s.Intn(i+1))
-	}
 }
 
 // Categorical samples an index proportionally to weights. Zero or negative
@@ -307,6 +301,8 @@ func (s *Stream) Categorical(weights []float64) int {
 // ZipfWeights returns weights proportional to 1/(rank+q)^alpha for ranks
 // 0..n-1. The demand-partner popularity distribution in the paper (DFP at
 // 80% of sites, a long tail of 84 partners) is strongly Zipf-like.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestZipfWeightsDecreasing calls it
 func ZipfWeights(n int, alpha, q float64) []float64 {
 	w := make([]float64, n)
 	for i := range w {

@@ -12,14 +12,12 @@ import (
 	"strconv"
 	"time"
 
-	"headerbid/internal/hb"
 	"headerbid/internal/rng"
 )
 
 // Impression describes one ad opportunity inside a bid request.
 type Impression struct {
-	ID    string    `json:"id"`
-	Sizes []hb.Size `json:"-"`
+	ID string `json:"id"`
 	// Banner mirrors the OpenRTB banner object on the wire.
 	Banner   Banner  `json:"banner"`
 	FloorCPM float64 `json:"bidfloor,omitempty"`
@@ -95,11 +93,6 @@ type BidResponse struct {
 	Currency string    `json:"cur,omitempty"`
 	NBR      int       `json:"nbr,omitempty"` // no-bid reason
 }
-
-// Encode marshals a request to JSON via the hand-rolled codec
-// (codec.go); the bytes are identical to json.Marshal's. It never fails
-// for the types above but the error is surfaced for API honesty.
-func (r *BidRequest) Encode() ([]byte, error) { return r.AppendJSON(nil) }
 
 // DecodeBidResponse parses a partner response body. It takes the body
 // as a string because that is how webreq carries it — the codec decodes

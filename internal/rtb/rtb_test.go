@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"headerbid/internal/hb"
 	"headerbid/internal/rng"
 )
 
@@ -23,7 +22,7 @@ func sampleRequest() *BidRequest {
 
 func TestBidRequestEncodeDecode(t *testing.T) {
 	req := sampleRequest()
-	blob, err := req.Encode()
+	blob, err := req.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestExchangeRunDeterminism(t *testing.T) {
 func TestBidRequestExtSurvivesJSON(t *testing.T) {
 	req := sampleRequest()
 	req.Ext = json.RawMessage(`{"prebid":{"bidder":"rubicon"}}`)
-	blob, _ := req.Encode()
+	blob, _ := req.AppendJSON(nil)
 	var back BidRequest
 	json.Unmarshal(blob, &back)
 	var ext map[string]map[string]string
@@ -189,11 +188,13 @@ func TestBidRequestExtSurvivesJSON(t *testing.T) {
 	}
 }
 
+// TestImpressionSizesNotSerialized: an impression's sizes travel only
+// as its banner's format list, never as a field of their own.
 func TestImpressionSizesNotSerialized(t *testing.T) {
-	imp := Impression{ID: "a", Sizes: []hb.Size{{W: 300, H: 250}}}
+	imp := Impression{ID: "a", Banner: Banner{Format: []Format{{W: 300, H: 250}}}}
 	blob, _ := json.Marshal(imp)
-	if string(blob) == "" || jsonHas(blob, "Sizes") {
-		t.Fatalf("Sizes leaked to wire: %s", blob)
+	if string(blob) == "" || jsonHas(blob, "Sizes") || jsonHas(blob, "sizes") || !jsonHas(blob, "banner") {
+		t.Fatalf("sizes leaked to wire: %s", blob)
 	}
 }
 

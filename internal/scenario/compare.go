@@ -132,16 +132,6 @@ func (c *Comparison) Variants() []VariantResult {
 	return out
 }
 
-// Axis returns the named axis comparison, or nil.
-func (c *Comparison) Axis(name string) *AxisComparison {
-	for i := range c.Axes {
-		if c.Axes[i].Axis == name {
-			return &c.Axes[i]
-		}
-	}
-	return nil
-}
-
 // Render writes the comparison as delta tables, one per axis, each row
 // contrasted against the shared baseline. Output is deterministic for
 // deterministic inputs (fixed column formats, no map iteration).

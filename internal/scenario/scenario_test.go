@@ -72,8 +72,8 @@ func TestTimeoutAxisLateBidRateMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ax := cmp.Axis("timeout")
-	if ax == nil || len(ax.Variants) != 4 {
+	ax := &cmp.Axes[0]
+	if ax.Axis != "timeout" || len(ax.Variants) != 4 {
 		t.Fatalf("timeout axis missing or wrong size: %+v", ax)
 	}
 	if ax.Variants[0].Bids == 0 {

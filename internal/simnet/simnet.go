@@ -75,17 +75,6 @@ type FaultMode struct {
 	RampPerSecond float64
 }
 
-// Resolver lazily supplies handlers for hosts that were not explicitly
-// registered with Handle. The network consults it on the first request to
-// an unknown host and memoizes the result, so a world with thousands of
-// potential hosts only materializes handlers for the handful a visit
-// actually contacts (see sitegen.InstallSimnetFor).
-type Resolver interface {
-	// Resolve maps a registrable-domain key to a handler; ok=false means
-	// the host does not exist (dead DNS).
-	Resolve(domainKey string) (h Handler, ok bool)
-}
-
 // BoundHandler is the closure-free form of Handler: a static function
 // plus the receiver-style argument it is invoked with. Because func
 // values and pointers are both pointer-shaped, building and memoizing a
@@ -107,8 +96,12 @@ func runPlainHandler(req *webreq.Request, arg any) (int, string, time.Duration) 
 	return arg.(Handler)(req)
 }
 
-// CallResolver is the closure-free analogue of Resolver: it yields a
-// pre-bound (fn, arg) pair instead of materializing a closure per host.
+// CallResolver lazily supplies handlers for hosts that were not
+// explicitly registered with Handle. The network consults it on the
+// first request to an unknown host and memoizes the result, so a world
+// with thousands of potential hosts only materializes handlers for the
+// handful a visit actually contacts (see sitegen.World.InstallVisit).
+// It yields a pre-bound (fn, arg) pair, never a closure per host.
 type CallResolver interface {
 	// ResolveCall maps a registrable-domain key to a bound handler;
 	// ok=false means the host does not exist (dead DNS).
@@ -121,9 +114,8 @@ type Network struct {
 	Sched *clock.Scheduler
 
 	hosts        map[string]BoundHandler
-	resolver     Resolver
 	callResolver CallResolver
-	resolved     map[string]BoundHandler // memoized resolver hits; flushed by SetResolver/SetCallResolver
+	resolved     map[string]BoundHandler // memoized resolver hits; flushed by SetCallResolver
 	faults       FaultTable
 	faultsShared bool // faults came from ShareFaults: read-only, copied before the first write
 	rng          *rng.Stream
@@ -188,7 +180,6 @@ func (n *Network) Reset(seed int64) {
 	}
 	clear(n.hosts)
 	clear(n.resolved)
-	n.resolver = nil
 	n.callResolver = nil
 	n.faults, n.faultsShared = nil, false // never clear: the table may be shared
 	n.rng.Reseed(seed)
@@ -215,42 +206,25 @@ func (n *Network) SetRTT(base, jitter time.Duration) {
 
 // Handle registers (or replaces) a virtual host. Host matching is by
 // exact lower-case hostname.
+//
+//hbvet:allow deadexport test seam: the simnet tests and the crawler's chaos tests register stub hosts with it; a crawl resolves its hosts through SetCallResolver
 func (n *Network) Handle(host string, h Handler) {
 	n.hosts[hostKey(host)] = BoundHandler{Fn: runPlainHandler, Arg: h}
 }
 
-// HandleCall registers a virtual host with a pre-bound handler (the
-// closure-free registration form).
-func (n *Network) HandleCall(host string, h BoundHandler) {
-	n.hosts[hostKey(host)] = h
-}
-
-// HandleFunc is Handle with an inline function (symmetry with net/http).
-func (n *Network) HandleFunc(host string, h func(req *webreq.Request) (int, string, time.Duration)) {
-	n.Handle(host, h)
-}
-
-// SetResolver installs (or clears, with nil) the lazy host resolver.
+// SetCallResolver installs (or clears, with nil) the lazy host resolver.
 // Explicit Handle registrations take precedence. Handlers memoized from
 // a previous resolver are flushed, so re-installing a world (a new
 // resolver bound to a new per-visit ecosystem) never serves handlers
 // captured for the old one.
-func (n *Network) SetResolver(r Resolver) {
-	n.resolver = r
-	clear(n.resolved) // storage is reused; the entries must not be
-}
-
-// SetCallResolver installs (or clears, with nil) the closure-free lazy
-// resolver. It takes precedence over a Resolver when both are set, and
-// flushes memoized handlers the same way SetResolver does.
 func (n *Network) SetCallResolver(r CallResolver) {
 	n.callResolver = r
-	clear(n.resolved)
+	clear(n.resolved) // storage is reused; the entries must not be
 }
 
 // lookup finds the handler for a registrable-domain key: the explicit
 // host table first, then the memoized resolver results, then the
-// resolvers themselves.
+// resolver itself.
 func (n *Network) lookup(key string) (BoundHandler, bool) {
 	if h, ok := n.hosts[key]; ok {
 		return h, true
@@ -262,13 +236,6 @@ func (n *Network) lookup(key string) (BoundHandler, bool) {
 		if h, ok := n.callResolver.ResolveCall(key); ok {
 			n.memoize(key, h)
 			return h, true
-		}
-	}
-	if n.resolver != nil {
-		if h, ok := n.resolver.Resolve(key); ok {
-			bh := BoundHandler{Fn: runPlainHandler, Arg: h}
-			n.memoize(key, bh)
-			return bh, true
 		}
 	}
 	return BoundHandler{}, false
@@ -303,6 +270,8 @@ func (n *Network) ShareFaults(t FaultTable) {
 }
 
 // Fault installs a fault mode for a host.
+//
+//hbvet:allow deadexport test seam: the simnet fault tests and the crawler's VisitHook chaos tests (faults_test.go) inject per-host faults with it; a crawl shares its compiled table through ShareFaults
 func (n *Network) Fault(host string, f FaultMode) {
 	n.ownFaults()
 	if n.faults == nil {
@@ -312,6 +281,8 @@ func (n *Network) Fault(host string, f FaultMode) {
 }
 
 // ClearFault removes a host's fault mode.
+//
+//hbvet:allow deadexport test seam: the simnet fault tests and the crawler's VisitHook chaos tests (faults_test.go) lift injected faults with it
 func (n *Network) ClearFault(host string) {
 	n.ownFaults()
 	delete(n.faults, hostKey(host))
@@ -416,9 +387,6 @@ func garbleBody(body string) string {
 	}
 	return `{"x_chaos":1,` + body[1:]
 }
-
-// Hosts returns the number of registered hosts.
-func (n *Network) Hosts() int { return len(n.hosts) }
 
 func hostKey(h string) string {
 	return urlkit.RegistrableDomain(h)

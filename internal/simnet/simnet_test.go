@@ -122,9 +122,6 @@ func TestRequestsCounted(t *testing.T) {
 	if n.Requests != 5 {
 		t.Fatalf("requests = %d", n.Requests)
 	}
-	if n.Hosts() != 1 {
-		t.Fatalf("hosts = %d", n.Hosts())
-	}
 }
 
 func TestDeterministicTiming(t *testing.T) {

@@ -864,38 +864,3 @@ func (w *World) InstallVisit(n *simnet.Network, s *Site, b *VisitBinding) *Ecosy
 	n.SetCallResolver(b)
 	return &b.eco
 }
-
-// InstallSimnet registers every host of the world on a simulated network:
-// all partner domains, all publisher domains, the creative host, and the
-// static CDNs. It returns the ecosystem for further (fault-injection)
-// control. Long-lived networks (fault-injection tests, servers) want the
-// eager registration; the crawler's per-visit path is InstallVisit.
-func (w *World) InstallSimnet(n *simnet.Network) *Ecosystem {
-	eco := NewEcosystemSeed(w, w.Cfg.Seed^n.Seed())
-	for key, t := range w.sharedTargets() {
-		t := t
-		//hbvet:allow hotalloc eager install runs once per long-lived network, not on the per-visit path (that is InstallVisit)
-		n.Handle(key, func(req *webreq.Request) (int, string, time.Duration) {
-			return t.dispatch(eco, req)
-		})
-	}
-	for _, s := range w.Sites {
-		w.installSite(n, eco, s)
-	}
-	return eco
-}
-
-// InstallSimnetFor registers only the hosts one visit can reach, with a
-// binding allocated for the occasion. Callers that visit repeatedly
-// (the crawler) should pool a VisitBinding and use InstallVisit.
-func (w *World) InstallSimnetFor(n *simnet.Network, s *Site) *Ecosystem {
-	return w.InstallVisit(n, s, &VisitBinding{})
-}
-
-func (w *World) installSite(n *simnet.Network, eco *Ecosystem, s *Site) {
-	s2 := s
-	//hbvet:allow hotalloc eager install runs once per long-lived network, not on the per-visit path (that is InstallVisit)
-	n.Handle(s.Domain, func(req *webreq.Request) (int, string, time.Duration) {
-		return eco.HandleSite(s2, req)
-	})
-}

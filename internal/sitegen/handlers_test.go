@@ -36,7 +36,7 @@ func bidRequestFor(t *testing.T, site *Site, bidder string, tmax int) *webreq.Re
 		Site: rtb.Site{Domain: site.Domain},
 		TMax: tmax,
 	}
-	body, err := breq.Encode()
+	body, err := breq.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestHandleSiteServesDocumentAndAdServer(t *testing.T) {
 }
 
 // TestClientAdServerCaseCollidingTargeting: per-slot targeting keys
-// that differ only in case resolve like hb.ParseTargeting — the
+// that differ only in case resolve like hb.ScanTargeting — the
 // lower-case spelling wins, though the upper-case one sorts first — on
 // every request.
 func TestClientAdServerCaseCollidingTargeting(t *testing.T) {
@@ -250,18 +250,33 @@ func TestClientAdServerCaseCollidingTargeting(t *testing.T) {
 	}
 }
 
+// TestInstallSimnetRegistersEverything: a visit installed on a network
+// resolves its site and every shared host (84 partners, the creative
+// host, the CDNs), and nothing else, and serves the page end to end.
 func TestInstallSimnetRegistersEverything(t *testing.T) {
 	w, _ := ecoWorld(t)
 	sched := clock.NewScheduler(time.Time{})
 	net := simnet.New(sched, 1)
-	w.InstallSimnet(net)
-	// 84 partners + 400 sites + creative host + CDNs.
-	if net.Hosts() < 84+400+4 {
-		t.Fatalf("hosts = %d", net.Hosts())
+	site := w.HBSites()[0]
+	var b VisitBinding
+	w.InstallVisit(net, site, &b)
+	if len(w.sharedTargets()) < 84+3 {
+		t.Fatalf("shared hosts = %d", len(w.sharedTargets()))
+	}
+	for key := range w.sharedTargets() {
+		if _, ok := b.ResolveCall(key); !ok {
+			t.Fatalf("shared host %s does not resolve", key)
+		}
+	}
+	other := w.Sites[0]
+	if other == site {
+		other = w.Sites[1]
+	}
+	if _, ok := b.ResolveCall(urlkit.RegistrableDomain(other.Domain)); ok {
+		t.Fatalf("unvisited site %s resolves", other.Domain)
 	}
 	// Fetch a real page through the network end to end.
 	env := net.Env()
-	site := w.HBSites()[0]
 	var resp *webreq.Response
 	env.Fetch(&webreq.Request{ID: 1, URL: site.PageURL(), Method: webreq.GET}, func(r *webreq.Response) {
 		resp = r
@@ -286,7 +301,7 @@ func TestBidPricesScaleWithSlotSize(t *testing.T) {
 				Site: rtb.Site{Domain: site.Domain},
 				TMax: 60000,
 			}
-			body, _ := breq.Encode()
+			body, _ := breq.AppendJSON(nil)
 			_, respBody, _ := eco.HandlePartner(p, &webreq.Request{
 				URL: "https://bid.adnxs.com/hb/v1/bid", Method: webreq.POST, Body: string(body),
 			})

@@ -43,7 +43,7 @@ func TestRenderedPagesPinned(t *testing.T) {
 // setup its bytes do not describe. Every HB page of two seeds' worlds is
 // checked: the memo's first answer for the page must be the seeded
 // config (its ad units share the site's arrays, which no decode does)
-// and deep-equal pagert.ExtractConfig on the page. The pages must cover
+// and deep-equal a memo-less decode of the page. The pages must cover
 // every facet and the pubfood, bad-wrapper, send-all-bids and
 // multi-device setups.
 func TestSeededConfigsMatchDecode(t *testing.T) {
@@ -52,7 +52,7 @@ func TestSeededConfigsMatchDecode(t *testing.T) {
 		w := genWorld(t, 3000, seed)
 		for _, s := range w.HBSites() {
 			doc := htmlmeta.Parse(w.PageHTML(s))
-			want, err := pagert.ExtractConfig(doc)
+			want, err := (*pagert.ConfigMemo)(nil).Extract(doc)
 			if err != nil || want == nil {
 				t.Fatalf("seed %d %s: page config does not decode: %v", seed, s.Domain, err)
 			}

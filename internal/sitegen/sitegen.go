@@ -57,9 +57,6 @@ type Config struct {
 	// per-device duplicates of their slots — the ">20 auctioned slots"
 	// oddity the paper investigates (§5.3).
 	MultiDeviceProb float64
-	// ForceTimeoutMS overrides every publisher's wrapper deadline when
-	// positive (the timeout ablation); 0 keeps the per-site sampling.
-	ForceTimeoutMS int
 }
 
 // DefaultConfig returns the calibration used for the headline experiments.
@@ -290,9 +287,6 @@ func generateSite(cfg Config, reg *partners.Registry, rank int) *Site {
 	curated := rank <= 2000 && r.Bool(0.7)
 	if curated && s.TimeoutMS > 2000 {
 		s.TimeoutMS = []int{1000, 1500, 2000}[r.Intn(3)]
-	}
-	if cfg.ForceTimeoutMS > 0 {
-		s.TimeoutMS = cfg.ForceTimeoutMS
 	}
 	badWrapperProb := cfg.BadWrapperProb
 	if curated {

@@ -320,7 +320,7 @@ func TestPageHTMLStructure(t *testing.T) {
 		}
 	}
 	// Config must parse back.
-	cfg, err := pagert.ExtractConfig(htmlmeta.Parse(html))
+	cfg, err := (*pagert.ConfigMemo)(nil).Extract(htmlmeta.Parse(html))
 	if err != nil || cfg == nil || cfg.Site != hbSite.Domain {
 		t.Fatalf("embedded config unusable: %v %v", cfg, err)
 	}

@@ -1,8 +1,6 @@
 package snapshot
 
 import (
-	"sort"
-
 	"headerbid/internal/analysis"
 	"headerbid/internal/partners"
 	"headerbid/internal/report"
@@ -58,20 +56,4 @@ func New(name string) (Codec, bool) {
 		return nil, false
 	}
 	return b(), true
-}
-
-// Registered reports whether name is a known snapshot metric.
-func Registered(name string) bool {
-	_, ok := builders[name]
-	return ok
-}
-
-// Names returns every registered metric name in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(builders))
-	for n := range builders {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -109,6 +109,8 @@ func sortStrings(xs []string) {
 
 // ContainsHBKeyword is a cheap pre-filter used when scanning large
 // archives: does the source mention anything HB-flavored at all?
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestContainsHBKeyword calls it
 func ContainsHBKeyword(src string) bool {
 	l := strings.ToLower(src)
 	for _, kw := range []string{"prebid", "gpt.js", "pubfood", "headerbid", "pbjs"} {

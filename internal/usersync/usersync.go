@@ -98,15 +98,9 @@ type pixel struct {
 // "usersync/<site>".
 var syncStream = rng.NameOf("usersync/")
 
-// New creates a syncer; seed makes pixel decisions reproducible.
-func New(env Env, reg *partners.Registry, cfg Config, seed int64) *Syncer {
-	s := &Syncer{}
-	s.Reset(env, reg, cfg, seed)
-	return s
-}
-
-// Reset rebinds the syncer to a new page, as New would create it,
-// keeping its pixel storage for reuse.
+// Reset binds the syncer to a page, keeping its pixel storage for
+// reuse; seed makes pixel decisions reproducible. The zero Syncer is
+// ready for its first Reset.
 func (s *Syncer) Reset(env Env, reg *partners.Registry, cfg Config, seed int64) {
 	s.env, s.reg, s.cfg = env, reg, cfg
 	s.rng.ReseedStable(seed, syncStream.Append(cfg.Site))

@@ -27,7 +27,8 @@ func (f *fakeEnv) FetchCall(req *webreq.Request, fn func(*webreq.Response, any),
 func run(t *testing.T, cfg Config, seed int64) (*Result, *fakeEnv) {
 	t.Helper()
 	env := &fakeEnv{sched: clock.NewScheduler(time.Time{})}
-	s := New(env, partners.Default(), cfg, seed)
+	s := new(Syncer)
+	s.Reset(env, partners.Default(), cfg, seed)
 	var res *Result
 	s.Run(func(r *Result) { res = r })
 	env.sched.Run()

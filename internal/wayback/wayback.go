@@ -12,6 +12,7 @@ package wayback
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"headerbid/internal/rng"
 )
@@ -59,31 +60,9 @@ func NewArchive(seed int64, topN int) *Archive {
 	return a
 }
 
-// TopList returns the year's domain list (rank order). Year-over-year
-// lists overlap heavily but churn at the tail, like real top lists.
-func (a *Archive) TopList(year int) []string {
-	snaps := a.snaps[year]
-	out := make([]string, len(snaps))
-	for i, s := range snaps {
-		out[i] = s.Domain
-	}
-	return out
-}
-
 // Snapshots returns all snapshots of a year.
 func (a *Archive) Snapshots(year int) []*Snapshot {
 	return a.snaps[year]
-}
-
-// Get fetches one snapshot, like hitting web.archive.org for a
-// (domain, date) pair. ok is false when the domain was not archived.
-func (a *Archive) Get(domain string, year int) (*Snapshot, bool) {
-	for _, s := range a.snaps[year] {
-		if s.Domain == domain {
-			return s, true
-		}
-	}
-	return nil, false
 }
 
 // TrueAdoption returns the ground-truth adoption rate of a year's list.
@@ -153,7 +132,7 @@ func (a *Archive) generateYear(year int) []*Snapshot {
 // dead HB markup (in comments) that traps naive raw-grep analyses.
 func renderSnapshot(r *rng.Stream, domain string, year int, hb bool) string {
 	head := "<title>" + domain + "</title>\n" +
-		`<script src="https://cdn.static.example/jquery-1.` + itoa(4+year-2014) + `.js"></script>` + "\n"
+		`<script src="https://cdn.static.example/jquery-1.` + strconv.Itoa(4+year-2014) + `.js"></script>` + "\n"
 	if hb {
 		switch {
 		case year <= 2015 && r.Bool(0.4):
@@ -171,8 +150,6 @@ func renderSnapshot(r *rng.Stream, domain string, year int, hb bool) string {
 		head += "<!-- TODO re-enable header bidding:\n" +
 			`<script src="https://cdn.prebid.example/prebid.js"></script>` + "\n-->\n"
 	}
-	body := "<h1>" + domain + " (" + itoa(year) + ")</h1>\n<p>archived content</p>\n"
+	body := "<h1>" + domain + " (" + strconv.Itoa(year) + ")</h1>\n<p>archived content</p>\n"
 	return "<!DOCTYPE html>\n<html>\n<head>\n" + head + "</head>\n<body>\n" + body + "</body>\n</html>\n"
 }
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }

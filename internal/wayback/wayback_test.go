@@ -50,12 +50,15 @@ func TestAdoptionStickyForStablePublishers(t *testing.T) {
 	// A publisher adopted in 2015 (low score) must still be adopted in
 	// 2019 if present: thresholds only rise.
 	a := NewArchive(3, 500)
+	hb2019 := map[string]bool{}
+	for _, s := range a.Snapshots(2019) {
+		hb2019[s.Domain] = s.TrueHB
+	}
 	for _, s := range a.Snapshots(2015) {
 		if !s.TrueHB {
 			continue
 		}
-		later, ok := a.Get(s.Domain, 2019)
-		if ok && !later.TrueHB {
+		if later, ok := hb2019[s.Domain]; ok && !later {
 			t.Fatalf("%s dropped HB between 2015 and 2019 (adoption should be sticky)", s.Domain)
 		}
 	}
@@ -64,13 +67,13 @@ func TestAdoptionStickyForStablePublishers(t *testing.T) {
 func TestListChurn(t *testing.T) {
 	a := NewArchive(4, 1000)
 	first := map[string]bool{}
-	for _, d := range a.TopList(2014) {
-		first[d] = true
+	for _, s := range a.Snapshots(2014) {
+		first[s.Domain] = true
 	}
 	overlap := 0
-	list19 := a.TopList(2019)
-	for _, d := range list19 {
-		if first[d] {
+	list19 := a.Snapshots(2019)
+	for _, s := range list19 {
+		if first[s.Domain] {
 			overlap++
 		}
 	}
@@ -107,8 +110,12 @@ func TestSnapshotHTMLScannable(t *testing.T) {
 
 func TestGetMissingDomain(t *testing.T) {
 	a := NewArchive(7, 100)
-	if _, ok := a.Get("never-existed.example", 2016); ok {
-		t.Fatal("phantom snapshot")
+	for _, y := range Years {
+		for _, s := range a.Snapshots(y) {
+			if s.Domain == "never-existed.example" {
+				t.Fatalf("phantom snapshot in %d", y)
+			}
+		}
 	}
 }
 

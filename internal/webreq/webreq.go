@@ -6,7 +6,6 @@ package webreq
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"headerbid/internal/urlkit"
@@ -28,10 +27,8 @@ const (
 	KindDocument Kind = "document"
 	KindScript   Kind = "script"
 	KindXHR      Kind = "xhr"
-	KindImage    Kind = "image"
 	KindCreative Kind = "creative" // ad markup/impression fetch
 	KindBeacon   Kind = "beacon"   // win/render notifications
-	KindOther    Kind = "other"
 )
 
 // Request is one outgoing page request.
@@ -41,7 +38,6 @@ type Request struct {
 	Method  Method
 	Kind    Kind
 	Body    string // request payload (bid requests carry JSON)
-	Header  map[string]string
 	Sent    time.Time
 	Referer string
 
@@ -119,7 +115,6 @@ type Response struct {
 	RequestID int64
 	Status    int
 	Body      string
-	Header    map[string]string
 	Received  time.Time
 	// Err is a transport-level failure (timeout, refused); Status is 0
 	// when Err is non-empty.
@@ -340,6 +335,8 @@ func (in *Inspector) SawResponse(resp *Response) {
 }
 
 // Exchanges returns all exchanges in request order.
+//
+//hbvet:allow deadexport test seam: the webreq, browser and crawler tests read a visit's recorded exchanges with it; production observes exchanges as they happen, through OnRequest and OnResponse
 func (in *Inspector) Exchanges() []Exchange {
 	if in.order == nil {
 		out := make([]Exchange, len(in.exchanges))
@@ -370,39 +367,4 @@ func (in *Inspector) Pending() int {
 		}
 	}
 	return n
-}
-
-// MatchHosts returns the exchanges whose request host's registrable domain
-// appears in the given set (lower-case registrable domains). This is the
-// "apply the HB partner list" operation from Figure 3 of the paper.
-func (in *Inspector) MatchHosts(domains map[string]bool) []Exchange {
-	var out []Exchange
-	if in.order == nil {
-		for i := range in.exchanges {
-			x := &in.exchanges[i]
-			if domains[x.Request.RegistrableHost()] {
-				out = append(out, *x)
-			}
-		}
-		return out
-	}
-	for _, id := range in.order {
-		x := in.lookup(id)
-		if domains[x.Request.RegistrableHost()] {
-			out = append(out, *x)
-		}
-	}
-	return out
-}
-
-// HostSet builds a registrable-domain set from raw hostnames.
-func HostSet(hosts []string) map[string]bool {
-	set := make(map[string]bool, len(hosts))
-	for _, h := range hosts {
-		d := urlkit.RegistrableDomain(strings.ToLower(h))
-		if d != "" {
-			set[d] = true
-		}
-	}
-	return set
 }

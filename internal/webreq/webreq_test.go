@@ -78,6 +78,8 @@ func TestInspectorPending(t *testing.T) {
 	}
 }
 
+// TestMatchHosts: applying a partner list (Figure 3) to the recorded
+// exchanges by their requests' registrable hosts, as the detector does.
 func TestMatchHosts(t *testing.T) {
 	in := NewInspector()
 	for _, u := range []string{
@@ -87,20 +89,26 @@ func TestMatchHosts(t *testing.T) {
 	} {
 		in.SawRequest(&Request{URL: u})
 	}
-	set := HostSet([]string{"adnxs.com", "rubiconproject.com"})
-	got := in.MatchHosts(set)
-	if len(got) != 2 {
-		t.Fatalf("matched %d, want 2", len(got))
+	partners := map[string]bool{"adnxs.com": true, "rubiconproject.com": true}
+	matched := 0
+	for _, x := range in.Exchanges() {
+		if partners[x.Request.RegistrableHost()] {
+			matched++
+		}
+	}
+	if matched != 2 {
+		t.Fatalf("matched %d, want 2", matched)
 	}
 }
 
+// TestHostSetNormalizes: a request's registrable host is lower-case
+// eTLD+1 whatever the URL's spelling, and empty without a host.
 func TestHostSetNormalizes(t *testing.T) {
-	set := HostSet([]string{"Bid.ADNXS.com", ""})
-	if !set["adnxs.com"] {
-		t.Fatalf("set = %v", set)
+	if got := (&Request{URL: "https://Bid.ADNXS.com/hb/v1/bid"}).RegistrableHost(); got != "adnxs.com" {
+		t.Fatalf("registrable host = %q", got)
 	}
-	if len(set) != 1 {
-		t.Fatalf("empty host not skipped: %v", set)
+	if got := (&Request{URL: ""}).RegistrableHost(); got != "" {
+		t.Fatalf("empty URL has registrable host %q", got)
 	}
 }
 
