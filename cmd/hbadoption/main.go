@@ -27,9 +27,9 @@ func main() {
 }
 
 // run is hbadoption over the given arguments and output streams. It
-// returns the exit status: 0 on success (an interrupted live crawl
-// included, after saying so), 1 when the live crawl fails, 2 on a usage
-// error.
+// returns the exit status: 0 on success, 1 when the live crawl fails, 2
+// on a usage error, 130 when an interrupt cuts the live crawl short
+// (after saying so), as hbcrawl and hbsweep do.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbadoption", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		).Run(ctx)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(stderr, "hbadoption: live crawl interrupted after %d visits\n", res.Stats.Visits)
-			return 0
+			return 130
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "hbadoption: %v\n", err)

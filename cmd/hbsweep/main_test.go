@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/signal"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runSweep runs hbsweep over args and returns its exit status, stdout
@@ -63,5 +66,59 @@ func TestSweepRendersComparison(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "timeout=500ms") || !strings.Contains(stderr, "swept 2 variants over one 80-site world") {
 		t.Fatalf("stdout %q\nstderr %q", stdout, stderr)
+	}
+}
+
+// TestInterruptedSweepExits130: SIGINT during a long sweep stops it,
+// renders no comparison and exits 130.
+func TestInterruptedSweepExits130(t *testing.T) {
+	code, stdout, stderr := interrupted(t, func() (int, string, string) {
+		return runSweep(append([]string{"-sites", "20000", "-faults", "0.2", "-workers", "1", "-q"}, noAxes...)...)
+	})
+	if code != 130 || !strings.Contains(stderr, "hbsweep: interrupted; no comparison rendered") {
+		t.Fatalf("exit %d, stderr %q; want 130 saying the sweep was interrupted", code, stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("an interrupted sweep rendered %q", stdout)
+	}
+}
+
+// interrupted runs fn and sends this process SIGINT every 50 ms until fn
+// returns; fn's own signal.NotifyContext turns the first one it sees
+// into a cancellation. The test holds a SIGINT subscription of its own
+// and waits for each signal it sends to arrive there before it sends
+// another or returns. So no signal is still on its way to the runtime
+// when the deferred signal.Stop drops the last subscription: one that
+// arrived after it would end the test process.
+func interrupted(t *testing.T, fn func() (int, string, string)) (int, string, string) {
+	t.Helper()
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt)
+	defer signal.Stop(sigs)
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		code           int
+		stdout, stderr string
+	}
+	done := make(chan result, 1)
+	go func() {
+		code, stdout, stderr := fn()
+		done <- result{code, stdout, stderr}
+	}()
+	tick := time.NewTicker(50 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case r := <-done:
+			return r.code, r.stdout, r.stderr
+		case <-tick.C:
+			if err := self.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			<-sigs
+		}
 	}
 }

@@ -84,7 +84,9 @@ type (
 	Facet = hb.Facet
 	// Size is an ad-slot dimension.
 	Size = hb.Size
-	// Observation is a single-page detector result.
+	// Observation is a single-page detector result. It lives in its
+	// Detector's storage and is valid until the detector's next
+	// Reattach: copy what outlives the page.
 	Observation = core.Observation
 	// Registry is the demand-partner registry.
 	Registry = partners.Registry

@@ -84,9 +84,10 @@ type Page struct {
 	busyUntil time.Time
 	closed    bool
 	// This visit's storage, rewound by Rebind: the requests the page and
-	// its scripts issue (NewRequest), their pending deliveries, the
-	// pending timers, the parse and the visit's own state.
-	requests webreq.Slab[webreq.Request]
+	// its scripts issue (NewRequest) with the queries parsed from their
+	// URLs, their pending deliveries, the pending timers, the parse and
+	// the visit's own state.
+	requests webreq.Requests
 	fetches  webreq.Slab[pendingFetch]
 	timers   webreq.Slab[pendingTimer]
 	doc      htmlmeta.Document
@@ -144,6 +145,16 @@ func (p *Page) Rebind(env Env, opts Options) {
 	p.Trace = nil
 }
 
+// Result returns the result of the page's visit once it has finished
+// (scripts started, or the load failed or timed out), nil before. It
+// lives in the page until the page's next visit.
+func (p *Page) Result() *VisitResult {
+	if !p.visit.finished {
+		return nil
+	}
+	return &p.visit.res
+}
+
 // VisitTrace exposes the visit's span recorder to page libraries (the
 // wrappers and the cookie-sync machinery see the page as their Env and
 // type-assert for this accessor). Nil when the visit is untraced.
@@ -155,8 +166,8 @@ func (p *Page) Now() time.Time { return p.env.Now() }
 // NewRequest returns a zeroed request in page-owned storage for the
 // page or one of its scripts to fill and Fetch. It is valid until the
 // page's next Rebind, which is as long as the page's inspector records
-// it and its visit can reach it.
-func (p *Page) NewRequest() *webreq.Request { return p.requests.Alloc() }
+// it and its visit can reach it; so is the query its Params parses.
+func (p *Page) NewRequest() *webreq.Request { return p.requests.New() }
 
 // After implements the library Env; callbacks are dropped once the page
 // is closed (navigated away / crawler teardown).
@@ -348,9 +359,11 @@ type visitState struct {
 }
 
 func (vs *visitState) finish() {
-	if !vs.finished && vs.done != nil {
+	if !vs.finished {
 		vs.finished = true
-		vs.done(vs.page, &vs.res)
+		if vs.done != nil {
+			vs.done(vs.page, &vs.res)
+		}
 	}
 }
 
@@ -434,6 +447,7 @@ func (b *Browser) Visit(url string, done func(*Page, *VisitResult)) *Page {
 // rebound to this browser's Env and Options first, so a reused page is
 // observationally identical to the fresh one Visit creates. The
 // VisitResult done receives lives in the page until its next visit.
+// done may be nil: Page.Result reads the same result afterwards.
 func (b *Browser) VisitPage(page *Page, url string, done func(*Page, *VisitResult)) *Page {
 	page.Rebind(b.Env, b.Opts)
 	page.URL = url

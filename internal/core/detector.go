@@ -57,6 +57,8 @@ type AuctionObs struct {
 }
 
 // Observation is everything HBDetector learned about one page visit.
+// Detector.Observation returns it in the detector's storage, valid until
+// the detector's next Reattach, with everything it holds.
 type Observation struct {
 	URL    string
 	Domain string
@@ -180,6 +182,17 @@ type Detector struct {
 	onEventFn    events.Listener
 	onRequestFn  webreq.RequestHook
 	onResponseFn webreq.ResponseHook
+
+	// Storage kept across Reattach: each partner's latency series
+	// storage from earlier visits (latStore for partnerLats,
+	// lateLatStore for partnerLateLats), and Observation's result with
+	// its sorted lists, auctions and bids.
+	latStore     map[string][]time.Duration
+	lateLatStore map[string][]time.Duration
+	obs          Observation
+	obsLists     []string
+	obsAuctions  []AuctionObs
+	obsBids      []BidObs
 }
 
 // pageRegistrable returns the registrable domain of the page's own URL,
@@ -254,10 +267,12 @@ func AttachWithOptions(page *browser.Page, reg *partners.Registry, opts Options)
 // produces, but keeps the storage of its maps and slices and its bound
 // hook funcs, so re-attaching a pooled detector allocates nothing. The
 // crawler keeps one detector per worker and reattaches it after
-// rebinding the page. The maps of the previous attachment's Observation
-// are this storage and are invalid afterwards; its slices are its own.
+// rebinding the page. The previous attachment's Observation and
+// everything it holds are this storage and are invalid afterwards:
 // dataset.FromObservation copies everything it keeps.
 func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Options) {
+	d.latStore = keepSeries(d.latStore, d.partnerLats)
+	d.lateLatStore = keepSeries(d.lateLatStore, d.partnerLateLats)
 	clear(d.auctions)
 	clear(d.libs)
 	clear(d.rendered)
@@ -290,6 +305,11 @@ func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Opt
 		onEventFn:       d.onEventFn,
 		onRequestFn:     d.onRequestFn,
 		onResponseFn:    d.onResponseFn,
+		latStore:        d.latStore,
+		lateLatStore:    d.lateLatStore,
+		obsLists:        d.obsLists,
+		obsAuctions:     d.obsAuctions,
+		obsBids:         d.obsBids,
 	}
 	if d.onEventFn == nil {
 		d.onEventFn, d.onRequestFn, d.onResponseFn = d.onEvent, d.onRequest, d.onResponse
@@ -507,13 +527,13 @@ func (d *Detector) onResponse(req *webreq.Request, resp *webreq.Response) {
 				if d.partnerLateLats == nil {
 					d.partnerLateLats = make(map[string][]time.Duration, 2)
 				}
-				d.partnerLateLats[p.Slug] = append(d.partnerLateLats[p.Slug], lat)
+				addLatency(d.partnerLateLats, d.lateLatStore, p.Slug, lat)
 				delete(d.timedOut, p.Slug)
 			} else {
 				if d.partnerLats == nil {
 					d.partnerLats = make(map[string][]time.Duration, 4)
 				}
-				d.partnerLats[p.Slug] = append(d.partnerLats[p.Slug], lat)
+				addLatency(d.partnerLats, d.latStore, p.Slug, lat)
 			}
 		case strings.Contains(req.URL, "/ssp/auction"):
 			if resp.OK() {
@@ -643,6 +663,28 @@ func (d *Detector) mineTargeting(params urlkit.Query, at time.Time) {
 	})
 }
 
+// addLatency appends lat to slug's series in m. A series new to this
+// visit starts in the storage store kept for slug from earlier visits.
+func addLatency(m, store map[string][]time.Duration, slug string, lat time.Duration) {
+	ls, ok := m[slug]
+	if !ok {
+		ls = store[slug][:0]
+	}
+	m[slug] = append(ls, lat)
+}
+
+// keepSeries hands a visit's latency series back to store, where the
+// next visit's series of the same partners start, and returns store.
+func keepSeries(store, m map[string][]time.Duration) map[string][]time.Duration {
+	if len(m) > 0 && store == nil {
+		store = make(map[string][]time.Duration, len(m))
+	}
+	for slug, ls := range m {
+		store[slug] = ls
+	}
+	return store
+}
+
 // lastPartnerLatency returns the most recent observed bid latency for a
 // partner (pairs the bidResponse event to its transport exchange). Late
 // responses live in the separate late-latency series.
@@ -701,18 +743,26 @@ func sscanFloat(s string, out *float64) (int, error) {
 // ---------------------------------------------------------------------------
 
 // Observation finalizes and returns what the detector learned. Call it
-// after the page has settled; it is idempotent. Every slice of the
-// observation is its own, sized exactly: all bids of all auctions share
-// one backing array, each auction holding a full slice of it. The maps
-// PartnerLatency, PartnerLateLatency and PartnerErrors are the
-// detector's own and valid until the next Reattach.
+// after the page has settled; it is idempotent. The observation and
+// everything it holds (its sorted lists, auctions, bids and maps) live
+// in the detector's storage and are valid until the next Reattach, like
+// the page they describe: a caller that keeps any of it copies it
+// (dataset.FromObservation). All bids of all auctions share one backing
+// array, each auction holding a full slice of it.
 func (d *Detector) Observation() *Observation {
-	o := &Observation{
+	lists := slices.Grow(d.obsLists[:0], len(d.libs)+len(d.partnerSeen)+len(d.winnerSeen))
+	var libraries, partnersSeen, winnersSeen []string
+	lists, libraries = appendSortedKeys(lists, d.libs)
+	lists, partnersSeen = appendSortedKeys(lists, d.partnerSeen)
+	lists, winnersSeen = appendSortedKeys(lists, d.winnerSeen)
+	d.obsLists = lists
+	o := &d.obs
+	*o = Observation{
 		URL:                d.page.URL,
 		Domain:             d.pageRegistrable(),
-		Libraries:          sortedKeys(d.libs),
-		PartnersSeen:       sortedKeys(d.partnerSeen),
-		WinnersSeen:        sortedKeys(d.winnerSeen),
+		Libraries:          libraries,
+		PartnersSeen:       partnersSeen,
+		WinnersSeen:        winnersSeen,
 		PartnerLatency:     d.partnerLats,
 		PartnerLateLatency: d.partnerLateLats,
 		EventCount:         d.eventCount,
@@ -760,13 +810,12 @@ func (d *Detector) Observation() *Observation {
 			}
 		}
 	}
+	// Grown to their final sizes up front: the auctions hold full
+	// slices of bids, which must not move while they are appended.
 	if nAuctions > 0 {
-		o.Auctions = make([]AuctionObs, 0, nAuctions)
+		o.Auctions = slices.Grow(d.obsAuctions[:0], nAuctions)
 	}
-	var bids []BidObs
-	if nBids > 0 {
-		bids = make([]BidObs, 0, nBids)
-	}
+	bids := slices.Grow(d.obsBids[:0], nBids)
 
 	for i := range d.states {
 		st := &d.states[i]
@@ -819,6 +868,11 @@ func (d *Detector) Observation() *Observation {
 		}
 	}
 
+	if o.Auctions != nil {
+		d.obsAuctions = o.Auctions
+	}
+	d.obsBids = bids
+
 	// Slots auctioned: client auctions plus hosted slot specs.
 	o.AdSlotsAuctioned = len(d.states)
 	if hosted {
@@ -861,18 +915,18 @@ func (d *Detector) Observation() *Observation {
 	return o
 }
 
-// sortedKeys returns m's keys sorted, in a slice of exactly their number
-// (nil for none).
-func sortedKeys(m map[string]bool) []string {
+// appendSortedKeys appends m's keys to dst, sorted, and returns dst and
+// the keys as a full slice of it (nil for none).
+func appendSortedKeys(dst []string, m map[string]bool) ([]string, []string) {
 	if len(m) == 0 {
-		return nil
+		return dst, nil
 	}
-	out := make([]string, 0, len(m))
+	lo := len(dst)
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[lo:])
+	return dst, dst[lo:len(dst):len(dst)]
 }
 
 // lastS2SWin returns the server-side winner mined last for slot, or nil.

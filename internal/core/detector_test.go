@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -326,14 +329,81 @@ func TestInvalidEventTypeIgnored(t *testing.T) {
 	}
 }
 
+// cloneObservation deep-copies o out of the detector's storage, which the
+// next Observation call rewrites in place.
+func cloneObservation(o *Observation) *Observation {
+	c := *o
+	c.Libraries = slices.Clone(o.Libraries)
+	c.PartnersSeen = slices.Clone(o.PartnersSeen)
+	c.WinnersSeen = slices.Clone(o.WinnersSeen)
+	c.PartnerLatency = cloneSeries(o.PartnerLatency)
+	c.PartnerLateLatency = cloneSeries(o.PartnerLateLatency)
+	c.PartnerErrors = maps.Clone(o.PartnerErrors)
+	c.Auctions = slices.Clone(o.Auctions)
+	for i := range c.Auctions {
+		a := &c.Auctions[i]
+		a.Bids = slices.Clone(a.Bids)
+		if w := a.Winner; w != nil {
+			w := *w
+			a.Winner = &w
+		}
+		for j := range a.Bids {
+			if o.Auctions[i].Winner == &o.Auctions[i].Bids[j] {
+				a.Winner = &a.Bids[j]
+			}
+		}
+	}
+	return &c
+}
+
+func cloneSeries(m map[string][]time.Duration) map[string][]time.Duration {
+	if m == nil {
+		return nil
+	}
+	c := make(map[string][]time.Duration, len(m))
+	for k, v := range m {
+		c[k] = slices.Clone(v)
+	}
+	return c
+}
+
+// A second Observation call returns the same storage, rewritten to the
+// same values: the record is valid until the detector's next Reattach.
 func TestObservationIdempotent(t *testing.T) {
-	p, det, _ := newTestPage("https://www.pub.example/")
-	feedClientAuction(p, "adserver.pub.example")
-	a := det.Observation()
-	b := det.Observation()
-	if a.Facet != b.Facet || len(a.Auctions) != len(b.Auctions) ||
-		a.TotalHBLatency != b.TotalHBLatency {
-		t.Fatal("Observation not idempotent")
+	hybrid := func(p *browser.Page) {
+		feedClientAuction(p, "adserver.pub.example")
+		req := &webreq.Request{
+			URL:    "https://creatives.example/render?slot=u1&hb_bidder=rubicon&hb_pb=0.50&hb_source=s2s&hb_size=300x250&hb_price=0.5230",
+			Method: webreq.GET, Sent: at(305),
+		}
+		req.ID = p.Inspector.NextID()
+		p.Inspector.SawRequest(req)
+	}
+	for _, tc := range []struct {
+		name  string
+		facet hb.Facet
+		feed  func(*browser.Page)
+	}{
+		{"client", hb.FacetClient, func(p *browser.Page) { feedClientAuction(p, "adserver.pub.example") }},
+		{"hybrid", hb.FacetHybrid, hybrid},
+		{"server", hb.FacetServer, func(p *browser.Page) { feedHostedFlow(p, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, det, _ := newTestPage("https://www.pub.example/")
+			tc.feed(p)
+			a := det.Observation()
+			if a.Facet != tc.facet || len(a.Auctions) == 0 {
+				t.Fatalf("facet = %v with %d auctions, want %v with some", a.Facet, len(a.Auctions), tc.facet)
+			}
+			first := cloneObservation(a)
+			b := det.Observation()
+			if a != b {
+				t.Fatal("second Observation call returned new storage")
+			}
+			if !reflect.DeepEqual(first, b) {
+				t.Fatalf("Observation not idempotent:\nfirst  %+v\nsecond %+v", first, b)
+			}
+		})
 	}
 }
 

@@ -452,11 +452,7 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 		vrt.page = browser.NewPage(env, bopts)
 	}
 
-	var visit *browser.VisitResult
-
-	page := b.VisitPage(vrt.page, s.PageURL(), func(p *browser.Page, vr *browser.VisitResult) {
-		visit = vr
-	})
+	page := b.VisitPage(vrt.page, s.PageURL(), nil)
 	if vt.Enabled() {
 		// Set after VisitPage: Rebind cleared the carrier. Safe — the
 		// document only arrives once the scheduler runs below.
@@ -477,7 +473,7 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 
 	ob := det.Observation()
 	loaded, timedOut, errStr := false, false, ""
-	if visit != nil {
+	if visit := page.Result(); visit != nil {
 		loaded, timedOut, errStr = visit.Loaded, visit.TimedOut, visit.Err
 	}
 	if vt.Enabled() {

@@ -14,7 +14,7 @@ import (
 
 // TestPrefilledQueriesMatchTheWire: a builder that hands its request the
 // query it just encoded (webreq.Request.PrefillParams) must hand over
-// exactly what ParseQuery reads back from the URL — same pairs, same
+// exactly what urlkit.Queries.Parse reads back from the URL — same pairs, same
 // key order — or the ad servers and the detector would see a query the
 // wire does not carry. Every HB site of a small world is visited, so
 // every builder on the crawl path runs: bid requests, sync pixels,
@@ -46,7 +46,8 @@ func TestPrefilledQueriesMatchTheWire(t *testing.T) {
 			}
 			for _, x := range vrt.page.Inspector.Exchanges() {
 				req := x.Request
-				got, want := req.Params(), urlkit.ParseQuery(req.URL)
+				var wire urlkit.Queries
+				got, want := req.Params(), wire.Parse(req.URL)
 				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 					t.Fatalf("%s: %s carries query %v, wire parses to %v", s.Domain, req.URL, got, want)
 				}

@@ -106,21 +106,20 @@ func (t TrafficRecord) HBRelated() int {
 // FacetValue parses the record's facet.
 func (r *SiteRecord) FacetValue() hb.Facet { return hb.ParseFacet(r.Facet) }
 
-// FromObservation converts a detector observation into a record. Every
-// slice and map is sized exactly and owned by the record: all bids of
-// the record share one backing array, and so do all of its latencies,
-// each auction or partner holding a full slice of it (as the fast
-// decoder lays them out). Nothing the record holds aliases the
-// detector's reused storage (DESIGN.md §5.3).
+// FromObservation converts a detector observation into a record: the
+// one copy out of the detector's storage, which the next visit reuses.
+// Every slice and map is sized exactly and owned by the record: all bids
+// of the record share one backing array, and so do all of its
+// latencies, each auction or partner holding a full slice of it (as the
+// fast decoder lays them out), and so do its libraries, partners and
+// winners. Nothing the record holds aliases the detector's reused
+// storage (DESIGN.md §5.3).
 func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, errStr string) *SiteRecord {
 	rec := &SiteRecord{
 		Domain:           o.Domain,
 		Rank:             rank,
 		VisitDay:         day,
 		HB:               o.HB,
-		Libraries:        o.Libraries,
-		Partners:         o.PartnersSeen,
-		Winners:          o.WinnersSeen,
 		TotalHBLatencyMS: ms(o.TotalHBLatency),
 		AdSlotsAuctioned: o.AdSlotsAuctioned,
 		Traffic: TrafficRecord{
@@ -140,6 +139,12 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 	}
 	if o.HB {
 		rec.Facet = o.Facet.Short()
+	}
+	if n := len(o.Libraries) + len(o.PartnersSeen) + len(o.WinnersSeen); n > 0 {
+		names := make([]string, 0, n)
+		names, rec.Libraries = appendFull(names, o.Libraries)
+		names, rec.Partners = appendFull(names, o.PartnersSeen)
+		_, rec.Winners = appendFull(names, o.WinnersSeen)
 	}
 	if len(o.PartnerLatency) > 0 {
 		rec.PartnerLatencyMS = latencyMS(o.PartnerLatency)
@@ -199,6 +204,17 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 		}
 	}
 	return rec
+}
+
+// appendFull appends src to dst, which has room for it, and returns dst
+// and the copy as a full slice of it (nil for an empty src).
+func appendFull(dst, src []string) ([]string, []string) {
+	if len(src) == 0 {
+		return dst, nil
+	}
+	lo := len(dst)
+	dst = append(dst, src...)
+	return dst, dst[lo:len(dst):len(dst)]
 }
 
 // latencyMS converts the per-partner latency series to milliseconds: an

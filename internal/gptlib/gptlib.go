@@ -74,6 +74,9 @@ type ServerSideClient struct {
 	done    func(*ServerSideResult)
 	pending int
 	renders webreq.Slab[slotRender] // one per creative fetch
+	// params is the hosted-auction request's query, prefilled into the
+	// request: both live until the next Run and the page's next Rebind.
+	params [2]urlkit.Param
 }
 
 // slotRender is one slot's creative fetch.
@@ -105,16 +108,16 @@ func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 		}
 		return
 	}
-	hostedParams := urlkit.Query{
+	c.params = [2]urlkit.Param{
 		{Key: "site", Value: c.cfg.Site},
 		{Key: "slots", Value: c.slotSpecs()},
 	}
 	req := c.env.NewRequest()
-	req.URL = urlkit.WithQuery(provider.HostedAuctionURL(), hostedParams)
+	req.URL = urlkit.WithQuery(provider.HostedAuctionURL(), c.params[:])
 	req.Method = webreq.POST
 	req.Kind = webreq.KindXHR
 	req.Sent = now
-	req.PrefillParams(hostedParams)
+	req.PrefillParams(c.params[:])
 	c.env.FetchCall(req, hostedResponseCall, c)
 }
 
@@ -220,11 +223,11 @@ func (c *ServerSideClient) emit(e events.Event) {
 	}
 }
 
-// SlotsFromAdUnits converts prebid ad units to GPT slots (primary size).
-func SlotsFromAdUnits(units []prebid.AdUnit) []Slot {
-	out := make([]Slot, 0, len(units))
+// AppendSlots appends the GPT slots of prebid ad units (primary size)
+// to dst.
+func AppendSlots(dst []Slot, units []prebid.AdUnit) []Slot {
 	for _, u := range units {
-		out = append(out, Slot{Code: u.Code, Size: u.PrimarySize()})
+		dst = append(dst, Slot{Code: u.Code, Size: u.PrimarySize()})
 	}
-	return out
+	return dst
 }

@@ -202,8 +202,9 @@ func TestSlotsFromAdUnits(t *testing.T) {
 		{Code: "a", Sizes: []hb.Size{hb.SizeLeaderboard, hb.SizeMediumRectangle}},
 		{Code: "b"},
 	}
-	slots := SlotsFromAdUnits(units)
-	if len(slots) != 2 || slots[0].Size != hb.SizeLeaderboard {
+	used := []Slot{{Code: "stale"}}
+	slots := AppendSlots(used[:0], units)
+	if len(slots) != 2 || slots[0].Size != hb.SizeLeaderboard || slots[0].Code != "a" {
 		t.Fatalf("slots = %+v", slots)
 	}
 	if slots[1].Size != hb.SizeMediumRectangle {

@@ -234,6 +234,7 @@ type Runtime struct {
 	server     gptlib.ServerSideClient
 	syncer     usersync.Syncer
 	slugs      []string
+	slots      []gptlib.Slot
 	settle     func()
 	prebidDone func(*prebid.Result)
 	serverDone func(*gptlib.ServerSideResult)
@@ -337,10 +338,11 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 		})
 		rt.prebid.RequestBids(rt.prebidDone)
 	case "server":
+		rt.slots = gptlib.AppendSlots(rt.slots[:0], cfg.AdUnits)
 		rt.server.Reset(p, p.Bus, rt.Registry, gptlib.ServerSideConfig{
 			Site:     cfg.Site,
 			Provider: cfg.ServerPartner,
-			Slots:    gptlib.SlotsFromAdUnits(cfg.AdUnits),
+			Slots:    rt.slots,
 		})
 		rt.server.Run(rt.serverDone)
 	default:

@@ -292,7 +292,11 @@ func NewRegistry(profiles []Profile) *Registry {
 }
 
 // Default returns the registry of the 84 partners observed in the study.
-func Default() *Registry { return NewRegistry(defaultProfiles()) }
+// It is one process-wide value, built on first use: a Registry is
+// immutable, so worlds, shard-file decodes and figure reports share it.
+func Default() *Registry { return defaultRegistry() }
+
+var defaultRegistry = sync.OnceValue(func() *Registry { return NewRegistry(defaultProfiles()) })
 
 // Len returns the number of partners.
 func (r *Registry) Len() int { return len(r.profiles) }

@@ -17,6 +17,18 @@ func TestDefaultRegistryHas84Partners(t *testing.T) {
 	}
 }
 
+// TestDefaultBuiltOnce: Default builds its registry once per process;
+// every later call returns that registry and allocates nothing.
+func TestDefaultBuiltOnce(t *testing.T) {
+	r := Default()
+	if Default() != r {
+		t.Fatal("a second Default call returned another registry")
+	}
+	if n := testing.AllocsPerRun(100, func() { r = Default() }); n != 0 {
+		t.Fatalf("Default allocates %.0f times after its first call, want 0", n)
+	}
+}
+
 func TestRegistryLookups(t *testing.T) {
 	r := Default()
 	p, ok := r.BySlug("appnexus")

@@ -54,7 +54,7 @@ func (r *roundState) finalizeAuction() {
 		w.emit(events.Event{
 			Type: events.AuctionEnd, Time: now, AuctionID: uo.AuctionID,
 			AdUnit: u.Code, Library: "prebid.js",
-			Params: urlkit.Query{{Key: "bids", Value: strconv.Itoa(len(uo.Bids))}},
+			Params: w.queries.Add(urlkit.Param{Key: "bids", Value: strconv.Itoa(len(uo.Bids))}),
 		})
 		uo.Winner = pickWinner(uo.Bids)
 	}
@@ -113,7 +113,7 @@ func adServerResponseCall(resp *webreq.Response, a any) { a.(*roundState).onAdSe
 // see it; with send-all-bids, also every on-time bid's price bucket. It
 // is the query of a map assigned in that order — a flat key keeps the
 // first unit's value, any other key its last value — built in scratch,
-// sorted once and copied out at its final length.
+// sorted once and copied into the round's storage at its final length.
 func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
 	w := r.wrapper
 	var scratch [48]urlkit.Param
@@ -161,7 +161,7 @@ func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
 	}
 	q = append(q, flat...)
 	q = append(q, urlkit.Param{Key: "slots", Value: slots.String()})
-	return slices.Clone(urlkit.SortQuery(q))
+	return w.queries.Add(urlkit.SortQuery(q)...)
 }
 
 // hasKey reports whether q, in any order, has key k.
@@ -224,10 +224,10 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 				AdUnit: u.Code, Bidder: uo.Winner.Bidder,
 				CPM: uo.Winner.USDCPM(), Size: uo.Winner.Size,
 				Library: "prebid.js",
-				Params: urlkit.Query{
-					{Key: hb.KeyBidder, Value: uo.Winner.Bidder},
-					{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(uo.Winner.USDCPM())},
-				},
+				Params: w.queries.Add(
+					urlkit.Param{Key: hb.KeyBidder, Value: uo.Winner.Bidder},
+					urlkit.Param{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(uo.Winner.USDCPM())},
+				),
 			})
 		}
 		r.render(i, uo, d)
@@ -302,7 +302,7 @@ func (rc *renderCall) onCreative(resp *webreq.Response) {
 	w.emit(events.Event{
 		Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
 		AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
-		Params: urlkit.Query{{Key: "channel", Value: d.Channel}},
+		Params: w.queries.Add(urlkit.Param{Key: "channel", Value: d.Channel}),
 	})
 	if d.Channel == "hb" && uo.Winner != nil {
 		// Winner notification beacon with the charged price.

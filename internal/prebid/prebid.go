@@ -219,6 +219,14 @@ type Wrapper struct {
 	sends   []bidSend     // one per bidder sent a request, as result.Bidders
 	formats []rtb.Format  // every unit's formats, in config order
 	renders []renderCall  // one per rendered slot
+	// queries holds the round's event queries and its ad-server query;
+	// decoded is the bid response being read (onBidResponse), and seats
+	// keeps its seat storage across a response that carries none: a
+	// no-bid response decodes to a nil SeatBid, and without this handle
+	// the next one with seats allocates them again (PERF.md, ninth pass).
+	queries urlkit.Queries
+	decoded rtb.BidResponse
+	seats   []rtb.SeatBid
 }
 
 // Reset binds the wrapper to a page, keeping its round storage for
@@ -246,6 +254,7 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	w.result = Result{Site: w.cfg.Site, Units: w.result.Units[:0], Bidders: w.result.Bidders[:0]}
 	round := &w.round
 	*round = roundState{wrapper: w, result: &w.result, started: start, done: done}
+	w.queries.Reset()
 
 	// Per-unit auction bookkeeping + events.
 	n := len(w.cfg.AdUnits)
@@ -254,7 +263,7 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 		w.auctionSeq++
 		aid := appendID(w.cfg.Site, "-a", int64(w.auctionSeq))
 		uo := &w.units[i]
-		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start}
+		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start, Bids: uo.Bids[:0]}
 		w.result.Units = append(w.result.Units, uo)
 		w.emit(events.Event{
 			Type: events.AuctionInit, Time: start, AuctionID: aid,
@@ -422,7 +431,13 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		})
 	}
 
-	round.result.Bidders = append(round.result.Bidders, BidderResult{Bidder: bidder, Requested: now})
+	// The bidder's bid list reuses the storage of the result it replaces.
+	brs := round.result.Bidders
+	var bids []hb.Bid
+	if n := len(brs); n < cap(brs) {
+		bids = brs[:n+1][n].Bids[:0]
+	}
+	round.result.Bidders = append(brs, BidderResult{Bidder: bidder, Requested: now, Bids: bids})
 	sd.round, sd.idx, sd.profile, sd.body, sd.attempt = round, len(round.result.Bidders)-1, profile, body, 0
 	sd.pending = true
 	round.pending++
@@ -485,7 +500,12 @@ func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
 		w.maybeEarlyFinalize(round)
 		return
 	}
-	parsed, err := rtb.DecodeBidResponse(resp.Body)
+	parsed := &w.decoded
+	parsed.SeatBid = w.seats
+	err := rtb.DecodeBidResponse(resp.Body, parsed)
+	if parsed.SeatBid != nil {
+		w.seats = parsed.SeatBid
+	}
 	if err != nil {
 		br.Error = err.Error()
 		w.traceBidSpan(br)
@@ -523,11 +543,11 @@ func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
 				Type: events.BidResponse, Time: now, AuctionID: uo.AuctionID,
 				AdUnit: sb.ImpID, Bidder: bidder, CPM: bid.USDCPM(),
 				Currency: cur, Size: bid.Size, Library: "prebid.js",
-				Params: urlkit.Query{
-					{Key: hb.KeyBidder, Value: bidder},
-					{Key: hb.KeySize, Value: bid.Size.String()},
-					{Key: "late", Value: strconv.FormatBool(br.Late)},
-				},
+				Params: w.queries.Add(
+					urlkit.Param{Key: hb.KeyBidder, Value: bidder},
+					urlkit.Param{Key: hb.KeySize, Value: bid.Size.String()},
+					urlkit.Param{Key: "late", Value: strconv.FormatBool(br.Late)},
+				),
 			})
 		}
 	}

@@ -90,6 +90,9 @@ type Library struct {
 	// traceSrc hands out the current visit's span recorder when the env
 	// is a browser page; nil otherwise.
 	traceSrc obs.TraceSource
+
+	// decoded is the bid response being read, reused by the next one.
+	decoded rtb.BidResponse
 }
 
 // New creates a pubfood library instance.
@@ -269,8 +272,8 @@ func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotRes
 		if !resp.OK() {
 			return
 		}
-		parsed, err := rtb.DecodeBidResponse(resp.Body)
-		if err != nil {
+		parsed := &l.decoded
+		if err := rtb.DecodeBidResponse(resp.Body, parsed); err != nil {
 			return
 		}
 		arrive := l.env.Now()

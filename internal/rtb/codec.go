@@ -745,18 +745,24 @@ func UnmarshalBidRequest(body string, dst *BidRequest) error {
 }
 
 // UnmarshalBidResponse decodes body into dst, resetting dst first
-// (slice capacity retained). See UnmarshalBidRequest.
+// (slice capacity retained, the seats' bid lists included). See
+// UnmarshalBidRequest.
 func UnmarshalBidResponse(body string, dst *BidResponse) error {
 	sbScratch := dst.SeatBid[:0]
 	*dst = BidResponse{}
 	if fastDecodeBidResponse(body, dst, sbScratch) {
 		return nil
 	}
+	return jsonUnmarshalBidResponse(body, dst)
+}
+
+// jsonUnmarshalBidResponse is the encoding/json fallback. json.Unmarshal
+// merges into what dst holds (a reused slice keeps the fields of its old
+// elements that the body leaves out), so dst is zeroed first, and a
+// reused destination decodes as a fresh one.
+func jsonUnmarshalBidResponse(body string, dst *BidResponse) error {
 	*dst = BidResponse{}
-	if err := json.Unmarshal([]byte(body), dst); err != nil { //hbvet:allow hotalloc sanctioned codec fallback: foreign or unrecognized body decoded via stdlib
-		return err
-	}
-	return nil
+	return json.Unmarshal([]byte(body), dst) //hbvet:allow hotalloc sanctioned codec fallback: foreign or unrecognized body decoded via stdlib
 }
 
 // Duplicate-key bitmasks: json's behavior on a repeated key (overwrite

@@ -107,5 +107,40 @@ func FuzzUnmarshalBidResponse(f *testing.F) {
 		if werr == nil && !reflect.DeepEqual(pub, want) {
 			t.Fatalf("public decode diverged on %q:\ncodec %#v\njson  %#v", body, pub, want)
 		}
+		// Decoded into a value that still holds another response, through
+		// the public decode (its fast path wherever that applies) and
+		// through the encoding/json fallback alone, body must read as it
+		// does into a fresh value.
+		for _, via := range []struct {
+			name   string
+			decode func(string, *BidResponse) error
+		}{{"UnmarshalBidResponse", UnmarshalBidResponse}, {"the fallback", jsonUnmarshalBidResponse}} {
+			used := heldResponse(t)
+			uerr := via.decode(body, &used)
+			if (uerr == nil) != (werr == nil) {
+				t.Fatalf("%s into a used value: error disagreement on %q: %v, json %v", via.name, body, uerr, werr)
+			}
+			if werr == nil && !reflect.DeepEqual(used, want) {
+				t.Fatalf("%s into a used value diverged on %q:\ncodec %#v\njson  %#v", via.name, body, used, want)
+			}
+		}
 	})
+}
+
+// heldBody is the response a used destination holds before the fuzzed
+// body is decoded into it: two seats, every field of a bid set, so any
+// field or element a decode fails to overwrite shows.
+const heldBody = `{"id":"held","cur":"EUR","nbr":3,"seatbid":[` +
+	`{"seat":"s1","bid":[{"impid":"i1","price":1.5,"w":300,"h":250,"adm":"<b>","crid":"c1","dealid":"d1","nurl":"https://n/1"},` +
+	`{"impid":"i2","price":2.5,"w":728,"h":90,"adm":"<i>","crid":"c2","dealid":"d2","nurl":"https://n/2"}]},` +
+	`{"seat":"s2","bid":[{"impid":"i3","price":3.5,"w":160,"h":600,"adm":"<u>","crid":"c3","dealid":"d3","nurl":"https://n/3"}]}]}`
+
+// heldResponse returns heldBody decoded, as storage a decode reuses.
+func heldResponse(t *testing.T) BidResponse {
+	t.Helper()
+	var r BidResponse
+	if err := UnmarshalBidResponse(heldBody, &r); err != nil || len(r.SeatBid) != 2 {
+		t.Fatalf("held response %q does not decode: %v", heldBody, err)
+	}
+	return r
 }

@@ -94,15 +94,17 @@ type BidResponse struct {
 	NBR      int       `json:"nbr,omitempty"` // no-bid reason
 }
 
-// DecodeBidResponse parses a partner response body. It takes the body
-// as a string because that is how webreq carries it — the codec decodes
-// substrings in place, so no []byte round-trip copy is needed.
-func DecodeBidResponse(body string) (*BidResponse, error) {
-	resp := new(BidResponse)
-	if err := UnmarshalBidResponse(body, resp); err != nil {
-		return nil, fmt.Errorf("rtb: malformed bid response: %w", err) //hbvet:allow hotalloc cold error path: simulated partners emit well-formed JSON
+// DecodeBidResponse parses a partner response body into dst, the
+// caller's reused storage (UnmarshalBidResponse keeps its slices'
+// capacity), and names a malformed body as such. It takes the body as a
+// string because that is how webreq carries it — the codec decodes
+// substrings in place, so no []byte round-trip copy is needed. dst is
+// valid until its next decode.
+func DecodeBidResponse(body string, dst *BidResponse) error {
+	if err := UnmarshalBidResponse(body, dst); err != nil {
+		return fmt.Errorf("rtb: malformed bid response: %w", err) //hbvet:allow hotalloc cold error path: simulated partners emit well-formed JSON
 	}
-	return resp, nil
+	return nil
 }
 
 // DSP is one demand-side platform participating in a partner's internal
@@ -160,11 +162,12 @@ type AuctionResult struct {
 }
 
 // Run executes a sealed-bid second-price auction among the exchange's DSPs
-// for each impression in the request. The returned results preserve
-// impression order. Randomness comes from r, so identical seeds reproduce
-// identical auctions.
-func (e *Exchange) Run(req *BidRequest, r *rng.Stream) []AuctionResult {
-	out := make([]AuctionResult, 0, len(req.Imp))
+// for each impression in the request and appends the results to dst, in
+// impression order: a caller that passes its previous results [:0]
+// reuses their storage. Randomness comes from r, so identical seeds
+// reproduce identical auctions.
+func (e *Exchange) Run(dst []AuctionResult, req *BidRequest, r *rng.Stream) []AuctionResult {
+	out := dst
 	for _, imp := range req.Imp {
 		res := AuctionResult{ImpID: imp.ID}
 		var top, second float64

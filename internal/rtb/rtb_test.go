@@ -40,8 +40,8 @@ func TestBidRequestEncodeDecode(t *testing.T) {
 
 func TestDecodeBidResponse(t *testing.T) {
 	body := `{"id":"req-1","cur":"USD","seatbid":[{"seat":"appnexus","bid":[{"impid":"slot-1","price":0.42,"w":300,"h":250,"crid":"cr-9"}]}]}`
-	resp, err := DecodeBidResponse(body)
-	if err != nil {
+	var resp BidResponse
+	if err := DecodeBidResponse(body, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.SeatBid) != 1 || resp.SeatBid[0].Bid[0].Price != 0.42 {
@@ -51,7 +51,8 @@ func TestDecodeBidResponse(t *testing.T) {
 
 func TestDecodeBidResponseMalformed(t *testing.T) {
 	for _, bad := range []string{"", "{", "[1,2]", "<html>error</html>"} {
-		if _, err := DecodeBidResponse(bad); err == nil {
+		var resp BidResponse
+		if err := DecodeBidResponse(bad, &resp); err == nil {
 			t.Errorf("DecodeBidResponse(%q) should fail", bad)
 		}
 	}
@@ -90,7 +91,7 @@ func TestNewExchangeMinimumOneDSP(t *testing.T) {
 func TestExchangeRunResultsPerImpression(t *testing.T) {
 	e := NewExchange("appnexus", 8, 0.1, 0.5, 7)
 	r := rng.New(7)
-	results := e.Run(sampleRequest(), r)
+	results := e.Run(nil, sampleRequest(), r)
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2", len(results))
 	}
@@ -118,7 +119,7 @@ func TestSecondPriceInvariantsProperty(t *testing.T) {
 			Imp: []Impression{{ID: "s", FloorCPM: floor, Banner: Banner{Format: []Format{{300, 250}}}}},
 		}
 		for trial := 0; trial < 20; trial++ {
-			res := e.Run(req, r)[0]
+			res := e.Run(nil, req, r)[0]
 			if res.Winner == "" {
 				if res.ClearingCPM != 0 {
 					return false
@@ -150,7 +151,7 @@ func TestFloorFiltersBids(t *testing.T) {
 		Imp: []Impression{{ID: "s", FloorCPM: 1000}}, // absurd floor
 	}
 	for trial := 0; trial < 50; trial++ {
-		res := e.Run(req, r)[0]
+		res := e.Run(nil, req, r)[0]
 		if res.Winner != "" {
 			t.Fatalf("bid cleared an impossible floor: %+v", res)
 		}
@@ -163,8 +164,8 @@ func TestExchangeRunDeterminism(t *testing.T) {
 	r1, r2 := rng.New(11), rng.New(11)
 	req := sampleRequest()
 	for i := 0; i < 10; i++ {
-		a := e1.Run(req, r1)
-		b := e2.Run(req, r2)
+		a := e1.Run(nil, req, r1)
+		b := e2.Run(nil, req, r2)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("run %d imp %d differs: %+v vs %+v", i, j, a[j], b[j])

@@ -269,14 +269,15 @@ func (e *Ecosystem) HandlePartner(p *partners.Profile, req *webreq.Request) (int
 
 // bidScratch is the pooled working set of one handleBid call: the
 // decode target for a request that carries no typed body (whose Imp/Ext
-// backing arrays the codec reuses), the response under construction,
-// and a one-element seat array so the single-seat response never
-// allocates a SeatBid slice.
+// backing arrays the codec reuses), the partner's internal auction
+// results, the response under construction, and a one-element seat
+// array so the single-seat response never allocates a SeatBid slice.
 type bidScratch struct {
-	req  rtb.BidRequest
-	resp rtb.BidResponse
-	sb   [1]rtb.SeatBid
-	bids []rtb.SeatOne
+	req     rtb.BidRequest
+	results []rtb.AuctionResult
+	resp    rtb.BidResponse
+	sb      [1]rtb.SeatBid
+	bids    []rtb.SeatOne
 }
 
 var bidScratchPool = sync.Pool{New: func() any { return &bidScratch{} }}
@@ -316,7 +317,8 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	}
 
 	ex := e.exchangeFor(p)
-	results := ex.Run(breq, r)
+	results := ex.Run(sc.results[:0], breq, r)
+	sc.results = results
 	var extra time.Duration
 	for _, res := range results {
 		extra += res.Elapsed

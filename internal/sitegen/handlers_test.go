@@ -70,8 +70,8 @@ func TestHandleBidReturnsValidResponse(t *testing.T) {
 		if service <= 0 {
 			t.Fatal("no service time")
 		}
-		resp, err := rtb.DecodeBidResponse(body)
-		if err != nil {
+		var resp rtb.BidResponse
+		if err := rtb.DecodeBidResponse(body, &resp); err != nil {
 			t.Fatalf("malformed response: %v", err)
 		}
 		for _, seat := range resp.SeatBid {

@@ -16,7 +16,13 @@ func refHost(raw string) string {
 	return strings.ToLower(u.Hostname())
 }
 
-// refQueryParams is the net/url reference for ParseQuery: a
+// parseQuery parses raw's query into storage of its own.
+func parseQuery(raw string) Query {
+	var qs Queries
+	return qs.Parse(raw)
+}
+
+// refQueryParams is the net/url reference for Queries.Parse: a
 // key->first-value map, nil when nothing is recoverable.
 func refQueryParams(raw string) map[string]string {
 	u, err := url.Parse(raw)
@@ -114,27 +120,27 @@ func queryOf(m map[string]string) Query {
 	return q
 }
 
-// checkParseQuery reports where ParseQuery(raw) departs from the net/url
+// checkParseQuery reports where parseQuery(raw) departs from the net/url
 // reference: nil-ness, the key set and each key's first value, and a
 // strictly key-sorted result.
 func checkParseQuery(t *testing.T, raw string) {
 	t.Helper()
-	got, want := ParseQuery(raw), refQueryParams(raw)
+	got, want := parseQuery(raw), refQueryParams(raw)
 	if (got == nil) != (want == nil) {
-		t.Errorf("ParseQuery(%q) nil-ness = %v, reference %v", raw, got == nil, want == nil)
+		t.Errorf("parseQuery(%q) nil-ness = %v, reference %v", raw, got == nil, want == nil)
 		return
 	}
 	if len(got) != len(want) {
-		t.Errorf("ParseQuery(%q) = %v, reference %v", raw, got, want)
+		t.Errorf("parseQuery(%q) = %v, reference %v", raw, got, want)
 		return
 	}
 	for k, v := range want {
 		if g, ok := got.Lookup(k); !ok || g != v {
-			t.Errorf("ParseQuery(%q) value of %q = %q (present %v), reference %q", raw, k, g, ok, v)
+			t.Errorf("parseQuery(%q) value of %q = %q (present %v), reference %q", raw, k, g, ok, v)
 		}
 	}
 	if !got.sorted() {
-		t.Errorf("ParseQuery(%q) = %v, not strictly key-sorted", raw, got)
+		t.Errorf("parseQuery(%q) = %v, not strictly key-sorted", raw, got)
 	}
 }
 
@@ -145,15 +151,16 @@ func TestQueryParamsMatchesNetURL(t *testing.T) {
 }
 
 // TestParseQueryNoQueryAllocatesNothing: a URL without a query parses to
-// an empty, non-nil Query at no allocation.
+// an empty, non-nil Query at no allocation, even into empty storage.
 func TestParseQueryNoQueryAllocatesNothing(t *testing.T) {
 	for _, raw := range []string{"https://adserver.site00042.example/serve", "https://cdn.prebid.example/prebid.js", "https://www.site00042.example/#/route"} {
 		var q Query
-		if n := testing.AllocsPerRun(100, func() { q = ParseQuery(raw) }); n != 0 {
-			t.Errorf("ParseQuery(%q) allocates %.0f times, want 0", raw, n)
+		var qs Queries
+		if n := testing.AllocsPerRun(100, func() { q = qs.Parse(raw) }); n != 0 {
+			t.Errorf("Parse(%q) allocates %.0f times, want 0", raw, n)
 		}
 		if q == nil || len(q) != 0 {
-			t.Errorf("ParseQuery(%q) = %#v, want an empty non-nil Query", raw, q)
+			t.Errorf("Parse(%q) = %#v, want an empty non-nil Query", raw, q)
 		}
 	}
 }

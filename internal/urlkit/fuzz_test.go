@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzQuery checks ParseQuery and WithQuery against their net/url
-// references on arbitrary input. ParseQuery(raw) must agree with
+// FuzzQuery checks Queries.Parse and WithQuery against their net/url
+// references on arbitrary input. Parsing raw must agree with
 // refQueryParams on nil-ness and on every key's first value, and come
-// back strictly key-sorted. WithQuery then gets raw's own pieces: the
+// back strictly key-sorted. Parsed into used storage, rewound or not,
+// raw must read as it does into fresh storage, and the query parsed
+// there before must stay as it was. WithQuery then gets raw's own pieces: the
 // text before the first '?' as the base, and the '&'/'='-split query
 // text as pairs in input order — out of key order, with keys repeated
 // and bytes that need escaping. It must produce the bytes refWithParams
@@ -24,6 +26,7 @@ import (
 func FuzzQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
 		checkParseQuery(t, raw)
+		checkParseIntoUsed(t, raw)
 
 		base, rawQuery, _ := strings.Cut(raw, "?")
 		var q Query
@@ -67,4 +70,35 @@ func FuzzHost(f *testing.F) {
 			t.Fatalf("Host(%q) = %q, reference %q", raw, got, want)
 		}
 	})
+}
+
+// usedQuery is the URL parsed into storage before raw is: more pairs
+// than most inputs, out of key order, so that a parse writing past its
+// own pairs, or sorting into the earlier ones, shows.
+const usedQuery = "https://creatives.example/render?slot=div-1&hb_pb=0.50&channel=hb&hb_bidder=rubicon&size=300x250&zz=%7E"
+
+// checkParseIntoUsed parses raw into storage that already holds another
+// query, once without rewinding it and once after Reset, and requires
+// each result to equal a parse into fresh storage, nil-ness included.
+// The query parsed first must be unchanged by the parse that follows it.
+func checkParseIntoUsed(t *testing.T, raw string) {
+	t.Helper()
+	fresh := parseQuery(raw)
+	var qs Queries
+	before := qs.Parse(usedQuery)
+	kept := slices.Clone(before)
+	for _, step := range []string{"after another query", "after Reset"} {
+		got := qs.Parse(raw)
+		if (got == nil) != (fresh == nil) || !slices.Equal(got, fresh) {
+			t.Fatalf("Parse(%q) %s = %#v, into fresh storage %#v", raw, step, got, fresh)
+		}
+		if step == "after another query" {
+			if !slices.Equal(before, kept) {
+				t.Fatalf("Parse(%q) changed the query parsed before it: %v, was %v", raw, before, kept)
+			}
+			qs.Reset()
+			qs.Parse(usedQuery)
+			qs.Reset()
+		}
+	}
 }

@@ -224,8 +224,8 @@ type Param struct {
 // Query is a URL query as key/value pairs sorted by key, each key once.
 // It is the one form a query takes on the crawl path: builders write it
 // as a literal in key order, WithQuery encodes it in that order, and
-// ParseQuery reads a URL's query back into one. A built or parsed Query
-// is shared by every hop of its request: treat it as read-only.
+// Queries.Parse reads a URL's query back into one. A built or parsed
+// Query is shared by every hop of its request: treat it as read-only.
 type Query []Param
 
 // search returns the index of the first pair whose key is not below k.
@@ -306,12 +306,40 @@ func SortQuery(q Query) Query {
 	return sortKeys(q, true)
 }
 
-// ParseQuery parses the query component of a raw URL into a Query that
-// keeps each key's first value. Parsing is tolerant: a malformed query
-// yields the parameters that could be recovered, and nil when none
-// could. A URL without a query yields an empty, non-nil Query and
-// allocates nothing.
-func ParseQuery(raw string) Query {
+// Queries is append-only storage for the queries of one owner's visit
+// or round: a page's parsed request queries, a wrapper's event queries.
+// Each query it hands out is a full slice of its buffer (cap == len),
+// so appending to one copies it instead of writing into the next, and
+// the buffer never moves under a query it handed out: when it grows,
+// the earlier queries keep the array they were written into. Reset
+// rewinds it, and every query handed out before is invalid from then
+// on. The zero value is ready to use.
+type Queries struct {
+	buf Query
+}
+
+// Reset rewinds q for its owner's next visit or round, dropping the
+// strings its pairs held. Once the buffer covers the largest visit it
+// has seen, filling it again allocates nothing.
+func (q *Queries) Reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+}
+
+// Add stores pairs, written as a literal is (in key order, each key
+// once), and returns them as a Query in q's storage.
+func (q *Queries) Add(pairs ...Param) Query {
+	n := len(q.buf)
+	q.buf = append(q.buf, pairs...)
+	return q.buf[n:len(q.buf):len(q.buf)]
+}
+
+// Parse parses the query component of a raw URL into q's storage and
+// returns it as a Query that keeps each key's first value. Parsing is
+// tolerant: a malformed query yields the parameters that could be
+// recovered, and nil when none could. A URL without a query yields an
+// empty, non-nil Query and stores nothing.
+func (q *Queries) Parse(raw string) Query {
 	// Locate the query without parsing the whole URL: the fragment is
 	// cut off first, exactly as net/url does, so a '?' inside it
 	// ("#/route?x=y") is not mistaken for a query. The fast path applies
@@ -321,9 +349,9 @@ func ParseQuery(raw string) Query {
 	// malformed one). Anything else takes the net/url slow path so its
 	// semantics (a nil result on parse error) are preserved exactly.
 	pre, frag, _ := strings.Cut(raw, "#")
-	q := ""
+	rq := ""
 	if i := strings.IndexByte(pre, '?'); i >= 0 {
-		q = pre[i+1:]
+		rq = pre[i+1:]
 		pre = pre[:i]
 	}
 	fast := false
@@ -335,7 +363,7 @@ func ParseQuery(raw string) Query {
 		}
 		path := rest[end:]
 		_, ok := plainHostPort(rest[:end])
-		fast = ok && !hasControlByte(path) && !hasControlByte(q) &&
+		fast = ok && !hasControlByte(path) && !hasControlByte(rq) &&
 			strings.IndexByte(path, '%') < 0 && strings.IndexByte(frag, '%') < 0
 	}
 	if !fast {
@@ -343,16 +371,17 @@ func ParseQuery(raw string) Query {
 		if err != nil {
 			return nil
 		}
-		q = u.RawQuery
+		rq = u.RawQuery
 	}
-	if q == "" {
+	if rq == "" {
 		return Query{}
 	}
-	out := make(Query, 0, strings.Count(q, "&")+1)
+	start := len(q.buf)
+	q.buf = slices.Grow(q.buf, strings.Count(rq, "&")+1)
 	sawErr := false
-	for q != "" {
+	for rq != "" {
 		var pair string
-		pair, q, _ = strings.Cut(q, "&")
+		pair, rq, _ = strings.Cut(rq, "&")
 		if pair == "" {
 			continue
 		}
@@ -373,8 +402,9 @@ func ParseQuery(raw string) Query {
 			sawErr = true
 			continue
 		}
-		out = append(out, Param{k, v})
+		q.buf = append(q.buf, Param{k, v})
 	}
+	out := q.buf[start:]
 	if sawErr && len(out) == 0 {
 		// url.ParseQuery returns (empty, err) when nothing was
 		// recovered, which the nil-on-failure contract maps to nil.
@@ -382,8 +412,9 @@ func ParseQuery(raw string) Query {
 	}
 	if !out.sorted() {
 		out = sortKeys(out, false) // first value wins, like v[0]
+		q.buf = q.buf[:start+len(out)]
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // hasControlByte reports whether s contains an ASCII control character

@@ -58,7 +58,7 @@ func TestSameRegistrableDomain(t *testing.T) {
 }
 
 func TestQueryParams(t *testing.T) {
-	p := ParseQuery("https://x.example/ads?hb_pb=0.50&hb_bidder=appnexus&empty&hb_pb=9")
+	p := parseQuery("https://x.example/ads?hb_pb=0.50&hb_bidder=appnexus&empty&hb_pb=9")
 	if p.Get("hb_bidder") != "appnexus" || p.Get("hb_pb") != "0.50" {
 		t.Fatalf("params = %v", p)
 	}
@@ -68,7 +68,7 @@ func TestQueryParams(t *testing.T) {
 	if _, ok := p.Lookup("missing"); ok {
 		t.Fatal("absent key found")
 	}
-	if ParseQuery("://bad") != nil {
+	if parseQuery("://bad") != nil {
 		t.Fatal("malformed URL should yield nil")
 	}
 }
@@ -95,7 +95,7 @@ func TestQuerySet(t *testing.T) {
 	}
 }
 
-// Property: params written by WithQuery are recovered by ParseQuery.
+// Property: params written by WithQuery are recovered by Queries.Parse.
 func TestParamsRoundTripProperty(t *testing.T) {
 	f := func(keysRaw, valsRaw []string) bool {
 		params := map[string]string{}
@@ -107,7 +107,7 @@ func TestParamsRoundTripProperty(t *testing.T) {
 			params[k] = valsRaw[i]
 		}
 		u := WithQuery("https://host.example/p", queryOf(params))
-		got := ParseQuery(u)
+		got := parseQuery(u)
 		for k, v := range params {
 			if got.Get(k) != v {
 				return false

@@ -92,6 +92,9 @@ type pixel struct {
 	root  string
 	depth int
 	sent  time.Time
+	// params is the pixel request's query, prefilled into the request:
+	// both live until the syncer's next Reset and the page's next Rebind.
+	params [2]urlkit.Param
 }
 
 // syncStream is the hashed prefix of a page's sync stream name,
@@ -157,15 +160,16 @@ func (s *Syncer) firePixel(p *partners.Profile, root string, depth int) {
 		s.res.PixelsFired++
 	}
 	uid := syncUID(uint32(s.rng.Int63() & 0xffffffff))
-	pixelParams := urlkit.Query{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}
+	now := s.env.Now()
+	px := s.pixels.Alloc()
+	*px = pixel{s: s, p: p, root: root, depth: depth, sent: now,
+		params: [2]urlkit.Param{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}}
 	req := s.env.NewRequest()
-	req.URL = urlkit.WithQuery(p.SyncEndpoint(), pixelParams)
+	req.URL = urlkit.WithQuery(p.SyncEndpoint(), px.params[:])
 	req.Method = webreq.GET
 	req.Kind = webreq.KindBeacon
-	req.Sent = s.env.Now()
-	req.PrefillParams(pixelParams)
-	px := s.pixels.Alloc()
-	*px = pixel{s: s, p: p, root: root, depth: depth, sent: req.Sent}
+	req.Sent = now
+	req.PrefillParams(px.params[:])
 	s.env.FetchCall(req, pixelCall, px)
 }
 

@@ -1,5 +1,7 @@
 package webreq
 
+import "headerbid/internal/urlkit"
+
 // Slab chunk lengths. The first chunk fits the three requests of a
 // non-HB visit, the crawl's common case, exactly; an HB visit (6–57
 // requests, median 13) adds four-slot chunks. A page or network that
@@ -52,4 +54,27 @@ func (s *Slab[T]) Reset() {
 		clear(s.chunks[s.ci][:s.n])
 	}
 	s.ci, s.n = 0, 0
+}
+
+// Requests is a page's visit-scoped request storage: the requests it
+// hands out and the queries parsed from their URLs (Request.Params).
+// Reset rewinds both. The zero value is ready to use.
+type Requests struct {
+	reqs    Slab[Request]
+	queries urlkit.Queries
+}
+
+// New returns a zeroed request whose parsed query will live in s. The
+// caller owns it until the next Reset.
+func (s *Requests) New() *Request {
+	r := s.reqs.Alloc()
+	r.queries = &s.queries
+	return r
+}
+
+// Reset rewinds s: the requests and the queries handed out since the
+// previous Reset are invalid afterwards.
+func (s *Requests) Reset() {
+	s.reqs.Reset()
+	s.queries.Reset()
 }

@@ -52,6 +52,9 @@ type Request struct {
 	registrable string
 	paramsDone  bool
 	params      urlkit.Query
+	// queries is the storage a parsed query goes into: its page's
+	// (Requests.New), or nil for a request of its own.
+	queries *urlkit.Queries
 
 	// bodyValue is the value Body was encoded from (PrefillBody); nil
 	// unless an in-process builder handed it over.
@@ -76,11 +79,17 @@ func (r *Request) RegistrableHost() string { r.ensureHost(); return r.registrabl
 
 // Params returns the request's query parameters, parsed once and cached.
 // The returned query is shared with every other caller (and possibly
-// with the builder that prefilled it): treat it as read-only.
+// with the builder that prefilled it): treat it as read-only. A query
+// parsed here lives in the request's storage (Requests) and is valid as
+// long as the request is.
 func (r *Request) Params() urlkit.Query {
 	if !r.paramsDone {
 		r.paramsDone = true
-		r.params = urlkit.ParseQuery(r.URL)
+		qs := r.queries
+		if qs == nil {
+			qs = new(urlkit.Queries)
+		}
+		r.params = qs.Parse(r.URL)
 	}
 	return r.params
 }
