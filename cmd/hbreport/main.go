@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"headerbid"
@@ -41,21 +40,34 @@ func (m *multiFlag) Set(v string) error {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is hbreport over the given arguments and streams; "-" names
+// stdin. It returns the exit status: 0 on success, 1 when an input
+// cannot be read or decoded, is empty, or stdin is named twice, 2 on a
+// flag error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var ins multiFlag
 	var (
-		in      = flag.String("i", "", "input JSONL dataset ('-' for stdin); alias for a single -in")
-		summary = flag.Bool("summary", false, "print only the Table-1 summary")
+		in      = fs.String("i", "", "input JSONL dataset ('-' for stdin); alias for a single -in")
+		summary = fs.Bool("summary", false, "print only the Table-1 summary")
 	)
-	flag.Var(&ins, "in", "input JSONL dataset ('-' for stdin); repeatable, streamed in sequence")
-	flag.Parse()
-
-	log.SetFlags(0)
-	log.SetPrefix("hbreport: ")
+	fs.Var(&ins, "in", "input JSONL dataset ('-' for stdin); repeatable, streamed in sequence")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "hbreport: "+format+"\n", a...)
+		return 1
+	}
 
 	if *in != "" {
 		ins = append(ins, *in)
 	}
-	ins = append(ins, flag.Args()...)
+	ins = append(ins, fs.Args()...)
 	if len(ins) == 0 {
 		ins = multiFlag{"crawl.jsonl"}
 	}
@@ -66,65 +78,78 @@ func main() {
 		}
 	}
 	if stdins > 1 {
-		log.Fatal("stdin ('-') may be given only once")
+		return fail("stdin ('-') may be given only once")
 	}
 
-	// stream folds every input, in order, through fn.
-	stream := func(fn func(*headerbid.SiteRecord) error) int {
+	// stream folds every input, in order, through fn, and returns the
+	// number of records.
+	stream := func(fn func(*headerbid.SiteRecord)) (int, error) {
 		n := 0
 		for _, path := range ins {
-			var r io.Reader = os.Stdin
-			if path != "-" {
-				f, err := os.Open(path)
-				if err != nil {
-					log.Fatal(err)
-				}
-				r = f
-			}
-			err := headerbid.ReadDatasetStream(r, func(rec *headerbid.SiteRecord) error {
+			err := readDataset(path, stdin, func(rec *headerbid.SiteRecord) {
 				n++
-				return fn(rec)
+				fn(rec)
 			})
-			if path != "-" {
-				r.(*os.File).Close()
-			}
 			if err != nil {
-				log.Fatalf("%s: %v", path, err)
+				return n, err
 			}
 		}
-		return n
+		return n, nil
 	}
 
 	if *summary {
 		// Table-1 only: fold into the lone summary metric.
 		m := headerbid.NewSummaryMetric()
-		n := stream(func(rec *headerbid.SiteRecord) error {
-			m.Add(rec)
-			return nil
-		})
+		n, err := stream(m.Add)
+		if err != nil {
+			return fail("%v", err)
+		}
 		if n == 0 {
-			log.Fatal("empty dataset")
+			return fail("empty dataset")
 		}
 		s := m.Summary()
-		fmt.Printf("records          %d\n", n)
-		fmt.Printf("sites crawled    %d\n", s.SitesCrawled)
-		fmt.Printf("sites with HB    %d (%.2f%%)\n", s.SitesWithHB, 100*s.AdoptionRate())
-		fmt.Printf("auctions         %d\n", s.Auctions)
-		fmt.Printf("bids             %d\n", s.Bids)
-		fmt.Printf("demand partners  %d\n", s.DemandPartners)
-		fmt.Printf("crawl days       %d\n", s.CrawlDays)
-		return
+		fmt.Fprintf(stdout, "records          %d\n", n)
+		fmt.Fprintf(stdout, "sites crawled    %d\n", s.SitesCrawled)
+		fmt.Fprintf(stdout, "sites with HB    %d (%.2f%%)\n", s.SitesWithHB, 100*s.AdoptionRate())
+		fmt.Fprintf(stdout, "auctions         %d\n", s.Auctions)
+		fmt.Fprintf(stdout, "bids             %d\n", s.Bids)
+		fmt.Fprintf(stdout, "demand partners  %d\n", s.DemandPartners)
+		fmt.Fprintf(stdout, "crawl days       %d\n", s.CrawlDays)
+		return 0
 	}
 
 	// Fold each record into the figure-report metric as it is decoded;
 	// the record slice is never materialized.
 	fr := headerbid.NewFigureReport()
-	n := stream(func(rec *headerbid.SiteRecord) error {
-		fr.Add(rec)
+	n, err := stream(fr.Add)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if n == 0 {
+		return fail("empty dataset")
+	}
+	fr.Render(stdout)
+	return 0
+}
+
+// readDataset streams the records of the JSONL dataset at path ("-" for
+// stdin) through fn.
+func readDataset(path string, stdin io.Reader, fn func(*headerbid.SiteRecord)) error {
+	r := stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	err := headerbid.ReadDatasetStream(r, func(rec *headerbid.SiteRecord) error {
+		fn(rec)
 		return nil
 	})
-	if n == 0 {
-		log.Fatal("empty dataset")
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	fr.Render(os.Stdout)
+	return nil
 }

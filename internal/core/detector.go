@@ -193,6 +193,11 @@ type Detector struct {
 	obsLists     []string
 	obsAuctions  []AuctionObs
 	obsBids      []BidObs
+	// idBuf and idEnds are where hostedAuctionIDs writes the hosted
+	// auctions' IDs before they become one string, and where each ID
+	// ends in it.
+	idBuf  []byte
+	idEnds []int
 }
 
 // pageRegistrable returns the registrable domain of the page's own URL,
@@ -310,6 +315,8 @@ func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Opt
 		obsLists:        d.obsLists,
 		obsAuctions:     d.obsAuctions,
 		obsBids:         d.obsBids,
+		idBuf:           d.idBuf,
+		idEnds:          d.idEnds,
 	}
 	if d.onEventFn == nil {
 		d.onEventFn, d.onRequestFn, d.onResponseFn = d.onEvent, d.onRequest, d.onResponse
@@ -849,9 +856,10 @@ func (d *Detector) Observation() *Observation {
 		o.Auctions = append(o.Auctions, a)
 	}
 	if hosted {
+		ids, lo := d.hostedAuctionIDs(o.Domain, len(d.hostedSlots)), 0
 		for i, sp := range d.hostedSlots {
 			a := AuctionObs{
-				ID:       hostedAuctionID(o.Domain, i+1),
+				ID:       ids[lo:d.idEnds[i]],
 				AdUnit:   sp.Code,
 				Size:     sp.Size,
 				Start:    d.hostedReq,
@@ -859,6 +867,7 @@ func (d *Detector) Observation() *Observation {
 				Rendered: d.rendered[sp.Code],
 				Failed:   d.failed[sp.Code],
 			}
+			lo = d.idEnds[i]
 			if w := d.lastS2SWin(sp.Code); w != nil {
 				bids = append(bids, w.Bid)
 				a.Bids = bids[len(bids)-1 : len(bids) : len(bids)]
@@ -951,10 +960,18 @@ func (d *Detector) s2sOwner(slot string) int {
 	return -1
 }
 
-// hostedAuctionID renders "<domain>-ss-<n>" in one allocation.
-func hostedAuctionID(domain string, n int) string {
-	var buf [64]byte
-	b := append(buf[:0], domain...)
-	b = append(b, "-ss-"...)
-	return string(strconv.AppendInt(b, int64(n), 10))
+// hostedAuctionIDs writes the IDs "<domain>-ss-1" … "<domain>-ss-<n>"
+// of the page's n hosted auctions into one string, which the
+// observation's auctions share, and returns it: the ID of auction i
+// ends at d.idEnds[i].
+func (d *Detector) hostedAuctionIDs(domain string, n int) string {
+	b, ends := d.idBuf[:0], d.idEnds[:0]
+	for i := 1; i <= n; i++ {
+		b = append(b, domain...)
+		b = append(b, "-ss-"...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		ends = append(ends, len(b))
+	}
+	d.idBuf, d.idEnds = b, ends
+	return string(b)
 }

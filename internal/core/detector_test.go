@@ -37,7 +37,8 @@ func newTestPage(url string) (*browser.Page, *Detector, *clock.Scheduler) {
 
 // feedExchange records a request+response pair through the inspector.
 func feedExchange(p *browser.Page, at time.Time, lat time.Duration, method webreq.Method, url, body string) {
-	req := &webreq.Request{URL: url, Method: method, Body: body, Sent: at}
+	req := &webreq.Request{URL: url, Method: method, Sent: at}
+	req.SetBody(body)
 	req.ID = p.Inspector.NextID()
 	p.Inspector.SawRequest(req)
 	p.Inspector.SawResponse(&webreq.Response{
@@ -174,6 +175,11 @@ func TestClassifyServerSide(t *testing.T) {
 	// One auction per hosted slot, winner attached to s1.
 	if len(o.Auctions) != 2 {
 		t.Fatalf("auctions = %d, want 2 (one per hosted slot)", len(o.Auctions))
+	}
+	for i, want := range []string{"pub.example-ss-1", "pub.example-ss-2"} {
+		if got := o.Auctions[i].ID; got != want {
+			t.Errorf("hosted auction %d has ID %q, want %q", i, got, want)
+		}
 	}
 	if o.AdSlotsAuctioned != 2 {
 		t.Fatalf("slots = %d", o.AdSlotsAuctioned)

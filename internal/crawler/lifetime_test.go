@@ -17,11 +17,15 @@ import (
 // visit lives in storage the worker already rewinds (DESIGN.md §5.3):
 // protocol state, requests and their parsed queries, event queries,
 // decoded bid responses, the detector's observation. What is left is
-// what the visit sends and emits: wire bodies, IDs, URLs and its
-// record. The mean over smallWorld(600)'s HB sites reads 36.9; it read
-// 69.0 while that scratch was allocated per visit, and 176.1 when every
-// visit also rebuilt its protocol state.
-const warmHBAllocCeiling = 41
+// what the visit sends and emits, each string built once: URLs with
+// the values written into them, one ID string per round, the servers'
+// response bodies, and its record; a bid request's body is built only
+// when something reads its bytes. The mean over smallWorld(600)'s HB
+// sites reads 23.5; it read 36.9 while a visit also built every bid
+// body, and its uids, times and IDs as strings of their own, 69.0 while
+// its scratch was allocated per visit, and 176.1 when every visit also
+// rebuilt its protocol state.
+const warmHBAllocCeiling = 26
 
 // warmNonHBAllocCeiling bounds the mean allocation count of a warm
 // non-HB visit, the crawl's common case, which sends nothing it has to

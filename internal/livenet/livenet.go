@@ -111,9 +111,9 @@ func (s *Server) route(rw http.ResponseWriter, req *http.Request) {
 	wr := &webreq.Request{
 		URL:    "https://" + host + req.URL.RequestURI(),
 		Method: webreq.Method(req.Method),
-		Body:   string(body),
 		Sent:   time.Now(), //hbvet:allow detwall livenet serves real HTTP; request timestamps are genuinely wall-clock
 	}
+	wr.SetBody(string(body))
 
 	status, respBody, service, class := s.dispatch(domain, wr)
 	if service > 0 {
@@ -245,14 +245,20 @@ func (e *Env) After(d time.Duration, fn func()) {
 // Fetch performs the request over real HTTP. The logical URL keeps its
 // virtual hostname (what the detector matches on); only the socket dials
 // the loopback server. HTTPS URLs are fetched as plain HTTP — transport
-// security is irrelevant to the measurement semantics.
+// security is irrelevant to the measurement semantics. A POST's body is
+// built here, on the event loop, where its request lives: the real
+// socket is its one reader of bytes.
 func (e *Env) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
+	body := ""
+	if req.Method == webreq.POST {
+		body = req.Body()
+	}
 	go func() {
 		url := strings.Replace(req.URL, "https://", "http://", 1)
 		var httpReq *http.Request
 		var err error
 		if req.Method == webreq.POST {
-			httpReq, err = http.NewRequest("POST", url, strings.NewReader(req.Body))
+			httpReq, err = http.NewRequest("POST", url, strings.NewReader(body))
 		} else {
 			httpReq, err = http.NewRequest(string(req.Method), url, nil)
 		}

@@ -73,7 +73,10 @@ func TestUnknownHostIs404(t *testing.T) {
 // TestFullVisitOverRealHTTP is the integration proof: the identical
 // browser + wrapper + detector stack that runs on the virtual clock runs
 // over real sockets, and the detector reaches the same verdict as the
-// ground truth.
+// ground truth. Every bid POST's body, built for the socket from the
+// typed request the wrapper sent, decodes at the partner: each answer
+// is 200, where a body that does not decode is answered 400. (A POST
+// still unanswered, or failed in transport, says nothing of its body.)
 func TestFullVisitOverRealHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live integration test")
@@ -162,6 +165,28 @@ func TestFullVisitOverRealHTTP(t *testing.T) {
 		if obs.RequestCount == 0 || obs.TotalHBLatency <= 0 {
 			t.Errorf("%v: degenerate observation: requests=%d latency=%v",
 				facet, obs.RequestCount, obs.TotalHBLatency)
+		}
+
+		posts := make(chan []string, 1)
+		env.Post(func() {
+			var bad []string
+			n := 0
+			for _, x := range page.Inspector.Exchanges() {
+				if x.Request.Payload() == nil {
+					continue
+				}
+				n++
+				if x.Response != nil && x.Response.Status != 0 && x.Response.Status != 200 {
+					bad = append(bad, x.String())
+				}
+			}
+			if n == 0 && facet != hb.FacetServer {
+				bad = append(bad, "no bid POST sent")
+			}
+			posts <- bad
+		})
+		for _, b := range <-posts {
+			t.Errorf("%v: bid POST not decoded by its partner: %s", facet, b)
 		}
 	}
 }

@@ -75,9 +75,14 @@ func TestAdServerQueryMatchesSetByKey(t *testing.T) {
 			w.units[i].Winner = pickWinner(w.units[i].Bids)
 		}
 		now := time.Unix(1548979200, 0)
-		got, want := r.adServerQuery(now), setByKey(r, now)
+		got, want := r.adServerQuery(), setByKey(r, now)
+		url := urlkit.WithLastValue("https://adserver.site00042.example/serve", got, strconv.AppendInt(nil, now.UnixMilli(), 10))
 		if !slices.Equal(got, want) {
-			t.Fatalf("send-all %v: adServerQuery\n%v\nset key by key\n%v", sendAll, got, want)
+			t.Fatalf("send-all %v: adServerQuery, its time written by the URL\n%v\nset key by key\n%v", sendAll, got, want)
+		}
+		var wire urlkit.Queries
+		if parsed := wire.Parse(url); !slices.Equal(parsed, want) {
+			t.Fatalf("send-all %v: %s parses to %v, want %v", sendAll, url, parsed, want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"headerbid/internal/events"
 	"headerbid/internal/hb"
@@ -85,14 +84,11 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	params := r.adServerQuery(now)
-	w.emit(events.Event{
-		Type: events.SetTargeting, Time: now, Library: "prebid.js",
-		Params: params,
-	})
-
+	// The time is written into the URL alone; the query reads it there.
+	params := r.adServerQuery()
+	var tBuf [20]byte
 	req := w.env.NewRequest()
-	req.URL = urlkit.WithQuery(w.cfg.AdServerURL, params)
+	req.URL = urlkit.WithLastValue(w.cfg.AdServerURL, params, strconv.AppendInt(tBuf[:0], now.UnixMilli(), 10))
 	req.Method = webreq.GET
 	req.Kind = webreq.KindXHR
 	req.Sent = now
@@ -101,6 +97,10 @@ func (r *roundState) callAdServer() {
 		// request so no hop (network, ad server, detector) re-parses it.
 		req.PrefillParams(params)
 	}
+	w.emit(events.Event{
+		Type: events.SetTargeting, Time: now, Library: "prebid.js",
+		Params: params,
+	})
 	w.env.FetchCall(req, adServerResponseCall, r)
 }
 
@@ -114,12 +114,13 @@ func adServerResponseCall(resp *webreq.Response, a any) { a.(*roundState).onAdSe
 // is the query of a map assigned in that order — a flat key keeps the
 // first unit's value, any other key its last value — built in scratch,
 // sorted once and copied into the round's storage at its final length.
-func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
+// The time "t" sorts after every other key (targeting keys begin "hb_"),
+// so it is the last pair; its value is left for the URL to write
+// (urlkit.WithLastValue).
+func (r *roundState) adServerQuery() urlkit.Query {
 	w := r.wrapper
 	var scratch [48]urlkit.Param
-	q := append(scratch[:0],
-		urlkit.Param{Key: "site", Value: w.cfg.Site},
-		urlkit.Param{Key: "t", Value: strconv.FormatInt(now.UnixMilli(), 10)})
+	q := append(scratch[:0], urlkit.Param{Key: "site", Value: w.cfg.Site}, urlkit.Param{Key: "t"})
 	// Flat keys never collide with the per-slot ("key.slot"), send-all
 	// ("hb_pb_bidder"), site, t or slots keys, so first-wins among the
 	// flat keys alone is first-wins in the whole query.

@@ -132,18 +132,20 @@ const MaxBidRetries = 1
 const RetryBackoffBase = 100 * time.Millisecond
 
 // BidPost fills req, a zeroed request, as attempt number attempt (0 for
-// the first) of a wrapper's bid POST to partner p, and returns it. body
-// is the encoded bid request and payload the value it was encoded from.
+// the first) of a wrapper's bid POST to partner p, and returns it. The
+// body is payload, bodyLen bytes once encoded: the sender has encoded it
+// once (rtb.BidRequest.EncodedLen) and dropped the request if that
+// failed, and payload must stay unmodified as long as the request lives.
 // The URL is p's pre-rendered bid URL, "<bid endpoint>?bidder=<slug>",
 // plus "&retry=N" on retransmission N: the way real adapters tag
 // retransmissions, and what lets the detector count retries off the
-// wire. The request carries its query and its payload prefilled, so no
-// in-process hop parses either.
-func BidPost(req *webreq.Request, p *partners.Profile, body string, payload *rtb.BidRequest, attempt int, sent time.Time) *webreq.Request {
+// wire. The request carries its query prefilled and its body typed, so
+// no in-process hop parses either, and the body's bytes are built only
+// for a reader of bytes (webreq.Request.Body).
+func BidPost(req *webreq.Request, p *partners.Profile, payload *rtb.BidRequest, bodyLen, attempt int, sent time.Time) *webreq.Request {
 	req.URL = p.BidRequestURL()
 	req.Method = webreq.POST
 	req.Kind = webreq.KindXHR
-	req.Body = body
 	req.Sent = sent
 	params := p.BidRequestParams()
 	if attempt > 0 {
@@ -155,7 +157,7 @@ func BidPost(req *webreq.Request, p *partners.Profile, body string, payload *rtb
 		params = append(params[:len(params):len(params)], urlkit.Param{Key: "retry", Value: n})
 	}
 	req.PrefillParams(params)
-	req.PrefillBody(payload)
+	req.SetPayload(payload, bodyLen)
 	return req
 }
 
@@ -219,6 +221,10 @@ type Wrapper struct {
 	sends   []bidSend     // one per bidder sent a request, as result.Bidders
 	formats []rtb.Format  // every unit's formats, in config order
 	renders []renderCall  // one per rendered slot
+	// idBuf and idEnds are where roundIDs writes the round's IDs before
+	// they become one string, and where each ID ends in it.
+	idBuf  []byte
+	idEnds []int
 	// queries holds the round's event queries and its ad-server query;
 	// decoded is the bid response being read (onBidResponse), and seats
 	// keeps its seat storage across a response that carries none: a
@@ -255,13 +261,14 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	round := &w.round
 	*round = roundState{wrapper: w, result: &w.result, started: start, done: done}
 	w.queries.Reset()
+	w.collectBidders()
+	ids := w.roundIDs(start)
 
 	// Per-unit auction bookkeeping + events.
 	n := len(w.cfg.AdUnits)
 	w.units = slices.Grow(w.units[:0], n)[:n]
 	for i, u := range w.cfg.AdUnits {
-		w.auctionSeq++
-		aid := appendID(w.cfg.Site, "-a", int64(w.auctionSeq))
+		aid := w.roundID(ids, i)
 		uo := &w.units[i]
 		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start, Bids: uo.Bids[:0]}
 		w.result.Units = append(w.result.Units, uo)
@@ -272,7 +279,6 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	}
 	w.emit(events.Event{Type: events.RequestBids, Time: start, Library: "prebid.js"})
 
-	w.collectBidders()
 	if len(w.bidders) == 0 {
 		// Nothing to do: go straight to the ad server (house/direct only).
 		round.finalizeAuction()
@@ -282,8 +288,8 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	w.layoutFormats()
 	w.sends = slices.Grow(w.sends[:0], len(w.bidders))
 	timeout := w.cfg.Timeout()
-	for _, bidder := range w.bidders {
-		w.sendBidRequest(round, bidder, timeout)
+	for i, bidder := range w.bidders {
+		w.sendBidRequest(round, bidder, w.roundID(ids, n+i), timeout)
 	}
 
 	if w.cfg.BadWrapper {
@@ -308,6 +314,43 @@ func (w *Wrapper) collectBidders() {
 		}
 	}
 	w.bidders = out
+}
+
+// roundIDs writes the round's IDs into one string, which it returns:
+// each ad unit's auction ID "<site>-a<N>", numbered on from the page's
+// earlier rounds, then each bidder's bid-request ID
+// "<site>-<bidder>-<unixnano>", in the order of w.bidders. roundID
+// slices them out; the events, outcomes, bids and bid requests that
+// carry them share the string.
+func (w *Wrapper) roundIDs(now time.Time) string {
+	b, ends := w.idBuf[:0], w.idEnds[:0]
+	for range w.cfg.AdUnits {
+		w.auctionSeq++
+		b = append(b, w.cfg.Site...)
+		b = append(b, "-a"...)
+		b = strconv.AppendInt(b, int64(w.auctionSeq), 10)
+		ends = append(ends, len(b))
+	}
+	nano := now.UnixNano()
+	for _, bidder := range w.bidders {
+		b = append(b, w.cfg.Site...)
+		b = append(b, '-')
+		b = append(b, bidder...)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, nano, 10)
+		ends = append(ends, len(b))
+	}
+	w.idBuf, w.idEnds = b, ends
+	return string(b)
+}
+
+// roundID returns the k-th ID of ids, the string roundIDs returned.
+func (w *Wrapper) roundID(ids string, k int) string {
+	lo := 0
+	if k > 0 {
+		lo = w.idEnds[k-1]
+	}
+	return ids[lo:w.idEnds[k]]
 }
 
 // layoutFormats writes every ad unit's formats, in config order, into
@@ -361,21 +404,23 @@ func (r *roundState) unit(code string) *UnitOutcome {
 func finalizeCall(a any) { a.(*roundState).finalizeAuction() }
 
 // bidSend is one bidder's request within a round: the payload and its
-// encoding, reused by retransmissions, and the state the response
-// callback needs.
+// encoded length, reused by retransmissions, and the state the response
+// callback needs. The payload is the body of every attempt's request,
+// and stays as it is until the next RequestBids or Reset: as long as
+// the page's requests, since a page runs one round.
 type bidSend struct {
 	round   *roundState
 	idx     int // index in result.Bidders
 	profile *partners.Profile
-	body    string
 	payload rtb.BidRequest
+	bodyLen int
 	attempt int
 	pending bool // no final response yet
 }
 
-// sendBidRequest issues one bidder's POST covering every ad unit that
-// lists the bidder.
-func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.Duration) {
+// sendBidRequest issues one bidder's POST, whose bid-request ID is id,
+// covering every ad unit that lists the bidder.
+func (w *Wrapper) sendBidRequest(round *roundState, bidder, id string, timeout time.Duration) {
 	profile, ok := w.reg.BySlug(bidder)
 	if !ok {
 		// Unknown adapter: prebid logs and skips. Nothing hits the wire.
@@ -409,13 +454,13 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		round.result.FirstBidRequest = now
 	}
 	sd.payload = rtb.BidRequest{
-		ID:   bidRequestID(w.cfg.Site, bidder, now.UnixNano()),
+		ID:   id,
 		Imp:  imps,
 		Site: rtb.Site{Domain: w.cfg.Site, Page: w.cfg.Page},
 		TMax: int(timeout / time.Millisecond),
 		Ext:  profile.BidRequestExt(),
 	}
-	body, err := sd.payload.EncodeString()
+	bodyLen, err := sd.payload.EncodedLen()
 	if err != nil {
 		w.sends = w.sends[:len(w.sends)-1]
 		return
@@ -438,7 +483,7 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 		bids = brs[:n+1][n].Bids[:0]
 	}
 	round.result.Bidders = append(brs, BidderResult{Bidder: bidder, Requested: now, Bids: bids})
-	sd.round, sd.idx, sd.profile, sd.body, sd.attempt = round, len(round.result.Bidders)-1, profile, body, 0
+	sd.round, sd.idx, sd.profile, sd.bodyLen, sd.attempt = round, len(round.result.Bidders)-1, profile, bodyLen, 0
 	sd.pending = true
 	round.pending++
 	w.dispatchBid(sd)
@@ -448,7 +493,7 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder string, timeout time.
 // same body every time; BidPost tags retransmissions retry=N). A retry
 // re-emits no BidRequested event: the auction asked once.
 func (w *Wrapper) dispatchBid(sd *bidSend) {
-	req := BidPost(w.env.NewRequest(), sd.profile, sd.body, &sd.payload, sd.attempt, w.env.Now())
+	req := BidPost(w.env.NewRequest(), sd.profile, &sd.payload, sd.bodyLen, sd.attempt, w.env.Now())
 	w.env.FetchCall(req, bidResponseCall, sd)
 }
 
@@ -575,25 +620,6 @@ func (w *Wrapper) maybeEarlyFinalize(round *roundState) {
 	if !round.finalized && round.pending == 0 {
 		round.finalizeAuction()
 	}
-}
-
-// appendID renders "<prefix><sep><n>" (the auction-ID shape previously
-// minted with fmt.Sprintf on every ad unit of every visit): one strconv
-// format — allocation-free for the small sequence numbers involved —
-// plus a single string concatenation.
-func appendID(prefix, sep string, n int64) string {
-	return prefix + sep + strconv.FormatInt(n, 10)
-}
-
-// bidRequestID renders "<site>-<bidder>-<unixnano>" in one allocation.
-func bidRequestID(site, bidder string, nano int64) string {
-	var buf [96]byte
-	b := append(buf[:0], site...)
-	b = append(b, '-')
-	b = append(b, bidder...)
-	b = append(b, '-')
-	b = strconv.AppendInt(b, nano, 10)
-	return string(b)
 }
 
 func (w *Wrapper) emit(e events.Event) {

@@ -55,7 +55,7 @@ func bidderResponder(latencies map[string]time.Duration, cpms map[string]float64
 		switch {
 		case strings.Contains(req.URL, "/hb/v1/bid"):
 			var breq rtb.BidRequest
-			if err := json.Unmarshal([]byte(req.Body), &breq); err != nil {
+			if err := json.Unmarshal([]byte(req.Body()), &breq); err != nil {
 				return time.Millisecond, &webreq.Response{Status: 400}
 			}
 			var ext struct {
@@ -201,10 +201,20 @@ func TestAuctionHappyPath(t *testing.T) {
 	}
 }
 
+// TestOneRequestPerBidder also pins the round's IDs where they are
+// used: each unit's auction ID and each bid request's ID, all cut from
+// the round's one ID string.
 func TestOneRequestPerBidder(t *testing.T) {
 	env := newFakeEnv()
-	env.respond = bidderResponder(nil, map[string]float64{"appnexus": 0.1})
-	runWrapper(t, env, testConfig(3, "appnexus", "rubicon"))
+	respond := bidderResponder(nil, map[string]float64{"appnexus": 0.1})
+	var ids []string
+	env.respond = func(req *webreq.Request) (time.Duration, *webreq.Response) {
+		if breq, ok := req.Payload().(*rtb.BidRequest); ok {
+			ids = append(ids, breq.ID)
+		}
+		return respond(req)
+	}
+	res, _ := runWrapper(t, env, testConfig(3, "appnexus", "rubicon"))
 	bidReqs := 0
 	for _, u := range env.fetched {
 		if strings.Contains(u, "/hb/v1/bid") {
@@ -213,6 +223,15 @@ func TestOneRequestPerBidder(t *testing.T) {
 	}
 	if bidReqs != 2 {
 		t.Fatalf("bid requests = %d, want 2 (one per partner, units batched)", bidReqs)
+	}
+	nano := res.FirstBidRequest.UnixNano()
+	if want := []string{fmt.Sprintf("pub.example-appnexus-%d", nano), fmt.Sprintf("pub.example-rubicon-%d", nano)}; !slices.Equal(ids, want) {
+		t.Errorf("bid-request IDs %q, want %q", ids, want)
+	}
+	for i, u := range res.Units {
+		if want := fmt.Sprintf("pub.example-a%d", i+1); u.AuctionID != want {
+			t.Errorf("unit %s has auction ID %q, want %q", u.AdUnit, u.AuctionID, want)
+		}
 	}
 }
 

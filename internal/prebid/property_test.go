@@ -32,7 +32,7 @@ func randomizedResponder(seed int64) func(req *webreq.Request) (time.Duration, *
 		switch {
 		case strings.Contains(req.URL, "/hb/v1/bid"):
 			var breq rtb.BidRequest
-			if err := json.Unmarshal([]byte(req.Body), &breq); err != nil {
+			if err := json.Unmarshal([]byte(req.Body()), &breq); err != nil {
 				return time.Millisecond, &webreq.Response{Status: 400}
 			}
 			var ext struct {

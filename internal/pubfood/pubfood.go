@@ -226,13 +226,13 @@ func (l *Library) sendBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 		Site: rtb.Site{Domain: l.cfg.Site},
 		TMax: int(l.cfg.Timeout() / time.Millisecond),
 	}
-	body, err := breq.EncodeString()
+	bodyLen, err := breq.EncodedLen()
 	if err != nil {
 		*pending--
 		onDone(prof.Slug)
 		return
 	}
-	l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, breq, now, 0)
+	l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, breq, bodyLen, now, 0)
 }
 
 // dispatchBid issues one bid POST attempt, built and retried under
@@ -244,12 +244,12 @@ func (l *Library) sendBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 // deadline either way).
 func (l *Library) dispatchBid(prof *partners.Profile, bySlot map[string]*SlotResult,
 	auctionIDs map[string]string, pending *int, onDone func(slug string),
-	body string, payload *rtb.BidRequest, sent time.Time, attempt int) {
-	req := prebid.BidPost(l.env.NewRequest(), prof, body, payload, attempt, l.env.Now())
+	payload *rtb.BidRequest, bodyLen int, sent time.Time, attempt int) {
+	req := prebid.BidPost(l.env.NewRequest(), prof, payload, bodyLen, attempt, l.env.Now())
 	l.env.Fetch(req, func(resp *webreq.Response) {
 		if resp.Err != "" && attempt < prebid.MaxBidRetries {
 			l.env.After(prebid.RetryBackoffBase<<attempt, func() {
-				l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, body, payload, sent, attempt+1)
+				l.dispatchBid(prof, bySlot, auctionIDs, pending, onDone, payload, bodyLen, sent, attempt+1)
 			})
 			return
 		}

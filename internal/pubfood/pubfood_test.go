@@ -43,7 +43,7 @@ func responder(latency time.Duration, cpm float64) func(req *webreq.Request) (ti
 		switch {
 		case strings.Contains(req.URL, "/hb/v1/bid"):
 			var breq rtb.BidRequest
-			json.Unmarshal([]byte(req.Body), &breq)
+			json.Unmarshal([]byte(req.Body()), &breq)
 			resp := rtb.BidResponse{ID: breq.ID, Currency: "USD"}
 			seat := rtb.SeatBid{Seat: "x"}
 			for _, imp := range breq.Imp {

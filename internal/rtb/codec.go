@@ -41,7 +41,8 @@ import (
 // Encoder
 // ---------------------------------------------------------------------------
 
-// encBuf is the pooled per-worker encode buffer behind EncodeString.
+// encBuf is the pooled per-worker encode buffer behind
+// BidRequest.EncodedLen and BidResponse.EncodeString.
 type encBuf struct{ b []byte }
 
 var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
@@ -412,23 +413,24 @@ func (b *SeatOne) appendFast(dst []byte) ([]byte, bool) {
 	return dst, true
 }
 
-// EncodeString renders the request through a pooled buffer and returns
-// the body as a string: one allocation (the string copy) per call in
-// the common case versus the many a reflect-driven Marshal performs.
-func (r *BidRequest) EncodeString() (string, error) {
+// EncodedLen encodes the request through a pooled buffer and returns
+// the length of its body, allocating nothing once the buffer is warm. A
+// sender learns what it puts on the wire, and whether the request
+// encodes at all, without a string of the bytes: an in-process hop
+// reads the typed request, and webreq.Request.Body builds the bytes for
+// a reader that needs them.
+func (r *BidRequest) EncodedLen() (int, error) {
 	eb := encPool.Get().(*encBuf)
 	b, err := r.AppendJSON(eb.b[:0])
-	var s string
-	if err == nil {
-		s = string(b)
-	}
 	eb.b = b[:0]
 	encPool.Put(eb)
-	return s, err
+	return len(b), err
 }
 
-// EncodeString renders the response body as a string via the pooled
-// encode buffer; see BidRequest.EncodeString.
+// EncodeString renders the response body through the pooled encode
+// buffer and returns it as a string: one allocation (the string copy)
+// per call in the common case versus the many a reflect-driven Marshal
+// performs.
 func (r *BidResponse) EncodeString() (string, error) {
 	eb := encPool.Get().(*encBuf)
 	b, err := r.AppendJSON(eb.b[:0])

@@ -90,9 +90,9 @@ func TestEncodeGoldenBidRequest(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("encode mismatch for %+v:\n got %s\nwant %s", req, got, want)
 		}
-		s, serr := req.EncodeString()
-		if serr != nil || s != string(want) {
-			t.Errorf("EncodeString mismatch: %q vs %q (err %v)", s, want, serr)
+		n, nerr := req.EncodedLen()
+		if nerr != nil || n != len(want) {
+			t.Errorf("EncodedLen = %d (err %v), want %d", n, nerr, len(want))
 		}
 	}
 }
@@ -529,24 +529,24 @@ func TestDecodeScratchReuse(t *testing.T) {
 	}
 }
 
-// EncodeString through the pooled buffer costs exactly the one string
-// copy.
-func TestEncodeStringAllocs(t *testing.T) {
+// A warm encode through the pooled buffer allocates nothing: a sender
+// learns its body's length without a string of the bytes.
+func TestEncodedLenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool drop buffers, inflating the alloc count")
 	}
 	req := sampleRequest()
 	req.Ext = json.RawMessage(`{"prebid":{"bidder":"rubicon"}}`)
-	if _, err := req.EncodeString(); err != nil {
+	if _, err := req.EncodedLen(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := req.EncodeString(); err != nil {
+		if _, err := req.EncodedLen(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("EncodeString allocates %.1f/op, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a warm EncodedLen allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -555,7 +555,7 @@ func BenchmarkEncodeBidRequest_Codec(b *testing.B) {
 	req.Ext = json.RawMessage(`{"prebid":{"bidder":"rubicon"}}`)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := req.EncodeString(); err != nil {
+		if _, err := req.EncodedLen(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -510,7 +510,7 @@ func (e *Env) fetch(req *webreq.Request, fn func(*webreq.Response, any), arg any
 	nc := n.calls.Alloc()
 	*nc = netCall{net: n, gen: n.gen, req: req, cfn: fn, carg: arg}
 	n.Requests++
-	n.BytesOut += len(req.URL) + len(req.Body)
+	n.BytesOut += len(req.URL) + req.BodyLen()
 	host := req.Host()
 	key := req.RegistrableHost()
 	handler, ok := n.lookup(key)

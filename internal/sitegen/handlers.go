@@ -377,15 +377,15 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	return 200, body, service
 }
 
-// bidRequestOf returns the bid request req carries: the value the
-// wrapper encoded into its body (webreq.Request.PrefillBody), or else
-// the body decoded into dst, as for every request that crossed a real
-// socket. The result is read-only.
+// bidRequestOf returns the bid request req carries: the wrapper's typed
+// body (webreq.Request.SetPayload), or else the body's bytes decoded
+// into dst, as for every request that crossed a real socket. The result
+// is read-only.
 func bidRequestOf(req *webreq.Request, dst *rtb.BidRequest) (*rtb.BidRequest, error) {
-	if v, ok := req.BodyValue().(*rtb.BidRequest); ok && v != nil {
+	if v, ok := req.Payload().(*rtb.BidRequest); ok && v != nil {
 		return v, nil
 	}
-	if err := rtb.UnmarshalBidRequest(req.Body, dst); err != nil {
+	if err := rtb.UnmarshalBidRequest(req.Body(), dst); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -40,11 +40,15 @@ func bidRequestFor(t *testing.T, site *Site, bidder string, tmax int) *webreq.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &webreq.Request{
-		URL:    "https://bid.adnxs.com/hb/v1/bid",
-		Method: webreq.POST,
-		Body:   string(body),
-	}
+	return bidPOST(string(body))
+}
+
+// bidPOST is a bid POST to appnexus whose body is the bytes body, as a
+// request from outside the simulation carries it.
+func bidPOST(body string) *webreq.Request {
+	req := &webreq.Request{URL: "https://bid.adnxs.com/hb/v1/bid", Method: webreq.POST}
+	req.SetBody(body)
+	return req
 }
 
 func firstSiteWithFacet(w *World, f hb.Facet) *Site {
@@ -95,9 +99,7 @@ func TestHandleBidMalformedBody(t *testing.T) {
 	w, eco := ecoWorld(t)
 	_ = w
 	p, _ := w.Registry.BySlug("appnexus")
-	status, _, _ := eco.HandlePartner(p, &webreq.Request{
-		URL: "https://bid.adnxs.com/hb/v1/bid", Method: webreq.POST, Body: "not json",
-	})
+	status, _, _ := eco.HandlePartner(p, bidPOST("not json"))
 	if status != 400 {
 		t.Fatalf("status = %d, want 400", status)
 	}
@@ -302,9 +304,7 @@ func TestBidPricesScaleWithSlotSize(t *testing.T) {
 				TMax: 60000,
 			}
 			body, _ := breq.AppendJSON(nil)
-			_, respBody, _ := eco.HandlePartner(p, &webreq.Request{
-				URL: "https://bid.adnxs.com/hb/v1/bid", Method: webreq.POST, Body: string(body),
-			})
+			_, respBody, _ := eco.HandlePartner(p, bidPOST(string(body)))
 			var resp rtb.BidResponse
 			json.Unmarshal([]byte(respBody), &resp)
 			for _, seat := range resp.SeatBid {
@@ -367,11 +367,11 @@ func benchBidRequest(site *Site) *webreq.Request {
 		})
 	}
 	breq := rtb.BidRequest{ID: "b1", Imp: imps, Site: rtb.Site{Domain: site.Domain}, TMax: 3000}
-	body, err := breq.EncodeString()
+	body, err := breq.AppendJSON(nil)
 	if err != nil {
 		panic(err)
 	}
-	return &webreq.Request{URL: "https://bid.adnxs.com/hb/v1/bid", Method: webreq.POST, Body: body}
+	return bidPOST(string(body))
 }
 
 // BenchmarkHandlePartnerBid measures the client-side bid endpoint, the

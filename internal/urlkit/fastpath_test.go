@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refHost is the pre-overhaul net/url implementation of Host.
@@ -214,6 +215,54 @@ func TestWithParamsMatchesNetURL(t *testing.T) {
 				t.Errorf("WithQuery(%q, %v) = %q, reference %q", base, messy, got, want)
 			}
 		}
+	}
+}
+
+// checkWithLastValue requires WithLastValue(base, q with its last value
+// blank, that value) to build WithQuery(base, q)'s bytes and to give the
+// query the value back, as a substring of the URL when the value needs
+// no string of its own: key-sorted q, a value that needs no escaping, a
+// fast-path base.
+func checkWithLastValue(t *testing.T, base string, q Query) {
+	t.Helper()
+	want := WithQuery(base, q)
+	v := []byte(q[len(q)-1].Value)
+	blank := slices.Clone(q)
+	blank[len(blank)-1].Value = "x"
+	got := WithLastValue(base, blank, v)
+	last := blank[len(blank)-1].Value
+	if got != want || last != string(v) {
+		t.Fatalf("WithLastValue(%q, %v, %q) = %q with last value %q, want %q", base, blank, v, got, last, want)
+	}
+	if fast := plainBase(base) && q.sorted() && queryClean(v); fast && len(v) > 0 &&
+		unsafe.StringData(last) != unsafe.StringData(got[len(got)-len(v):]) {
+		t.Fatalf("WithLastValue(%q, %v, %q): the value %q is not the URL's own bytes", base, blank, v, last)
+	}
+}
+
+// TestWithLastValue: the value written into the URL alone gives the
+// URL WithQuery would build, on the fast path and off it (a value that
+// needs escaping, a query out of key order, a base net/url rewrites),
+// and costs no allocation beyond the URL.
+func TestWithLastValue(t *testing.T) {
+	queries := []Query{
+		{{"site", "site00042.example"}, {"uid", "sim-0badc0de"}},
+		{{"hb_pb.div-1", "0.50"}, {"site", "x.example"}, {"slots", "div-1|300x250"}, {"t", "1548979200000"}},
+		{{"t", "-1"}},
+		{{"site", "x.example"}, {"t", ""}},
+		{{"site", "x.example"}, {"uid", "a b&c"}},
+		{{"uid", "u"}, {"site", "x.example"}},
+		{{"site", "x.example"}, {"site", "y.example"}},
+	}
+	for _, base := range []string{"https://sync.adnxs.com/pixel", "https://host.example/path?have=query", "HTTP://host.example/path", "://bad"} {
+		for _, q := range queries {
+			checkWithLastValue(t, base, q)
+		}
+	}
+	q := Query{{"site", "site00042.example"}, {"uid", ""}}
+	v := []byte("sim-0badc0de")
+	if n := testing.AllocsPerRun(100, func() { WithLastValue("https://sync.adnxs.com/pixel", q, v) }); n != 1 {
+		t.Fatalf("WithLastValue allocates %.0f times per URL, want 1", n)
 	}
 }
 

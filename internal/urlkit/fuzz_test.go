@@ -19,7 +19,9 @@ import (
 // wins), and the same bytes again from the key-sorted form of the pairs, without
 // changing the query it was given. AppendQuery onto a non-empty prefix
 // must give the prefix followed by those same bytes, leave the prefix as
-// it was and, again, the query too.
+// it was and, again, the query too. WithLastValue, handed the last
+// value as bytes, must build the bytes WithQuery builds from the pairs
+// and give the query that value back.
 // The committed corpus under testdata/fuzz/FuzzQuery/ holds one URL of
 // each shape the simulation mints and the malformed cases of
 // fastpath_test.go's corpus.
@@ -55,6 +57,7 @@ func FuzzQuery(f *testing.F) {
 		if string(dst) != prefix || !slices.Equal(q, given) {
 			t.Fatalf("AppendQuery changed its arguments: prefix %q, query %v to %v", dst, given, q)
 		}
+		checkWithLastValue(t, base, q)
 	})
 }
 

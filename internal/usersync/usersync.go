@@ -94,6 +94,8 @@ type pixel struct {
 	sent  time.Time
 	// params is the pixel request's query, prefilled into the request:
 	// both live until the syncer's next Reset and the page's next Rebind.
+	// The uid is written into the URL alone, and its value here is a
+	// substring of the URL (urlkit.WithLastValue).
 	params [2]urlkit.Param
 }
 
@@ -159,13 +161,14 @@ func (s *Syncer) firePixel(p *partners.Profile, root string, depth int) {
 	if s.res != nil {
 		s.res.PixelsFired++
 	}
-	uid := syncUID(uint32(s.rng.Int63() & 0xffffffff))
+	var buf [12]byte
+	uid := appendSyncUID(buf[:0], uint32(s.rng.Int63()&0xffffffff))
 	now := s.env.Now()
 	px := s.pixels.Alloc()
 	*px = pixel{s: s, p: p, root: root, depth: depth, sent: now,
-		params: [2]urlkit.Param{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}}
+		params: [2]urlkit.Param{{Key: "site", Value: s.cfg.Site}, {Key: "uid"}}}
 	req := s.env.NewRequest()
-	req.URL = urlkit.WithQuery(p.SyncEndpoint(), px.params[:])
+	req.URL = urlkit.WithLastValue(p.SyncEndpoint(), px.params[:], uid)
 	req.Method = webreq.GET
 	req.Kind = webreq.KindBeacon
 	req.Sent = now
@@ -208,15 +211,13 @@ func (s *Syncer) randomOtherPartner(exclude string) *partners.Profile {
 	return nil
 }
 
-// syncUID renders "sim-" plus the zero-padded 8-hex-digit id (the
-// %08x wire form) without fmt.
-func syncUID(v uint32) string {
+// appendSyncUID appends "sim-" plus the zero-padded 8-hex-digit id (the
+// %08x wire form) to dst without fmt.
+func appendSyncUID(dst []byte, v uint32) []byte {
 	const hex = "0123456789abcdef"
-	var b [12]byte
-	copy(b[:], "sim-")
-	for i := 0; i < 8; i++ {
-		b[11-i] = hex[v&0xf]
-		v >>= 4
+	dst = append(dst, "sim-"...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[v>>shift&0xf])
 	}
-	return string(b[:])
+	return dst
 }

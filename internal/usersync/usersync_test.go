@@ -1,6 +1,7 @@
 package usersync
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -101,5 +102,14 @@ func TestSyncDeterministic(t *testing.T) {
 	b, _ := run(t, cfg, 7)
 	if a.PixelsFired != b.PixelsFired || a.Chained != b.Chained {
 		t.Fatalf("sync not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestSyncUIDMatchesSprintf pins the uid to its %08x wire form.
+func TestSyncUIDMatchesSprintf(t *testing.T) {
+	for _, v := range []uint32{0, 1, 0xabc, 0x89abcdef, 0xffffffff} {
+		if got, want := string(appendSyncUID(nil, v)), fmt.Sprintf("sim-%08x", v); got != want {
+			t.Errorf("appendSyncUID(%#x) = %q, want %q", v, got, want)
+		}
 	}
 }

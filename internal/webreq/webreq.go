@@ -31,13 +31,13 @@ const (
 	KindBeacon   Kind = "beacon"   // win/render notifications
 )
 
-// Request is one outgoing page request.
+// Request is one outgoing page request. Its body, if any, is set with
+// SetBody or SetPayload and read with Body and BodyLen.
 type Request struct {
 	ID      int64
 	URL     string
 	Method  Method
 	Kind    Kind
-	Body    string // request payload (bid requests carry JSON)
 	Sent    time.Time
 	Referer string
 
@@ -56,9 +56,20 @@ type Request struct {
 	// (Requests.New), or nil for a request of its own.
 	queries *urlkit.Queries
 
-	// bodyValue is the value Body was encoded from (PrefillBody); nil
-	// unless an in-process builder handed it over.
-	bodyValue any
+	// The body: payload is the typed value an in-process builder sends
+	// (SetPayload), nil for bytes from outside the simulation; body
+	// holds the bytes once they are set or built, and bodyLen their
+	// length, known before they are built.
+	payload Payload
+	body    string
+	bodyLen int
+}
+
+// Payload is a request body in typed form: the value an in-process
+// builder sends, which writes its own bytes (rtb.BidRequest, whose
+// AppendJSON is the wire encoding).
+type Payload interface {
+	AppendJSON(dst []byte) ([]byte, error)
 }
 
 func (r *Request) ensureHost() {
@@ -105,19 +116,38 @@ func (r *Request) PrefillParams(q urlkit.Query) {
 	r.params = q
 }
 
-// PrefillBody hands the request the value its Body was just encoded
-// from, so an in-process handler reads the builder's value instead of
-// decoding the builder's own bytes: the body-side twin of PrefillParams.
-// It is typed any because the body codecs (rtb) sit above this package.
-// The value is retained and shared; neither the builder nor any reader
-// may modify it afterwards, and it must be exactly what decoding Body
-// yields. Only builders set it. No typed value crosses a socket, so a
-// handler must still decode Body when BodyValue is nil.
-func (r *Request) PrefillBody(v any) { r.bodyValue = v }
+// SetPayload makes v the request's body, n bytes long once encoded: the
+// body-side twin of PrefillParams. An in-process handler reads v itself
+// (Payload) instead of decoding bytes, and the simulated network counts
+// n, so the bytes are built only if something reads them (Body). The
+// builder must have encoded v once to learn n (rtb.BidRequest.EncodedLen),
+// and v is retained and shared: it must stay unmodified, and valid, for
+// as long as the request is. Only in-process builders set a payload.
+func (r *Request) SetPayload(v Payload, n int) { r.payload, r.body, r.bodyLen = v, "", n }
 
-// BodyValue returns the value PrefillBody handed over, or nil. Treat it
-// as read-only.
-func (r *Request) BodyValue() any { return r.bodyValue }
+// SetBody makes s the request's body: the bytes of a request from
+// outside the simulation, which carries no typed value.
+func (r *Request) SetBody(s string) { r.payload, r.body, r.bodyLen = nil, s, len(s) }
+
+// Payload returns the typed body SetPayload handed over, or nil. Treat
+// it as read-only. No typed value crosses a socket, so a handler must
+// decode Body when Payload is nil.
+func (r *Request) Payload() Payload { return r.payload }
+
+// BodyLen returns the body's length in bytes without building it.
+func (r *Request) BodyLen() int { return r.bodyLen }
+
+// Body returns the body's bytes: as set, or encoded from the payload on
+// the first call, for a reader of bytes (a real socket, a handler's
+// decode). The bytes are built once and live as long as the request.
+func (r *Request) Body() string {
+	if r.body == "" && r.payload != nil {
+		if b, err := r.payload.AppendJSON(make([]byte, 0, r.bodyLen)); err == nil {
+			r.body = string(b)
+		}
+	}
+	return r.body
+}
 
 // Response is the matching response delivered to the page.
 type Response struct {
@@ -345,7 +375,7 @@ func (in *Inspector) SawResponse(resp *Response) {
 
 // Exchanges returns all exchanges in request order.
 //
-//hbvet:allow deadexport test seam: the webreq, browser and crawler tests read a visit's recorded exchanges with it; production observes exchanges as they happen, through OnRequest and OnResponse
+//hbvet:allow deadexport test seam: the webreq, browser, crawler and livenet tests read a visit's recorded exchanges with it; production observes exchanges as they happen, through OnRequest and OnResponse
 func (in *Inspector) Exchanges() []Exchange {
 	if in.order == nil {
 		out := make([]Exchange, len(in.exchanges))
