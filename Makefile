@@ -2,11 +2,13 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
-# the measured numbers it is derived from): the gate measures 9.63 since
-# the tenth pass built each string a visit sends once, and a bid
-# request's body only when something reads its bytes (11.8 before); the
-# ceiling keeps about 10% headroom over that.
-ALLOCS_CEILING ?= 10.6
+# the measured numbers it is derived from): the gate measures 7.59
+# since BenchmarkCrawl_EndToEnd crawls its world once untimed before it
+# measures, so the world's one-time work no longer lands in the reading
+# and the reading no longer depends on -benchtime (7.56-7.61 at 1, 3, 5
+# and 20 iterations; 9.63 at the gate's 3 before); the ceiling keeps
+# about 10% headroom over that.
+ALLOCS_CEILING ?= 8.4
 
 # Max throughput the metrics-attached crawl may give up vs the bare
 # crawl, in percent (the streaming-metrics design goal is <=10%).
@@ -113,10 +115,12 @@ bench-gate:
 # URL query target checks ParseQuery and WithQuery against net/url, the
 # URL host target checks Host against net/url, and the wire reader's
 # checks never-panic, allocation linear in the input and the same reads
-# from both source kinds. Two targets hold the post-auction kernels to
-# their references: the JSONL record encoder must write json.Encoder's
-# bytes (or fail where it fails), and the ad-server body scanner must
-# read the lines, fields and fail flags strings.Split gives. The
+# from both source kinds. Three targets hold encoders and a
+# post-auction kernel to their references: the OpenRTB encoder must
+# write json.Marshal's bytes (FuzzEncodeBid) and the JSONL record
+# encoder json.Encoder's (or each fail where it fails), and the
+# ad-server body scanner must read the lines, fields and fail flags
+# strings.Split gives. The
 # committed corpora under internal/rtb/testdata/fuzz/,
 # internal/dataset/testdata/fuzz/, internal/snapshot/testdata/fuzz/,
 # internal/htmlmeta/testdata/fuzz/, internal/urlkit/testdata/fuzz/,
@@ -128,6 +132,7 @@ bench-gate:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBidResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rtb
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBid$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rtb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeRecord$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalShard$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/snapshot

@@ -14,25 +14,38 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"headerbid"
 )
 
 func main() {
-	var (
-		sites  = flag.Int("sites", 2000, "world size")
-		seed   = flag.Int64("seed", 1, "world seed")
-		rank   = flag.Int("rank", 0, "visit the site with this rank")
-		domain = flag.String("domain", "", "visit this domain")
-		facet  = flag.String("facet", "", "visit the first HB site with this facet (client|server|hybrid)")
-		day    = flag.Int("day", 0, "crawl day (changes the visit's random draws)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	log.SetFlags(0)
-	log.SetPrefix("hbdetect: ")
+// run is hbdetect over the given arguments and output streams. It
+// returns the exit status: 0 after a visit, with header bidding or
+// without, 1 when no site matches or the visit fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbdetect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		sites  = fs.Int("sites", 2000, "world size")
+		seed   = fs.Int64("seed", 1, "world seed")
+		rank   = fs.Int("rank", 0, "visit the site with this rank")
+		domain = fs.String("domain", "", "visit this domain")
+		facet  = fs.String("facet", "", "visit the first HB site with this facet (client|server|hybrid)")
+		day    = fs.Int("day", 0, "crawl day (changes the visit's random draws)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "hbdetect: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg := headerbid.DefaultWorldConfig(*seed)
 	cfg.NumSites = *sites
@@ -40,11 +53,11 @@ func main() {
 
 	site := pickSite(world, *rank, *domain, *facet)
 	if site == nil {
-		log.Fatal("no matching site (try -rank, -domain or -facet)")
+		return fail("no matching site (try -rank, -domain or -facet)")
 	}
 
-	fmt.Printf("site    %s (rank %d)\n", site.Domain, site.Rank)
-	fmt.Printf("truth   hb=%v facet=%s partners=%v slots=%d timeout=%dms\n\n",
+	fmt.Fprintf(stdout, "site    %s (rank %d)\n", site.Domain, site.Rank)
+	fmt.Fprintf(stdout, "truth   hb=%v facet=%s partners=%v slots=%d timeout=%dms\n\n",
 		site.HB, site.Facet.Short(), site.Partners, len(site.AdUnits), site.TimeoutMS)
 
 	// A single-site, single-day Experiment: the same streaming pipeline
@@ -61,42 +74,42 @@ func main() {
 		})),
 	).Run(context.Background())
 	if err != nil || len(recs) != 1 {
-		log.Fatalf("visit failed: err=%v records=%d", err, len(recs))
+		return fail("visit failed: err=%v records=%d", err, len(recs))
 	}
 	rec := recs[0]
 
-	fmt.Printf("detected      hb=%v facet=%s libraries=%v\n", rec.HB, rec.Facet, rec.Libraries)
-	fmt.Printf("partners      %v\n", rec.Partners)
-	fmt.Printf("winners       %v\n", rec.Winners)
-	fmt.Printf("hb latency    %.0f ms\n", rec.TotalHBLatencyMS)
-	fmt.Printf("slots         %d auctioned\n", rec.AdSlotsAuctioned)
-	fmt.Printf("traffic       bid=%d hosted=%d adsrv=%d creative=%d beacon=%d script=%d other=%d\n\n",
+	fmt.Fprintf(stdout, "detected      hb=%v facet=%s libraries=%v\n", rec.HB, rec.Facet, rec.Libraries)
+	fmt.Fprintf(stdout, "partners      %v\n", rec.Partners)
+	fmt.Fprintf(stdout, "winners       %v\n", rec.Winners)
+	fmt.Fprintf(stdout, "hb latency    %.0f ms\n", rec.TotalHBLatencyMS)
+	fmt.Fprintf(stdout, "slots         %d auctioned\n", rec.AdSlotsAuctioned)
+	fmt.Fprintf(stdout, "traffic       bid=%d hosted=%d adsrv=%d creative=%d beacon=%d script=%d other=%d\n\n",
 		rec.Traffic.BidRequests, rec.Traffic.HostedCalls, rec.Traffic.AdServer,
 		rec.Traffic.Creatives, rec.Traffic.Beacons, rec.Traffic.Scripts, rec.Traffic.Other)
 
 	for _, a := range rec.Auctions {
-		fmt.Printf("auction %-28s unit=%-24s size=%-8s dur=%6.0fms bids=%d",
+		fmt.Fprintf(stdout, "auction %-28s unit=%-24s size=%-8s dur=%6.0fms bids=%d",
 			a.ID, a.AdUnit, a.Size, a.DurationMS, len(a.Bids))
 		if a.Winner != "" {
-			fmt.Printf("  winner=%s@%.4f", a.Winner, a.WinnerCPM)
+			fmt.Fprintf(stdout, "  winner=%s@%.4f", a.Winner, a.WinnerCPM)
 		}
 		if a.Failed {
-			fmt.Printf("  RENDER-FAILED")
+			fmt.Fprintf(stdout, "  RENDER-FAILED")
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, b := range a.Bids {
 			late := ""
 			if b.Late {
 				late = "  LATE"
 			}
-			fmt.Printf("    %-16s %8.4f CPM  %-9s %6.0fms  %s%s\n",
+			fmt.Fprintf(stdout, "    %-16s %8.4f CPM  %-9s %6.0fms  %s%s\n",
 				b.Bidder, b.CPM, b.Size, b.LatencyMS, b.Source, late)
 		}
 	}
 	if !rec.HB {
-		fmt.Println("no header bidding detected on this page")
-		os.Exit(0)
+		fmt.Fprintln(stdout, "no header bidding detected on this page")
 	}
+	return 0
 }
 
 func pickSite(w *headerbid.World, rank int, domain, facet string) *headerbid.Site {

@@ -13,6 +13,7 @@ import (
 
 	"headerbid/internal/core"
 	"headerbid/internal/hb"
+	"headerbid/internal/rtb/jsonkit"
 )
 
 // BidRecord is one observed bid, flattened for serialization.
@@ -251,7 +252,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 type Writer struct {
 	w   *bufio.Writer
 	c   io.Closer
-	enc encoder
+	buf []byte // the line being written, reused record after record
 	n   int
 }
 
@@ -275,10 +276,18 @@ func NewFileWriter(path string) (*Writer, error) {
 // Write appends one record. A record JSON cannot represent (a NaN or
 // infinite float) returns encoding/json's error and writes nothing.
 func (w *Writer) Write(rec *SiteRecord) error {
-	if err := w.enc.record(rec); err != nil {
-		return err
+	b, ok := jsonkit.AppendObject(w.buf[:0], siteFields, rec)
+	if !ok {
+		// A float JSON cannot represent: encoding/json refuses the
+		// record too, and its error is the one to return.
+		blob, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		b = append(w.buf[:0], blob...)
 	}
-	if _, err := w.w.Write(w.enc.buf); err != nil {
+	w.buf = append(b, '\n')
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	w.n++

@@ -4,48 +4,23 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
+
+	"headerbid/internal/rtb/jsonkit"
 )
 
-// TestFieldTablesMatchTags holds each field table to the struct tags
-// encoding/json reads: one entry per field, in declaration order, with
-// the tag's name and omitempty flag and an accessor that points at that
-// very field. A key must also need no JSON escaping, since the writer
-// copies it verbatim.
+// TestFieldTablesMatchTags holds each of the four field tables to the
+// struct tags encoding/json reads (jsonkit.CheckTable).
 func TestFieldTablesMatchTags(t *testing.T) {
-	checkTable(t, siteFields)
-	checkTable(t, auctionFields)
-	checkTable(t, bidFields)
-	checkTable(t, trafficFields)
-}
-
-func checkTable[R any](t *testing.T, fields []field[R]) {
-	t.Helper()
-	var r R
-	v := reflect.ValueOf(&r).Elem()
-	typ := v.Type()
-	if len(fields) != typ.NumField() {
-		t.Fatalf("%s: %d table entries for %d fields", typ.Name(), len(fields), typ.NumField())
-	}
-	for i := range fields {
-		f, sf := &fields[i], typ.Field(i)
-		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
-		omit := false
-		for _, o := range strings.Split(opts, ",") {
-			omit = omit || o == "omitempty"
-		}
-		if f.key != name || f.omitempty != omit {
-			t.Errorf("%s.%s: table entry %d is {%q omitempty=%v}, the tag says {%q omitempty=%v}",
-				typ.Name(), sf.Name, i, f.key, f.omitempty, name, omit)
-		}
-		p := reflect.ValueOf(f.ptr(&r))
-		if p.Kind() != reflect.Pointer || p.Type().Elem() != sf.Type || p.Pointer() != v.Field(i).Addr().Pointer() {
-			t.Errorf("%s.%s: table entry %d (%q) points at a %v, not at the field", typ.Name(), sf.Name, i, f.key, p.Type())
-		}
-		if q, _ := json.Marshal(f.key); string(q) != `"`+f.key+`"` {
-			t.Errorf("%s: key %q needs escaping", typ.Name(), f.key)
+	for _, err := range []error{
+		jsonkit.CheckTable(siteFields),
+		jsonkit.CheckTable(auctionFields),
+		jsonkit.CheckTable(bidFields),
+		jsonkit.CheckTable(trafficFields),
+	} {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

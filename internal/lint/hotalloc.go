@@ -24,10 +24,11 @@ import (
 //     annotate the one-time setup loops.
 //   - no encoding/json Marshal/Unmarshal: reflection-based encoding of
 //     the fixed OpenRTB shapes costs dozens of allocations per bid
-//     exchange. The hand-rolled codec in internal/rtb is byte-identical
-//     to encoding/json for these shapes; the sanctioned fallbacks (the
-//     codec's own escape hatches for foreign bodies) carry
-//     //hbvet:allow hotalloc annotations.
+//     exchange. The rtb codec, field tables walked by the JSON kernel
+//     in internal/rtb/jsonkit (which the JSONL records share), is
+//     byte-identical to encoding/json for these shapes; the sanctioned
+//     fallbacks (the codec's own escape hatches for foreign bodies)
+//     carry //hbvet:allow hotalloc annotations.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid fmt formatting calls, per-iteration capturing closures, " +
@@ -40,15 +41,16 @@ var Hotalloc = &Analyzer{
 // hotPathPackages are the packages on the per-visit execution path,
 // matching the surface the allocs/visit ceiling measures.
 var hotPathPackages = map[string]bool{
-	"headerbid/internal/pagert":  true,
-	"headerbid/internal/webreq":  true,
-	"headerbid/internal/hb":      true,
-	"headerbid/internal/urlkit":  true,
-	"headerbid/internal/clock":   true,
-	"headerbid/internal/rtb":     true,
-	"headerbid/internal/prebid":  true,
-	"headerbid/internal/pubfood": true,
-	"headerbid/internal/sitegen": true,
+	"headerbid/internal/pagert":      true,
+	"headerbid/internal/webreq":      true,
+	"headerbid/internal/hb":          true,
+	"headerbid/internal/urlkit":      true,
+	"headerbid/internal/clock":       true,
+	"headerbid/internal/rtb":         true,
+	"headerbid/internal/rtb/jsonkit": true,
+	"headerbid/internal/prebid":      true,
+	"headerbid/internal/pubfood":     true,
+	"headerbid/internal/sitegen":     true,
 }
 
 // fmtFormatFuncs are the reflection-based formatting entry points

@@ -298,19 +298,6 @@ func (s *Stream) Categorical(weights []float64) int {
 	return len(weights) - 1
 }
 
-// ZipfWeights returns weights proportional to 1/(rank+q)^alpha for ranks
-// 0..n-1. The demand-partner popularity distribution in the paper (DFP at
-// 80% of sites, a long tail of 84 partners) is strongly Zipf-like.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestZipfWeightsDecreasing calls it
-func ZipfWeights(n int, alpha, q float64) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1 / math.Pow(float64(i+1)+q, alpha)
-	}
-	return w
-}
-
 // WeightedSampleWithoutReplacement draws k distinct indices from weights.
 // If k >= len(weights) all indices are returned in weight-biased order.
 func (s *Stream) WeightedSampleWithoutReplacement(weights []float64, k int) []int {

@@ -170,15 +170,6 @@ func TestCategoricalEdgeCases(t *testing.T) {
 	}
 }
 
-func TestZipfWeightsDecreasing(t *testing.T) {
-	w := ZipfWeights(50, 1.2, 0)
-	for i := 1; i < len(w); i++ {
-		if w[i] >= w[i-1] {
-			t.Fatalf("zipf weights not strictly decreasing at %d", i)
-		}
-	}
-}
-
 func TestWeightedSampleWithoutReplacementDistinct(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		r := New(seed)

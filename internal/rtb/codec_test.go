@@ -9,7 +9,28 @@ import (
 	"testing"
 
 	"headerbid/internal/rng"
+	"headerbid/internal/rtb/jsonkit"
 )
+
+// TestFieldTablesMatchTags holds each of the nine field tables to the
+// struct tags encoding/json reads (jsonkit.CheckTable).
+func TestFieldTablesMatchTags(t *testing.T) {
+	for _, err := range []error{
+		jsonkit.CheckTable(bidRequestFields),
+		jsonkit.CheckTable(impressionFields),
+		jsonkit.CheckTable(bannerFields),
+		jsonkit.CheckTable(formatFields),
+		jsonkit.CheckTable(siteFields),
+		jsonkit.CheckTable(userFields),
+		jsonkit.CheckTable(bidResponseFields),
+		jsonkit.CheckTable(seatBidFields),
+		jsonkit.CheckTable(seatOneFields),
+	} {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
 
 // encodeCases covers every shape and the omitempty/nil-vs-empty/Ext
 // corners the encoder must pin byte-for-byte to encoding/json.
@@ -216,7 +237,7 @@ var decodeRequestBodies = []struct {
 func TestDecodeDifferentialBidRequest(t *testing.T) {
 	for _, tc := range decodeRequestBodies {
 		var fastDst BidRequest
-		fastOK := fastDecodeBidRequest(tc.body, &fastDst, nil, nil)
+		fastOK := jsonkit.Decode(tc.body, nil, bidRequestFields, &fastDst)
 		if fastOK != tc.fast {
 			t.Errorf("body %q: fast path = %v, want %v", tc.body, fastOK, tc.fast)
 		}
@@ -273,7 +294,7 @@ var decodeResponseBodies = []struct {
 func TestDecodeDifferentialBidResponse(t *testing.T) {
 	for _, tc := range decodeResponseBodies {
 		var fastDst BidResponse
-		fastOK := fastDecodeBidResponse(tc.body, &fastDst, nil)
+		fastOK := jsonkit.Decode(tc.body, nil, bidResponseFields, &fastDst)
 		if fastOK != tc.fast {
 			t.Errorf("body %q: fast path = %v, want %v", tc.body, fastOK, tc.fast)
 		}
@@ -406,7 +427,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: encode mismatch:\n got %s\nwant %s", trial, blob, want)
 		}
 		var back BidRequest
-		if !fastDecodeBidRequest(string(blob), &back, nil, nil) {
+		if !jsonkit.Decode(string(blob), nil, bidRequestFields, &back) {
 			t.Fatalf("trial %d: fast decode refused own encoding: %s", trial, blob)
 		}
 		var jsonBack BidRequest
@@ -431,7 +452,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: resp encode mismatch:\n got %s\nwant %s", trial, rblob, rwant)
 		}
 		var rback BidResponse
-		if !fastDecodeBidResponse(string(rblob), &rback, nil) {
+		if !jsonkit.Decode(string(rblob), nil, bidResponseFields, &rback) {
 			t.Fatalf("trial %d: fast decode refused own encoding: %s", trial, rblob)
 		}
 		var rjson BidResponse

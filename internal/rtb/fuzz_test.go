@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"headerbid/internal/rtb/jsonkit"
 )
 
 // The fuzz targets drive the scanner against arbitrary input and hold
@@ -49,7 +51,7 @@ func FuzzUnmarshalBidRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		var fast BidRequest
-		ok := fastDecodeBidRequest(body, &fast, nil, nil)
+		ok := jsonkit.Decode(body, nil, bidRequestFields, &fast)
 		var want BidRequest
 		werr := json.Unmarshal([]byte(body), &want)
 		if ok {
@@ -83,7 +85,7 @@ func FuzzUnmarshalBidResponse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		var fast BidResponse
-		ok := fastDecodeBidResponse(body, &fast, nil)
+		ok := jsonkit.Decode(body, nil, bidResponseFields, &fast)
 		var want BidResponse
 		werr := json.Unmarshal([]byte(body), &want)
 		if ok {
@@ -143,4 +145,107 @@ func heldResponse(t *testing.T) BidResponse {
 		t.Fatalf("held response %q does not decode: %v", heldBody, err)
 	}
 	return r
+}
+
+// FuzzEncodeBid holds the OpenRTB encoders to encoding/json, their
+// reference: a BidRequest and a BidResponse built from the fuzzed
+// strings, floats, int and Ext fragment must encode, after a non-empty
+// prefix, to exactly json.Marshal's bytes, or fail where json.Marshal
+// fails and leave only the prefix; EncodedLen must give that byte
+// count and EncodeString those bytes. Every field is set, then mask
+// zeroes fields through the tables (bits 0–6 the request's, 7–10 its
+// first impression's, 11 that impression's banner, 12–13 its first
+// format, 14–16 the site, 17–18 the user, 19–22 the response's, 23–24
+// its first seat's, 25–32 that seat's first bid), so omitempty is
+// exercised member by member. The committed corpus under
+// testdata/fuzz/FuzzEncodeBid/ seeds invalid UTF-8, "<>&",
+// U+2028/U+2029, control bytes, −0, 1e-7, 5e-324, 1e21, NaN and ±Inf,
+// and Ext fragments with whitespace, with '<', invalid and null.
+func FuzzEncodeBid(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s1, s2 string, x, y float64, n int, ext string, mask uint64) {
+		req := &BidRequest{
+			ID: s1,
+			Imp: []Impression{
+				{ID: s2, Banner: Banner{Format: []Format{{W: n, H: -n}, {W: 728, H: 90}}}, FloorCPM: x, TagID: s1},
+				{ID: s1 + s2, FloorCPM: y},
+			},
+			Site: Site{Domain: s1, Page: s2, Ref: s1 + s2},
+			User: User{BuyerUID: s2, Segments: []string{s1, s2}},
+			TMax: n, Test: 1,
+			Ext: json.RawMessage(ext),
+		}
+		resp := &BidResponse{
+			ID: s2,
+			SeatBid: []SeatBid{
+				{Seat: s1, Bid: []SeatOne{
+					{ImpID: s1, Price: y, W: n, H: 250, AdMarkup: s2, CrID: s1, DealID: s2, NURL: s1 + s2},
+					{ImpID: s2, Price: x},
+				}},
+				{Seat: s2, Bid: []SeatOne{}},
+			},
+			Currency: s1, NBR: n,
+		}
+		zeroFields(bidRequestFields, req, mask)
+		if len(req.Imp) > 0 {
+			imp := &req.Imp[0]
+			zeroFields(impressionFields, imp, mask>>7)
+			zeroFields(bannerFields, &imp.Banner, mask>>11)
+			if len(imp.Banner.Format) > 0 {
+				zeroFields(formatFields, &imp.Banner.Format[0], mask>>12)
+			}
+		}
+		zeroFields(siteFields, &req.Site, mask>>14)
+		zeroFields(userFields, &req.User, mask>>17)
+		zeroFields(bidResponseFields, resp, mask>>19)
+		if len(resp.SeatBid) > 0 {
+			sb := &resp.SeatBid[0]
+			zeroFields(seatBidFields, sb, mask>>23)
+			if len(sb.Bid) > 0 {
+				zeroFields(seatOneFields, &sb.Bid[0], mask>>25)
+			}
+		}
+
+		const prefix = "prefix:"
+		want, werr := json.Marshal(req)
+		got, gerr := req.AppendJSON([]byte(prefix))
+		checkEncoded(t, "BidRequest", got, gerr, want, werr)
+		size, serr := req.EncodedLen()
+		if (serr == nil) != (werr == nil) || (werr == nil && size != len(want)) {
+			t.Fatalf("BidRequest.EncodedLen = %d, %v; json.Marshal wrote %d bytes, %v", size, serr, len(want), werr)
+		}
+
+		want, werr = json.Marshal(resp)
+		got, gerr = resp.AppendJSON([]byte(prefix))
+		checkEncoded(t, "BidResponse", got, gerr, want, werr)
+		s, serr := resp.EncodeString()
+		if (serr == nil) != (werr == nil) || s != string(want) {
+			t.Fatalf("BidResponse.EncodeString = %q, %v; json.Marshal gives %q, %v", s, serr, want, werr)
+		}
+	})
+}
+
+// checkEncoded holds one AppendJSON onto "prefix:" to json.Marshal's
+// result: the same bytes after the prefix, or an error and the prefix
+// alone.
+func checkEncoded(t *testing.T, what string, got []byte, gerr error, want []byte, werr error) {
+	t.Helper()
+	if werr != nil {
+		if gerr == nil || string(got) != "prefix:" {
+			t.Fatalf("%s: json.Marshal fails (%v), AppendJSON gives %q, %v", what, werr, got, gerr)
+		}
+		return
+	}
+	if gerr != nil || string(got) != "prefix:"+string(want) {
+		t.Fatalf("%s: AppendJSON wrote\n%s (%v)\njson.Marshal writes\nprefix:%s", what, got, gerr, want)
+	}
+}
+
+// zeroFields sets to its zero value every field of r whose table index
+// has its bit set in mask.
+func zeroFields[R any](fields []jsonkit.Field[*R], r *R, mask uint64) {
+	for i := range fields {
+		if mask&(1<<i) != 0 {
+			reflect.ValueOf(fields[i].Ptr(r)).Elem().SetZero()
+		}
+	}
 }

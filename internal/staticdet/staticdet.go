@@ -9,7 +9,6 @@ package staticdet
 
 import (
 	"regexp"
-	"strings"
 
 	"headerbid/internal/htmlmeta"
 )
@@ -105,18 +104,4 @@ func sortStrings(xs []string) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// ContainsHBKeyword is a cheap pre-filter used when scanning large
-// archives: does the source mention anything HB-flavored at all?
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestContainsHBKeyword calls it
-func ContainsHBKeyword(src string) bool {
-	l := strings.ToLower(src)
-	for _, kw := range []string{"prebid", "gpt.js", "pubfood", "headerbid", "pbjs"} {
-		if strings.Contains(l, kw) {
-			return true
-		}
-	}
-	return false
 }

@@ -114,15 +114,6 @@ func TestHitCounters(t *testing.T) {
 	}
 }
 
-func TestContainsHBKeyword(t *testing.T) {
-	if !ContainsHBKeyword("xx PREBID yy") || !ContainsHBKeyword("gpt.js") {
-		t.Fatal("keyword prefilter missed")
-	}
-	if ContainsHBKeyword("plain page about waterfalls") {
-		t.Fatal("keyword prefilter false positive")
-	}
-}
-
 // Markup that is not ASCII (a Latin-1 title, invalid UTF-8, letters
 // whose lower case is longer) must scan like its ASCII twin: the
 // scanner matches tag names on the raw bytes, so the bytes before a

@@ -186,61 +186,6 @@ func BoxOf(samples []float64) (Box, error) {
 // the paper says popular partners have latencies with smaller variability.
 func (b Box) WhiskerSpan() float64 { return b.P95 - b.P5 }
 
-// Histogram counts samples into k equal-width bins over [lo, hi]. Samples
-// outside the range are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram builds a histogram with k bins over [lo, hi].
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
-func NewHistogram(lo, hi float64, k int) *Histogram {
-	if k <= 0 {
-		k = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, k)}
-}
-
-// Add records one sample.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
-func (h *Histogram) Add(x float64) {
-	k := len(h.Counts)
-	pos := int(float64(k) * (x - h.Lo) / (h.Hi - h.Lo))
-	if pos < 0 {
-		pos = 0
-	}
-	if pos >= k {
-		pos = k - 1
-	}
-	h.Counts[pos]++
-	h.N++
-}
-
-// Fraction returns the fraction of samples in bin i.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// BinCenter returns the center x of bin i.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestHistogram calls it
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // Binner groups (key, value) observations into fixed-width integer-key
 // bins and summarizes each bin with a Box. It backs the "metric vs rank"
 // figures (latency vs Alexa rank in bins of 500, popularity rank in bins
@@ -358,21 +303,4 @@ func ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return r
-}
-
-// TopK returns the indices of the k largest values, ties broken by lower
-// index, ordered descending by value. It copies nothing and runs in
-// O(n log n).
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestTopK calls it
-func TopK(values []float64, k int) []int {
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return values[idx[a]] > values[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

@@ -153,33 +153,6 @@ func TestBoxOf(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0.5, 1, 3, 5, 7, 9, 11} {
-		h.Add(x)
-	}
-	if h.N != 8 {
-		t.Fatalf("N = %d", h.N)
-	}
-	// Clamped edges: -1 lands in bin 0, 11 in bin 4.
-	if h.Counts[0] != 3 { // -1, 0.5, 1
-		t.Fatalf("bin0 = %d, want 3 (clamping)", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9, 11
-		t.Fatalf("bin4 = %d, want 2", h.Counts[4])
-	}
-	var total float64
-	for i := range h.Counts {
-		total += h.Fraction(i)
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("fractions sum to %v", total)
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("bin0 center = %v, want 1", c)
-	}
-}
-
 func TestBinner(t *testing.T) {
 	b := NewBinner(500)
 	for rank := 0; rank < 1500; rank++ {
@@ -233,20 +206,6 @@ func TestSpearmanTies(t *testing.T) {
 	ys := []float64{1, 2, 2, 3}
 	if r := Spearman(xs, ys); math.Abs(r-1) > 1e-9 {
 		t.Fatalf("spearman with ties = %v, want 1", r)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	vals := []float64{3, 9, 1, 9, 5}
-	got := TopK(vals, 3)
-	want := []int{1, 3, 4} // 9 (idx1), 9 (idx3, tie stable), 5 (idx4)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if len(TopK(vals, 100)) != 5 {
-		t.Fatal("TopK over-length not clamped")
 	}
 }
 
