@@ -468,10 +468,9 @@ func BenchmarkCrawl_EndToEnd(b *testing.B) {
 	cfg := DefaultWorldConfig(7)
 	cfg.NumSites = sites
 	world := GenerateWorld(cfg)
-	opts := DefaultCrawlConfig(7)
 
 	crawl := func() {
-		res, err := NewExperiment(WithWorld(world), WithCrawlConfig(opts)).Run(context.Background())
+		res, err := NewExperiment(WithWorld(world), WithSeed(7)).Run(context.Background())
 		if err != nil || res.Stats.Visits != sites {
 			b.Fatalf("run failed: %v (%d visits, want %d)", err, res.Stats.Visits, sites)
 		}
@@ -506,13 +505,12 @@ func BenchmarkCrawl_EndToEndMetrics(b *testing.B) {
 	cfg := DefaultWorldConfig(7)
 	cfg.NumSites = sites
 	world := GenerateWorld(cfg)
-	opts := DefaultCrawlConfig(7)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fr := NewFigureReport()
 		res, err := NewExperiment(
-			WithWorld(world), WithCrawlConfig(opts), WithMetrics(fr),
+			WithWorld(world), WithSeed(7), WithMetrics(fr),
 		).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -536,38 +534,51 @@ func BenchmarkCrawl_EndToEndMetrics(b *testing.B) {
 
 // crawlOverhead measures the throughput cost of the options extra
 // returns (fresh ones per crawl) — the overhead_pct the bench gate's
-// ratio ceilings read, with bare_sites/sec and the extended side's
-// sites/sec under metric. Bare and extended crawls are interleaved
-// inside one run (alternating order) and each side is summarized by its
-// *minimum* crawl time: the workload is deterministic, so scheduler
-// contention and GC pauses only ever add time, making the per-side
-// minimum a noise-robust estimate of true cost where a ratio of sums
-// would let one contended crawl swing the result. Noise therefore almost
+// ratio ceilings read, with bare_sites/sec and <side>_sites/sec — and
+// each side's allocs/visit (bare_allocs/visit, <side>_allocs/visit),
+// whose difference the bench gate's count ceilings read: unlike the
+// ratio, it does not move with host noise. Bare and extended crawls are
+// interleaved inside one run (alternating order) and each side is
+// summarized by its *minimum* crawl time: the workload is deterministic,
+// so scheduler contention and GC pauses only ever add time, making the
+// per-side minimum a noise-robust estimate of true cost where a ratio of
+// sums would let one contended crawl swing the result. Noise therefore almost
 // always inflates overhead_pct — which is what lets the bench gate retry
 // contention-inflated attempts without biasing a real regression toward
 // passing. The crawl is ~3x larger than the EndToEnd gate's so each
 // sample is long enough (~45ms) to average out scheduler jitter within
 // itself.
-func crawlOverhead(b *testing.B, metric string, extra func() []ExperimentOption) {
+func crawlOverhead(b *testing.B, side string, extra func() []ExperimentOption) {
 	const sites = 1200
 	cfg := DefaultWorldConfig(7)
 	cfg.NumSites = sites
 	world := GenerateWorld(cfg)
-	opts := DefaultCrawlConfig(7)
 
+	// Mallocs during the crawls of each side: 0 bare, 1 extended.
+	var mallocs [2]uint64
+	var crawls [2]int
 	runOnce := func(extended bool) time.Duration {
-		eopts := []ExperimentOption{WithWorld(world), WithCrawlConfig(opts)}
+		i := 0
+		eopts := []ExperimentOption{WithWorld(world), WithSeed(7)}
 		if extended {
+			i = 1
 			eopts = append(eopts, extra()...)
 		}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
 		start := time.Now()
 		res, err := NewExperiment(eopts...).Run(context.Background())
+		d := time.Since(start)
+		runtime.ReadMemStats(&ms1)
 		if err != nil || res.Stats.Visits != sites {
 			b.Fatalf("run failed: %v (%d visits)", err, res.Stats.Visits)
 		}
-		return time.Since(start)
+		mallocs[i] += ms1.Mallocs - ms0.Mallocs
+		crawls[i]++
+		return d
 	}
 	runOnce(false) // warm up pools and page caches off the clock
+	mallocs, crawls = [2]uint64{}, [2]int{}
 
 	var bareMin, withMin time.Duration
 	keepMin := func(d *time.Duration, v time.Duration) {
@@ -590,15 +601,17 @@ func crawlOverhead(b *testing.B, metric string, extra func() []ExperimentOption)
 	if bareMin > 0 {
 		b.ReportMetric(100*(withMin.Seconds()-bareMin.Seconds())/bareMin.Seconds(), "overhead_pct")
 		b.ReportMetric(sites/bareMin.Seconds(), "bare_sites/sec")
-		b.ReportMetric(sites/withMin.Seconds(), metric)
+		b.ReportMetric(sites/withMin.Seconds(), side+"_sites/sec")
 	}
+	b.ReportMetric(float64(mallocs[0])/float64(crawls[0]*sites), "bare_allocs/visit")
+	b.ReportMetric(float64(mallocs[1])/float64(crawls[1]*sites), side+"_allocs/visit")
 }
 
 // BenchmarkCrawl_MetricsOverhead measures the throughput cost of
 // attaching the full figure report — the number the bench gate's <=10%
 // assertion reads (overhead_pct).
 func BenchmarkCrawl_MetricsOverhead(b *testing.B) {
-	crawlOverhead(b, "metrics_sites/sec", func() []ExperimentOption {
+	crawlOverhead(b, "metrics", func() []ExperimentOption {
 		return []ExperimentOption{WithMetrics(NewFigureReport())}
 	})
 }
@@ -611,7 +624,7 @@ func BenchmarkCrawl_MetricsOverhead(b *testing.B) {
 // guarded-emission pattern (hbvet: obsguard) keeps free; this benchmark
 // is the end-to-end check that it actually held.
 func BenchmarkCrawl_ObsOverhead(b *testing.B) {
-	crawlOverhead(b, "obs_sites/sec", func() []ExperimentOption {
+	crawlOverhead(b, "obs", func() []ExperimentOption {
 		return []ExperimentOption{
 			WithTelemetry(NewTelemetry()),
 			WithTrace(TracePlan{MaxSites: 8}),

@@ -108,18 +108,18 @@ func main() {
 		headerbid.WithSink(jsonl),
 		headerbid.WithProgress(prog.update),
 	}
-	var traceSink *headerbid.TraceSink
+	var traceFile *os.File
 	if *tracePath != "" {
 		plan := headerbid.TracePlan{MaxSites: *traceSites}
 		if f := *traceFilter; f != "" {
 			plan.Match = func(domain string) bool { return strings.Contains(domain, f) }
 		}
 		var err error
-		traceSink, err = headerbid.NewTraceFileSink(*tracePath)
+		traceFile, err = os.Create(*tracePath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts = append(opts, headerbid.WithTrace(plan), headerbid.WithSink(traceSink))
+		opts = append(opts, headerbid.WithTrace(plan), headerbid.WithSink(headerbid.NewTraceSink(traceFile)))
 	}
 	if *obsAddr != "" {
 		srv, addr, err := obs.Serve(*obsAddr, reg)
@@ -168,6 +168,13 @@ func main() {
 
 	res, err := headerbid.NewExperiment(opts...).Run(ctx)
 	prog.finish()
+	// Run closed the trace sink, which terminated the JSON document, on
+	// every path; the file is ours to close.
+	if traceFile != nil {
+		if cerr := traceFile.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if errors.Is(err, context.Canceled) {
 		// Count what the dataset actually holds: metrics fold completed
 		// in-flight visits that were never emitted, so res.Stats may run
@@ -190,7 +197,7 @@ func main() {
 	if *out != "-" {
 		log.Printf("dataset written to %s (%d records)", *out, jsonl.Count())
 	}
-	if traceSink != nil {
+	if traceFile != nil {
 		log.Printf("trace written to %s (%d visits) — open in https://ui.perfetto.dev", *tracePath, reg.Totals().TracedVisits)
 	}
 

@@ -27,7 +27,7 @@ func main() {
 // run is hbdetect over the given arguments and output streams. It
 // returns the exit status: 0 after a visit, with header bidding or
 // without, 1 when no site matches or the visit fails, 2 on a usage
-// error.
+// error, a stray positional argument included.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hbdetect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -40,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		day    = fs.Int("day", 0, "crawl day (changes the visit's random draws)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hbdetect: unexpected argument %q (name a site with -domain)\n", fs.Arg(0))
 		return 2
 	}
 	fail := func(format string, a ...any) int {

@@ -31,6 +31,11 @@ func TestUsageErrorExits2(t *testing.T) {
 			t.Errorf("hbdetect %v: exit %d, want 2", args, code)
 		}
 	}
+	// A domain given without -domain must not visit the default site.
+	code, stdout, stderr := detect(t, "-sites", "300", "site00012.example")
+	if code != 2 || !strings.Contains(stderr, `"site00012.example"`) || !strings.Contains(stderr, "-domain") || stdout != "" {
+		t.Errorf("hbdetect -sites 300 site00012.example: exit %d, stdout %q, stderr %q; want 2 naming the argument and -domain", code, stdout, stderr)
+	}
 }
 
 // TestHBVisitPrintsDetection: the default site is the first HB site, and

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"headerbid"
+	"headerbid/internal/snapshot"
 )
 
 const testSites, testDays = 300, 2
@@ -110,7 +111,7 @@ func TestRefusals(t *testing.T) {
 	}{
 		{"summary to the shard stream", []string{"-summary", "-merge-out", "-", s0, s1}, 2, []string{"-summary", "-merge-out -"}},
 		{"no files", nil, 2, []string{"no shard files"}},
-		{"old format version", []string{old, s0}, 1, []string{"format version 1", fmt.Sprintf("reads %d", headerbid.SnapshotFormatVersion)}},
+		{"old format version", []string{old, s0}, 1, []string{"format version 1", fmt.Sprintf("reads %d", snapshot.FormatVersion)}},
 		{"seed mismatch", []string{s0, other}, 1, []string{other, "seed mismatch", "7", "8"}},
 		{"missing shard", []string{s0}, 1, []string{"incomplete fold", "1/2", "missing [1]", "-partial"}},
 	}

@@ -6,40 +6,49 @@
 //	curl -H 'Host: hb.doubleclick.net' \
 //	    'http://127.0.0.1:<port>/ssp/auction?site=site00002.example&slots=a|300x250'
 //
-// Every virtual host also answers the operator paths /healthz (liveness)
-// and /metrics (Prometheus text: request totals plus per-endpoint-class
-// latency histograms). With -access-log each served request is logged as
-// one structured logfmt line; with -obs a separate debug listener serves
-// net/http/pprof. It prints a few HB-enabled sites to try and blocks
-// until interrupted, then shuts down gracefully (in-flight requests get
-// a drain window).
+// It prints a few HB-enabled sites to try and blocks until interrupted,
+// then shuts down gracefully (in-flight requests get a drain window).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 
 	"headerbid"
 	"headerbid/internal/livenet"
-	"headerbid/internal/obs"
 )
 
 func main() {
-	var (
-		sites     = flag.Int("sites", 50, "sites in the generated world")
-		seed      = flag.Int64("seed", 1, "world seed")
-		scale     = flag.Float64("scale", 1.0, "service-time scale (use <1 to speed responses up)")
-		accessLog = flag.String("access-log", "", "write one logfmt line per served request to this file ('-' for stderr)")
-		obsAddr   = flag.String("obs", "", "serve pprof and debug vars on this extra address, e.g. 127.0.0.1:6060")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	log.SetFlags(0)
-	log.SetPrefix("hbserve: ")
+// run is hbserve over the given arguments and output streams, serving
+// until ctx is done. It returns the exit status: 0 after a graceful
+// shutdown, 1 when the listener fails, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		sites = fs.Int("sites", 50, "sites in the generated world")
+		seed  = fs.Int64("seed", 1, "world seed")
+		scale = fs.Float64("scale", 1.0, "service-time scale (use <1 to speed responses up)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hbserve: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	logger := log.New(stderr, "hbserve: ", 0)
 
 	cfg := headerbid.DefaultWorldConfig(*seed)
 	cfg.NumSites = *sites
@@ -47,59 +56,31 @@ func main() {
 
 	srv, err := livenet.Serve(world, *scale)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 
-	var logFile *os.File
-	switch *accessLog {
-	case "":
-	case "-":
-		srv.AccessLog = os.Stderr
-	default:
-		logFile, err = os.Create(*accessLog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.AccessLog = logFile
-	}
-
-	if *obsAddr != "" {
-		dbg, addr, err := obs.Serve(*obsAddr, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer dbg.Close()
-		log.Printf("pprof on http://%s/debug/pprof/", addr)
-	}
-
-	fmt.Printf("ecosystem serving on %s (route by Host header)\n", srv.Addr())
-	fmt.Printf("operator endpoints: http://%s/healthz  http://%s/metrics\n", srv.Addr(), srv.Addr())
-	fmt.Println("HB-enabled sites to try:")
-	shown := 0
-	for _, s := range world.HBSites() {
-		fmt.Printf("  %-22s facet=%-14s partners=%v\n", s.Domain, s.Facet.Short(), s.Partners)
-		shown++
-		if shown >= 8 {
+	fmt.Fprintf(stdout, "ecosystem serving on %s (route by Host header)\n", srv.Addr())
+	fmt.Fprintln(stdout, "HB-enabled sites to try:")
+	hbSites := world.HBSites()
+	for i, s := range hbSites {
+		if i == 8 {
 			break
 		}
+		fmt.Fprintf(stdout, "  %-22s facet=%-14s partners=%v\n", s.Domain, s.Facet.Short(), s.Partners)
 	}
-	fmt.Printf("\nexample:\n  curl -H 'Host: www.%s' http://%s/\n",
-		world.HBSites()[0].Domain, srv.Addr())
+	if len(hbSites) > 0 {
+		fmt.Fprintf(stdout, "\nexample:\n  curl -H 'Host: www.%s' http://%s/\n", hbSites[0].Domain, srv.Addr())
+	}
 
-	// Block until interrupted, with the same context idiom the rest of
-	// the toolchain uses for cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	<-ctx.Done()
 
 	// Graceful drain: Close delegates to http.Server.Shutdown with a
 	// deadline, so in-flight requests finish before the listener dies.
-	log.Printf("shutting down (served %d requests)", srv.Stats.Requests())
+	logger.Print("shutting down")
 	if err := srv.Close(); err != nil {
-		log.Printf("shutdown: %v", err)
+		logger.Printf("shutdown: %v", err)
 	}
-	if logFile != nil {
-		logFile.Close()
-	}
-	log.Print("bye")
+	logger.Print("bye")
+	return 0
 }

@@ -4,8 +4,8 @@
 // (detwall), the hot-path allocation discipline (hotalloc), the metric
 // merge laws (metriclaws), streaming cancellation hygiene (sinkctx),
 // the panic quarantine (recoverscope), guarded trace emission
-// (obsguard) — and keeps internal/ free of exported names that only
-// tests reach (deadexport).
+// (obsguard) — and keeps the root facade and internal/ free of
+// exported names that only tests reach (deadexport).
 //
 // Usage:
 //

@@ -30,15 +30,12 @@ import (
 // Configure with functional options; zero options give a paper-defaults
 // 1000-site, seed-1, one-day crawl.
 type Experiment struct {
-	world    *World
-	worldCfg *WorldConfig
-	sites    int
-	seed     int64
-	seedSet  bool
+	world *World
+	sites int
+	seed  int64
 
 	shard sitegen.Shard
 
-	crawlCfg    *CrawlConfig
 	days        int
 	workers     int
 	firstDay    int
@@ -61,12 +58,6 @@ func WithWorld(w *World) ExperimentOption {
 	return func(e *Experiment) { e.world = w }
 }
 
-// WithWorldConfig generates the world from cfg (ignored when WithWorld
-// is given).
-func WithWorldConfig(cfg WorldConfig) ExperimentOption {
-	return func(e *Experiment) { e.worldCfg = &cfg }
-}
-
 // WithSites sets the generated world's site count (default 1000).
 func WithSites(n int) ExperimentOption {
 	return func(e *Experiment) { e.sites = n }
@@ -75,7 +66,7 @@ func WithSites(n int) ExperimentOption {
 // WithSeed seeds both world generation and the crawl's per-visit
 // randomness (default 1). Identical seeds reproduce identical streams.
 func WithSeed(seed int64) ExperimentOption {
-	return func(e *Experiment) { e.seed = seed; e.seedSet = true }
+	return func(e *Experiment) { e.seed = seed }
 }
 
 // WithShard restricts the run to slice index of a count-way split of
@@ -90,13 +81,6 @@ func WithSeed(seed int64) ExperimentOption {
 // snapshot.Fold / cmd/hbmerge to recover the single-process result.
 func WithShard(index, count int) ExperimentOption {
 	return func(e *Experiment) { e.shard = sitegen.Shard{Index: index, Count: count} }
-}
-
-// WithCrawlConfig replaces the paper-default crawl policy wholesale;
-// later WithDays/WithWorkers/WithFirstDay/WithSiteFilter options still
-// override individual fields.
-func WithCrawlConfig(cfg CrawlConfig) ExperimentOption {
-	return func(e *Experiment) { e.crawlCfg = &cfg }
 }
 
 // WithDays sets how many days each HB site is revisited (the paper
@@ -150,10 +134,9 @@ func WithSink(sinks ...Sink) ExperimentOption {
 // results are independent of worker count and scheduling by the Metric
 // contract (order-insensitive Add, commutative/associative Merge).
 //
-// After Run returns, the attached instances hold the merged run totals
-// and are also available through Results.Metrics. On cancellation or
-// sink error, metrics hold whatever visits completed — a superset of the
-// visits ordered sinks saw.
+// After Run returns, the attached instances hold the merged run totals.
+// On cancellation or sink error, metrics hold whatever visits completed
+// — a superset of the visits ordered sinks saw.
 func WithMetrics(ms ...Metric) ExperimentOption {
 	return func(e *Experiment) { e.metrics = append(e.metrics, ms...) }
 }
@@ -195,19 +178,6 @@ func NewExperiment(opts ...ExperimentOption) *Experiment {
 // attachment order.
 type Metrics struct {
 	ms []Metric
-}
-
-// All returns every attached metric, merged, in attachment order.
-func (m Metrics) All() []Metric { return m.ms }
-
-// Get returns the first attached metric with the given name, or nil.
-func (m Metrics) Get(name string) Metric {
-	for _, mm := range m.ms {
-		if mm.Name() == name {
-			return mm
-		}
-	}
-	return nil
 }
 
 // Len reports how many metrics were attached.
@@ -253,12 +223,6 @@ func (m *statsMetric) Snapshot() any               { return m.s }
 func (e *Experiment) World() *World {
 	if e.world == nil {
 		cfg := sitegen.DefaultConfig(e.seed)
-		if e.worldCfg != nil {
-			cfg = *e.worldCfg
-			if e.seedSet {
-				cfg.Seed = e.seed
-			}
-		}
 		if e.sites > 0 {
 			cfg.NumSites = e.sites
 		}
@@ -274,12 +238,6 @@ func (e *Experiment) World() *World {
 // crawlOptions resolves the effective crawl policy.
 func (e *Experiment) crawlOptions() crawler.Options {
 	opts := crawler.DefaultOptions(e.seed)
-	if e.crawlCfg != nil {
-		opts = *e.crawlCfg
-		if e.seedSet {
-			opts.Seed = e.seed
-		}
-	}
 	if e.days > 0 {
 		opts.Days = e.days
 	}

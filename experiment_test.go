@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"headerbid/internal/analysis"
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
 )
@@ -25,7 +26,7 @@ func TestStreamingSummaryMatchesBatch(t *testing.T) {
 	// Reference: crawler.CrawlWorld's records, folded once.
 	recs := crawler.CrawlWorld(w, DefaultCrawlConfig(seed))
 	batchSum := fold(NewSummaryMetric(), recs).Summary()
-	batchLat := fold(NewLatencyAccumulator(), recs).Result()
+	batchLat := fold(analysis.NewLatencyAccumulator(), recs).Result()
 	var batchJSONL bytes.Buffer
 	jw := dataset.NewWriter(&batchJSONL)
 	for _, r := range recs {
@@ -39,8 +40,8 @@ func TestStreamingSummaryMatchesBatch(t *testing.T) {
 
 	// Streaming path: summary + latency on the ordered path, JSONL sink,
 	// no retention.
-	sumSink := NewMetricSink(NewSummaryMetric())
-	latSink := NewMetricSink(NewLatencyAccumulator())
+	sumM, latM := NewSummaryMetric(), analysis.NewLatencyAccumulator()
+	sumSink, latSink := NewMetricSink(sumM), NewMetricSink(latM)
 	var streamJSONL bytes.Buffer
 	res, err := NewExperiment(
 		WithWorld(w),
@@ -51,13 +52,13 @@ func TestStreamingSummaryMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := sumSink.Metric().Snapshot(); got != batchSum {
+	if got := sumM.Snapshot(); got != batchSum {
 		t.Fatalf("summary sink diverged:\n got %+v\nwant %+v", got, batchSum)
 	}
 	if res.Summary != batchSum {
 		t.Fatalf("Results.Summary diverged:\n got %+v\nwant %+v", res.Summary, batchSum)
 	}
-	if got := latSink.Metric().Snapshot(); !reflect.DeepEqual(got, batchLat) {
+	if got := latM.Snapshot(); !reflect.DeepEqual(got, batchLat) {
 		t.Fatalf("latency sink diverged:\n got %+v\nwant %+v", got, batchLat)
 	}
 	if !reflect.DeepEqual(res.Latency, batchLat) {
@@ -140,16 +141,12 @@ func TestExperimentSinkErrorAborts(t *testing.T) {
 	}
 }
 
-// TestExperimentOptions: option plumbing — explicit world config, days,
-// workers, site filter and first-day offset all reach the crawler.
+// TestExperimentOptions: option plumbing — site count, days, workers,
+// site filter and first-day offset all reach the crawler.
 func TestExperimentOptions(t *testing.T) {
 	var collected []*SiteRecord
 	res, err := NewExperiment(
-		WithWorldConfig(func() WorldConfig {
-			c := DefaultWorldConfig(9)
-			c.NumSites = 150
-			return c
-		}()),
+		WithSites(150),
 		WithSeed(9),
 		WithDays(2),
 		WithWorkers(2),
@@ -189,28 +186,34 @@ func TestExperimentOptions(t *testing.T) {
 	}
 }
 
-// TestWithSeedOverridesWorldConfig: WithSeed promises to seed world
-// generation even when an explicit WorldConfig (with its own seed) is
-// supplied, mirroring how it overrides CrawlConfig's seed.
+// TestWithSeedOverridesWorldConfig: WithSeed replaces the default
+// seed (1) of both the generated world's config and the crawl policy.
 func TestWithSeedOverridesWorldConfig(t *testing.T) {
-	cfg := DefaultWorldConfig(1)
-	cfg.NumSites = 80
-	reseeded := NewExperiment(WithWorldConfig(cfg), WithSeed(42)).World()
-	want := func() *World {
-		c := DefaultWorldConfig(42)
+	exp := NewExperiment(WithSites(80), WithSeed(42))
+	want := func(seed int64) *World {
+		c := DefaultWorldConfig(seed)
 		c.NumSites = 80
 		return GenerateWorld(c)
-	}()
-	if len(reseeded.HBSites()) != len(want.HBSites()) {
-		t.Fatalf("WithSeed ignored by world generation: %d HB sites, want %d",
-			len(reseeded.HBSites()), len(want.HBSites()))
 	}
-	// And without WithSeed the explicit config's seed is respected.
-	asIs := NewExperiment(WithWorldConfig(cfg)).World()
-	seed1 := GenerateWorld(cfg)
-	if len(asIs.HBSites()) != len(seed1.HBSites()) {
-		t.Fatalf("explicit config seed not respected")
+	if got := exp.World(); !reflect.DeepEqual(hbDomains(got), hbDomains(want(42))) {
+		t.Fatalf("WithSeed ignored by world generation: HB sites %v, want %v", hbDomains(got), hbDomains(want(42)))
 	}
+	if got := exp.crawlOptions(); !reflect.DeepEqual(got, DefaultCrawlConfig(42)) {
+		t.Fatalf("WithSeed ignored by the crawl policy: %+v", got)
+	}
+	// And without WithSeed the default seed is 1.
+	if got := NewExperiment(WithSites(80)).World(); !reflect.DeepEqual(hbDomains(got), hbDomains(want(1))) {
+		t.Fatalf("default seed not 1: HB sites %v", hbDomains(got))
+	}
+}
+
+// hbDomains lists w's HB sites in rank order.
+func hbDomains(w *World) []string {
+	var out []string
+	for _, s := range w.HBSites() {
+		out = append(out, s.Domain)
+	}
+	return out
 }
 
 // closeCounter is a sink that counts its Close calls.

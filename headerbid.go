@@ -80,10 +80,6 @@ type (
 	SiteRecord = dataset.SiteRecord
 	// Summary is the Table 1 roll-up.
 	Summary = dataset.Summary
-	// Facet is an HB deployment style.
-	Facet = hb.Facet
-	// Size is an ad-slot dimension.
-	Size = hb.Size
 	// Observation is a single-page detector result. It lives in its
 	// Detector's storage and is valid until the detector's next
 	// Reattach: copy what outlives the page.
@@ -105,26 +101,21 @@ type (
 	// TracePlan selects which visits of a crawl record spans (see
 	// WithTrace); selection is rank-ordered and worker-count-invariant.
 	TracePlan = obs.TracePlan
-	// VisitSpans is one traced visit's virtual-timeline events, delivered
-	// on Visit.Trace in deterministic crawl order.
-	VisitSpans = obs.VisitSpans
 	// Telemetry is the run-level counter registry fed by a crawl (see
 	// WithTelemetry); read it live from another goroutine via Totals.
 	Telemetry = obs.Registry
 	// TelemetryTotals is one consistent read of a Telemetry registry.
+	//
+	//hbvet:allow deadexport used by bench/ (module hbbench)
 	TelemetryTotals = obs.Totals
 )
 
 // NewTelemetry returns an empty run-telemetry registry.
 func NewTelemetry() *Telemetry { return obs.NewRegistry() }
 
-// Facet values.
-const (
-	FacetUnknown = hb.FacetUnknown
-	FacetClient  = hb.FacetClient
-	FacetServer  = hb.FacetServer
-	FacetHybrid  = hb.FacetHybrid
-)
+// FacetClient is the client-side HB deployment style (a prebid.js-style
+// wrapper in the page).
+const FacetClient = hb.FacetClient
 
 // DefaultWorldConfig returns the paper-calibrated generation config.
 func DefaultWorldConfig(seed int64) WorldConfig { return sitegen.DefaultConfig(seed) }
@@ -133,6 +124,8 @@ func DefaultWorldConfig(seed int64) WorldConfig { return sitegen.DefaultConfig(s
 func GenerateWorld(cfg WorldConfig) *World { return sitegen.Generate(cfg) }
 
 // Partners returns the registry of the 84 demand partners of the study.
+//
+//hbvet:allow deadexport documented by ExamplePartners
 func Partners() *Registry { return partners.Default() }
 
 // DefaultCrawlConfig mirrors the paper's crawl policy.

@@ -56,6 +56,45 @@ func TestInternTableIsCapped(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordAllocs pins the fast decoder's allocations per record
+// around Go's small-map boundary: a map of up to 8 keys is one small
+// map, and a 9th grows it into a table. With a warm decoder (its
+// vocabulary interned) a record costs its domain's copy, and a
+// non-empty partner_latency_ms adds the values' backing array and the
+// map. Assigning a key of a full small map twice grows it into a table,
+// +3 allocations on the 8-key record that a benchmark over 2-key maps
+// does not see.
+func TestDecodeRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	d := newLineDecoder()
+	for _, c := range []struct {
+		keys   int
+		allocs float64
+	}{{0, 1}, {1, 4}, {8, 4}, {9, 6}, {16, 6}} {
+		in := &SiteRecord{Domain: "site00001.example", Rank: 1}
+		if c.keys > 0 {
+			in.PartnerLatencyMS = make(map[string][]float64, c.keys)
+			for i := 0; i < c.keys; i++ {
+				in.PartnerLatencyMS["partner"+strconv.Itoa(i)] = []float64{float64(100 + i)}
+			}
+		}
+		line := []byte(writtenLines(t, []*SiteRecord{in})[0])
+		var rec SiteRecord
+		if !d.decode(line, &rec) || len(rec.PartnerLatencyMS) != c.keys {
+			t.Fatalf("%d keys: fast path declined or lost keys: %s", c.keys, line)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			rec = SiteRecord{}
+			d.decode(line, &rec)
+		})
+		if got != c.allocs {
+			t.Errorf("%d latency keys: %v allocations per record, pinned at %v (update the pin only for a deliberate change)", c.keys, got, c.allocs)
+		}
+	}
+}
+
 func benchmarkLines(b *testing.B) [][]byte {
 	var lines [][]byte
 	for _, l := range writtenLines(b, fuzzRecords()) {

@@ -9,14 +9,14 @@ import (
 	"strings"
 )
 
-// Deadexport keeps the test-only surface of internal/ from growing
+// Deadexport keeps the test-only surface of the module from growing
 // back. It reports every exported package-level func, type, var and
 // const, and every exported method and struct field, declared in a
-// package under <module>/internal/ that no non-test file of the module
-// uses outside the declaration itself. Go's internal/ rule means the
-// module is the whole audience, so such a name is one that only tests
-// reach: it keeps code alive (and often work on every visit) that the
-// crawl never runs.
+// non-main package of the module (the root facade and everything under
+// internal/) that no non-test file of the module uses outside the
+// declaration itself. cmd/ and examples/ count as users, so such a name
+// is one that only tests reach: it keeps code alive (and often work on
+// every visit) that no crawl, report or command runs.
 //
 // A use is an identifier that go/types resolves to the name (which
 // covers selections and composite-literal keys), with two exceptions: a
@@ -30,22 +30,24 @@ import (
 //
 // The verdict is module-wide whatever packages are under analysis
 // (Pass.Module), so `hbvet -rules deadexport ./internal/stats` reports
-// what ./... reports for stats. A name kept on purpose carries
+// what ./... reports for stats. Test files and other modules are not
+// loaded, so a name kept for them carries
 //
 //	//hbvet:allow deadexport <reason>
 //
-// naming the tests or benchmark that use it. DESIGN.md §5.1 states the
-// three cases that qualify: a check tests compare against, a seam that
-// tests in more than one package drive production code through, and a
-// paper value only a root benchmark reports.
+// naming its user. DESIGN.md §5.1 states the cases that qualify: a
+// check tests compare against, a seam that tests in more than one
+// package drive production code through, a paper value only a root
+// benchmark reports, a facade name a runnable Example documents, and a
+// facade name the benchmark module (bench/) builds against.
 var Deadexport = &Analyzer{
 	Name: "deadexport",
-	Doc: "report exported names under internal/ that no non-test code of " +
-		"the module uses",
+	Doc: "report exported names of non-main packages that no non-test " +
+		"code of the module uses",
 	Run: runDeadexport,
 }
 
-// An exportedDecl is one exported name declared in an internal package.
+// An exportedDecl is one exported name declared in a non-main package.
 type exportedDecl struct {
 	pkg  string // import path of the declaring package
 	key  string // "pkg.Name", or "pkg.Type.Name" for a method or field
@@ -62,7 +64,7 @@ type exportedDecl struct {
 
 func runDeadexport(pass *Pass) error {
 	m := pass.Module
-	if m == nil || !strings.HasPrefix(pass.PkgPath, m.Path+"/internal/") {
+	if m == nil {
 		return nil
 	}
 	if m.dead == nil {
@@ -74,13 +76,12 @@ func runDeadexport(pass *Pass) error {
 	return nil
 }
 
-// deadDecls computes the verdict for every internal package of m.
+// deadDecls computes the verdict for every non-main package of m.
 func deadDecls(m *Module) map[string][]exportedDecl {
-	internal := m.Path + "/internal/"
 	decls := make(map[string]*exportedDecl)
 	var order []*exportedDecl
 	for _, pkg := range m.Packages {
-		if strings.HasPrefix(pkg.Path, internal) {
+		if pkg.Types.Name() != "main" {
 			for _, d := range declaredExports(pkg) {
 				decls[d.key] = d
 				order = append(order, d)
@@ -88,7 +89,7 @@ func deadDecls(m *Module) map[string][]exportedDecl {
 		}
 	}
 
-	keys := newObjKeys(internal)
+	keys := newObjKeys(m.Path)
 	for _, pkg := range m.Packages {
 		for id, obj := range pkg.Info.Uses {
 			d := decls[keys.of(obj)]
@@ -98,7 +99,7 @@ func deadDecls(m *Module) map[string][]exportedDecl {
 			d.used = true
 		}
 	}
-	markInterfaceMethods(m, internal, keys, decls)
+	markInterfaceMethods(m, keys, decls)
 
 	dead := make(map[string][]exportedDecl)
 	for _, d := range order {
@@ -230,26 +231,26 @@ func wireField(field *ast.Field) bool {
 // through export data, so one name is several objects; the key (import
 // path, type, name) is what they share.
 type objKeys struct {
-	internal string
+	module string
 	// owner maps a struct field to the named type declaring it, filled
 	// per package on first need.
 	owner   map[*types.Var]string
 	indexed map[*types.Package]bool
 }
 
-func newObjKeys(internal string) *objKeys {
+func newObjKeys(module string) *objKeys {
 	return &objKeys{
-		internal: internal,
-		owner:    make(map[*types.Var]string),
-		indexed:  make(map[*types.Package]bool),
+		module:  module,
+		owner:   make(map[*types.Var]string),
+		indexed: make(map[*types.Package]bool),
 	}
 }
 
 // of returns obj's declaration key, or "" for an object outside the
-// module's internal packages or one deadexport never reports.
+// module or one deadexport never reports.
 func (k *objKeys) of(obj types.Object) string {
 	pkg := obj.Pkg()
-	if pkg == nil || !strings.HasPrefix(pkg.Path(), k.internal) {
+	if pkg == nil || !inModule(pkg.Path(), k.module) {
 		return ""
 	}
 	switch obj := obj.(type) {
@@ -299,6 +300,11 @@ func (k *objKeys) index(pkg *types.Package) {
 	}
 }
 
+// inModule reports whether the import path belongs to module.
+func inModule(path, module string) bool {
+	return path == module || strings.HasPrefix(path, module+"/")
+}
+
 // pkgLevelKey returns "pkg.Name" for a package-level object, "" for a
 // local one.
 func pkgLevelKey(obj types.Object) string {
@@ -318,11 +324,11 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // markInterfaceMethods marks used every method through which a type of
-// an internal package satisfies an interface declaring it. Each module
-// package is one view: its own types and interfaces from source, its
-// imports' from export data, so every check compares types of a single
-// view.
-func markInterfaceMethods(m *Module, internal string, keys *objKeys, decls map[string]*exportedDecl) {
+// a non-main module package satisfies an interface declaring it. Each
+// module package is one view: its own types and interfaces from source,
+// its imports' from export data, so every check compares types of a
+// single view.
+func markInterfaceMethods(m *Module, keys *objKeys, decls map[string]*exportedDecl) {
 	ifacesOf := make(map[*types.Package][]*types.Interface)
 	for _, pkg := range m.Packages {
 		visible := importClosure(pkg.Types)
@@ -346,7 +352,7 @@ func markInterfaceMethods(m *Module, internal string, keys *objKeys, decls map[s
 			})
 		}
 		for _, p := range visible {
-			if !strings.HasPrefix(p.Path(), internal) {
+			if p.Name() == "main" || !inModule(p.Path(), m.Path) {
 				continue
 			}
 			scope := p.Scope()

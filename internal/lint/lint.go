@@ -2,8 +2,8 @@
 // that turn this codebase's load-bearing conventions — virtual clock
 // only, seeded RNG only, no map-iteration-order leaks, fmt-free hot
 // paths, lawful mergeable metrics, ctx-aware streaming, no exported
-// surface in internal/ that only tests reach — into compile-time
-// diagnostics instead of late golden-test failures.
+// surface in the facade or internal/ that only tests reach — into
+// compile-time diagnostics instead of late golden-test failures.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape
 // (Analyzer, Pass, Reportf, testdata-driven tests) but is built on the

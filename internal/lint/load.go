@@ -51,7 +51,7 @@ type Module struct {
 	Packages []*Package // sorted by import path
 
 	// dead memoizes deadexport's module-wide verdict: the unused
-	// exported declarations of each internal package, by import path.
+	// exported declarations of each non-main package, by import path.
 	dead map[string][]exportedDecl
 }
 

@@ -4,6 +4,7 @@ package main
 import (
 	"fmt"
 
+	"deadexport"
 	"deadexport/api"
 	"deadexport/internal/core"
 	"deadexport/internal/stats"
@@ -11,5 +12,10 @@ import (
 
 func main() {
 	name, median := core.Summarize([]float64{1, 2, 3})
-	fmt.Println(name, median, stats.DefaultBins, api.Version)
+	var c deadexport.Consumer = deadexport.Open()
+	fmt.Println(name, median, stats.DefaultBins, api.Version, c.Consume(1))
 }
+
+// Helper is exported by a main package, which nothing can import: never
+// reported.
+func Helper() {}

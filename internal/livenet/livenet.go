@@ -13,21 +13,17 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"headerbid/internal/obs"
 	"headerbid/internal/sitegen"
 	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
 // Server hosts the world over one loopback HTTP listener, routing by Host
-// header. Two operator paths are served before host dispatch on every
-// virtual host: /healthz (liveness) and /metrics (Prometheus text:
-// request counts and per-endpoint-class latency histograms).
+// header.
 type Server struct {
 	World *World
 	eco   *sitegen.Ecosystem
@@ -37,15 +33,6 @@ type Server struct {
 	// ServiceScale multiplies handler service times; use <1 to speed up
 	// integration tests (latency semantics compress proportionally).
 	ServiceScale float64
-	// Stats aggregates request counts and per-class latency histograms
-	// (always on; exposed on /metrics).
-	Stats *obs.ServerStats
-	// AccessLog, when non-nil, receives one logfmt line per request
-	// (host, path, status, class, service time, running request count).
-	// Set before serving traffic; writes are serialized internally.
-	AccessLog io.Writer
-
-	logMu sync.Mutex
 }
 
 // World aliases sitegen.World for readability at call sites.
@@ -65,7 +52,6 @@ func Serve(w *World, serviceScale float64) (*Server, error) {
 		eco:          sitegen.NewEcosystem(w),
 		listener:     ln,
 		ServiceScale: serviceScale,
-		Stats:        obs.NewServerStats(),
 	}
 	s.httpSrv = &http.Server{Handler: http.HandlerFunc(s.route)}
 	go s.httpSrv.Serve(ln)
@@ -84,20 +70,8 @@ func (s *Server) Close() error {
 
 // route dispatches by Host header to the ecosystem handlers, then sleeps
 // the (scaled) service time before answering — real latency on a real
-// socket. The operator paths /healthz and /metrics are intercepted
-// before host dispatch, so they answer on any virtual host.
+// socket.
 func (s *Server) route(rw http.ResponseWriter, req *http.Request) {
-	switch req.URL.Path {
-	case "/healthz":
-		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(rw, "ok\n")
-		return
-	case "/metrics":
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.Stats.WriteProm(rw)
-		return
-	}
-
 	host := req.Host
 	if h, _, err := net.SplitHostPort(host); err == nil {
 		host = h
@@ -115,66 +89,34 @@ func (s *Server) route(rw http.ResponseWriter, req *http.Request) {
 	}
 	wr.SetBody(string(body))
 
-	status, respBody, service, class := s.dispatch(domain, wr)
+	status, respBody, service := s.dispatch(domain, wr)
 	if service > 0 {
 		//hbvet:allow detwall simulated service latency over a real socket must burn real time
 		time.Sleep(time.Duration(float64(service) * s.ServiceScale))
 	}
 	rw.WriteHeader(status)
 	io.WriteString(rw, respBody)
-
-	//hbvet:allow detwall served-request latency on a real HTTP stack is wall-clock by definition
-	s.Stats.Observe(class, time.Since(wr.Sent))
-	s.accessLog(domain, req.URL.Path, status, class, service)
 }
 
-// accessLog appends one structured (logfmt) line per served request.
-func (s *Server) accessLog(domain, path string, status int, class obs.EndpointClass, service time.Duration) {
-	if s.AccessLog == nil {
-		return
-	}
-	b := make([]byte, 0, 128)
-	b = append(b, "host="...)
-	b = append(b, domain...)
-	b = append(b, " path="...)
-	b = append(b, path...)
-	b = append(b, " status="...)
-	b = strconv.AppendInt(b, int64(status), 10)
-	b = append(b, " class="...)
-	b = append(b, class.String()...)
-	b = append(b, " service_ms="...)
-	b = strconv.AppendFloat(b, float64(service)/float64(time.Millisecond), 'f', 1, 64)
-	b = append(b, " served="...)
-	b = strconv.AppendUint(b, s.Stats.Requests(), 10)
-	b = append(b, '\n')
-	s.logMu.Lock()
-	s.AccessLog.Write(b)
-	s.logMu.Unlock()
-}
-
-func (s *Server) dispatch(domain string, wr *webreq.Request) (int, string, time.Duration, obs.EndpointClass) {
+func (s *Server) dispatch(domain string, wr *webreq.Request) (int, string, time.Duration) {
 	if p, ok := s.World.Registry.ByURL(wr.URL); ok {
-		st, body, svc := s.eco.HandlePartner(p, wr)
-		return st, body, svc, obs.ClassPartner
+		return s.eco.HandlePartner(p, wr)
 	}
 	if site, ok := s.World.SiteByDomain(domain); ok {
-		st, body, svc := s.eco.HandleSite(site, wr)
-		return st, body, svc, obs.ClassSite
+		return s.eco.HandleSite(site, wr)
 	}
 	switch domain {
 	case sitegen.CreativeHost:
-		st, body, svc := s.eco.HandleCreative(wr)
-		return st, body, svc, obs.ClassCreative
+		return s.eco.HandleCreative(wr)
 	default:
 		if strings.Contains(domain, "static.example") ||
 			strings.Contains(domain, "prebid.example") ||
 			strings.Contains(domain, "pubfood.example") ||
 			strings.Contains(domain, "googletagservices.com") {
-			st, body, svc := s.eco.HandleCDN(wr)
-			return st, body, svc, obs.ClassCDN
+			return s.eco.HandleCDN(wr)
 		}
 	}
-	return 404, "unknown host " + domain, 0, obs.ClassOther
+	return 404, "unknown host " + domain, 0
 }
 
 // Env is a browser.Env over real time, a single-goroutine event loop, and

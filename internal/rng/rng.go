@@ -1,17 +1,17 @@
 // Package rng provides seeded, stream-splittable randomness and the
 // statistical distributions used to calibrate the synthetic ad ecosystem:
-// lognormal latencies, Zipf-like popularity, categorical mixes and bounded
-// Pareto tails. All sampling is deterministic given a seed, which makes
-// crawls and benchmarks reproducible bit-for-bit.
+// lognormal latencies, categorical mixes and weighted sampling. All
+// sampling is deterministic given a seed, which makes crawls and
+// benchmarks reproducible bit-for-bit.
 //
 // The generator core is xoshiro256** seeded through splitmix64: seeding a
 // stream costs four integer mixes (vs the 607-word table fill of
 // math/rand's lagged-Fibonacci source), so the crawler can derive a fresh
 // stream per (site, day) visit without seeding ever appearing in a
 // profile. Streams are derived by name ("site/<domain>", "eco/bid/<slug>",
-// ...) from a stable 64-bit key, never by consuming parent state, so a
-// child stream is identical no matter how many sibling streams were
-// derived before it or how many draws the parent has made (DESIGN.md §5).
+// ...) from a seed (SplitStable), never by consuming another stream's
+// state, so a stream is identical no matter how many sibling streams
+// were derived before it or how many draws they made (DESIGN.md §5).
 package rng
 
 import (
@@ -20,14 +20,10 @@ import (
 )
 
 // Stream is a deterministic random stream with convenience samplers.
-// A Stream is not safe for concurrent use; derive per-goroutine child
-// streams with Derive or SplitStable.
+// A Stream is not safe for concurrent use; derive per-goroutine
+// streams with SplitStable.
 type Stream struct {
 	s0, s1, s2, s3 uint64 // xoshiro256** state
-
-	// key is the stable derivation identity of this stream: children are
-	// derived from (key, name), independent of draws taken from s0..s3.
-	key uint64
 
 	// spare caches the second normal deviate of a Box-Muller polar pair.
 	spare    float64
@@ -50,7 +46,6 @@ func (s *Stream) Reseed(seed int64) { s.reseed(uint64(seed)) }
 // splitmix64 four times — the canonical way to seed xoshiro, and the few
 // integer mixes that replaced math/rand's 607-iteration table build.
 func (s *Stream) reseed(key uint64) {
-	s.key = key
 	x := key
 	s.s0 = splitmix64(&x)
 	s.s1 = splitmix64(&x)
@@ -71,9 +66,9 @@ func splitmix64(x *uint64) uint64 {
 }
 
 // mix64 is the splitmix64 finalizer. Derivation keys pass through it so
-// the (key, name) → child-key map is non-linear: a plain XOR fold would
-// make Derive(n).Derive(n) reproduce the parent and make sibling path
-// segments commute — aliased "independent" streams.
+// the (seed, name) → stream-key map is non-linear: a plain XOR fold
+// would let related seeds and names collide into aliased "independent"
+// streams.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -108,26 +103,9 @@ func (n Name) Append(s string) Name {
 	return Name(h)
 }
 
-// Derive returns the independent child stream identified by name. The
-// derivation uses only the parent's stable key — never its generator
-// state — so the child is identical regardless of how many draws the
-// parent has made or how many siblings were derived first.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only the rng tests call it (the five TestDerive* tests and TestSeedingIsCheap)
-func (s *Stream) Derive(name string) *Stream {
-	c := &Stream{}
-	c.reseed(mix64(s.key ^ uint64(NameOf(name))))
-	return c
-}
-
-// NOTE: the deprecated Split alias (order-dependent derivation in its
-// original form, later an alias for Derive) has been removed; use Derive
-// on a stream, or SplitStable with a bare seed. The CI lint step fails
-// on any deprecated-API usage so a resurrection is caught loudly.
-
-// SplitStable derives a child stream from a base seed and a name without
-// consuming state from any parent. Use it when the set of children is
-// dynamic but each child must be independent of enumeration order.
+// SplitStable derives a stream from a base seed and a name without
+// consuming state from any other stream. Use it when the set of streams
+// is dynamic but each must be independent of enumeration order.
 func SplitStable(seed int64, name string) *Stream {
 	s := &Stream{}
 	s.ReseedStable(seed, NameOf(name))
@@ -236,30 +214,6 @@ func (s *Stream) NormFloat64() float64 {
 // response times the paper reports (medians 41ms-1290ms with heavy tails).
 func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
-}
-
-// Exponential returns an exponential sample with the given mean
-// (inversion: -mean * ln(1-U), with 1-U in (0,1]).
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestExponentialMean calls it
-func (s *Stream) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return -mean * math.Log(1-s.Float64())
-}
-
-// Pareto returns a bounded Pareto sample with shape alpha on [lo, hi].
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestParetoBounds calls it
-func (s *Stream) Pareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		return lo
-	}
-	u := s.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // Perm returns a random permutation of [0,n).

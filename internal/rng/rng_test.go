@@ -226,32 +226,6 @@ func TestWeightedSampleBias(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(10)
-	for i := 0; i < 5000; i++ {
-		x := r.Pareto(1.5, 10, 1000)
-		if x < 10-1e-9 || x > 1000+1e-9 {
-			t.Fatalf("bounded pareto out of range: %v", x)
-		}
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(11)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(40)
-	}
-	mean := sum / n
-	if math.Abs(mean-40)/40 > 0.05 {
-		t.Fatalf("exponential mean = %.2f, want ≈40", mean)
-	}
-	if r.Exponential(0) != 0 || r.Exponential(-5) != 0 {
-		t.Fatal("non-positive mean should yield 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(12)
 	p := r.Perm(20)
@@ -261,51 +235,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("not a permutation: %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestDeriveIndependentOfParentDrawsAndSiblings(t *testing.T) {
-	// The whole point of stable derivation: a child stream is a function
-	// of (parent key, name) only.
-	want := New(42).Derive("child").Float64()
-
-	p := New(42)
-	for i := 0; i < 100; i++ {
-		p.Float64() // drain the parent
-	}
-	_ = p.Derive("sibling") // derive another child first
-	if got := p.Derive("child").Float64(); got != want {
-		t.Fatal("Derive depends on parent draws or sibling order")
-	}
-}
-
-func TestDeriveOrderIndependentAcrossParents(t *testing.T) {
-	// Two parents deriving the same names in different orders agree
-	// (the property the removed Split alias was deprecated for lacking).
-	p1, p2 := New(7), New(7)
-	a1 := p1.Derive("a").Float64()
-	_ = p1.Derive("b")
-	_ = p2.Derive("b")
-	a2 := p2.Derive("a").Float64()
-	if a1 != a2 {
-		t.Fatal("Derive children depend on derivation order")
-	}
-}
-
-func TestDeriveMatchesSplitStable(t *testing.T) {
-	// New(seed).Derive(name) and SplitStable(seed, name) are the same
-	// derivation, so code with only a seed and code holding a stream
-	// derive identical children.
-	if New(9).Derive("n").Float64() != SplitStable(9, "n").Float64() {
-		t.Fatal("Derive(seed stream) != SplitStable(seed)")
-	}
-}
-
-func TestDeriveChainsAreStable(t *testing.T) {
-	a := New(5).Derive("x").Derive("y").Float64()
-	b := SplitStable(5, "x").Derive("y").Float64()
-	if a != b {
-		t.Fatal("second-level derivation not stable")
 	}
 }
 
@@ -319,12 +248,6 @@ func TestSeedingIsCheap(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("SplitStable allocates %v objects per call, want <= 1", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		alloCSink += New(5).Derive("alloc/test").Float64()
-	})
-	if allocs > 2 {
-		t.Fatalf("New+Derive allocates %v objects per call, want <= 2", allocs)
 	}
 }
 
@@ -368,17 +291,22 @@ func BenchmarkSplitStable(b *testing.B) {
 	}
 }
 
-func TestDerivePathsDoNotAlias(t *testing.T) {
-	// The derivation map must be non-linear: repeating a name must not
-	// reproduce the ancestor, and path segments must not commute.
-	parent := New(42)
-	back := parent.Derive("x").Derive("x")
-	if back.Float64() == New(42).Float64() {
-		t.Fatal("Derive(x).Derive(x) reproduced the parent stream")
-	}
-	ab := New(42).Derive("a").Derive("b").Float64()
-	ba := New(42).Derive("b").Derive("a").Float64()
+// TestNameAppendIsOrderSensitive: a name built in pieces is a path, not
+// a set. Swapped segments hash, and so derive streams, apart, while the
+// same pieces in the same order match the whole name.
+func TestNameAppendIsOrderSensitive(t *testing.T) {
+	ab := NameOf("eco/bid/").Append("a").Append("b")
+	ba := NameOf("eco/bid/").Append("b").Append("a")
 	if ab == ba {
-		t.Fatal("sibling path segments commute")
+		t.Fatal("path segments commute")
+	}
+	if ab != NameOf("eco/bid/ab") {
+		t.Fatal("NameOf(x).Append(y) != NameOf(x+y)")
+	}
+	var sab, sba Stream
+	sab.ReseedStable(42, ab)
+	sba.ReseedStable(42, ba)
+	if sab.Float64() == sba.Float64() {
+		t.Fatal("streams of swapped path segments agree")
 	}
 }

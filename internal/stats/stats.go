@@ -1,6 +1,6 @@
 // Package stats implements the descriptive statistics used throughout the
 // measurement pipeline: empirical CDFs, quantiles, five-number (whisker)
-// summaries, histograms, fixed-width binning and rank correlation. Every
+// summaries, histograms and fixed-width binning. Every
 // figure in the paper is one of these shapes — CDFs (Figs 9, 12, 17, 19,
 // 22), whisker plots (Figs 13-16, 20, 23-24) and bar charts (Figs 8, 10,
 // 11, 18, 21).
@@ -16,45 +16,26 @@ import (
 var ErrEmpty = errors.New("stats: empty sample")
 
 // ECDF is an empirical cumulative distribution function over float64
-// samples. The zero value is empty; add samples with Add and call Sort (or
-// any query method, which sorts lazily) before evaluating.
+// samples, immutable once built. The zero value is empty.
 type ECDF struct {
-	xs     []float64
-	sorted bool
+	xs []float64 // sorted
 }
 
 // NewECDF builds an ECDF from samples (the slice is copied).
 func NewECDF(samples []float64) *ECDF {
-	e := &ECDF{xs: append([]float64(nil), samples...)}
-	e.Sort()
-	return e
-}
-
-// Add appends one sample.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestECDFAddLazySort calls it
-func (e *ECDF) Add(x float64) {
-	e.xs = append(e.xs, x)
-	e.sorted = false
+	xs := append([]float64(nil), samples...)
+	sort.Float64s(xs)
+	return &ECDF{xs: xs}
 }
 
 // Len returns the sample count.
 func (e *ECDF) Len() int { return len(e.xs) }
-
-// Sort orders the sample buffer; queries call it automatically.
-func (e *ECDF) Sort() {
-	if !e.sorted {
-		sort.Float64s(e.xs)
-		e.sorted = true
-	}
-}
 
 // P evaluates the ECDF at x: the fraction of samples <= x.
 func (e *ECDF) P(x float64) float64 {
 	if len(e.xs) == 0 {
 		return 0
 	}
-	e.Sort()
 	i := sort.SearchFloat64s(e.xs, x)
 	// Advance past equal values so P is "<= x".
 	for i < len(e.xs) && e.xs[i] == x {
@@ -70,40 +51,11 @@ func (e *ECDF) Quantile(q float64) float64 {
 	if len(e.xs) == 0 {
 		return math.NaN()
 	}
-	e.Sort()
 	return quantileSorted(e.xs, q)
 }
 
 // Values returns the sorted sample slice; callers must not modify it.
-func (e *ECDF) Values() []float64 {
-	e.Sort()
-	return e.xs
-}
-
-// Points returns n evenly spaced (x, P(x)) pairs suitable for plotting the
-// CDF curve, spanning the sample range.
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestECDFPoints and TestECDFEmpty call it
-func (e *ECDF) Points(n int) []Point {
-	if len(e.xs) == 0 || n <= 0 {
-		return nil
-	}
-	e.Sort()
-	lo, hi := e.xs[0], e.xs[len(e.xs)-1]
-	if n == 1 || lo == hi {
-		return []Point{{hi, 1}}
-	}
-	pts := make([]Point, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range pts {
-		x := lo + float64(i)*step
-		pts[i] = Point{X: x, Y: e.P(x)}
-	}
-	return pts
-}
-
-// Point is one (x, y) sample of a plotted series.
-type Point struct{ X, Y float64 }
+func (e *ECDF) Values() []float64 { return e.xs }
 
 func quantileSorted(xs []float64, q float64) float64 {
 	n := len(xs)
@@ -249,58 +201,4 @@ func (b *Binner) Summaries() []BinSummary {
 		})
 	}
 	return out
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples, or NaN when undefined.
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n == 0 || n != len(ys) {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation of two equal-length
-// samples (average ranks for ties).
-//
-//hbvet:allow deadexport deletion deferred (ROADMAP item 13): only TestSpearmanMonotone and TestSpearmanTies call it
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return math.NaN()
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i) + float64(j)) / 2
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
 }

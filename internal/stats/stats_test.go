@@ -19,6 +19,20 @@ func TestECDFBasics(t *testing.T) {
 			t.Errorf("P(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
+
+	// NewECDF sorts its own copy: unsorted input answers the same, and
+	// the caller's slice keeps its order.
+	in := []float64{3, 1, 2, 0}
+	u := NewECDF(in)
+	if got := u.Quantile(0.5); got != 1.5 {
+		t.Errorf("median of unsorted input = %v, want 1.5", got)
+	}
+	if got := u.P(0); got != 0.25 {
+		t.Errorf("P(0) of unsorted input = %v, want 0.25", got)
+	}
+	if in[0] != 3 {
+		t.Errorf("NewECDF reordered the caller's slice: %v", in)
+	}
 }
 
 func TestECDFEmpty(t *testing.T) {
@@ -28,23 +42,6 @@ func TestECDFEmpty(t *testing.T) {
 	}
 	if !math.IsNaN(e.Quantile(0.5)) {
 		t.Fatal("empty ECDF quantile should be NaN")
-	}
-	if e.Points(5) != nil {
-		t.Fatal("empty ECDF points should be nil")
-	}
-}
-
-func TestECDFAddLazySort(t *testing.T) {
-	var e ECDF
-	e.Add(3)
-	e.Add(1)
-	e.Add(2)
-	if got := e.Quantile(0.5); got != 2 {
-		t.Fatalf("median = %v, want 2", got)
-	}
-	e.Add(0) // re-dirty
-	if got := e.P(0); got != 0.25 {
-		t.Fatalf("P(0) = %v, want 0.25", got)
 	}
 }
 
@@ -169,62 +166,5 @@ func TestBinner(t *testing.T) {
 		if s.Lo != i*500 || s.Hi != i*500+499 {
 			t.Fatalf("bin %d bounds: %+v", i, s)
 		}
-	}
-}
-
-func TestPearsonPerfectCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("pearson = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(xs, neg); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("pearson = %v, want -1", r)
-	}
-}
-
-func TestPearsonDegenerate(t *testing.T) {
-	if !math.IsNaN(Pearson([]float64{1, 1}, []float64{2, 3})) {
-		t.Fatal("constant series should give NaN")
-	}
-	if !math.IsNaN(Pearson([]float64{1}, []float64{1, 2})) {
-		t.Fatal("length mismatch should give NaN")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 10, 100, 1000, 10000} // monotone but nonlinear
-	if r := Spearman(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("spearman = %v, want 1", r)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	ys := []float64{1, 2, 2, 3}
-	if r := Spearman(xs, ys); math.Abs(r-1) > 1e-9 {
-		t.Fatalf("spearman with ties = %v, want 1", r)
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{0, 10})
-	pts := e.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 {
-		t.Fatalf("point range wrong: %v..%v", pts[0], pts[10])
-	}
-	if pts[10].Y != 1 {
-		t.Fatalf("last point Y = %v", pts[10].Y)
-	}
-	// Single-valued sample.
-	e2 := NewECDF([]float64{5, 5, 5})
-	pts2 := e2.Points(4)
-	if len(pts2) != 1 || pts2[0].Y != 1 {
-		t.Fatalf("degenerate points = %v", pts2)
 	}
 }

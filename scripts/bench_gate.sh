@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# bench_gate.sh — CI crawl-benchmark smoke + allocation ceiling + metrics
-# overhead gate.
+# bench_gate.sh — CI crawl-benchmark smoke + allocation ceilings +
+# overhead gates.
 #
 # Runs the crawl-throughput gate (fails loudly if the crawl path breaks)
-# and enforces two committed ceilings before anyone reads profile
+# and enforces committed ceilings before anyone reads profile
 # numbers:
 #
 #   - allocs/visit <= MAX_ALLOCS on the bare crawl (PERF.md records the
@@ -18,12 +18,19 @@
 #     of the interleaved samples while the metrics side gets a clean
 #     window). Inflation failures are therefore retried up to
 #     GATE_ATTEMPTS times; a real regression stays above the ceiling on
-#     every attempt.
+#     every attempt;
+#   - the same two benchmarks' allocation counts: the attached crawl's
+#     allocs/visit minus the bare crawl's stays at or below
+#     MAX_METRICS_ALLOCS_DELTA (figure report) and MAX_OBS_ALLOCS_DELTA
+#     (telemetry and trace plan). Unlike the time ratios, a count does
+#     not move with host noise, so one reading decides.
 set -e
 
 MAX_ALLOCS=${MAX_ALLOCS:-200}
 MAX_METRICS_OVERHEAD_PCT=${MAX_METRICS_OVERHEAD_PCT:-10}
 MAX_OBS_OVERHEAD_PCT=${MAX_OBS_OVERHEAD_PCT:-5}
+MAX_METRICS_ALLOCS_DELTA=${MAX_METRICS_ALLOCS_DELTA:-1.4}
+MAX_OBS_ALLOCS_DELTA=${MAX_OBS_ALLOCS_DELTA:-0.2}
 MAX_SWEEP_VARIANT_PCT=${MAX_SWEEP_VARIANT_PCT:-95}
 GATE_ATTEMPTS=${GATE_ATTEMPTS:-3}
 BASELINE=${BASELINE:-perf/bench.baseline.txt}
@@ -64,7 +71,8 @@ echo "bench gate: allocs/visit $allocs <= $MAX_ALLOCS"
 # gate_ratio <benchmark> <metric> <ceiling> <label>: run a ratio-shaped
 # benchmark up to GATE_ATTEMPTS times and require metric <= ceiling on
 # some attempt (per-side-minimum benchmarks make noise inflationary, so
-# retrying never lets a real regression through).
+# retrying never lets a real regression through). The passing attempt's
+# output stays in $out for gate_count.
 gate_ratio() {
     bench=$1; metric=$2; ceiling=$3; label=$4
     attempt=1
@@ -87,8 +95,29 @@ gate_ratio() {
     exit 1
 }
 
+# gate_count <benchmark> <side> <ceiling> <label>: from the benchmark
+# output in $out, require <side>_allocs/visit minus bare_allocs/visit
+# <= ceiling.
+gate_count() {
+    bench=$1; side=$2; ceiling=$3; label=$4
+    bare=$(metric_of "$out" "$bench" bare_allocs/visit)
+    with=$(metric_of "$out" "$bench" "${side}_allocs/visit")
+    if [ -z "$bare" ] || [ -z "$with" ]; then
+        echo "bench gate: allocs/visit metrics not found in $bench output" >&2
+        exit 1
+    fi
+    delta=$(awk -v w="$with" -v b="$bare" 'BEGIN { printf "%.3f", w - b }')
+    if ! awk -v d="$delta" -v max="$ceiling" 'BEGIN { exit !(d <= max) }'; then
+        echo "bench gate: $label costs $delta allocs/visit above the bare crawl, ceiling $ceiling" >&2
+        exit 1
+    fi
+    echo "bench gate: $label $delta allocs/visit above bare <= $ceiling"
+}
+
 gate_ratio BenchmarkCrawl_MetricsOverhead overhead_pct "$MAX_METRICS_OVERHEAD_PCT" \
     "full-report metrics overhead"
+gate_count BenchmarkCrawl_MetricsOverhead metrics "$MAX_METRICS_ALLOCS_DELTA" \
+    "full-report metrics"
 
 # Observability gate: run telemetry plus a sampled trace plan must cost
 # the crawl at most MAX_OBS_OVERHEAD_PCT of bare time. The untraced
@@ -97,6 +126,8 @@ gate_ratio BenchmarkCrawl_MetricsOverhead overhead_pct "$MAX_METRICS_OVERHEAD_PC
 # a hot harvest path grew.
 gate_ratio BenchmarkCrawl_ObsOverhead overhead_pct "$MAX_OBS_OVERHEAD_PCT" \
     "observability overhead"
+gate_count BenchmarkCrawl_ObsOverhead obs "$MAX_OBS_ALLOCS_DELTA" \
+    "observability"
 
 # Shared-world sweep gate: a variant's marginal cost (crawl over the
 # warm shared world) must stay below the fresh-run cost (world

@@ -2,7 +2,6 @@ package headerbid
 
 import (
 	"io"
-	"os"
 
 	"headerbid/internal/crawler"
 	"headerbid/internal/dataset"
@@ -52,6 +51,8 @@ type MetricSink struct {
 }
 
 // NewMetricSink wraps m in an ordered sink.
+//
+//hbvet:allow deadexport documented by ExampleNewExperiment
 func NewMetricSink(m Metric) *MetricSink { return &MetricSink{m: m} }
 
 // Consume folds the record in.
@@ -62,9 +63,6 @@ func (s *MetricSink) Consume(v Visit) error {
 
 // Close is a no-op; the metric stays readable after the run.
 func (s *MetricSink) Close() error { return nil }
-
-// Metric returns the wrapped metric.
-func (s *MetricSink) Metric() Metric { return s.m }
 
 // JSONLSink streams records to a JSONL dataset as they complete, so a
 // 35k-site crawl writes its dataset with O(1) record memory.
@@ -103,22 +101,12 @@ func (s *JSONLSink) Count() int { return s.w.Count() }
 // and plan regardless of worker count. Untraced visits are skipped.
 type TraceSink struct {
 	tw *obs.TraceWriter
-	f  *os.File
 }
 
-// NewTraceSink streams the trace JSON to w (Close finalizes the JSON).
+// NewTraceSink streams the trace JSON to w (Close finalizes the JSON;
+// closing w stays the caller's).
 func NewTraceSink(w io.Writer) *TraceSink {
 	return &TraceSink{tw: obs.NewTraceWriter(w)}
-}
-
-// NewTraceFileSink creates/truncates path and streams the trace to it;
-// Close finalizes the JSON and closes the file.
-func NewTraceFileSink(path string) (*TraceSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceSink{tw: obs.NewTraceWriter(f), f: f}, nil
 }
 
 // Consume appends the visit's spans (no-op for untraced visits).
@@ -129,17 +117,9 @@ func (s *TraceSink) Consume(v Visit) error {
 	return s.tw.Write(v.Trace)
 }
 
-// Close finalizes the JSON document (and closes the file for file
-// sinks). A trace with zero visits still closes to a valid document.
-func (s *TraceSink) Close() error {
-	err := s.tw.Close()
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close finalizes the JSON document. A trace with zero visits still
+// closes to a valid document.
+func (s *TraceSink) Close() error { return s.tw.Close() }
 
 // NewProgressSink reports per-day crawl progress to fn as visits stream
 // out (fn receives visits-done and visits-scheduled for the current

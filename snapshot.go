@@ -15,13 +15,9 @@ type Shard = sitegen.Shard
 // ParseShard parses the "i/n" CLI syntax (e.g. "2/4").
 func ParseShard(s string) (Shard, error) { return sitegen.ParseShard(s) }
 
-// ShardOf returns which shard of an n-way split of the seed's world a
-// site rank belongs to — a pure function of (seed, rank, n).
-func ShardOf(seed int64, rank, n int) int { return sitegen.ShardOf(seed, rank, n) }
-
 // MetricCodec is a Metric whose accumulator state round-trips through
-// the shard-file format: everything the facade constructors in
-// metrics.go return, plus the FigureReport.
+// the shard-file format: the FigureReport, every figure metric it
+// bundles, and what the constructors in metrics.go return.
 type MetricCodec = snapshot.Codec
 
 // ShardHeader identifies which slice of which world a shard file
@@ -32,10 +28,6 @@ type ShardHeader = snapshot.Header
 // accumulator state a single-process crawl would have produced.
 type ShardFold = snapshot.Fold
 
-// SnapshotFormatVersion is the shard-file format version this build
-// reads and writes.
-const SnapshotFormatVersion = snapshot.FormatVersion
-
 // MarshalShard writes the shard file for one crawled slice.
 func MarshalShard(w io.Writer, h ShardHeader, metrics []MetricCodec) error {
 	return snapshot.MarshalShard(w, h, metrics)
@@ -43,6 +35,8 @@ func MarshalShard(w io.Writer, h ShardHeader, metrics []MetricCodec) error {
 
 // UnmarshalShard reads one whole shard file, refusing unknown format
 // versions, unknown metric names and bytes after the last section.
+//
+//hbvet:allow deadexport used by bench/ (module hbbench)
 func UnmarshalShard(r io.Reader) (ShardHeader, []MetricCodec, error) {
 	return snapshot.UnmarshalShard(r)
 }

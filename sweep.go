@@ -26,21 +26,11 @@ type (
 	// NetworkProfile is a named transport-latency model (base RTT +
 	// jitter) an Overlay can apply per visit.
 	NetworkProfile = overlay.NetworkProfile
-	// Fault is one declarative fault-injection rule an Overlay carries:
-	// a partner target (or "*") plus a failure shape (transport errors,
-	// outage windows, latency spikes, slow-loris, mid-body resets,
-	// truncated/garbled bodies, flapping, error ramps).
-	Fault = overlay.Fault
-	// Variant is one cell of a sweep: a label plus its overlay.
-	Variant = scenario.Variant
 	// Axis is one intervention dimension: a name plus its variants.
 	Axis = scenario.Axis
 	// SweepComparison is a sweep's delta report: baseline plus per-axis
 	// variant results, renderable as delta tables.
 	SweepComparison = scenario.Comparison
-	// VariantResult is one variant's headline measures inside a
-	// comparison.
-	VariantResult = scenario.VariantResult
 )
 
 // TimeoutAxis sweeps the wrapper deadline (ms); empty input uses the
@@ -77,9 +67,6 @@ func PartnerFaultAxis(slug string, failRates ...float64) Axis {
 // slow-loris, mid-body resets, truncated and garbled bodies, error
 // ramps) at a fixed moderate severity, one variant each.
 func ChaosAxis() Axis { return scenario.ChaosAxis() }
-
-// NetworkProfiles returns the built-in network profiles, fastest first.
-func NetworkProfiles() []NetworkProfile { return overlay.Profiles() }
 
 // NetworkProfileByName looks a built-in network profile up by name
 // ("fiber", "cable", "4g", "3g").
@@ -217,11 +204,10 @@ func (s *VariantJSONLSink) Close() error {
 //	).Run(ctx)
 //	cmp.Render(os.Stdout)
 type Sweep struct {
-	world    *World
-	worldCfg *WorldConfig
-	sites    int
-	seed     int64
-	seedSet  bool
+	world   *World
+	sites   int
+	seed    int64
+	seedSet bool
 
 	crawlCfg    *CrawlConfig
 	days        int
@@ -237,14 +223,10 @@ type Sweep struct {
 type SweepOption func(*Sweep)
 
 // WithSweepWorld sweeps an existing world instead of generating one.
+//
+//hbvet:allow deadexport used by bench/ (module hbbench)
 func WithSweepWorld(w *World) SweepOption {
 	return func(s *Sweep) { s.world = w }
-}
-
-// WithSweepWorldConfig generates the shared world from cfg (ignored
-// when WithSweepWorld is given).
-func WithSweepWorldConfig(cfg WorldConfig) SweepOption {
-	return func(s *Sweep) { s.worldCfg = &cfg }
 }
 
 // WithSweepSites sets the generated world's site count (default 1000).
@@ -262,6 +244,8 @@ func WithSweepSeed(seed int64) SweepOption {
 // WithSweepCrawlConfig replaces the paper-default crawl policy for
 // every variant; its Overlay field must be nil (interventions belong in
 // axes).
+//
+//hbvet:allow deadexport used by bench/ (module hbbench)
 func WithSweepCrawlConfig(cfg CrawlConfig) SweepOption {
 	return func(s *Sweep) { s.crawlCfg = &cfg }
 }
@@ -302,6 +286,8 @@ func WithSweepSink(sinks ...SweepSink) SweepOption {
 // called once per variant (including the baseline) and the merged
 // instances land in that variant's VariantResult.Extra, in factory
 // order.
+//
+//hbvet:allow deadexport used by bench/ (module hbbench)
 func WithVariantMetrics(factory func() []Metric) SweepOption {
 	return func(s *Sweep) { s.metrics = factory }
 }
@@ -323,12 +309,6 @@ func NewSweep(opts ...SweepOption) *Sweep {
 func (s *Sweep) World() *World {
 	if s.world == nil {
 		cfg := sitegen.DefaultConfig(s.seed)
-		if s.worldCfg != nil {
-			cfg = *s.worldCfg
-			if s.seedSet {
-				cfg.Seed = s.seed
-			}
-		}
 		if s.sites > 0 {
 			cfg.NumSites = s.sites
 		}

@@ -23,10 +23,9 @@ func BenchmarkSweep_WorldReuse(b *testing.B) {
 	const sites = 1200
 	cfg := DefaultWorldConfig(7)
 	cfg.NumSites = sites
-	opts := DefaultCrawlConfig(7)
 
 	crawl := func(w *World) {
-		res, err := NewExperiment(WithWorld(w), WithCrawlConfig(opts)).Run(context.Background())
+		res, err := NewExperiment(WithWorld(w), WithSeed(7)).Run(context.Background())
 		if err != nil || res.Stats.Visits != sites {
 			b.Fatalf("run failed: %v (%d visits)", err, res.Stats.Visits)
 		}
