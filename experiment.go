@@ -174,19 +174,10 @@ func NewExperiment(opts ...ExperimentOption) *Experiment {
 	return e
 }
 
-// Metrics is the bag of merged metric accumulators a run produced, in
-// attachment order.
-type Metrics struct {
-	ms []Metric
-}
-
-// Len reports how many metrics were attached.
-func (m Metrics) Len() int { return len(m.ms) }
-
 // Results is what every run computes incrementally regardless of
 // attached sinks: the Table-1 roll-up, crawl health counters and the
-// latency CDF — none of which require retaining records — plus the bag
-// of user-attached metrics.
+// latency CDF, none of which require retaining records. Metrics
+// attached with WithMetrics hold their merged totals themselves.
 type Results struct {
 	// Summary is the Table 1 roll-up over the streamed records.
 	Summary Summary
@@ -194,9 +185,6 @@ type Results struct {
 	Stats CrawlStats
 	// Latency is the Figure-12 total-HB-latency CDF.
 	Latency LatencyStats
-	// Metrics holds the metrics attached with WithMetrics, merged across
-	// worker shards (the same instances the caller attached).
-	Metrics Metrics
 	// Elapsed is the wall-clock run time.
 	Elapsed time.Duration
 }
@@ -345,7 +333,6 @@ func (e *Experiment) Run(ctx context.Context) (Results, error) {
 		Summary: sum.Summary(),
 		Stats:   st.s,
 		Latency: lat.Result(),
-		Metrics: Metrics{ms: e.metrics},
 		Elapsed: time.Since(start), //hbvet:allow detwall wall-clock elapsed reported to operators, never part of dataset bytes
 	}
 	if runErr != nil {

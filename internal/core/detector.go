@@ -456,12 +456,22 @@ func (d *Detector) auction(id string) *auctionState {
 	return &d.states[len(d.states)-1]
 }
 
-// markWinner records a winning bidder, materializing the set lazily.
-func (d *Detector) markWinner(slug string) {
+// markWinner records a winning bidder, materializing the set lazily,
+// and returns its name as a record may keep it: a known partner's slug
+// is the registry's own string, and any other name a copy. A name mined
+// from a response is a substring of the body its sender wrote, which a
+// record must not keep alive.
+func (d *Detector) markWinner(name string) string {
+	if p, ok := d.registry.BySlug(name); ok && p.Slug == name {
+		name = p.Slug
+	} else {
+		name = strings.Clone(name)
+	}
 	if d.winnerSeen == nil {
 		d.winnerSeen = make(map[string]bool, 2)
 	}
-	d.winnerSeen[slug] = true
+	d.winnerSeen[name] = true
+	return name
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +652,7 @@ func (d *Detector) mineTargeting(params urlkit.Query, at time.Time) {
 	if bidder == "" {
 		return
 	}
-	d.markWinner(bidder)
+	bidder = d.markWinner(bidder)
 	if source != "s2s" {
 		return
 	}

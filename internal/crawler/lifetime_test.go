@@ -16,16 +16,20 @@ import (
 // configs, ad-server books) are built. Everything that dies inside the
 // visit lives in storage the worker already rewinds (DESIGN.md §5.3):
 // protocol state, requests and their parsed queries, event queries,
-// decoded bid responses, the detector's observation. What is left is
-// what the visit sends and emits, each string built once: URLs with
-// the values written into them, one ID string per round, the servers'
-// response bodies, and its record; a bid request's body is built only
-// when something reads its bytes. The mean over smallWorld(600)'s HB
-// sites reads 23.5; it read 36.9 while a visit also built every bid
-// body, and its uids, times and IDs as strings of their own, 69.0 while
-// its scratch was allocated per visit, and 176.1 when every visit also
-// rebuilt its protocol state.
-const warmHBAllocCeiling = 26
+// decoded bid responses, the detector's observation. What the visit
+// sends (URLs and the values written into them, bid-request IDs, the
+// servers' bodies, prices and creative IDs) is written into append-only
+// string chunks its pooled senders keep (urlkit.Strings), and a slot
+// string that depends on the page's config alone is built once per
+// config. What is left is one auction-ID string per round or hosted
+// page, the client ad server's targeting maps, pubfood's per-page
+// round, and the record. The mean over smallWorld(600)'s HB sites reads
+// 7.6; it read 23.5 while each string a visit sent was a heap object
+// of its own, 36.9 while a visit also built every bid body, and its
+// uids, times and IDs as strings of their own, 69.0 while its scratch
+// was allocated per visit, and 176.1 when every visit also rebuilt its
+// protocol state.
+const warmHBAllocCeiling = 8
 
 // warmNonHBAllocCeiling bounds the mean allocation count of a warm
 // non-HB visit, the crawl's common case, which sends nothing it has to

@@ -9,7 +9,6 @@
 package gptlib
 
 import (
-	"strings"
 	"time"
 
 	"headerbid/internal/events"
@@ -39,6 +38,9 @@ type ServerSideConfig struct {
 	Site     string
 	Provider string // partner slug hosting the server-side auction
 	Slots    []Slot
+	// SlotSpecs is the slots value "code|WxH,code|WxH,..." of Slots, as
+	// prebid.SlotSpecs renders the page's ad units.
+	SlotSpecs string
 }
 
 // ServerSideResult is what the page learns from a hosted auction: almost
@@ -77,6 +79,8 @@ type ServerSideClient struct {
 	// params is the hosted-auction request's query, prefilled into the
 	// request: both live until the next Run and the page's next Rebind.
 	params [2]urlkit.Param
+	// strs holds the hosted-auction URLs, page after page.
+	strs urlkit.Strings
 }
 
 // slotRender is one slot's creative fetch.
@@ -110,34 +114,15 @@ func (c *ServerSideClient) Run(done func(*ServerSideResult)) {
 	}
 	c.params = [2]urlkit.Param{
 		{Key: "site", Value: c.cfg.Site},
-		{Key: "slots", Value: c.slotSpecs()},
+		{Key: "slots", Value: c.cfg.SlotSpecs},
 	}
 	req := c.env.NewRequest()
-	req.URL = urlkit.WithQuery(provider.HostedAuctionURL(), c.params[:])
+	req.URL = c.strs.WithQuery(provider.HostedAuctionURL(), c.params[:])
 	req.Method = webreq.POST
 	req.Kind = webreq.KindXHR
 	req.Sent = now
 	req.PrefillParams(c.params[:])
 	c.env.FetchCall(req, hostedResponseCall, c)
-}
-
-// slotSpecs renders the slots as "code|WxH,code|WxH,...".
-func (c *ServerSideClient) slotSpecs() string {
-	n := 0
-	for _, s := range c.cfg.Slots {
-		n += len(s.Code) + len(s.Size.String()) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, s := range c.cfg.Slots {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.Code)
-		b.WriteByte('|')
-		b.WriteString(s.Size.String())
-	}
-	return b.String()
 }
 
 func hostedResponseCall(resp *webreq.Response, a any) { a.(*ServerSideClient).onResponse(resp) }

@@ -56,6 +56,7 @@ func testCfg() ServerSideConfig {
 			{Code: "s1", Size: hb.SizeMediumRectangle},
 			{Code: "s2", Size: hb.SizeLeaderboard},
 		},
+		SlotSpecs: "s1|300x250,s2|728x90",
 	}
 }
 

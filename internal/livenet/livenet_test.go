@@ -1,7 +1,9 @@
 package livenet
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,7 +11,10 @@ import (
 	"headerbid/internal/core"
 	"headerbid/internal/hb"
 	"headerbid/internal/pagert"
+	"headerbid/internal/prebid"
+	"headerbid/internal/rtb"
 	"headerbid/internal/sitegen"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -224,5 +229,112 @@ func TestEnvPostOrdering(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatal("loop stalled")
 		}
+	}
+}
+
+// TestConcurrentHandlersShareOneEcosystem: the server answers every
+// request through one sitegen.Ecosystem from the goroutines net/http
+// runs it on, and the handlers write what they send (bodies, prices,
+// creative IDs) into the ecosystem's one string chunk. Bid,
+// hosted-auction and both kinds of ad-server request, sent at once
+// from four goroutines, must each be answered with a well-formed body
+// that no later answer overwrites. Run with -race -count=10, this is
+// the chunk's race check.
+func TestConcurrentHandlersShareOneEcosystem(t *testing.T) {
+	w, srv, _ := liveWorld(t, 240)
+	sites := map[hb.Facet]*sitegen.Site{}
+	for _, s := range w.HBSites() {
+		if sites[s.Facet] == nil && s.Library != "pubfood" {
+			sites[s.Facet] = s
+		}
+	}
+	client, server, hybrid := sites[hb.FacetClient], sites[hb.FacetServer], sites[hb.FacetHybrid]
+	if client == nil || server == nil || hybrid == nil {
+		t.Fatal("the world lacks a client, server or hybrid site")
+	}
+	bidder, _ := w.Registry.BySlug(client.AdUnits[0].Bidders[0])
+	host, _ := w.Registry.BySlug(server.ServerPartner)
+	var imps []rtb.Impression
+	for _, u := range client.AdUnits {
+		sz := u.PrimarySize()
+		imps = append(imps, rtb.Impression{ID: u.Code, Banner: rtb.Banner{Format: []rtb.Format{{W: sz.W, H: sz.H}}}})
+	}
+	bid, err := (&rtb.BidRequest{ID: "live", Imp: imps, Site: rtb.Site{Domain: client.Domain}, TMax: 3000}).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adServerURL := func(s *sitegen.Site) string {
+		code := s.AdUnits[0].Code
+		return urlkit.WithQuery(s.AdServerURL(), urlkit.Query{
+			{Key: hb.KeyBidder + "." + code, Value: s.AdUnits[0].Bidders[0]},
+			{Key: hb.KeyPriceBuck + "." + code, Value: "9.00"},
+			{Key: "site", Value: s.Domain},
+			{Key: "slots", Value: prebid.SlotSpecs(s.AdUnits)},
+		})
+	}
+	kinds := []struct {
+		name, url string
+		body      string
+		units     []prebid.AdUnit
+	}{
+		{"bid", bidder.BidRequestURL(), string(bid), client.AdUnits},
+		{"hosted auction", urlkit.WithQuery(host.HostedAuctionURL(), urlkit.Query{
+			{Key: "site", Value: server.Domain}, {Key: "slots", Value: prebid.SlotSpecs(server.AdUnits)}}), "", server.AdUnits},
+		{"client ad server", adServerURL(client), "", client.AdUnits},
+		{"hybrid ad server", adServerURL(hybrid), "", hybrid.AdUnits},
+	}
+
+	type answer struct {
+		kind, body, copied string
+		units              []prebid.AdUnit
+	}
+	const goroutines, rounds = 4, 25
+	answers := make([][]answer, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := kinds[(g+i)%len(kinds)]
+				req := &webreq.Request{URL: k.url, Method: webreq.GET}
+				if k.body != "" {
+					req.Method = webreq.POST
+					req.SetBody(k.body)
+				}
+				status, body, _ := srv.dispatch(urlkit.RegistrableDomain(urlkit.Host(k.url)), req)
+				if status != 200 || body == "" {
+					t.Errorf("%s: status %d, body %q", k.name, status, body)
+					return
+				}
+				answers[g] = append(answers[g], answer{k.name, body, strings.Clone(body), k.units})
+			}
+		}(g)
+	}
+	wg.Wait()
+	n := 0
+	for _, as := range answers {
+		for _, a := range as {
+			n++
+			if a.body != a.copied {
+				t.Fatalf("%s: the answer changed after it was sent:\n%q\nwas\n%q", a.kind, a.body, a.copied)
+			}
+			if a.kind == "bid" {
+				var resp rtb.BidResponse
+				if err := rtb.UnmarshalBidResponse(a.body, &resp); err != nil || resp.ID != "live" {
+					t.Fatalf("bid answer %q does not decode to the request's response: %v", a.body, err)
+				}
+				continue
+			}
+			lines := hb.ScanSlotLines(a.body)
+			for l, ok := lines.Next(); ok; l, ok = lines.Next() {
+				if !slices.ContainsFunc(a.units, func(u prebid.AdUnit) bool { return u.Code == l.Slot }) || l.Channel == "" {
+					t.Fatalf("%s: answer %q has a line for slot %q, channel %q", a.kind, a.body, l.Slot, l.Channel)
+				}
+			}
+		}
+	}
+	if n != goroutines*rounds {
+		t.Fatalf("%d answers, want %d", n, goroutines*rounds)
 	}
 }

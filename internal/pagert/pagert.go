@@ -21,6 +21,7 @@ import (
 	"headerbid/internal/partners"
 	"headerbid/internal/prebid"
 	"headerbid/internal/pubfood"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/usersync"
 )
 
@@ -51,6 +52,13 @@ type PageConfig struct {
 	ServerPartner string          `json:"serverPartner,omitempty"`
 	FloorCPM      float64         `json:"floorCpm,omitempty"`
 	AdUnits       []prebid.AdUnit `json:"adUnits"`
+
+	// slots is prebid.SlotSpecs(AdUnits), the slots value of the page's
+	// ad-server and hosted-auction requests. It is built once per config,
+	// when the config is decoded or seeded, and every visit of the page
+	// sends it: the detector reads the hosted auctions' ad-unit codes out
+	// of it into records, which then share it.
+	slots string
 }
 
 // InlineScript renders the config as the inline <script> body sitegen
@@ -92,6 +100,7 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 			return nil, err
 		}
 	}
+	cfg.slots = prebid.SlotSpecs(cfg.AdUnits)
 	return &cfg, nil
 }
 
@@ -121,10 +130,12 @@ type memoConfig struct {
 // Seed records cfg as the outcome of decoding inline, the config script
 // a renderer wrote with cfg.InlineScript, so the page's first visit
 // reads the value the renderer already holds instead of decoding the
-// renderer's own output. cfg must deep-equal what Extract decodes
-// from inline (sizes normalized) and is shared read-only from here on.
+// renderer's own output. Seed derives what a decode derives (the
+// slots value), after which cfg must deep-equal what Extract decodes
+// from inline (sizes normalized); it is shared read-only from here on.
 // Text that already has an outcome keeps it.
 func (m *ConfigMemo) Seed(inline string, cfg *PageConfig) {
+	cfg.slots = prebid.SlotSpecs(cfg.AdUnits)
 	m.m.LoadOrStore(inline, &memoConfig{cfg: cfg})
 }
 
@@ -230,14 +241,15 @@ type Runtime struct {
 	Overlay *overlay.Overlay
 
 	// Protocol state reused page after page, rebound by RunScripts.
-	prebid     prebid.Wrapper
-	server     gptlib.ServerSideClient
-	syncer     usersync.Syncer
-	slugs      []string
-	slots      []gptlib.Slot
-	settle     func()
-	prebidDone func(*prebid.Result)
-	serverDone func(*gptlib.ServerSideResult)
+	prebid      prebid.Wrapper
+	server      gptlib.ServerSideClient
+	syncer      usersync.Syncer
+	pubfoodStrs urlkit.Strings // what pubfood's per-page rounds send
+	slugs       []string
+	slots       []gptlib.Slot
+	settle      func()
+	prebidDone  func(*prebid.Result)
+	serverDone  func(*gptlib.ServerSideResult)
 }
 
 // New creates a runtime.
@@ -322,7 +334,7 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 				TimeoutMS:   cfg.TimeoutMS,
 				AdServerURL: cfg.AdServerURL,
 				FloorCPM:    cfg.FloorCPM,
-			})
+			}, &rt.pubfoodStrs)
 			lib.Start(func(*pubfood.Result) { settle() })
 			return
 		}
@@ -330,6 +342,7 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 			Site:        cfg.Site,
 			Page:        p.URL,
 			AdUnits:     cfg.AdUnits,
+			Slots:       cfg.slots,
 			TimeoutMS:   cfg.TimeoutMS,
 			SendAllBids: cfg.SendAllBids,
 			BadWrapper:  cfg.BadWrapper,
@@ -340,9 +353,10 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 	case "server":
 		rt.slots = gptlib.AppendSlots(rt.slots[:0], cfg.AdUnits)
 		rt.server.Reset(p, p.Bus, rt.Registry, gptlib.ServerSideConfig{
-			Site:     cfg.Site,
-			Provider: cfg.ServerPartner,
-			Slots:    rt.slots,
+			Site:      cfg.Site,
+			Provider:  cfg.ServerPartner,
+			Slots:     rt.slots,
+			SlotSpecs: cfg.slots,
 		})
 		rt.server.Run(rt.serverDone)
 	default:

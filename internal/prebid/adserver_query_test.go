@@ -58,8 +58,9 @@ func TestAdServerQueryMatchesSetByKey(t *testing.T) {
 			CreativeID: bidder + "-cr", Late: late}
 	}
 	for _, sendAll := range []bool{false, true} {
+		units := []AdUnit{unit("div-2"), unit("div-1"), unit("div-3"), unit("div-2")}
 		w := &Wrapper{cfg: Config{Site: "site00042.example", SendAllBids: sendAll,
-			AdUnits: []AdUnit{unit("div-2"), unit("div-1"), unit("div-3"), unit("div-2")}}}
+			AdUnits: units, Slots: SlotSpecs(units)}}
 		r := &roundState{wrapper: w}
 		euro := bid("criteo", 1.3, hb.EUR, false)
 		euro.DealID = "deal-7"
@@ -75,10 +76,10 @@ func TestAdServerQueryMatchesSetByKey(t *testing.T) {
 			w.units[i].Winner = pickWinner(w.units[i].Bids)
 		}
 		now := time.Unix(1548979200, 0)
-		got, want := r.adServerQuery(), setByKey(r, now)
-		url := urlkit.WithLastValue("https://adserver.site00042.example/serve", got, strconv.AppendInt(nil, now.UnixMilli(), 10))
+		got, want := r.adServerQuery(strconv.FormatInt(now.UnixMilli(), 10)), setByKey(r, now)
+		url := w.strs.WithQuery("https://adserver.site00042.example/serve", got)
 		if !slices.Equal(got, want) {
-			t.Fatalf("send-all %v: adServerQuery, its time written by the URL\n%v\nset key by key\n%v", sendAll, got, want)
+			t.Fatalf("send-all %v: adServerQuery\n%v\nset key by key\n%v", sendAll, got, want)
 		}
 		var wire urlkit.Queries
 		if parsed := wire.Parse(url); !slices.Equal(parsed, want) {

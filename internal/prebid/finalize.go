@@ -84,11 +84,9 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	// The time is written into the URL alone; the query reads it there.
-	params := r.adServerQuery()
-	var tBuf [20]byte
+	params := r.adServerQuery(w.strs.Take(strconv.AppendInt(w.strs.Room(20), now.UnixMilli(), 10)))
 	req := w.env.NewRequest()
-	req.URL = urlkit.WithLastValue(w.cfg.AdServerURL, params, strconv.AppendInt(tBuf[:0], now.UnixMilli(), 10))
+	req.URL = w.strs.WithQuery(w.cfg.AdServerURL, params)
 	req.Method = webreq.GET
 	req.Kind = webreq.KindXHR
 	req.Sent = now
@@ -107,32 +105,28 @@ func (r *roundState) callAdServer() {
 func adServerResponseCall(resp *webreq.Response, a any) { a.(*roundState).onAdServerResponse(resp) }
 
 // adServerQuery builds the ad-server request's query: the site, the
-// time, the slot specs and, for every unit with a winner, its targeting,
-// scoped per slot the way GPT encodes per-slot targeting, and flat as
-// well, so simple parsers (and the detector's Server-Side heuristics)
-// see it; with send-all-bids, also every on-time bid's price bucket. It
-// is the query of a map assigned in that order — a flat key keeps the
-// first unit's value, any other key its last value — built in scratch,
-// sorted once and copied into the round's storage at its final length.
-// The time "t" sorts after every other key (targeting keys begin "hb_"),
-// so it is the last pair; its value is left for the URL to write
-// (urlkit.WithLastValue).
-func (r *roundState) adServerQuery() urlkit.Query {
+// time t, the slot specs and, for every unit with a winner, its
+// targeting, scoped per slot the way GPT encodes per-slot targeting, and
+// flat as well, so simple parsers (and the detector's Server-Side
+// heuristics) see it; with send-all-bids, also every on-time bid's price
+// bucket. It is the query of a map assigned in that order — a flat key
+// keeps the first unit's value, any other key its last value — built in
+// scratch, sorted once and copied into the round's storage at its final
+// length.
+func (r *roundState) adServerQuery(t string) urlkit.Query {
 	w := r.wrapper
 	var scratch [48]urlkit.Param
-	q := append(scratch[:0], urlkit.Param{Key: "site", Value: w.cfg.Site}, urlkit.Param{Key: "t"})
+	q := append(scratch[:0], urlkit.Param{Key: "site", Value: w.cfg.Site}, urlkit.Param{Key: "t", Value: t})
 	// Flat keys never collide with the per-slot ("key.slot"), send-all
 	// ("hb_pb_bidder"), site, t or slots keys, so first-wins among the
 	// flat keys alone is first-wins in the whole query.
 	var flatBuf, tBuf [8]urlkit.Param
 	flat := flatBuf[:0]
-	specLen := 0
 	for _, u := range w.cfg.AdUnits {
-		specLen += len(u.Code) + len(u.PrimarySize().String()) + 2
 		uo := r.unit(u.Code)
 		if uo.Winner != nil {
 			t := hb.AppendTargeting(tBuf[:0], *uo.Winner)
-			keys := slotScopedKeys(t, u.Code)
+			keys := w.slotScopedKeys(t, u.Code)
 			for _, p := range t {
 				k := keys[:len(p.Key)+1+len(u.Code)]
 				keys = keys[len(k):]
@@ -145,23 +139,14 @@ func (r *roundState) adServerQuery() urlkit.Query {
 		if w.cfg.SendAllBids {
 			for _, b := range uo.Bids {
 				if !b.Late {
-					q = append(q, urlkit.Param{Key: hb.KeyPriceBuck + "_" + b.Bidder, Value: hb.PriceBucket(b.USDCPM())})
+					k := append(w.strs.Room(len(hb.KeyPriceBuck)+1+len(b.Bidder)), hb.KeyPriceBuck+"_"...)
+					q = append(q, urlkit.Param{Key: w.strs.Take(append(k, b.Bidder...)), Value: hb.PriceBucket(b.USDCPM())})
 				}
 			}
 		}
 	}
-	var slots strings.Builder
-	slots.Grow(specLen)
-	for i, u := range w.cfg.AdUnits {
-		if i > 0 {
-			slots.WriteByte(',')
-		}
-		slots.WriteString(u.Code)
-		slots.WriteByte('|')
-		slots.WriteString(u.PrimarySize().String())
-	}
 	q = append(q, flat...)
-	q = append(q, urlkit.Param{Key: "slots", Value: slots.String()})
+	q = append(q, urlkit.Param{Key: "slots", Value: w.cfg.Slots})
 	return w.queries.Add(urlkit.SortQuery(q)...)
 }
 
@@ -176,20 +161,17 @@ func hasKey(q urlkit.Query, k string) bool {
 }
 
 // slotScopedKeys returns the per-slot forms "key.code" of t's keys,
-// concatenated in one string (one allocation for the whole unit).
-func slotScopedKeys(t urlkit.Query, code string) string {
+// concatenated in one string.
+func (w *Wrapper) slotScopedKeys(t urlkit.Query, code string) string {
 	n := 0
 	for _, p := range t {
 		n += len(p.Key) + 1 + len(code)
 	}
-	var b strings.Builder
-	b.Grow(n)
+	b := w.strs.Room(n)
 	for _, p := range t {
-		b.WriteString(p.Key)
-		b.WriteByte('.')
-		b.WriteString(code)
+		b = append(append(append(b, p.Key...), '.'), code...)
 	}
-	return b.String()
+	return w.strs.Take(b)
 }
 
 // onAdServerResponse records the end of the HB round and triggers
@@ -308,7 +290,7 @@ func (rc *renderCall) onCreative(resp *webreq.Response) {
 	if d.Channel == "hb" && uo.Winner != nil {
 		// Winner notification beacon with the charged price.
 		req := w.env.NewRequest()
-		req.URL = winNURL(bidderHost(w, uo.Winner.Bidder), uo.AuctionID,
+		req.URL = w.winNURL(bidderHost(w, uo.Winner.Bidder), uo.AuctionID,
 			uo.Winner.Bidder, uo.Winner.USDCPM())
 		req.Method = webreq.GET
 		req.Kind = webreq.KindBeacon
@@ -344,8 +326,8 @@ func bidderHost(w *Wrapper, bidder string) string {
 // winNURL assembles the winner-notification URL
 // "https://bid.<host>/win?auction=<aid>&hb_bidder=<bidder>&hb_price=<cpm>"
 // (cpm fixed to 4 decimals, matching the %.4f wire form) without fmt.
-func winNURL(host, auctionID, bidder string, cpm float64) string {
-	b := make([]byte, 0, 64+len(host)+len(auctionID)+len(bidder))
+func (w *Wrapper) winNURL(host, auctionID, bidder string, cpm float64) string {
+	b := w.strs.Room(64 + len(host) + len(auctionID) + len(bidder))
 	b = append(b, "https://bid."...)
 	b = append(b, host...)
 	b = append(b, "/win?auction="...)
@@ -358,5 +340,5 @@ func winNURL(host, auctionID, bidder string, cpm float64) string {
 	b = append(b, hb.KeyPrice...)
 	b = append(b, '=')
 	b = strconv.AppendFloat(b, cpm, 'f', 4, 64)
-	return string(b)
+	return w.strs.Take(b)
 }

@@ -6,33 +6,31 @@ import (
 	"time"
 )
 
-// The protocol-ID micro-benchmark: roundIDs writes a round's auction
-// and bid-request IDs into one string on the crawl hot path. Its IDs are
-// byte-identical to the fmt.Sprintf forms they replaced (asserted
-// below).
+// The protocol-ID micro-benchmark: auctionIDs writes a round's auction
+// IDs into one string on the crawl hot path. The IDs, and the
+// bid-request IDs, are byte-identical to the fmt.Sprintf forms they
+// replaced (asserted below).
 
-// idWrapper is a wrapper whose round has units ad units and bids to the
-// given bidders, as RequestBids leaves it before roundIDs.
-func idWrapper(site string, units int, bidders ...string) *Wrapper {
-	return &Wrapper{cfg: Config{Site: site, AdUnits: make([]AdUnit, units)}, bidders: bidders}
+// idWrapper is a wrapper whose round has units ad units, as RequestBids
+// leaves it before auctionIDs.
+func idWrapper(site string, units int) *Wrapper {
+	return &Wrapper{cfg: Config{Site: site, AdUnits: make([]AdUnit, units)}}
 }
 
 func BenchmarkRoundIDs(b *testing.B) {
-	w := idWrapper("site00042.example", 3, "appnexus", "rubicon", "ix", "criteo")
-	now := time.Unix(0, 1548979200000000000)
+	w := idWrapper("site00042.example", 3)
 	b.ReportAllocs()
 	var s string
 	for i := 0; i < b.N; i++ {
 		w.auctionSeq = i % 97
-		s = w.roundIDs(now)
+		s = w.auctionIDs()
 	}
 	_ = s
 }
 
 // TestIDBuildersMatchSprintf pins the builders to the exact bytes the
 // fmt forms produced, so the dataset stays bit-for-bit reproducible:
-// roundIDs' auction IDs number on from the page's earlier rounds, and
-// its bid-request IDs follow them in bidder order.
+// auctionIDs' IDs number on from the page's earlier rounds.
 func TestIDBuildersMatchSprintf(t *testing.T) {
 	cases := []struct {
 		site    string
@@ -47,25 +45,23 @@ func TestIDBuildersMatchSprintf(t *testing.T) {
 		{"y", 0, 0, []string{"a"}, -5},
 	}
 	for _, c := range cases {
-		w := idWrapper(c.site, c.units, c.bidders...)
+		w := idWrapper(c.site, c.units)
 		w.auctionSeq = c.seq
-		ids := w.roundIDs(time.Unix(0, c.nano))
-		var want []string
-		for i := 1; i <= c.units; i++ {
-			want = append(want, fmt.Sprintf("%s-a%d", c.site, c.seq+i))
-		}
-		for _, bidder := range c.bidders {
-			want = append(want, fmt.Sprintf("%s-%s-%d", c.site, bidder, c.nano))
-		}
-		for k, wid := range want {
-			if got := w.roundID(ids, k); got != wid {
-				t.Errorf("%s: ID %d = %q, want %q", c.site, k, got, wid)
+		ids := w.auctionIDs()
+		for k := 0; k < c.units; k++ {
+			if got, want := w.auctionID(ids, k), fmt.Sprintf("%s-a%d", c.site, c.seq+k+1); got != want {
+				t.Errorf("%s: auction ID %d = %q, want %q", c.site, k, got, want)
 			}
 		}
 		if w.auctionSeq != c.seq+c.units {
 			t.Errorf("%s: auction sequence %d after the round, want %d", c.site, w.auctionSeq, c.seq+c.units)
 		}
-		if got := winNURL("adnxs.com", "aid-1", c.site, 1.2345); got != fmt.Sprintf("https://bid.%s/win?auction=%s&hb_bidder=%s&hb_price=%.4f", "adnxs.com", "aid-1", c.site, 1.2345) {
+		for _, bidder := range c.bidders {
+			if got, want := w.bidRequestID(bidder, time.Unix(0, c.nano)), fmt.Sprintf("%s-%s-%d", c.site, bidder, c.nano); got != want {
+				t.Errorf("%s: bid-request ID %q, want %q", c.site, got, want)
+			}
+		}
+		if got := w.winNURL("adnxs.com", "aid-1", c.site, 1.2345); got != fmt.Sprintf("https://bid.%s/win?auction=%s&hb_bidder=%s&hb_price=%.4f", "adnxs.com", "aid-1", c.site, 1.2345) {
 			t.Errorf("winNURL = %q", got)
 		}
 	}

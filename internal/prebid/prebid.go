@@ -20,6 +20,7 @@ package prebid
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"headerbid/internal/events"
@@ -79,11 +80,34 @@ func (u *AdUnit) PrimarySize() hb.Size {
 	return u.Sizes[0]
 }
 
+// SlotSpecs renders units as the ad-server requests' slots value,
+// "code|WxH,code|WxH,..." with each unit's primary size: a value that
+// depends on the page's config alone, built once per config.
+func SlotSpecs(units []AdUnit) string {
+	n := 0
+	for i := range units {
+		n += len(units[i].Code) + len(units[i].PrimarySize().String()) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range units {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(units[i].Code)
+		b.WriteByte('|')
+		b.WriteString(units[i].PrimarySize().String())
+	}
+	return b.String()
+}
+
 // Config configures one wrapper instance (that is, one publisher page).
 type Config struct {
-	Site        string
-	Page        string
-	AdUnits     []AdUnit
+	Site    string
+	Page    string
+	AdUnits []AdUnit
+	// Slots is SlotSpecs(AdUnits), the ad-server request's slots value.
+	Slots       string
 	TimeoutMS   int  // wrapper deadline; prebid's common default is 3000
 	SendAllBids bool // send hb_*_<bidder> keys for every bidder, not just the winner
 	// BadWrapper reproduces the misconfiguration the paper calls out: the
@@ -221,8 +245,8 @@ type Wrapper struct {
 	sends   []bidSend     // one per bidder sent a request, as result.Bidders
 	formats []rtb.Format  // every unit's formats, in config order
 	renders []renderCall  // one per rendered slot
-	// idBuf and idEnds are where roundIDs writes the round's IDs before
-	// they become one string, and where each ID ends in it.
+	// idBuf and idEnds are where auctionIDs writes the round's auction
+	// IDs before they become one string, and where each ID ends in it.
 	idBuf  []byte
 	idEnds []int
 	// queries holds the round's event queries and its ad-server query;
@@ -233,6 +257,10 @@ type Wrapper struct {
 	queries urlkit.Queries
 	decoded rtb.BidResponse
 	seats   []rtb.SeatBid
+	// strs holds what the rounds send, page after page: the bid-request
+	// IDs, the ad-server URL with its time and its slot-scoped and
+	// send-all-bids keys, and the win notifications.
+	strs urlkit.Strings
 }
 
 // Reset binds the wrapper to a page, keeping its round storage for
@@ -262,13 +290,13 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	*round = roundState{wrapper: w, result: &w.result, started: start, done: done}
 	w.queries.Reset()
 	w.collectBidders()
-	ids := w.roundIDs(start)
+	ids := w.auctionIDs()
 
 	// Per-unit auction bookkeeping + events.
 	n := len(w.cfg.AdUnits)
 	w.units = slices.Grow(w.units[:0], n)[:n]
 	for i, u := range w.cfg.AdUnits {
-		aid := w.roundID(ids, i)
+		aid := w.auctionID(ids, i)
 		uo := &w.units[i]
 		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start, Bids: uo.Bids[:0]}
 		w.result.Units = append(w.result.Units, uo)
@@ -288,8 +316,8 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	w.layoutFormats()
 	w.sends = slices.Grow(w.sends[:0], len(w.bidders))
 	timeout := w.cfg.Timeout()
-	for i, bidder := range w.bidders {
-		w.sendBidRequest(round, bidder, w.roundID(ids, n+i), timeout)
+	for _, bidder := range w.bidders {
+		w.sendBidRequest(round, bidder, w.bidRequestID(bidder, start), timeout)
 	}
 
 	if w.cfg.BadWrapper {
@@ -316,13 +344,12 @@ func (w *Wrapper) collectBidders() {
 	w.bidders = out
 }
 
-// roundIDs writes the round's IDs into one string, which it returns:
-// each ad unit's auction ID "<site>-a<N>", numbered on from the page's
-// earlier rounds, then each bidder's bid-request ID
-// "<site>-<bidder>-<unixnano>", in the order of w.bidders. roundID
-// slices them out; the events, outcomes, bids and bid requests that
-// carry them share the string.
-func (w *Wrapper) roundIDs(now time.Time) string {
+// auctionIDs writes the round's auction IDs into one string, which it
+// returns: each ad unit's "<site>-a<N>", numbered on from the page's
+// earlier rounds. auctionID slices them out; the events, outcomes, bids
+// and records that carry them share the string, which holds nothing
+// else, so a record keeps no more of it than its own auctions' IDs.
+func (w *Wrapper) auctionIDs() string {
 	b, ends := w.idBuf[:0], w.idEnds[:0]
 	for range w.cfg.AdUnits {
 		w.auctionSeq++
@@ -331,26 +358,25 @@ func (w *Wrapper) roundIDs(now time.Time) string {
 		b = strconv.AppendInt(b, int64(w.auctionSeq), 10)
 		ends = append(ends, len(b))
 	}
-	nano := now.UnixNano()
-	for _, bidder := range w.bidders {
-		b = append(b, w.cfg.Site...)
-		b = append(b, '-')
-		b = append(b, bidder...)
-		b = append(b, '-')
-		b = strconv.AppendInt(b, nano, 10)
-		ends = append(ends, len(b))
-	}
 	w.idBuf, w.idEnds = b, ends
 	return string(b)
 }
 
-// roundID returns the k-th ID of ids, the string roundIDs returned.
-func (w *Wrapper) roundID(ids string, k int) string {
+// auctionID returns the k-th ID of ids, the string auctionIDs returned.
+func (w *Wrapper) auctionID(ids string, k int) string {
 	lo := 0
 	if k > 0 {
 		lo = w.idEnds[k-1]
 	}
 	return ids[lo:w.idEnds[k]]
+}
+
+// bidRequestID returns the ID of the round's bid request to bidder,
+// "<site>-<bidder>-<unixnano>" at the round's start now.
+func (w *Wrapper) bidRequestID(bidder string, now time.Time) string {
+	b := w.strs.Room(len(w.cfg.Site) + len(bidder) + 22)
+	b = append(append(append(append(b, w.cfg.Site...), '-'), bidder...), '-')
+	return w.strs.Take(strconv.AppendInt(b, now.UnixNano(), 10))
 }
 
 // layoutFormats writes every ad unit's formats, in config order, into

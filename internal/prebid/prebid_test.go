@@ -122,6 +122,7 @@ func testConfig(units int, bidders ...string) Config {
 			Bidders: bidders,
 		})
 	}
+	cfg.Slots = SlotSpecs(cfg.AdUnits)
 	return cfg
 }
 

@@ -120,6 +120,7 @@ func TestAuctionInvariantsProperty(t *testing.T) {
 				Bidders: bidders,
 			})
 		}
+		cfg.Slots = SlotSpecs(cfg.AdUnits)
 
 		env := newFakeEnv()
 		env.respond = randomizedResponder(seed)

@@ -93,11 +93,14 @@ type Library struct {
 
 	// decoded is the bid response being read, reused by the next one.
 	decoded rtb.BidResponse
+	// strs holds the ad-server URL.
+	strs *urlkit.Strings
 }
 
-// New creates a pubfood library instance.
-func New(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) *Library {
-	l := &Library{env: env, bus: bus, reg: reg, cfg: cfg}
+// New creates a pubfood library instance whose round writes the
+// ad-server URL into strs, storage its caller keeps from page to page.
+func New(env Env, bus *events.Bus, reg *partners.Registry, cfg Config, strs *urlkit.Strings) *Library {
+	l := &Library{env: env, bus: bus, reg: reg, cfg: cfg, strs: strs}
 	l.traceSrc, _ = env.(obs.TraceSource)
 	return l
 }
@@ -328,7 +331,7 @@ func (l *Library) callAdServer(res *Result, bySlot map[string]*SlotResult,
 	l.emit(events.Event{Type: events.SetTargeting, Time: now, Library: "pubfood.js", Params: params})
 
 	req := l.env.NewRequest()
-	req.URL = urlkit.WithQuery(l.cfg.AdServerURL, params)
+	req.URL = l.strs.WithQuery(l.cfg.AdServerURL, params)
 	req.Method = webreq.GET
 	req.Kind = webreq.KindXHR
 	req.Sent = now

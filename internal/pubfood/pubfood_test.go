@@ -12,6 +12,7 @@ import (
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
 	"headerbid/internal/rtb"
+	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -86,7 +87,7 @@ func runLib(t *testing.T, env *fakeEnv, c Config) (*Result, *eventLog) {
 	t.Helper()
 	bus := new(events.Bus)
 	log := logEvents(bus)
-	lib := New(env, bus, partners.Default(), c)
+	lib := New(env, bus, partners.Default(), c, new(urlkit.Strings))
 	var res *Result
 	lib.Start(func(r *Result) { res = r })
 	env.sched.Run()

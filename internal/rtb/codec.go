@@ -95,7 +95,7 @@ var (
 )
 
 // encBuf is the pooled per-worker encode buffer behind
-// BidRequest.EncodedLen and BidResponse.EncodeString.
+// BidRequest.EncodedLen.
 type encBuf struct{ b []byte }
 
 var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
@@ -138,22 +138,6 @@ func (r *BidRequest) EncodedLen() (int, error) {
 	eb.b = b[:0]
 	encPool.Put(eb)
 	return len(b), err
-}
-
-// EncodeString renders the response body through the pooled encode
-// buffer and returns it as a string: one allocation (the string copy)
-// per call in the common case versus the many a reflect-driven Marshal
-// performs.
-func (r *BidResponse) EncodeString() (string, error) {
-	eb := encPool.Get().(*encBuf)
-	b, err := r.AppendJSON(eb.b[:0])
-	var s string
-	if err == nil {
-		s = string(b)
-	}
-	eb.b = b[:0]
-	encPool.Put(eb)
-	return s, err
 }
 
 // UnmarshalBidRequest decodes body into dst, whatever dst held before

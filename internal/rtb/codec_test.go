@@ -131,10 +131,6 @@ func TestEncodeGoldenBidResponse(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("encode mismatch for %+v:\n got %s\nwant %s", resp, got, want)
 		}
-		s, serr := resp.EncodeString()
-		if serr != nil || s != string(want) {
-			t.Errorf("EncodeString mismatch: %q vs %q (err %v)", s, want, serr)
-		}
 	}
 }
 

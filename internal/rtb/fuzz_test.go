@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"headerbid/internal/rtb/jsonkit"
+	"headerbid/internal/urlkit"
 )
 
 // The fuzz targets drive the scanner against arbitrary input and hold
@@ -152,7 +153,9 @@ func heldResponse(t *testing.T) BidResponse {
 // strings, floats, int and Ext fragment must encode, after a non-empty
 // prefix, to exactly json.Marshal's bytes, or fail where json.Marshal
 // fails and leave only the prefix; EncodedLen must give that byte
-// count and EncodeString those bytes. Every field is set, then mask
+// count, and the response, appended into a string chunk with room for
+// it and into one a byte from full, those bytes as the chunk's string.
+// Every field is set, then mask
 // zeroes fields through the tables (bits 0–6 the request's, 7–10 its
 // first impression's, 11 that impression's banner, 12–13 its first
 // format, 14–16 the site, 17–18 the user, 19–22 the response's, 23–24
@@ -217,9 +220,14 @@ func FuzzEncodeBid(f *testing.F) {
 		want, werr = json.Marshal(resp)
 		got, gerr = resp.AppendJSON([]byte(prefix))
 		checkEncoded(t, "BidResponse", got, gerr, want, werr)
-		s, serr := resp.EncodeString()
-		if (serr == nil) != (werr == nil) || s != string(want) {
-			t.Fatalf("BidResponse.EncodeString = %q, %v; json.Marshal gives %q, %v", s, serr, want, werr)
+		var strs urlkit.Strings
+		for _, chunk := range []string{"with room", "a byte from full"} {
+			b, serr := resp.AppendJSON(strs.Room(1))
+			if s := strs.Take(b); (serr == nil) != (werr == nil) || (werr == nil && s != string(want)) {
+				t.Fatalf("BidResponse.AppendJSON into a chunk %s = %q, %v; json.Marshal gives %q, %v", chunk, s, serr, want, werr)
+			}
+			free := strs.Room(1)
+			strs.Take(append(free, make([]byte, cap(free)-1)...))
 		}
 	})
 }

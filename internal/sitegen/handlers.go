@@ -86,9 +86,9 @@ var serverSeatPool = []serverSeat{
 //
 // Ecosystem is safe for concurrent use (livenet serves from multiple
 // goroutines); the simulated network is single-threaded anyway. e.mu
-// guards the lazy stream/ad-server maps and the streams' draw state;
-// handlers hold it only while touching those, not across their decode
-// and encode work.
+// guards the lazy stream/ad-server maps, the streams' draw state and
+// the storage bodies are written in; handlers hold it while touching
+// those, not across a bid request's decode.
 type Ecosystem struct {
 	World *World
 	seed  int64
@@ -108,6 +108,12 @@ type Ecosystem struct {
 	adServers  map[adServerKey]*adserver.Server
 	streamPool []*rng.Stream
 	serverPool []*adserver.Server
+	// strs holds what the handlers send, visit after visit (reset keeps
+	// it): response bodies, and the prices and creative IDs written into
+	// them. body is where an ad-server body is composed before it moves
+	// into strs, as its prices go into strs on the way.
+	strs urlkit.Strings
+	body []byte
 }
 
 // streamKind names the purpose of an ecosystem stream; with a partner
@@ -248,9 +254,9 @@ func (e *Ecosystem) exchangeFor(p *partners.Profile) *rtb.Exchange {
 // HandlePartner services any request landing on a partner's domain:
 // client-side bid requests, hosted auctions, win beacons and sync pixels.
 // Locking is per-endpoint: beacons and pixels touch no shared state and
-// run lock-free, and handleBid holds e.mu only around its RNG/auction
-// section, so livenet's concurrent bid traffic no longer serializes the
-// JSON decode and encode work.
+// run lock-free, and handleBid takes e.mu after its decode, so
+// livenet's concurrent bid traffic does not serialize the JSON decode
+// of foreign bodies.
 func (e *Ecosystem) HandlePartner(p *partners.Profile, req *webreq.Request) (int, string, time.Duration) {
 	u := req.URL
 	switch {
@@ -285,8 +291,8 @@ var bidScratchPool = sync.Pool{New: func() any { return &bidScratch{} }}
 // handleBid answers a prebid client-side bid request (one bidder, all ad
 // units). Lateness is decided here: a partner that will miss the caller's
 // TMax responds after the deadline, exactly how the browser experiences
-// late bids. Only the RNG/auction section holds e.mu; decode and encode
-// work on pooled scratch outside the lock.
+// late bids. The decode works on pooled scratch outside e.mu; the
+// RNG/auction section and the encode into e.strs hold it.
 func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, string, time.Duration) {
 	sc := bidScratchPool.Get().(*bidScratch)
 	defer bidScratchPool.Put(sc)
@@ -306,6 +312,7 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	bids := sc.bids[:0]
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	r := e.stream(streamBid, p.Slug)
 
 	// Service time: the partner's own latency plus internal auction work.
@@ -348,10 +355,9 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 			Price: round4(cpm / usdRate), // quoted in the partner's currency
 			W:     size.W,
 			H:     size.H,
-			CrID:  creativeID(p.Slug, r.Intn(1_000_000)),
+			CrID:  e.creativeID(p.Slug, r.Intn(1_000_000)),
 		})
 	}
-	e.mu.Unlock()
 	sc.bids = bids
 
 	if vt := e.vt(); vt.Enabled() {
@@ -370,11 +376,25 @@ func (e *Ecosystem) handleBid(p *partners.Profile, req *webreq.Request) (int, st
 	} else {
 		resp.NBR = 8 // no-bid: unknown user
 	}
-	body, err := resp.EncodeString()
+	b, err := resp.AppendJSON(e.strs.Room(bidBodyRoom(resp)))
 	if err != nil {
 		return 500, `{}`, service
 	}
-	return 200, body, service
+	return 200, e.strs.Take(b), service
+}
+
+// bidBodyRoom bounds the encoded length of a response handleBid builds
+// when none of its strings needs escaping: a longer one moves to an
+// array of its own (urlkit.Strings.Take).
+func bidBodyRoom(resp *rtb.BidResponse) int {
+	n := 64 + len(resp.ID) + len(resp.Currency)
+	for _, sb := range resp.SeatBid {
+		n += 32 + len(sb.Seat)
+		for _, b := range sb.Bid {
+			n += 128 + len(b.ImpID) + len(b.CrID) + len(b.DealID)
+		}
+	}
+	return n
 }
 
 // bidRequestOf returns the bid request req carries: the wrapper's typed
@@ -403,7 +423,7 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 	site, _ := e.World.SiteByDomain(siteDomain)
 
 	service := p.SampleLatency(r)
-	buf, body := getBody()
+	body := e.body[:0]
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		// Each hosted slot triggers its own seat auction at the provider
 		// (Fig 20: more auctioned slots, higher latency).
@@ -424,7 +444,7 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: winner},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(cpm)},
-				{Key: hb.KeyPrice, Value: fmt4(cpm)},
+				{Key: hb.KeyPrice, Value: e.price(cpm)},
 				{Key: hb.KeySize, Value: sz},
 				{Key: hb.KeySource, Value: "s2s"},
 				{Key: "size", Value: sz},
@@ -444,7 +464,7 @@ func (e *Ecosystem) handleHosted(p *partners.Profile, req *webreq.Request) (int,
 			vt.Instant(obs.TrackAdServer, "s2s-slot", req.Sent, code+"="+channel)
 		}
 	})
-	return 200, putBody(buf, body), service
+	return 200, e.takeBody(body), service
 }
 
 // seatAuction resolves one hosted-auction slot among the connected seats:
@@ -507,7 +527,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 	service := time.Duration(float64(120+r.Intn(120)) / infra * float64(time.Millisecond))
 
 	srv := e.adServerFor(true, siteDomain)
-	buf, body := getBody()
+	body := e.body[:0]
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(20+r.Intn(35))/infra) * time.Millisecond
 
@@ -547,7 +567,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 				{Key: "channel", Value: "hb"},
 				{Key: hb.KeyBidder, Value: ssBidder},
 				{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(ssCPM)},
-				{Key: hb.KeyPrice, Value: fmt4(ssCPM)},
+				{Key: hb.KeyPrice, Value: e.price(ssCPM)},
 				{Key: hb.KeySize, Value: sz},
 				{Key: hb.KeySource, Value: "s2s"},
 				{Key: "size", Value: sz},
@@ -576,7 +596,7 @@ func (e *Ecosystem) handleGampad(p *partners.Profile, req *webreq.Request) (int,
 		}
 	})
 	_ = p
-	return 200, putBody(buf, body), service
+	return 200, e.takeBody(body), service
 }
 
 // ---------------------------------------------------------------------------
@@ -608,7 +628,7 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 	srv := e.adServerFor(false, s.Domain)
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
-	buf, body := getBody()
+	body := e.body[:0]
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(12+r.Intn(20))/s.InfraQuality) * time.Millisecond
 
@@ -654,7 +674,7 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 			body = append(body, "|fail"...)
 		}
 	})
-	return 200, putBody(buf, body), service
+	return 200, e.takeBody(body), service
 }
 
 // HandleCreative serves ad markup.
@@ -685,23 +705,11 @@ func slotKey(kl, code string) (string, bool) {
 	return kl[:n], true
 }
 
-// bodyPool holds the buffers ad-server bodies are written into, so a
-// body costs one allocation: its string.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getBody takes an empty body buffer from the pool.
-func getBody() (*[]byte, []byte) {
-	buf := bodyPool.Get().(*[]byte)
-	return buf, (*buf)[:0]
-}
-
-// putBody returns the finished body as a string and the buffer, which
-// may have grown, to the pool.
-func putBody(buf *[]byte, body []byte) string {
-	s := string(body)
-	*buf = body
-	bodyPool.Put(buf)
-	return s
+// takeBody moves an ad-server body composed in e.body into e.strs,
+// keeps the buffer for the next body and returns the body.
+func (e *Ecosystem) takeBody(body []byte) string {
+	e.body = body[:0]
+	return e.strs.Take(append(e.strs.Room(len(body)), body...))
 }
 
 // appendSlotLine starts a slot's line of an ad-server body (the
@@ -725,16 +733,16 @@ func appendSlotLine(body []byte, code, channel string, q urlkit.Query) []byte {
 
 func round4(x float64) float64 { return math.Round(x*10000) / 10000 }
 
-// fmt4 renders a CPM with four decimals (the %.4f wire form).
-func fmt4(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
+// price renders a CPM with four decimals (the %.4f wire form) in
+// e.strs.
+func (e *Ecosystem) price(x float64) string {
+	return e.strs.Take(strconv.AppendFloat(e.strs.Room(24), x, 'f', 4, 64))
+}
 
-// creativeID renders "<slug>-cr-<n>" without fmt.
-func creativeID(slug string, n int) string {
-	b := make([]byte, 0, len(slug)+12)
-	b = append(b, slug...)
-	b = append(b, "-cr-"...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	return string(b)
+// creativeID renders "<slug>-cr-<n>" without fmt, in e.strs.
+func (e *Ecosystem) creativeID(slug string, n int) string {
+	b := append(append(e.strs.Room(len(slug)+24), slug...), "-cr-"...)
+	return e.strs.Take(strconv.AppendInt(b, int64(n), 10))
 }
 
 // forEachSlotSpec iterates a "code|WxH,code|WxH,..." slots parameter

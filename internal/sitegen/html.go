@@ -72,7 +72,7 @@ func (w *World) renderPageHTML(s *Site) string {
 		case hb.FacetServer:
 			libs = gptTag
 		}
-	} else if rng.SplitStable(w.Cfg.Seed, "html/"+s.Domain).Bool(0.015) {
+	} else if trapDrawn(w.Cfg.Seed, s.Domain) {
 		trap = trapTag
 	}
 
@@ -123,6 +123,19 @@ func (w *World) renderPageHTML(s *Site) string {
 		w.Configs.Seed(page[inlineAt:inlineAt+len(inline)], cfg)
 	}
 	return page
+}
+
+// trapStream is the hashed prefix of a page's trap stream name,
+// "html/<domain>".
+var trapStream = rng.NameOf("html/")
+
+// trapDrawn draws whether a non-HB page carries trap markup, from the
+// stream rng.SplitStable(seed, "html/"+domain) starts: a stream on the
+// stack, as the draw runs on every non-HB page's first visit.
+func trapDrawn(seed int64, domain string) bool {
+	var r rng.Stream
+	r.ReseedStable(seed, trapStream.Append(domain))
+	return r.Bool(0.015)
 }
 
 // inlineConfig renders an HB site's inline wrapper config script body and

@@ -207,14 +207,24 @@ func (w *World) adServerBook(dfp bool, domain string) *adserver.Book {
 	return s.book[i]
 }
 
+// Hashed prefixes of the ad-server stream names "adsrv/<domain>" and
+// "adsrv/dfp/<domain>".
+var (
+	adsrvStream    = rng.NameOf("adsrv/")
+	adsrvDFPStream = rng.NameOf("adsrv/dfp/")
+)
+
 // newAdServerBook builds the book of the server named "adsrv/<domain>",
-// or "adsrv/dfp/<domain>" for a DFP network.
+// or "adsrv/dfp/<domain>" for a DFP network, seeded by the first draw
+// of the stream of that name, on the stack.
 func newAdServerBook(seed int64, dfp bool, domain string) *adserver.Book {
-	name := "adsrv/" + domain
+	name := adsrvStream
 	if dfp {
-		name = "adsrv/dfp/" + domain
+		name = adsrvDFPStream
 	}
-	return adserver.NewBook(adserver.DefaultConfig(rng.SplitStable(seed, name).Int63()))
+	var r rng.Stream
+	r.ReseedStable(seed, name.Append(domain))
+	return adserver.NewBook(adserver.DefaultConfig(r.Int63()))
 }
 
 // Generate builds a world deterministically from cfg — the unsharded

@@ -19,9 +19,8 @@ import (
 // wins), and the same bytes again from the key-sorted form of the pairs, without
 // changing the query it was given. AppendQuery onto a non-empty prefix
 // must give the prefix followed by those same bytes, leave the prefix as
-// it was and, again, the query too. WithLastValue, handed the last
-// value as bytes, must build the bytes WithQuery builds from the pairs
-// and give the query that value back.
+// it was and, again, the query too. Strings.WithQuery, into a chunk
+// with room left and into one with none, must build those bytes too.
 // The committed corpus under testdata/fuzz/FuzzQuery/ holds one URL of
 // each shape the simulation mints and the malformed cases of
 // fastpath_test.go's corpus.
@@ -57,7 +56,13 @@ func FuzzQuery(f *testing.F) {
 		if string(dst) != prefix || !slices.Equal(q, given) {
 			t.Fatalf("AppendQuery changed its arguments: prefix %q, query %v to %v", dst, given, q)
 		}
-		checkWithLastValue(t, base, q)
+		var chunk Strings
+		for _, step := range []string{"a new chunk", "a full chunk"} {
+			if got := chunk.WithQuery(base, q); got != want {
+				t.Fatalf("Strings.WithQuery(%q, %v) into %s = %q, reference %q", base, q, step, got, want)
+			}
+			chunk.Take(append(chunk.Room(0), make([]byte, cap(chunk.chunk)-len(chunk.chunk))...))
+		}
 	})
 }
 

@@ -461,28 +461,6 @@ func WithQuery(base string, q Query) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// WithLastValue returns WithQuery(base, q) where q's last value is v,
-// and sets that value to v's copy inside the returned URL: a value built
-// for the URL that carries it (a sync uid, a timestamp) is written once,
-// into the URL, and the query the request is prefilled with reads it
-// there. The URL is one allocation when q is key-sorted (so its last key
-// sorts last), no byte of v needs escaping and base takes the fast path;
-// otherwise the value gets a string of its own. q must be non-empty, and
-// v may be reused once the call returns.
-func WithLastValue(base string, q Query, v []byte) string {
-	last := &q[len(q)-1]
-	if !plainBase(base) || !q.sorted() || !queryClean(v) {
-		last.Value = string(v)
-		return WithQuery(base, q)
-	}
-	last.Value = ""
-	b := appendPairs(make([]byte, 0, encodedLen(base, q)+len(v)), base, q)
-	b = append(b, v...)
-	s := unsafe.String(unsafe.SliceData(b), len(b))
-	last.Value = s[len(s)-len(v):]
-	return s
-}
-
 // AppendQuery appends WithQuery(base, q) to dst and returns the extended
 // buffer: a URL written in place, inside a larger body, without a string
 // of its own. dst grows at most once on the fast path.
@@ -569,17 +547,6 @@ func appendPairs(dst []byte, base string, q Query) []byte {
 func queryUnescaped(c byte) bool {
 	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
 		c == '-' || c == '_' || c == '.' || c == '~'
-}
-
-// queryClean reports whether url.QueryEscape leaves every byte of v as
-// it is.
-func queryClean(v []byte) bool {
-	for _, c := range v {
-		if !queryUnescaped(c) {
-			return false
-		}
-	}
-	return true
 }
 
 // queryEscapedLen returns len(url.QueryEscape(s)): a space becomes '+',

@@ -79,6 +79,8 @@ type Syncer struct {
 	done    func(*Result)
 	pending int
 	pixels  webreq.Slab[pixel]
+	// strs holds the pixels' URLs and uids, page after page.
+	strs urlkit.Strings
 }
 
 // pixel is one sync pixel in flight. root is the slug of the chain's
@@ -94,8 +96,6 @@ type pixel struct {
 	sent  time.Time
 	// params is the pixel request's query, prefilled into the request:
 	// both live until the syncer's next Reset and the page's next Rebind.
-	// The uid is written into the URL alone, and its value here is a
-	// substring of the URL (urlkit.WithLastValue).
 	params [2]urlkit.Param
 }
 
@@ -161,14 +161,13 @@ func (s *Syncer) firePixel(p *partners.Profile, root string, depth int) {
 	if s.res != nil {
 		s.res.PixelsFired++
 	}
-	var buf [12]byte
-	uid := appendSyncUID(buf[:0], uint32(s.rng.Int63()&0xffffffff))
+	uid := s.strs.Take(appendSyncUID(s.strs.Room(syncUIDLen), uint32(s.rng.Int63()&0xffffffff)))
 	now := s.env.Now()
 	px := s.pixels.Alloc()
 	*px = pixel{s: s, p: p, root: root, depth: depth, sent: now,
-		params: [2]urlkit.Param{{Key: "site", Value: s.cfg.Site}, {Key: "uid"}}}
+		params: [2]urlkit.Param{{Key: "site", Value: s.cfg.Site}, {Key: "uid", Value: uid}}}
 	req := s.env.NewRequest()
-	req.URL = urlkit.WithLastValue(p.SyncEndpoint(), px.params[:], uid)
+	req.URL = s.strs.WithQuery(p.SyncEndpoint(), px.params[:])
 	req.Method = webreq.GET
 	req.Kind = webreq.KindBeacon
 	req.Sent = now
@@ -210,6 +209,9 @@ func (s *Syncer) randomOtherPartner(exclude string) *partners.Profile {
 	}
 	return nil
 }
+
+// syncUIDLen is the length of a sync uid.
+const syncUIDLen = len("sim-") + 8
 
 // appendSyncUID appends "sim-" plus the zero-padded 8-hex-digit id (the
 // %08x wire form) to dst without fmt.
