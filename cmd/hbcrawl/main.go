@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -57,40 +58,68 @@ import (
 )
 
 func main() {
-	var (
-		sites    = flag.Int("sites", 35000, "number of sites in the generated world")
-		days     = flag.Int("days", 1, "crawl days (day 0 visits all sites; later days revisit HB sites)")
-		seed     = flag.Int64("seed", 1, "world + crawl seed (identical seeds reproduce identical datasets)")
-		out      = flag.String("o", "crawl.jsonl", "output JSONL path ('-' for stdout)")
-		workers  = flag.Int("workers", 0, "crawl parallelism (0 = NumCPU)")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		rep      = flag.Bool("report", false, "render the full figure report from the live run (to stdout, or stderr when -o -)")
-		hbTO     = flag.Int("hb-timeout", 0, "override every wrapper deadline, in ms (scenario overlay; 0 keeps per-site config)")
-		profile  = flag.String("profile", "", "network profile overlay: fiber, cable, 4g or 3g (empty keeps defaults)")
-		shardStr = flag.String("shard", "", "crawl only slice i of an n-way world split, as 'i/n' (distributed crawl; fold with hbmerge)")
-		shardOut = flag.String("shard-out", "", "write the run's metric state to this shard file ('-' for stdout)")
-
-		tracePath   = flag.String("trace", "", "write virtual-clock visit spans to this Perfetto-loadable trace_event JSON file")
-		traceSites  = flag.Int("trace-sites", 0, "cap traced visits per crawl day (0 = every selected visit)")
-		traceFilter = flag.String("trace-filter", "", "trace only domains containing this substring")
-		obsAddr     = flag.String("obs", "", "serve live crawl telemetry (/debug/vars) and pprof on this address while crawling, e.g. 127.0.0.1:6060")
-	)
-	flag.Parse()
-
-	log.SetFlags(0)
-	log.SetPrefix("hbcrawl: ")
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	var jsonl *headerbid.JSONLSink
-	if *out == "-" {
-		jsonl = headerbid.NewJSONLSink(os.Stdout)
-	} else {
+// run is hbcrawl over the given arguments and output streams, crawling
+// until ctx is done. It returns the exit status: 0 on success, 1 when
+// the crawl or one of its outputs fails, 2 on a usage error, 130 when
+// interrupted (the dataset written so far stays valid).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hbcrawl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		sites    = fs.Int("sites", 35000, "number of sites in the generated world")
+		days     = fs.Int("days", 1, "crawl days (day 0 visits all sites; later days revisit HB sites)")
+		seed     = fs.Int64("seed", 1, "world + crawl seed (identical seeds reproduce identical datasets)")
+		out      = fs.String("o", "crawl.jsonl", "output JSONL path ('-' for stdout)")
+		workers  = fs.Int("workers", 0, "crawl parallelism (0 = NumCPU)")
+		quiet    = fs.Bool("q", false, "suppress progress output")
+		rep      = fs.Bool("report", false, "render the full figure report from the live run (to stdout, or stderr when -o -)")
+		hbTO     = fs.Int("hb-timeout", 0, "override every wrapper deadline, in ms (scenario overlay; 0 keeps per-site config)")
+		profile  = fs.String("profile", "", "network profile overlay: fiber, cable, 4g or 3g (empty keeps defaults)")
+		shardStr = fs.String("shard", "", "crawl only slice i of an n-way world split, as 'i/n' (distributed crawl; fold with hbmerge)")
+		shardOut = fs.String("shard-out", "", "write the run's metric state to this shard file ('-' for stdout)")
+
+		tracePath   = fs.String("trace", "", "write virtual-clock visit spans to this Perfetto-loadable trace_event JSON file")
+		traceSites  = fs.Int("trace-sites", 0, "cap traced visits per crawl day (0 = every selected visit)")
+		traceFilter = fs.String("trace-filter", "", "trace only domains containing this substring")
+		obsAddr     = fs.String("obs", "", "serve live crawl telemetry (/debug/vars) and pprof on this address while crawling, e.g. 127.0.0.1:6060")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hbcrawl: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	logger := log.New(stderr, "hbcrawl: ", 0)
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
+
+	// Checked before the dataset file is created, so a refused run
+	// leaves no empty dataset behind.
+	var ov headerbid.Overlay
+	if *hbTO > 0 {
+		ov.TimeoutMS = *hbTO
+	}
+	if *profile != "" {
+		p, ok := headerbid.NetworkProfileByName(*profile)
+		if !ok {
+			return fail(fmt.Errorf("unknown network profile %q (built-ins: fiber, cable, 4g, 3g)", *profile))
+		}
+		ov.Network = &p
+	}
+	shard := headerbid.Shard{Index: 0, Count: 1}
+	if *shardStr != "" {
 		var err error
-		jsonl, err = headerbid.NewJSONLFileSink(*out)
-		if err != nil {
-			log.Fatal(err)
+		if shard, err = headerbid.ParseShard(*shardStr); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -98,7 +127,25 @@ func main() {
 	// endpoint, and its per-visit harvest cost is a handful of atomic
 	// adds (the bench gate's obs-overhead check keeps it honest).
 	reg := headerbid.NewTelemetry()
-	prog := newProgress(*quiet, reg)
+	if *obsAddr != "" {
+		srv, addr, err := obs.Serve(*obsAddr, reg)
+		if err != nil {
+			return fail(err)
+		}
+		defer srv.Close()
+		logger.Printf("telemetry on http://%s/debug/vars (pprof under /debug/pprof/)", addr)
+	}
+	prog := newProgress(*quiet, reg, stderr)
+
+	var jsonl *headerbid.JSONLSink
+	if *out == "-" {
+		jsonl = headerbid.NewJSONLSink(stdout)
+	} else {
+		var err error
+		if jsonl, err = headerbid.NewJSONLFileSink(*out); err != nil {
+			return fail(err)
+		}
+	}
 
 	opts := []headerbid.ExperimentOption{
 		headerbid.WithSites(*sites),
@@ -115,44 +162,19 @@ func main() {
 			plan.Match = func(domain string) bool { return strings.Contains(domain, f) }
 		}
 		var err error
-		traceFile, err = os.Create(*tracePath)
-		if err != nil {
-			log.Fatal(err)
+		if traceFile, err = os.Create(*tracePath); err != nil {
+			jsonl.Close()
+			return fail(err)
 		}
 		opts = append(opts, headerbid.WithTrace(plan), headerbid.WithSink(headerbid.NewTraceSink(traceFile)))
-	}
-	if *obsAddr != "" {
-		srv, addr, err := obs.Serve(*obsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		log.Printf("telemetry on http://%s/debug/vars (pprof under /debug/pprof/)", addr)
 	}
 	if *workers > 0 {
 		opts = append(opts, headerbid.WithWorkers(*workers))
 	}
-	var ov headerbid.Overlay
-	if *hbTO > 0 {
-		ov.TimeoutMS = *hbTO
-	}
-	if *profile != "" {
-		p, ok := headerbid.NetworkProfileByName(*profile)
-		if !ok {
-			log.Fatalf("unknown network profile %q (built-ins: fiber, cable, 4g, 3g)", *profile)
-		}
-		ov.Network = &p
-	}
 	if !ov.IsZero() {
 		opts = append(opts, headerbid.WithOverlay(ov))
 	}
-	shard := headerbid.Shard{Index: 0, Count: 1}
 	if *shardStr != "" {
-		var err error
-		shard, err = headerbid.ParseShard(*shardStr)
-		if err != nil {
-			log.Fatal(err)
-		}
 		opts = append(opts, headerbid.WithShard(shard.Index, shard.Count))
 	}
 	var fr *headerbid.FigureReport
@@ -179,46 +201,47 @@ func main() {
 		// Count what the dataset actually holds: metrics fold completed
 		// in-flight visits that were never emitted, so res.Stats may run
 		// a few visits ahead of the flushed JSONL.
-		log.Printf("interrupted after %d visits; partial dataset flushed", jsonl.Count())
-		os.Exit(130)
+		logger.Printf("interrupted after %d visits; partial dataset flushed", jsonl.Count())
+		return 130
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	sum := res.Summary
-	log.Printf("crawled %d sites (%d visits) in %s", sum.SitesCrawled, res.Stats.Visits, res.Elapsed.Round(time.Millisecond))
-	log.Printf("HB sites: %d (%.2f%%), auctions: %d, bids: %d, partners: %d",
+	logger.Printf("crawled %d sites (%d visits) in %s", sum.SitesCrawled, res.Stats.Visits, res.Elapsed.Round(time.Millisecond))
+	logger.Printf("HB sites: %d (%.2f%%), auctions: %d, bids: %d, partners: %d",
 		sum.SitesWithHB, 100*sum.AdoptionRate(), sum.Auctions, sum.Bids, sum.DemandPartners)
 	if res.Latency.Sites > 0 {
-		log.Printf("median HB latency: %.0f ms (>3s on %.1f%% of HB sites)",
+		logger.Printf("median HB latency: %.0f ms (>3s on %.1f%% of HB sites)",
 			res.Latency.MedianMS, 100*res.Latency.FracOver3s)
 	}
 	if *out != "-" {
-		log.Printf("dataset written to %s (%d records)", *out, jsonl.Count())
+		logger.Printf("dataset written to %s (%d records)", *out, jsonl.Count())
 	}
 	if traceFile != nil {
-		log.Printf("trace written to %s (%d visits) — open in https://ui.perfetto.dev", *tracePath, reg.Totals().TracedVisits)
+		logger.Printf("trace written to %s (%d visits) — open in https://ui.perfetto.dev", *tracePath, reg.Totals().TracedVisits)
 	}
 
 	if *shardOut != "" {
 		h := headerbid.ShardHeader{Seed: *seed, ShardCount: shard.Count, Shards: []int{shard.Index}}
 		if err := headerbid.WriteShardFile(*shardOut, h, []headerbid.MetricCodec{fr, deg}); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if *shardOut != "-" {
-			log.Printf("shard %s metric state written to %s", shard, *shardOut)
+			logger.Printf("shard %s metric state written to %s", shard, *shardOut)
 		}
 	}
 
 	if *rep {
 		// The JSONL stream owns stdout when writing to '-'.
-		dst := os.Stdout
+		dst := stdout
 		if *out == "-" || *shardOut == "-" {
-			dst = os.Stderr
+			dst = stderr
 		}
 		fr.Render(dst)
 	}
+	return 0
 }
 
 // progress renders the crawl status line on stderr: percent done,
@@ -228,6 +251,7 @@ func main() {
 type progress struct {
 	quiet   bool
 	tty     bool
+	w       io.Writer
 	reg     *headerbid.Telemetry
 	start   time.Time
 	last    time.Time
@@ -235,10 +259,12 @@ type progress struct {
 	wrote   bool
 }
 
-func newProgress(quiet bool, reg *headerbid.Telemetry) *progress {
-	p := &progress{quiet: quiet, reg: reg, lastPct: -1}
-	if st, err := os.Stderr.Stat(); err == nil {
-		p.tty = st.Mode()&os.ModeCharDevice != 0
+func newProgress(quiet bool, reg *headerbid.Telemetry, w io.Writer) *progress {
+	p := &progress{quiet: quiet, w: w, reg: reg, lastPct: -1}
+	if f, ok := w.(*os.File); ok {
+		if st, err := f.Stat(); err == nil {
+			p.tty = st.Mode()&os.ModeCharDevice != 0
+		}
 	}
 	//hbvet:allow detwall operator-facing progress pacing; simulated time lives in the per-visit scheduler
 	p.start = time.Now()
@@ -273,10 +299,10 @@ func (p *progress) update(done, total int) {
 	line := fmt.Sprintf("crawling... %3d%% (%d/%d) %.0f sites/s ETA %s hb=%d quarantined=%d",
 		pct, done, total, rate, eta, t.HB, t.Quarantined)
 	if p.tty {
-		fmt.Fprintf(os.Stderr, "\r\x1b[K%s", line)
+		fmt.Fprintf(p.w, "\r\x1b[K%s", line)
 		p.wrote = true
 	} else {
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(p.w, line)
 	}
 }
 
@@ -284,7 +310,7 @@ func (p *progress) update(done, total int) {
 // on a fresh line.
 func (p *progress) finish() {
 	if p.wrote {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(p.w)
 	}
 }
 

@@ -274,7 +274,7 @@ func AttachWithOptions(page *browser.Page, reg *partners.Registry, opts Options)
 // crawler keeps one detector per worker and reattaches it after
 // rebinding the page. The previous attachment's Observation and
 // everything it holds are this storage and are invalid afterwards:
-// dataset.FromObservation copies everything it keeps.
+// dataset.Store.FromObservation copies everything it keeps.
 func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Options) {
 	d.latStore = keepSeries(d.latStore, d.partnerLats)
 	d.lateLatStore = keepSeries(d.lateLatStore, d.partnerLateLats)
@@ -764,8 +764,8 @@ func sscanFloat(s string, out *float64) (int, error) {
 // everything it holds (its sorted lists, auctions, bids and maps) live
 // in the detector's storage and are valid until the next Reattach, like
 // the page they describe: a caller that keeps any of it copies it
-// (dataset.FromObservation). All bids of all auctions share one backing
-// array, each auction holding a full slice of it.
+// (dataset.Store.FromObservation). All bids of all auctions share one
+// backing array, each auction holding a full slice of it.
 func (d *Detector) Observation() *Observation {
 	lists := slices.Grow(d.obsLists[:0], len(d.libs)+len(d.partnerSeen)+len(d.winnerSeen))
 	var libraries, partnersSeen, winnersSeen []string

@@ -196,6 +196,17 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 		first = append(first, crawlJob{site: s, day: opts.FirstDay})
 	}
 
+	// One pooled runtime per worker slot for the whole crawl: day after
+	// day, worker i visits on vrts[i] (streamDay). Their record stores
+	// go back to recordStores when the crawl ends.
+	vrts := make([]*visitRuntime, opts.Workers)
+	defer func() {
+		for _, vrt := range vrts {
+			if vrt != nil {
+				recordStores.Put(vrt.records)
+			}
+		}
+	}()
 	hbDomains := make(map[string]bool)
 	track := func(v Visit) error {
 		if v.Record.HB {
@@ -203,7 +214,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 		}
 		return emit(v)
 	}
-	if err := streamDay(ctx, w, first, opts, faults, track, fold); err != nil {
+	if err := streamDay(ctx, w, first, opts, faults, vrts, track, fold); err != nil {
 		return err
 	}
 
@@ -214,7 +225,7 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 				jobs = append(jobs, crawlJob{site: s, day: day})
 			}
 		}
-		if err := streamDay(ctx, w, jobs, opts, faults, emit, fold); err != nil {
+		if err := streamDay(ctx, w, jobs, opts, faults, vrts, emit, fold); err != nil {
 			return err
 		}
 	}
@@ -224,8 +235,12 @@ func CrawlStreamSharded(ctx context.Context, w *sitegen.World, opts Options, emi
 // streamDay crawls one day's job list with a worker pool, folding each
 // record on its worker goroutine and emitting the records in job order.
 // faults is the crawl's compiled fault table, shared read-only by every
-// worker's network.
-func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, faults simnet.FaultTable, emit EmitFunc, fold FoldFunc) error {
+// worker's network. Worker i visits on vrts[i], building it on the
+// crawl's first day, and writes back the runtime the quarantine
+// boundary builds in place of a panicked one; streamDay returns only
+// after every worker has stopped, so the next day's worker i takes the
+// slot over.
+func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts Options, faults simnet.FaultTable, vrts []*visitRuntime, emit EmitFunc, fold FoldFunc) error {
 	// An internal cancel stops the feeder both on caller cancellation and
 	// on emit error, so workers drain promptly in either case.
 	ctx, cancel := context.WithCancel(parent)
@@ -261,12 +276,17 @@ func streamDay(parent context.Context, w *sitegen.World, jobs []crawlJob, opts O
 			// so reuse changes no output bytes (the workers-1-vs-N
 			// JSONL test is the standing proof) while eliminating the
 			// per-visit construction the allocation profile blamed.
-			vrt := newVisitRuntime()
-			var wtrace *obs.VisitTrace // lazily pooled per-worker recorder
 			reg := opts.Telemetry
-			if reg != nil {
-				reg.Worker(shard).PoolMisses.Add(1)
+			vrt := vrts[shard]
+			if vrt == nil {
+				vrt = newVisitRuntime()
+				vrt.records = recordStores.Get().(*dataset.Store)
+				if reg != nil {
+					reg.Worker(shard).PoolMisses.Add(1)
+				}
 			}
+			defer func() { vrts[shard] = vrt }()
+			var wtrace *obs.VisitTrace // lazily pooled per-worker recorder
 			for idx := range jobCh {
 				j := jobs[idx]
 				vt := (*obs.VisitTrace)(nil)
@@ -360,18 +380,27 @@ func CrawlWorld(w *sitegen.World, opts Options) []*dataset.SiteRecord {
 	return all
 }
 
+// recordStores keeps the record stores of finished crawls for the
+// workers of later ones. The last chunks of a crawl's stores are partly
+// unused, and a sweep of short variant crawls would otherwise leave
+// that tail behind once per worker per variant.
+var recordStores = sync.Pool{New: func() any { return new(dataset.Store) }}
+
 // visitRuntime is the pooled per-worker simulation substrate: one
 // scheduler, one network, one page (with its bus and inspector), one
 // detector, one script runtime, and one world binding — all reset to a
-// pristine, seeded state before every visit. Pooling never crosses
+// pristine, seeded state before every visit — and the store the
+// worker's records take their lists from, which is never rewound. A
+// worker keeps its runtime for the whole crawl. Pooling never crosses
 // goroutines, and a reset runtime is observationally identical to a
 // fresh one (the byte-identical-JSONL determinism suite is the standing
 // proof).
 type visitRuntime struct {
-	sched *clock.Scheduler
-	net   *simnet.Network
-	env   *simnet.Env
-	det   *core.Detector
+	sched   *clock.Scheduler
+	net     *simnet.Network
+	env     *simnet.Env
+	det     *core.Detector
+	records *dataset.Store // a crawl's from recordStores, else new on the first visit
 
 	// Lazily created on the first visit (they need the world/options),
 	// then rebound every visit. Reset order matters: the scheduler is
@@ -486,7 +515,10 @@ func (vrt *visitRuntime) visit(w *sitegen.World, s *sitegen.Site, day int, opts 
 		}
 		vt.Span(obs.TrackPage, "visit", t0, sched.Now(), obs.SpanOpts{Detail: status})
 	}
-	rec := dataset.FromObservation(ob, s.Rank, day, loaded, timedOut, errStr)
+	if vrt.records == nil {
+		vrt.records = new(dataset.Store)
+	}
+	rec := vrt.records.FromObservation(ob, s.Rank, day, loaded, timedOut, errStr)
 	rec.Domain = s.Domain // authoritative (observation derives it from URL)
 	return rec
 }
@@ -588,7 +620,9 @@ func quarantineVisit(vrtp **visitRuntime, w *sitegen.World, s *sitegen.Site, day
 				// death; capture it before discarding the runtime.
 				vt.Instant(obs.TrackPage, "quarantine", (*vrtp).sched.Now(), fmt.Sprint(r))
 			}
+			records := (*vrtp).records // holds no visit state: it carries over
 			*vrtp = newVisitRuntime()
+			(*vrtp).records = records
 			rec = quarantineRecord(s, day, r, debug.Stack())
 		}
 	}()

@@ -21,15 +21,17 @@ import (
 // servers' bodies, prices and creative IDs) is written into append-only
 // string chunks its pooled senders keep (urlkit.Strings), and a slot
 // string that depends on the page's config alone is built once per
-// config. What is left is one auction-ID string per round or hosted
-// page, the client ad server's targeting maps, pubfood's per-page
-// round, and the record. The mean over smallWorld(600)'s HB sites reads
-// 7.6; it read 23.5 while each string a visit sent was a heap object
-// of its own, 36.9 while a visit also built every bid body, and its
-// uids, times and IDs as strings of their own, 69.0 while its scratch
-// was allocated per visit, and 176.1 when every visit also rebuilt its
-// protocol state.
-const warmHBAllocCeiling = 8
+// config. The record's lists are taken from the worker's record store
+// (dataset.Store). What is left is one auction-ID string per round or
+// hosted page, the client ad server's targeting maps, pubfood's
+// per-page round, and the record's struct and latency map. The mean
+// over smallWorld(600)'s HB sites reads 4.4; it read 7.6 while each
+// list of a record was an allocation of its own, 23.5 while each
+// string a visit sent was a heap object of its own, 36.9 while a visit
+// also built every bid body, and its uids, times and IDs as strings of
+// their own, 69.0 while its scratch was allocated per visit, and 176.1
+// when every visit also rebuilt its protocol state.
+const warmHBAllocCeiling = 5
 
 // warmNonHBAllocCeiling bounds the mean allocation count of a warm
 // non-HB visit, the crawl's common case, which sends nothing it has to

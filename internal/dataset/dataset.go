@@ -109,13 +109,14 @@ func (r *SiteRecord) FacetValue() hb.Facet { return hb.ParseFacet(r.Facet) }
 
 // FromObservation converts a detector observation into a record: the
 // one copy out of the detector's storage, which the next visit reuses.
-// Every slice and map is sized exactly and owned by the record: all bids
-// of the record share one backing array, and so do all of its
-// latencies, each auction or partner holding a full slice of it (as the
-// fast decoder lays them out), and so do its libraries, partners and
-// winners. Nothing the record holds aliases the detector's reused
-// storage (DESIGN.md §5.3).
-func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, errStr string) *SiteRecord {
+// The record struct and its maps are its own allocations; its lists
+// are taken from the store's chunks at exact size (DESIGN.md §5.3):
+// its libraries, partners and winners side by side, then its auctions,
+// all of its bids, auction after auction, and all of its latencies,
+// each list, auction or partner holding a full slice (as the fast
+// decoder lays them out). Nothing the record holds aliases the
+// detector's reused storage.
+func (st *Store) FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, errStr string) *SiteRecord {
 	rec := &SiteRecord{
 		Domain:           o.Domain,
 		Rank:             rank,
@@ -142,13 +143,13 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 		rec.Facet = o.Facet.Short()
 	}
 	if n := len(o.Libraries) + len(o.PartnersSeen) + len(o.WinnersSeen); n > 0 {
-		names := make([]string, 0, n)
-		names, rec.Libraries = appendFull(names, o.Libraries)
-		names, rec.Partners = appendFull(names, o.PartnersSeen)
-		_, rec.Winners = appendFull(names, o.WinnersSeen)
+		names := st.names.take(n)
+		rec.Libraries, names = copyFull(names, o.Libraries)
+		rec.Partners, names = copyFull(names, o.PartnersSeen)
+		rec.Winners, _ = copyFull(names, o.WinnersSeen)
 	}
 	if len(o.PartnerLatency) > 0 {
-		rec.PartnerLatencyMS = latencyMS(o.PartnerLatency)
+		rec.PartnerLatencyMS = st.latencyMS(o.PartnerLatency)
 	}
 	if len(o.PartnerErrors) > 0 {
 		rec.PartnerErrors = make(map[string]int, len(o.PartnerErrors))
@@ -165,9 +166,9 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 	}
 	var bids []BidRecord
 	if nBids > 0 {
-		bids = make([]BidRecord, 0, nBids)
+		bids = st.bids.take(nBids)
 	}
-	rec.Auctions = make([]AuctionRecord, len(o.Auctions))
+	rec.Auctions = st.auctions.take(len(o.Auctions))
 	for i := range o.Auctions {
 		a, ar := &o.Auctions[i], &rec.Auctions[i]
 		*ar = AuctionRecord{
@@ -182,9 +183,11 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 		if !a.Start.IsZero() && !a.End.IsZero() {
 			ar.DurationMS = ms(a.End.Sub(a.Start))
 		}
-		lo := len(bids)
-		for _, b := range a.Bids {
-			br := BidRecord{
+		if len(a.Bids) > 0 {
+			ar.Bids, bids = bids[:len(a.Bids):len(a.Bids)], bids[len(a.Bids):]
+		}
+		for k, b := range a.Bids {
+			ar.Bids[k] = BidRecord{
 				Bidder:    b.Bidder,
 				CPM:       b.CPM,
 				Late:      b.Late,
@@ -192,12 +195,8 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 				Source:    b.Source,
 			}
 			if !b.Size.IsZero() {
-				br.Size = b.Size.String()
+				ar.Bids[k].Size = b.Size.String()
 			}
-			bids = append(bids, br)
-		}
-		if hi := len(bids); hi > lo {
-			ar.Bids = bids[lo:hi:hi]
 		}
 		if a.Winner != nil {
 			ar.Winner = a.Winner.Bidder
@@ -207,21 +206,21 @@ func FromObservation(o *core.Observation, rank, day int, loaded, timedOut bool, 
 	return rec
 }
 
-// appendFull appends src to dst, which has room for it, and returns dst
-// and the copy as a full slice of it (nil for an empty src).
-func appendFull(dst, src []string) ([]string, []string) {
-	if len(src) == 0 {
-		return dst, nil
+// copyFull copies src into the front of dst, which has room for it, and
+// returns the copy as a full slice (nil for an empty src) and the rest
+// of dst.
+func copyFull(dst, src []string) (head, rest []string) {
+	n := copy(dst, src)
+	if n == 0 {
+		return nil, dst
 	}
-	lo := len(dst)
-	dst = append(dst, src...)
-	return dst, dst[lo:len(dst):len(dst)]
+	return dst[:n:n], dst[n:]
 }
 
 // latencyMS converts the per-partner latency series to milliseconds: an
-// exactly sized map whose series share one backing array. A partner
-// with an empty series gets no entry.
-func latencyMS(lats map[string][]time.Duration) map[string][]float64 {
+// exactly sized map whose series are full slices of one take from the
+// store. A partner with an empty series gets no entry.
+func (st *Store) latencyMS(lats map[string][]time.Duration) map[string][]float64 {
 	n, keys := 0, 0
 	for _, ls := range lats {
 		n += len(ls)
@@ -229,17 +228,18 @@ func latencyMS(lats map[string][]time.Duration) map[string][]float64 {
 			keys++
 		}
 	}
-	vals := make([]float64, 0, n)
+	vals := st.floats.take(n)
 	out := make(map[string][]float64, keys)
+	// Where a series sits in vals follows map order, but each is a full
+	// slice (cap == len): nothing observable depends on it.
 	for slug, ls := range lats {
 		if len(ls) == 0 {
 			continue
 		}
-		lo := len(vals)
-		for _, l := range ls {
-			vals = append(vals, ms(l)) //hbvet:allow detwall where a series sits in vals follows map order, but each is a full slice (cap == len): nothing observable depends on it
+		for k, l := range ls {
+			vals[k] = ms(l)
 		}
-		out[slug] = vals[lo:len(vals):len(vals)]
+		out[slug], vals = vals[:len(ls):len(ls)], vals[len(ls):]
 	}
 	return out
 }
@@ -310,14 +310,17 @@ func (w *Writer) Close() error {
 
 // ReadStream decodes a JSONL stream record by record, handing each to fn
 // without materializing the dataset. A non-nil error from fn aborts the
-// read and is returned verbatim. Each record is fresh: fn may keep it.
+// read and is returned verbatim. Each record is fresh: fn may keep it,
+// and with it the chunks of the stream's Store that its lists and
+// copied strings sit in.
 //
 // Lines are decoded by a reflection-free fast path (decode.go) that
 // declines anything it is not certain of; a declined line is decoded
-// by encoding/json, which gives the same record and every error.
+// by encoding/json, which gives the same record and every error. A
+// line may be up to maxLine bytes long.
 func ReadStream(r io.Reader, fn func(*SiteRecord) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	d := newLineDecoder()
 	line := 0
 	for sc.Scan() {
@@ -342,6 +345,10 @@ func ReadStream(r io.Reader, fn func(*SiteRecord) error) error {
 	}
 	return nil
 }
+
+// maxLine is the longest line ReadStream reads; its scanner's buffer
+// starts at 64 KB and grows only for a longer line.
+const maxLine = 16 << 20
 
 // Summary is the dataset roll-up the paper reports as Table 1.
 type Summary struct {

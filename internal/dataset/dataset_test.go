@@ -141,7 +141,7 @@ func TestFromObservation(t *testing.T) {
 		AdSlotsAuctioned: 1,
 	}
 	o.Auctions[0].Winner = &o.Auctions[0].Bids[0]
-	rec := FromObservation(o, 42, 3, true, false, "")
+	rec := new(Store).FromObservation(o, 42, 3, true, false, "")
 	if rec.Rank != 42 || rec.VisitDay != 3 || !rec.HB || rec.Facet != "client" {
 		t.Fatalf("rec = %+v", rec)
 	}
@@ -165,7 +165,7 @@ func TestFromObservation(t *testing.T) {
 
 func TestFromObservationNonHB(t *testing.T) {
 	o := &core.Observation{Domain: "plain.example"}
-	rec := FromObservation(o, 1, 0, true, false, "")
+	rec := new(Store).FromObservation(o, 1, 0, true, false, "")
 	if rec.HB || rec.Facet != "" {
 		t.Fatalf("non-HB rec = %+v", rec)
 	}
@@ -189,6 +189,32 @@ func TestLargeRecordRoundTrip(t *testing.T) {
 	if err != nil || len(back) != 1 || len(back[0].Auctions) != 5000 {
 		t.Fatalf("large record: n=%d err=%v", len(back), err)
 	}
+}
+
+// TestReadStreamLineCap: the scanner's buffer starts at 64 KB and grows
+// for a longer line, up to maxLine; a longer line fails the read with
+// the scanner's error.
+func TestReadStreamLineCap(t *testing.T) {
+	long := strings.Repeat("e", 200<<10)
+	line := `{"domain":"long.example","rank":1,"visit_day":0,"hb":false,"loaded":true,"err":"` + long + "\"}\n"
+	recs, err := readAll(strings.NewReader(line))
+	if err != nil || len(recs) != 1 || recs[0].Err != long {
+		t.Fatalf("a %d kB line: %d records, err %v", len(line)>>10, len(recs), err)
+	}
+	over := io.MultiReader(strings.NewReader(`{"err":"`), io.LimitReader(repeatByte('e'), maxLine))
+	if _, err := readAll(over); err == nil || err.Error() != "dataset: bufio.Scanner: token too long" {
+		t.Fatalf("a line over %d MB: err %v, want dataset: bufio.Scanner: token too long", maxLine>>20, err)
+	}
+}
+
+// repeatByte reads as an endless run of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 func TestReadStreamMatchesRead(t *testing.T) {

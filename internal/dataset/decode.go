@@ -28,15 +28,16 @@ const (
 // lineDecoder is the per-stream state of the fast path and the owner
 // (jsonkit.Owner) of what it decodes. Decoded strings never alias the
 // line, which is the scanner's reused buffer: the per-site strings
-// (domain, auction id, err, panic site) are copied, and the closed
-// vocabularies (partner slugs, libraries, facets, sizes, sources, ad
-// units) are interned, one copy per stream.
+// (domain, auction id, err, panic site) are copied into the store, and
+// the closed vocabularies (partner slugs, libraries, facets, sizes,
+// sources, ad units) are interned, one copy per stream.
 type lineDecoder struct {
 	intern map[string]string
+	store  Store // the lists and copied strings of every record decoded
 
 	// Scratch reused line after line. Decoded lists are copied out of
-	// it at their final length, so no slice a record holds regrows or
-	// shares memory with the next record.
+	// it into the store at their final length, so no slice a record
+	// holds regrows or shares memory with another record.
 	auctions []AuctionRecord
 	bids     []BidRecord // the record's bids, auction after auction
 	floats   []float64
@@ -62,13 +63,17 @@ func (d *lineDecoder) decode(line []byte, rec *SiteRecord) bool {
 	return jsonkit.Decode(unsafe.String(unsafe.SliceData(line), len(line)), d, siteFields, rec)
 }
 
-// Own copies a per-site string and interns a vocabulary one.
+// Own copies a per-site string into the store and interns a
+// vocabulary one.
 func (d *lineDecoder) Own(s string, interned bool) string {
 	if interned {
 		return d.interned(s)
 	}
-	return strings.Clone(s)
+	return d.store.copyString(s)
 }
+
+// Strings takes the storage of a decoded []string from the store.
+func (d *lineDecoder) Strings(n int) []string { return d.store.names.take(n) }
 
 func (d *lineDecoder) interned(s string) string {
 	if v, ok := d.intern[s]; ok {
@@ -82,10 +87,10 @@ func (d *lineDecoder) interned(s string) string {
 }
 
 // decodeAuctions decodes the auctions array through the stream's
-// scratch and copies it out. Every auction's bids land in one backing
-// array sized to the record's bid count; each auction gets its own full
-// slice of it (cap == len), so an append by a consumer copies instead
-// of overwriting a neighbour.
+// scratch and copies it out into the store. Every auction's bids land
+// in one take sized to the record's bid count; each auction gets its
+// own full slice of it (cap == len), so an append by a consumer copies
+// instead of overwriting a neighbour.
 func decodeAuctions(c jsonkit.Cursor, p *[]AuctionRecord) (jsonkit.Cursor, bool) {
 	d := c.Owner().(*lineDecoder)
 	d.bids = d.bids[:0]
@@ -93,9 +98,9 @@ func decodeAuctions(c jsonkit.Cursor, p *[]AuctionRecord) (jsonkit.Cursor, bool)
 	if d.auctions, ok = jsonkit.DecodeList(&c, auctionFields, d.auctions[:0]); !ok {
 		return c, false
 	}
-	out := make([]AuctionRecord, len(d.auctions))
+	out := d.store.auctions.take(len(d.auctions))
 	copy(out, d.auctions)
-	bids := make([]BidRecord, len(d.bids))
+	bids := d.store.bids.take(len(d.bids))
 	copy(bids, d.bids)
 	// d.bids holds each auction's bids in auction order (decodeBids).
 	lo := 0
@@ -125,8 +130,8 @@ func decodeBids(c jsonkit.Cursor, p *[]BidRecord) (jsonkit.Cursor, bool) {
 }
 
 // decodeLatency decodes partner_latency_ms. All of the record's
-// latencies share one backing array, each key holding a full slice of
-// it.
+// latencies share one take from the store, each key holding a full
+// slice of it.
 func decodeLatency(c jsonkit.Cursor, p *map[string][]float64) (jsonkit.Cursor, bool) {
 	d := c.Owner().(*lineDecoder)
 	d.latency, d.floats = d.latency[:0], d.floats[:0]
@@ -159,7 +164,7 @@ func decodeLatency(c jsonkit.Cursor, p *map[string][]float64) (jsonkit.Cursor, b
 	if !ok {
 		return c, false
 	}
-	vals := make([]float64, len(d.floats))
+	vals := d.store.floats.take(len(d.floats))
 	copy(vals, d.floats)
 	m := make(map[string][]float64, len(d.latency))
 	for _, ks := range d.latency {

@@ -15,3 +15,6 @@ func (f *FastDecoder) Decode(line []byte) (rec *SiteRecord, ok bool) {
 	rec = new(SiteRecord)
 	return rec, f.d.decode(line, rec)
 }
+
+// ChunkBytes is the size cap of a Store chunk.
+const ChunkBytes = chunkBytes

@@ -5,6 +5,7 @@
 package hb
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -123,6 +124,9 @@ func (s Size) Area() int { return s.W * s.H }
 // IsZero reports whether the size is unset.
 func (s Size) IsZero() bool { return s.W == 0 && s.H == 0 }
 
+// errEmptySize is ParseSize's error for the empty string, built once.
+var errEmptySize = errors.New(`hb: malformed size ""`)
+
 // ParseSize parses "300x250" (also tolerating "300X250" and surrounding
 // spaces). It returns an error for anything else.
 func ParseSize(str string) (Size, error) {
@@ -134,6 +138,11 @@ func ParseSize(str string) (Size, error) {
 	// with the fast path wherever both succeed.
 	if sz, ok := fastSize(str); ok {
 		return sz, nil
+	}
+	if str == "" {
+		// The size of an auction the detector saw none for, which the
+		// slot-size folds parse for every such auction.
+		return Size{}, errEmptySize
 	}
 	t := strings.TrimSpace(str)
 	// Zero-alloc split on the single 'x'/'X' separator; ToLower would

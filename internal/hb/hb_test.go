@@ -74,6 +74,19 @@ func TestParseSize(t *testing.T) {
 	}
 }
 
+// TestParseEmptySizeAllocs: the slot-size folds parse the empty size of
+// every auction the detector saw no size for, so its error is built
+// once, with the text fmt.Errorf("hb: malformed size %q", "") gave.
+func TestParseEmptySizeAllocs(t *testing.T) {
+	sz, err := ParseSize("")
+	if err == nil || err.Error() != `hb: malformed size ""` || !sz.IsZero() {
+		t.Fatalf(`ParseSize("") = %v, %v; want the zero size and hb: malformed size ""`, sz, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, err = ParseSize("") }); n != 0 {
+		t.Fatalf(`ParseSize("") allocates %v times`, n)
+	}
+}
+
 func TestSizeRoundTripProperty(t *testing.T) {
 	f := func(w, h uint16) bool {
 		if w == 0 || h == 0 {

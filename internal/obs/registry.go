@@ -29,8 +29,8 @@ type Counters struct {
 	Abandoned     atomic.Uint64
 
 	// Visit-runtime pool behavior: a hit reuses the pooled
-	// scheduler/network/page, a miss (re)builds it — first visit per
-	// worker and every post-quarantine rebuild.
+	// scheduler/network/page, a miss (re)builds it — once per worker
+	// per crawl, and at every post-quarantine rebuild.
 	PoolHits   atomic.Uint64
 	PoolMisses atomic.Uint64
 

@@ -41,12 +41,17 @@ type Cursor struct {
 // string is a substring of the text and a list is decoded into the
 // destination's existing capacity. With one, the text may be reused
 // after the decode: strings are the owner's copies, a []string is
-// copied out at its final length, and every value is decoded fresh (an
-// owning codec decodes its lists of structs itself, List's decode).
+// copied out at its final length into storage the owner gives, and
+// every value is decoded fresh (an owning codec decodes its lists of
+// structs itself, List's decode).
 type Owner interface {
 	// Own returns s, which aliases the text, as a string the decoded
 	// value may keep. interned marks a string from a closed vocabulary.
 	Own(s string, interned bool) string
+	// Strings returns storage the decoded value may keep for a []string
+	// of n strings Own returned: a full slice, not nil even for n == 0,
+	// as json decodes [].
+	Strings(n int) []string
 }
 
 // Owner returns the decode's owner, nil if it has none.

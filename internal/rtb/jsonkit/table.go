@@ -228,7 +228,7 @@ func (c *Cursor) value(k *Kind, interned bool, p any) (ok bool) {
 }
 
 // strings decodes a []string: in place without an owner, copied out at
-// its final length with one.
+// its final length into the owner's storage with one.
 func (c *Cursor) strings(v *[]string, interned bool) bool {
 	if c.Null() {
 		*v = nil
@@ -246,7 +246,8 @@ func (c *Cursor) strings(v *[]string, interned bool) bool {
 	// owned list is collected without growing.
 	var buf [32]string
 	list, ok := c.appendStrings(buf[:0], interned)
-	*v = append(make([]string, 0, len(list)), list...)
+	*v = c.own.Strings(len(list))
+	copy(*v, list)
 	return ok
 }
 

@@ -14,9 +14,11 @@ const stringsChunk = 16 << 10
 // already taken are never written again, and a chunk without the room
 // asked for is dropped, never rewound, so every string stays immutable
 // for as long as anything holds it. A held string keeps its whole chunk
-// alive: nothing that outlives a visit (a record, a world memo, a
-// registry) may point into one. The zero value is ready to use; a
-// Strings is not safe for concurrent use.
+// alive, 16 KB of what other visits sent, so nothing that outlives a
+// visit (a record, a world memo, a registry) may point into one: a
+// record's lists and copied strings come from its producer's
+// dataset.Store, whose chunks hold records' storage alone. The zero
+// value is ready to use; a Strings is not safe for concurrent use.
 type Strings struct {
 	chunk []byte // taken bytes, then the free room up to cap
 }
