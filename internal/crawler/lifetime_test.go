@@ -41,10 +41,29 @@ const warmHBAllocCeiling = 5
 // the detector's observation.
 const warmNonHBAllocCeiling = 1.1
 
+// warmPubfoodAllocCeiling bounds the mean allocation count of a warm
+// visit of a pubfood page. The mean over smallWorld(4000)'s 21 pubfood
+// pages reads 83.4: the library builds its round, with its maps and
+// closures, on every visit.
+const warmPubfoodAllocCeiling = 90
+
 // TestWarmHBVisitAllocs holds the warm HB visit under its ceiling.
 func TestWarmHBVisitAllocs(t *testing.T) {
 	w := smallWorld(t, 600)
 	checkWarmVisitAllocs(t, w, w.HBSites(), "HB", warmHBAllocCeiling)
+}
+
+// TestWarmPubfoodVisitAllocs holds the warm visit of a pubfood page
+// under its ceiling.
+func TestWarmPubfoodVisitAllocs(t *testing.T) {
+	w := smallWorld(t, 4000)
+	var sites []*sitegen.Site
+	for _, s := range w.HBSites() {
+		if s.Library == "pubfood" {
+			sites = append(sites, s)
+		}
+	}
+	checkWarmVisitAllocs(t, w, sites, "pubfood", warmPubfoodAllocCeiling)
 }
 
 // TestWarmNonHBVisitAllocs holds the warm non-HB visit under its
