@@ -225,7 +225,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *shardOut != "" {
 		h := headerbid.ShardHeader{Seed: *seed, ShardCount: shard.Count, Shards: []int{shard.Index}}
-		if err := headerbid.WriteShardFile(*shardOut, h, []headerbid.MetricCodec{fr, deg}); err != nil {
+		if err := writeShard(*shardOut, stdout, h, []headerbid.MetricCodec{fr, deg}); err != nil {
 			return fail(err)
 		}
 		if *shardOut != "-" {
@@ -242,6 +242,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fr.Render(dst)
 	}
 	return 0
+}
+
+// writeShard marshals a shard file to path, or to stdout when path is
+// "-".
+func writeShard(path string, stdout io.Writer, h headerbid.ShardHeader, metrics []headerbid.MetricCodec) error {
+	if path == "-" {
+		return headerbid.MarshalShard(stdout, h, metrics)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := headerbid.MarshalShard(f, h, metrics); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // progress renders the crawl status line on stderr: percent done,

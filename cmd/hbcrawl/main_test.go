@@ -130,6 +130,30 @@ func TestCrawlWritesTheFacadesBytes(t *testing.T) {
 	}
 }
 
+// TestShardOutStreamEqualsFile: -shard-out - writes the shard file to
+// the run's stdout, byte for byte as -shard-out file writes it to the
+// file. One worker: with more, the state's bytes depend on the order in
+// which the workers' metric shards fold.
+func TestShardOutStreamEqualsFile(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-sites", "300", "-seed", "5", "-shard", "1/2", "-workers", "1", "-q", "-o", filepath.Join(dir, "crawl.jsonl")}
+	path := filepath.Join(dir, "shard.hbs")
+	if code, _, stderr := runCrawl(context.Background(), append(args, "-shard-out", path)...); code != 0 {
+		t.Fatalf("-shard-out %s: exit %d, stderr %q", path, code, stderr)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runCrawl(context.Background(), append(args, "-shard-out", "-")...)
+	if code != 0 {
+		t.Fatalf("-shard-out -: exit %d, stderr %q", code, stderr)
+	}
+	if len(want) == 0 || stdout != string(want) {
+		t.Fatalf("-shard-out - streams %d bytes, -shard-out file writes %d", len(stdout), len(want))
+	}
+}
+
 // TestCancelledCrawlExits130: a crawl whose context is done exits 130
 // and says how much of the dataset it flushed.
 func TestCancelledCrawlExits130(t *testing.T) {

@@ -193,11 +193,11 @@ type Detector struct {
 	obsLists     []string
 	obsAuctions  []AuctionObs
 	obsBids      []BidObs
-	// idBuf and idEnds are where hostedAuctionIDs writes the hosted
-	// auctions' IDs before they become one string, and where each ID
-	// ends in it.
-	idBuf  []byte
-	idEnds []int
+	// hostedIDs keeps, for the whole of the detector's life, each
+	// domain's hosted auction IDs as hostedAuctionIDs built them, and
+	// idEnds is where each of the current page's IDs ends in its string.
+	hostedIDs map[string]string
+	idEnds    []int
 }
 
 // pageRegistrable returns the registrable domain of the page's own URL,
@@ -315,7 +315,7 @@ func (d *Detector) Reattach(page *browser.Page, reg *partners.Registry, opts Opt
 		obsLists:        d.obsLists,
 		obsAuctions:     d.obsAuctions,
 		obsBids:         d.obsBids,
-		idBuf:           d.idBuf,
+		hostedIDs:       d.hostedIDs,
 		idEnds:          d.idEnds,
 	}
 	if d.onEventFn == nil {
@@ -970,18 +970,45 @@ func (d *Detector) s2sOwner(slot string) int {
 	return -1
 }
 
-// hostedAuctionIDs writes the IDs "<domain>-ss-1" … "<domain>-ss-<n>"
-// of the page's n hosted auctions into one string, which the
-// observation's auctions share, and returns it: the ID of auction i
-// ends at d.idEnds[i].
+// hostedAuctionIDs returns a string that starts with the IDs
+// "<domain>-ss-1" … "<domain>-ss-<n>" of the page's n hosted auctions,
+// which the observation's auctions share: the ID of auction i ends at
+// d.idEnds[i]. The IDs are a function of domain and index alone, so the
+// detector builds a domain's string once and keeps it across Reattach
+// (a prefix serves a page with fewer auctions); a record holds no more
+// than its page's IDs.
 func (d *Detector) hostedAuctionIDs(domain string, n int) string {
-	b, ends := d.idBuf[:0], d.idEnds[:0]
+	ends, end := d.idEnds[:0], 0
 	for i := 1; i <= n; i++ {
-		b = append(b, domain...)
-		b = append(b, "-ss-"...)
-		b = strconv.AppendInt(b, int64(i), 10)
-		ends = append(ends, len(b))
+		end += len(domain) + len("-ss-") + digits(i)
+		ends = append(ends, end)
 	}
-	d.idBuf, d.idEnds = b, ends
-	return string(b)
+	d.idEnds = ends
+	ids := d.hostedIDs[domain]
+	if len(ids) >= end {
+		return ids
+	}
+	var b strings.Builder
+	b.Grow(end)
+	var num [20]byte
+	for i := 1; i <= n; i++ {
+		b.WriteString(domain)
+		b.WriteString("-ss-")
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	ids = b.String()
+	if d.hostedIDs == nil {
+		d.hostedIDs = make(map[string]string)
+	}
+	d.hostedIDs[domain] = ids
+	return ids
+}
+
+// digits returns the number of decimal digits of i > 0.
+func digits(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }

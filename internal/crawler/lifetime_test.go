@@ -19,19 +19,21 @@ import (
 // decoded bid responses, the detector's observation. What the visit
 // sends (URLs and the values written into them, bid-request IDs, the
 // servers' bodies, prices and creative IDs) is written into append-only
-// string chunks its pooled senders keep (urlkit.Strings), and a slot
-// string that depends on the page's config alone is built once per
-// config. The record's lists are taken from the worker's record store
-// (dataset.Store). What is left is one auction-ID string per round or
-// hosted page, the client ad server's targeting maps, pubfood's
-// per-page round, and the record's struct and latency map. The mean
-// over smallWorld(600)'s HB sites reads 4.4; it read 7.6 while each
-// list of a record was an allocation of its own, 23.5 while each
-// string a visit sent was a heap object of its own, 36.9 while a visit
-// also built every bid body, and its uids, times and IDs as strings of
-// their own, 69.0 while its scratch was allocated per visit, and 176.1
-// when every visit also rebuilt its protocol state.
-const warmHBAllocCeiling = 5
+// string chunks its pooled senders keep (urlkit.Strings); the slots
+// value and the auction IDs, which depend on the page's config alone,
+// are built once per config, and a hosted page's auction IDs once per
+// domain for the worker's detector. The record's lists are taken from
+// the worker's record store (dataset.Store). What is left is the
+// record's struct and latency map, and the chunks' roll-overs. The mean
+// over smallWorld(600)'s HB sites reads 2.3; it read 4.4 while each
+// round and hosted page built its auction IDs, the client ad server
+// built a targeting map per slot and pubfood built its round per page,
+// 7.6 while each list of a record was an allocation of its own, 23.5
+// while each string a visit sent was a heap object of its own, 36.9
+// while a visit also built every bid body, and its uids, times and IDs
+// as strings of their own, 69.0 while its scratch was allocated per
+// visit, and 176.1 when every visit also rebuilt its protocol state.
+const warmHBAllocCeiling = 2.6
 
 // warmNonHBAllocCeiling bounds the mean allocation count of a warm
 // non-HB visit, the crawl's common case, which sends nothing it has to
@@ -42,10 +44,12 @@ const warmHBAllocCeiling = 5
 const warmNonHBAllocCeiling = 1.1
 
 // warmPubfoodAllocCeiling bounds the mean allocation count of a warm
-// visit of a pubfood page. The mean over smallWorld(4000)'s 21 pubfood
-// pages reads 83.4: the library builds its round, with its maps and
-// closures, on every visit.
-const warmPubfoodAllocCeiling = 90
+// visit of a pubfood page, which runs prebid's pooled round: its record,
+// as a prebid page's. The mean over smallWorld(4000)'s 21 pubfood pages
+// reads 3.0, the record's struct and latency map (a map of more than
+// eight partners is two objects); it read 83.4 while the library built
+// its round, with its maps and closures, on every visit.
+const warmPubfoodAllocCeiling = 3.1
 
 // TestWarmHBVisitAllocs holds the warm HB visit under its ceiling.
 func TestWarmHBVisitAllocs(t *testing.T) {

@@ -379,15 +379,9 @@ func IsTargetingKey(name string) bool {
 // ad unit (Step 3 of the protocol).
 type Targeting map[string]string
 
-// TargetingFromBid derives the standard targeting key-values for a winning
-// client-side bid, as the key-sorted query a wrapper sends them to the
-// ad server in.
-func TargetingFromBid(b Bid) urlkit.Query {
-	return AppendTargeting(make(urlkit.Query, 0, 8), b)
-}
-
-// AppendTargeting appends TargetingFromBid(b)'s pairs, in key order, to
-// dst: at most eight.
+// AppendTargeting appends the standard targeting key-values of a
+// winning client-side bid b, in key order (the key-sorted query a
+// wrapper sends them to the ad server in), to dst: at most eight.
 func AppendTargeting(dst urlkit.Query, b Bid) urlkit.Query {
 	dst = append(dst, urlkit.Param{Key: KeyAdID, Value: b.CreativeID},
 		urlkit.Param{Key: KeyBidder, Value: b.Bidder})

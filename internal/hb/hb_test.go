@@ -146,9 +146,9 @@ func TestTargetingFromBidAndBack(t *testing.T) {
 		Bidder: "appnexus", CPM: 1.25, Currency: USD,
 		Size: Size{300, 250}, CreativeID: "cr-1", DealID: "deal-9",
 	}
-	q := TargetingFromBid(b)
+	q := AppendTargeting(nil, b)
 	if !slices.IsSortedFunc(q, func(a, b urlkit.Param) int { return strings.Compare(a.Key, b.Key) }) {
-		t.Fatalf("TargetingFromBid = %v, not key-sorted", q)
+		t.Fatalf("AppendTargeting = %v, not key-sorted", q)
 	}
 	tg := collect(q)
 	if tg.Bidder() != "appnexus" {

@@ -21,7 +21,6 @@ import (
 	"headerbid/internal/partners"
 	"headerbid/internal/prebid"
 	"headerbid/internal/pubfood"
-	"headerbid/internal/urlkit"
 	"headerbid/internal/usersync"
 )
 
@@ -53,12 +52,28 @@ type PageConfig struct {
 	FloorCPM      float64         `json:"floorCpm,omitempty"`
 	AdUnits       []prebid.AdUnit `json:"adUnits"`
 
-	// slots is prebid.SlotSpecs(AdUnits), the slots value of the page's
-	// ad-server and hosted-auction requests. It is built once per config,
-	// when the config is decoded or seeded, and every visit of the page
-	// sends it: the detector reads the hosted auctions' ad-unit codes out
-	// of it into records, which then share it.
-	slots string
+	// What the page's visits send that depends on its config alone,
+	// built once per config when the config is decoded or seeded
+	// (derive): slots is prebid.SlotSpecs(AdUnits), the slots value of
+	// the page's ad-server and hosted-auction requests, which the
+	// detector reads the hosted auctions' ad-unit codes out of into
+	// records; auctionIDs are the client round's auction IDs, which
+	// records keep; units are the round's ad units (AdUnits, or for
+	// pubfood its slots and providers) and dialect its wrapper library.
+	slots, auctionIDs string
+	units             []prebid.AdUnit
+	dialect           *prebid.Dialect
+}
+
+// derive builds what a config's visits send that depends on the config
+// alone (see PageConfig).
+func (c *PageConfig) derive() {
+	c.slots = prebid.SlotSpecs(c.AdUnits)
+	c.dialect, c.units = &prebid.PrebidJS, c.AdUnits
+	if c.Library == "pubfood" {
+		c.dialect, c.units = &pubfood.Dialect, pubfood.AdUnits(c.AdUnits)
+	}
+	c.auctionIDs = c.dialect.AuctionIDs(c.Site, len(c.AdUnits))
 }
 
 // InlineScript renders the config as the inline <script> body sitegen
@@ -100,7 +115,7 @@ func parseInlineConfig(inline string) (*PageConfig, error) {
 			return nil, err
 		}
 	}
-	cfg.slots = prebid.SlotSpecs(cfg.AdUnits)
+	cfg.derive()
 	return &cfg, nil
 }
 
@@ -131,11 +146,12 @@ type memoConfig struct {
 // a renderer wrote with cfg.InlineScript, so the page's first visit
 // reads the value the renderer already holds instead of decoding the
 // renderer's own output. Seed derives what a decode derives (the
-// slots value), after which cfg must deep-equal what Extract decodes
-// from inline (sizes normalized); it is shared read-only from here on.
-// Text that already has an outcome keeps it.
+// slots value, the auction IDs and the round's ad units), after which
+// cfg must deep-equal what Extract decodes from inline (sizes
+// normalized); it is shared read-only from here on. Text that already
+// has an outcome keeps it.
 func (m *ConfigMemo) Seed(inline string, cfg *PageConfig) {
-	cfg.slots = prebid.SlotSpecs(cfg.AdUnits)
+	cfg.derive()
 	m.m.LoadOrStore(inline, &memoConfig{cfg: cfg})
 }
 
@@ -168,7 +184,9 @@ func (m *ConfigMemo) Extract(doc *htmlmeta.Document) (*PageConfig, error) {
 // are shared across visits and must never be written through — and cfg
 // itself otherwise: a nil overlay, or one that only faults, reshapes the
 // network or suppresses syncs, never touches the config. Ad-unit slices
-// are cloned only when the partner pool is actually trimmed.
+// are cloned only when the partner pool is actually trimmed, and the
+// copy keeps the config's derived values: only a trim re-derives the
+// round's ad units.
 func OverlayConfig(cfg *PageConfig, ov *overlay.Overlay) *PageConfig {
 	if ov == nil || (ov.TimeoutMS <= 0 && !ov.FixBadWrappers && ov.MaxPartners <= 0) {
 		return cfg
@@ -182,6 +200,10 @@ func OverlayConfig(cfg *PageConfig, ov *overlay.Overlay) *PageConfig {
 	}
 	if ov.MaxPartners > 0 {
 		out.AdUnits = capPartners(cfg.AdUnits, ov.MaxPartners)
+		out.units = out.AdUnits
+		if out.Library == "pubfood" {
+			out.units = pubfood.AdUnits(out.AdUnits)
+		}
 	}
 	return &out
 }
@@ -241,15 +263,14 @@ type Runtime struct {
 	Overlay *overlay.Overlay
 
 	// Protocol state reused page after page, rebound by RunScripts.
-	prebid      prebid.Wrapper
-	server      gptlib.ServerSideClient
-	syncer      usersync.Syncer
-	pubfoodStrs urlkit.Strings // what pubfood's per-page rounds send
-	slugs       []string
-	slots       []gptlib.Slot
-	settle      func()
-	prebidDone  func(*prebid.Result)
-	serverDone  func(*gptlib.ServerSideResult)
+	prebid     prebid.Wrapper // the client-side round, prebid's or pubfood's
+	server     gptlib.ServerSideClient
+	syncer     usersync.Syncer
+	slugs      []string
+	slots      []gptlib.Slot
+	settle     func()
+	prebidDone func(*prebid.Result)
+	serverDone func(*gptlib.ServerSideResult)
 }
 
 // New creates a runtime.
@@ -258,13 +279,15 @@ func New(reg *partners.Registry) *Runtime { return &Runtime{Registry: reg} }
 // RunScripts drives the page's HB behaviour:
 //
 //   - no known HB library or no config  -> nothing happens (non-HB page);
-//   - facet "client"                    -> prebid wrapper, publisher ad server;
-//   - facet "hybrid"                    -> prebid wrapper, DFP-style ad server
+//   - facet "client"                    -> client bid round, publisher ad server;
+//   - facet "hybrid"                    -> client bid round, DFP-style ad server
 //     that adds its own server-side demand;
 //   - facet "server"                    -> single hosted-auction request.
 //
-// The client/hybrid distinction lives in the ad-server behaviour (and in
-// what the detector can see), not in the wrapper code, mirroring reality.
+// The client bid round is prebid's, in the page's wrapper dialect
+// (prebid.js, or pubfood.js for library "pubfood"). The client/hybrid
+// distinction lives in the ad-server behaviour (and in what the detector
+// can see), not in the wrapper code, mirroring reality.
 func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle func()) {
 	hasLib := false
 	for _, s := range doc.Scripts {
@@ -310,39 +333,13 @@ func (rt *Runtime) RunScripts(p *browser.Page, doc *htmlmeta.Document, settle fu
 
 	switch cfg.Facet {
 	case "client", "hybrid":
-		if cfg.Library == "pubfood" {
-			var slots []pubfood.Slot
-			for _, u := range cfg.AdUnits {
-				slots = append(slots, pubfood.Slot{
-					Name: u.Code, Size: u.PrimarySize(), Elem: u.Code,
-				})
-			}
-			var providers []pubfood.BidProvider
-			seen := map[string]bool{}
-			for _, u := range cfg.AdUnits {
-				for _, b := range u.Bidders {
-					if !seen[b] {
-						seen[b] = true
-						providers = append(providers, pubfood.BidProvider{Name: b})
-					}
-				}
-			}
-			lib := pubfood.New(p, p.Bus, rt.Registry, pubfood.Config{
-				Site:        cfg.Site,
-				Slots:       slots,
-				Providers:   providers,
-				TimeoutMS:   cfg.TimeoutMS,
-				AdServerURL: cfg.AdServerURL,
-				FloorCPM:    cfg.FloorCPM,
-			}, &rt.pubfoodStrs)
-			lib.Start(func(*pubfood.Result) { settle() })
-			return
-		}
 		rt.prebid.Reset(p, p.Bus, rt.Registry, prebid.Config{
+			Dialect:     cfg.dialect,
 			Site:        cfg.Site,
 			Page:        p.URL,
-			AdUnits:     cfg.AdUnits,
+			AdUnits:     cfg.units,
 			Slots:       cfg.slots,
+			AuctionIDs:  cfg.auctionIDs,
 			TimeoutMS:   cfg.TimeoutMS,
 			SendAllBids: cfg.SendAllBids,
 			BadWrapper:  cfg.BadWrapper,

@@ -73,9 +73,12 @@ type Profile struct {
 	syncEndpoint string
 	bidReqURL    string
 	bidReqParams urlkit.Query
-	latMu        float64
-	latSigma     float64
-	latReady     bool
+	// The same for a wrapper's retransmission, tagged retry=1.
+	bidRetryURL    string
+	bidRetryParams urlkit.Query
+	latMu          float64
+	latSigma       float64
+	latReady       bool
 
 	// Protocol constants, rendered for the whole registry on first use
 	// (Registry.renderWire) rather than at construction: the registries
@@ -97,6 +100,8 @@ func (p *Profile) precompute() {
 	// literal avoids a partners→hb dependency for one constant.
 	p.bidReqParams = urlkit.Query{{Key: "bidder", Value: p.Slug}}
 	p.bidReqURL = urlkit.WithQuery(p.bidEndpoint, p.bidReqParams)
+	p.bidRetryParams = bidRetryParams(p.Slug)
+	p.bidRetryURL = urlkit.WithQuery(p.bidEndpoint, p.bidRetryParams)
 	p.latMu, p.latSigma = rng.LogNormalParams(p.MedianMS, p.P90MS)
 	p.latReady = true
 }
@@ -119,6 +124,32 @@ func (p *Profile) BidRequestParams() urlkit.Query {
 		return urlkit.Query{{Key: "bidder", Value: p.Slug}}
 	}
 	return p.bidReqParams
+}
+
+// BidRetryURL returns BidRequestURL tagged "&retry=1": the URL of a
+// wrapper's first retransmission, the way real adapters tag one, and
+// what lets the detector count retries off the wire. It is rendered
+// once per profile, like BidRequestURL.
+func (p *Profile) BidRetryURL() string {
+	if p.bidRetryURL == "" {
+		return urlkit.WithQuery(p.BidEndpoint(), p.BidRetryParams())
+	}
+	return p.bidRetryURL
+}
+
+// BidRetryParams returns the shared query-parameter view matching
+// BidRetryURL; treat it as read-only.
+func (p *Profile) BidRetryParams() urlkit.Query {
+	if p.bidRetryParams == nil {
+		return bidRetryParams(p.Slug)
+	}
+	return p.bidRetryParams
+}
+
+// bidRetryParams is the query of a retransmission to slug: "retry"
+// sorts after "bidder", so the query stays key-sorted.
+func bidRetryParams(slug string) urlkit.Query {
+	return urlkit.Query{{Key: "bidder", Value: slug}, {Key: "retry", Value: "1"}}
 }
 
 // BidRequestExt returns the OpenRTB ext a prebid adapter sends this

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"headerbid/internal/events"
 	"headerbid/internal/hb"
@@ -38,7 +39,7 @@ func (r *roundState) finalizeAuction() {
 			continue
 		}
 		w.emit(events.Event{
-			Type: events.BidTimeout, Time: now, Bidder: bidder, Library: "prebid.js",
+			Type: events.BidTimeout, Time: now, Bidder: bidder, Library: w.d.Library,
 		})
 		if vt.Enabled() {
 			vt.Instant(obs.TrackBidderPrefix+bidder, "timeout", now, "")
@@ -50,11 +51,14 @@ func (r *roundState) finalizeAuction() {
 	for _, u := range w.cfg.AdUnits {
 		uo := r.unit(u.Code)
 		uo.End = now
-		w.emit(events.Event{
+		e := events.Event{
 			Type: events.AuctionEnd, Time: now, AuctionID: uo.AuctionID,
-			AdUnit: u.Code, Library: "prebid.js",
-			Params: w.queries.Add(urlkit.Param{Key: "bids", Value: strconv.Itoa(len(uo.Bids))}),
-		})
+			AdUnit: u.Code, Library: w.d.Library,
+		}
+		if w.d.PrebidEvents {
+			e.Params = w.queries.Add(urlkit.Param{Key: "bids", Value: strconv.Itoa(len(uo.Bids))})
+		}
+		w.emit(e)
 		uo.Winner = pickWinner(uo.Bids)
 	}
 
@@ -84,7 +88,7 @@ func (r *roundState) callAdServer() {
 	now := w.env.Now()
 	r.adServerSent = now
 
-	params := r.adServerQuery(w.strs.Take(strconv.AppendInt(w.strs.Room(20), now.UnixMilli(), 10)))
+	params := r.adServerQuery(now)
 	req := w.env.NewRequest()
 	req.URL = w.strs.WithQuery(w.cfg.AdServerURL, params)
 	req.Method = webreq.GET
@@ -96,7 +100,7 @@ func (r *roundState) callAdServer() {
 		req.PrefillParams(params)
 	}
 	w.emit(events.Event{
-		Type: events.SetTargeting, Time: now, Library: "prebid.js",
+		Type: events.SetTargeting, Time: now, Library: w.d.Library,
 		Params: params,
 	})
 	w.env.FetchCall(req, adServerResponseCall, r)
@@ -104,19 +108,23 @@ func (r *roundState) callAdServer() {
 
 func adServerResponseCall(resp *webreq.Response, a any) { a.(*roundState).onAdServerResponse(resp) }
 
-// adServerQuery builds the ad-server request's query: the site, the
-// time t, the slot specs and, for every unit with a winner, its
-// targeting, scoped per slot the way GPT encodes per-slot targeting, and
-// flat as well, so simple parsers (and the detector's Server-Side
-// heuristics) see it; with send-all-bids, also every on-time bid's price
-// bucket. It is the query of a map assigned in that order — a flat key
-// keeps the first unit's value, any other key its last value — built in
-// scratch, sorted once and copied into the round's storage at its final
-// length.
-func (r *roundState) adServerQuery(t string) urlkit.Query {
+// adServerQuery builds the ad-server request's query at now: the site,
+// the slot specs and, for every unit with a winner, its targeting,
+// scoped per slot the way GPT encodes per-slot targeting. A GPT request
+// (Dialect.GPTRequest) adds the time t and each winner's targeting flat
+// as well, so simple parsers (and the detector's Server-Side heuristics)
+// see it, and with send-all-bids every on-time bid's price bucket. It is
+// the query of a map assigned in that order — a flat key keeps the
+// first unit's value, any other key its last value — built in scratch,
+// sorted once and copied into the round's storage at its final length.
+func (r *roundState) adServerQuery(now time.Time) urlkit.Query {
 	w := r.wrapper
+	gpt := w.d.GPTRequest
 	var scratch [48]urlkit.Param
-	q := append(scratch[:0], urlkit.Param{Key: "site", Value: w.cfg.Site}, urlkit.Param{Key: "t", Value: t})
+	q := append(scratch[:0], urlkit.Param{Key: "site", Value: w.cfg.Site})
+	if gpt {
+		q = append(q, urlkit.Param{Key: "t", Value: w.strs.Take(strconv.AppendInt(w.strs.Room(20), now.UnixMilli(), 10))})
+	}
 	// Flat keys never collide with the per-slot ("key.slot"), send-all
 	// ("hb_pb_bidder"), site, t or slots keys, so first-wins among the
 	// flat keys alone is first-wins in the whole query.
@@ -131,12 +139,12 @@ func (r *roundState) adServerQuery(t string) urlkit.Query {
 				k := keys[:len(p.Key)+1+len(u.Code)]
 				keys = keys[len(k):]
 				q = append(q, urlkit.Param{Key: k, Value: p.Value})
-				if !hasKey(flat, p.Key) {
+				if gpt && !hasKey(flat, p.Key) {
 					flat = append(flat, p)
 				}
 			}
 		}
-		if w.cfg.SendAllBids {
+		if gpt && w.cfg.SendAllBids {
 			for _, b := range uo.Bids {
 				if !b.Late {
 					k := append(w.strs.Room(len(hb.KeyPriceBuck)+1+len(b.Bidder)), hb.KeyPriceBuck+"_"...)
@@ -201,12 +209,12 @@ func (r *roundState) onAdServerResponse(resp *webreq.Response) {
 		uo.AdServerLatency = now.Sub(uo.End)
 		d := slotDecision(body, u.Code)
 		uo.Channel = d.Channel
-		if d.Channel == "hb" && uo.Winner != nil {
+		if w.d.PrebidEvents && d.Channel == "hb" && uo.Winner != nil {
 			w.emit(events.Event{
 				Type: events.BidWon, Time: now, AuctionID: uo.AuctionID,
 				AdUnit: u.Code, Bidder: uo.Winner.Bidder,
 				CPM: uo.Winner.USDCPM(), Size: uo.Winner.Size,
-				Library: "prebid.js",
+				Library: w.d.Library,
 				Params: w.queries.Add(
 					urlkit.Param{Key: hb.KeyBidder, Value: uo.Winner.Bidder},
 					urlkit.Param{Key: hb.KeyPriceBuck, Value: hb.PriceBucket(uo.Winner.USDCPM())},
@@ -234,12 +242,13 @@ func slotDecision(body, code string) hb.SlotLine {
 }
 
 // renderCall is one slot's creative fetch: the ad unit (its index in
-// the config), its outcome and the ad server's decision.
+// the config), its outcome, the ad server's decision and the request.
 type renderCall struct {
 	round *roundState
 	unit  int
 	uo    *UnitOutcome
 	d     hb.SlotLine
+	req   *webreq.Request
 }
 
 // render fetches the creative for one slot and fires the render events,
@@ -252,12 +261,12 @@ func (r *roundState) render(unit int, uo *UnitOutcome, d hb.SlotLine) {
 		return
 	}
 	r.rendersPending++
-	w.renders = append(w.renders, renderCall{round: r, unit: unit, uo: uo, d: d})
 	req := w.env.NewRequest()
 	req.URL = d.CreativeURL
 	req.Method = webreq.GET
 	req.Kind = webreq.KindCreative
 	req.Sent = w.env.Now()
+	w.renders = append(w.renders, renderCall{round: r, unit: unit, uo: uo, d: d, req: req})
 	w.env.FetchCall(req, creativeCall, &w.renders[len(w.renders)-1])
 }
 
@@ -274,20 +283,36 @@ func (rc *renderCall) onCreative(resp *webreq.Response) {
 	r.rendersPending--
 	if d.Fails || resp.Err != "" || !resp.OK() {
 		uo.RenderFailed = true
-		w.emit(events.Event{
+		e := events.Event{
 			Type: events.AdRenderFailed, Time: now, AuctionID: uo.AuctionID,
-			AdUnit: u.Code, Size: u.PrimarySize(), Library: "prebid.js",
-		})
+			AdUnit: u.Code, Library: w.d.Library,
+		}
+		if w.d.PrebidEvents {
+			e.Size = u.PrimarySize()
+		}
+		w.emit(e)
 		r.maybeDone()
 		return
 	}
 	uo.Rendered = true
-	w.emit(events.Event{
+	e := events.Event{
 		Type: events.SlotRenderEnded, Time: now, AuctionID: uo.AuctionID,
-		AdUnit: u.Code, Size: u.PrimarySize(), Library: "gpt.js",
-		Params: w.queries.Add(urlkit.Param{Key: "channel", Value: d.Channel}),
-	})
-	if d.Channel == "hb" && uo.Winner != nil {
+		AdUnit: u.Code, Size: u.PrimarySize(), Library: w.d.RenderLibrary,
+	}
+	if w.d.PrebidEvents {
+		e.Params = w.queries.Add(urlkit.Param{Key: "channel", Value: d.Channel})
+	} else {
+		if d.Channel == "hb" && uo.Winner != nil {
+			w.emit(events.Event{
+				Type: events.BidWon, Time: now, AuctionID: uo.AuctionID,
+				AdUnit: u.Code, Bidder: uo.Winner.Bidder,
+				CPM: uo.Winner.USDCPM(), Size: uo.Winner.Size, Library: w.d.Library,
+			})
+		}
+		e.Params = rc.req.Params() // the fetch's own parse of the creative URL
+	}
+	w.emit(e)
+	if w.d.GPTRequest && d.Channel == "hb" && uo.Winner != nil {
 		// Winner notification beacon with the charged price.
 		req := w.env.NewRequest()
 		req.URL = w.winNURL(bidderHost(w, uo.Winner.Bidder), uo.AuctionID,

@@ -12,9 +12,11 @@
 //  6. renders the returned creative, firing bidWon / slotRenderEnded /
 //     adRenderFailed.
 //
-// The wrapper is written against a tiny Env seam so the same protocol code
-// runs on the virtual-clock simulated network and on a real HTTP loopback
-// network.
+// That round is the one bid-round engine of every client-side wrapper:
+// a Dialect says what another library (package pubfood) does its own
+// way on it, as data. The wrapper is written against a tiny Env seam so
+// the same protocol code runs on the virtual-clock simulated network and
+// on a real HTTP loopback network.
 package prebid
 
 import (
@@ -101,15 +103,104 @@ func SlotSpecs(units []AdUnit) string {
 	return b.String()
 }
 
+// A Dialect is what one client wrapper library does its own way on the
+// shared bid round: the names it gives things, and each part of
+// prebid.js's API that the leaner pubfood.js lacks, as a flag PrebidJS
+// sets and pubfood's dialect leaves false. Everything else is the
+// round's own: dispatch, transport retry, the deadline, bidTimeout and
+// late classification, the winner, the ad-server call, rendering and
+// trace spans.
+type Dialect struct {
+	// Library labels the round's events, RenderLibrary its
+	// slotRenderEnded events (prebid.js renders through gpt.js).
+	Library, RenderLibrary string
+	// AuctionTag names the k-th ad unit's auction "<site><AuctionTag><k>"
+	// (AuctionIDs).
+	AuctionTag string
+	// BidIDPrefix starts each bid request's ID,
+	// "<BidIDPrefix><bidder>-<unixnano>"; empty stands for "<site>-".
+	BidIDPrefix string
+	// DefaultTimeout is the deadline of a config that sets none.
+	DefaultTimeout time.Duration
+
+	// AdapterFields: a bid request carries the page URL, each
+	// impression its unit's code as tagid and the request the partner's
+	// adapter ext, and a bid keeps the creative and deal IDs its
+	// response names (so its targeting sends them).
+	AdapterFields bool
+	// PrebidEvents: bidResponse carries the bidder, size and lateness,
+	// auctionEnd the unit's bid count, adRenderFailed the slot's size and
+	// slotRenderEnded the ad server's channel, and bidWon, with the
+	// winner's bidder and price bucket, fires when the ad server answers.
+	// Without it, a bare bidWon fires when the winner's creative renders,
+	// and slotRenderEnded carries the creative URL's query.
+	PrebidEvents bool
+	// GPTRequest: the ad-server request is gpt.js's, stamped with its
+	// time t and carrying each winner's targeting flat as well as per
+	// slot and, with send-all-bids, every on-time bid's price bucket; and
+	// a rendered HB win pings the winner's notification URL. Without it
+	// the request carries the site, the per-slot targeting and the slots.
+	GPTRequest bool
+	// RetryBeforeDeadline: a failed attempt is retransmitted only until
+	// the deadline; without it, after the deadline too.
+	RetryBeforeDeadline bool
+	// DecodeErrors: a response that does not decode is the bidder's
+	// error (BidderResult.Error, and its trace span's detail); without
+	// it, the bidder answered no bids.
+	DecodeErrors bool
+}
+
+// PrebidJS is prebid.js's dialect.
+var PrebidJS = Dialect{
+	Library: "prebid.js", RenderLibrary: "gpt.js", AuctionTag: "-a",
+	DefaultTimeout: 3 * time.Second,
+	AdapterFields:  true, PrebidEvents: true, GPTRequest: true,
+	RetryBeforeDeadline: true, DecodeErrors: true,
+}
+
+// AuctionIDs returns the auction IDs of a round over n ad units of
+// site, "<site><AuctionTag>1" to "<site><AuctionTag><n>", in one string:
+// a value of the page's config alone, which the page's configs build
+// once beside their slots value (Config.AuctionIDs). The events,
+// outcomes, bids and records that carry an ID share the string, which
+// holds nothing else, so a record keeps no more than its page's IDs.
+func (d *Dialect) AuctionIDs(site string, n int) string {
+	size := 0
+	for k := 1; k <= n; k++ {
+		size += len(site) + len(d.AuctionTag) + digits(k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	for k := 1; k <= n; k++ {
+		b.WriteString(site)
+		b.WriteString(d.AuctionTag)
+		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+	}
+	return b.String()
+}
+
+// digits returns the number of decimal digits of k > 0.
+func digits(k int) int {
+	n := 1
+	for ; k >= 10; k /= 10 {
+		n++
+	}
+	return n
+}
+
 // Config configures one wrapper instance (that is, one publisher page).
 type Config struct {
+	// Dialect is the wrapper library the page runs; nil is PrebidJS.
+	Dialect *Dialect
 	Site    string
 	Page    string
 	AdUnits []AdUnit
-	// Slots is SlotSpecs(AdUnits), the ad-server request's slots value.
-	Slots       string
-	TimeoutMS   int  // wrapper deadline; prebid's common default is 3000
-	SendAllBids bool // send hb_*_<bidder> keys for every bidder, not just the winner
+	// Slots is SlotSpecs(AdUnits), the ad-server request's slots value,
+	// and AuctionIDs is Dialect.AuctionIDs(Site, len(AdUnits)).
+	Slots, AuctionIDs string
+	TimeoutMS         int  // wrapper deadline; 0 is the dialect's default
+	SendAllBids       bool // send hb_*_<bidder> keys for every bidder, not just the winner
 	// BadWrapper reproduces the misconfiguration the paper calls out: the
 	// wrapper contacts the ad server immediately instead of waiting for
 	// bids, so every response arrives "late".
@@ -123,9 +214,17 @@ type Config struct {
 // Timeout returns the configured wrapper deadline.
 func (c Config) Timeout() time.Duration {
 	if c.TimeoutMS <= 0 {
-		return 3 * time.Second
+		return c.dialect().DefaultTimeout
 	}
 	return time.Duration(c.TimeoutMS) * time.Millisecond
+}
+
+// dialect returns the config's dialect, PrebidJS when it names none.
+func (c *Config) dialect() *Dialect {
+	if c.Dialect == nil {
+		return &PrebidJS
+	}
+	return c.Dialect
 }
 
 // BidderResult tracks one bidder's progress within an auction round.
@@ -147,8 +246,7 @@ type BidderResult struct {
 // a real adapter would not retry). Retries run on the page's virtual
 // clock with exponential backoff, so the degradation path is exactly as
 // deterministic as the happy path. Both client wrappers (this one and
-// pubfood) follow this one policy, and both build their bid POSTs with
-// BidPost.
+// pubfood) run on this one round, so they follow this one policy.
 const MaxBidRetries = 1
 
 // RetryBackoffBase is the first retry's backoff; attempt k waits
@@ -163,9 +261,11 @@ const RetryBackoffBase = 100 * time.Millisecond
 // The URL is p's pre-rendered bid URL, "<bid endpoint>?bidder=<slug>",
 // plus "&retry=N" on retransmission N: the way real adapters tag
 // retransmissions, and what lets the detector count retries off the
-// wire. The request carries its query prefilled and its body typed, so
-// no in-process hop parses either, and the body's bytes are built only
-// for a reader of bytes (webreq.Request.Body).
+// wire. Both URLs and their queries are rendered once per profile
+// (MaxBidRetries is 1, so the only retransmission is number 1). The
+// request carries its query prefilled and its body typed, so no
+// in-process hop parses either, and the body's bytes are built only for
+// a reader of bytes (webreq.Request.Body).
 func BidPost(req *webreq.Request, p *partners.Profile, payload *rtb.BidRequest, bodyLen, attempt int, sent time.Time) *webreq.Request {
 	req.URL = p.BidRequestURL()
 	req.Method = webreq.POST
@@ -173,12 +273,7 @@ func BidPost(req *webreq.Request, p *partners.Profile, payload *rtb.BidRequest, 
 	req.Sent = sent
 	params := p.BidRequestParams()
 	if attempt > 0 {
-		// "retry" sorts after the bid URL's only key, "bidder", so the
-		// appended query stays key-sorted; the full slice expression
-		// keeps the shared first-attempt query unwritten.
-		n := strconv.Itoa(attempt)
-		req.URL += "&retry=" + n
-		params = append(params[:len(params):len(params)], urlkit.Param{Key: "retry", Value: n})
+		req.URL, params = p.BidRetryURL(), p.BidRetryParams()
 	}
 	req.PrefillParams(params)
 	req.SetPayload(payload, bodyLen)
@@ -229,13 +324,12 @@ type Wrapper struct {
 	bus *events.Bus
 	reg *partners.Registry
 	cfg Config
+	d   *Dialect // cfg's
 
 	// traceSrc hands out the current visit's span recorder when the env
 	// is a browser page; nil otherwise (tests driving the wrapper on a
 	// bare scheduler).
 	traceSrc obs.TraceSource
-
-	auctionSeq int
 
 	// The round's storage (RequestBids rewinds it).
 	round   roundState
@@ -245,10 +339,6 @@ type Wrapper struct {
 	sends   []bidSend     // one per bidder sent a request, as result.Bidders
 	formats []rtb.Format  // every unit's formats, in config order
 	renders []renderCall  // one per rendered slot
-	// idBuf and idEnds are where auctionIDs writes the round's auction
-	// IDs before they become one string, and where each ID ends in it.
-	idBuf  []byte
-	idEnds []int
 	// queries holds the round's event queries and its ad-server query;
 	// decoded is the bid response being read (onBidResponse), and seats
 	// keeps its seat storage across a response that carries none: a
@@ -267,9 +357,8 @@ type Wrapper struct {
 // reuse: bus receives the wrapper's DOM events; reg maps bidder codes to
 // endpoints. The zero Wrapper is ready for its first Reset.
 func (w *Wrapper) Reset(env Env, bus *events.Bus, reg *partners.Registry, cfg Config) {
-	w.env, w.bus, w.reg, w.cfg = env, bus, reg, cfg
+	w.env, w.bus, w.reg, w.cfg, w.d = env, bus, reg, cfg, cfg.dialect()
 	w.traceSrc, _ = env.(obs.TraceSource)
-	w.auctionSeq = 0
 }
 
 // vt returns the visit's recorder (nil when untraced). Callers emit
@@ -282,7 +371,8 @@ func (w *Wrapper) vt() *obs.VisitTrace {
 }
 
 // RequestBids runs a full auction round and calls done with the result.
-// It never blocks; all work happens on the page event loop.
+// It never blocks; all work happens on the page event loop. A page runs
+// one round: its auctions are the config's AuctionIDs.
 func (w *Wrapper) RequestBids(done func(*Result)) {
 	start := w.env.Now()
 	w.result = Result{Site: w.cfg.Site, Units: w.result.Units[:0], Bidders: w.result.Bidders[:0]}
@@ -290,28 +380,24 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	*round = roundState{wrapper: w, result: &w.result, started: start, done: done}
 	w.queries.Reset()
 	w.collectBidders()
-	ids := w.auctionIDs()
 
 	// Per-unit auction bookkeeping + events.
 	n := len(w.cfg.AdUnits)
 	w.units = slices.Grow(w.units[:0], n)[:n]
+	ids := w.cfg.AuctionIDs
 	for i, u := range w.cfg.AdUnits {
-		aid := w.auctionID(ids, i)
+		k := len(w.cfg.Site) + len(w.d.AuctionTag) + digits(i+1)
+		aid := ids[:k]
+		ids = ids[k:]
 		uo := &w.units[i]
 		*uo = UnitOutcome{AuctionID: aid, AdUnit: u.Code, Start: start, Bids: uo.Bids[:0]}
 		w.result.Units = append(w.result.Units, uo)
 		w.emit(events.Event{
 			Type: events.AuctionInit, Time: start, AuctionID: aid,
-			AdUnit: u.Code, Library: "prebid.js",
+			AdUnit: u.Code, Library: w.d.Library,
 		})
 	}
-	w.emit(events.Event{Type: events.RequestBids, Time: start, Library: "prebid.js"})
-
-	if len(w.bidders) == 0 {
-		// Nothing to do: go straight to the ad server (house/direct only).
-		round.finalizeAuction()
-		return
-	}
+	w.emit(events.Event{Type: events.RequestBids, Time: start, Library: w.d.Library})
 
 	w.layoutFormats()
 	w.sends = slices.Grow(w.sends[:0], len(w.bidders))
@@ -320,11 +406,16 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 		w.sendBidRequest(round, bidder, w.bidRequestID(bidder, start), timeout)
 	}
 
-	if w.cfg.BadWrapper {
+	switch {
+	case round.pending == 0:
+		// No bid request went out: go straight to the ad server
+		// (house/direct only).
+		round.finalizeAuction()
+	case w.cfg.BadWrapper:
 		// Misconfigured wrapper: contact the ad server right away; every
 		// bid response will arrive after finalization and count late.
 		w.env.AfterCall(0, finalizeCall, round)
-	} else {
+	default:
 		w.env.AfterCall(timeout, finalizeCall, round)
 	}
 }
@@ -344,38 +435,14 @@ func (w *Wrapper) collectBidders() {
 	w.bidders = out
 }
 
-// auctionIDs writes the round's auction IDs into one string, which it
-// returns: each ad unit's "<site>-a<N>", numbered on from the page's
-// earlier rounds. auctionID slices them out; the events, outcomes, bids
-// and records that carry them share the string, which holds nothing
-// else, so a record keeps no more of it than its own auctions' IDs.
-func (w *Wrapper) auctionIDs() string {
-	b, ends := w.idBuf[:0], w.idEnds[:0]
-	for range w.cfg.AdUnits {
-		w.auctionSeq++
-		b = append(b, w.cfg.Site...)
-		b = append(b, "-a"...)
-		b = strconv.AppendInt(b, int64(w.auctionSeq), 10)
-		ends = append(ends, len(b))
-	}
-	w.idBuf, w.idEnds = b, ends
-	return string(b)
-}
-
-// auctionID returns the k-th ID of ids, the string auctionIDs returned.
-func (w *Wrapper) auctionID(ids string, k int) string {
-	lo := 0
-	if k > 0 {
-		lo = w.idEnds[k-1]
-	}
-	return ids[lo:w.idEnds[k]]
-}
-
 // bidRequestID returns the ID of the round's bid request to bidder,
-// "<site>-<bidder>-<unixnano>" at the round's start now.
+// "<BidIDPrefix><bidder>-<unixnano>" at the round's start now.
 func (w *Wrapper) bidRequestID(bidder string, now time.Time) string {
-	b := w.strs.Room(len(w.cfg.Site) + len(bidder) + 22)
-	b = append(append(append(append(b, w.cfg.Site...), '-'), bidder...), '-')
+	b := w.strs.Room(len(w.cfg.Site) + len(w.d.BidIDPrefix) + len(bidder) + 22)
+	if w.d.BidIDPrefix == "" {
+		b = append(append(b, w.cfg.Site...), '-')
+	}
+	b = append(append(append(b, w.d.BidIDPrefix...), bidder...), '-')
 	return w.strs.Take(strconv.AppendInt(b, now.UnixNano(), 10))
 }
 
@@ -466,8 +533,10 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder, id string, timeout t
 			ID:       u.Code,
 			Banner:   rtb.Banner{Format: formats},
 			FloorCPM: w.cfg.FloorCPM,
-			TagID:    u.Code,
 		})
+		if w.d.AdapterFields {
+			imps[len(imps)-1].TagID = u.Code
+		}
 	}
 	sd.payload.Imp = imps // kept for the next round's reuse either way
 	if len(imps) == 0 {
@@ -482,9 +551,11 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder, id string, timeout t
 	sd.payload = rtb.BidRequest{
 		ID:   id,
 		Imp:  imps,
-		Site: rtb.Site{Domain: w.cfg.Site, Page: w.cfg.Page},
+		Site: rtb.Site{Domain: w.cfg.Site},
 		TMax: int(timeout / time.Millisecond),
-		Ext:  profile.BidRequestExt(),
+	}
+	if w.d.AdapterFields {
+		sd.payload.Site.Page, sd.payload.Ext = w.cfg.Page, profile.BidRequestExt()
 	}
 	bodyLen, err := sd.payload.EncodedLen()
 	if err != nil {
@@ -498,7 +569,7 @@ func (w *Wrapper) sendBidRequest(round *roundState, bidder, id string, timeout t
 		// Params copy duplicated it at one map allocation per unit.
 		w.emit(events.Event{
 			Type: events.BidRequested, Time: now, AuctionID: round.unit(code).AuctionID,
-			AdUnit: code, Bidder: bidder, Library: "prebid.js",
+			AdUnit: code, Bidder: bidder, Library: w.d.Library,
 		})
 	}
 
@@ -539,7 +610,7 @@ func bidRetryCall(a any) {
 // deadline, in which case the bids are recorded as late).
 func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
 	round := sd.round
-	if resp.Err != "" && sd.attempt < MaxBidRetries && !round.finalized {
+	if resp.Err != "" && sd.attempt < MaxBidRetries && !(round.finalized && w.d.RetryBeforeDeadline) {
 		// Transport failure with retry budget left: back off and
 		// retransmit instead of conceding the bidder. The bidder stays
 		// pending, so early finalization keeps waiting for the retry
@@ -578,7 +649,9 @@ func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
 		w.seats = parsed.SeatBid
 	}
 	if err != nil {
-		br.Error = err.Error()
+		if w.d.DecodeErrors {
+			br.Error = err.Error()
+		}
 		w.traceBidSpan(br)
 		w.maybeEarlyFinalize(round)
 		return
@@ -595,31 +668,35 @@ func (w *Wrapper) onBidResponse(sd *bidSend, resp *webreq.Response) {
 				continue
 			}
 			bid := hb.Bid{
-				AuctionID:  uo.AuctionID,
-				AdUnit:     sb.ImpID,
-				Bidder:     bidder,
-				CPM:        sb.Price,
-				Currency:   cur,
-				Size:       hb.Size{W: sb.W, H: sb.H},
-				Latency:    br.Latency,
-				Late:       br.Late,
-				CreativeID: sb.CrID,
-				DealID:     sb.DealID,
+				AuctionID: uo.AuctionID,
+				AdUnit:    sb.ImpID,
+				Bidder:    bidder,
+				CPM:       sb.Price,
+				Currency:  cur,
+				Size:      hb.Size{W: sb.W, H: sb.H},
+				Latency:   br.Latency,
+				Late:      br.Late,
+			}
+			if w.d.AdapterFields {
+				bid.CreativeID, bid.DealID = sb.CrID, sb.DealID
 			}
 			br.Bids = append(br.Bids, bid)
 			uo.Bids = append(uo.Bids, bid)
 			// The DOM event fires even for late responses — that is
 			// exactly how the detector observes lateness.
-			w.emit(events.Event{
+			e := events.Event{
 				Type: events.BidResponse, Time: now, AuctionID: uo.AuctionID,
 				AdUnit: sb.ImpID, Bidder: bidder, CPM: bid.USDCPM(),
-				Currency: cur, Size: bid.Size, Library: "prebid.js",
-				Params: w.queries.Add(
+				Currency: cur, Size: bid.Size, Library: w.d.Library,
+			}
+			if w.d.PrebidEvents {
+				e.Params = w.queries.Add(
 					urlkit.Param{Key: hb.KeyBidder, Value: bidder},
 					urlkit.Param{Key: hb.KeySize, Value: bid.Size.String()},
 					urlkit.Param{Key: "late", Value: strconv.FormatBool(br.Late)},
-				),
-			})
+				)
+			}
+			w.emit(e)
 		}
 	}
 	w.traceBidSpan(br)

@@ -123,6 +123,7 @@ func testConfig(units int, bidders ...string) Config {
 		})
 	}
 	cfg.Slots = SlotSpecs(cfg.AdUnits)
+	cfg.AuctionIDs = PrebidJS.AuctionIDs(cfg.Site, units)
 	return cfg
 }
 

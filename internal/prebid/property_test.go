@@ -121,6 +121,7 @@ func TestAuctionInvariantsProperty(t *testing.T) {
 			})
 		}
 		cfg.Slots = SlotSpecs(cfg.AdUnits)
+		cfg.AuctionIDs = PrebidJS.AuctionIDs(cfg.Site, len(cfg.AdUnits))
 
 		env := newFakeEnv()
 		env.respond = randomizedResponder(seed)

@@ -11,8 +11,8 @@ import (
 	"headerbid/internal/events"
 	"headerbid/internal/hb"
 	"headerbid/internal/partners"
+	"headerbid/internal/prebid"
 	"headerbid/internal/rtb"
-	"headerbid/internal/urlkit"
 	"headerbid/internal/webreq"
 )
 
@@ -24,10 +24,12 @@ type fakeEnv struct {
 
 func newFakeEnv() *fakeEnv { return &fakeEnv{sched: clock.NewScheduler(time.Time{})} }
 
-func (f *fakeEnv) Now() time.Time                   { return f.sched.Now() }
-func (f *fakeEnv) After(d time.Duration, fn func()) { f.sched.After(d, fn) }
-func (f *fakeEnv) NewRequest() *webreq.Request      { return new(webreq.Request) }
-func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
+func (f *fakeEnv) Now() time.Time              { return f.sched.Now() }
+func (f *fakeEnv) NewRequest() *webreq.Request { return new(webreq.Request) }
+func (f *fakeEnv) AfterCall(d time.Duration, fn func(any), arg any) {
+	f.sched.AfterCall(d, fn, arg)
+}
+func (f *fakeEnv) FetchCall(req *webreq.Request, fn func(*webreq.Response, any), arg any) {
 	f.fetched = append(f.fetched, req.URL)
 	lat, resp := f.respond(req)
 	if resp == nil {
@@ -35,7 +37,7 @@ func (f *fakeEnv) Fetch(req *webreq.Request, cb func(*webreq.Response)) {
 	}
 	f.sched.After(lat, func() {
 		resp.Received = f.sched.Now()
-		cb(resp)
+		fn(resp, arg)
 	})
 }
 
@@ -73,23 +75,45 @@ func responder(latency time.Duration, cpm float64) func(req *webreq.Request) (ti
 	}
 }
 
-func cfg() Config {
-	return Config{
-		Site:        "pub.example",
-		Slots:       []Slot{{Name: "pf-1", Size: hb.SizeMediumRectangle, Elem: "div-1"}},
-		Providers:   []BidProvider{{Name: "appnexus"}},
-		TimeoutMS:   2000,
-		AdServerURL: "https://adserver.pub.example/serve",
+// page is a pubfood page's config: its slots, the providers every slot
+// lists, and its deadline.
+type page struct {
+	slots     []prebid.AdUnit
+	providers []string
+	timeoutMS int
+}
+
+func cfg() page {
+	return page{
+		slots:     []prebid.AdUnit{{Code: "pf-1", Sizes: []hb.Size{hb.SizeMediumRectangle}}},
+		providers: []string{"appnexus"},
+		timeoutMS: 2000,
 	}
 }
 
-func runLib(t *testing.T, env *fakeEnv, c Config) (*Result, *eventLog) {
+// runLib runs c's round on the bid-round engine in pubfood's dialect, as
+// a page's runtime builds it.
+func runLib(t *testing.T, env *fakeEnv, c page) (*prebid.Result, *eventLog) {
 	t.Helper()
+	for i := range c.slots {
+		c.slots[i].Bidders = c.providers
+	}
+	units := AdUnits(c.slots)
 	bus := new(events.Bus)
 	log := logEvents(bus)
-	lib := New(env, bus, partners.Default(), c, new(urlkit.Strings))
-	var res *Result
-	lib.Start(func(r *Result) { res = r })
+	var w prebid.Wrapper
+	w.Reset(env, bus, partners.Default(), prebid.Config{
+		Dialect:     &Dialect,
+		Site:        "pub.example",
+		Page:        "https://www.pub.example/",
+		AdUnits:     units,
+		Slots:       prebid.SlotSpecs(units),
+		AuctionIDs:  Dialect.AuctionIDs("pub.example", len(units)),
+		TimeoutMS:   c.timeoutMS,
+		AdServerURL: "https://adserver.pub.example/serve",
+	})
+	var res *prebid.Result
+	w.RequestBids(func(r *prebid.Result) { res = r })
 	env.sched.Run()
 	if res == nil {
 		t.Fatal("pubfood round never completed")
@@ -120,15 +144,18 @@ func TestPubfoodHappyPath(t *testing.T) {
 	env.respond = responder(150*time.Millisecond, 0.33)
 	res, evs := runLib(t, env, cfg())
 
-	if len(res.Slots) != 1 {
-		t.Fatalf("slots = %d", len(res.Slots))
+	if len(res.Units) != 1 {
+		t.Fatalf("slots = %d", len(res.Units))
 	}
-	s := res.Slots[0]
+	s := res.Units[0]
 	if s.Winner == nil || s.Winner.CPM != 0.33 || !s.Rendered {
 		t.Fatalf("slot = %+v winner=%+v", s, s.Winner)
 	}
-	if lat := res.AdServerResponded.Sub(res.Started); lat < 150*time.Millisecond {
+	if lat := res.AdServerResponded.Sub(s.Start); lat < 150*time.Millisecond {
 		t.Fatalf("latency = %v", lat)
+	}
+	if s.AuctionID != "pub.example-pf1" {
+		t.Fatalf("auction ID %q, want pub.example-pf1", s.AuctionID)
 	}
 	counts := evs.counts()
 	for _, typ := range []events.Type{
@@ -140,7 +167,7 @@ func TestPubfoodHappyPath(t *testing.T) {
 			t.Errorf("event %s never fired", typ)
 		}
 	}
-	// Every event must carry the pubfood library label except renders.
+	// Every event must carry the pubfood library label, renders too.
 	for _, e := range evs.events {
 		if e.Library != "pubfood.js" {
 			t.Fatalf("event %s has library %q", e.Type, e.Library)
@@ -152,7 +179,7 @@ func TestPubfoodTimeoutLateBid(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = responder(5*time.Second, 1.0) // past the 2s deadline
 	res, _ := runLib(t, env, cfg())
-	s := res.Slots[0]
+	s := res.Units[0]
 	if s.Winner != nil {
 		t.Fatalf("late bid won: %+v", s.Winner)
 	}
@@ -165,7 +192,7 @@ func TestPubfoodUnknownProviderSkipped(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = responder(50*time.Millisecond, 0.2)
 	c := cfg()
-	c.Providers = []BidProvider{{Name: "ghost-adapter"}}
+	c.providers = []string{"ghost-adapter"}
 	res, _ := runLib(t, env, c)
 	if res.AdServerResponded.IsZero() {
 		t.Fatal("round did not conclude without providers")
@@ -186,7 +213,7 @@ func TestPubfoodProviderError(t *testing.T) {
 		return responder(0, 0)(req)
 	}
 	res, _ := runLib(t, env, cfg())
-	if len(res.Slots[0].Bids) != 0 {
+	if len(res.Units[0].Bids) != 0 {
 		t.Fatal("bids from a 500 response")
 	}
 	if res.AdServerResponded.IsZero() {
@@ -195,7 +222,7 @@ func TestPubfoodProviderError(t *testing.T) {
 }
 
 func TestPubfoodDefaultTimeout(t *testing.T) {
-	if (Config{}).Timeout() != 2*time.Second {
+	if (prebid.Config{Dialect: &Dialect}).Timeout() != 2*time.Second {
 		t.Fatal("pubfood default timeout should be 2s")
 	}
 }
@@ -204,14 +231,14 @@ func TestPubfoodMultiSlot(t *testing.T) {
 	env := newFakeEnv()
 	env.respond = responder(100*time.Millisecond, 0.5)
 	c := cfg()
-	c.Slots = append(c.Slots, Slot{Name: "pf-2", Size: hb.SizeLeaderboard, Elem: "div-2"})
+	c.slots = append(c.slots, prebid.AdUnit{Code: "pf-2", Sizes: []hb.Size{hb.SizeLeaderboard, hb.SizeMediumRectangle}})
 	res, evs := runLib(t, env, c)
-	if len(res.Slots) != 2 {
-		t.Fatalf("slots = %d", len(res.Slots))
+	if len(res.Units) != 2 {
+		t.Fatalf("slots = %d", len(res.Units))
 	}
-	for _, s := range res.Slots {
+	for _, s := range res.Units {
 		if s.Winner == nil {
-			t.Fatalf("slot %s no winner", s.Slot)
+			t.Fatalf("slot %s no winner", s.AdUnit)
 		}
 	}
 	if evs.counts()[events.AuctionInit] != 2 {
@@ -235,10 +262,7 @@ func TestPubfoodMultiSlot(t *testing.T) {
 func TestPubfoodBidTimeoutsInRequestOrder(t *testing.T) {
 	names := []string{"sovrn", "appnexus", "pubmatic", "rubicon", "openx"}
 	c := cfg()
-	c.Providers = nil
-	for _, n := range names {
-		c.Providers = append(c.Providers, BidProvider{Name: n})
-	}
+	c.providers = names
 	for run := 0; run < 20; run++ {
 		env := newFakeEnv()
 		env.respond = responder(5*time.Second, 1.0) // past the 2s deadline

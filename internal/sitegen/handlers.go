@@ -114,6 +114,10 @@ type Ecosystem struct {
 	// into strs, as its prices go into strs on the way.
 	strs urlkit.Strings
 	body []byte
+	// targeting is the slot targeting handleClientAdServer hands the ad
+	// server, refilled slot after slot (adserver.Server.Decide only reads
+	// it), under mu like the rest.
+	targeting hb.Targeting
 }
 
 // streamKind names the purpose of an ecosystem stream; with a partner
@@ -629,10 +633,14 @@ func (e *Ecosystem) handleClientAdServer(s *Site, req *webreq.Request) (int, str
 
 	service := time.Duration(float64(25+r.Intn(35))/s.InfraQuality) * time.Millisecond
 	body := e.body[:0]
+	if e.targeting == nil {
+		e.targeting = hb.Targeting{}
+	}
+	t := e.targeting
 	forEachSlotSpec(params.Get("slots"), func(code string, size hb.Size) {
 		service += time.Duration(float64(12+r.Intn(20))/s.InfraQuality) * time.Millisecond
 
-		t := hb.Targeting{}
+		clear(t)
 		for _, p := range params {
 			kl := urlkit.LowerASCII(p.Key)
 			key, ok := slotKey(kl, code)

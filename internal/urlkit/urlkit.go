@@ -258,6 +258,8 @@ func (q Query) Get(k string) string {
 
 // Set assigns v to key k, inserting the pair at its sorted place when k
 // is new: the map assignment of a query built key by key.
+//
+//hbvet:allow deadexport reference tests compare against: the tests of urlkit, hb and prebid build the map-assigned form of a query with it
 func (q *Query) Set(k, v string) {
 	i := q.search(k)
 	if i < len(*q) && (*q)[i].Key == k {

@@ -41,11 +41,6 @@ func UnmarshalShard(r io.Reader) (ShardHeader, []MetricCodec, error) {
 	return snapshot.UnmarshalShard(r)
 }
 
-// WriteShardFile marshals to path ("-" means stdout).
-func WriteShardFile(path string, h ShardHeader, metrics []MetricCodec) error {
-	return snapshot.WriteShardFile(path, h, metrics)
-}
-
 // ReadShardFile unmarshals one shard file from disk.
 func ReadShardFile(path string) (ShardHeader, []MetricCodec, error) {
 	return snapshot.ReadShardFile(path)
