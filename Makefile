@@ -188,12 +188,13 @@ chaos-smoke:
 shard-smoke:
 	sh scripts/shard_smoke.sh
 
-# Observability smoke (DESIGN.md §2.5): a traced crawl through the real
-# hbcrawl binary must be worker-count invariant (JSONL and Perfetto
-# trace bytes both), must not perturb the untraced crawl's output, and
-# the trace must pass the span-nesting validator.
+# Observability smoke (DESIGN.md §2.5): a traced crawl through hbcrawl's
+# run seam and flags must be worker-count invariant (JSONL and Perfetto
+# trace bytes both), must not perturb the untraced crawl's output, must
+# pass the span-nesting validator and must trace a pubfood page
+# (TestTraceSmoke; 'make race' runs it under -race too).
 trace-smoke:
-	sh scripts/trace_smoke.sh
+	$(GO) test -count=1 -run '^TestTraceSmoke$$' ./cmd/hbcrawl
 
 # The benchmark module (bench/, its own Go module, so the root 'go test
 # ./...' skips it): vet, its tests (parser, the layer-map meta-test that

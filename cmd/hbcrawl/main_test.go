@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"headerbid"
+	"headerbid/internal/obs"
 )
 
 // runCrawl runs hbcrawl over args and returns its exit status, stdout
@@ -151,6 +154,77 @@ func TestShardOutStreamEqualsFile(t *testing.T) {
 	}
 	if len(want) == 0 || stdout != string(want) {
 		t.Fatalf("-shard-out - streams %d bytes, -shard-out file writes %d", len(stdout), len(want))
+	}
+}
+
+// TestTraceSmoke is the observability smoke (DESIGN.md §2.5) through
+// hbcrawl's flags and files: a traced crawl of the 200-site seed-7
+// world writes the same JSONL and the same trace bytes with one worker
+// and with four (four explicit workers, not the NumCPU default, which is
+// one on a one-CPU box and would prove nothing), its JSONL equals an
+// untraced crawl's, and the trace passes the span-nesting validator.
+// The world's one pubfood page must be among the traced visits, so the
+// smoke covers both client wrappers' rounds. make trace-smoke runs it.
+func TestTraceSmoke(t *testing.T) {
+	dir := t.TempDir()
+	crawl := func(name string, extra ...string) (jsonl, trace []byte) {
+		t.Helper()
+		out := filepath.Join(dir, name+".jsonl")
+		args := append([]string{"-sites", "200", "-seed", "7", "-q", "-o", out}, extra...)
+		tracePath := filepath.Join(dir, name+".json")
+		if len(extra) > 0 {
+			args = append(args, "-trace", tracePath)
+		}
+		if code, _, stderr := runCrawl(context.Background(), args...); code != 0 {
+			t.Fatalf("hbcrawl %v: exit %d, stderr %q", args, code, stderr)
+		}
+		jsonl, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(extra) > 0 {
+			if trace, err = os.ReadFile(tracePath); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return jsonl, trace
+	}
+	one, oneTrace := crawl("one", "-workers", "1")
+	many, manyTrace := crawl("many", "-workers", "4")
+	plain, _ := crawl("plain")
+
+	if !bytes.Equal(one, many) {
+		t.Errorf("crawl JSONL differs between workers=1 (%d bytes) and workers=4 (%d bytes)", len(one), len(many))
+	}
+	if !bytes.Equal(oneTrace, manyTrace) {
+		t.Errorf("trace files differ between workers=1 (%d bytes) and workers=4 (%d bytes)", len(oneTrace), len(manyTrace))
+	}
+	if !bytes.Equal(plain, one) {
+		t.Errorf("tracing perturbed the crawl's JSONL: %d bytes untraced, %d traced", len(plain), len(one))
+	}
+	if err := obs.ValidateTrace(bytes.NewReader(oneTrace)); err != nil {
+		t.Errorf("trace of the one-worker crawl: %v", err)
+	}
+
+	pubfood := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(one)), "\n") {
+		var rec struct {
+			Domain    string   `json:"domain"`
+			Libraries []string `json:"libraries"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(rec.Libraries, "pubfood.js") {
+			continue
+		}
+		pubfood++
+		if !bytes.Contains(oneTrace, []byte(`"`+rec.Domain+` (day 0)"`)) {
+			t.Errorf("pubfood page %s is not among the traced visits", rec.Domain)
+		}
+	}
+	if pubfood == 0 {
+		t.Error("no pubfood page among the crawled visits")
 	}
 }
 

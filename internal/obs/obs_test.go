@@ -194,12 +194,12 @@ func TestDebugMux(t *testing.T) {
 }
 
 // TestTraceArtifact validates a trace file produced outside the test —
-// the trace-smoke CI gate points HB_TRACE_FILE at a crawl's output and
+// point HB_TRACE_FILE at a crawl's output (hbcrawl -trace) and
 // this test becomes the parse/nesting oracle.
 func TestTraceArtifact(t *testing.T) {
 	path := os.Getenv("HB_TRACE_FILE")
 	if path == "" {
-		t.Skip("HB_TRACE_FILE not set; used by make trace-smoke")
+		t.Skip("HB_TRACE_FILE not set; point it at an hbcrawl -trace file")
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -242,7 +242,7 @@ type traceEvent struct {
 // proves a crawl's trace loads in Perfetto-compatible tooling without
 // needing Perfetto in CI.
 //
-//hbvet:allow deadexport check tests compare against: the trace validator of obs's tests, the root trace_test.go and trace-smoke (TestTraceArtifact)
+//hbvet:allow deadexport check tests compare against: the trace validator of obs's tests, the root trace_test.go, TestTraceArtifact and hbcrawl's TestTraceSmoke (make trace-smoke)
 func ValidateTrace(r io.Reader) error {
 	var doc struct {
 		TraceEvents []traceEvent `json:"traceEvents"`

@@ -69,11 +69,21 @@ type PageConfig struct {
 // alone (see PageConfig).
 func (c *PageConfig) derive() {
 	c.slots = prebid.SlotSpecs(c.AdUnits)
-	c.dialect, c.units = &prebid.PrebidJS, c.AdUnits
+	c.dialect = &prebid.PrebidJS
 	if c.Library == "pubfood" {
-		c.dialect, c.units = &pubfood.Dialect, pubfood.AdUnits(c.AdUnits)
+		c.dialect = &pubfood.Dialect
 	}
 	c.auctionIDs = c.dialect.AuctionIDs(c.Site, len(c.AdUnits))
+	c.deriveUnits()
+}
+
+// deriveUnits sets the round's ad units from AdUnits: pubfood's slots
+// and providers on a pubfood page, the units themselves otherwise.
+func (c *PageConfig) deriveUnits() {
+	c.units = c.AdUnits
+	if c.dialect == &pubfood.Dialect {
+		c.units = pubfood.AdUnits(c.AdUnits)
+	}
 }
 
 // InlineScript renders the config as the inline <script> body sitegen
@@ -199,10 +209,9 @@ func OverlayConfig(cfg *PageConfig, ov *overlay.Overlay) *PageConfig {
 		out.BadWrapper = false
 	}
 	if ov.MaxPartners > 0 {
-		out.AdUnits = capPartners(cfg.AdUnits, ov.MaxPartners)
-		out.units = out.AdUnits
-		if out.Library == "pubfood" {
-			out.units = pubfood.AdUnits(out.AdUnits)
+		if units, trimmed := capPartners(cfg.AdUnits, ov.MaxPartners); trimmed {
+			out.AdUnits = units
+			out.deriveUnits()
 		}
 	}
 	return &out
@@ -210,9 +219,10 @@ func OverlayConfig(cfg *PageConfig, ov *overlay.Overlay) *PageConfig {
 
 // capPartners keeps the first max distinct bidders (in first-appearance
 // order across the units, which is deterministic page config order) and
-// filters every unit's bidder list down to the survivors. Units are
-// returned unchanged — same backing array — when nothing is dropped.
-func capPartners(units []prebid.AdUnit, max int) []prebid.AdUnit {
+// filters every unit's bidder list down to the survivors, reporting
+// whether it dropped any. Units are returned unchanged — same backing
+// array — when nothing is dropped.
+func capPartners(units []prebid.AdUnit, max int) ([]prebid.AdUnit, bool) {
 	keep := make(map[string]bool, max)
 	dropped := false
 	for _, u := range units {
@@ -228,7 +238,7 @@ func capPartners(units []prebid.AdUnit, max int) []prebid.AdUnit {
 		}
 	}
 	if !dropped {
-		return units
+		return units, false
 	}
 	out := make([]prebid.AdUnit, len(units))
 	for i, u := range units {
@@ -242,7 +252,7 @@ func capPartners(units []prebid.AdUnit, max int) []prebid.AdUnit {
 		nu.Bidders = bs
 		out[i] = nu
 	}
-	return out
+	return out, true
 }
 
 // Runtime implements browser.ScriptRuntime over the partner registry.
