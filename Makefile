@@ -2,14 +2,15 @@ GO ?= go
 GOFMT ?= gofmt
 
 # Committed allocs/visit ceiling for the CI bench gate (see PERF.md for
-# the measured numbers it is derived from): the gate measures 4.02
-# since a record's lists come from its worker's append-only chunks
-# (4.80 before, 7.59 before the strings a visit sends did).
-# BenchmarkCrawl_EndToEnd crawls its world once untimed before it
-# measures, so the world's one-time work does not land in the reading
-# and the reading does not depend on -benchtime; the ceiling keeps
-# about 12% headroom over it.
-ALLOCS_CEILING ?= 4.5
+# the measured numbers it is derived from): the gate measures 3.68
+# since pubfood runs prebid's pooled round and auction IDs are built
+# once per config (4.02 before, 4.80 before a record's lists came from
+# its worker's append-only chunks, 7.59 before the strings a visit
+# sends did). BenchmarkCrawl_EndToEnd crawls its world once untimed
+# before it measures, so the world's one-time work does not land in the
+# reading and the reading does not depend on -benchtime; the ceiling
+# keeps about 11% headroom over it.
+ALLOCS_CEILING ?= 4.1
 
 # Max throughput the metrics-attached crawl may give up vs the bare
 # crawl, in percent (the streaming-metrics design goal is <=10%).
