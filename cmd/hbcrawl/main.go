@@ -225,7 +225,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *shardOut != "" {
 		h := headerbid.ShardHeader{Seed: *seed, ShardCount: shard.Count, Shards: []int{shard.Index}}
-		if err := writeShard(*shardOut, stdout, h, []headerbid.MetricCodec{fr, deg}); err != nil {
+		ms := []headerbid.MetricCodec{fr, deg}
+		var err error
+		if *shardOut == "-" {
+			err = headerbid.MarshalShard(stdout, h, ms)
+		} else {
+			err = headerbid.WriteShardFile(*shardOut, h, ms)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		if *shardOut != "-" {
@@ -242,23 +249,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fr.Render(dst)
 	}
 	return 0
-}
-
-// writeShard marshals a shard file to path, or to stdout when path is
-// "-".
-func writeShard(path string, stdout io.Writer, h headerbid.ShardHeader, metrics []headerbid.MetricCodec) error {
-	if path == "-" {
-		return headerbid.MarshalShard(stdout, h, metrics)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := headerbid.MarshalShard(f, h, metrics); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // progress renders the crawl status line on stderr: percent done,

@@ -86,13 +86,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logf("folded %d file(s): seed %d, %d/%d shard(s)", len(paths), h.Seed, len(h.Shards), h.ShardCount)
 
-	if *mergeOut != "" {
-		if err := writeShard(*mergeOut, stdout, h, fold.Metrics()); err != nil {
+	switch *mergeOut {
+	case "":
+	case "-":
+		if err := headerbid.MarshalShard(stdout, h, fold.Metrics()); err != nil {
 			return fail("%v", err)
 		}
-		if *mergeOut != "-" {
-			logf("folded state written to %s", *mergeOut)
+	default:
+		if err := headerbid.WriteShardFile(*mergeOut, h, fold.Metrics()); err != nil {
+			return fail("%v", err)
 		}
+		logf("folded state written to %s", *mergeOut)
 	}
 
 	m, ok := fold.Get("figure_report")
@@ -114,21 +118,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fr.Render(stdout)
 	}
 	return 0
-}
-
-// writeShard marshals a shard file to path, or to stdout when path is
-// "-".
-func writeShard(path string, stdout io.Writer, h headerbid.ShardHeader, metrics []headerbid.MetricCodec) error {
-	if path == "-" {
-		return headerbid.MarshalShard(stdout, h, metrics)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := headerbid.MarshalShard(f, h, metrics); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

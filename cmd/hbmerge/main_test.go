@@ -15,9 +15,9 @@ import (
 
 const testSites, testDays = 300, 2
 
-// crawlShard crawls slice index/count of the seed's world and writes
+// writeShard crawls slice index/count of the seed's world and writes
 // its shard file, as `hbcrawl -shard index/count -shard-out` does.
-func crawlShard(t *testing.T, dir string, seed int64, index, count int) string {
+func writeShard(t *testing.T, dir string, seed int64, index, count int) string {
 	t.Helper()
 	fr, deg := headerbid.NewFigureReport(), headerbid.NewDegradation()
 	exp := headerbid.NewExperiment(
@@ -32,7 +32,7 @@ func crawlShard(t *testing.T, dir string, seed int64, index, count int) string {
 	}
 	path := filepath.Join(dir, fmt.Sprintf("seed%d-s%d.hbs", seed, index))
 	h := headerbid.ShardHeader{Seed: seed, ShardCount: count, Shards: []int{index}}
-	if err := writeShard(path, nil, h, []headerbid.MetricCodec{fr, deg}); err != nil {
+	if err := headerbid.WriteShardFile(path, h, []headerbid.MetricCodec{fr, deg}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -51,7 +51,7 @@ func runMerge(args ...string) (int, string, string) {
 // world, and -summary prints its Table 1.
 func TestFoldRendersSingleProcessReport(t *testing.T) {
 	dir := t.TempDir()
-	s0, s1 := crawlShard(t, dir, 7, 0, 2), crawlShard(t, dir, 7, 1, 2)
+	s0, s1 := writeShard(t, dir, 7, 0, 2), writeShard(t, dir, 7, 1, 2)
 
 	single := headerbid.NewFigureReport()
 	exp := headerbid.NewExperiment(
@@ -89,7 +89,7 @@ func TestFoldRendersSingleProcessReport(t *testing.T) {
 // -merge-out file writes it to the file.
 func TestMergeOutStreamEqualsFile(t *testing.T) {
 	dir := t.TempDir()
-	s0, s1 := crawlShard(t, dir, 7, 0, 2), crawlShard(t, dir, 7, 1, 2)
+	s0, s1 := writeShard(t, dir, 7, 0, 2), writeShard(t, dir, 7, 1, 2)
 	path := filepath.Join(dir, "fold.hbs")
 	if code, _, stderr := runMerge("-merge-out", path, s0, s1); code != 0 {
 		t.Fatalf("-merge-out %s: exit %d: %s", path, code, stderr)
@@ -111,8 +111,8 @@ func TestMergeOutStreamEqualsFile(t *testing.T) {
 // and says why on stderr.
 func TestRefusals(t *testing.T) {
 	dir := t.TempDir()
-	s0, s1 := crawlShard(t, dir, 7, 0, 2), crawlShard(t, dir, 7, 1, 2)
-	other := crawlShard(t, dir, 8, 1, 2)
+	s0, s1 := writeShard(t, dir, 7, 0, 2), writeShard(t, dir, 7, 1, 2)
+	other := writeShard(t, dir, 8, 1, 2)
 
 	// A file this build would have read before the format bump: the
 	// version uvarint follows the 8-byte magic.

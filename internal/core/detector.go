@@ -971,44 +971,26 @@ func (d *Detector) s2sOwner(slot string) int {
 }
 
 // hostedAuctionIDs returns a string that starts with the IDs
-// "<domain>-ss-1" … "<domain>-ss-<n>" of the page's n hosted auctions,
-// which the observation's auctions share: the ID of auction i ends at
-// d.idEnds[i]. The IDs are a function of domain and index alone, so the
-// detector builds a domain's string once and keeps it across Reattach
-// (a prefix serves a page with fewer auctions); a record holds no more
-// than its page's IDs.
+// "<domain>-ss-1" … "<domain>-ss-<n>" of the page's n hosted auctions
+// (hb.NumberedIDs), which the observation's auctions share: the ID of
+// auction i ends at d.idEnds[i]. The IDs are a function of domain and
+// index alone, so the detector builds a domain's string once and keeps
+// it across Reattach (a prefix serves a page with fewer auctions); a
+// record holds no more than its page's IDs.
 func (d *Detector) hostedAuctionIDs(domain string, n int) string {
 	ends, end := d.idEnds[:0], 0
 	for i := 1; i <= n; i++ {
-		end += len(domain) + len("-ss-") + digits(i)
+		end += hb.NumberedIDLen(domain, "-ss-", i)
 		ends = append(ends, end)
 	}
 	d.idEnds = ends
 	ids := d.hostedIDs[domain]
-	if len(ids) >= end {
-		return ids
+	if len(ids) < end {
+		ids = hb.NumberedIDs(domain, "-ss-", n)
+		if d.hostedIDs == nil {
+			d.hostedIDs = make(map[string]string)
+		}
+		d.hostedIDs[domain] = ids
 	}
-	var b strings.Builder
-	b.Grow(end)
-	var num [20]byte
-	for i := 1; i <= n; i++ {
-		b.WriteString(domain)
-		b.WriteString("-ss-")
-		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
-	}
-	ids = b.String()
-	if d.hostedIDs == nil {
-		d.hostedIDs = make(map[string]string)
-	}
-	d.hostedIDs[domain] = ids
 	return ids
-}
-
-// digits returns the number of decimal digits of i > 0.
-func digits(i int) int {
-	n := 1
-	for ; i >= 10; i /= 10 {
-		n++
-	}
-	return n
 }

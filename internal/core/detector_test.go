@@ -438,3 +438,27 @@ func TestLibrariesRecorded(t *testing.T) {
 		t.Fatalf("libraries = %v", o.Libraries)
 	}
 }
+
+// TestHostedAuctionIDsKeptPerDomain: a hosted page's auction IDs are
+// "<domain>-ss-<i>" whatever pages the detector saw before: a domain
+// seen with fewer hosted slots is served a prefix of its kept string,
+// one seen with more has its string rebuilt, and a later page with
+// fewer slots reads a prefix of that.
+func TestHostedAuctionIDsKeptPerDomain(t *testing.T) {
+	var d Detector
+	for _, c := range []struct {
+		domain string
+		n      int
+	}{{"a.example", 3}, {"b.example", 1}, {"a.example", 12}, {"a.example", 2}, {"b.example", 0}, {"b.example", 4}} {
+		ids, lo := d.hostedAuctionIDs(c.domain, c.n), 0
+		for i := 0; i < c.n; i++ {
+			if got, want := ids[lo:d.idEnds[i]], fmt.Sprintf("%s-ss-%d", c.domain, i+1); got != want {
+				t.Fatalf("%s with %d slots: auction %d has ID %q, want %q", c.domain, c.n, i, got, want)
+			}
+			lo = d.idEnds[i]
+		}
+		if len(d.idEnds) != c.n {
+			t.Fatalf("%s with %d slots: %d ID ends", c.domain, c.n, len(d.idEnds))
+		}
+	}
+}

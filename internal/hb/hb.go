@@ -267,6 +267,36 @@ func ToUSD(amount float64, cur Currency) (float64, bool) {
 	return amount * r, true
 }
 
+// NumberedIDs returns the IDs "<base><tag>1" … "<base><tag><n>" in one
+// string, the k-th of them NumberedIDLen(base, tag, k) bytes long: a
+// page's auction IDs, which records keep, built once per page and
+// sliced by their readers, so a held record keeps no more than its
+// page's IDs alive.
+func NumberedIDs(base, tag string, n int) string {
+	size := 0
+	for k := 1; k <= n; k++ {
+		size += NumberedIDLen(base, tag, k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	for k := 1; k <= n; k++ {
+		b.WriteString(base)
+		b.WriteString(tag)
+		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+	}
+	return b.String()
+}
+
+// NumberedIDLen returns the length of the ID "<base><tag><k>", k > 0.
+func NumberedIDLen(base, tag string, k int) int {
+	n := len(base) + len(tag) + 1
+	for ; k >= 10; k /= 10 {
+		n++
+	}
+	return n
+}
+
 // Bid is a single demand-partner bid for one ad unit.
 type Bid struct {
 	AuctionID string

@@ -159,34 +159,11 @@ var PrebidJS = Dialect{
 }
 
 // AuctionIDs returns the auction IDs of a round over n ad units of
-// site, "<site><AuctionTag>1" to "<site><AuctionTag><n>", in one string:
-// a value of the page's config alone, which the page's configs build
-// once beside their slots value (Config.AuctionIDs). The events,
-// outcomes, bids and records that carry an ID share the string, which
-// holds nothing else, so a record keeps no more than its page's IDs.
+// site, "<site><AuctionTag>1" to "<site><AuctionTag><n>", in one string
+// (hb.NumberedIDs): a value of the page's config alone, which the page's
+// configs build once beside their slots value (Config.AuctionIDs).
 func (d *Dialect) AuctionIDs(site string, n int) string {
-	size := 0
-	for k := 1; k <= n; k++ {
-		size += len(site) + len(d.AuctionTag) + digits(k)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	var num [20]byte
-	for k := 1; k <= n; k++ {
-		b.WriteString(site)
-		b.WriteString(d.AuctionTag)
-		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
-	}
-	return b.String()
-}
-
-// digits returns the number of decimal digits of k > 0.
-func digits(k int) int {
-	n := 1
-	for ; k >= 10; k /= 10 {
-		n++
-	}
-	return n
+	return hb.NumberedIDs(site, d.AuctionTag, n)
 }
 
 // Config configures one wrapper instance (that is, one publisher page).
@@ -386,7 +363,7 @@ func (w *Wrapper) RequestBids(done func(*Result)) {
 	w.units = slices.Grow(w.units[:0], n)[:n]
 	ids := w.cfg.AuctionIDs
 	for i, u := range w.cfg.AdUnits {
-		k := len(w.cfg.Site) + len(w.d.AuctionTag) + digits(i+1)
+		k := hb.NumberedIDLen(w.cfg.Site, w.d.AuctionTag, i+1)
 		aid := ids[:k]
 		ids = ids[k:]
 		uo := &w.units[i]

@@ -180,6 +180,19 @@ func UnmarshalShard(rd io.Reader) (Header, []Codec, error) {
 	return h, metrics, nil
 }
 
+// WriteShardFile marshals to the file at path, replacing it.
+func WriteShardFile(path string, h Header, metrics []Codec) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := MarshalShard(f, h, metrics); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // ReadShardFile unmarshals one shard file from disk.
 func ReadShardFile(path string) (Header, []Codec, error) {
 	f, err := os.Open(path)

@@ -41,6 +41,12 @@ func UnmarshalShard(r io.Reader) (ShardHeader, []MetricCodec, error) {
 	return snapshot.UnmarshalShard(r)
 }
 
+// WriteShardFile marshals to the file at path, replacing it. A command
+// that takes "-" for its stdout marshals there itself (MarshalShard).
+func WriteShardFile(path string, h ShardHeader, metrics []MetricCodec) error {
+	return snapshot.WriteShardFile(path, h, metrics)
+}
+
 // ReadShardFile unmarshals one shard file from disk.
 func ReadShardFile(path string) (ShardHeader, []MetricCodec, error) {
 	return snapshot.ReadShardFile(path)
